@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .numeric import close, lattice_contains, rational_reconstruct
 
@@ -45,21 +46,25 @@ class SCData:
         if not _is_unit_of(self.c, self.w1, self.w2):
             raise ValueError("c must satisfy c Lambda = Lambda")
 
-    @property
+    # the invariants below are computed once per (frozen) instance
+
+    @cached_property
     def case(self):
         """'one', 'minus-one', or 'root' (c = e^{2 pi i p / q}, q > 2)."""
         if close(self.c, 1.0):
             return "one"
         if close(self.c, -1.0):
             return "minus-one"
-        frac = rational_reconstruct(cmath.phase(self.c) / (2 * math.pi), max_denominator=1000)
-        if frac is None or not close(abs(self.c), 1.0):
+        if self._fraction is None or not close(abs(self.c), 1.0):
             raise ValueError("c must be a root of unity")
         return "root"
 
+    @cached_property
+    def _fraction(self):
+        return rational_reconstruct(cmath.phase(self.c) / (2 * math.pi), max_denominator=1000)
+
     def root_fraction(self):
-        frac = rational_reconstruct(cmath.phase(self.c) / (2 * math.pi), max_denominator=1000)
-        return frac.numerator, frac.denominator
+        return self._fraction.numerator, self._fraction.denominator
 
     def to_json(self):
         return {
@@ -134,7 +139,9 @@ class SCBiholomorphism:
             if abs(int(k)) > LAURENT_DEGREE_CAP:
                 raise ValueError("Laurent degree exceeds the cap")
 
+    @cached_property
     def fdict(self):
+        """The Laurent coefficients as a dict exponent -> coefficient."""
         return {int(k): complex(v) for k, v in self.f}
 
 
@@ -144,7 +151,7 @@ def biholo_apply(phi, z, w):
     case = data.case
     znew = phi.sign * z + phi.z0
     u = cmath.exp(2j * math.pi * z)
-    fval = _laurent_eval(phi.fdict(), u)
+    fval = _laurent_eval(phi.fdict, u)
     if case == "one":
         return (znew, phi.b * w + fval)
     if case == "minus-one":

@@ -11,6 +11,7 @@ schemas per family are documented in docs/families.md.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import bbeta, catalogue, families, projective, uaff, verify
 from .divisor import Divisor
 from .exppoly import ExpPoly
-from .numeric import NonDiscreteError
+from .numeric import SL_DET_TOL, NonDiscreteError, close
 from .surfaces import TorusPoint
 
 
@@ -67,11 +68,28 @@ def canonical_family(label):
 # element and point (de)serialization
 
 
+def _affine_element(label, data):
+    """An A2 (GL(2)) or A3 (SL(2)) element, its invariants checked."""
+    m = _matrix(data["matrix"])
+    t = np.array([_c(x) for x in data["translation"]])
+    if m.shape != (2, 2):
+        raise InputError(f"{label} matrix must be 2x2, got shape {m.shape}")
+    if t.shape != (2,):
+        raise InputError(f"{label} translation must have 2 entries, got {t.size}")
+    (a, b), (c, d) = m.tolist()
+    det = a * d - b * c
+    if label == "A3" and not close(det, 1.0, tol=SL_DET_TOL):
+        raise InputError(f"A3 matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
+    if label == "A2" and not projective.invertible2(m):
+        raise InputError("A2 matrix must be invertible")
+    return (m, t)
+
+
 def element_from_json(label, data):
     if label == "A1":
         return _matrix(data["matrix"])
     if label in ("A2", "A3"):
-        return (_matrix(data["matrix"]), np.array([_c(x) for x in data["translation"]]))
+        return _affine_element(label, data)
     if label == "C2":
         return (_c(data["t"]), (_c(data["affine"]["alpha"]), _c(data["affine"]["beta"])))
     if label == "C3":
@@ -94,7 +112,10 @@ def element_from_json(label, data):
     if label == "D2":
         return uaff.UAffElement(_c(data["a"]), _c(data["b"]))
     if label == "D3":
-        return (_c(data["m"]), (_c(data["v"][0]), _c(data["v"][1])))
+        m = _c(data["m"])
+        if m == 0 or not cmath.isfinite(m):
+            raise InputError(f"D3 needs a finite nonzero m, got {m}")
+        return (m, (_c(data["v"][0]), _c(data["v"][1])))
     if label == "Bβ1":
         D = Divisor.from_json(data["divisor"])
         return bbeta.GDElement(D, _c(data["t"]), ExpPoly.from_json(data["f"]))

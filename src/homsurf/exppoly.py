@@ -17,6 +17,7 @@ operator built from its root divisor cancels structurally, with no residual.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +143,14 @@ class ExpPoly:
         return cls(())
 
     @classmethod
+    def _same_frequencies(cls, terms):
+        """Terms whose frequencies come from a canonical form, in its order:
+        only the zero polynomials are dropped, with no re-sort or re-merge."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", tuple((lam, p) for lam, p in terms if not p.is_zero))
+        return out
+
+    @classmethod
     def exponential(cls, lam, poly=None):
         return cls(((lam, Polynomial.const(1.0) if poly is None else poly),))
 
@@ -164,7 +173,7 @@ class ExpPoly:
 
     def scale(self, c):
         c = complex(c)
-        return ExpPoly(tuple((lam, p.scale(c)) for lam, p in self.terms))
+        return ExpPoly._same_frequencies([(lam, p.scale(c)) for lam, p in self.terms])
 
     def modulate(self, a):
         """Multiply by e^{a z}: shift every frequency by a."""
@@ -216,10 +225,9 @@ def translate(f, t):
     shifted and scaled by e^{-lam t}.
     """
     t = complex(t)
-    out = []
-    for lam, p in f.terms:
-        out.append((lam, p.shifted(t).scale(cmath.exp(-lam * t))))
-    return ExpPoly(tuple(out))
+    return ExpPoly._same_frequencies(
+        [(lam, p.shifted(t).scale(cmath.exp(-lam * t))) for lam, p in f.terms]
+    )
 
 
 def exppoly_close(f, g, tol=None, scale=0.0):
@@ -260,8 +268,13 @@ class DiffOperator:
         return Polynomial(self.coeffs)
 
 
+@functools.lru_cache(maxsize=256)
 def monic_polynomial(D):
-    """Monic polynomial with zero locus D, counting multiplicities."""
+    """Monic polynomial with zero locus D, counting multiplicities.
+
+    Divisors are frozen and hashable, so the operator is built once per
+    divisor (the returned operator is immutable and shared).
+    """
     if D.degree == 0:
         raise ValueError("degenerate divisor")
     p = Polynomial.const(1.0)

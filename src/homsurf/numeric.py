@@ -34,6 +34,10 @@ RECON_TOL = 1e-8
 _STRICT_COEF = 1e-10
 # reduced basis vectors inside (CHOP, BAND) * scale signal a dense subgroup
 _NOISE_BAND = 1e-7
+# generator coordinates beyond this would overflow the squared norms of zmodule_basis
+COORD_LIMIT = 1e150
+# an SL(2,C) element may have |det - 1| up to this (relative to max(1, |det|))
+SL_DET_TOL = 1e-9
 
 
 class NonDiscreteError(ValueError):
@@ -164,12 +168,17 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     `combos[i]` an integer row over the inputs realizing basis[i], and
     `relations` integer rows spanning the combinations that vanish.
     Raises NonDiscreteError when the module is not discrete (irrational
-    coordinates, denominator blow-up, or collapsed basis vectors).
+    coordinates, denominator blow-up, or collapsed basis vectors), and for
+    generators with a non-finite coordinate or one beyond COORD_LIMIT.
     """
     vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     n = len(vecs)
     if n == 0:
         return [], [], []
+    # NaN propagates through the max, so one comparison catches NaN, inf and overflow
+    top = np.abs(np.concatenate(vecs)).max(initial=0.0)
+    if not top <= COORD_LIMIT:
+        raise NonDiscreteError(f"generator coordinate {top} is not finite or beyond {COORD_LIMIT:.0e}")
     norms = [float(np.linalg.norm(v)) for v in vecs]
     scale = max(norms)
     unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

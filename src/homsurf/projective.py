@@ -17,6 +17,8 @@ binary form.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,24 +28,61 @@ from .numeric import EPS, close
 
 
 # ---------------------------------------------------------------------------
+# 2x2 matrices in closed form: numpy's per-call cost outweighs the arithmetic
+
+
+def _entries(g):
+    """The entries a, b, c, d of a 2x2 matrix given as an ndarray or nested rows."""
+    (a, b), (c, d) = g.tolist() if isinstance(g, np.ndarray) else g
+    return a, b, c, d
+
+
+def inverse2(g):
+    """Inverse of an invertible 2x2 matrix, as a tuple of rows."""
+    a, b, c, d = _entries(g)
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular matrix")
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+def product2(g, h):
+    """Product g h of two 2x2 matrices, as a tuple of rows."""
+    a, b, c, d = _entries(g)
+    e, f, p, q = _entries(h)
+    return ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
+
+
+def _invertible(a, b, c, d):
+    return abs(a * d - b * c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+
+
+def invertible2(g):
+    """Whether |det g| clears EPS times the squared largest entry (at least 1)."""
+    return _invertible(*_entries(g))
+
+
+# ---------------------------------------------------------------------------
 # projective points
 
 
 @dataclass(frozen=True)
 class ProjPoint:
-    """Point of the projective line, normalized so the largest coordinate is 1."""
+    """Point of the projective line, normalized so the largest coordinate is 1.
+
+    On equal moduli the first coordinate is the one set to 1.
+    """
 
     coords: tuple
 
     def __init__(self, z1, z2=None):
-        if z2 is None:
-            z1, z2 = complex(z1), 1.0 + 0j
-        v = np.array([z1, z2], dtype=complex)
-        m = np.abs(v)
-        if m.max() == 0:
+        z1 = complex(z1)
+        z2 = 1.0 + 0j if z2 is None else complex(z2)
+        m1, m2 = abs(z1), abs(z2)
+        if max(m1, m2) == 0:
             raise ValueError("projective point needs a nonzero representative")
-        v = v / v[int(m.argmax())]
-        object.__setattr__(self, "coords", (complex(v[0]), complex(v[1])))
+        ref = z1 if m1 >= m2 else z2
+        object.__setattr__(self, "coords", (z1 / ref, z2 / ref))
 
     @classmethod
     def infinity(cls):
@@ -58,9 +97,6 @@ class ProjPoint:
         if self.is_infinity:
             raise ValueError("point at infinity has no affine value")
         return self.coords[0] / self.coords[1]
-
-    def vec(self):
-        return np.array(self.coords, dtype=complex)
 
 
 def proj_equal(p, q, tol=None):
@@ -78,48 +114,65 @@ class Proj2Point:
     coords: tuple
 
     def __init__(self, coords):
-        v = np.array(list(coords), dtype=complex)
-        if v.shape != (3,):
+        v = [complex(c) for c in coords]
+        if len(v) != 3:
             raise ValueError("need three homogeneous coordinates")
-        m = np.abs(v)
-        if m.max() == 0:
+        m = [abs(c) for c in v]
+        top = max(m)
+        if top == 0:
             raise ValueError("projective point needs a nonzero representative")
-        v = v / v[int(m.argmax())]
-        object.__setattr__(self, "coords", tuple(complex(c) for c in v))
+        ref = v[m.index(top)]
+        object.__setattr__(self, "coords", tuple(c / ref for c in v))
+
+
+def cross3(a, b):
+    """Cross product of two 3-vectors of complex numbers."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def proj2_equal(p, q, tol=None):
-    a = np.array(p.coords)
-    b = np.array(q.coords)
-    cross = np.cross(a, b)
-    scale = max(1e-300, float(np.abs(a).max() * np.abs(b).max()))
-    return float(np.abs(cross).max()) <= (EPS if tol is None else tol) * scale
+    a, b = p.coords, q.coords
+    scale = max(1e-300, max(map(abs, a)) * max(map(abs, b)))
+    return max(map(abs, cross3(a, b))) <= (EPS if tol is None else tol) * scale
 
 
 def proj2_act(g3, p, tol=None):
     """Linear action of an invertible 3x3 matrix on the projective plane."""
-    g3 = np.asarray(g3, dtype=complex)
-    return Proj2Point(g3 @ np.array(p.coords))
+    rows = g3.tolist() if isinstance(g3, np.ndarray) else g3
+    x, y, z = p.coords
+    return Proj2Point([r[0] * x + r[1] * y + r[2] * z for r in rows])
 
 
 def mobius_act(g, p):
     """Moebius action of an invertible 2x2 matrix on the projective line."""
-    g = np.asarray(g, dtype=complex)
-    if abs(np.linalg.det(g)) <= EPS * max(1.0, float(np.abs(g).max()) ** 2):
+    a, b, c, d = _entries(g)
+    if not _invertible(a, b, c, d):
         raise ValueError("singular matrix")
-    w = g @ p.vec()
-    return ProjPoint(w[0], w[1])
+    z1, z2 = p.coords
+    return ProjPoint(a * z1 + b * z2, c * z1 + d * z2)
 
 
 # ---------------------------------------------------------------------------
 # symmetric powers and binary forms
 
 
+@functools.lru_cache(maxsize=64)
+def _binomials(k):
+    return tuple(math.comb(k, j) for j in range(k + 1))
+
+
 def _pair_power(u, v, k):
     """Coefficients of (u*Z1 + v*Z2)^k over Z1^{k-j} Z2^j."""
-    out = np.zeros(k + 1, dtype=complex)
-    for j in range(k + 1):
-        out[j] = math.comb(k, j) * u ** (k - j) * v**j
+    return [c * u ** (k - j) * v**j for j, c in enumerate(_binomials(k))]
+
+
+def _pair_product(u, v, s, t, k, n):
+    """Coefficients of (u Z1 + v Z2)^(n-k) (s Z1 + t Z2)^k over Z1^{n-i} Z2^i."""
+    out = [0j] * (n + 1)
+    right = _pair_power(s, t, k)
+    for i, x in enumerate(_pair_power(u, v, n - k)):
+        for j, y in enumerate(right):
+            out[i + j] += x * y
     return out
 
 
@@ -127,15 +180,9 @@ def sym_power_rep(g, n):
     """Matrix of g acting on Sym^n C^2 in the basis e1^n, e1^{n-1}e2, ..., e2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = np.asarray(g, dtype=complex)
-    a, c = g[0, 0], g[1, 0]
-    b, d = g[0, 1], g[1, 1]
-    cols = []
-    for k in range(n + 1):
-        # image of e1^{n-k} e2^k is (a e1 + c e2)^{n-k} (b e1 + d e2)^k
-        col = np.convolve(_pair_power(a, c, n - k), _pair_power(b, d, k))
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    a, b, c, d = _entries(g)
+    # column k is the image of e1^{n-k} e2^k, that is (a e1 + c e2)^{n-k} (b e1 + d e2)^k
+    return np.array([_pair_product(a, c, b, d, k, n) for k in range(n + 1)], dtype=complex).T
 
 
 def binary_form_eval(coeffs, z1, z2):
@@ -145,16 +192,14 @@ def binary_form_eval(coeffs, z1, z2):
 
 def binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
-    m = np.asarray(m, dtype=complex)
+    m00, m01, m10, m11 = _entries(m)
     n = len(coeffs) - 1
-    out = np.zeros(n + 1, dtype=complex)
+    out = [0j] * (n + 1)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
-        term = np.convolve(
-            _pair_power(m[0, 0], m[0, 1], n - j), _pair_power(m[1, 0], m[1, 1], j)
-        )
-        out += c * term
+        for i, t in enumerate(_pair_product(m00, m01, m10, m11, j, n)):
+            out[i] += c * t
     return tuple(out)
 
 
@@ -210,7 +255,7 @@ def quadric_preimages(p2):
     if abs(disc) <= EPS * max(1.0, scale) ** 2:
         raise ValueError("point lies on the branch conic")
     if abs(a) > 1e-8 * scale:
-        s = np.sqrt(complex(disc))
+        s = cmath.sqrt(disc)
         top = -(b + s) if abs(b + s) >= abs(b - s) else -(b - s)
         q = top / 2
         alpha = ProjPoint(q / a)
@@ -224,8 +269,7 @@ def quadric_preimages(p2):
 
 def conic_complement_act(g, p2):
     """The induced action on quadratic coefficients: substitute g^{-1}."""
-    g = np.asarray(g, dtype=complex)
-    return Proj2Point(binary_form_substitute(p2.coords, np.linalg.inv(g)))
+    return Proj2Point(binary_form_substitute(p2.coords, inverse2(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +288,8 @@ class BundlePoint:
     def carrier(self):
         """Homogeneous representative (v, value) with value = section(v)."""
         if self.chart == 0:
-            return np.array([self.z, 1.0], dtype=complex), complex(self.w)
-        return np.array([1.0, self.z], dtype=complex), complex(self.w)
+            return (complex(self.z), 1.0 + 0j), complex(self.w)
+        return (1.0 + 0j, complex(self.z)), complex(self.w)
 
     def to_chart(self, chart):
         if chart == self.chart:
@@ -272,25 +316,13 @@ def bundle_equal(p, q, tol=None):
     return close(p.z, q2.z, tol=tol) and close(p.w, q2.w, tol=tol)
 
 
-def _zn_scalar(g, n):
-    """n-th root of unity placing the reference entry's argument in [0, 2pi/n)."""
-    order = [(1, 1), (0, 0), (0, 1), (1, 0)]
-    scale = float(np.abs(g).max())
-    ref = None
-    for i, j in order:
-        if abs(g[i, j]) > 1e-12 * scale:
-            ref = g[i, j]
-            break
-    theta = np.angle(ref) % (2 * math.pi)
-    k = int(theta // (2 * math.pi / n))
-    return np.exp(-2j * math.pi * k / n)
-
-
 @dataclass(frozen=True)
 class OnGroupElement:
     """Element (g, p) of (GL(2,C)/Z_n) acting on O(n), p a degree-n binary form.
 
-    The matrix is stored canonicalized modulo scalar n-th roots of unity.
+    The matrix is stored canonicalized modulo scalar n-th roots of unity: the
+    first entry of (1,1), (0,0), (0,1), (1,0) above 1e-12 of the largest
+    entry gets its argument into [0, 2 pi / n).
     """
 
     n: int
@@ -299,17 +331,23 @@ class OnGroupElement:
 
     def __init__(self, n, matrix, poly):
         n = int(n)
-        g = np.asarray(matrix, dtype=complex)
-        if g.shape != (2, 2):
-            raise ValueError("matrix must be 2x2")
-        if abs(np.linalg.det(g)) <= EPS * max(1.0, float(np.abs(g).max()) ** 2):
+        try:
+            a, b, c, d = (complex(x) for x in _entries(matrix))
+        except (TypeError, ValueError):
+            raise ValueError("matrix must be 2x2") from None
+        if not _invertible(a, b, c, d):
             raise ValueError("matrix must be invertible")
-        p = tuple(complex(c) for c in poly)
+        p = tuple(complex(x) for x in poly)
         if len(p) != n + 1:
             raise ValueError("polynomial must have degree n")
-        g = g * _zn_scalar(g, n)
+        scale = max(abs(a), abs(b), abs(c), abs(d))
+        ref = next(x for x in (d, a, b, c) if abs(x) > 1e-12 * scale)
+        k = int(cmath.phase(ref) % (2 * math.pi) // (2 * math.pi / n))
+        if k:
+            zeta = cmath.exp(-2j * math.pi * k / n)
+            a, b, c, d = a * zeta, b * zeta, c * zeta, d * zeta
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", tuple(tuple(complex(x) for x in row) for row in g))
+        object.__setattr__(self, "matrix", ((a, b), (c, d)))
         object.__setattr__(self, "poly", p)
 
     def mat(self):
@@ -317,33 +355,32 @@ class OnGroupElement:
 
 
 def on_identity(n):
-    return OnGroupElement(n, np.eye(2), (0.0,) * (n + 1))
+    return OnGroupElement(n, ((1.0, 0.0), (0.0, 1.0)), (0.0,) * (n + 1))
 
 
 def on_multiply(e0, e1):
     """(g0, p0)(g1, p1) = (g0 g1, p0 + p1 o g0^{-1})."""
     if e0.n != e1.n:
         raise ValueError("mixed bundle degrees")
-    g0, g1 = e0.mat(), e1.mat()
-    comp = binary_form_substitute(e1.poly, np.linalg.inv(g0))
+    comp = binary_form_substitute(e1.poly, inverse2(e0.matrix))
     p = tuple(a + b for a, b in zip(e0.poly, comp))
-    return OnGroupElement(e0.n, g0 @ g1, p)
+    return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), p)
 
 
 def on_inverse(e):
-    gi = np.linalg.inv(e.mat())
-    p = tuple(-c for c in binary_form_substitute(e.poly, e.mat()))
-    return OnGroupElement(e.n, gi, p)
+    p = tuple(-c for c in binary_form_substitute(e.poly, e.matrix))
+    return OnGroupElement(e.n, inverse2(e.matrix), p)
 
 
 def on_matrix_distance(e0, e1):
     """Relative distance of the matrix parts modulo scalar n-th roots of unity."""
-    a, b = e0.mat(), e1.mat()
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    a = e0.matrix[0] + e0.matrix[1]
+    b = e1.matrix[0] + e1.matrix[1]
+    scale = max(1.0, *map(abs, a), *map(abs, b))
     best = math.inf
     for j in range(e0.n):
-        zeta = np.exp(2j * math.pi * j / e0.n)
-        best = min(best, float(np.abs(a - zeta * b).max()) / scale)
+        zeta = cmath.exp(2j * math.pi * j / e0.n)
+        best = min(best, max(abs(x - zeta * y) for x, y in zip(a, b)) / scale)
     return best
 
 
@@ -360,13 +397,14 @@ def on_act(e, x):
     """Action on O(n); chart switching handled through the homogeneous carrier."""
     if e.n != x.n:
         raise ValueError("element and point live on different bundles")
-    v, val = x.carrier()
-    v2 = e.mat() @ v
-    s = float(np.abs(v2).max())
-    v2 = v2 / s
+    (v1, v2), val = x.carrier()
+    (a, b), (c, d) = e.matrix
+    u1, u2 = a * v1 + b * v2, c * v1 + d * v2
+    s = max(abs(u1), abs(u2))
+    u1, u2 = u1 / s, u2 / s
     val = val / s**e.n
-    val = val + binary_form_eval(e.poly, v2[0], v2[1])
-    return _from_carrier(e.n, v2, val)
+    val = val + binary_form_eval(e.poly, u1, u2)
+    return _from_carrier(e.n, (u1, u2), val)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +435,9 @@ def bg12_identity(n, c):
 
 
 def _bg12_matrix(e):
-    a = np.exp(e.lam * (1 - e.c / e.n))
-    d = np.exp(-e.lam * e.c / e.n)
-    return np.array([[a, e.b], [0.0, d]], dtype=complex)
+    a = cmath.exp(e.lam * (1 - e.c / e.n))
+    d = cmath.exp(-e.lam * e.c / e.n)
+    return ((a, complex(e.b)), (0j, d))
 
 
 def bg12_multiply(e0, e1):
@@ -407,8 +445,8 @@ def bg12_multiply(e0, e1):
         raise ValueError("mixed subgroup parameters")
     n, c = e0.n, e0.c
     lam = e0.lam + e1.lam
-    b = np.exp(e0.lam * (1 - c / n)) * e1.b + np.exp(-e1.lam * c / n) * e0.b
-    comp = binary_form_substitute(e1.poly, np.linalg.inv(_bg12_matrix(e0)))
+    b = cmath.exp(e0.lam * (1 - c / n)) * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
+    comp = binary_form_substitute(e1.poly, inverse2(_bg12_matrix(e0)))
     p = tuple(x + y for x, y in zip(e0.poly, comp))
     return BGamma12Element(n, c, lam, complex(b), p)
 
@@ -416,7 +454,7 @@ def bg12_multiply(e0, e1):
 def bg12_inverse(e):
     n, c = e.n, e.c
     lam = -e.lam
-    b = -e.b * np.exp(-e.lam * (1 - 2 * c / n))
+    b = -e.b * cmath.exp(-e.lam * (1 - 2 * c / n))
     p = tuple(-x for x in binary_form_substitute(e.poly, _bg12_matrix(e)))
     return BGamma12Element(n, c, lam, complex(b), p)
 
@@ -432,8 +470,8 @@ def bg12_equal(e0, e1, tol=None):
 
 def bg12_act(e, zw):
     z, w = zw
-    z1 = np.exp(e.lam) * z + e.b * np.exp(e.lam * e.c / e.n)
-    w1 = np.exp(e.lam * e.c) * w + binary_form_eval(e.poly, z1, 1.0)
+    z1 = cmath.exp(e.lam) * z + e.b * cmath.exp(e.lam * e.c / e.n)
+    w1 = cmath.exp(e.lam * e.c) * w + binary_form_eval(e.poly, z1, 1.0)
     return (complex(z1), complex(w1))
 
 
@@ -460,22 +498,22 @@ def bg3_identity(n):
 
 
 def _bg3_matrix(e):
-    return np.array([[1.0, e.b], [0.0, np.exp(-e.lam)]], dtype=complex)
+    return ((1.0 + 0j, complex(e.b)), (0j, cmath.exp(-e.lam)))
 
 
 def bg3_multiply(e0, e1):
     if e0.n != e1.n:
         raise ValueError("mixed subgroup parameters")
     lam = e0.lam + e1.lam
-    b = e1.b + e0.b * np.exp(-e1.lam)
-    comp = binary_form_substitute(e1.poly(), np.linalg.inv(_bg3_matrix(e0)))
+    b = e1.b + e0.b * cmath.exp(-e1.lam)
+    comp = binary_form_substitute(e1.poly(), inverse2(_bg3_matrix(e0)))
     full = tuple(x + y for x, y in zip(e0.poly(), comp))
     return BGamma3Element(e0.n, lam, complex(b), full[1:])
 
 
 def bg3_inverse(e):
     lam = -e.lam
-    b = -e.b * np.exp(e.lam)
+    b = -e.b * cmath.exp(e.lam)
     full = tuple(-x for x in binary_form_substitute(e.poly(), _bg3_matrix(e)))
     return BGamma3Element(e.n, lam, complex(b), full[1:])
 
@@ -491,8 +529,8 @@ def bg3_equal(e0, e1, tol=None):
 
 def bg3_act(e, zw):
     z, w = zw
-    z1 = np.exp(e.lam) * (z + e.b)
-    w1 = np.exp(e.lam * e.n) * w + binary_form_eval(e.poly(), z1, 1.0)
+    z1 = cmath.exp(e.lam) * (z + e.b)
+    w1 = cmath.exp(e.lam * e.n) * w + binary_form_eval(e.poly(), z1, 1.0)
     return (complex(z1), complex(w1))
 
 
@@ -503,8 +541,8 @@ def bgamma_act(sub, e, zw):
     if sub == 3:
         return bg3_act(e, zw)
     if sub == 4:
-        g = e.mat()
-        if abs(g[1, 0]) > EPS * max(1.0, float(np.abs(g).max())):
+        (a, b), (c, d) = e.matrix
+        if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
             raise ValueError("Bgamma4 elements must fix infinity")
         z, w = zw
         out = on_act(e, BundlePoint(e.n, 0, complex(z), complex(w)))
@@ -519,10 +557,11 @@ def bgamma_act(sub, e, zw):
 
 def bdelta_act(g, x):
     """Linear action on C^2 \\ 0."""
-    x = np.asarray(x, dtype=complex)
-    if float(np.abs(x).max()) <= 1e-12:
+    x1, x2 = (complex(v) for v in x)
+    if max(abs(x1), abs(x2)) <= 1e-12:
         raise ValueError("the origin is not a point of the surface")
-    return tuple(np.asarray(g, dtype=complex) @ x)
+    a, b, c, d = _entries(g)
+    return (a * x1 + b * x2, c * x1 + d * x2)
 
 
 @dataclass(frozen=True)

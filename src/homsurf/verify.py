@@ -30,15 +30,35 @@ TWO_PI_I = 2j * math.pi
 # distances and the report
 
 
+_SCALAR_TYPES = frozenset((complex, float, int))
+
+
+def _flat_lists(a, b):
+    """Both arrays broadcast to one shape, as flat lists of Python numbers."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    return a.ravel().tolist(), b.ravel().tolist()
+
+
+def _flat_distance(xs, ys):
+    """Largest entrywise difference over the largest entry (at least 1)."""
+    s = max(1.0, max(map(abs, xs)), max(map(abs, ys)))
+    return max(abs(x - y) for x, y in zip(xs, ys)) / s
+
+
 def distance(a, b):
     """Relative distance between structurally matching values."""
+    ta, tb = type(a), type(b)
+    if ta in _SCALAR_TYPES and tb in _SCALAR_TYPES:
+        return abs(a - b) / max(1.0, abs(a), abs(b))
+    if ta is tuple and tb is tuple:
+        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
     if isinstance(a, (int, float, complex)) and isinstance(b, (int, float, complex)):
         return abs(a - b) / max(1.0, abs(a), abs(b))
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        s = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-        return float(np.abs(a - b).max()) / s
+        return _flat_distance(*_flat_lists(a, b))
     if isinstance(a, uaff.UAffElement):
         return max(distance(a.a, b.a), distance(a.b, b.b))
     if isinstance(a, exppoly.ExpPoly):
@@ -54,9 +74,8 @@ def distance(a, b):
         b1, b2 = b.coords
         return abs(a1 * b2 - a2 * b1) / max(1.0, abs(a1), abs(a2)) / max(1.0, abs(b1), abs(b2))
     if isinstance(a, projective.Proj2Point):
-        av, bv = np.array(a.coords), np.array(b.coords)
-        s = max(1.0, float(np.abs(av).max())) * max(1.0, float(np.abs(bv).max()))
-        return float(np.abs(np.cross(av, bv)).max()) / s
+        s = max(1.0, *map(abs, a.coords)) * max(1.0, *map(abs, b.coords))
+        return max(map(abs, projective.cross3(a.coords, b.coords))) / s
     if isinstance(a, projective.QuadricPoint):
         return max(distance(a.alpha, b.alpha), distance(a.beta, b.beta))
     if isinstance(a, projective.BundlePoint):
@@ -64,17 +83,11 @@ def distance(a, b):
             b = b.to_chart(a.chart)
         return max(distance(a.z, b.z), distance(a.w, b.w))
     if isinstance(a, projective.OnGroupElement):
-        return max(
-            projective.on_matrix_distance(a, b), distance(np.array(a.poly), np.array(b.poly))
-        )
+        return max(projective.on_matrix_distance(a, b), _flat_distance(a.poly, b.poly))
     if isinstance(a, projective.BGamma12Element):
-        return max(
-            distance(a.lam, b.lam), distance(a.b, b.b), distance(np.array(a.poly), np.array(b.poly))
-        )
+        return max(distance(a.lam, b.lam), distance(a.b, b.b), _flat_distance(a.poly, b.poly))
     if isinstance(a, projective.BGamma3Element):
-        return max(
-            distance(a.lam, b.lam), distance(a.b, b.b), distance(np.array(a.r), np.array(b.r))
-        )
+        return max(distance(a.lam, b.lam), distance(a.b, b.b), _flat_distance(a.r, b.r))
     if isinstance(a, TorusPoint):
         x, y = lattice_coords(a.value - b.value, a.w1, a.w2)
         dx, dy = x - round(x), y - round(y)
@@ -86,12 +99,12 @@ def distance(a, b):
 
 def proj_element_distance(g, h):
     """Distance between matrices modulo a scalar."""
-    g = np.asarray(g, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    i = int(np.abs(g).argmax())
-    if abs(h.flat[i]) == 0:
+    xs, ys = _flat_lists(g, h)
+    i = max(range(len(xs)), key=lambda k: abs(xs[k]))
+    if abs(ys[i]) == 0:
         return 1.0
-    return distance(g, (g.flat[i] / h.flat[i]) * h)
+    s = xs[i] / ys[i]
+    return _flat_distance(xs, [s * y for y in ys])
 
 
 _PROJECTIVE_ELEMENTS = {"A1", "C5", "C6", "C7", "C9"}
@@ -168,15 +181,6 @@ def random_line_divisor(rng, lam=None, max_k=4, n_extra=None):
         if g == 1:
             break
     return Divisor([(lam, 1)] + [(lam + TWO_PI_I * k, 1) for k in ks]), lam, ks
-
-
-def random_simple_divisor(rng, deg):
-    pts = []
-    while len(pts) < deg:
-        p = complex(rng.normal(), rng.normal()) * 1.2
-        if all(abs(p - q) > 0.2 for q in pts):
-            pts.append(p)
-    return Divisor([(p, 1) for p in pts])
 
 
 def random_divisor(rng, max_deg=6):
@@ -832,6 +836,8 @@ def run_suite(name, samples=100, seed=0):
 
 def run_verification(target="all", samples=100, seed=0):
     """Reports for one suite or all of them; deterministic given the seed."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if target == "all":
         names = suite_names()
     else:

@@ -1,0 +1,117 @@
+"""Invalid input fails with an input error (exit code 2), never a confident answer."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from homsurf import cli, verify
+from homsurf.families import classify_D1_subgroup
+from homsurf.numeric import NonDiscreteError
+
+NAN = float("nan")
+INF = float("inf")
+
+BAD_GENERATORS = {
+    "nan": [(complex(NAN, 0.0), 0j)],
+    "inf": [(complex(INF, 0.0), 0j)],
+    "overflow": [(1e300 + 0j, 0j), (0j, 1e-300 + 0j)],
+}
+
+
+def _cj(z):
+    return {"re": z.real, "im": z.imag}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GENERATORS))
+def test_classify_d1_rejects_non_finite_and_overflowing(name):
+    with pytest.raises(NonDiscreteError):
+        classify_D1_subgroup(BAD_GENERATORS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GENERATORS))
+def test_cli_classify_non_finite_and_overflowing_exit_2(tmp_path, capsys, name):
+    f = tmp_path / "gens.json"
+    gens = [[_cj(a), _cj(b)] for a, b in BAD_GENERATORS[name]]
+    f.write_text(json.dumps({"ambient": "C2", "generators": gens}))
+    assert cli.main(["classify", str(f)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_large_finite_generators_still_classify():
+    assert classify_D1_subgroup([(1e6 + 0j, 0j)]).label == "D1_1"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_cli_verify_needs_a_positive_sample_count(capsys, samples):
+    assert cli.main(["verify", "A1", "--samples", samples, "--seed", "1"]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
+def test_run_verification_rejects_zero_samples():
+    with pytest.raises(ValueError):
+        verify.run_verification("A1", samples=0)
+
+
+def _act(tmp_path, family, element, point):
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(point))
+    return cli.main(["act", "--family", family, "--element", str(e), "--point", str(p)])
+
+
+POINT = {"z": _cj(1 + 0j), "w": _cj(2 + 0j)}
+IDENTITY2 = [[_cj(1 + 0j), _cj(0j)], [_cj(0j), _cj(1 + 0j)]]
+
+
+@pytest.mark.parametrize("family", ["A2", "A3"])
+def test_cli_act_affine_matrix_must_be_2x2(tmp_path, family):
+    m = [[_cj(1 + 0j), _cj(0j), _cj(0j)], [_cj(0j), _cj(1 + 0j), _cj(0j)], [_cj(0j), _cj(0j), _cj(1 + 0j)]]
+    assert _act(tmp_path, family, {"matrix": m, "translation": [_cj(1 + 0j), _cj(0j)]}, POINT) == 2
+
+
+@pytest.mark.parametrize("family", ["A2", "A3"])
+@pytest.mark.parametrize("translation", [[1 + 0j], [1 + 0j, 0j, 0j]])
+def test_cli_act_affine_translation_needs_two_entries(tmp_path, family, translation):
+    elem = {"matrix": IDENTITY2, "translation": [_cj(t) for t in translation]}
+    assert _act(tmp_path, family, elem, POINT) == 2
+
+
+def test_cli_act_a3_needs_det_one(tmp_path):
+    m = [[_cj(2 + 0j), _cj(0j)], [_cj(0j), _cj(1 + 0j)]]
+    assert _act(tmp_path, "A3", {"matrix": m, "translation": [_cj(0j), _cj(0j)]}, POINT) == 2
+
+
+def test_cli_act_a2_needs_an_invertible_matrix(tmp_path):
+    m = [[_cj(1 + 0j), _cj(2 + 0j)], [_cj(2 + 0j), _cj(4 + 0j)]]
+    assert _act(tmp_path, "A2", {"matrix": m, "translation": [_cj(0j), _cj(0j)]}, POINT) == 2
+
+
+@pytest.mark.parametrize("m", [0j, complex(NAN, 0.0), complex(INF, 1.0)])
+def test_cli_act_d3_needs_finite_nonzero_m(tmp_path, m):
+    elem = {"m": _cj(m), "v": [_cj(1 + 0j), _cj(2 + 0j)]}
+    assert _act(tmp_path, "D3", elem, POINT) == 2
+
+
+@pytest.mark.parametrize("family", ["A2", "A3"])
+def test_cli_act_valid_affine_elements(tmp_path, capsys, family):
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if family == "A3":
+        m = m / np.sqrt(np.linalg.det(m))
+    t = (0.5 - 1j, 2.0 + 0j)
+    elem = {"matrix": [[_cj(complex(x)) for x in row] for row in m], "translation": [_cj(x) for x in t]}
+    assert _act(tmp_path, family, elem, POINT) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = m @ np.array([1.0, 2.0]) + np.array(t)
+    got = (complex(out["z"]["re"], out["z"]["im"]), complex(out["w"]["re"], out["w"]["im"]))
+    assert max(abs(g - w) for g, w in zip(got, want)) < 1e-12
+
+
+def test_cli_act_valid_d3(tmp_path, capsys):
+    elem = {"m": _cj(2j), "v": [_cj(1 + 0j), _cj(-1 + 0j)]}
+    assert _act(tmp_path, "D3", elem, POINT) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert math.isclose(out["z"]["re"], 1.0) and math.isclose(out["z"]["im"], 2.0)
