@@ -30,8 +30,8 @@ from .numeric import (
     lattice_contains,
     lattice_coords,
     lattice_reduce_tau,
+    saturate_lattice,
     zmodule_basis,
-    zmodule_contains,
 )
 from .surfaces import TorusPoint, product_equal
 
@@ -739,23 +739,6 @@ def _qd_power(a, m, gamma):
     return (m * a[0], a[1] * s)
 
 
-def _saturate(b_values, q, scale, max_rounds=16):
-    basis, _, _ = zmodule_basis([c2r(b) for b in b_values])
-    for _ in range(max_rounds):
-        if len(basis) > 2:
-            raise NonDiscreteError("kernel closure exceeds rank two")
-        new = []
-        for bv in basis:
-            b = complex(bv[0], bv[1])
-            for img in (q * b, b / q):
-                if not zmodule_contains(c2r(img), basis, scale=scale):
-                    new.append(img)
-        if not new:
-            return basis
-        basis, _, _ = zmodule_basis(basis + [c2r(b) for b in new])
-    raise NonDiscreteError("kernel closure does not stabilize")
-
-
 def table_automorphism(D, nu=1.0, t=0.0):
     """The action of an automorphism pair (nu, t) on commutant elements.
 
@@ -870,12 +853,12 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
             raise AssertionError("gcd reduction failed")
         if abs(red[1]) > 1e-12 * scale:
             kernel_s.append(red[1])
+    q = gamma**n
     try:
-        pi0 = _saturate(kernel_s, gamma**n, scale) if kernel_s else []
+        pi0 = saturate_lattice(kernel_s, (lambda b: q * b, lambda b: b / q), scale) if kernel_s else []
     except NonDiscreteError as e:
         raise NonDiscreteError(f"not a discrete commutant subgroup: {e}") from e
 
-    q = gamma**n
     s_n = gen_n[1]
     lam_zero = abs(lam) <= 1e-9
     norm = {"mu": mu, "nu": 1.0 + 0j, "t": 0.0}

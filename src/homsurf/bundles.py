@@ -92,9 +92,6 @@ class DeckElement:
     def __call__(self, z, w):
         return (z + self.k, self.data.c**self.k * w + self.lam)
 
-    def inverse_apply(self, z, w):
-        return (z - self.k, (w - self.lam) / self.data.c**self.k)
-
 
 def deck_generators(data):
     """The three generating deck transformations (two when the twist is trivial)."""

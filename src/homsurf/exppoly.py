@@ -111,15 +111,35 @@ class Polynomial:
         return max((abs(c) for c in self.coeffs), default=0.0)
 
 
-def poly_close(p, q, tol=None, scale=0.0):
-    s = max(p.max_abs(), q.max_abs(), scale)
-    d = p - q
-    return all(abs(c) <= (EPS if tol is None else tol) * max(1.0, s) for c in d.coeffs)
-
-
 def _canonical_terms(pairs):
     pairs = [(complex(lam), poly) for lam, poly in pairs if not poly.is_zero]
     pairs.sort(key=lambda tp: (tp[0].real, tp[0].imag))
+    return _merge_close(pairs)
+
+
+def _merge_sorted(a, b):
+    """Canonical terms of the sum of two canonical term tuples.
+
+    One merge of the two sorted lists, ties taking `a` first as the stable
+    sort of `a + b` does, then the neighbour merge of _canonical_terms.
+    """
+    pairs = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        la, lb = a[i][0], b[j][0]
+        if (lb.real, lb.imag) < (la.real, la.imag):
+            pairs.append(b[j])
+            j += 1
+        else:
+            pairs.append(a[i])
+            i += 1
+    pairs += a[i:]
+    pairs += b[j:]
+    return _merge_close(pairs)
+
+
+def _merge_close(pairs):
+    """Sorted terms with neighbouring close frequencies summed, zero sums dropped."""
     merged = []
     for lam, poly in pairs:
         if merged and close(merged[-1][0], lam):
@@ -143,12 +163,17 @@ class ExpPoly:
         return cls(())
 
     @classmethod
+    def _canonical(cls, terms):
+        """An ExpPoly over a tuple of terms already in canonical form."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
     def _same_frequencies(cls, terms):
         """Terms whose frequencies come from a canonical form, in its order:
         only the zero polynomials are dropped, with no re-sort or re-merge."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", tuple((lam, p) for lam, p in terms if not p.is_zero))
-        return out
+        return cls._canonical(tuple((lam, p) for lam, p in terms if not p.is_zero))
 
     @classmethod
     def exponential(cls, lam, poly=None):
@@ -163,10 +188,10 @@ class ExpPoly:
         return not self.terms
 
     def __add__(self, other):
-        return ExpPoly(self.terms + other.terms)
+        return ExpPoly._canonical(_merge_sorted(self.terms, other.terms))
 
     def __neg__(self):
-        return ExpPoly(tuple((lam, -p) for lam, p in self.terms))
+        return ExpPoly._same_frequencies([(lam, -p) for lam, p in self.terms])
 
     def __sub__(self, other):
         return self + (-other)

@@ -20,6 +20,7 @@ NonDiscreteError.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -38,6 +39,16 @@ _NOISE_BAND = 1e-7
 COORD_LIMIT = 1e150
 # an SL(2,C) element may have |det - 1| up to this (relative to max(1, |det|))
 SL_DET_TOL = 1e-9
+# a generator farther than this * max(1, scale) from the detected real span leaves it
+SPAN_TOL = 1e-7
+# integer coordinates may miss by this, and the vector they rebuild by this * scale
+COMBO_TOL = 1e-6
+# a vector is in the span of no generators when its norm is below this * scale
+EMPTY_BASIS_TOL = 1e-8
+# lattice coordinates may miss an integer by this * max(1, |value| / max(|w1|, |w2|))
+LATTICE_TOL = 1e-6
+# a column whose residual is below this * the largest column norm adds nothing to a QR solve
+QR_DEPENDENT_TOL = 1e-13
 
 
 class NonDiscreteError(ValueError):
@@ -48,18 +59,6 @@ def close(x, y, tol=None, scale=0.0):
     """Relative comparison: |x-y| <= tol * max(1, |x|, |y|, scale)."""
     t = EPS if tol is None else tol
     return abs(x - y) <= t * max(1.0, abs(x), abs(y), scale)
-
-
-def is_zero(x, tol=None, scale=0.0):
-    return close(x, 0.0, tol=tol, scale=scale)
-
-
-def nearest_integer(x, tol=RECON_TOL, scale=0.0):
-    """Round a real to int when within tolerance, else None."""
-    k = int(round(float(x)))
-    if abs(x - k) <= tol * max(1.0, abs(x), scale):
-        return k
-    return None
 
 
 def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
@@ -85,19 +84,15 @@ def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
 
 
 def c2r(z):
-    """Complex scalar as an R^2 vector."""
+    """Complex scalar as an R^2 vector (a tuple of floats)."""
     z = complex(z)
-    return np.array([z.real, z.imag])
-
-
-def r2c(v):
-    return complex(v[0], v[1])
+    return (z.real, z.imag)
 
 
 def c2r2(pair):
-    """Pair of complex scalars as an R^4 vector."""
+    """Pair of complex scalars as an R^4 vector (a tuple of floats)."""
     a, b = complex(pair[0]), complex(pair[1])
-    return np.array([a.real, a.imag, b.real, b.imag])
+    return (a.real, a.imag, b.real, b.imag)
 
 
 def r2c2(v):
@@ -161,25 +156,118 @@ def hnf_with_transform(rows):
     return M, U, r
 
 
+def _floats(v):
+    """A vector (tuple, list or array) as a list of Python floats."""
+    if isinstance(v, np.ndarray):
+        return np.asarray(v, dtype=float).ravel().tolist()
+    return [float(x) for x in v]
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _norm(v):
+    return math.sqrt(_dot(v, v))
+
+
+def _axpy(v, d, q):
+    """v - d q, entrywise."""
+    return [x - d * y for x, y in zip(v, q)]
+
+
+def _back_substitute(R, c):
+    """x with R x = c for upper-triangular R; a zero diagonal entry gives x_k = 0."""
+    n = len(c)
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        if R[k][k]:
+            s = c[k]
+            for j in range(k + 1, n):
+                s -= R[k][j] * x[j]
+            x[k] = s / R[k][k]
+    return x
+
+
+def _qr(cols):
+    """Thin QR of the matrix with columns `cols`, by modified Gram-Schmidt.
+
+    Returns (Q, R): Q the orthonormal directions (None for a column within
+    QR_DEPENDENT_TOL of the span of the columns before it) and R the upper
+    triangular coefficients, R[j][k] the component of column k along Q[j].
+    """
+    n = len(cols)
+    Q = []
+    R = [[0.0] * n for _ in range(n)]
+    top = max((_norm(c) for c in cols), default=0.0)
+    for k, col in enumerate(cols):
+        w = list(col)
+        for j, q in enumerate(Q):
+            if q is not None:
+                d = R[j][k] = _dot(w, q)
+                w = _axpy(w, d, q)
+        nrm = _norm(w)
+        if nrm <= QR_DEPENDENT_TOL * top:
+            Q.append(None)
+        else:
+            R[k][k] = nrm
+            Q.append([x / nrm for x in w])
+    return Q, R
+
+
+def _qr_solve(Q, R, v):
+    """Least-squares x with sum_k x_k cols_k ~ v, from the QR of the columns
+    (dependent columns get 0)."""
+    c = [0.0] * len(Q)
+    w = list(v)
+    for j, q in enumerate(Q):
+        if q is not None:
+            c[j] = d = _dot(w, q)
+            w = _axpy(w, d, q)
+    return _back_substitute(R, c)
+
+
+def _integer_fit(v, cols, qr, tol, scale):
+    """Nearest integer coordinates of v over cols, or None when they miss by
+    more than tol or rebuild v only to more than tol * scale."""
+    y = _qr_solve(*qr, v)
+    if not all(map(math.isfinite, y)):
+        return None
+    ints = [round(t) for t in y]
+    if max(abs(t - k) for t, k in zip(y, ints)) > tol:
+        return None
+    w = list(v)
+    for k, col in zip(ints, cols):
+        if k:
+            w = _axpy(w, k, col)
+    if _norm(w) > tol * scale:
+        return None
+    return ints
+
+
 def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     """Exact basis of the Z-module generated by float vectors in R^m.
 
-    Returns (basis, combos, relations): `basis` is a list of vectors,
-    `combos[i]` an integer row over the inputs realizing basis[i], and
-    `relations` integer rows spanning the combinations that vanish.
-    Raises NonDiscreteError when the module is not discrete (irrational
-    coordinates, denominator blow-up, or collapsed basis vectors), and for
-    generators with a non-finite coordinate or one beyond COORD_LIMIT.
+    Vectors may be tuples, lists or arrays.  Returns (basis, combos,
+    relations): `basis` is a list of arrays, `combos[i]` an integer row over
+    the inputs realizing basis[i], and `relations` integer rows spanning the
+    combinations that vanish.  Raises NonDiscreteError when the module is not
+    discrete (irrational coordinates, denominator blow-up, or collapsed basis
+    vectors), and for generators with a non-finite coordinate or one beyond
+    COORD_LIMIT.
     """
-    vecs = [np.asarray(v, dtype=float).ravel() for v in vectors]
+    vecs = [_floats(v) for v in vectors]
     n = len(vecs)
     if n == 0:
         return [], [], []
-    # NaN propagates through the max, so one comparison catches NaN, inf and overflow
-    top = np.abs(np.concatenate(vecs)).max(initial=0.0)
+    flat = [abs(x) for v in vecs for x in v]
+    top = max(flat, default=0.0)
+    total = sum(flat)
+    if total != total:  # a NaN coordinate
+        top = total
     if not top <= COORD_LIMIT:
         raise NonDiscreteError(f"generator coordinate {top} is not finite or beyond {COORD_LIMIT:.0e}")
-    norms = [float(np.linalg.norm(v)) for v in vecs]
+    norms = [_norm(v) for v in vecs]
     scale = max(norms)
     unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if scale == 0.0:
@@ -191,21 +279,28 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     A = [vecs[i] for i in live]
     r = real_rank(A)
 
-    residual = [a.copy() for a in A]
+    # QR with column pivoting: each step takes the first residual of largest
+    # norm as the next direction and projects it off every residual
+    residual = [list(a) for a in A]
+    coef = [[] for _ in A]  # coef[i][k]: component of A[i] along direction k
     pivots = []
     for _ in range(r):
-        j = int(np.argmax([np.linalg.norm(v) for v in residual]))
-        b = residual[j] / np.linalg.norm(residual[j])
+        rn = [_norm(v) for v in residual]
+        big = max(rn)
+        j = rn.index(big)
+        q = [x / big for x in residual[j]]
         pivots.append(j)
-        residual = [v - np.dot(v, b) * b for v in residual]
-    P = np.stack([A[j] for j in pivots])
+        for i, v in enumerate(residual):
+            d = _dot(v, q)
+            coef[i].append(d)
+            residual[i] = _axpy(v, d, q)
+    R = [[coef[j][k] for j in pivots] for k in range(r)]
 
     coords = []
-    for a in A:
-        x, *_ = np.linalg.lstsq(P.T, a, rcond=None)
-        if np.linalg.norm(a - P.T @ x) > 1e-7 * max(1.0, scale):
+    for c, res in zip(coef, residual):
+        if _norm(res) > SPAN_TOL * max(1.0, scale):
             raise NonDiscreteError("generator leaves the detected real span")
-        coords.append(x)
+        coords.append(_back_substitute(R, c))
 
     fracs = []
     for row in coords:
@@ -219,14 +314,16 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
             L = L * f.denominator // math.gcd(L, f.denominator)
     if L > (max_denominator or DENOMINATOR_BOUND):
         raise NonDiscreteError("coordinate denominators exceed the bound")
-    M = [[int(f * L) for f in frow] for frow in fracs]
+    M = [[f.numerator * (L // f.denominator) for f in frow] for frow in fracs]
 
     H, U, rank = hnf_with_transform(M)
     if rank != r:
         raise NonDiscreteError("rank mismatch after integer reduction")
+    P = np.array([A[j] for j in pivots])
     basis = [np.asarray(H[k], dtype=float) @ P / L for k in range(rank)]
-    for b in basis:
-        if np.linalg.norm(b) < _NOISE_BAND * max(1.0, scale):
+    rows = [b.tolist() for b in basis]
+    for b in rows:
+        if _norm(b) < _NOISE_BAND * max(1.0, scale):
             raise NonDiscreteError("reduced basis vector collapsed into noise")
 
     def widen(row):
@@ -239,31 +336,52 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     relations = [widen(U[k]) for k in range(rank, len(U))]
     relations += [unit[i] for i in dead]
 
-    B = np.stack(basis)
+    qr = _qr(rows)
     for a in A:
-        y, *_ = np.linalg.lstsq(B.T, a, rcond=None)
-        ints = np.round(y)
-        if np.max(np.abs(y - ints)) > 1e-6 or np.linalg.norm(a - B.T @ ints) > 1e-6 * max(1.0, scale):
+        if _integer_fit(a, rows, qr, COMBO_TOL, max(1.0, scale)) is None:
             raise NonDiscreteError("generator is not an integer combination of the basis")
     return basis, combos, relations
 
 
-def zmodule_coords(v, basis, tol=1e-6, scale=0.0):
+def zmodule_coords(v, basis, tol=COMBO_TOL, scale=0.0):
     """Integer coordinates of v in the Z-span of basis, or None."""
-    v = np.asarray(v, dtype=float).ravel()
+    v = _floats(v)
     if not basis:
-        return [] if np.linalg.norm(v) <= 1e-8 * max(1.0, scale) else None
-    B = np.stack([np.asarray(b, dtype=float).ravel() for b in basis])
-    y, *_ = np.linalg.lstsq(B.T, v, rcond=None)
-    ints = np.round(y)
-    s = max(1.0, scale, float(np.linalg.norm(v)))
-    if np.max(np.abs(y - ints)) > tol or np.linalg.norm(v - B.T @ ints) > tol * s:
-        return None
-    return [int(k) for k in ints]
+        return [] if _norm(v) <= EMPTY_BASIS_TOL * max(1.0, scale) else None
+    cols = [_floats(b) for b in basis]
+    if any(len(c) != len(v) for c in cols):
+        raise ValueError("basis vectors and v differ in dimension")
+    return _integer_fit(v, cols, _qr(cols), tol, max(1.0, scale, _norm(v)))
 
 
-def zmodule_contains(v, basis, tol=1e-6, scale=0.0):
+def zmodule_contains(v, basis, tol=COMBO_TOL, scale=0.0):
     return zmodule_coords(v, basis, tol=tol, scale=scale) is not None
+
+
+def saturate_lattice(values, images, scale, max_rounds=16):
+    """Basis of the smallest lattice of C containing `values` and closed under `images`.
+
+    `images` are maps of C (multiplications by units of the lattice to be);
+    each round adds the images of the basis vectors that are not yet in its
+    Z-span, in the order of the basis, then of `images`.  Raises
+    NonDiscreteError when the closure exceeds rank two or does not stabilize
+    within max_rounds.
+    """
+    basis, _, _ = zmodule_basis([c2r(b) for b in values])
+    for _ in range(max_rounds):
+        if len(basis) > 2:
+            raise NonDiscreteError("kernel closure exceeds rank two")
+        new = []
+        for bv in basis:
+            b = complex(bv[0], bv[1])
+            for image in images:
+                img = image(b)
+                if not zmodule_contains(c2r(img), basis, scale=scale):
+                    new.append(img)
+        if not new:
+            return basis
+        basis, _, _ = zmodule_basis(basis + [c2r(b) for b in new])
+    raise NonDiscreteError("kernel closure does not stabilize")
 
 
 def canonical_sign(z, tol=None):
@@ -311,26 +429,19 @@ def lattice_reduce_tau(w1, w2, max_steps=64):
         t = v2 / v1
     return v1, v2, t, U
 
-
-_OMEGA = complex(math.cos(math.pi / 3), math.sin(math.pi / 3))
-
-
-def lattice_units(tau, tol=1e-6):
-    """Multiplicative units of the lattice Z[1, tau], tau in fundamental domain."""
-    if abs(tau - 1j) <= tol:
-        return [1, 1j, -1, -1j]
-    if abs(tau - _OMEGA) <= tol:
-        return [_OMEGA**k for k in range(6)]
-    return [1, -1]
-
-
 def lattice_coords(value, w1, w2):
-    """Real coordinates (x, y) with value = x*w1 + y*w2."""
-    a = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
-    return np.linalg.solve(a, np.array([value.real, value.imag]))
+    """Real coordinates (x, y) with value = x*w1 + y*w2, by Cramer's rule."""
+    value, w1, w2 = complex(value), complex(w1), complex(w2)
+    det = w1.real * w2.imag - w2.real * w1.imag
+    if det == 0.0:
+        raise NonDiscreteError("lattice basis is not R-independent")
+    return (
+        (value.real * w2.imag - w2.real * value.imag) / det,
+        (w1.real * value.imag - value.real * w1.imag) / det,
+    )
 
 
-def lattice_contains(value, w1, w2, tol=1e-6):
-    x, y = lattice_coords(complex(value), complex(w1), complex(w2))
+def lattice_contains(value, w1, w2, tol=LATTICE_TOL):
+    x, y = lattice_coords(value, w1, w2)
     scale = max(1.0, abs(value) / max(abs(w1), abs(w2)))
     return bool(abs(x - round(x)) <= tol * scale and abs(y - round(y)) <= tol * scale)

@@ -27,14 +27,6 @@ class TorusPoint:
         return TorusPoint(self.value + t, self.w1, self.w2)
 
 
-@dataclass(frozen=True)
-class CylinderPoint:
-    """Point of C modulo the rank-one group delta*Z, via the exponential chart."""
-
-    value: complex  # the invariant exp(2 pi i w / delta)
-    delta: complex
-
-
 def component_equal(a, b, tol=None):
     """Equality of product-surface components: complex values or TorusPoints."""
     if isinstance(a, TorusPoint) or isinstance(b, TorusPoint):

@@ -25,8 +25,8 @@ from .numeric import (
     lattice_coords,
     lattice_reduce_tau,
     rational_reconstruct,
+    saturate_lattice,
     zmodule_basis,
-    zmodule_contains,
     zmodule_coords,
 )
 from .surfaces import TorusPoint
@@ -82,10 +82,6 @@ def uaff_matrix(g):
     """3x3 matrix model; matrix(g) @ matrix(h) = matrix(g h)."""
     ea = cmath.exp(g.a)
     return np.array([[ea, 0, g.b], [0, 1, g.a], [0, 0, 1]], dtype=complex)
-
-
-def uaff_from_matrix(m):
-    return UAffElement(complex(m[1, 2]), complex(m[0, 2]))
 
 
 def commutator(g, h):
@@ -193,26 +189,6 @@ def _realize(gens, combo):
     return g
 
 
-def _saturate_kernel(b_values, a_values, scale, max_rounds=16):
-    """Close a set of b-translations under conjugation by the a-generators."""
-    basis, _, _ = zmodule_basis([c2r(b) for b in b_values])
-    for _ in range(max_rounds):
-        if len(basis) > 2:
-            raise NonDiscreteError("kernel closure exceeds rank two")
-        new = []
-        for bv in basis:
-            b = complex(bv[0], bv[1])
-            for a in a_values:
-                for sgn in (1, -1):
-                    img = cmath.exp(sgn * a) * b
-                    if not zmodule_contains(c2r(img), basis, scale=scale):
-                        new.append(img)
-        if not new:
-            return basis
-        basis, _, _ = zmodule_basis(basis + [c2r(b) for b in new])
-    raise NonDiscreteError("kernel closure does not stabilize")
-
-
 def classify_subgroup(gens, max_denominator=None):
     """Normal form of the discrete subgroup generated by gens.
 
@@ -253,8 +229,12 @@ def classify_subgroup(gens, max_denominator=None):
             if abs(c.b) > 1e-9 * scale:
                 kernel_b.append(c.b)
 
+    pi0 = []
     try:
-        pi0 = _saturate_kernel(kernel_b, [e.a for e in L], scale) if kernel_b else []
+        if kernel_b:
+            # close the b-translations under conjugation by the a-generators
+            images = [lambda b, u=cmath.exp(sgn * e.a): u * b for e in L for sgn in (1, -1)]
+            pi0 = saturate_lattice(kernel_b, images, scale)
     except NonDiscreteError as e:
         raise NonDiscreteError(f"not a tabulated subgroup: {e}") from e
 
@@ -452,13 +432,28 @@ def _center_lattice(label):
 
 
 def _integer_combos_on_axis(a1, a2):
-    """Smallest positive element of (Z a1 + Z a2) intersect i R, if any, as 2 pi i k."""
-    from .numeric import lattice_coords
+    """Smallest positive element of (Z a1 + Z a2) intersect i R, if any, as 2 pi i k.
 
-    # solve x*a1 + y*a2 purely imaginary with value in 2 pi i Z: search small combos
+    Searches the combinations m a1 + n a2 with |m|, |n| <= 30, m then n in
+    increasing order, the first of least modulus winning.  The real part
+    m Re(a1) + n Re(a2) can pass its test only within `slack` of 0, so for
+    each m only the n near -m Re(a1) / Re(a2) are tried (when Re(a2) = 0,
+    the whole row or none of it).
+    """
+    # twice the real-part tolerance at the largest |v|, which also covers the rounding
+    slack = 2e-9 * max(1.0, 31 * (abs(a1) + abs(a2)))
+    full = range(-30, 31)
     best = None
-    for m in range(-30, 31):
-        for n in range(-30, 31):
+    for m in full:
+        if a2.real:
+            c = -m * a1.real / a2.real
+            reach = slack / abs(a2.real) + 1
+            lo, hi = c - reach, c + reach
+            finite = math.isfinite(lo) and math.isfinite(hi)
+            ns = range(max(-30, math.floor(lo)), min(30, math.ceil(hi)) + 1) if finite else full
+        else:
+            ns = full if abs(m * a1.real) <= slack else ()
+        for n in ns:
             if m == 0 and n == 0:
                 continue
             v = m * a1 + n * a2
