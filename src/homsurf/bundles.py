@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numeric import close, lattice_contains, rational_reconstruct
+from .numeric import close, lattice_contains, load_numpy, rational_reconstruct
 
 LAURENT_DEGREE_CAP = 8
 
@@ -233,8 +233,6 @@ def map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
 
 def normalizes_deck(phi, data=None, rng=None, samples=50):
     """Sample-verify that a family member normalizes the deck group."""
-    import numpy as np
-
     data = data or phi.data
-    rng = rng or np.random.default_rng(0)
+    rng = rng or load_numpy().random.default_rng(0)
     return map_normalizes_deck(as_map(phi), data, rng, samples=samples)

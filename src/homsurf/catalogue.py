@@ -35,14 +35,24 @@ class CatalogueRow:
         }
 
 
-def _ascii(label):
-    return (
-        label.replace("β", "b").replace("γ", "g").replace("δ", "d").replace("′", "'")
-    )
+# the spellings typed for the labels' Greek letters and prime, in the order replaced
+_ALIASES = (("beta", "b"), ("gamma", "g"), ("delta", "d"), ("β", "b"), ("γ", "g"), ("δ", "d"), ("′", "'"))
+
+
+def ascii_label(label):
+    """The ASCII spelling of a label, the one key every alias of it shares.
+
+    Bβ1, Bbeta1 and Bb1 all read Bb1; Bδ2′ reads Bd2'.  The catalogue
+    filter, `homsurf act --family` and `homsurf verify` compare labels by it.
+    """
+    s = str(label)
+    for alias, letter in _ALIASES:
+        s = s.replace(alias, letter)
+    return s
 
 
 def _row(label, surface, group, stabilizer="", constraint="", policy="is-quotient", anchor=""):
-    return CatalogueRow(label, _ascii(label), surface, group, stabilizer, constraint, policy, anchor)
+    return CatalogueRow(label, ascii_label(label), surface, group, stabilizer, constraint, policy, anchor)
 
 
 UNSPEC = "unspecified-in-paper"
@@ -173,7 +183,7 @@ def enumerate_catalogue(prefix=None):
     if prefix is None:
         return list(ROWS)
     p = str(prefix)
-    pa = _ascii(p)
+    pa = ascii_label(p)
     return [r for r in ROWS if r.label.startswith(p) or r.ascii_label.startswith(pa)]
 
 

@@ -6,32 +6,50 @@ group element to a surface point (optionally composed with a labelled
 covering map), and `verify` runs the seeded property suites.  Exit codes:
 0 success, 1 verification failure, 2 input error.  Element and point JSON
 schemas per family are documented in docs/families.md.
+
+Each subcommand, and each codec branch, imports the modules it runs, so a
+call loads only those (see "Cold start" in the README).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
-import numpy as np
-
-from . import bbeta, catalogue, families, projective, uaff, verify
-from .divisor import Divisor
-from .exppoly import ExpPoly
-from .numeric import SL_DET_TOL, NonDiscreteError, close
-from .surfaces import TorusPoint
+from .numeric import SL_DET_TOL, NonDiscreteError, as_rows, close, load_numpy
 
 
 class InputError(Exception):
     pass
 
 
+def _decoder(what):
+    """Report the errors a malformed JSON payload raises while decoding as input errors."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def decode(*args):
+            try:
+                return fn(*args)
+            except (TypeError, IndexError, AttributeError) as e:
+                raise InputError(f"malformed {what}: {e}") from None
+
+        return decode
+
+    return wrap
+
+
 def _c(data):
+    """A complex number from a JSON number or a {"re": x, "im": y} object."""
     if isinstance(data, (int, float)):
         return complex(data)
-    return complex(data["re"], data["im"])
+    try:
+        return complex(data["re"], data["im"])
+    except TypeError:
+        raise InputError(f"not a complex number: {data!r}") from None
 
 
 def _cj(z):
@@ -39,29 +57,32 @@ def _cj(z):
     return {"re": z.real, "im": z.imag}
 
 
+def _rows(data):
+    return [[_c(x) for x in row] for row in data]
+
+
 def _matrix(data):
-    return np.array([[_c(x) for x in row] for row in data])
+    return load_numpy().array(_rows(data))
 
 
 def _matrix_json(m):
-    return [[_cj(x) for x in row] for row in np.asarray(m)]
-
-
-def _norm_label(label):
-    return (
-        label.replace("beta", "b").replace("gamma", "g").replace("delta", "d")
-        .replace("β", "b").replace("γ", "g").replace("δ", "d")
-    )
-
-
-_CANONICAL = {_norm_label(lab): lab for lab in families.BASE_FAMILY_LABELS}
+    return [[_cj(x) for x in row] for row in as_rows(m)]
 
 
 def canonical_family(label):
-    key = _norm_label(str(label))
-    if key not in _CANONICAL:
+    """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
+    from .families import BASE_FAMILY_LABELS
+
+    label = str(label)
+    if label in BASE_FAMILY_LABELS:
+        return label  # an exact label needs neither the alias table nor the catalogue module
+    from .catalogue import ascii_label
+
+    by_ascii = {ascii_label(lab): lab for lab in BASE_FAMILY_LABELS}
+    key = ascii_label(label)
+    if key not in by_ascii:
         raise InputError(f"unknown family {label}")
-    return _CANONICAL[key]
+    return by_ascii[key]
 
 
 # ---------------------------------------------------------------------------
@@ -69,23 +90,28 @@ def canonical_family(label):
 
 
 def _affine_element(label, data):
-    """An A2 (GL(2)) or A3 (SL(2)) element, its invariants checked."""
-    m = _matrix(data["matrix"])
-    t = np.array([_c(x) for x in data["translation"]])
-    if m.shape != (2, 2):
-        raise InputError(f"{label} matrix must be 2x2, got shape {m.shape}")
-    if t.shape != (2,):
-        raise InputError(f"{label} translation must have 2 entries, got {t.size}")
-    (a, b), (c, d) = m.tolist()
+    """An A2 (GL(2)) or A3 (SL(2)) element as Python rows, its invariants checked."""
+    from .projective import invertible2
+
+    m = _rows(data["matrix"])
+    t = tuple(_c(x) for x in data["translation"])
+    if [len(row) for row in m] != [2, 2]:
+        raise InputError(f"{label} matrix must be 2x2, got rows of lengths {[len(row) for row in m]}")
+    if len(t) != 2:
+        raise InputError(f"{label} translation must have 2 entries, got {len(t)}")
+    (a, b), (c, d) = m
     det = a * d - b * c
     if label == "A3" and not close(det, 1.0, tol=SL_DET_TOL):
         raise InputError(f"A3 matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
-    if label == "A2" and not projective.invertible2(m):
+    if label == "A2" and not invertible2(m):
         raise InputError("A2 matrix must be invertible")
     return (m, t)
 
 
+@_decoder("element")
 def element_from_json(label, data):
+    from . import projective
+
     if label == "A1":
         return _matrix(data["matrix"])
     if label in ("A2", "A3"):
@@ -110,17 +136,22 @@ def element_from_json(label, data):
     if label == "D1":
         return (_c(data["v"][0]), _c(data["v"][1]))
     if label == "D2":
-        return uaff.UAffElement(_c(data["a"]), _c(data["b"]))
+        from .uaff import UAffElement
+
+        return UAffElement(_c(data["a"]), _c(data["b"]))
     if label == "D3":
         m = _c(data["m"])
         if m == 0 or not cmath.isfinite(m):
             raise InputError(f"D3 needs a finite nonzero m, got {m}")
         return (m, (_c(data["v"][0]), _c(data["v"][1])))
-    if label == "Bβ1":
+    if label in ("Bβ1", "Bβ2"):
+        from . import bbeta
+        from .divisor import Divisor
+        from .exppoly import ExpPoly
+
         D = Divisor.from_json(data["divisor"])
-        return bbeta.GDElement(D, _c(data["t"]), ExpPoly.from_json(data["f"]))
-    if label == "Bβ2":
-        D = Divisor.from_json(data["divisor"])
+        if label == "Bβ1":
+            return bbeta.GDElement(D, _c(data["t"]), ExpPoly.from_json(data["f"]))
         return bbeta.RGDElement(D, _c(data["t"]), _c(data["lambda"]), ExpPoly.from_json(data["f"]))
     if label == "Bγ1":
         return projective.BGamma12Element(
@@ -145,7 +176,10 @@ def element_from_json(label, data):
     raise InputError(f"no element schema for family {label}")
 
 
+@_decoder("point")
 def point_from_json(label, data):
+    from . import projective
+
     if label == "A1":
         return projective.Proj2Point([_c(x) for x in data["coords"]])
     if label in ("C5", "C6"):
@@ -161,7 +195,9 @@ def point_from_json(label, data):
             projective.ProjPoint(_c(data["beta"][0]), _c(data["beta"][1])),
         )
     if label == "D2":
-        return uaff.UAffElement(_c(data["a"]), _c(data["b"]))
+        from .uaff import UAffElement
+
+        return UAffElement(_c(data["a"]), _c(data["b"]))
     if label in ("Bδ1", "Bδ2"):
         return (_c(data["x"][0]), _c(data["x"][1]))
     if label in ("Bδ3", "Bδ4"):
@@ -188,6 +224,8 @@ def point_to_json(label, point):
 
 
 def _component_json(comp):
+    from .surfaces import TorusPoint
+
     if isinstance(comp, TorusPoint):
         return {
             "torus": _cj(comp.value),
@@ -201,7 +239,9 @@ def _component_json(comp):
 
 
 def cmd_catalogue(args):
-    rows = catalogue.enumerate_catalogue(args.filter)
+    from .catalogue import enumerate_catalogue
+
+    rows = enumerate_catalogue(args.filter)
     if args.json:
         print(json.dumps([r.to_json() for r in rows], indent=2))
     else:
@@ -211,15 +251,35 @@ def cmd_catalogue(args):
     return 0
 
 
+@_decoder("classify file")
+def _classify_input(data):
+    """(ambient, generators, divisor) of a classify file; the divisor is None but for qd."""
+    ambient = data.get("ambient")
+    if ambient == "C2":
+        return ambient, [(_c(v[0]), _c(v[1])) for v in data["generators"]], None
+    if ambient == "uaff":
+        from .uaff import UAffElement
+
+        return ambient, [UAffElement(_c(g["a"]), _c(g["b"])) for g in data["generators"]], None
+    if ambient == "qd":
+        from .bbeta import CentralizerElement
+        from .divisor import Divisor
+
+        D = Divisor.from_json(data["divisor"])
+        return ambient, [CentralizerElement(D, _c(g["w"]), _c(g["s"])) for g in data["generators"]], D
+    raise InputError(f"unknown ambient {ambient!r}")
+
+
 def cmd_classify(args):
     with open(args.file) as fh:
         data = json.load(fh)
-    ambient = data.get("ambient")
+    ambient, gens, D = _classify_input(data)
     bound = args.denominator_bound
     out = {"ambient": ambient}
     if ambient == "C2":
-        gens = [(_c(v[0]), _c(v[1])) for v in data["generators"]]
-        res = families.classify_D1_subgroup(gens)
+        from .families import classify_D1_subgroup
+
+        res = classify_D1_subgroup(gens)
         out.update(
             label=res.label,
             normalized_generators=[[_cj(a), _cj(b)] for a, b in res.generators],
@@ -231,7 +291,8 @@ def cmd_classify(args):
         if res.sigma is not None:
             out["sigma"] = _cj(res.sigma)
     elif ambient == "uaff":
-        gens = [uaff.UAffElement(_c(g["a"]), _c(g["b"])) for g in data["generators"]]
+        from . import uaff
+
         label, phi = uaff.classify_subgroup(gens, max_denominator=bound)
         center = uaff.center_intersection(label, max_denominator=bound)
         out.update(
@@ -241,10 +302,10 @@ def cmd_classify(args):
             normalized_generators=[{"a": _cj(g.a), "b": _cj(g.b)} for g in label.generators],
             center_intersection={"a": _cj(center.a), "b": _cj(center.b)},
         )
-    elif ambient == "qd":
-        D = Divisor.from_json(data["divisor"])
-        gens = [bbeta.CentralizerElement(D, _c(g["w"]), _c(g["s"])) for g in data["generators"]]
-        res = bbeta.classify_pi(gens, D, max_denominator=bound)
+    else:
+        from .bbeta import classify_pi
+
+        res = classify_pi(gens, D, max_denominator=bound)
         params = {}
         for k, v in res.label.params().items():
             params[k] = _cj(v) if isinstance(v, complex) else v
@@ -255,19 +316,19 @@ def cmd_classify(args):
             parameters=params,
             normalizer={k: _cj(complex(v)) for k, v in res.normalizer.items()},
         )
-    else:
-        raise InputError(f"unknown ambient {ambient!r}")
     print(json.dumps(out, indent=2))
     return 0
 
 
-def _cover_from_args(label, element_data, cover_label):
-    name = cover_label
-    if name.startswith("Bb1") or name.startswith("Bβ1"):
-        name = name.replace("Bβ1", "").replace("Bb1", "")
+def _cover_from_args(D, element_data, cover_label):
+    from . import bbeta
+    from .catalogue import ascii_label
+
+    name = ascii_label(cover_label)
+    if name.startswith("Bb1"):
+        name = name[len("Bb1"):]
     params = element_data.get("cover", {})
-    D = Divisor.from_json(element_data["divisor"])
-    if name in ("Bb2", "Bβ2", "Bβ2′", "Bb2'"):
+    if name in ("Bb2", "Bb2'"):
         return bbeta.rgd_quotients(D, int(params.get("n", 1)))
     kwargs = {}
     if "n" in params:
@@ -282,6 +343,8 @@ def _cover_from_args(label, element_data, cover_label):
 
 
 def cmd_act(args):
+    from .families import build_family
+
     label = canonical_family(args.family)
     with open(args.element) as fh:
         edata = json.load(fh)
@@ -298,12 +361,12 @@ def cmd_act(args):
         handler_params["n"] = g.n
     if label == "Bγ1":
         handler_params["c"] = g.c
-    handler = families.build_family(label, **handler_params)
+    handler = build_family(label, **handler_params)
     result = handler.act(g, x)
     if args.cover:
         if label not in ("Bβ1", "Bβ2"):
             raise InputError("--cover is only available for the divisor families")
-        cov = _cover_from_args(label, edata, args.cover)
+        cov = _cover_from_args(g.divisor, edata, args.cover)
         covered = cov.cover(*result)
         print(json.dumps({"cover": args.cover, "point": [_component_json(c) for c in covered]}, indent=2))
     else:
@@ -312,8 +375,10 @@ def cmd_act(args):
 
 
 def cmd_verify(args):
+    from .verify import run_verification
+
     try:
-        reports = verify.run_verification(args.family or "all", samples=args.samples, seed=args.seed)
+        reports = run_verification(args.family or "all", samples=args.samples, seed=args.seed)
     except ValueError as e:
         raise InputError(str(e)) from e
     if args.json:

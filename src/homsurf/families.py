@@ -17,16 +17,15 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import bbeta, projective, uaff
-from .divisor import Divisor
+from . import projective
 from .numeric import (
     NonDiscreteError,
+    as_rows,
     c2r,
     c2r2,
     close,
     lattice_reduce_tau,
+    load_numpy,
     r2c2,
     zmodule_basis,
 )
@@ -70,7 +69,7 @@ def _matrix(rng, n=2, special=False, min_det=0.25, scale=0.7):
 
 
 def _inverse2(g):
-    return np.array(projective.inverse2(g))
+    return load_numpy().array(projective.inverse2(g))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ class _AffC:
 
 class _PSL2:
     def identity(self):
-        return np.eye(2, dtype=complex)
+        return load_numpy().eye(2, dtype=complex)
 
     def multiply(self, a, b):
         return a @ b
@@ -133,7 +132,7 @@ class _PSL2:
         return mobius_act(a, p)
 
     def random(self, rng):
-        return np.array(_matrix(rng))
+        return load_numpy().array(_matrix(rng))
 
     def random_point(self, rng):
         return ProjPoint(_cnum(rng, 1.0))
@@ -173,19 +172,19 @@ class _A1:
     label = "A1"
 
     def identity(self):
-        return np.eye(3, dtype=complex)
+        return load_numpy().eye(3, dtype=complex)
 
     def multiply(self, g, h):
         return g @ h
 
     def inverse(self, g):
-        return np.linalg.inv(g)
+        return load_numpy().linalg.inv(g)
 
     def act(self, g, x):
         return proj2_act(g, x)
 
     def random_element(self, rng):
-        return np.array(_matrix(rng, n=3))
+        return load_numpy().array(_matrix(rng, n=3))
 
     def random_point(self, rng):
         return Proj2Point([_cnum(rng, 1.0) for _ in range(3)])
@@ -199,6 +198,7 @@ class _MatrixAffine:
         self.special = special
 
     def identity(self):
+        np = load_numpy()
         return (np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
 
     def multiply(self, g, h):
@@ -209,11 +209,12 @@ class _MatrixAffine:
         return (mi, -mi @ g[1])
 
     def act(self, g, x):
-        (a, b), (c, d) = g[0].tolist()
-        t1, t2 = g[1].tolist()
+        (a, b), (c, d) = as_rows(g[0])
+        t1, t2 = as_rows(g[1])
         return (a * x[0] + b * x[1] + t1, c * x[0] + d * x[1] + t2)
 
     def random_element(self, rng):
+        np = load_numpy()
         m = np.array(_matrix(rng, special=self.special))
         return (m, np.array([_cnum(rng), _cnum(rng)]))
 
@@ -307,20 +308,26 @@ class _D1:
 class _D2:
     label = "D2"
 
+    def __init__(self):
+        # imported with the handler: loading families does not load uaff
+        from . import uaff
+
+        self.uaff = uaff
+
     def identity(self):
-        return uaff.IDENTITY
+        return self.uaff.IDENTITY
 
     def multiply(self, g, h):
-        return uaff.uaff_multiply(g, h)
+        return self.uaff.uaff_multiply(g, h)
 
     def inverse(self, g):
-        return uaff.uaff_inverse(g)
+        return self.uaff.uaff_inverse(g)
 
     def act(self, g, x):
-        return uaff.uaff_multiply(g, x)
+        return self.uaff.uaff_multiply(g, x)
 
     def random_element(self, rng):
-        return uaff.UAffElement(_cnum(rng), _cnum(rng))
+        return self.uaff.UAffElement(_cnum(rng), _cnum(rng))
 
     random_point = random_element
 
@@ -344,7 +351,7 @@ class _C9:
         return quadric_act(g, x)
 
     def random_element(self, rng):
-        return np.array(_matrix(rng))
+        return load_numpy().array(_matrix(rng))
 
     def random_point(self, rng):
         while True:
@@ -354,48 +361,51 @@ class _C9:
 
 
 class _BBeta1:
+    label = "Bβ1"
+
     def __init__(self, divisor):
-        self.label = "Bβ1"
+        # imported with the handler: loading families does not load bbeta
+        from . import bbeta
+
+        self.bbeta = bbeta
         self.divisor = divisor
 
     def identity(self):
-        return bbeta.gd_identity(self.divisor)
+        return self.bbeta.gd_identity(self.divisor)
 
     def multiply(self, g, h):
-        return bbeta.gd_multiply(g, h)
+        return self.bbeta.gd_multiply(g, h)
 
     def inverse(self, g):
-        return bbeta.gd_inverse(g)
+        return self.bbeta.gd_inverse(g)
 
     def act(self, g, x):
-        return bbeta.gd_act(g, x)
+        return self.bbeta.gd_act(g, x)
 
     def random_element(self, rng):
-        return bbeta.random_gd(self.divisor, rng)
+        return self.bbeta.random_gd(self.divisor, rng)
 
     def random_point(self, rng):
         return (_cnum(rng), _cnum(rng))
 
 
 class _BBeta2(_BBeta1):
-    def __init__(self, divisor):
-        self.label = "Bβ2"
-        self.divisor = divisor
+    label = "Bβ2"
 
     def identity(self):
-        return bbeta.rgd_identity(self.divisor)
+        return self.bbeta.rgd_identity(self.divisor)
 
     def multiply(self, g, h):
-        return bbeta.rgd_multiply(g, h)
+        return self.bbeta.rgd_multiply(g, h)
 
     def inverse(self, g):
-        return bbeta.rgd_inverse(g)
+        return self.bbeta.rgd_inverse(g)
 
     def act(self, g, x):
-        return bbeta.rgd_act(g, x)
+        return self.bbeta.rgd_act(g, x)
 
     def random_element(self, rng):
-        return bbeta.random_rgd(self.divisor, rng)
+        return self.bbeta.random_rgd(self.divisor, rng)
 
 
 class _BGamma12:
@@ -488,7 +498,7 @@ class _BDeltaLinear:
         self.special = special
 
     def identity(self):
-        return np.eye(2, dtype=complex)
+        return load_numpy().eye(2, dtype=complex)
 
     def multiply(self, g, h):
         return g @ h
@@ -500,7 +510,7 @@ class _BDeltaLinear:
         return projective.bdelta_act(g, x)
 
     def random_element(self, rng):
-        return np.array(_matrix(rng, special=self.special))
+        return load_numpy().array(_matrix(rng, special=self.special))
 
     def random_point(self, rng):
         while True:
@@ -544,6 +554,8 @@ class _BDeltaBundle:
 
 
 def _default_divisor():
+    from .divisor import Divisor
+
     return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
 
 
@@ -625,39 +637,6 @@ BASE_FAMILY_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyId:
-    label: str
-    params: tuple = ()
-
-    def handler(self):
-        return build_family(self.label, **dict(self.params))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    family: FamilyId
-    payload: object
-
-
-def multiply(g, h):
-    if g.family != h.family:
-        raise ValueError("family mismatch")
-    return GroupElement(g.family, g.family.handler().multiply(g.payload, h.payload))
-
-
-def act(g, x):
-    return g.family.handler().act(g.payload, x)
-
-
-def inverse(g):
-    return GroupElement(g.family, g.family.handler().inverse(g.payload))
-
-
-def identity(family):
-    return GroupElement(family, family.handler().identity())
-
-
 # ---------------------------------------------------------------------------
 # quotient policies
 
@@ -696,7 +675,7 @@ _POLICIES = {
 
 
 def quotient_policy(label):
-    key = label.label if isinstance(label, FamilyId) else str(label)
+    key = str(label)
     if key not in _POLICIES:
         raise ValueError(f"unknown family {key}")
     return _POLICIES[key]
@@ -706,9 +685,8 @@ def quotient_policy(label):
 # discrete subgroups of the translation plane
 
 
-_J4 = np.array(
-    [[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-)
+# multiplication by i on C^2 = R^4, in the coordinates of c2r2
+_J4 = [[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
 @dataclass(frozen=True)
@@ -723,6 +701,7 @@ class D1Classification:
 
 def _transform_from_images(src1, src2, img1, img2):
     """The C-linear map sending src1 -> img1, src2 -> img2."""
+    np = load_numpy()
     m = np.array([[src1[0], src2[0]], [src1[1], src2[1]]], dtype=complex)
     t = np.array([[img1[0], img2[0]], [img1[1], img2[1]]], dtype=complex)
     return t @ np.linalg.inv(m)
@@ -791,22 +770,23 @@ def classify_D1_subgroup(gens):
                 if _complex_independent(bc[i], bc[j]):
                     rest = [bc[k] for k in range(4) if k not in (i, j)]
                     A = _transform_from_images(bc[i], bc[j], (1, 0), (0, 1))
-                    imgs = [tuple(A @ np.array(v)) for v in rest]
+                    imgs = [tuple(A @ load_numpy().array(v)) for v in rest]
                     gens_out = ((1 + 0j, 0j), (0j, 1 + 0j)) + tuple(imgs)
                     return D1Classification("D1_6", gens_out, _as_tuple(A))
     raise NonDiscreteError("discrete subgroups of C^2 have rank at most 4")
 
 
 def _as_tuple(m):
-    return tuple(tuple(complex(x) for x in row) for row in np.asarray(m))
+    return tuple(tuple(complex(x) for x in row) for row in as_rows(m))
 
 
 def _g0_annihilator(basis):
     """Orthonormal pair spanning the annihilator of G_0 = span intersect J span."""
+    np = load_numpy()
     S = np.stack(basis)
     _, _, vt = np.linalg.svd(S)
     ns = vt[3]  # unit normal of the 3-dim real span
-    SJ = S @ _J4.T
+    SJ = S @ np.array(_J4).T
     _, _, vt2 = np.linalg.svd(SJ)
     nt = vt2[3]
     n2 = nt - np.dot(nt, ns) * ns
@@ -817,6 +797,7 @@ def _g0_annihilator(basis):
 
 
 def _classify_rank3(bc):
+    np = load_numpy()
     basis4 = [c2r2(p) for p in bc]
     n1, n2 = _g0_annihilator(basis4)
     u = [np.array([np.dot(b, n1), np.dot(b, n2)]) for b in basis4]

@@ -24,8 +24,6 @@ import operator
 import os
 from fractions import Fraction
 
-import numpy as np
-
 EPS = float(os.environ.get("HOMSURF_EPS", "1e-9"))
 COEFF_CHOP = 1e-12
 DENOMINATOR_BOUND = 10**6
@@ -49,6 +47,24 @@ EMPTY_BASIS_TOL = 1e-8
 LATTICE_TOL = 1e-6
 # a column whose residual is below this * the largest column norm adds nothing to a QR solve
 QR_DEPENDENT_TOL = 1e-13
+
+
+def load_numpy():
+    """The numpy module, imported on the first call.
+
+    The package takes numpy only through this accessor, inside the functions
+    that use it, so a CLI call that reaches none of them (`act` on A2, A3,
+    D1 or D2, a Bβ1 classification without a kernel lattice) never pays for
+    importing it.  `verify` imports numpy itself.
+    """
+    import numpy
+
+    return numpy
+
+
+def as_rows(x):
+    """An array as nested Python lists; anything else (rows, tuples) as it is."""
+    return x.tolist() if hasattr(x, "tolist") else x
 
 
 class NonDiscreteError(ValueError):
@@ -101,6 +117,7 @@ def r2c2(v):
 
 def real_rank(vectors, tol=1e-8):
     """Dimension of the real span, singular values below tol*scale ignored."""
+    np = load_numpy()
     vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
     if not vs:
         return 0
@@ -158,8 +175,8 @@ def hnf_with_transform(rows):
 
 def _floats(v):
     """A vector (tuple, list or array) as a list of Python floats."""
-    if isinstance(v, np.ndarray):
-        return np.asarray(v, dtype=float).ravel().tolist()
+    if hasattr(v, "tolist"):
+        return load_numpy().asarray(v, dtype=float).ravel().tolist()
     return [float(x) for x in v]
 
 
@@ -319,6 +336,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     H, U, rank = hnf_with_transform(M)
     if rank != r:
         raise NonDiscreteError("rank mismatch after integer reduction")
+    np = load_numpy()
     P = np.array([A[j] for j in pivots])
     basis = [np.asarray(H[k], dtype=float) @ P / L for k in range(rank)]
     rows = [b.tolist() for b in basis]
@@ -403,6 +421,7 @@ def lattice_reduce_tau(w1, w2, max_steps=64):
     w1, w2 = complex(w1), complex(w2)
     if abs(w1) == 0 or abs((w2 / w1).imag) <= 1e-12:
         raise NonDiscreteError("lattice basis is not R-independent")
+    np = load_numpy()
     U = np.eye(2, dtype=int)
     v1, v2 = w1, w2
     if (v2 / v1).imag < 0:

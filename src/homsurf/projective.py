@@ -22,9 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numeric import EPS, close
+from .numeric import EPS, as_rows, close, load_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +31,8 @@ from .numeric import EPS, close
 
 def _entries(g):
     """The entries a, b, c, d of a 2x2 matrix given as an ndarray or nested rows."""
-    (a, b), (c, d) = g.tolist() if isinstance(g, np.ndarray) else g
+    # as_rows, written out: the verify suites call this about 800 times per suite
+    (a, b), (c, d) = g.tolist() if hasattr(g, "tolist") else g
     return a, b, c, d
 
 
@@ -138,7 +137,7 @@ def proj2_equal(p, q, tol=None):
 
 def proj2_act(g3, p, tol=None):
     """Linear action of an invertible 3x3 matrix on the projective plane."""
-    rows = g3.tolist() if isinstance(g3, np.ndarray) else g3
+    rows = as_rows(g3)
     x, y, z = p.coords
     return Proj2Point([r[0] * x + r[1] * y + r[2] * z for r in rows])
 
@@ -182,7 +181,7 @@ def sym_power_rep(g, n):
         raise ValueError("n must be >= 1")
     a, b, c, d = _entries(g)
     # column k is the image of e1^{n-k} e2^k, that is (a e1 + c e2)^{n-k} (b e1 + d e2)^k
-    return np.array([_pair_product(a, c, b, d, k, n) for k in range(n + 1)], dtype=complex).T
+    return load_numpy().array([_pair_product(a, c, b, d, k, n) for k in range(n + 1)], dtype=complex).T
 
 
 def binary_form_eval(coeffs, z1, z2):
@@ -351,7 +350,7 @@ class OnGroupElement:
         object.__setattr__(self, "poly", p)
 
     def mat(self):
-        return np.array(self.matrix, dtype=complex)
+        return load_numpy().array(self.matrix, dtype=complex)
 
 
 def on_identity(n):
@@ -576,6 +575,7 @@ class HopfQuotient:
 
     def reduce(self, x):
         """Representative with |lam| < |x| <= 1 (max-norm)."""
+        np = load_numpy()
         x = np.asarray(x, dtype=complex)
         m = float(np.abs(x).max())
         if m <= 1e-300:
@@ -584,6 +584,7 @@ class HopfQuotient:
         return tuple(x * self.lam**k)
 
     def equal(self, x, y, tol=None):
+        np = load_numpy()
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
         i = int(np.abs(x).argmax())

@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .numeric import (
     NonDiscreteError,
     c2r,
@@ -24,6 +22,7 @@ from .numeric import (
     close,
     lattice_coords,
     lattice_reduce_tau,
+    load_numpy,
     rational_reconstruct,
     saturate_lattice,
     zmodule_basis,
@@ -81,7 +80,7 @@ def uaff_close(g, h, tol=None, scale=0.0):
 def uaff_matrix(g):
     """3x3 matrix model; matrix(g) @ matrix(h) = matrix(g h)."""
     ea = cmath.exp(g.a)
-    return np.array([[ea, 0, g.b], [0, 1, g.a], [0, 0, 1]], dtype=complex)
+    return load_numpy().array([[ea, 0, g.b], [0, 1, g.a], [0, 0, 1]], dtype=complex)
 
 
 def commutator(g, h):

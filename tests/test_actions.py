@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from homsurf import families, verify
-from homsurf.families import (
-    FamilyId,
-    GroupElement,
-    act,
-    build_family,
-    classify_D1_subgroup,
-    identity,
-    inverse,
-    multiply,
-    quotient_policy,
-)
+from homsurf.families import build_family, classify_D1_subgroup, quotient_policy
 from homsurf.numeric import NonDiscreteError, close
 
 
@@ -82,18 +72,6 @@ def test_c2_translation_action():
     h = build_family("C2")
     z, w = h.act((1.0, (1.0, 0j)), (0j, 0j))
     assert close(z, 1.0) and close(w, 0.0)
-
-
-def test_group_element_wrappers():
-    fam = FamilyId("D1")
-    g = GroupElement(fam, (1, 2))
-    h = GroupElement(fam, (3, 4))
-    assert multiply(g, h).payload == (4, 6)
-    assert act(g, (0, 0)) == (1, 2)
-    assert inverse(g).payload == (-1, -2)
-    assert identity(fam).payload == (0j, 0j)
-    with pytest.raises(ValueError, match="family"):
-        multiply(g, GroupElement(FamilyId("D3"), (1.0, (0j, 0j))))
 
 
 def test_quotient_policy_table():

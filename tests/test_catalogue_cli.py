@@ -2,8 +2,12 @@ import json
 import math
 import pathlib
 
+import pytest
+
 from homsurf import cli
-from homsurf.catalogue import ROWS, enumerate_catalogue, labels
+from homsurf.catalogue import ROWS, ascii_label, enumerate_catalogue, labels
+from homsurf.families import BASE_FAMILY_LABELS
+from homsurf.verify import suite_name
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalogue_labels.txt"
 
@@ -312,3 +316,67 @@ def test_cli_verify_determinism(capsys):
     assert cli.main(["verify", "Bβ1", "--samples", "25", "--seed", "5", "--json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# label aliases: one normaliser for the catalogue filter, `act --family` and `verify`
+
+
+def _spellings(label):
+    """The label, its ASCII form (Bb1, Bb2') and its word form (Bbeta1, Bbeta2')."""
+    ascii_form, words = label, label
+    for letter, a, word in (("β", "b", "beta"), ("γ", "g", "gamma"), ("δ", "d", "delta"), ("′", "'", "'")):
+        ascii_form = ascii_form.replace(letter, a)
+        words = words.replace(letter, word)
+    return {label, ascii_form, words}
+
+
+def test_ascii_label_examples():
+    assert ascii_label("Bβ1") == ascii_label("Bbeta1") == ascii_label("Bb1") == "Bb1"
+    assert ascii_label("Bβ2′") == ascii_label("Bbeta2'") == "Bb2'"
+    assert ascii_label("Bgamma4") == "Bg4" and ascii_label("Bdelta3") == "Bd3"
+
+
+def test_every_catalogue_label_is_found_in_every_spelling():
+    for row in ROWS:
+        assert row.ascii_label == ascii_label(row.label)
+        for spelling in _spellings(row.label):
+            assert row in enumerate_catalogue(spelling), spelling
+
+
+def test_every_family_label_is_found_in_every_spelling():
+    for label in BASE_FAMILY_LABELS:
+        for spelling in _spellings(label):
+            assert cli.canonical_family(spelling) == label, spelling
+            assert suite_name(spelling) == label, spelling
+
+
+def test_pseudo_suites_and_unknown_labels():
+    for name in ("exppoly", "divisor", "SC"):
+        assert suite_name(name) == name
+    with pytest.raises(ValueError):
+        suite_name("Bb9")
+    with pytest.raises(cli.InputError):
+        cli.canonical_family("Bbeta9")
+
+
+# the divisor [0] + [2 pi i], normalized for Bβ2 and with lambda = 0 for the Bβ1 example D
+COVER_DIVISOR = {"points": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": 0.0, "im": 2 * math.pi, "mult": 1}]}
+COVER_ELEMENTS = {
+    "Bβ1": ({"t": {"re": 0.5, "im": 0.25}, "cover": {"n": 1}}, ("Bβ1D", "Bb1D", "Bbeta1D", "D")),
+    "Bβ2": ({"t": {"re": 0.5, "im": 0.25}, "lambda": {"re": 1.5, "im": 0.0}, "cover": {"n": 2}}, ("Bβ2′", "Bb2'", "Bbeta2'")),
+}
+
+
+@pytest.mark.parametrize("family", sorted(COVER_ELEMENTS))
+def test_cli_act_cover_in_every_spelling(tmp_path, capsys, family):
+    fields, spellings = COVER_ELEMENTS[family]
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps({"divisor": COVER_DIVISOR, "f": {"terms": []}, **fields}))
+    p.write_text(json.dumps({"z": {"re": 0.3, "im": 0.1}, "w": {"re": -0.2, "im": 0.4}}))
+    points = []
+    for cover in spellings:
+        assert cli.main(["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]) == 0
+        points.append(json.loads(capsys.readouterr().out)["point"])
+    assert all(pt == points[0] for pt in points)

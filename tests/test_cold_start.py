@@ -1,0 +1,123 @@
+"""Cold start: `import homsurf` loads no submodule, and each CLI call loads only what it runs.
+
+Each call runs as `python -X importtime -m homsurf.cli ...` in a fresh
+process; the modules it loaded are read off the import-time report on
+stderr.  The CLI module itself runs as `__main__`, so it is not listed.
+"""
+
+import importlib
+import json
+import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+import homsurf
+
+SRC = str(pathlib.Path(homsurf.__file__).resolve().parents[1])
+_IMPORTED = re.compile(r"^import time:.*\|\s*(\S+)\s*$", re.MULTILINE)
+
+
+def _run(*args):
+    """(exit code, stdout, the homsurf modules loaded, whether numpy was loaded)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    names = set(_IMPORTED.findall(proc.stderr))
+    ours = {n for n in names if n == "homsurf" or n.startswith("homsurf.")}
+    return proc.returncode, proc.stdout, ours, "numpy" in names
+
+
+def _cj(z):
+    return {"re": z.real, "im": z.imag}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _act_args(tmp_path, family, element, point):
+    e = _write(tmp_path, "element.json", element)
+    p = _write(tmp_path, "point.json", point)
+    return ["act", "--family", family, "--element", e, "--point", p]
+
+
+POINT = {"z": _cj(1 + 0j), "w": _cj(2 - 1j)}
+TRANSLATION = [_cj(0.5j), _cj(1 + 0j)]
+A2 = {"matrix": [[_cj(1 + 1j), _cj(2 + 0j)], [_cj(0j), _cj(1 - 1j)]], "translation": TRANSLATION}
+A3 = {"matrix": [[_cj(1 + 0j), _cj(2j)], [_cj(0j), _cj(1 + 0j)]], "translation": TRANSLATION}
+D1 = {"v": [_cj(1j), _cj(-2 + 0j)]}
+D2 = {"a": _cj(0.3 + 0.2j), "b": _cj(1 + 0j)}
+D2_POINT = {"a": _cj(0j), "b": _cj(1j)}
+# the divisor [0] + [2 pi i]: lambda = 0, so e^{lambda n} = 1
+DIVISOR = {"points": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": 0.0, "im": 2 * math.pi, "mult": 1}]}
+W1 = {"w": _cj(1 + 0j), "s": _cj(0j)}
+S1 = {"w": _cj(0j), "s": _cj(1 + 0j)}
+# example B has no translation lattice, so no zmodule_basis and no numpy; example D has one
+QD_B = {"ambient": "qd", "divisor": DIVISOR, "generators": [W1]}
+QD_D = {"ambient": "qd", "divisor": DIVISOR, "generators": [W1, S1]}
+C2 = {"ambient": "C2", "generators": [[_cj(1 + 0j), _cj(0j)]]}
+UAFF = {"ambient": "uaff", "generators": [{"a": _cj(0j), "b": _cj(1 + 0j)}]}
+
+BASE = {"homsurf", "homsurf.numeric"}
+ACT = BASE | {"homsurf.families", "homsurf.projective"}
+QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.surfaces"}
+UAFF_MODULES = BASE | {"homsurf.surfaces", "homsurf.uaff"}
+
+# call -> (argv after `homsurf`, homsurf modules loaded, numpy loaded: True, False or None for either)
+CALLS = {
+    "act-A2": (lambda t: _act_args(t, "A2", A2, POINT), ACT, False),
+    "act-A3": (lambda t: _act_args(t, "A3", A3, POINT), ACT, False),
+    "act-D1": (lambda t: _act_args(t, "D1", D1, POINT), ACT, False),
+    "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | UAFF_MODULES, False),
+    "classify-qd": (lambda t: ["classify", _write(t, "qd.json", QD_B)], QD, False),
+    "classify-qd-lattice": (lambda t: ["classify", _write(t, "qd.json", QD_D)], QD, None),
+    "classify-C2": (lambda t: ["classify", _write(t, "c2.json", C2)], ACT, None),
+    "classify-uaff": (lambda t: ["classify", _write(t, "uaff.json", UAFF)], UAFF_MODULES, None),
+    "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_cli_call_loads_only_what_it_runs(tmp_path, name):
+    argv, modules, numpy = CALLS[name]
+    code, out, ours, numpy_loaded = _run("-m", "homsurf.cli", *argv(tmp_path))
+    assert code == 0
+    json.loads(out)
+    assert ours == modules
+    if numpy is not None:
+        assert numpy_loaded == numpy
+
+
+def test_import_homsurf_loads_no_submodule():
+    code, _, ours, numpy_loaded = _run("-c", "import homsurf")
+    assert code == 0
+    assert ours == {"homsurf"}
+    assert not numpy_loaded
+
+
+def test_public_names_are_their_home_objects():
+    for name in homsurf.__all__:
+        obj = getattr(homsurf, name)
+        assert obj.__module__.startswith("homsurf.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_dir_and_unknown_names():
+    assert "__all__" in dir(homsurf)
+    assert set(homsurf.__all__) <= set(dir(homsurf))
+    with pytest.raises(AttributeError):
+        homsurf.no_such_name  # noqa: B018
+
+
+def test_star_import():
+    namespace = {}
+    exec("from homsurf import *", namespace)
+    assert set(homsurf.__all__) <= set(namespace)

@@ -115,3 +115,25 @@ def test_cli_act_valid_d3(tmp_path, capsys):
     assert _act(tmp_path, "D3", elem, POINT) == 0
     out = json.loads(capsys.readouterr().out)
     assert math.isclose(out["z"]["re"], 1.0) and math.isclose(out["z"]["im"], 2.0)
+
+
+def _classify(tmp_path, doc):
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps(doc))
+    return cli.main(["classify", str(f)])
+
+
+MALFORMED = {
+    "a2-matrix-not-rows": lambda tmp: _act(tmp, "A2", {"matrix": 5, "translation": [_cj(0j), _cj(0j)]}, POINT),
+    "point-coordinate-a-string": lambda tmp: _act(tmp, "D1", {"v": [_cj(1 + 0j), _cj(0j)]}, {"z": "abc", "w": 1}),
+    "c2-generator-a-string": lambda tmp: _classify(tmp, {"ambient": "C2", "generators": [[1, "x"]]}),
+    "classify-file-a-list": lambda tmp: _classify(tmp, [{"ambient": "C2", "generators": []}]),
+    "d1-element-too-short": lambda tmp: _act(tmp, "D1", {"v": [1]}, POINT),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_payload_is_an_input_error(tmp_path, capsys, name):
+    assert MALFORMED[name](tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
