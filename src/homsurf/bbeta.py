@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .divisor import Divisor, quasiperiod_group, weight
 from .exppoly import ExpPoly, contains, evaluate, exppoly_close, random_member, translate
 from .numeric import (
     NonDiscreteError,
+    Record,
     c2r,
     close,
     hnf_with_transform,
@@ -31,6 +31,7 @@ from .numeric import (
     lattice_coords,
     lattice_reduce_tau,
     saturate_lattice,
+    setfield,
     zmodule_basis,
 )
 from .surfaces import TorusPoint, product_equal
@@ -48,13 +49,13 @@ def _check_divisor(D):
 # G_D and rG_D
 
 
-@dataclass(frozen=True)
-class GDElement:
-    divisor: Divisor
-    t: complex
-    f: ExpPoly
+class GDElement(Record):
+    __slots__ = ("divisor", "t", "f")
 
-    def __post_init__(self):
+    def __init__(self, divisor, t, f):
+        setfield(self, "divisor", divisor)
+        setfield(self, "t", t)
+        setfield(self, "f", f)
         _check_divisor(self.divisor)
         if not contains(self.divisor, self.f):
             raise ValueError("f is not in the solution space of the divisor")
@@ -85,14 +86,14 @@ def random_gd(D, rng, scale=0.7):
     return GDElement(D, t, random_member(D, rng, scale=scale))
 
 
-@dataclass(frozen=True)
-class RGDElement:
-    divisor: Divisor
-    t: complex
-    lam: complex
-    f: ExpPoly
+class RGDElement(Record):
+    __slots__ = ("divisor", "t", "lam", "f")
 
-    def __post_init__(self):
+    def __init__(self, divisor, t, lam, f):
+        setfield(self, "divisor", divisor)
+        setfield(self, "t", t)
+        setfield(self, "lam", lam)
+        setfield(self, "f", f)
         _check_divisor(self.divisor)
         if abs(self.lam) == 0:
             raise ValueError("the rescaling component must be nonzero")
@@ -133,15 +134,15 @@ def random_rgd(D, rng, scale=0.7):
 # the commutant of G_D: quasiperiods semidirect w-translations
 
 
-@dataclass(frozen=True)
-class CentralizerElement:
+class CentralizerElement(Record):
     """Pair (w, s) acting by (z, w) -> (w + z, gamma_w w + s)."""
 
-    divisor: Divisor
-    w: complex
-    s: complex
+    __slots__ = ("divisor", "w", "s")
 
-    def __post_init__(self):
+    def __init__(self, divisor, w, s):
+        setfield(self, "divisor", divisor)
+        setfield(self, "w", w)
+        setfield(self, "s", s)
         if not quasiperiod_group(self.divisor).contains(self.w):
             raise ValueError("invalid quasiperiod")
 
@@ -174,14 +175,16 @@ def cent_act(c, zw):
 # the three morphism families
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Equivariant pair: delta on the plane, h on the group."""
 
-    delta: object
-    h: object
-    source: Divisor
-    target: Divisor
+    __slots__ = ("delta", "h", "source", "target")
+
+    def __init__(self, delta, h, source, target):
+        setfield(self, "delta", delta)
+        setfield(self, "h", h)
+        setfield(self, "source", source)
+        setfield(self, "target", target)
 
 
 def morphism_family(kind, group, divisor, *, g=None, mu=None, nu=None, f0=None, a=None):
@@ -258,17 +261,19 @@ def morphism_family(kind, group, divisor, *, g=None, mu=None, nu=None, f0=None, 
 # quotient examples
 
 
-@dataclass(frozen=True)
-class BBeta1Label:
+class BBeta1Label(Record):
     """One of the quotient examples A0, A1, B, ..., I with its parameters."""
 
-    name: str
-    divisor: Divisor
-    n: int = None
-    s: complex = None
-    tau: complex = None
-    delta: tuple = ()  # generators of the w-translation group for A0/A1
-    warnings: tuple = ()
+    __slots__ = ("name", "divisor", "n", "s", "tau", "delta", "warnings")
+
+    def __init__(self, name, divisor, n=None, s=None, tau=None, delta=(), warnings=()):
+        setfield(self, "name", name)
+        setfield(self, "divisor", divisor)
+        setfield(self, "n", n)
+        setfield(self, "s", s)
+        setfield(self, "tau", tau)
+        setfield(self, "delta", delta)  # generators of the w-translation group for A0/A1
+        setfield(self, "warnings", warnings)
 
     def params(self):
         out = {"divisor": self.divisor.to_json()}
@@ -713,12 +718,14 @@ def rgd_mod_equal(g, h, n, tol=None):
 # classification of discrete subgroups of the commutant
 
 
-@dataclass(frozen=True)
-class BBeta1Classification:
-    label: BBeta1Label
-    table_row: str
-    normalizer: dict
-    pi_cap_g: tuple = ()
+class BBeta1Classification(Record):
+    __slots__ = ("label", "table_row", "normalizer", "pi_cap_g")
+
+    def __init__(self, label, table_row, normalizer, pi_cap_g=()):
+        setfield(self, "label", label)
+        setfield(self, "table_row", table_row)
+        setfield(self, "normalizer", normalizer)
+        setfield(self, "pi_cap_g", pi_cap_g)
 
 
 def _qd_mult(a, b, gamma):

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .numeric import close, lattice_contains, load_numpy, rational_reconstruct
+from .numeric import Record, close, lattice_contains, load_numpy, rational_reconstruct, setfield
 
 LAURENT_DEGREE_CAP = 8
 
@@ -34,15 +33,15 @@ def _is_unit_of(b, w1, w2, tol=1e-8):
     )
 
 
-@dataclass(frozen=True)
-class SCData:
+class SCData(Record):
     """Lattice basis (w1, w2) and a multiplier c with c Lambda = Lambda."""
 
-    w1: complex
-    w2: complex
-    c: complex
+    __slots__ = ("w1", "w2", "c", "__dict__")  # the dict holds the cached invariants
 
-    def __post_init__(self):
+    def __init__(self, w1, w2, c):
+        setfield(self, "w1", w1)
+        setfield(self, "w2", w2)
+        setfield(self, "c", c)
         if not _is_unit_of(self.c, self.w1, self.w2):
             raise ValueError("c must satisfy c Lambda = Lambda")
 
@@ -81,13 +80,15 @@ class SCData:
         return cls(w1, w2, complex(data["c"]["re"], data["c"]["im"]))
 
 
-@dataclass(frozen=True)
-class DeckElement:
+class DeckElement(Record):
     """(z, w) -> (z + k, c^k w + lam) for integer k and lam in the lattice."""
 
-    data: SCData
-    k: int
-    lam: complex
+    __slots__ = ("data", "k", "lam")
+
+    def __init__(self, data, k, lam):
+        setfield(self, "data", data)
+        setfield(self, "k", k)
+        setfield(self, "lam", lam)
 
     def __call__(self, z, w):
         return (z + self.k, self.data.c**self.k * w + self.lam)
@@ -106,8 +107,7 @@ def _laurent_eval(coeffs, u):
     return sum(c * u**k for k, c in coeffs.items())
 
 
-@dataclass(frozen=True)
-class SCBiholomorphism:
+class SCBiholomorphism(Record):
     """A member of the biholomorphism family for the matching value of c.
 
     sign is +-1 (forced to +1 unless c = +-1); b satisfies b Lambda = Lambda;
@@ -115,14 +115,15 @@ class SCBiholomorphism:
     as a dict exponent -> coefficient with |exponent| <= LAURENT_DEGREE_CAP.
     """
 
-    data: SCData
-    sign: int = 1
-    z0: complex = 0j
-    b: complex = 1.0 + 0j
-    lam0: complex = 0j
-    f: tuple = ()  # pairs (exponent, coefficient)
+    __slots__ = ("data", "sign", "z0", "b", "lam0", "f", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, data, sign=1, z0=0j, b=1.0 + 0j, lam0=0j, f=()):
+        setfield(self, "data", data)
+        setfield(self, "sign", sign)
+        setfield(self, "z0", z0)
+        setfield(self, "b", b)
+        setfield(self, "lam0", lam0)
+        setfield(self, "f", f)  # pairs (exponent, coefficient)
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         case = self.data.case
@@ -164,12 +165,14 @@ def biholo_inverse_apply(phi, z, w):
     return (z1, (w - w_of_z1) / phi.b)
 
 
-@dataclass(frozen=True)
-class PlaneMap:
+class PlaneMap(Record):
     """A biholomorphism of C^2 given by forward/backward callables."""
 
-    forward: object
-    backward: object
+    __slots__ = ("forward", "backward")
+
+    def __init__(self, forward, backward):
+        setfield(self, "forward", forward)
+        setfield(self, "backward", backward)
 
     def __call__(self, z, w):
         return self.forward(z, w)

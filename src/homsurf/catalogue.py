@@ -8,19 +8,21 @@ invented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .numeric import Record, setfield
 
 
-@dataclass(frozen=True)
-class CatalogueRow:
-    label: str
-    ascii_label: str
-    surface: str
-    group: str
-    stabilizer: str
-    constraint: str
-    quotient_policy: str  # "none" | "policy" | "is-quotient"
-    anchor: str
+class CatalogueRow(Record):
+    __slots__ = ("label", "ascii_label", "surface", "group", "stabilizer", "constraint", "quotient_policy", "anchor")
+
+    def __init__(self, label, ascii_label, surface, group, stabilizer, constraint, quotient_policy, anchor):
+        setfield(self, "label", label)
+        setfield(self, "ascii_label", ascii_label)
+        setfield(self, "surface", surface)
+        setfield(self, "group", group)
+        setfield(self, "stabilizer", stabilizer)
+        setfield(self, "constraint", constraint)
+        setfield(self, "quotient_policy", quotient_policy)  # "none" | "policy" | "is-quotient"
+        setfield(self, "anchor", anchor)
 
     def to_json(self):
         return {

@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 
-from .numeric import SL_DET_TOL, NonDiscreteError, as_rows, close, load_numpy
+from .numeric import SL_DET_TOL, NonDiscreteError, as_rows, close
 
 
 class InputError(Exception):
@@ -61,8 +61,12 @@ def _rows(data):
     return [[_c(x) for x in row] for row in data]
 
 
-def _matrix(data):
-    return load_numpy().array(_rows(data))
+def _matrix(data, n=2):
+    """An n x n matrix as Python rows, which every handler's `act` takes as well as an array."""
+    m = _rows(data)
+    if [len(row) for row in m] != [n] * n:
+        raise InputError(f"matrix must be {n}x{n}, got rows of lengths {[len(row) for row in m]}")
+    return m
 
 
 def _matrix_json(m):
@@ -71,18 +75,12 @@ def _matrix_json(m):
 
 def canonical_family(label):
     """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
-    from .families import BASE_FAMILY_LABELS
+    from .families import family_label
 
-    label = str(label)
-    if label in BASE_FAMILY_LABELS:
-        return label  # an exact label needs neither the alias table nor the catalogue module
-    from .catalogue import ascii_label
-
-    by_ascii = {ascii_label(lab): lab for lab in BASE_FAMILY_LABELS}
-    key = ascii_label(label)
-    if key not in by_ascii:
-        raise InputError(f"unknown family {label}")
-    return by_ascii[key]
+    try:
+        return family_label(label)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +91,8 @@ def _affine_element(label, data):
     """An A2 (GL(2)) or A3 (SL(2)) element as Python rows, its invariants checked."""
     from .projective import invertible2
 
-    m = _rows(data["matrix"])
+    m = _matrix(data["matrix"])
     t = tuple(_c(x) for x in data["translation"])
-    if [len(row) for row in m] != [2, 2]:
-        raise InputError(f"{label} matrix must be 2x2, got rows of lengths {[len(row) for row in m]}")
     if len(t) != 2:
         raise InputError(f"{label} translation must have 2 entries, got {len(t)}")
     (a, b), (c, d) = m
@@ -113,7 +109,7 @@ def element_from_json(label, data):
     from . import projective
 
     if label == "A1":
-        return _matrix(data["matrix"])
+        return _matrix(data["matrix"], 3)
     if label in ("A2", "A3"):
         return _affine_element(label, data)
     if label == "C2":

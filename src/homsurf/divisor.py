@@ -13,23 +13,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .numeric import (
-    EPS,
-    canonical_sign,
-    close,
-    rational_reconstruct,
-)
+from .numeric import EPS, Record, canonical_sign, close, rational_reconstruct, setfield
 
 DEGREE_CAP = 32
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(Record):
     """Effective divisor: sorted distinct points with multiplicities >= 1."""
 
-    points: tuple
+    __slots__ = ("points",)
 
     def __init__(self, points):
         pts = [(complex(p), int(m)) for p, m in points]
@@ -45,7 +38,7 @@ class Divisor:
         deg = sum(m for _, m in merged)
         if deg > DEGREE_CAP:
             raise ValueError(f"divisor degree {deg} exceeds cap {DEGREE_CAP}")
-        object.__setattr__(self, "points", tuple((p, m) for p, m in merged))
+        setfield(self, "points", tuple((p, m) for p, m in merged))
 
     @classmethod
     def from_points(cls, *pts):
@@ -83,12 +76,14 @@ class Divisor:
         return cls([(complex(p["re"], p["im"]), int(p["mult"])) for p in data["points"]])
 
 
-@dataclass(frozen=True)
-class QuasiperiodGroup:
+class QuasiperiodGroup(Record):
     """Trivial, all of C, or rank one with a canonical generator."""
 
-    kind: str  # "trivial" | "all" | "rank1"
-    generator: complex = None
+    __slots__ = ("kind", "generator")
+
+    def __init__(self, kind, generator=None):
+        setfield(self, "kind", kind)  # "trivial" | "all" | "rank1"
+        setfield(self, "generator", generator)
 
     @property
     def is_trivial(self):

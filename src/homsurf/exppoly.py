@@ -19,9 +19,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
-from .numeric import COEFF_CHOP, EPS, close
+from .numeric import COEFF_CHOP, EPS, Record, close, setfield
 
 
 def _trim(coeffs):
@@ -31,14 +30,13 @@ def _trim(coeffs):
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense polynomial over C; coeffs[k] multiplies z^k, trailing zeros trimmed."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim(coeffs))
+        setfield(self, "coeffs", _trim(coeffs))
 
     @classmethod
     def zero(cls):
@@ -149,14 +147,13 @@ def _merge_close(pairs):
     return tuple((lam, poly) for lam, poly in merged if not poly.is_zero)
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Record):
     """Finite sum of e^{lam z} * polynomial terms in canonical form."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "terms", _canonical_terms(terms))
+        setfield(self, "terms", _canonical_terms(terms))
 
     @classmethod
     def zero(cls):
@@ -166,7 +163,7 @@ class ExpPoly:
     def _canonical(cls, terms):
         """An ExpPoly over a tuple of terms already in canonical form."""
         out = object.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        setfield(out, "terms", terms)
         return out
 
     @classmethod
@@ -262,16 +259,14 @@ def exppoly_close(f, g, tol=None, scale=0.0):
     return all(p.max_abs() <= (EPS if tol is None else tol) * s for _, p in d.terms)
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(Record):
     """Monic constant-coefficient operator p(d/dz).
 
     When built from a divisor the root multiset is kept, so that applying the
     operator to a member of its own solution space cancels structurally.
     """
 
-    coeffs: tuple
-    roots: tuple = None
+    __slots__ = ("coeffs", "roots")
 
     def __init__(self, coeffs, roots=None):
         cs = _trim(coeffs)
@@ -281,8 +276,8 @@ class DiffOperator:
         if abs(lead - 1.0) > 1e-9:
             raise ValueError("operator must be monic")
         cs = cs[:-1] + (1.0 + 0j,)
-        object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "roots", None if roots is None else tuple(roots))
+        setfield(self, "coeffs", cs)
+        setfield(self, "roots", None if roots is None else tuple(roots))
 
     @property
     def degree(self):

@@ -15,11 +15,13 @@ Quotient policies record which actions admit quotients and by what data.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from . import projective
 from .numeric import (
     NonDiscreteError,
+    Record,
+    _dot,
+    _norm,
     as_rows,
     c2r,
     c2r2,
@@ -27,6 +29,7 @@ from .numeric import (
     lattice_reduce_tau,
     load_numpy,
     r2c2,
+    setfield,
     zmodule_basis,
 )
 from .projective import (
@@ -559,8 +562,23 @@ def _default_divisor():
     return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
 
 
+def family_label(label):
+    """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
+    label = str(label)
+    if label in BASE_FAMILY_LABELS:
+        return label  # an exact label needs neither the alias table nor the catalogue module
+    from .catalogue import ascii_label
+
+    by_ascii = {ascii_label(lab): lab for lab in BASE_FAMILY_LABELS}
+    key = ascii_label(label)
+    if key not in by_ascii:
+        raise ValueError(f"unknown family {label}")
+    return by_ascii[key]
+
+
 def build_family(label, **params):
-    """Handler for a family label; params as needed by the family."""
+    """Handler for a family label in any spelling (see family_label); params as needed by the family."""
+    label = family_label(label)
     if label == "A1":
         return _A1()
     if label == "A2":
@@ -587,25 +605,25 @@ def build_family(label, **params):
         return _D2()
     if label == "D3":
         return _D3()
-    if label in ("Bβ1", "Bb1"):
+    if label == "Bβ1":
         return _BBeta1(params.get("divisor", _default_divisor()))
-    if label in ("Bβ2", "Bb2"):
+    if label == "Bβ2":
         return _BBeta2(params.get("divisor", _default_divisor()))
-    if label in ("Bγ1", "Bg1"):
+    if label == "Bγ1":
         return _BGamma12("Bγ1", params.get("n", 2), params.get("c", 1.7 + 0.3j))
-    if label in ("Bγ2", "Bg2"):
+    if label == "Bγ2":
         return _BGamma12("Bγ2", params.get("n", 2), 0.0)
-    if label in ("Bγ3", "Bg3"):
+    if label == "Bγ3":
         return _BGamma3(params.get("n", 2))
-    if label in ("Bγ4", "Bg4"):
+    if label == "Bγ4":
         return _BGamma4(params.get("n", 2))
-    if label in ("Bδ1", "Bd1"):
+    if label == "Bδ1":
         return _BDeltaLinear("Bδ1", special=True)
-    if label in ("Bδ2", "Bd2"):
+    if label == "Bδ2":
         return _BDeltaLinear("Bδ2", special=False)
-    if label in ("Bδ3", "Bd3"):
+    if label == "Bδ3":
         return _BDeltaBundle("Bδ3", params.get("n", 2), special=True)
-    if label in ("Bδ4", "Bd4"):
+    if label == "Bδ4":
         return _BDeltaBundle("Bδ4", params.get("n", 2), special=False)
     raise ValueError(f"unknown family {label}")
 
@@ -641,10 +659,12 @@ BASE_FAMILY_LABELS = (
 # quotient policies
 
 
-@dataclass(frozen=True)
-class QuotientPolicy:
-    kind: str  # "none" | "policy"
-    description: str = ""
+class QuotientPolicy(Record):
+    __slots__ = ("kind", "description")
+
+    def __init__(self, kind, description=""):
+        setfield(self, "kind", kind)  # "none" | "policy"
+        setfield(self, "description", description)
 
 
 _POLICIES = {
@@ -689,22 +709,31 @@ def quotient_policy(label):
 _J4 = [[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
 
 
-@dataclass(frozen=True)
-class D1Classification:
-    label: str
-    generators: tuple  # normalized generators, pairs of complex numbers
-    transform: tuple  # 2x2 complex matrix applied to the inputs
-    tau: complex = None
-    sigma: complex = None
-    warnings: tuple = ()
+class D1Classification(Record):
+    __slots__ = ("label", "generators", "transform", "tau", "sigma", "warnings")
+
+    def __init__(self, label, generators, transform, tau=None, sigma=None, warnings=()):
+        setfield(self, "label", label)
+        setfield(self, "generators", generators)  # normalized generators, pairs of complex numbers
+        setfield(self, "transform", transform)  # 2x2 complex matrix applied to the inputs
+        setfield(self, "tau", tau)
+        setfield(self, "sigma", sigma)
+        setfield(self, "warnings", warnings)
 
 
 def _transform_from_images(src1, src2, img1, img2):
-    """The C-linear map sending src1 -> img1, src2 -> img2."""
-    np = load_numpy()
-    m = np.array([[src1[0], src2[0]], [src1[1], src2[1]]], dtype=complex)
-    t = np.array([[img1[0], img2[0]], [img1[1], img2[1]]], dtype=complex)
-    return t @ np.linalg.inv(m)
+    """The C-linear map sending src1 -> img1, src2 -> img2, as rows."""
+    try:
+        inv = projective.inverse2(((src1[0], src2[0]), (src1[1], src2[1])))
+    except ValueError:
+        raise NonDiscreteError("the normalizing change of basis is singular") from None
+    return projective.product2(((img1[0], img2[0]), (img1[1], img2[1])), inv)
+
+
+def _apply(A, v):
+    """The 2x2 complex matrix A (rows) applied to the pair v."""
+    (a, b), (c, d) = A
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
 def _complex_independent(u, v, tol=1e-8):
@@ -770,7 +799,7 @@ def classify_D1_subgroup(gens):
                 if _complex_independent(bc[i], bc[j]):
                     rest = [bc[k] for k in range(4) if k not in (i, j)]
                     A = _transform_from_images(bc[i], bc[j], (1, 0), (0, 1))
-                    imgs = [tuple(A @ load_numpy().array(v)) for v in rest]
+                    imgs = [_apply(A, v) for v in rest]
                     gens_out = ((1 + 0j, 0j), (0j, 1 + 0j)) + tuple(imgs)
                     return D1Classification("D1_6", gens_out, _as_tuple(A))
     raise NonDiscreteError("discrete subgroups of C^2 have rank at most 4")
@@ -781,26 +810,25 @@ def _as_tuple(m):
 
 
 def _g0_annihilator(basis):
-    """Orthonormal pair spanning the annihilator of G_0 = span intersect J span."""
-    np = load_numpy()
-    S = np.stack(basis)
-    _, _, vt = np.linalg.svd(S)
-    ns = vt[3]  # unit normal of the 3-dim real span
-    SJ = S @ np.array(_J4).T
-    _, _, vt2 = np.linalg.svd(SJ)
-    nt = vt2[3]
-    n2 = nt - np.dot(nt, ns) * ns
-    norm = np.linalg.norm(n2)
-    if norm < 1e-9:
+    """Orthonormal pair spanning the annihilator of G_0 = span intersect J span.
+
+    The unit normal n of the span is the generalized cross product of the
+    unit-scaled vectors (n_i = (-1)^i times the 3x3 minor without column i),
+    normalized; J n is a unit normal of J span, orthogonal to n.
+    """
+    rows = [[x / size for x in b] for b, size in zip(basis, map(_norm, basis))]
+    n = [(-1) ** i * _det([[x for k, x in enumerate(r) if k != i] for r in rows]) for i in range(4)]
+    size = _norm(n)
+    if size == 0.0:
         raise NonDiscreteError("degenerate rank-three configuration")
-    return ns, n2 / norm
+    n = [x / size for x in n]
+    return n, [_dot(row, n) for row in _J4]
 
 
 def _classify_rank3(bc):
-    np = load_numpy()
     basis4 = [c2r2(p) for p in bc]
     n1, n2 = _g0_annihilator(basis4)
-    u = [np.array([np.dot(b, n1), np.dot(b, n2)]) for b in basis4]
+    u = [(_dot(b, n1), _dot(b, n2)) for b in basis4]
 
     try:
         _, u_combos, pi0_relations = zmodule_basis(u)
@@ -820,7 +848,7 @@ def _classify_rank3(bc):
         return D1Classification("D1_4", gens_out, _as_tuple(A), tau=tau)
 
     # pi_0 has rank <= 1: the C^x-bundle row D1_5
-    ip = int(np.argmax([np.linalg.norm(x) for x in u]))
+    ip = max(range(len(u)), key=lambda i: _norm(u[i]))
     p = bc[ip]
     phi = lambda v: p[1] * v[0] - p[0] * v[1]
     wvals = [phi(v) for v in bc]
@@ -838,9 +866,7 @@ def _classify_rank3(bc):
     else:
         fiber = p
     A = _transform_from_images(x1, fiber, (1, 0), (0, 1))
-    img2 = A @ np.array(x2)
-    tau_out = complex(img2[0])
-    sigma = complex(img2[1])
+    tau_out, sigma = _apply(A, x2)
     warnings = ()
     if abs(sigma) <= 1e-8:
         warnings = ("sigma is numerically close to zero; near the D1_4 boundary",)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from fractions import Fraction
 
 EPS = float(os.environ.get("HOMSURF_EPS", "1e-9"))
 COEFF_CHOP = 1e-12
@@ -47,15 +46,20 @@ EMPTY_BASIS_TOL = 1e-8
 LATTICE_TOL = 1e-6
 # a column whose residual is below this * the largest column norm adds nothing to a QR solve
 QR_DEPENDENT_TOL = 1e-13
+# a zmodule_basis pivot is the first residual whose norm is within this (relative) of the largest
+PIVOT_TIE = 1e-12
+# a Jacobi rotation is skipped once |u.v| <= this * |u| |v|: the pair is orthogonal to working precision
+JACOBI_TOL = 2.0**-52
+JACOBI_SWEEPS = 40
 
 
 def load_numpy():
     """The numpy module, imported on the first call.
 
     The package takes numpy only through this accessor, inside the functions
-    that use it, so a CLI call that reaches none of them (`act` on A2, A3,
-    D1 or D2, a Bβ1 classification without a kernel lattice) never pays for
-    importing it.  `verify` imports numpy itself.
+    that use it: the verify-path handlers (matrix families, random sampling)
+    and array inputs.  No `act` or `classify` call reaches one, so none pays
+    for importing numpy.  `verify` imports numpy itself.
     """
     import numpy
 
@@ -69,6 +73,56 @@ def as_rows(x):
 
 class NonDiscreteError(ValueError):
     """The given generators do not span a discrete subgroup."""
+
+
+# ---------------------------------------------------------------------------
+# frozen value types
+
+# sets a field inside a Record's __init__, where plain assignment is refused
+setfield = object.__setattr__
+
+
+class Record:
+    """Base of the package's frozen value types, with a frozen dataclass's semantics.
+
+    A subclass names its fields in `__slots__` ("__dict__" added if it caches
+    properties) and sets them in an explicit `__init__` through `setfield`.
+    `==` compares the tuples of fields of two instances of one class (another
+    class gives NotImplemented, and a subclass may define its own `__eq__`),
+    the hash is that of the tuple, the repr reads `Name(field=value, ...)`, and
+    assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # __eq__ and __hash__ written out per class, as dataclasses writes them: through
+        # an attrgetter of the fields, == would cost about 1.6 times as much
+        cls._fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        this = "".join(f"self.{f}, " for f in cls._fields)
+        that = "".join(f"other.{f}, " for f in cls._fields)
+        namespace = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({this}) == ({that})\n"
+            "    return NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({this}))\n",
+            namespace,
+        )
+        cls.__hash__ = namespace["__hash__"]
+        if "__eq__" not in vars(cls):
+            cls.__eq__ = namespace["__eq__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def close(x, y, tol=None, scale=0.0):
@@ -91,7 +145,9 @@ def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
         if q1 > bound:
             return None
         if abs(x - p1 / q1) <= max(1.0, abs(x)) * min(tol, _STRICT_COEF / q1):
-            return Fraction(p1, q1)
+            import fractions  # here only: it costs a cold call 1.5 ms; `from` would cost 0.5 us a call
+
+            return fractions.Fraction(p1, q1)
         rem = y - a
         if rem <= 1e-18:
             return None
@@ -115,17 +171,43 @@ def r2c2(v):
     return (complex(v[0], v[1]), complex(v[2], v[3]))
 
 
+def singular_values(rows):
+    """Singular values of the matrix with the given rows, largest first.
+
+    One-sided Jacobi (Hestenes): plane rotations make the vectors of the
+    shorter side pairwise orthogonal to working precision, and their norms
+    are then the singular values, as accurate as LAPACK's (a pivoted QR
+    diagonal only approximates them).
+    """
+    rows = [_floats(r) for r in rows]
+    vecs = [list(c) for c in zip(*rows)] if rows and len(rows[0]) < len(rows) else rows
+    n = len(vecs)
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                u, v = vecs[i], vecs[j]
+                a, b, g = _dot(u, u), _dot(v, v), _dot(u, v)
+                if abs(g) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
+                    continue
+                rotated = True
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                vecs[i] = [c * x - s * y for x, y in zip(u, v)]
+                vecs[j] = [s * x + c * y for x, y in zip(u, v)]
+        if not rotated:
+            break
+    return sorted(map(_norm, vecs), reverse=True)
+
+
 def real_rank(vectors, tol=1e-8):
     """Dimension of the real span, singular values below tol*scale ignored."""
-    np = load_numpy()
-    vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vs:
+    s = singular_values(vectors)
+    if not s or s[0] == 0.0:
         return 0
-    a = np.stack(vs)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    return sum(1 for x in s if x > tol * max(1.0, s[0]))
 
 
 def hnf_with_transform(rows):
@@ -266,7 +348,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     """Exact basis of the Z-module generated by float vectors in R^m.
 
     Vectors may be tuples, lists or arrays.  Returns (basis, combos,
-    relations): `basis` is a list of arrays, `combos[i]` an integer row over
+    relations): `basis` is a list of lists of floats, `combos[i]` an integer row over
     the inputs realizing basis[i], and `relations` integer rows spanning the
     combinations that vanish.  Raises NonDiscreteError when the module is not
     discrete (irrational coordinates, denominator blow-up, or collapsed basis
@@ -295,17 +377,20 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
         return [], [], [unit[i] for i in dead]
     A = [vecs[i] for i in live]
     r = real_rank(A)
+    if r == 0:
+        raise NonDiscreteError("generators lie between the zero chop and the rank threshold")
 
-    # QR with column pivoting: each step takes the first residual of largest
-    # norm as the next direction and projects it off every residual
+    # QR with column pivoting: each step takes as the next direction the first
+    # residual whose norm is within PIVOT_TIE of the largest (so the choice does
+    # not follow the last bit of a sum) and projects it off every residual
     residual = [list(a) for a in A]
     coef = [[] for _ in A]  # coef[i][k]: component of A[i] along direction k
     pivots = []
     for _ in range(r):
         rn = [_norm(v) for v in residual]
-        big = max(rn)
-        j = rn.index(big)
-        q = [x / big for x in residual[j]]
+        least = max(rn) * (1.0 - PIVOT_TIE)
+        j = next(i for i, x in enumerate(rn) if x >= least)
+        q = [x / rn[j] for x in residual[j]]
         pivots.append(j)
         for i, v in enumerate(residual):
             d = _dot(v, q)
@@ -336,11 +421,9 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     H, U, rank = hnf_with_transform(M)
     if rank != r:
         raise NonDiscreteError("rank mismatch after integer reduction")
-    np = load_numpy()
-    P = np.array([A[j] for j in pivots])
-    basis = [np.asarray(H[k], dtype=float) @ P / L for k in range(rank)]
-    rows = [b.tolist() for b in basis]
-    for b in rows:
+    P = list(zip(*(A[j] for j in pivots)))  # the columns of the pivot rows
+    basis = [[_dot(H[k], col) / L for col in P] for k in range(rank)]
+    for b in basis:
         if _norm(b) < _NOISE_BAND * max(1.0, scale):
             raise NonDiscreteError("reduced basis vector collapsed into noise")
 
@@ -354,9 +437,9 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     relations = [widen(U[k]) for k in range(rank, len(U))]
     relations += [unit[i] for i in dead]
 
-    qr = _qr(rows)
+    qr = _qr(basis)
     for a in A:
-        if _integer_fit(a, rows, qr, COMBO_TOL, max(1.0, scale)) is None:
+        if _integer_fit(a, basis, qr, COMBO_TOL, max(1.0, scale)) is None:
             raise NonDiscreteError("generator is not an integer combination of the basis")
     return basis, combos, relations
 
@@ -414,39 +497,39 @@ def canonical_sign(z, tol=None):
 def lattice_reduce_tau(w1, w2, max_steps=64):
     """Oriented reduced basis of the lattice Z w1 + Z w2.
 
-    Returns (v1, v2, tau, U) with (v1, v2) = U @ (w1, w2) over Z,
+    Returns (v1, v2, tau, U) with (v1, v2) = U @ (w1, w2) for the integer
+    2x2 matrix U (nested lists),
     tau = v2/v1 in the standard fundamental domain (|Re| <= 1/2, |tau| >= 1,
     boundary glued to Re >= 0 / Re = +1/2), and Im tau > 0.
     """
     w1, w2 = complex(w1), complex(w2)
     if abs(w1) == 0 or abs((w2 / w1).imag) <= 1e-12:
         raise NonDiscreteError("lattice basis is not R-independent")
-    np = load_numpy()
-    U = np.eye(2, dtype=int)
+    p, q, r, s = 1, 0, 0, 1  # U = [[p, q], [r, s]]
     v1, v2 = w1, w2
     if (v2 / v1).imag < 0:
-        v2, U[1] = -v2, -U[1]
+        v2, r, s = -v2, -r, -s
     for _ in range(max_steps):
         t = v2 / v1
         nshift = int(round(t.real))
         if nshift:
             v2 = v2 - nshift * v1
-            U[1] = U[1] - nshift * U[0]
+            r, s = r - nshift * p, s - nshift * q
         if abs(v2 / v1) < 1.0 - 1e-12:
             v1, v2 = v2, -v1
-            U = np.array([U[1], -U[0]])
+            (p, q), (r, s) = (r, s), (-p, -q)
         else:
             break
     t = v2 / v1
     if abs(abs(t) - 1.0) <= 1e-9 and t.real < -1e-9:
         v1, v2 = v2, -v1
-        U = np.array([U[1], -U[0]])
+        (p, q), (r, s) = (r, s), (-p, -q)
         t = v2 / v1
     if abs(t.real + 0.5) <= 1e-9:
         v2 = v2 + v1
-        U[1] = U[1] + U[0]
+        r, s = r + p, s + q
         t = v2 / v1
-    return v1, v2, t, U
+    return v1, v2, t, [[p, q], [r, s]]
 
 def lattice_coords(value, w1, w2):
     """Real coordinates (x, y) with value = x*w1 + y*w2, by Cramer's rule."""

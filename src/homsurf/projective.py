@@ -20,9 +20,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
-from .numeric import EPS, as_rows, close, load_numpy
+from .numeric import EPS, Record, as_rows, close, load_numpy, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +64,13 @@ def invertible2(g):
 # projective points
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Record):
     """Point of the projective line, normalized so the largest coordinate is 1.
 
     On equal moduli the first coordinate is the one set to 1.
     """
 
-    coords: tuple
+    __slots__ = ("coords",)
 
     def __init__(self, z1, z2=None):
         z1 = complex(z1)
@@ -81,7 +79,7 @@ class ProjPoint:
         if max(m1, m2) == 0:
             raise ValueError("projective point needs a nonzero representative")
         ref = z1 if m1 >= m2 else z2
-        object.__setattr__(self, "coords", (z1 / ref, z2 / ref))
+        setfield(self, "coords", (z1 / ref, z2 / ref))
 
     @classmethod
     def infinity(cls):
@@ -106,11 +104,10 @@ def proj_equal(p, q, tol=None):
     return abs(cross) <= (EPS if tol is None else tol) * max(scale, 1e-300)
 
 
-@dataclass(frozen=True)
-class Proj2Point:
+class Proj2Point(Record):
     """Point of the projective plane, normalized like ProjPoint."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
     def __init__(self, coords):
         v = [complex(c) for c in coords]
@@ -121,7 +118,7 @@ class Proj2Point:
         if top == 0:
             raise ValueError("projective point needs a nonzero representative")
         ref = v[m.index(top)]
-        object.__setattr__(self, "coords", tuple(c / ref for c in v))
+        setfield(self, "coords", tuple(c / ref for c in v))
 
 
 def cross3(a, b):
@@ -206,14 +203,14 @@ def binary_form_substitute(coeffs, m):
 # the affine quadric (ordered distinct point pairs) and its double cover
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
+class QuadricPoint(Record):
     """Ordered pair of distinct points of the projective line."""
 
-    alpha: ProjPoint
-    beta: ProjPoint
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self):
+    def __init__(self, alpha, beta):
+        setfield(self, "alpha", alpha)
+        setfield(self, "beta", beta)
         if proj_equal(self.alpha, self.beta):
             raise ValueError("quadric points need distinct entries")
 
@@ -275,14 +272,16 @@ def conic_complement_act(g, p2):
 # O(n): total space of the n-th power of the hyperplane bundle
 
 
-@dataclass(frozen=True)
-class BundlePoint:
+class BundlePoint(Record):
     """Point of O(n) in an affine chart; charts glued by (1/z, w/z^n)."""
 
-    n: int
-    chart: int
-    z: complex
-    w: complex
+    __slots__ = ("n", "chart", "z", "w")
+
+    def __init__(self, n, chart, z, w):
+        setfield(self, "n", n)
+        setfield(self, "chart", chart)
+        setfield(self, "z", z)
+        setfield(self, "w", w)
 
     def carrier(self):
         """Homogeneous representative (v, value) with value = section(v)."""
@@ -315,8 +314,7 @@ def bundle_equal(p, q, tol=None):
     return close(p.z, q2.z, tol=tol) and close(p.w, q2.w, tol=tol)
 
 
-@dataclass(frozen=True)
-class OnGroupElement:
+class OnGroupElement(Record):
     """Element (g, p) of (GL(2,C)/Z_n) acting on O(n), p a degree-n binary form.
 
     The matrix is stored canonicalized modulo scalar n-th roots of unity: the
@@ -324,9 +322,7 @@ class OnGroupElement:
     entry gets its argument into [0, 2 pi / n).
     """
 
-    n: int
-    matrix: tuple
-    poly: tuple
+    __slots__ = ("n", "matrix", "poly")
 
     def __init__(self, n, matrix, poly):
         n = int(n)
@@ -345,9 +341,9 @@ class OnGroupElement:
         if k:
             zeta = cmath.exp(-2j * math.pi * k / n)
             a, b, c, d = a * zeta, b * zeta, c * zeta, d * zeta
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", ((a, b), (c, d)))
-        object.__setattr__(self, "poly", p)
+        setfield(self, "n", n)
+        setfield(self, "matrix", ((a, b), (c, d)))
+        setfield(self, "poly", p)
 
     def mat(self):
         return load_numpy().array(self.matrix, dtype=complex)
@@ -410,21 +406,21 @@ def on_act(e, x):
 # the Bgamma subgroups acting on the affine chart C^2 of O(n)
 
 
-@dataclass(frozen=True)
-class BGamma12Element:
+class BGamma12Element(Record):
     """Element of the subgroup C^n_c x| Sym^n(C^2)^*, coordinates (lam, b, p).
 
     The matrix part is exp(lam(1 - c/n)), b over 0, exp(-lam c/n) modulo
     n-th roots of unity; c = 0 is the family with central w-translations.
     """
 
-    n: int
-    c: complex
-    lam: complex
-    b: complex
-    poly: tuple
+    __slots__ = ("n", "c", "lam", "b", "poly")
 
-    def __post_init__(self):
+    def __init__(self, n, c, lam, b, poly):
+        setfield(self, "n", n)
+        setfield(self, "c", c)
+        setfield(self, "lam", lam)
+        setfield(self, "b", b)
+        setfield(self, "poly", poly)
         if len(self.poly) != self.n + 1:
             raise ValueError("polynomial must have degree n")
 
@@ -458,15 +454,6 @@ def bg12_inverse(e):
     return BGamma12Element(n, c, lam, complex(b), p)
 
 
-def bg12_equal(e0, e1, tol=None):
-    ps = max([abs(x) for x in e0.poly + e1.poly] + [1.0])
-    return (
-        close(e0.lam, e1.lam, tol=tol)
-        and close(e0.b, e1.b, tol=tol)
-        and all(close(x, y, tol=tol, scale=ps) for x, y in zip(e0.poly, e1.poly))
-    )
-
-
 def bg12_act(e, zw):
     z, w = zw
     z1 = cmath.exp(e.lam) * z + e.b * cmath.exp(e.lam * e.c / e.n)
@@ -474,16 +461,16 @@ def bg12_act(e, zw):
     return (complex(z1), complex(w1))
 
 
-@dataclass(frozen=True)
-class BGamma3Element:
+class BGamma3Element(Record):
     """Element ((1, b; 0, e^{-lam}), lam Z1^n + Z2 r) of the coupled subgroup."""
 
-    n: int
-    lam: complex
-    b: complex
-    r: tuple  # degree n-1 form coefficients
+    __slots__ = ("n", "lam", "b", "r")
 
-    def __post_init__(self):
+    def __init__(self, n, lam, b, r):
+        setfield(self, "n", n)
+        setfield(self, "lam", lam)
+        setfield(self, "b", b)
+        setfield(self, "r", r)  # degree n-1 form coefficients
         if len(self.r) != self.n:
             raise ValueError("r must have degree n - 1")
 
@@ -515,15 +502,6 @@ def bg3_inverse(e):
     b = -e.b * cmath.exp(e.lam)
     full = tuple(-x for x in binary_form_substitute(e.poly(), _bg3_matrix(e)))
     return BGamma3Element(e.n, lam, complex(b), full[1:])
-
-
-def bg3_equal(e0, e1, tol=None):
-    ps = max([abs(x) for x in e0.r + e1.r] + [1.0])
-    return (
-        close(e0.lam, e1.lam, tol=tol)
-        and close(e0.b, e1.b, tol=tol)
-        and all(close(x, y, tol=tol, scale=ps) for x, y in zip(e0.r, e1.r))
-    )
 
 
 def bg3_act(e, zw):
@@ -563,13 +541,13 @@ def bdelta_act(g, x):
     return (a * x1 + b * x2, c * x1 + d * x2)
 
 
-@dataclass(frozen=True)
-class HopfQuotient:
+class HopfQuotient(Record):
     """The identification z ~ lam z on C^2 \\ 0, |lam| < 1."""
 
-    lam: complex
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
+    def __init__(self, lam):
+        setfield(self, "lam", lam)
         if not 0 < abs(self.lam) < 1:
             raise ValueError("|lam| must lie in (0, 1)")
 

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .numeric import close, lattice_contains
+from .numeric import Record, close, lattice_contains, setfield
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(Record):
     """Point of C modulo the lattice spanned by (w1, w2); stored via a representative."""
 
-    value: complex
-    w1: complex
-    w2: complex
+    __slots__ = ("value", "w1", "w2")
+
+    def __init__(self, value, w1, w2):
+        setfield(self, "value", value)
+        setfield(self, "w1", w1)
+        setfield(self, "w2", w2)
 
     def same_lattice(self, other):
         return close(self.w1, other.w1) and close(self.w2, other.w2)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .numeric import (
     NonDiscreteError,
+    Record,
     c2r,
     canonical_sign,
     close,
@@ -25,6 +25,7 @@ from .numeric import (
     load_numpy,
     rational_reconstruct,
     saturate_lattice,
+    setfield,
     zmodule_basis,
     zmodule_coords,
 )
@@ -33,10 +34,12 @@ from .surfaces import TorusPoint
 TWO_PI_I = 2j * math.pi
 
 
-@dataclass(frozen=True)
-class UAffElement:
-    a: complex
-    b: complex
+class UAffElement(Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
     def __iter__(self):
         yield self.a
@@ -87,14 +90,14 @@ def commutator(g, h):
     return uaff_multiply(uaff_multiply(g, h), uaff_multiply(uaff_inverse(g), uaff_inverse(h)))
 
 
-@dataclass(frozen=True)
-class UAffAutomorphism:
+class UAffAutomorphism(Record):
     """(a, b) -> (a, gamma (1 - e^a) + beta b); these are all the automorphisms."""
 
-    gamma: complex = 0j
-    beta: complex = 1.0 + 0j
+    __slots__ = ("gamma", "beta")
 
-    def __post_init__(self):
+    def __init__(self, gamma=0j, beta=1.0 + 0j):
+        setfield(self, "gamma", gamma)
+        setfield(self, "beta", beta)
         if abs(self.beta) == 0:
             raise ValueError("beta must be nonzero")
 
@@ -108,19 +111,21 @@ def aut_compose(phi2, phi1):
     return UAffAutomorphism(phi2.gamma + phi2.beta * phi1.gamma, phi2.beta * phi1.beta)
 
 
-@dataclass(frozen=True)
-class D2Label:
+class D2Label(Record):
     """Normal form of a discrete subgroup, with its table parameters."""
 
-    name: str
-    k: int = None
-    b: complex = None
-    tau: complex = None
-    a: complex = None
-    a1: complex = None
-    a2: complex = None
-    generators: tuple = ()
-    warnings: tuple = ()
+    __slots__ = ("name", "k", "b", "tau", "a", "a1", "a2", "generators", "warnings")
+
+    def __init__(self, name, k=None, b=None, tau=None, a=None, a1=None, a2=None, generators=(), warnings=()):
+        setfield(self, "name", name)
+        setfield(self, "k", k)
+        setfield(self, "b", b)
+        setfield(self, "tau", tau)
+        setfield(self, "a", a)
+        setfield(self, "a1", a1)
+        setfield(self, "a2", a2)
+        setfield(self, "generators", generators)
+        setfield(self, "warnings", warnings)
 
     def params(self):
         out = {}
@@ -194,8 +199,15 @@ def classify_subgroup(gens, max_denominator=None):
     Returns (D2Label, UAffAutomorphism): the label with its parameters and an
     automorphism carrying the input generators onto the table row.  Raises
     NonDiscreteError (a ValueError) when the generators do not span one of
-    the tabulated discrete subgroups.
+    the tabulated discrete subgroups, or when e^a leaves the float range.
     """
+    try:
+        return _classify_subgroup(gens, max_denominator)
+    except OverflowError as e:
+        raise NonDiscreteError(f"not a tabulated subgroup: e^a overflows ({e})") from None
+
+
+def _classify_subgroup(gens, max_denominator):
     gens = [g for g in gens if not uaff_is_identity(g)]
     scale = max([abs(g.a) + abs(g.b) for g in gens] + [1.0])
     if not gens:

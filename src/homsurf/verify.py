@@ -308,7 +308,10 @@ def suite_uaff_extra(rng, samples, rec):
     for _ in range(samples):
         g = uaff.UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
         h = uaff.UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-        m = uaff.uaff_matrix(g) @ uaff.uaff_matrix(h)
+        # a Python product: numpy's complex matmul (OpenBLAS zgemm) leaves cmath.exp about 10x
+        # slower until another numpy call, and the suites after this one (D3 to SC) make none
+        a, b = uaff.uaff_matrix(g).tolist(), uaff.uaff_matrix(h).tolist()
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
         rec.value("matrix-oracle", distance(uaff.uaff_matrix(uaff.uaff_multiply(g, h)), m), 1e-10)
         phi = uaff.UAffAutomorphism(complex(rng.normal(), rng.normal()), cmath.exp(complex(rng.normal(), rng.normal())))
         lhs = uaff.aut_apply(phi, uaff.uaff_multiply(g, h))

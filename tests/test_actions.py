@@ -135,3 +135,15 @@ def test_d1_6_needs_positive_imaginary_structure():
     got = classify_D1_subgroup([(1, 0), (1j, 0), (0, 1), (0, 0.3 + 1.2j)])
     assert got.label == "D1_6"
     assert len(got.generators) == 4
+
+
+def test_build_family_takes_every_spelling_of_a_label():
+    for label in families.BASE_FAMILY_LABELS:
+        ascii_form = label.replace("β", "b").replace("γ", "g").replace("δ", "d")
+        words = label.replace("β", "beta").replace("γ", "gamma").replace("δ", "delta")
+        for spelling in {label, ascii_form, words}:
+            assert families.family_label(spelling) == label
+            assert getattr(build_family(spelling), "label", label) == label
+    assert build_family("Bbeta1").label == "Bβ1"
+    with pytest.raises(ValueError):
+        build_family("Bbeta9")

@@ -23,14 +23,14 @@ _IMPORTED = re.compile(r"^import time:.*\|\s*(\S+)\s*$", re.MULTILINE)
 
 
 def _run(*args):
-    """(exit code, stdout, the homsurf modules loaded, whether numpy was loaded)."""
+    """(exit code, stdout, the homsurf modules loaded, every module loaded)."""
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=120
     )
     names = set(_IMPORTED.findall(proc.stderr))
     ours = {n for n in names if n == "homsurf" or n.startswith("homsurf.")}
-    return proc.returncode, proc.stdout, ours, "numpy" in names
+    return proc.returncode, proc.stdout, ours, names
 
 
 def _cj(z):
@@ -56,51 +56,77 @@ A3 = {"matrix": [[_cj(1 + 0j), _cj(2j)], [_cj(0j), _cj(1 + 0j)]], "translation":
 D1 = {"v": [_cj(1j), _cj(-2 + 0j)]}
 D2 = {"a": _cj(0.3 + 0.2j), "b": _cj(1 + 0j)}
 D2_POINT = {"a": _cj(0j), "b": _cj(1j)}
+# a matrix element, decoded as Python rows like A2's
+C9 = {"matrix": [[_cj(1 + 1j), _cj(2 + 0j)], [_cj(0j), _cj(1 - 1j)]]}
+C9_POINT = {"alpha": [_cj(0.5j), _cj(1 + 0j)], "beta": [_cj(2 + 0j), _cj(1 + 0j)]}
 # the divisor [0] + [2 pi i]: lambda = 0, so e^{lambda n} = 1
 DIVISOR = {"points": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": 0.0, "im": 2 * math.pi, "mult": 1}]}
 W1 = {"w": _cj(1 + 0j), "s": _cj(0j)}
 S1 = {"w": _cj(0j), "s": _cj(1 + 0j)}
-# example B has no translation lattice, so no zmodule_basis and no numpy; example D has one
+# example B has no translation lattice, so no zmodule_basis; example D has one
 QD_B = {"ambient": "qd", "divisor": DIVISOR, "generators": [W1]}
 QD_D = {"ambient": "qd", "divisor": DIVISOR, "generators": [W1, S1]}
 C2 = {"ambient": "C2", "generators": [[_cj(1 + 0j), _cj(0j)]]}
+# rank three with an irrational sigma (the row D1_5) and rank four (D1_6)
+C2_D1_5 = {
+    "ambient": "C2",
+    "generators": [[_cj(1), _cj(0)], [_cj(0.1 + 1.2j), _cj(0.70710678 + 0.61803399j)], [_cj(0), _cj(1)]],
+}
+C2_D1_6 = {
+    "ambient": "C2",
+    "generators": [[_cj(1), _cj(0)], [_cj(1j), _cj(0)], [_cj(0), _cj(1)], [_cj(0), _cj(1j)]],
+}
 UAFF = {"ambient": "uaff", "generators": [{"a": _cj(0j), "b": _cj(1 + 0j)}]}
+# a kernel lattice Z + Z i, closed under e^a = i: the row D2_9, through saturate_lattice
+UAFF_LATTICE = {
+    "ambient": "uaff",
+    "generators": [{"a": _cj(0.5j * math.pi), "b": _cj(0j)}, {"a": _cj(0j), "b": _cj(1 + 0j)}],
+}
 
 BASE = {"homsurf", "homsurf.numeric"}
 ACT = BASE | {"homsurf.families", "homsurf.projective"}
 QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.surfaces"}
 UAFF_MODULES = BASE | {"homsurf.surfaces", "homsurf.uaff"}
 
-# call -> (argv after `homsurf`, homsurf modules loaded, numpy loaded: True, False or None for either)
+# call -> (argv after `homsurf`, homsurf modules loaded, expected label or None); no call loads numpy
 CALLS = {
-    "act-A2": (lambda t: _act_args(t, "A2", A2, POINT), ACT, False),
-    "act-A3": (lambda t: _act_args(t, "A3", A3, POINT), ACT, False),
-    "act-D1": (lambda t: _act_args(t, "D1", D1, POINT), ACT, False),
-    "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | UAFF_MODULES, False),
-    "classify-qd": (lambda t: ["classify", _write(t, "qd.json", QD_B)], QD, False),
-    "classify-qd-lattice": (lambda t: ["classify", _write(t, "qd.json", QD_D)], QD, None),
-    "classify-C2": (lambda t: ["classify", _write(t, "c2.json", C2)], ACT, None),
-    "classify-uaff": (lambda t: ["classify", _write(t, "uaff.json", UAFF)], UAFF_MODULES, None),
-    "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, False),
+    "act-A2": (lambda t: _act_args(t, "A2", A2, POINT), ACT, None),
+    "act-A3": (lambda t: _act_args(t, "A3", A3, POINT), ACT, None),
+    "act-D1": (lambda t: _act_args(t, "D1", D1, POINT), ACT, None),
+    "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | UAFF_MODULES, None),
+    "act-C9": (lambda t: _act_args(t, "C9", C9, C9_POINT), ACT, None),
+    "classify-qd": (lambda t: ["classify", _write(t, "qd.json", QD_B)], QD, "Bβ1B"),
+    "classify-qd-lattice": (lambda t: ["classify", _write(t, "qd.json", QD_D)], QD, "Bβ1D"),
+    "classify-C2": (lambda t: ["classify", _write(t, "c2.json", C2)], ACT, "D1_1"),
+    "classify-C2-D1_5": (lambda t: ["classify", _write(t, "c2.json", C2_D1_5)], ACT, "D1_5"),
+    "classify-C2-D1_6": (lambda t: ["classify", _write(t, "c2.json", C2_D1_6)], ACT, "D1_6"),
+    "classify-uaff": (lambda t: ["classify", _write(t, "uaff.json", UAFF)], UAFF_MODULES, "D2_1"),
+    "classify-uaff-lattice": (lambda t: ["classify", _write(t, "uaff.json", UAFF_LATTICE)], UAFF_MODULES, "D2_9"),
+    "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, None),
 }
+# what no act or classify call may load: numpy, `dataclasses` (which brings `inspect`) and, for
+# act, `fractions` (which brings `decimal`)
+NOT_LOADED = {"numpy", "dataclasses", "inspect"}
+NOT_LOADED_BY_ACT = NOT_LOADED | {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_cli_call_loads_only_what_it_runs(tmp_path, name):
-    argv, modules, numpy = CALLS[name]
-    code, out, ours, numpy_loaded = _run("-m", "homsurf.cli", *argv(tmp_path))
+    argv, modules, label = CALLS[name]
+    code, out, ours, names = _run("-m", "homsurf.cli", *argv(tmp_path))
     assert code == 0
-    json.loads(out)
+    doc = json.loads(out)
+    if label is not None:
+        assert doc["label"] == label
     assert ours == modules
-    if numpy is not None:
-        assert numpy_loaded == numpy
+    assert not names & (NOT_LOADED_BY_ACT if name.startswith("act-") else NOT_LOADED)
 
 
 def test_import_homsurf_loads_no_submodule():
-    code, _, ours, numpy_loaded = _run("-c", "import homsurf")
+    code, _, ours, names = _run("-c", "import homsurf")
     assert code == 0
     assert ours == {"homsurf"}
-    assert not numpy_loaded
+    assert not names & NOT_LOADED_BY_ACT
 
 
 def test_public_names_are_their_home_objects():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from homsurf import cli, verify
+from homsurf import cli, uaff, verify
 from homsurf.families import classify_D1_subgroup
 from homsurf.numeric import NonDiscreteError
 
@@ -43,6 +43,52 @@ def test_large_finite_generators_still_classify():
     assert classify_D1_subgroup([(1e6 + 0j, 0j)]).label == "D1_1"
 
 
+# inputs that leaked ValueError (empty max), LinAlgError (singular matrix) or
+# OverflowError out of the classifiers; each is a NonDiscreteError with a reason now
+LEAKED = {
+    "Z^2-1e-8": ("C2", [(1e-8, 0), (0, 1e-8)]),
+    "Z^2-1e-10": ("C2", [(1e-10, 0), (0, 1e-10)]),
+    "Z[i]-line-1e-8": ("C2", [(1e-8, 0), (1e-8j, 0)]),
+    "Z[i]-line-1e8": ("C2", [(1e8, 0), (1e8j, 0)]),
+    "Z[i]-line-1e10": ("C2", [(1e10, 0), (1e10j, 0)]),
+    "uaff-a-1000": ("uaff", [(1000, 1)]),
+    "uaff-a-1000-pair": ("uaff", [(1000, 1), (0, 1)]),
+}
+
+
+def _classify_leaked(ambient, gens):
+    if ambient == "C2":
+        return classify_D1_subgroup(gens)
+    return uaff.classify_subgroup([uaff.UAffElement(a, b) for a, b in gens])
+
+
+@pytest.mark.parametrize("name", sorted(LEAKED))
+def test_leaked_exceptions_are_non_discrete_errors(name):
+    with pytest.raises(NonDiscreteError) as info:
+        _classify_leaked(*LEAKED[name])
+    assert str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(LEAKED))
+def test_cli_classify_leaked_exceptions_exit_2(tmp_path, capsys, name):
+    ambient, gens = LEAKED[name]
+    if ambient == "C2":
+        doc = {"ambient": "C2", "generators": [[_cj(complex(a)), _cj(complex(b))] for a, b in gens]}
+    else:
+        doc = {"ambient": "uaff", "generators": [{"a": _cj(complex(a)), "b": _cj(complex(b))} for a, b in gens]}
+    f = tmp_path / "gens.json"
+    f.write_text(json.dumps(doc))
+    assert cli.main(["classify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_the_same_inputs_at_scale_one_still_classify():
+    assert classify_D1_subgroup([(1, 0), (0, 1)]).label == "D1_2"
+    assert classify_D1_subgroup([(1, 0), (1j, 0)]).label == "D1_3"
+    assert uaff.classify_subgroup([uaff.UAffElement(1, 1)])[0].name == "D2_6"
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_cli_verify_needs_a_positive_sample_count(capsys, samples):
     assert cli.main(["verify", "A1", "--samples", samples, "--seed", "1"]) == 2
@@ -77,6 +123,14 @@ def test_cli_act_affine_matrix_must_be_2x2(tmp_path, family):
 def test_cli_act_affine_translation_needs_two_entries(tmp_path, family, translation):
     elem = {"matrix": IDENTITY2, "translation": [_cj(t) for t in translation]}
     assert _act(tmp_path, family, elem, POINT) == 2
+
+
+@pytest.mark.parametrize("family, n", [("A1", 2), ("C9", 3), ("Bδ1", 1)])
+def test_cli_act_matrix_needs_its_family_size(tmp_path, capsys, family, n):
+    m = [[_cj(1 + 0j) if i == j else _cj(0j) for j in range(n)] for i in range(n)]
+    point = {"coords": [_cj(1 + 0j)] * 3} if family == "A1" else POINT
+    assert _act(tmp_path, family, {"matrix": m}, point) == 2
+    assert "matrix must be" in capsys.readouterr().err
 
 
 def test_cli_act_a3_needs_det_one(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homsurf import numeric, uaff
+from homsurf import families, numeric, uaff
 from homsurf.exppoly import ExpPoly, Polynomial
 from homsurf.numeric import COORD_LIMIT, NonDiscreteError, lattice_coords, zmodule_basis, zmodule_coords
 
@@ -195,7 +195,7 @@ def test_zmodule_basis_accepts_tuples_and_arrays():
     gens = [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
     from_tuples = zmodule_basis(gens)
     from_arrays = zmodule_basis([np.array(g) for g in gens])
-    assert [b.tolist() for b in from_tuples[0]] == [b.tolist() for b in from_arrays[0]]
+    assert from_tuples[0] == from_arrays[0]
     assert from_tuples[1:] == from_arrays[1:]
     assert len(from_tuples[0]) == 2
 
@@ -244,3 +244,88 @@ def test_exppoly_add_matches_the_sorting_canonicalisation(rng):
         assert repr((f + g).terms) == repr(ExpPoly(f.terms + g.terms).terms)
         assert (f - f).is_zero
         assert repr((-f).terms) == repr(ExpPoly(tuple((lam, -p) for lam, p in f.terms)).terms)
+
+
+# ---------------------------------------------------------------------------
+# numpy as an oracle for the numpy-free rank, inverse and normal
+
+
+def numpy_rank(rows, tol=1e-8):
+    s = np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)
+    return int(np.sum(s > tol * max(1.0, s[0]))) if s.size and s[0] else 0
+
+
+def test_real_rank_matches_the_svd_on_random_matrices(rng):
+    for _ in range(400):
+        k, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        rows = rng.normal(size=(k, m)) * 10.0 ** rng.uniform(-4, 4)
+        assert numeric.real_rank(rows.tolist()) == numpy_rank(rows) == min(k, m)
+        s = np.linalg.svd(rows, compute_uv=False)
+        assert np.allclose(numeric.singular_values(rows.tolist()), s, rtol=0, atol=1e-13 * s[0])
+
+
+@pytest.mark.parametrize("noise", [1e-12, 1e-9, 1e-7])
+def test_real_rank_matches_the_svd_on_noisy_rank_deficient_matrices(rng, noise):
+    for _ in range(300):
+        k, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        r = int(rng.integers(1, min(k, m)))
+        scale = 10.0 ** rng.uniform(-2, 2)
+        rows = rng.normal(size=(k, r)) @ rng.normal(size=(r, m)) * scale
+        rows += rng.normal(size=(k, m)) * noise * np.abs(rows).max()
+        want = numpy_rank(rows)
+        assert numeric.real_rank(rows.tolist()) == want
+        if noise < 1e-8:
+            assert want == r
+
+
+def test_real_rank_of_empty_and_zero_input():
+    assert numeric.real_rank([]) == 0
+    assert numeric.real_rank([(0.0, 0.0), (0.0, 0.0)]) == 0
+
+
+def test_transform_from_images_matches_numpy_inverse(rng):
+    for _ in range(200):
+        src1, src2, img1, img2 = (tuple(complex(*rng.normal(size=2)) for _ in range(2)) for _ in range(4))
+        got = np.array(families._transform_from_images(src1, src2, img1, img2))
+        m = np.array([[src1[0], src2[0]], [src1[1], src2[1]]])
+        t = np.array([[img1[0], img2[0]], [img1[1], img2[1]]])
+        want = t @ np.linalg.inv(m)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.linalg.cond(m) * np.abs(want).max())
+
+
+def test_transform_from_images_rejects_a_singular_source():
+    with pytest.raises(NonDiscreteError):
+        families._transform_from_images((1, 2), (2, 4), (1, 0), (0, 1))
+
+
+def test_g0_annihilator_matches_the_svd_null_vector(rng):
+    J = np.array(families._J4, dtype=float)
+    for _ in range(200):
+        basis = rng.normal(size=(3, 4)) * 10.0 ** rng.uniform(-3, 3)
+        n1, n2 = (np.array(v) for v in families._g0_annihilator(basis.tolist()))
+        null = np.linalg.svd(basis)[2][3]
+        assert min(np.abs(n1 - null).max(), np.abs(n1 + null).max()) < 1e-12
+        assert np.allclose(n2, J @ n1, rtol=0, atol=1e-15)
+        assert np.allclose(basis @ n1, 0, rtol=0, atol=1e-12 * np.abs(basis).max())
+
+
+def test_zmodule_basis_pivot_ignores_last_bit_ties():
+    """Equal-norm generators give the same combinations when one coordinate moves by an ulp."""
+    base = [(0.6, 0.8), (-0.8, 0.6)]
+    outcomes = set()
+    for i in range(2):
+        for j in range(2):
+            for direction in (-math.inf, math.inf, None):
+                gens = [list(v) for v in base]
+                if direction is not None:
+                    gens[i][j] = math.nextafter(gens[i][j], direction)
+                _, combos, relations = zmodule_basis(gens)
+                outcomes.add((str(combos), str(relations)))
+    assert outcomes == {("[[1, 0], [0, 1]]", "[]")}
+    betas = set()
+    for direction in (-math.inf, math.inf, None):
+        b = 1.0 if direction is None else math.nextafter(1.0, direction)
+        label, phi = uaff.classify_subgroup([uaff.UAffElement(0, 1), uaff.UAffElement(0, 1j * b)])
+        assert label.name == "D2_2"
+        betas.add(complex(round(phi.beta.real, 9), round(phi.beta.imag, 9)))
+    assert len(betas) == 1
