@@ -20,12 +20,13 @@ import cmath
 import math
 
 from .divisor import Divisor, quasiperiod_group, weight
-from .exppoly import ExpPoly, contains, evaluate, exppoly_close, random_member, translate
+from .exppoly import ExpPoly, contains, evaluate, random_member, translate
 from .numeric import (
     NonDiscreteError,
     Record,
     c2r,
     close,
+    distance,
     hnf_with_transform,
     lattice_contains,
     lattice_coords,
@@ -59,6 +60,9 @@ class GDElement(Record):
         _check_divisor(self.divisor)
         if not contains(self.divisor, self.f):
             raise ValueError("f is not in the solution space of the divisor")
+
+    def distance(self, other):
+        return max(distance(self.t, other.t), self.f.distance(other.f))
 
 
 def gd_identity(D):
@@ -99,6 +103,9 @@ class RGDElement(Record):
             raise ValueError("the rescaling component must be nonzero")
         if not contains(self.divisor, self.f):
             raise ValueError("f is not in the solution space of the divisor")
+
+    def distance(self, other):
+        return max(distance(self.t, other.t), distance(self.lam, other.lam), self.f.distance(other.f))
 
 
 def rgd_identity(D):
@@ -703,15 +710,6 @@ class CoverRGD(CoveringMap):
 
 def rgd_quotients(D, n):
     return CoverRGD(D, n)
-
-
-def rgd_mod_equal(g, h, n, tol=None):
-    """Equality in rG_D / <(n, 1, 0)>."""
-    k = (h.t - g.t) / n
-    kk = round(k.real)
-    if abs(k - kk) > 1e-8 * max(1.0, abs(k)):
-        return False
-    return close(g.lam, h.lam, tol=tol) and exppoly_close(g.f, h.f, tol=tol)
 
 
 # ---------------------------------------------------------------------------

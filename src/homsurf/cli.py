@@ -7,19 +7,19 @@ covering map), and `verify` runs the seeded property suites.  Exit codes:
 0 success, 1 verification failure, 2 input error.  Element and point JSON
 schemas per family are documented in docs/families.md.
 
-Each subcommand, and each codec branch, imports the modules it runs, so a
-call loads only those (see "Cold start" in the README).
+Each subcommand imports the modules it runs, and the codecs of a family (in
+the family table, `families.SPECS`) those of their family, so a call loads
+only those (see "Cold start" in the README).
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import sys
 
-from .numeric import SL_DET_TOL, NonDiscreteError, as_rows, close
+from .numeric import NonDiscreteError, as_rows, complex_json, json_complex
 
 
 class InputError(Exception):
@@ -42,35 +42,8 @@ def _decoder(what):
     return wrap
 
 
-def _c(data):
-    """A complex number from a JSON number or a {"re": x, "im": y} object."""
-    if isinstance(data, (int, float)):
-        return complex(data)
-    try:
-        return complex(data["re"], data["im"])
-    except TypeError:
-        raise InputError(f"not a complex number: {data!r}") from None
-
-
-def _cj(z):
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def _rows(data):
-    return [[_c(x) for x in row] for row in data]
-
-
-def _matrix(data, n=2):
-    """An n x n matrix as Python rows, which every handler's `act` takes as well as an array."""
-    m = _rows(data)
-    if [len(row) for row in m] != [n] * n:
-        raise InputError(f"matrix must be {n}x{n}, got rows of lengths {[len(row) for row in m]}")
-    return m
-
-
 def _matrix_json(m):
-    return [[_cj(x) for x in row] for row in as_rows(m)]
+    return [[complex_json(x) for x in row] for row in as_rows(m)]
 
 
 def canonical_family(label):
@@ -87,136 +60,28 @@ def canonical_family(label):
 # element and point (de)serialization
 
 
-def _affine_element(label, data):
-    """An A2 (GL(2)) or A3 (SL(2)) element as Python rows, its invariants checked."""
-    from .projective import invertible2
-
-    m = _matrix(data["matrix"])
-    t = tuple(_c(x) for x in data["translation"])
-    if len(t) != 2:
-        raise InputError(f"{label} translation must have 2 entries, got {len(t)}")
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if label == "A3" and not close(det, 1.0, tol=SL_DET_TOL):
-        raise InputError(f"A3 matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
-    if label == "A2" and not invertible2(m):
-        raise InputError("A2 matrix must be invertible")
-    return (m, t)
-
-
 @_decoder("element")
 def element_from_json(label, data):
-    from . import projective
+    """The element of family `label` that the payload encodes, its invariants checked."""
+    from .families import SPECS
 
-    if label == "A1":
-        return _matrix(data["matrix"], 3)
-    if label in ("A2", "A3"):
-        return _affine_element(label, data)
-    if label == "C2":
-        return (_c(data["t"]), (_c(data["affine"]["alpha"]), _c(data["affine"]["beta"])))
-    if label == "C3":
-        return (
-            (_c(data["first"]["alpha"]), _c(data["first"]["beta"])),
-            (_c(data["second"]["alpha"]), _c(data["second"]["beta"])),
-        )
-    if label == "C5":
-        return (_matrix(data["matrix"]), _c(data["t"]))
-    if label == "C6":
-        return (_matrix(data["matrix"]), (_c(data["affine"]["alpha"]), _c(data["affine"]["beta"])))
-    if label == "C7":
-        return (_matrix(data["first"]), _matrix(data["second"]))
-    if label == "C8":
-        return (_c(data["t"]), (_c(data["v"][0]), _c(data["v"][1])))
-    if label == "C9":
-        return _matrix(data["matrix"])
-    if label == "D1":
-        return (_c(data["v"][0]), _c(data["v"][1]))
-    if label == "D2":
-        from .uaff import UAffElement
-
-        return UAffElement(_c(data["a"]), _c(data["b"]))
-    if label == "D3":
-        m = _c(data["m"])
-        if m == 0 or not cmath.isfinite(m):
-            raise InputError(f"D3 needs a finite nonzero m, got {m}")
-        return (m, (_c(data["v"][0]), _c(data["v"][1])))
-    if label in ("Bβ1", "Bβ2"):
-        from . import bbeta
-        from .divisor import Divisor
-        from .exppoly import ExpPoly
-
-        D = Divisor.from_json(data["divisor"])
-        if label == "Bβ1":
-            return bbeta.GDElement(D, _c(data["t"]), ExpPoly.from_json(data["f"]))
-        return bbeta.RGDElement(D, _c(data["t"]), _c(data["lambda"]), ExpPoly.from_json(data["f"]))
-    if label == "Bγ1":
-        return projective.BGamma12Element(
-            int(data["n"]), _c(data["c"]), _c(data["lam"]), _c(data["b"]),
-            tuple(_c(x) for x in data["poly"]),
-        )
-    if label == "Bγ2":
-        return projective.BGamma12Element(
-            int(data["n"]), 0j, _c(data["lam"]), _c(data["b"]),
-            tuple(_c(x) for x in data["poly"]),
-        )
-    if label == "Bγ3":
-        return projective.BGamma3Element(
-            int(data["n"]), _c(data["lam"]), _c(data["b"]), tuple(_c(x) for x in data["r"])
-        )
-    if label in ("Bγ4", "Bδ3", "Bδ4"):
-        return projective.OnGroupElement(
-            int(data["n"]), _matrix(data["matrix"]), tuple(_c(x) for x in data["poly"])
-        )
-    if label in ("Bδ1", "Bδ2"):
-        return _matrix(data["matrix"])
-    raise InputError(f"no element schema for family {label}")
+    spec = SPECS[label]
+    g = spec.element(data)
+    spec.check(g)
+    return g
 
 
 @_decoder("point")
 def point_from_json(label, data):
-    from . import projective
+    from .families import SPECS
 
-    if label == "A1":
-        return projective.Proj2Point([_c(x) for x in data["coords"]])
-    if label in ("C5", "C6"):
-        return (projective.ProjPoint(_c(data["zproj"][0]), _c(data["zproj"][1])), _c(data["w"]))
-    if label == "C7":
-        return (
-            projective.ProjPoint(_c(data["first"][0]), _c(data["first"][1])),
-            projective.ProjPoint(_c(data["second"][0]), _c(data["second"][1])),
-        )
-    if label == "C9":
-        return projective.QuadricPoint(
-            projective.ProjPoint(_c(data["alpha"][0]), _c(data["alpha"][1])),
-            projective.ProjPoint(_c(data["beta"][0]), _c(data["beta"][1])),
-        )
-    if label == "D2":
-        from .uaff import UAffElement
-
-        return UAffElement(_c(data["a"]), _c(data["b"]))
-    if label in ("Bδ1", "Bδ2"):
-        return (_c(data["x"][0]), _c(data["x"][1]))
-    if label in ("Bδ3", "Bδ4"):
-        return projective.BundlePoint(int(data["n"]), int(data["chart"]), _c(data["z"]), _c(data["w"]))
-    return (_c(data["z"]), _c(data["w"]))
+    return SPECS[label].point(data)
 
 
 def point_to_json(label, point):
-    if label == "A1":
-        return {"coords": [_cj(x) for x in point.coords]}
-    if label in ("C5", "C6"):
-        return {"zproj": [_cj(x) for x in point[0].coords], "w": _cj(point[1])}
-    if label == "C7":
-        return {"first": [_cj(x) for x in point[0].coords], "second": [_cj(x) for x in point[1].coords]}
-    if label == "C9":
-        return {"alpha": [_cj(x) for x in point.alpha.coords], "beta": [_cj(x) for x in point.beta.coords]}
-    if label == "D2":
-        return {"a": _cj(point.a), "b": _cj(point.b)}
-    if label in ("Bδ1", "Bδ2"):
-        return {"x": [_cj(point[0]), _cj(point[1])]}
-    if label in ("Bδ3", "Bδ4"):
-        return {"n": point.n, "chart": point.chart, "z": _cj(point.z), "w": _cj(point.w)}
-    return {"z": _cj(point[0]), "w": _cj(point[1])}
+    from .families import SPECS
+
+    return SPECS[label].point_json(point)
 
 
 def _component_json(comp):
@@ -224,10 +89,10 @@ def _component_json(comp):
 
     if isinstance(comp, TorusPoint):
         return {
-            "torus": _cj(comp.value),
-            "lattice": [_cj(comp.w1), _cj(comp.w2)],
+            "torus": complex_json(comp.value),
+            "lattice": [complex_json(comp.w1), complex_json(comp.w2)],
         }
-    return _cj(comp)
+    return complex_json(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +117,19 @@ def _classify_input(data):
     """(ambient, generators, divisor) of a classify file; the divisor is None but for qd."""
     ambient = data.get("ambient")
     if ambient == "C2":
-        return ambient, [(_c(v[0]), _c(v[1])) for v in data["generators"]], None
+        return ambient, [(json_complex(v[0]), json_complex(v[1])) for v in data["generators"]], None
     if ambient == "uaff":
         from .uaff import UAffElement
 
-        return ambient, [UAffElement(_c(g["a"]), _c(g["b"])) for g in data["generators"]], None
+        gens = [UAffElement(json_complex(g["a"]), json_complex(g["b"])) for g in data["generators"]]
+        return ambient, gens, None
     if ambient == "qd":
         from .bbeta import CentralizerElement
         from .divisor import Divisor
 
         D = Divisor.from_json(data["divisor"])
-        return ambient, [CentralizerElement(D, _c(g["w"]), _c(g["s"])) for g in data["generators"]], D
+        gens = [CentralizerElement(D, json_complex(g["w"]), json_complex(g["s"])) for g in data["generators"]]
+        return ambient, gens, D
     raise InputError(f"unknown ambient {ambient!r}")
 
 
@@ -278,14 +145,14 @@ def cmd_classify(args):
         res = classify_D1_subgroup(gens)
         out.update(
             label=res.label,
-            normalized_generators=[[_cj(a), _cj(b)] for a, b in res.generators],
+            normalized_generators=[[complex_json(a), complex_json(b)] for a, b in res.generators],
             transform=_matrix_json(res.transform),
             warnings=list(res.warnings),
         )
         if res.tau is not None:
-            out["tau"] = _cj(res.tau)
+            out["tau"] = complex_json(res.tau)
         if res.sigma is not None:
-            out["sigma"] = _cj(res.sigma)
+            out["sigma"] = complex_json(res.sigma)
     elif ambient == "uaff":
         from . import uaff
 
@@ -293,24 +160,21 @@ def cmd_classify(args):
         center = uaff.center_intersection(label, max_denominator=bound)
         out.update(
             label=label.name,
-            parameters={k: (_cj(v) if isinstance(v, complex) else v) for k, v in label.params().items()},
-            normalizer={"gamma": _cj(phi.gamma), "beta": _cj(phi.beta)},
-            normalized_generators=[{"a": _cj(g.a), "b": _cj(g.b)} for g in label.generators],
-            center_intersection={"a": _cj(center.a), "b": _cj(center.b)},
+            parameters={k: complex_json(v) if isinstance(v, complex) else v for k, v in label.params().items()},
+            normalizer={"gamma": complex_json(phi.gamma), "beta": complex_json(phi.beta)},
+            normalized_generators=[{"a": complex_json(g.a), "b": complex_json(g.b)} for g in label.generators],
+            center_intersection={"a": complex_json(center.a), "b": complex_json(center.b)},
         )
     else:
         from .bbeta import classify_pi
 
         res = classify_pi(gens, D, max_denominator=bound)
-        params = {}
-        for k, v in res.label.params().items():
-            params[k] = _cj(v) if isinstance(v, complex) else v
         out.update(
             label=f"Bβ1{res.label.name}" if res.label.name != "trivial" else "Bβ1",
             example=res.label.name,
             table_row=res.table_row,
-            parameters=params,
-            normalizer={k: _cj(complex(v)) for k, v in res.normalizer.items()},
+            parameters={k: complex_json(v) if isinstance(v, complex) else v for k, v in res.label.params().items()},
+            normalizer={k: complex_json(complex(v)) for k, v in res.normalizer.items()},
         )
     print(json.dumps(out, indent=2))
     return 0
@@ -330,16 +194,16 @@ def _cover_from_args(D, element_data, cover_label):
     if "n" in params:
         kwargs["n"] = int(params["n"])
     if "s" in params:
-        kwargs["s"] = _c(params["s"])
+        kwargs["s"] = json_complex(params["s"])
     if "tau" in params:
-        kwargs["tau"] = _c(params["tau"])
+        kwargs["tau"] = json_complex(params["tau"])
     if "delta" in params:
-        kwargs["delta"] = tuple(_c(x) for x in params["delta"])
+        kwargs["delta"] = tuple(json_complex(x) for x in params["delta"])
     return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **kwargs))
 
 
 def cmd_act(args):
-    from .families import build_family
+    from .families import SPECS
 
     label = canonical_family(args.family)
     with open(args.element) as fh:
@@ -348,19 +212,10 @@ def cmd_act(args):
         pdata = json.load(fh)
     g = element_from_json(label, edata)
     x = point_from_json(label, pdata)
-    handler_params = {}
-    if label == "C8":
-        handler_params["alpha"] = _c(edata.get("alpha", {"re": 2.0, "im": 0.5}))
-    if label in ("Bβ1", "Bβ2"):
-        handler_params["divisor"] = g.divisor
-    if label in ("Bγ1", "Bγ2", "Bγ3", "Bγ4", "Bδ3", "Bδ4"):
-        handler_params["n"] = g.n
-    if label == "Bγ1":
-        handler_params["c"] = g.c
-    handler = build_family(label, **handler_params)
-    result = handler.act(g, x)
+    spec = SPECS[label]
+    result = spec.handler(**spec.params(g, edata)).act(g, x)
     if args.cover:
-        if label not in ("Bβ1", "Bβ2"):
+        if getattr(g, "divisor", None) is None:
             raise InputError("--cover is only available for the divisor families")
         cov = _cover_from_args(g.divisor, edata, args.cover)
         covered = cov.cover(*result)
@@ -425,7 +280,7 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, NonDiscreteError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, NonDiscreteError, KeyError, OSError, OverflowError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numeric import EPS, Record, canonical_sign, close, rational_reconstruct, setfield
+from .numeric import EPS, Record, canonical_sign, close, json_complex, rational_reconstruct, setfield
 
 DEGREE_CAP = 32
 
@@ -73,7 +73,7 @@ class Divisor(Record):
 
     @classmethod
     def from_json(cls, data):
-        return cls([(complex(p["re"], p["im"]), int(p["mult"])) for p in data["points"]])
+        return cls([(json_complex(p), int(p["mult"])) for p in data["points"]])
 
 
 class QuasiperiodGroup(Record):

@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 
-from .numeric import COEFF_CHOP, EPS, Record, close, setfield
+from .numeric import COEFF_CHOP, Record, close, json_complex, setfield
 
 
 def _trim(coeffs):
@@ -213,6 +213,12 @@ class ExpPoly(Record):
     def max_abs(self):
         return max((p.max_abs() for _, p in self.terms), default=0.0)
 
+    def distance(self, other):
+        """The largest coefficient of the difference of the canonical forms, relative to both."""
+        d = self - other
+        s = max(1.0, self.max_abs(), other.max_abs())
+        return max((p.max_abs() for _, p in d.terms), default=0.0) / s
+
     def to_json(self):
         return {
             "terms": [
@@ -228,8 +234,8 @@ class ExpPoly(Record):
     def from_json(cls, data):
         terms = []
         for t in data["terms"]:
-            lam = complex(t["lambda"]["re"], t["lambda"]["im"])
-            poly = Polynomial([complex(c["re"], c["im"]) for c in t["coeffs"]])
+            lam = json_complex(t["lambda"])
+            poly = Polynomial([json_complex(c) for c in t["coeffs"]])
             terms.append((lam, poly))
         return cls(tuple(terms))
 
@@ -250,13 +256,6 @@ def translate(f, t):
     return ExpPoly._same_frequencies(
         [(lam, p.shifted(t).scale(cmath.exp(-lam * t))) for lam, p in f.terms]
     )
-
-
-def exppoly_close(f, g, tol=None, scale=0.0):
-    """Structural near-equality of canonical forms."""
-    d = f - g
-    s = max(f.max_abs(), g.max_abs(), scale, 1.0)
-    return all(p.max_abs() <= (EPS if tol is None else tol) * s for _, p in d.terms)
 
 
 class DiffOperator(Record):

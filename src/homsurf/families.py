@@ -1,23 +1,27 @@
 """The elementary families of transitive actions and the generic dispatch.
 
 Each family label owns a handler with a uniform interface: identity,
-multiply, inverse, act, and random sampling of elements and surface points;
-distances between them live in `verify`.  The handlers cover the matrix
-families (projective plane, affine plane, special affine plane), the
-product families, the one-parameter stabilizer family, the translation
-plane and its discrete subgroup classifier, the affine group, the quadric,
-and the divisor- and bundle-indexed families implemented in their own
-modules.
+multiply, inverse, act, and random sampling of elements and surface points.
+The handlers cover the matrix families (projective plane, affine plane,
+special affine plane), the product families, the one-parameter stabilizer
+family, the translation plane and its discrete subgroup classifier, the
+affine group, the quadric, and the divisor- and bundle-indexed families
+implemented in their own modules.
 
-Quotient policies record which actions admit quotients and by what data.
+One table, `SPECS`, holds everything else known per label: the handler
+factory, the JSON codecs, the invariant check, the element distance and the
+quotient policy.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 from . import projective
 from .numeric import (
+    EPS,
+    SL_DET_TOL,
     NonDiscreteError,
     Record,
     _dot,
@@ -26,22 +30,17 @@ from .numeric import (
     c2r,
     c2r2,
     close,
+    complex_json,
+    distance,
+    flat_distance,
+    json_complex,
     lattice_reduce_tau,
     load_numpy,
     r2c2,
     setfield,
     zmodule_basis,
 )
-from .projective import (
-    BundlePoint,
-    ProjPoint,
-    Proj2Point,
-    QuadricPoint,
-    mobius_act,
-    proj2_act,
-    proj_equal,
-    quadric_act,
-)
+from .projective import BundlePoint, ProjPoint, Proj2Point, QuadricPoint, mobius_act, proj2_act, quadric_act
 
 
 def _cnum(rng, scale=0.7):
@@ -95,8 +94,7 @@ class _TransC:
     def random(self, rng):
         return _cnum(rng)
 
-    def random_point(self, rng):
-        return _cnum(rng)
+    random_point = random
 
 
 class _AffC:
@@ -171,6 +169,13 @@ class _ProductFamily:
 # individual families
 
 
+class _PlaneHandler:
+    """A handler of a family acting on C^2, in the coordinates (z, w)."""
+
+    def random_point(self, rng):
+        return (_cnum(rng), _cnum(rng))
+
+
 class _A1:
     label = "A1"
 
@@ -193,7 +198,7 @@ class _A1:
         return Proj2Point([_cnum(rng, 1.0) for _ in range(3)])
 
 
-class _MatrixAffine:
+class _MatrixAffine(_PlaneHandler):
     """GL(2,C) or SL(2,C) semidirect translations of the plane."""
 
     def __init__(self, label, special):
@@ -221,16 +226,13 @@ class _MatrixAffine:
         m = np.array(_matrix(rng, special=self.special))
         return (m, np.array([_cnum(rng), _cnum(rng)]))
 
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
-
-class _C8:
+class _C8(_PlaneHandler):
     """Diagonal one-parameter subgroup semidirect translations; alpha != 0, 1."""
 
     label = "C8"
 
-    def __init__(self, alpha):
+    def __init__(self, alpha=2.0 + 0.5j):
         self.alpha = complex(alpha)
         if close(self.alpha, 1.0) or close(self.alpha, 0.0):
             raise ValueError("C8 requires alpha different from 0 and 1")
@@ -257,11 +259,8 @@ class _C8:
     def random_element(self, rng):
         return (_cnum(rng, 0.5), (_cnum(rng), _cnum(rng)))
 
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
-
-class _D3:
+class _D3(_PlaneHandler):
     """Rescaling and translation plane: (m, v) with m nonzero."""
 
     label = "D3"
@@ -281,31 +280,6 @@ class _D3:
 
     def random_element(self, rng):
         return (cmath.exp(_cnum(rng, 0.5)), (_cnum(rng), _cnum(rng)))
-
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
-
-
-class _D1:
-    label = "D1"
-
-    def identity(self):
-        return (0j, 0j)
-
-    def multiply(self, g, h):
-        return (g[0] + h[0], g[1] + h[1])
-
-    def inverse(self, g):
-        return (-g[0], -g[1])
-
-    def act(self, g, x):
-        return (x[0] + g[0], x[1] + g[1])
-
-    def random_element(self, rng):
-        return (_cnum(rng), _cnum(rng))
-
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
 
 class _D2:
@@ -335,42 +309,18 @@ class _D2:
     random_point = random_element
 
 
-class _C9:
-    label = "C9"
-
-    def __init__(self):
-        self.psl = _PSL2()
-
-    def identity(self):
-        return self.psl.identity()
-
-    def multiply(self, g, h):
-        return g @ h
-
-    def inverse(self, g):
-        return _inverse2(g)
-
-    def act(self, g, x):
-        return quadric_act(g, x)
-
-    def random_element(self, rng):
-        return load_numpy().array(_matrix(rng))
-
-    def random_point(self, rng):
-        while True:
-            a, b = ProjPoint(_cnum(rng, 1.0)), ProjPoint(_cnum(rng, 1.0))
-            if not proj_equal(a, b):
-                return QuadricPoint(a, b)
-
-
-class _BBeta1:
+class _BBeta1(_PlaneHandler):
     label = "Bβ1"
 
-    def __init__(self, divisor):
+    def __init__(self, divisor=None):
         # imported with the handler: loading families does not load bbeta
         from . import bbeta
 
         self.bbeta = bbeta
+        if divisor is None:
+            from .divisor import Divisor
+
+            divisor = Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
         self.divisor = divisor
 
     def identity(self):
@@ -387,9 +337,6 @@ class _BBeta1:
 
     def random_element(self, rng):
         return self.bbeta.random_gd(self.divisor, rng)
-
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
 
 class _BBeta2(_BBeta1):
@@ -411,14 +358,12 @@ class _BBeta2(_BBeta1):
         return self.bbeta.random_rgd(self.divisor, rng)
 
 
-class _BGamma12:
-    def __init__(self, label, n, c):
-        self.label = label
+class _BGamma12(_PlaneHandler):
+    """Bγ1 (c != 0) or its subfamily Bγ2 (c = 0)."""
+
+    def __init__(self, n=2, c=0j):
         self.n, self.c = int(n), complex(c)
-        if label == "Bγ2" and not close(self.c, 0.0):
-            raise ValueError("Bγ2 is the subfamily with c = 0")
-        if label == "Bγ1" and close(self.c, 0.0):
-            raise ValueError("Bγ1 requires c != 0")
+        self.label = "Bγ1" if self.c else "Bγ2"
 
     def identity(self):
         return projective.bg12_identity(self.n, self.c)
@@ -436,14 +381,11 @@ class _BGamma12:
         p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
         return projective.BGamma12Element(self.n, self.c, _cnum(rng, 0.5), _cnum(rng), p)
 
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
-
-class _BGamma3:
+class _BGamma3(_PlaneHandler):
     label = "Bγ3"
 
-    def __init__(self, n):
+    def __init__(self, n=2):
         self.n = int(n)
 
     def identity(self):
@@ -461,36 +403,6 @@ class _BGamma3:
     def random_element(self, rng):
         r = tuple(_cnum(rng, 0.5) for _ in range(self.n))
         return projective.BGamma3Element(self.n, _cnum(rng, 0.5), _cnum(rng), r)
-
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
-
-
-class _BGamma4:
-    label = "Bγ4"
-
-    def __init__(self, n):
-        self.n = int(n)
-
-    def identity(self):
-        return projective.on_identity(self.n)
-
-    def multiply(self, g, h):
-        return projective.on_multiply(g, h)
-
-    def inverse(self, g):
-        return projective.on_inverse(g)
-
-    def act(self, g, x):
-        return projective.bgamma_act(4, g, x)
-
-    def random_element(self, rng):
-        m = [[cmath.exp(_cnum(rng, 0.5)), _cnum(rng)], [0j, cmath.exp(_cnum(rng, 0.5))]]
-        p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
-        return projective.OnGroupElement(self.n, m, p)
-
-    def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
 
 
 class _BDeltaLinear:
@@ -520,6 +432,22 @@ class _BDeltaLinear:
             x = (_cnum(rng), _cnum(rng))
             if abs(x[0]) + abs(x[1]) > 0.1:
                 return x
+
+
+class _C9(_BDeltaLinear):
+    """The matrices of Bδ2 taken modulo scalars, acting on ordered pairs of distinct points of P^1."""
+
+    def __init__(self):
+        super().__init__("C9", special=False)
+
+    def act(self, g, x):
+        return quadric_act(g, x)
+
+    def random_point(self, rng):
+        while True:
+            a, b = ProjPoint(_cnum(rng, 1.0)), ProjPoint(_cnum(rng, 1.0))
+            if a.distance(b) > EPS:
+                return QuadricPoint(a, b)
 
 
 class _BDeltaBundle:
@@ -552,24 +480,331 @@ class _BDeltaBundle:
         return BundlePoint(self.n, int(rng.integers(2)), z, _cnum(rng))
 
 
+class _BGamma4(_BDeltaBundle):
+    """The upper-triangular elements of Bδ4, acting on the affine chart C^2 of O(n)."""
+
+    def __init__(self, n=2):
+        super().__init__("Bγ4", n, special=False)
+
+    def act(self, g, x):
+        return projective.bg4_act(g, x)
+
+    def random_element(self, rng):
+        m = [[cmath.exp(_cnum(rng, 0.5)), _cnum(rng)], [0j, cmath.exp(_cnum(rng, 0.5))]]
+        p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
+        return projective.OnGroupElement(self.n, m, p)
+
+    random_point = _PlaneHandler.random_point
+
+
 # ---------------------------------------------------------------------------
-# registry
+# JSON codecs: the element and point schemas of docs/families.md
 
 
-def _default_divisor():
+def _values(data, n=None):
+    """The complex numbers of a JSON list, which must have n entries when n is given."""
+    if n is not None and len(data) != n:
+        raise ValueError(f"expected {n} complex numbers, got {len(data)}")
+    return tuple(json_complex(x) for x in data)
+
+
+def _json_matrix(data, n=2):
+    """An n x n matrix as Python rows, which every handler's `act` takes as well as an array."""
+    m = [[json_complex(x) for x in row] for row in data]
+    if [len(row) for row in m] != [n] * n:
+        raise ValueError(f"matrix must be {n}x{n}, got rows of lengths {[len(row) for row in m]}")
+    return m
+
+
+def _matrix_element(data):
+    return _json_matrix(data["matrix"])
+
+
+def _affine_map(data):
+    return (_json_matrix(data["matrix"]), _values(data["translation"], 2))
+
+
+def _degree(data):
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
+    return n
+
+
+def _affine(data):
+    return (json_complex(data["alpha"]), json_complex(data["beta"]))
+
+
+def _proj(data):
+    return ProjPoint(*_values(data, 2))
+
+
+def _cjs(values):
+    return [complex_json(z) for z in values]
+
+
+def _uaff_element(data):
+    from .uaff import UAffElement
+
+    return UAffElement(json_complex(data["a"]), json_complex(data["b"]))
+
+
+def _divisor_element(data, rescaled):
+    from . import bbeta
     from .divisor import Divisor
+    from .exppoly import ExpPoly
 
-    return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
+    D, t, f = Divisor.from_json(data["divisor"]), json_complex(data["t"]), ExpPoly.from_json(data["f"])
+    return bbeta.RGDElement(D, t, json_complex(data["lambda"]), f) if rescaled else bbeta.GDElement(D, t, f)
+
+
+def _bg12_element(data, c):
+    lam, b = json_complex(data["lam"]), json_complex(data["b"])
+    return projective.BGamma12Element(_degree(data), c, lam, b, _values(data["poly"]))
+
+
+def _on_element(data):
+    return projective.OnGroupElement(_degree(data), _json_matrix(data["matrix"]), _values(data["poly"]))
+
+
+def _bundle_point(data):
+    chart = data["chart"]
+    if type(chart) is not int or chart not in (0, 1):
+        raise ValueError(f"chart must be 0 or 1, got {chart!r}")
+    return BundlePoint(_degree(data), chart, json_complex(data["z"]), json_complex(data["w"]))
+
+
+# (decode, encode) of each point schema
+_PLANE = (
+    lambda d: (json_complex(d["z"]), json_complex(d["w"])),
+    lambda x: {"z": complex_json(x[0]), "w": complex_json(x[1])},
+)
+_PROJ_TIMES_LINE = (
+    lambda d: (_proj(d["zproj"]), json_complex(d["w"])),
+    lambda x: {"zproj": _cjs(x[0].coords), "w": complex_json(x[1])},
+)
+_PUNCTURED = (lambda d: _values(d["x"], 2), lambda x: {"x": _cjs(x)})
+_BUNDLE = (_bundle_point, lambda x: {"n": x.n, "chart": x.chart, "z": complex_json(x.z), "w": complex_json(x.w)})
+
+
+# ---------------------------------------------------------------------------
+# invariant checks, handler parameters and element distances
+
+
+def _no_check(g):
+    pass
+
+
+def _check_invertible(m):
+    if abs(_det(m)) <= EPS * max(1.0, *(abs(x) for row in m for x in row)) ** len(m):
+        raise ValueError("the matrix must be invertible")
+
+
+def _check_det_one(m, power=1):
+    """det(m) ** power = 1 within SL_DET_TOL; power > 1 allows the scalars an element is taken modulo."""
+    det = _det(m) ** power
+    if not close(det, 1.0, tol=SL_DET_TOL):
+        raise ValueError(f"the matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
+
+
+def _check_nonzero(what, *values):
+    if 0 in values:
+        raise ValueError(f"{what} must be nonzero")
+
+
+def _no_params(g, data):
+    return {}
+
+
+def _degree_param(g, data):
+    return {"n": g.n}
+
+
+def _divisor_param(g, data):
+    return {"divisor": g.divisor}
+
+
+def _proj_distance(g, h):
+    """Distance between matrices modulo a scalar."""
+    xs = [complex(x) for row in as_rows(g) for x in row]
+    ys = [complex(y) for row in as_rows(h) for y in row]
+    i = max(range(len(xs)), key=lambda k: abs(xs[k]))
+    if abs(ys[i]) == 0:
+        return 1.0
+    s = xs[i] / ys[i]
+    return flat_distance(xs, [s * y for y in ys])
+
+
+def _psl_first_distance(g, h):
+    return max(_proj_distance(g[0], h[0]), distance(g[1], h[1]))
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+class FamilySpec:
+    """One row of the family table: what the package knows of one base label.
+
+    `handler(**params)` builds the family's handler.  `element(data)` and
+    `point(data)` decode the JSON payloads of docs/families.md, and
+    `point_json(x)` encodes a point; the constructor takes the point codecs
+    as one (decode, encode) pair, the plane's by default.  `params(g, data)`
+    are the handler parameters an element carries, `check(g)` raises
+    ValueError for an element that breaks the family's invariants, and
+    `distance(g, h)` compares two elements.  `policy` describes the discrete
+    subgroups the action has quotients by, and is empty when it has none.
+    """
+
+    __slots__ = ("handler", "element", "point", "point_json", "params", "check", "distance", "policy")
+
+    def __init__(
+        self, handler, element, point=_PLANE, *, params=_no_params, check=_no_check, distance=distance, policy=""
+    ):
+        self.handler = handler
+        self.element = element
+        self.point, self.point_json = point
+        self.params = params
+        self.check = check
+        self.distance = distance
+        self.policy = policy
+
+
+_HOPF = "Hopf identification z ~ lam z, 0 < |lam| < 1"
+
+# in the order of the verify suites
+SPECS = {
+    "A1": FamilySpec(
+        _A1,
+        lambda d: _json_matrix(d["matrix"], 3),
+        (lambda d: Proj2Point(_values(d["coords"])), lambda x: {"coords": _cjs(x.coords)}),
+        check=_check_invertible,
+        distance=_proj_distance,
+    ),
+    "A2": FamilySpec(lambda: _MatrixAffine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0])),
+    "A3": FamilySpec(lambda: _MatrixAffine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0])),
+    "Bβ1": FamilySpec(
+        _BBeta1,
+        lambda d: _divisor_element(d, rescaled=False),
+        params=_divisor_param,
+        policy="discrete subgroup pi of Q_D x| C, examples Bβ1A0..I",
+    ),
+    "Bβ2": FamilySpec(
+        _BBeta2,
+        lambda d: _divisor_element(d, rescaled=True),
+        params=_divisor_param,
+        policy="pi = n Z in the quasiperiod group, normalized divisor",
+    ),
+    "Bγ1": FamilySpec(
+        lambda n=2, c=1.7 + 0.3j: _BGamma12(n, c),
+        lambda d: _bg12_element(d, json_complex(d["c"])),
+        params=lambda g, d: {"n": g.n, "c": g.c},
+        check=lambda g: _check_nonzero("c", g.c),
+    ),
+    "Bγ2": FamilySpec(
+        lambda n=2: _BGamma12(n),
+        lambda d: _bg12_element(d, 0j),
+        params=_degree_param,
+        policy="pi = {0} x Lambda, Lambda a discrete subgroup of C",
+    ),
+    "Bγ3": FamilySpec(
+        _BGamma3,
+        lambda d: projective.BGamma3Element(_degree(d), json_complex(d["lam"]), json_complex(d["b"]), _values(d["r"])),
+        params=_degree_param,
+    ),
+    "Bγ4": FamilySpec(_BGamma4, _on_element, params=_degree_param),
+    "Bδ1": FamilySpec(
+        lambda: _BDeltaLinear("Bδ1", True), _matrix_element, _PUNCTURED, check=_check_det_one, policy=_HOPF
+    ),
+    "Bδ2": FamilySpec(
+        lambda: _BDeltaLinear("Bδ2", False), _matrix_element, _PUNCTURED, check=_check_invertible, policy=_HOPF
+    ),
+    "Bδ3": FamilySpec(
+        lambda n=2: _BDeltaBundle("Bδ3", n, special=True),
+        _on_element,
+        _BUNDLE,
+        params=_degree_param,
+        # the matrix is stored modulo n-th roots of unity, which multiply det by their squares
+        check=lambda g: _check_det_one(g.matrix, g.n // math.gcd(g.n, 2)),
+    ),
+    "Bδ4": FamilySpec(lambda n=2: _BDeltaBundle("Bδ4", n, special=False), _on_element, _BUNDLE, params=_degree_param),
+    "C2": FamilySpec(
+        lambda: _ProductFamily("C2", _TransC(), _AffC()),
+        lambda d: (json_complex(d["t"]), _affine(d["affine"])),
+        check=lambda g: _check_nonzero("alpha", g[1][0]),
+        policy="discrete subgroup Delta of C acting on the first factor",
+    ),
+    "C3": FamilySpec(
+        lambda: _ProductFamily("C3", _AffC(), _AffC()),
+        lambda d: (_affine(d["first"]), _affine(d["second"])),
+        check=lambda g: _check_nonzero("alpha", g[0][0], g[1][0]),
+    ),
+    "C5": FamilySpec(
+        lambda: _ProductFamily("C5", _PSL2(), _TransC()),
+        lambda d: (_json_matrix(d["matrix"]), json_complex(d["t"])),
+        _PROJ_TIMES_LINE,
+        distance=_psl_first_distance,
+        policy="discrete subgroup Delta of C acting on the second factor",
+    ),
+    "C6": FamilySpec(
+        lambda: _ProductFamily("C6", _PSL2(), _AffC()),
+        lambda d: (_json_matrix(d["matrix"]), _affine(d["affine"])),
+        _PROJ_TIMES_LINE,
+        check=lambda g: _check_nonzero("alpha", g[1][0]),
+        distance=_psl_first_distance,
+    ),
+    "C7": FamilySpec(
+        lambda: _ProductFamily("C7", _PSL2(), _PSL2()),
+        lambda d: (_json_matrix(d["first"]), _json_matrix(d["second"])),
+        (
+            lambda d: (_proj(d["first"]), _proj(d["second"])),
+            lambda x: {"first": _cjs(x[0].coords), "second": _cjs(x[1].coords)},
+        ),
+        distance=lambda g, h: max(_proj_distance(g[0], h[0]), _proj_distance(g[1], h[1])),
+    ),
+    "C8": FamilySpec(
+        _C8,
+        lambda d: (json_complex(d["t"]), _values(d["v"], 2)),
+        params=lambda g, d: {"alpha": json_complex(d["alpha"])} if "alpha" in d else {},
+    ),
+    "C9": FamilySpec(
+        _C9,
+        _matrix_element,
+        (
+            lambda d: QuadricPoint(_proj(d["alpha"]), _proj(d["beta"])),
+            lambda x: {"alpha": _cjs(x.alpha.coords), "beta": _cjs(x.beta.coords)},
+        ),
+        distance=_proj_distance,
+        policy="the swap (alpha, beta) -> (beta, alpha): X' = P^2 minus a conic",
+    ),
+    # the translation plane C^2 = C x C
+    "D1": FamilySpec(
+        lambda: _ProductFamily("D1", _TransC(), _TransC()),
+        lambda d: _values(d["v"], 2),
+        policy="any discrete subgroup pi of C^2",
+    ),
+    "D2": FamilySpec(
+        _D2,
+        _uaff_element,
+        (_uaff_element, lambda x: {"a": complex_json(x.a), "b": complex_json(x.b)}),
+        policy="any discrete subgroup pi of uAff(C), table D2_1..D2_14",
+    ),
+    "D3": FamilySpec(
+        _D3, lambda d: (json_complex(d["m"]), _values(d["v"], 2)), check=lambda g: _check_nonzero("m", g[0])
+    ),
+}
+
+BASE_FAMILY_LABELS = tuple(SPECS)
 
 
 def family_label(label):
     """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
     label = str(label)
-    if label in BASE_FAMILY_LABELS:
+    if label in SPECS:
         return label  # an exact label needs neither the alias table nor the catalogue module
     from .catalogue import ascii_label
 
-    by_ascii = {ascii_label(lab): lab for lab in BASE_FAMILY_LABELS}
+    by_ascii = {ascii_label(lab): lab for lab in SPECS}
     key = ascii_label(label)
     if key not in by_ascii:
         raise ValueError(f"unknown family {label}")
@@ -577,86 +812,8 @@ def family_label(label):
 
 
 def build_family(label, **params):
-    """Handler for a family label in any spelling (see family_label); params as needed by the family."""
-    label = family_label(label)
-    if label == "A1":
-        return _A1()
-    if label == "A2":
-        return _MatrixAffine("A2", special=False)
-    if label == "A3":
-        return _MatrixAffine("A3", special=True)
-    if label == "C2":
-        return _ProductFamily("C2", _TransC(), _AffC())
-    if label == "C3":
-        return _ProductFamily("C3", _AffC(), _AffC())
-    if label == "C5":
-        return _ProductFamily("C5", _PSL2(), _TransC())
-    if label == "C6":
-        return _ProductFamily("C6", _PSL2(), _AffC())
-    if label == "C7":
-        return _ProductFamily("C7", _PSL2(), _PSL2())
-    if label == "C8":
-        return _C8(params.get("alpha", 2.0 + 0.5j))
-    if label == "C9":
-        return _C9()
-    if label == "D1":
-        return _D1()
-    if label == "D2":
-        return _D2()
-    if label == "D3":
-        return _D3()
-    if label == "Bβ1":
-        return _BBeta1(params.get("divisor", _default_divisor()))
-    if label == "Bβ2":
-        return _BBeta2(params.get("divisor", _default_divisor()))
-    if label == "Bγ1":
-        return _BGamma12("Bγ1", params.get("n", 2), params.get("c", 1.7 + 0.3j))
-    if label == "Bγ2":
-        return _BGamma12("Bγ2", params.get("n", 2), 0.0)
-    if label == "Bγ3":
-        return _BGamma3(params.get("n", 2))
-    if label == "Bγ4":
-        return _BGamma4(params.get("n", 2))
-    if label == "Bδ1":
-        return _BDeltaLinear("Bδ1", special=True)
-    if label == "Bδ2":
-        return _BDeltaLinear("Bδ2", special=False)
-    if label == "Bδ3":
-        return _BDeltaBundle("Bδ3", params.get("n", 2), special=True)
-    if label == "Bδ4":
-        return _BDeltaBundle("Bδ4", params.get("n", 2), special=False)
-    raise ValueError(f"unknown family {label}")
-
-
-BASE_FAMILY_LABELS = (
-    "A1",
-    "A2",
-    "A3",
-    "Bβ1",
-    "Bβ2",
-    "Bγ1",
-    "Bγ2",
-    "Bγ3",
-    "Bγ4",
-    "Bδ1",
-    "Bδ2",
-    "Bδ3",
-    "Bδ4",
-    "C2",
-    "C3",
-    "C5",
-    "C6",
-    "C7",
-    "C8",
-    "C9",
-    "D1",
-    "D2",
-    "D3",
-)
-
-
-# ---------------------------------------------------------------------------
-# quotient policies
+    """Handler for a family label in any spelling (see family_label); params as its factory takes them."""
+    return SPECS[family_label(label)].handler(**params)
 
 
 class QuotientPolicy(Record):
@@ -667,38 +824,10 @@ class QuotientPolicy(Record):
         setfield(self, "description", description)
 
 
-_POLICIES = {
-    "A1": QuotientPolicy("none"),
-    "A2": QuotientPolicy("none"),
-    "A3": QuotientPolicy("none"),
-    "C3": QuotientPolicy("none"),
-    "C6": QuotientPolicy("none"),
-    "C7": QuotientPolicy("none"),
-    "C8": QuotientPolicy("none"),
-    "D3": QuotientPolicy("none"),
-    "Bγ1": QuotientPolicy("none"),
-    "Bγ3": QuotientPolicy("none"),
-    "Bγ4": QuotientPolicy("none"),
-    "Bδ3": QuotientPolicy("none"),
-    "Bδ4": QuotientPolicy("none"),
-    "C2": QuotientPolicy("policy", "discrete subgroup Delta of C acting on the first factor"),
-    "C5": QuotientPolicy("policy", "discrete subgroup Delta of C acting on the second factor"),
-    "Bγ2": QuotientPolicy("policy", "pi = {0} x Lambda, Lambda a discrete subgroup of C"),
-    "D1": QuotientPolicy("policy", "any discrete subgroup pi of C^2"),
-    "D2": QuotientPolicy("policy", "any discrete subgroup pi of uAff(C), table D2_1..D2_14"),
-    "Bβ1": QuotientPolicy("policy", "discrete subgroup pi of Q_D x| C, examples Bβ1A0..I"),
-    "Bβ2": QuotientPolicy("policy", "pi = n Z in the quasiperiod group, normalized divisor"),
-    "C9": QuotientPolicy("policy", "the swap (alpha, beta) -> (beta, alpha): X' = P^2 minus a conic"),
-    "Bδ1": QuotientPolicy("policy", "Hopf identification z ~ lam z, 0 < |lam| < 1"),
-    "Bδ2": QuotientPolicy("policy", "Hopf identification z ~ lam z, 0 < |lam| < 1"),
-}
-
-
 def quotient_policy(label):
-    key = str(label)
-    if key not in _POLICIES:
-        raise ValueError(f"unknown family {key}")
-    return _POLICIES[key]
+    """Whether the family's action has quotients ("policy", with the data they take) or none."""
+    description = SPECS[family_label(label)].policy
+    return QuotientPolicy("policy" if description else "none", description)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Float comparisons funnel through `close` with a relative epsilon
 (overridable via the HOMSURF_EPS environment variable).  Symbolic
-coefficient cancellation uses the absolute chop COEFF_CHOP.
+coefficient cancellation uses the absolute chop COEFF_CHOP.  `distance` is
+the one relative distance between values, and JSON numbers are read only
+through `json_complex`, which refuses non-finite ones.
 
 Rational reconstruction is continued-fraction based with a hard denominator
 bound.  A convergent p/q is accepted only when the residual is far below
@@ -129,6 +131,68 @@ def close(x, y, tol=None, scale=0.0):
     """Relative comparison: |x-y| <= tol * max(1, |x|, |y|, scale)."""
     t = EPS if tol is None else tol
     return abs(x - y) <= t * max(1.0, abs(x), abs(y), scale)
+
+
+# ---------------------------------------------------------------------------
+# distance: one per value type, behind one structural dispatch
+
+_SCALAR_TYPES = frozenset((complex, float, int))
+
+
+def flat_distance(xs, ys):
+    """Largest entrywise difference over the largest entry (at least 1)."""
+    s = max(1.0, max(map(abs, xs)), max(map(abs, ys)))
+    return max(abs(x - y) for x, y in zip(xs, ys)) / s
+
+
+def _entries(x):
+    """The entries of an array, or of nested rows of numbers, as one flat list of complex numbers."""
+    return load_numpy().asarray(x, dtype=complex).ravel().tolist()
+
+
+def distance(a, b):
+    """Relative distance between structurally matching values.
+
+    Numbers: |a - b| over max(1, |a|, |b|).  Tuples and lists: the largest
+    distance of their entries.  Arrays and numpy scalars: `flat_distance` of
+    their entries.  Every other value type defines its own `distance(other)`.
+    """
+    ta, tb = type(a), type(b)
+    if ta in _SCALAR_TYPES and tb in _SCALAR_TYPES:
+        return abs(a - b) / max(1.0, abs(a), abs(b))
+    if ta is tuple and tb is tuple:
+        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
+    own = getattr(a, "distance", None)
+    if own is not None:
+        return own(b)
+    if hasattr(a, "ravel") or hasattr(b, "ravel"):
+        return flat_distance(_entries(a), _entries(b))
+    if isinstance(a, (tuple, list)):
+        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
+    raise TypeError(f"no distance for {type(a)}")
+
+
+# ---------------------------------------------------------------------------
+# JSON numbers: every codec reads and writes complex numbers through these
+
+
+def json_complex(data):
+    """A finite complex number from a JSON number or a {"re": x, "im": y} object."""
+    try:
+        z = complex(data) if isinstance(data, (int, float)) else complex(data["re"], data["im"])
+    except (TypeError, OverflowError):
+        raise ValueError(f"not a finite complex number: {data!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"not a finite complex number: {data!r}")
+    return z
+
+
+def complex_json(z):
+    """{"re": x, "im": y}; JSON has no NaN or infinity, so a non-finite value is an error."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"the result {z} is not finite")
+    return {"re": z.real, "im": z.imag}
 
 
 def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):

@@ -21,7 +21,7 @@ import cmath
 import functools
 import math
 
-from .numeric import EPS, Record, as_rows, close, load_numpy, setfield
+from .numeric import EPS, Record, as_rows, distance, flat_distance, load_numpy, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -52,12 +52,8 @@ def product2(g, h):
 
 
 def _invertible(a, b, c, d):
+    """Whether |ad - bc| clears EPS times the squared largest entry (at least 1)."""
     return abs(a * d - b * c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
-
-
-def invertible2(g):
-    """Whether |det g| clears EPS times the squared largest entry (at least 1)."""
-    return _invertible(*_entries(g))
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +91,11 @@ class ProjPoint(Record):
             raise ValueError("point at infinity has no affine value")
         return self.coords[0] / self.coords[1]
 
-
-def proj_equal(p, q, tol=None):
-    a1, a2 = p.coords
-    b1, b2 = q.coords
-    cross = a1 * b2 - a2 * b1
-    scale = max(abs(a1), abs(a2)) * max(abs(b1), abs(b2))
-    return abs(cross) <= (EPS if tol is None else tol) * max(scale, 1e-300)
+    def distance(self, other):
+        """The cross product of the normalized coordinates: 0 exactly for the same point."""
+        a1, a2 = self.coords
+        b1, b2 = other.coords
+        return abs(a1 * b2 - a2 * b1) / max(1.0, abs(a1), abs(a2)) / max(1.0, abs(b1), abs(b2))
 
 
 class Proj2Point(Record):
@@ -120,16 +114,15 @@ class Proj2Point(Record):
         ref = v[m.index(top)]
         setfield(self, "coords", tuple(c / ref for c in v))
 
+    def distance(self, other):
+        """The largest entry of the cross product of the normalized coordinates."""
+        a, b = self.coords, other.coords
+        return max(map(abs, cross3(a, b))) / (max(1.0, *map(abs, a)) * max(1.0, *map(abs, b)))
+
 
 def cross3(a, b):
     """Cross product of two 3-vectors of complex numbers."""
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def proj2_equal(p, q, tol=None):
-    a, b = p.coords, q.coords
-    scale = max(1e-300, max(map(abs, a)) * max(map(abs, b)))
-    return max(map(abs, cross3(a, b))) <= (EPS if tol is None else tol) * scale
 
 
 def proj2_act(g3, p, tol=None):
@@ -211,15 +204,14 @@ class QuadricPoint(Record):
     def __init__(self, alpha, beta):
         setfield(self, "alpha", alpha)
         setfield(self, "beta", beta)
-        if proj_equal(self.alpha, self.beta):
+        if self.alpha.distance(self.beta) <= EPS:
             raise ValueError("quadric points need distinct entries")
 
     def swapped(self):
         return QuadricPoint(self.beta, self.alpha)
 
-
-def quadric_equal(p, q, tol=None):
-    return proj_equal(p.alpha, q.alpha, tol) and proj_equal(p.beta, q.beta, tol)
+    def distance(self, other):
+        return max(self.alpha.distance(other.alpha), self.beta.distance(other.beta))
 
 
 def quadric_act(g, p):
@@ -296,22 +288,17 @@ class BundlePoint(Record):
             raise ValueError("point is not on the chart overlap")
         return BundlePoint(self.n, chart, 1 / self.z, self.w / self.z**self.n)
 
+    def distance(self, other):
+        """Compared in this point's chart."""
+        if other.chart != self.chart:
+            other = other.to_chart(self.chart)
+        return max(distance(self.z, other.z), distance(self.w, other.w))
+
 
 def _from_carrier(n, v, val):
     if abs(v[0]) <= abs(v[1]):
         return BundlePoint(n, 0, complex(v[0] / v[1]), complex(val / v[1] ** n))
     return BundlePoint(n, 1, complex(v[1] / v[0]), complex(val / v[0] ** n))
-
-
-def bundle_equal(p, q, tol=None):
-    if p.n != q.n:
-        return False
-    if p.chart == q.chart:
-        return close(p.z, q.z, tol=tol) and close(p.w, q.w, tol=tol)
-    if abs(q.z) <= EPS:
-        return False
-    q2 = q.to_chart(p.chart)
-    return close(p.z, q2.z, tol=tol) and close(p.w, q2.w, tol=tol)
 
 
 class OnGroupElement(Record):
@@ -348,6 +335,17 @@ class OnGroupElement(Record):
     def mat(self):
         return load_numpy().array(self.matrix, dtype=complex)
 
+    def distance(self, other):
+        """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
+        a = self.matrix[0] + self.matrix[1]
+        b = other.matrix[0] + other.matrix[1]
+        scale = max(1.0, *map(abs, a), *map(abs, b))
+        best = math.inf
+        for j in range(self.n):
+            zeta = cmath.exp(2j * math.pi * j / self.n)
+            best = min(best, max(abs(x - zeta * y) for x, y in zip(a, b)) / scale)
+        return max(best, flat_distance(self.poly, other.poly))
+
 
 def on_identity(n):
     return OnGroupElement(n, ((1.0, 0.0), (0.0, 1.0)), (0.0,) * (n + 1))
@@ -365,27 +363,6 @@ def on_multiply(e0, e1):
 def on_inverse(e):
     p = tuple(-c for c in binary_form_substitute(e.poly, e.matrix))
     return OnGroupElement(e.n, inverse2(e.matrix), p)
-
-
-def on_matrix_distance(e0, e1):
-    """Relative distance of the matrix parts modulo scalar n-th roots of unity."""
-    a = e0.matrix[0] + e0.matrix[1]
-    b = e1.matrix[0] + e1.matrix[1]
-    scale = max(1.0, *map(abs, a), *map(abs, b))
-    best = math.inf
-    for j in range(e0.n):
-        zeta = cmath.exp(2j * math.pi * j / e0.n)
-        best = min(best, max(abs(x - zeta * y) for x, y in zip(a, b)) / scale)
-    return best
-
-
-def on_equal(e0, e1, tol=None):
-    if e0.n != e1.n:
-        return False
-    mat_ok = on_matrix_distance(e0, e1) <= (EPS if tol is None else tol)
-    ps = max([abs(c) for c in e0.poly + e1.poly] + [1.0])
-    pol_ok = all(close(x, y, tol=tol, scale=ps) for x, y in zip(e0.poly, e1.poly))
-    return mat_ok and pol_ok
 
 
 def on_act(e, x):
@@ -423,6 +400,9 @@ class BGamma12Element(Record):
         setfield(self, "poly", poly)
         if len(self.poly) != self.n + 1:
             raise ValueError("polynomial must have degree n")
+
+    def distance(self, other):
+        return max(distance(self.lam, other.lam), distance(self.b, other.b), flat_distance(self.poly, other.poly))
 
 
 def bg12_identity(n, c):
@@ -478,6 +458,9 @@ class BGamma3Element(Record):
         # lam Z1^n + Z2 * r(Z1, Z2)
         return (complex(self.lam),) + tuple(complex(x) for x in self.r)
 
+    def distance(self, other):
+        return max(distance(self.lam, other.lam), distance(self.b, other.b), flat_distance(self.r, other.r))
+
 
 def bg3_identity(n):
     return BGamma3Element(n, 0j, 0j, (0j,) * n)
@@ -511,25 +494,19 @@ def bg3_act(e, zw):
     return (complex(z1), complex(w1))
 
 
-def bgamma_act(sub, e, zw):
-    """Dispatch for the four Bgamma families; sub is 1, 2, 3 or 4."""
-    if sub in (1, 2):
-        return bg12_act(e, zw)
-    if sub == 3:
-        return bg3_act(e, zw)
-    if sub == 4:
-        (a, b), (c, d) = e.matrix
-        if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
-            raise ValueError("Bgamma4 elements must fix infinity")
-        z, w = zw
-        out = on_act(e, BundlePoint(e.n, 0, complex(z), complex(w)))
-        out = out.to_chart(0)
-        return (out.z, out.w)
-    raise ValueError(f"unknown Bgamma subfamily {sub}")
+def bg4_act(e, zw):
+    """Action of an O(n) element fixing infinity on the affine chart C^2."""
+    (a, b), (c, d) = e.matrix
+    if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+        raise ValueError("Bgamma4 elements must fix infinity")
+    z, w = zw
+    out = on_act(e, BundlePoint(e.n, 0, complex(z), complex(w)))
+    out = out.to_chart(0)
+    return (out.z, out.w)
 
 
 # ---------------------------------------------------------------------------
-# Bdelta: linear actions on C^2 minus the origin, and their Hopf quotients
+# Bdelta: linear actions on C^2 minus the origin
 
 
 def bdelta_act(g, x):
@@ -540,36 +517,3 @@ def bdelta_act(g, x):
     a, b, c, d = _entries(g)
     return (a * x1 + b * x2, c * x1 + d * x2)
 
-
-class HopfQuotient(Record):
-    """The identification z ~ lam z on C^2 \\ 0, |lam| < 1."""
-
-    __slots__ = ("lam",)
-
-    def __init__(self, lam):
-        setfield(self, "lam", lam)
-        if not 0 < abs(self.lam) < 1:
-            raise ValueError("|lam| must lie in (0, 1)")
-
-    def reduce(self, x):
-        """Representative with |lam| < |x| <= 1 (max-norm)."""
-        np = load_numpy()
-        x = np.asarray(x, dtype=complex)
-        m = float(np.abs(x).max())
-        if m <= 1e-300:
-            raise ValueError("the origin is not a point of the surface")
-        k = -math.floor(math.log(m) / math.log(abs(self.lam)))
-        return tuple(x * self.lam**k)
-
-    def equal(self, x, y, tol=None):
-        np = load_numpy()
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        i = int(np.abs(x).argmax())
-        if abs(y[i]) <= 1e-300:
-            return False
-        s = y[i] / x[i]
-        k = round(math.log(abs(s)) / math.log(abs(self.lam))) if abs(s) > 0 else 0
-        if not close(s, self.lam**k, tol=tol):
-            return False
-        return bool(np.all(np.abs(y - s * x) <= (EPS if tol is None else tol) * max(1.0, float(np.abs(y).max()))))

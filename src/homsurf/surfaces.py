@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .numeric import Record, close, lattice_contains, setfield
+from .numeric import Record, close, lattice_contains, lattice_coords, setfield
 
 
 class TorusPoint(Record):
@@ -22,6 +22,12 @@ class TorusPoint(Record):
         if not isinstance(other, TorusPoint) or not self.same_lattice(other):
             return NotImplemented
         return lattice_contains(self.value - other.value, self.w1, self.w2)
+
+    def distance(self, other):
+        """How far the difference of the representatives is from the lattice, relative to them."""
+        x, y = lattice_coords(self.value - other.value, self.w1, self.w2)
+        dx, dy = x - round(x), y - round(y)
+        return abs(dx * self.w1 + dy * self.w2) / max(1.0, abs(self.value), abs(other.value))
 
     def shifted(self, t):
         return TorusPoint(self.value + t, self.w1, self.w2)

@@ -20,6 +20,7 @@ from .numeric import (
     c2r,
     canonical_sign,
     close,
+    distance,
     lattice_coords,
     lattice_reduce_tau,
     load_numpy,
@@ -44,6 +45,9 @@ class UAffElement(Record):
     def __iter__(self):
         yield self.a
         yield self.b
+
+    def distance(self, other):
+        return max(distance(self.a, other.a), distance(self.b, other.b))
 
 
 IDENTITY = UAffElement(0j, 0j)
@@ -74,10 +78,6 @@ def uaff_power(g, n):
 
 def uaff_is_identity(g, tol=None, scale=0.0):
     return close(g.a, 0, tol=tol, scale=scale) and close(g.b, 0, tol=tol, scale=scale)
-
-
-def uaff_close(g, h, tol=None, scale=0.0):
-    return close(g.a, h.a, tol=tol, scale=scale) and close(g.b, h.b, tol=tol, scale=scale)
 
 
 def uaff_matrix(g):

@@ -17,108 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bbeta, bundles, exppoly, families, projective, uaff
+from . import bbeta, bundles, families, projective, uaff
 from .catalogue import ascii_label
 from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
 from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
-from .numeric import close, lattice_coords
-from .surfaces import TorusPoint
+from .numeric import close, distance
 
 TWO_PI_I = 2j * math.pi
 
 
 # ---------------------------------------------------------------------------
-# distances and the report
-
-
-_SCALAR_TYPES = frozenset((complex, float, int))
-
-
-def _flat_lists(a, b):
-    """Both arrays broadcast to one shape, as flat lists of Python numbers."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    return a.ravel().tolist(), b.ravel().tolist()
-
-
-def _flat_distance(xs, ys):
-    """Largest entrywise difference over the largest entry (at least 1)."""
-    s = max(1.0, max(map(abs, xs)), max(map(abs, ys)))
-    return max(abs(x - y) for x, y in zip(xs, ys)) / s
-
-
-def distance(a, b):
-    """Relative distance between structurally matching values."""
-    ta, tb = type(a), type(b)
-    if ta in _SCALAR_TYPES and tb in _SCALAR_TYPES:
-        return abs(a - b) / max(1.0, abs(a), abs(b))
-    if ta is tuple and tb is tuple:
-        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
-    if isinstance(a, (int, float, complex)) and isinstance(b, (int, float, complex)):
-        return abs(a - b) / max(1.0, abs(a), abs(b))
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return _flat_distance(*_flat_lists(a, b))
-    if isinstance(a, uaff.UAffElement):
-        return max(distance(a.a, b.a), distance(a.b, b.b))
-    if isinstance(a, exppoly.ExpPoly):
-        d = a - b
-        s = max(1.0, a.max_abs(), b.max_abs())
-        return max((p.max_abs() for _, p in d.terms), default=0.0) / s
-    if isinstance(a, bbeta.GDElement):
-        return max(distance(a.t, b.t), distance(a.f, b.f))
-    if isinstance(a, bbeta.RGDElement):
-        return max(distance(a.t, b.t), distance(a.lam, b.lam), distance(a.f, b.f))
-    if isinstance(a, projective.ProjPoint):
-        a1, a2 = a.coords
-        b1, b2 = b.coords
-        return abs(a1 * b2 - a2 * b1) / max(1.0, abs(a1), abs(a2)) / max(1.0, abs(b1), abs(b2))
-    if isinstance(a, projective.Proj2Point):
-        s = max(1.0, *map(abs, a.coords)) * max(1.0, *map(abs, b.coords))
-        return max(map(abs, projective.cross3(a.coords, b.coords))) / s
-    if isinstance(a, projective.QuadricPoint):
-        return max(distance(a.alpha, b.alpha), distance(a.beta, b.beta))
-    if isinstance(a, projective.BundlePoint):
-        if a.chart != b.chart:
-            b = b.to_chart(a.chart)
-        return max(distance(a.z, b.z), distance(a.w, b.w))
-    if isinstance(a, projective.OnGroupElement):
-        return max(projective.on_matrix_distance(a, b), _flat_distance(a.poly, b.poly))
-    if isinstance(a, projective.BGamma12Element):
-        return max(distance(a.lam, b.lam), distance(a.b, b.b), _flat_distance(a.poly, b.poly))
-    if isinstance(a, projective.BGamma3Element):
-        return max(distance(a.lam, b.lam), distance(a.b, b.b), _flat_distance(a.r, b.r))
-    if isinstance(a, TorusPoint):
-        x, y = lattice_coords(a.value - b.value, a.w1, a.w2)
-        dx, dy = x - round(x), y - round(y)
-        return abs(dx * a.w1 + dy * a.w2) / max(1.0, abs(a.value), abs(b.value))
-    if isinstance(a, (tuple, list)):
-        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
-    raise TypeError(f"no distance for {type(a)}")
-
-
-def proj_element_distance(g, h):
-    """Distance between matrices modulo a scalar."""
-    xs, ys = _flat_lists(g, h)
-    i = max(range(len(xs)), key=lambda k: abs(xs[k]))
-    if abs(ys[i]) == 0:
-        return 1.0
-    s = xs[i] / ys[i]
-    return _flat_distance(xs, [s * y for y in ys])
-
-
-_PROJECTIVE_ELEMENTS = {"A1", "C5", "C6", "C7", "C9"}
-
-
-def element_distance(label, g, h):
-    if label in ("A1", "C9"):
-        return proj_element_distance(g, h)
-    if label in ("C5", "C6"):
-        return max(proj_element_distance(g[0], h[0]), distance(g[1], h[1]))
-    if label == "C7":
-        return max(proj_element_distance(g[0], h[0]), proj_element_distance(g[1], h[1]))
-    return distance(g, h)
+# the report
 
 
 @dataclass
@@ -206,6 +115,7 @@ def random_tau(rng):
 
 
 def axioms_suite(label, handler, rng, samples, rec, tol=1e-9):
+    element_distance = families.SPECS[label].distance
     ident = handler.identity()
     for _ in range(samples):
         g = handler.random_element(rng)
@@ -213,23 +123,17 @@ def axioms_suite(label, handler, rng, samples, rec, tol=1e-9):
         k = handler.random_element(rng)
         lhs = handler.multiply(handler.multiply(g, h), k)
         rhs = handler.multiply(g, handler.multiply(h, k))
-        rec.value("associativity", element_distance(label, lhs, rhs), tol)
-        rec.value(
-            "identity", element_distance(label, handler.multiply(g, ident), g), tol
-        )
+        rec.value("associativity", element_distance(lhs, rhs), tol)
+        rec.value("identity", element_distance(handler.multiply(g, ident), g), tol)
         gi = handler.inverse(g)
-        rec.value(
-            "inverse",
-            element_distance(label, handler.multiply(g, gi), ident),
-            tol,
-        )
+        rec.value("inverse", element_distance(handler.multiply(g, gi), ident), tol)
         x = handler.random_point(rng)
         rec.value(
             "action", distance(handler.act(handler.multiply(g, h), x), handler.act(g, handler.act(h, x))), tol
         )
     for _ in range(max(1, samples // 50)):
         g = handler.random_element(rng)
-        if element_distance(label, g, ident) < 1e-6:
+        if element_distance(g, ident) < 1e-6:
             continue
         moved = any(
             distance(handler.act(g, p), p) > 1e-6
@@ -658,14 +562,13 @@ def suite_c9_extra(rng, samples, rec):
         rec.value("quadric-identity", abs(ey * ey - 4 * ex * ez - 1.0), 1e-9)
         c = projective.quadric_double_cover(x)
         cs = projective.quadric_double_cover(x.swapped())
-        rec.boolean("double-cover-swap", projective.proj2_equal(c, cs, tol=1e-9))
+        rec.boolean("double-cover-swap", c.distance(cs) <= 1e-9)
         p1, p2 = projective.quadric_preimages(c)
-        ok = (projective.quadric_equal(p1, x, tol=1e-6) or projective.quadric_equal(p2, x, tol=1e-6))
-        rec.boolean("double-cover-preimages", ok)
+        rec.boolean("double-cover-preimages", min(p1.distance(x), p2.distance(x)) <= 1e-6)
         g = handler.random_element(rng)
         lhs = projective.quadric_double_cover(projective.quadric_act(g, x))
         rhs = projective.conic_complement_act(g, projective.quadric_double_cover(x))
-        rec.boolean("c9-equivariance", projective.proj2_equal(lhs, rhs, tol=1e-8))
+        rec.boolean("c9-equivariance", lhs.distance(rhs) <= 1e-8)
 
 
 def suite_bundle_charts(rng, samples, rec, n):

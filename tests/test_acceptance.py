@@ -13,6 +13,7 @@ import numpy as np
 from homsurf import bbeta, bundles, cli, families, projective, uaff, verify
 from homsurf.divisor import Divisor, quasiperiod_group, weight
 from homsurf.exppoly import apply_operator, basis_of, evaluate, monic_polynomial, random_member
+from homsurf.numeric import EPS, distance
 
 TPI = 2j * math.pi
 SEED = 20240817
@@ -32,6 +33,7 @@ def test_criterion_01_group_axioms():
     worst = 0.0
     for label in families.BASE_FAMILY_LABELS:
         handler = families.build_family(label)
+        element_distance = families.SPECS[label].distance
         rng = verify.rng_for(SEED, label)
         ident = handler.identity()
         for _ in range(1000):
@@ -40,12 +42,9 @@ def test_criterion_01_group_axioms():
             k = handler.random_element(rng)
             lhs = handler.multiply(handler.multiply(g, h), k)
             rhs = handler.multiply(g, handler.multiply(h, k))
-            worst = max(worst, verify.element_distance(label, lhs, rhs))
-            worst = max(worst, verify.element_distance(label, handler.multiply(g, ident), g))
-            worst = max(
-                worst,
-                verify.element_distance(label, handler.multiply(g, handler.inverse(g)), ident),
-            )
+            worst = max(worst, element_distance(lhs, rhs))
+            worst = max(worst, element_distance(handler.multiply(g, ident), g))
+            worst = max(worst, element_distance(handler.multiply(g, handler.inverse(g)), ident))
         assert worst <= 1e-9, (label, worst)
     elapsed = time.monotonic() - t0
     _report(
@@ -281,12 +280,12 @@ def test_criterion_10_c9_geometry():
     for _ in range(100):
         q = handler.random_point(rng)
         img = projective.quadric_double_cover(q)
-        ok = ok and projective.proj2_equal(img, projective.quadric_double_cover(q.swapped()), tol=1e-9)
+        ok = ok and distance(img, projective.quadric_double_cover(q.swapped())) <= 1e-9
         p1, p2 = projective.quadric_preimages(img)
-        ok = ok and not projective.quadric_equal(p1, p2)
-        ok = ok and (projective.quadric_equal(p1, q, tol=1e-7) or projective.quadric_equal(p2, q, tol=1e-7))
-        ok = ok and projective.proj2_equal(projective.quadric_double_cover(p1), img, tol=1e-8)
-        ok = ok and projective.proj2_equal(projective.quadric_double_cover(p2), img, tol=1e-8)
+        ok = ok and distance(p1, p2) > EPS
+        ok = ok and (distance(p1, q) <= 1e-7 or distance(p2, q) <= 1e-7)
+        ok = ok and distance(projective.quadric_double_cover(p1), img) <= 1e-8
+        ok = ok and distance(projective.quadric_double_cover(p2), img) <= 1e-8
     _report(10, "quadric identity and 2:1 double cover", worst <= 1e-9 and ok, f"max err {worst:.2e}")
 
 

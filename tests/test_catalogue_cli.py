@@ -48,12 +48,8 @@ def test_policy_column_consistency():
     from homsurf.families import quotient_policy
 
     by_label = {r.label: r for r in ROWS}
-    for label in ("A1", "C3", "C8", "D3", "Bγ4"):
-        assert by_label[label].quotient_policy == "none"
-        assert quotient_policy(label).kind == "none"
-    for label in ("C2", "C5", "D1", "D2", "Bβ1", "Bβ2", "C9"):
-        assert by_label[label].quotient_policy == "policy"
-        assert quotient_policy(label).kind == "policy"
+    for label in BASE_FAMILY_LABELS:
+        assert by_label[label].quotient_policy == quotient_policy(label).kind, label
 
 
 # ---------------------------------------------------------------------------

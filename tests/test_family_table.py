@@ -1,0 +1,232 @@
+"""The family table through `homsurf act`, on one payload per docs/families.md row.
+
+Each element and point below is written by hand from the schema tables of
+docs/families.md.  The CLI's printed point must be what the family handler
+computes in-process on the decoded payloads, and every point payload, being
+already normalised, must survive a decode-encode round trip unchanged.
+Non-finite numbers, overflowing results and elements that break their
+family's invariants exit 2, and every family has a row in the docs.
+"""
+
+import json
+import math
+import pathlib
+
+import pytest
+
+from homsurf import cli
+from homsurf.families import BASE_FAMILY_LABELS, build_family
+
+
+def _cj(z):
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
+def _cs(*zs):
+    return [_cj(z) for z in zs]
+
+
+def _m(*rows):
+    return [_cs(*row) for row in rows]
+
+
+def _plane(z, w):
+    return {"z": _cj(z), "w": _cj(w)}
+
+
+TWO_PI = 2 * math.pi
+DIVISOR = {"points": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": 0.0, "im": TWO_PI, "mult": 1}]}
+# 0.5 + 0.25i e^{2 pi i z}, a member of the solution space of DIVISOR
+EXPPOLY = {
+    "terms": [
+        {"lambda": _cj(0j), "coeffs": _cs(0.5)},
+        {"lambda": _cj(TWO_PI * 1j), "coeffs": _cs(0.25j)},
+    ]
+}
+
+# label -> (element, point, handler parameters the element carries)
+PAYLOADS = {
+    "A1": ({"matrix": _m((1, 1j, 0), (0, 2, 0), (0.5, 0, 1))}, {"coords": _cs(1, 0.5j, -0.25)}, {}),
+    "A2": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j)), "translation": _cs(0.5j, 1)}, _plane(1, 2 - 1j), {}),
+    "A3": ({"matrix": _m((1, 2j), (0, 1)), "translation": _cs(0.5j, 1)}, _plane(-1j, 0.5), {}),
+    "C2": ({"t": _cj(1 - 1j), "affine": {"alpha": _cj(2j), "beta": _cj(0.5)}}, _plane(0.25, 1j), {}),
+    "C3": (
+        {"first": {"alpha": _cj(2), "beta": _cj(1j)}, "second": {"alpha": _cj(-1j), "beta": _cj(0.25)}},
+        _plane(1 + 1j, -2),
+        {},
+    ),
+    "C5": ({"matrix": _m((1, 1j), (0.5, 2)), "t": _cj(1 + 1j)}, {"zproj": _cs(0.5j, 1), "w": _cj(2)}, {}),
+    "C6": (
+        {"matrix": _m((2, 1), (1j, 1)), "affine": {"alpha": _cj(0.5 - 1j), "beta": _cj(3)}},
+        {"zproj": _cs(1, -0.75), "w": _cj(1j)},
+        {},
+    ),
+    "C7": (
+        {"first": _m((1, 1j), (0.5, 2)), "second": _m((0, 1), (-1, 0.5j))},
+        {"first": _cs(1, -0.5), "second": _cs(0.25j, 1)},
+        {},
+    ),
+    "C8": ({"t": _cj(0.3 - 0.2j), "v": _cs(1, 1j), "alpha": _cj(3 - 1j)}, _plane(0.5, -0.5j), {"alpha": 3 - 1j}),
+    "C9": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j))}, {"alpha": _cs(0.5j, 1), "beta": _cs(1, 0.5)}, {}),
+    "D1": ({"v": _cs(1j, -2)}, _plane(1, 2 - 1j), {}),
+    "D2": ({"a": _cj(0.3 + 0.2j), "b": _cj(1)}, {"a": _cj(0.1j), "b": _cj(1j)}, {}),
+    "D3": ({"m": _cj(2j), "v": _cs(1, -1)}, _plane(1, 2), {}),
+    "Bβ1": ({"divisor": DIVISOR, "t": _cj(0.3), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1), {}),
+    "Bβ2": ({"divisor": DIVISOR, "t": _cj(0.3), "lambda": _cj(2), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1), {}),
+    "Bγ1": (
+        {"n": 2, "c": _cj(1.5), "lam": _cj(0.3), "b": _cj(0.5j), "poly": _cs(0.1, 0.2j, -0.3)},
+        _plane(1, 1j),
+        {},
+    ),
+    "Bγ2": ({"n": 2, "lam": _cj(0.3j), "b": _cj(-0.5), "poly": _cs(0.1, 0.2j, -0.3)}, _plane(1, 1j), {}),
+    "Bγ3": ({"n": 2, "lam": _cj(0.3), "b": _cj(0.5j), "r": _cs(0.1, 0.2j)}, _plane(-1, 0.5), {}),
+    "Bγ4": (
+        {"n": 2, "matrix": _m((1.5, 0.5), (0, 0.8j)), "poly": _cs(0.1, 0.2j, -0.3)},
+        _plane(0.5j, 1),
+        {},
+    ),
+    "Bδ1": ({"matrix": _m((1, 2j), (0, 1))}, {"x": _cs(1, -1)}, {}),
+    "Bδ2": ({"matrix": _m((2, 1), (1, 2))}, {"x": _cs(1, -1)}, {}),
+    "Bδ3": (
+        {"n": 2, "matrix": _m((2, 1), (1, 1)), "poly": _cs(0.1, 0.2j, -0.3)},
+        {"n": 2, "chart": 0, "z": _cj(0.5), "w": _cj(1j)},
+        {},
+    ),
+    "Bδ4": (
+        {"n": 3, "matrix": _m((1, 1j), (0.5, 2)), "poly": _cs(0.1, 0.2j, -0.3, 1)},
+        {"n": 3, "chart": 1, "z": _cj(0.25j), "w": _cj(-1)},
+        {},
+    ),
+}
+
+
+def _act(tmp_path, label, element, point):
+    e = tmp_path / "element.json"
+    p = tmp_path / "point.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(point))
+    return cli.main(["act", "--family", label, "--element", str(e), "--point", str(p)])
+
+
+def test_every_family_has_a_payload():
+    assert sorted(PAYLOADS) == sorted(BASE_FAMILY_LABELS)
+
+
+@pytest.mark.parametrize("label", sorted(PAYLOADS))
+def test_act_prints_the_handlers_point(tmp_path, capsys, label):
+    element, point, params = PAYLOADS[label]
+    assert _act(tmp_path, label, element, point) == 0
+    g = cli.element_from_json(label, element)
+    x = cli.point_from_json(label, point)
+    want = cli.point_to_json(label, build_family(label, **params).act(g, x))
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("label", sorted(PAYLOADS))
+def test_point_round_trip(label):
+    _, point, _ = PAYLOADS[label]
+    assert cli.point_to_json(label, cli.point_from_json(label, point)) == point
+
+
+# ---------------------------------------------------------------------------
+# the JSON boundary refuses what is not a finite complex number
+
+NAN = {"re": float("nan"), "im": 0.0}
+INF = {"re": float("inf"), "im": 0.0}
+
+
+def _edit(label, element=None, point=None):
+    """The payloads of `label` with some fields replaced."""
+    e, p, _ = PAYLOADS[label]
+    return label, {**e, **(element or {})}, {**p, **(point or {})}
+
+
+NON_FINITE = {
+    "D1-v-nan": _edit("D1", {"v": [NAN, _cj(1)]}),
+    "D1-v-plain-nan": _edit("D1", {"v": [float("nan"), 1]}),
+    "A2-translation-inf": _edit("A2", {"translation": [_cj(1), INF]}),
+    "C8-t-nan": _edit("C8", {"t": NAN}),
+    "C8-alpha-inf": _edit("C8", {"alpha": INF}),
+    "C2-alpha-inf": _edit("C2", {"affine": {"alpha": INF, "beta": _cj(1)}}),
+    "D3-v-nan": _edit("D3", {"v": [_cj(1), NAN]}),
+    "Bδ4-poly-inf": _edit("Bδ4", {"poly": _cs(0.1, 0.2j, -0.3) + [INF]}),
+    "Bβ1-f-nan": _edit("Bβ1", {"f": {"terms": [{"lambda": _cj(0), "coeffs": [NAN]}]}}),
+    "D1-point-nan": _edit("D1", point={"z": NAN}),
+    "C5-t-beyond-float": _edit("C5", {"t": {"re": 10**400, "im": 0}}),
+    "Bγ3-n-inf": _edit("Bγ3", {"n": float("inf")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_2(tmp_path, capsys, name):
+    assert _act(tmp_path, *NON_FINITE[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+# finite inputs whose image overflows: an error, never a printed NaN or Infinity
+OVERFLOWING = {
+    "C8-exp-overflows": _edit("C8", {"t": _cj(1000)}),
+    "A2-product-overflows": _edit("A2", {"matrix": _m((1e300, 0), (0, 1))}, {"z": _cj(1e300)}),
+    "D3-product-overflows": _edit("D3", {"m": _cj(1e300)}, {"z": _cj(1e300)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_results_exit_2(tmp_path, capsys, name):
+    assert _act(tmp_path, *OVERFLOWING[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# each family's invariant check, at the boundary
+
+SINGULAR = _m((1, 1), (1, 1))
+
+BROKEN_INVARIANTS = {
+    "A1-singular": _edit("A1", {"matrix": _m((1, 0, 0), (0, 1, 0), (1, 1, 0))}),
+    "Bδ1-det-2": _edit("Bδ1", {"matrix": _m((2, 0), (0, 1))}),
+    "Bδ1-singular": _edit("Bδ1", {"matrix": SINGULAR}),
+    "Bδ2-singular": _edit("Bδ2", {"matrix": SINGULAR}),
+    "Bδ3-det-2": _edit("Bδ3", {"matrix": _m((2, 0), (0, 1))}),
+    "C2-alpha-0": _edit("C2", {"affine": {"alpha": _cj(0), "beta": _cj(1)}}),
+    "C3-alpha-0": _edit("C3", {"second": {"alpha": _cj(0), "beta": _cj(1)}}),
+    "C6-alpha-0": _edit("C6", {"affine": {"alpha": _cj(0), "beta": _cj(1)}}),
+    "Bγ1-c-0": _edit("Bγ1", {"c": _cj(0)}),
+    "Bγ1-n-0": _edit("Bγ1", {"n": 0, "poly": _cs(1)}),
+    "Bγ3-n-0": _edit("Bγ3", {"n": 0, "r": []}),
+    "Bγ3-n-2.5": _edit("Bγ3", {"n": 2.5}),
+    "Bγ3-n-a-string": _edit("Bγ3", {"n": "2"}),
+    "Bδ4-n-negative": _edit("Bδ4", {"n": -1, "poly": []}, {"n": -1}),
+    "Bδ3-chart-2": _edit("Bδ3", point={"chart": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_INVARIANTS))
+def test_broken_invariants_exit_2(tmp_path, capsys, name):
+    assert _act(tmp_path, *BROKEN_INVARIANTS[name]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
+def test_bdelta3_takes_its_matrix_modulo_the_roots_of_unity(tmp_path, capsys):
+    # det = e^{2 pi i / 3}: an SL(2) matrix times a cube root of unity, which acts trivially on O(3)
+    zeta = complex(-0.5, math.sqrt(3) / 2)
+    element = {"n": 3, "matrix": _m((zeta, 0), (0, 1)), "poly": _cs(0, 0, 0, 0)}
+    assert _act(tmp_path, "Bδ3", element, {"n": 3, "chart": 0, "z": _cj(0.5), "w": _cj(1)}) == 0
+
+
+# ---------------------------------------------------------------------------
+# the family table and docs/families.md
+
+
+def test_every_family_has_a_row_in_the_element_schema_table():
+    docs = (pathlib.Path(__file__).parents[1] / "docs" / "families.md").read_text()
+    section = docs.split("## Group element schemas")[1].split("\n## ")[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| ") and not line.startswith("| family"):
+            documented.update(label.strip() for label in line.split("|")[1].split(","))
+    assert set(BASE_FAMILY_LABELS) <= documented  # the keys of the family table

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from homsurf.numeric import close
+from homsurf.numeric import EPS, close, distance
 from homsurf.projective import (
     BGamma3Element,
     BGamma12Element,
     BundlePoint,
-    HopfQuotient,
     OnGroupElement,
     Proj2Point,
     ProjPoint,
@@ -21,21 +20,16 @@ from homsurf.projective import (
     bg12_multiply,
     binary_form_eval,
     binary_form_substitute,
-    bundle_equal,
-    bgamma_act,
+    bg4_act,
     conic_complement_act,
     mobius_act,
     on_act,
-    on_equal,
     on_identity,
     on_inverse,
     on_multiply,
-    proj2_equal,
-    proj_equal,
     quadric_act,
     quadric_double_cover,
     quadric_embed,
-    quadric_equal,
     quadric_preimages,
     sym_power_rep,
 )
@@ -57,16 +51,16 @@ def rand_distinct_pair(rng):
     while True:
         a = ProjPoint(complex(rng.normal(), rng.normal()))
         b = ProjPoint(complex(rng.normal(), rng.normal()))
-        if not proj_equal(a, b):
+        if distance(a, b) > EPS:
             return QuadricPoint(a, b)
 
 
 def test_mobius_examples():
     p = ProjPoint(0.0)
-    assert proj_equal(mobius_act(np.eye(2), p), p)
-    assert proj_equal(mobius_act(np.array([[1, 1], [0, 1]]), ProjPoint(0.0)), ProjPoint(1.0))
+    assert distance(mobius_act(np.eye(2), p), p) <= EPS
+    assert distance(mobius_act(np.array([[1, 1], [0, 1]]), ProjPoint(0.0)), ProjPoint(1.0)) <= EPS
     got = mobius_act(np.array([[0, -1], [1, 0]]), ProjPoint(2.0))
-    assert proj_equal(got, ProjPoint(-0.5))
+    assert distance(got, ProjPoint(-0.5)) <= EPS
     with pytest.raises(ValueError, match="singular"):
         mobius_act(np.array([[1.0, 1.0], [1.0, 1.0]]), p)
 
@@ -107,10 +101,10 @@ def test_quadric_identity_including_infinity(rng):
 
 def test_double_cover_examples(rng):
     got = quadric_double_cover(QuadricPoint(ProjPoint(1.0), ProjPoint(-1.0)))
-    assert proj2_equal(got, Proj2Point((1.0, 0.0, -1.0)))
+    assert distance(got, Proj2Point((1.0, 0.0, -1.0))) <= EPS
     for _ in range(50):
         q = rand_distinct_pair(rng)
-        assert proj2_equal(quadric_double_cover(q), quadric_double_cover(q.swapped()))
+        assert distance(quadric_double_cover(q), quadric_double_cover(q.swapped())) <= EPS
         a, b, c = quadric_double_cover(q).coords
         assert abs(b * b - 4 * a * c) > 1e-9
 
@@ -120,10 +114,10 @@ def test_double_cover_two_to_one(rng):
         q = rand_distinct_pair(rng)
         img = quadric_double_cover(q)
         p1, p2 = quadric_preimages(img)
-        assert not quadric_equal(p1, p2)
-        assert quadric_equal(p1, q, tol=1e-7) or quadric_equal(p2, q, tol=1e-7)
-        assert proj2_equal(quadric_double_cover(p1), img, tol=1e-8)
-        assert proj2_equal(quadric_double_cover(p2), img, tol=1e-8)
+        assert distance(p1, p2) > EPS
+        assert distance(p1, q) <= 1e-7 or distance(p2, q) <= 1e-7
+        assert distance(quadric_double_cover(p1), img) <= 1e-8
+        assert distance(quadric_double_cover(p2), img) <= 1e-8
 
 
 def test_c9_equivariance_via_root_oracle(rng):
@@ -132,7 +126,7 @@ def test_c9_equivariance_via_root_oracle(rng):
         q = rand_distinct_pair(rng)
         lhs = quadric_double_cover(quadric_act(g, q))
         rhs = conic_complement_act(g, quadric_double_cover(q))
-        assert proj2_equal(lhs, rhs, tol=1e-8)
+        assert distance(lhs, rhs) <= 1e-8
 
 
 def test_on_act_examples():
@@ -149,7 +143,7 @@ def test_chart_transition_example():
     p = BundlePoint(2, 0, 2.0, 8.0)
     q = p.to_chart(1)
     assert close(q.z, 0.5) and close(q.w, 2.0)
-    assert bundle_equal(p, q)
+    assert distance(p, q) <= EPS
 
 
 def test_on_group_axioms_across_charts(rng):
@@ -160,8 +154,8 @@ def test_on_group_axioms_across_charts(rng):
         x = BundlePoint(n, int(rng.integers(2)), complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
         lhs = on_act(on_multiply(e0, e1), x)
         rhs = on_act(e0, on_act(e1, x))
-        assert bundle_equal(lhs, rhs, tol=1e-8)
-        assert on_equal(on_multiply(e0, on_inverse(e0)), on_identity(n), tol=1e-8)
+        assert distance(lhs, rhs) <= 1e-8
+        assert distance(on_multiply(e0, on_inverse(e0)), on_identity(n)) <= 1e-8
 
 
 def test_on_zn_quotient_identification():
@@ -169,7 +163,7 @@ def test_on_zn_quotient_identification():
     zeta = cmath.exp(2j * math.pi / n)
     g = np.array([[1.3 + 0.2j, 0.4], [0.1j, 0.9]])
     p = (0.5, 0.0, 0.0, 0.0, 1.0j)
-    assert on_equal(OnGroupElement(n, g, p), OnGroupElement(n, zeta * g, p))
+    assert distance(OnGroupElement(n, g, p), OnGroupElement(n, zeta * g, p)) <= EPS
 
 
 def test_bgamma12_action_examples():
@@ -218,7 +212,7 @@ def test_bgamma3_identity_case():
 def test_bgamma4_requires_upper_triangular():
     e = OnGroupElement(2, np.array([[1.0, 0.0], [1.0, 1.0]]), (0j, 0j, 0j))
     with pytest.raises(ValueError, match="infinity"):
-        bgamma_act(4, e, (0.3, 0.4))
+        bg4_act(e, (0.3, 0.4))
 
 
 def test_bdelta_examples():
@@ -227,16 +221,6 @@ def test_bdelta_examples():
     assert np.allclose(got, (2.0, 0.5))
     with pytest.raises(ValueError, match="origin"):
         bdelta_act(np.eye(2), (0.0, 0.0))
-
-
-def test_hopf_quotient_identification():
-    h = HopfQuotient(0.5)
-    assert h.equal((1.0, 1.0), (0.5, 0.5))
-    assert h.equal((1.0, 0.3j), (0.25, 0.075j))
-    assert not h.equal((1.0, 1.0), (0.5, 0.6))
-    r = h.reduce((8.0, 4.0))
-    m = max(abs(r[0]), abs(r[1]))
-    assert 0.5 < m <= 1.0
 
 
 def test_binary_form_substitution_consistency(rng):

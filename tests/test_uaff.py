@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from homsurf.numeric import NonDiscreteError, close
+from homsurf.numeric import EPS, NonDiscreteError, close, distance
 from homsurf.uaff import (
     CANONICAL_ROW,
     D2Label,
@@ -19,7 +19,6 @@ from homsurf.uaff import (
     commutator,
     normal_form_generators,
     product_cover,
-    uaff_close,
     uaff_inverse,
     uaff_is_identity,
     uaff_matrix,
@@ -32,16 +31,16 @@ OMEGA = cmath.exp(1j * math.pi / 3)
 
 def test_multiply_identity():
     g = UAffElement(0.3 + 0.1j, -0.7j)
-    assert uaff_close(uaff_multiply(IDENTITY, g), g)
-    assert uaff_close(uaff_multiply(g, IDENTITY), g)
+    assert distance(uaff_multiply(IDENTITY, g), g) <= EPS
+    assert distance(uaff_multiply(g, IDENTITY), g) <= EPS
 
 
 def test_multiply_matrix_oracle_values():
     # both frozen values computed from the 3x3 matrix representation
     got = uaff_multiply(UAffElement(1j * math.pi, 0), UAffElement(0, 1))
-    assert uaff_close(got, UAffElement(1j * math.pi, -1.0))
+    assert distance(got, UAffElement(1j * math.pi, -1.0)) <= EPS
     got2 = uaff_multiply(UAffElement(math.log(2), 1), UAffElement(0, 3))
-    assert uaff_close(got2, UAffElement(math.log(2), 7.0))
+    assert distance(got2, UAffElement(math.log(2), 7.0)) <= EPS
     m = uaff_matrix(UAffElement(1j * math.pi, 0)) @ uaff_matrix(UAffElement(0, 1))
     assert abs(m[0, 2] - (-1.0)) < 1e-12 and abs(m[1, 2] - 1j * math.pi) < 1e-12
 
@@ -65,10 +64,10 @@ def test_matrix_homomorphism_random(rng):
 
 def test_automorphism_examples():
     g = UAffElement(1j * math.pi, 0)
-    assert uaff_close(aut_apply(UAffAutomorphism(0, 1), g), g)
-    assert uaff_close(aut_apply(UAffAutomorphism(1, 1), g), UAffElement(1j * math.pi, 2.0))
+    assert distance(aut_apply(UAffAutomorphism(0, 1), g), g) <= EPS
+    assert distance(aut_apply(UAffAutomorphism(1, 1), g), UAffElement(1j * math.pi, 2.0)) <= EPS
     beta = 2.0 - 1.0j
-    assert uaff_close(aut_apply(UAffAutomorphism(0, beta), UAffElement(0, 3)), UAffElement(0, 3 * beta))
+    assert distance(aut_apply(UAffAutomorphism(0, beta), UAffElement(0, 3)), UAffElement(0, 3 * beta)) <= EPS
 
 
 def test_automorphism_homomorphism(rng):
@@ -80,24 +79,24 @@ def test_automorphism_homomorphism(rng):
         h = UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
         lhs = aut_apply(phi, uaff_multiply(g, h))
         rhs = uaff_multiply(aut_apply(phi, g), aut_apply(phi, h))
-        assert uaff_close(lhs, rhs, tol=1e-10)
+        assert distance(lhs, rhs) <= 1e-10
 
 
 def test_automorphism_composition(rng):
     p1 = UAffAutomorphism(0.3 - 1j, 1.5)
     p2 = UAffAutomorphism(-0.2j, 0.5 + 0.5j)
     g = UAffElement(0.7, -0.3j)
-    assert uaff_close(aut_apply(aut_compose(p2, p1), g), aut_apply(p2, aut_apply(p1, g)))
+    assert distance(aut_apply(aut_compose(p2, p1), g), aut_apply(p2, aut_apply(p1, g))) <= EPS
 
 
 def test_commutator_examples(rng):
     got = commutator(UAffElement(1j * math.pi, 0), UAffElement(0, 1))
-    assert uaff_close(got, UAffElement(0, -2.0))
+    assert distance(got, UAffElement(0, -2.0)) <= EPS
     g = UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
     assert uaff_is_identity(commutator(g, g))
     tau = 0.3 + 1.2j
     got2 = commutator(g, UAffElement(0, tau))
-    assert uaff_close(got2, UAffElement(0, (cmath.exp(g.a) - 1) * tau), tol=1e-10)
+    assert distance(got2, UAffElement(0, (cmath.exp(g.a) - 1) * tau)) <= 1e-10
 
 
 def test_classify_table_rows():
@@ -190,28 +189,26 @@ def test_center_intersection_table():
     assert uaff_is_identity(center_intersection(D2Label("D2_1")))
     assert uaff_is_identity(center_intersection(D2Label("D2_3", k=2)))
     got = center_intersection(D2Label("D2_4", k=1, b=0.5 + 0j))
-    assert uaff_close(got, UAffElement(4j * math.pi, 0))
+    assert distance(got, UAffElement(4j * math.pi, 0)) <= EPS
     assert uaff_is_identity(center_intersection(D2Label("D2_4", k=1, b=math.sqrt(2))))
     got = center_intersection(D2Label("D2_7", k=0))
-    assert uaff_close(got, UAffElement(TPI, 0))
+    assert distance(got, UAffElement(TPI, 0)) <= EPS
     got = center_intersection(D2Label("D2_6", a=TPI * 2 / 3))
-    assert uaff_close(got, UAffElement(TPI * 2, 0))
+    assert distance(got, UAffElement(TPI * 2, 0)) <= EPS
     assert uaff_is_identity(center_intersection(D2Label("D2_6", a=TPI * math.sqrt(2))))
     # sixth-root rows: q * a lands in the center after q steps
     got = center_intersection(D2Label("D2_10", k=1))
-    assert uaff_close(got, UAffElement(TPI * 7, 0))
+    assert distance(got, UAffElement(TPI * 7, 0)) <= EPS
     got = center_intersection(D2Label("D2_11", k=1))
-    assert uaff_close(got, UAffElement(TPI * 4, 0))
+    assert distance(got, UAffElement(TPI * 4, 0)) <= EPS
     got = center_intersection(D2Label("D2_9", k=1))
-    assert uaff_close(got, UAffElement(TPI * 3, 0))
+    assert distance(got, UAffElement(TPI * 3, 0)) <= EPS
 
 
 def test_center_intersection_d2_14():
     label = D2Label("D2_14", a1=3j * math.pi, a2=1.7 + 0j)
     got = center_intersection(label)
-    assert uaff_close(got, UAffElement(6j * math.pi, 0)) or uaff_close(
-        got, UAffElement(-6j * math.pi, 0)
-    )
+    assert min(distance(got, UAffElement(6j * math.pi, 0)), distance(got, UAffElement(-6j * math.pi, 0))) <= EPS
     label2 = D2Label("D2_14", a1=1.0 + 0j, a2=0.3 + 1.2j)
     assert uaff_is_identity(center_intersection(label2))
 
@@ -220,7 +217,7 @@ def test_center_intersection_d2_5_rational_combination():
     tau = 0.25 + 1.25j
     label = D2Label("D2_5", k=1, b=(1 + 2 * tau) / 3, tau=tau)
     got = center_intersection(label)
-    assert uaff_close(got, UAffElement(TPI * 3, 0))
+    assert distance(got, UAffElement(TPI * 3, 0)) <= EPS
     label2 = D2Label("D2_5", k=1, b=math.sqrt(2) + math.sqrt(3) * tau, tau=tau)
     assert uaff_is_identity(center_intersection(label2))
 
