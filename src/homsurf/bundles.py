@@ -19,12 +19,14 @@ import cmath
 import math
 from functools import cached_property
 
-from .numeric import Record, close, lattice_contains, load_numpy, rational_reconstruct, setfield
+from .numeric import DECK_TOL, UNIT_TOL, Record, close, lattice_contains, load_numpy, rational_reconstruct, setfield
 
 LAURENT_DEGREE_CAP = 8
+TWO_PI_I = 2j * math.pi
+PI_I = 1j * math.pi
 
 
-def _is_unit_of(b, w1, w2, tol=1e-8):
+def _is_unit_of(b, w1, w2, tol=UNIT_TOL):
     if abs(b) == 0:
         return False
     return all(
@@ -103,10 +105,6 @@ def deck_generators(data):
     ]
 
 
-def _laurent_eval(coeffs, u):
-    return sum(c * u**k for k, c in coeffs.items())
-
-
 class SCBiholomorphism(Record):
     """A member of the biholomorphism family for the matching value of c.
 
@@ -138,30 +136,38 @@ class SCBiholomorphism(Record):
                 raise ValueError("Laurent degree exceeds the cap")
 
     @cached_property
-    def fdict(self):
-        """The Laurent coefficients as a dict exponent -> coefficient."""
-        return {int(k): complex(v) for k, v in self.f}
+    def row(self):
+        """The family row for this map's case, as a function (z, w) -> (z', w').
+
+        The factors that do not depend on the point (the case, sign, z0, b, the
+        Laurent items, lam0 / 2 or lam0 / (1 - c), 2 pi i p) are taken once; they
+        lead the row's expressions, so taking them once changes no operation.
+        """
+        case, sign, z0, b = self.data.case, self.sign, self.z0, self.b
+        items = tuple({int(k): complex(v) for k, v in self.f}.items())  # exponent -> coefficient
+
+        def laurent(z):
+            u = cmath.exp(TWO_PI_I * z)
+            return sum([c * u**k for k, c in items])
+
+        if case == "one":
+            return lambda z, w: (sign * z + z0, b * w + laurent(z))
+        if case == "minus-one":
+            half = self.lam0 / 2
+            return lambda z, w: (sign * z + z0, b * w + half + cmath.exp(PI_I * z) * laurent(z))
+        p, q = self.data.root_fraction()
+        shear, twist = self.lam0 / (1 - self.data.c), TWO_PI_I * p
+        return lambda z, w: (sign * z + z0, b * w + (shear + cmath.exp(twist * z / q) * laurent(z)))
 
 
 def biholo_apply(phi, z, w):
     """Evaluate the family row for phi's case at a point of C^2."""
-    data = phi.data
-    case = data.case
-    znew = phi.sign * z + phi.z0
-    u = cmath.exp(2j * math.pi * z)
-    fval = _laurent_eval(phi.fdict, u)
-    if case == "one":
-        return (znew, phi.b * w + fval)
-    if case == "minus-one":
-        return (znew, phi.b * w + phi.lam0 / 2 + cmath.exp(1j * math.pi * z) * fval)
-    p, q = data.root_fraction()
-    shear = phi.lam0 / (1 - data.c) + cmath.exp(2j * math.pi * p * z / q) * fval
-    return (znew, phi.b * w + shear)
+    return phi.row(z, w)
 
 
 def biholo_inverse_apply(phi, z, w):
     z1 = phi.sign * (z - phi.z0)
-    _, w_of_z1 = biholo_apply(phi, z1, 0j)
+    _, w_of_z1 = phi.row(z1, 0j)
     return (z1, (w - w_of_z1) / phi.b)
 
 
@@ -185,10 +191,7 @@ class PlaneMap(Record):
 
 
 def as_map(phi):
-    return PlaneMap(
-        lambda z, w: biholo_apply(phi, z, w),
-        lambda z, w: biholo_inverse_apply(phi, z, w),
-    )
+    return PlaneMap(phi.row, lambda z, w: biholo_inverse_apply(phi, z, w))
 
 
 def _sample_points(rng, count):
@@ -200,36 +203,33 @@ def _sample_points(rng, count):
         )
 
 
-def map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
+def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
     """Whether conjugation by the map sends every deck generator into the deck group.
 
     The conjugate is sampled; it must have the deck form (z + k, c^k w + lam)
-    with k a constant integer and lam a constant lattice element.
+    with k a constant integer and lam a constant lattice element (to the
+    lattice_contains tolerance).
     """
     pts = list(_sample_points(rng, samples))
+    forward, backward = fmap.forward, fmap.backward
     for g in deck_generators(data):
-        ks = []
-        lams = []
-        for z, w in pts:
-            z2, w2 = fmap.backward(z, w)
-            z3, w3 = g(z2, w2)
-            z4, w4 = fmap.forward(z3, w3)
-            ks.append(z4 - z)
-            lams.append((z4 - z, w4, w))
+        images = [forward(*g(*backward(z, w))) for z, w in pts]
+        ks = [z4 - z for (z4, _), (z, _) in zip(images, pts)]
         k0 = ks[0]
         kint = round(k0.real)
         if abs(k0 - kint) > tol * max(1.0, abs(k0)):
             return False
-        scale = max([abs(w) for _, w, _ in lams] + [1.0])
-        lam_vals = []
-        for dk, w4, w in lams:
-            if abs(dk - k0) > tol * max(1.0, abs(k0), scale):
-                return False
-            lam_vals.append(w4 - data.c**kint * w)
-        lam0 = lam_vals[0]
-        if any(abs(v - lam0) > tol * max(1.0, scale) for v in lam_vals):
+        ck = data.c**kint
+        scale = max([abs(w4) for _, w4 in images] + [1.0])
+        bound = tol * max(1.0, abs(k0), scale)
+        if any(abs(dk - k0) > bound for dk in ks):
             return False
-        if not lattice_contains(lam0, data.w1, data.w2, tol=1e-6):
+        lam_vals = [w4 - ck * w for (_, w4), (_, w) in zip(images, pts)]
+        lam0 = lam_vals[0]
+        bound = tol * max(1.0, scale)
+        if any(abs(v - lam0) > bound for v in lam_vals):
+            return False
+        if not lattice_contains(lam0, data.w1, data.w2):
             return False
     return True
 

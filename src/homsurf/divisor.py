@@ -22,7 +22,7 @@ DEGREE_CAP = 32
 class Divisor(Record):
     """Effective divisor: sorted distinct points with multiplicities >= 1."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "__dict__")  # the dict holds the degree and the quasiperiod groups
 
     def __init__(self, points):
         pts = [(complex(p), int(m)) for p, m in points]
@@ -39,15 +39,13 @@ class Divisor(Record):
         if deg > DEGREE_CAP:
             raise ValueError(f"divisor degree {deg} exceeds cap {DEGREE_CAP}")
         setfield(self, "points", tuple((p, m) for p, m in merged))
+        setfield(self, "degree", deg)
+        setfield(self, "_quasiperiod_groups", {})  # by max_denominator
 
     @classmethod
     def from_points(cls, *pts):
         """Divisor from points, repeats accumulating multiplicity."""
         return cls([(p, 1) for p in pts])
-
-    @property
-    def degree(self):
-        return sum(m for _, m in self.points)
 
     def degree_at(self, z):
         for p, m in self.points:
@@ -114,8 +112,16 @@ def quasiperiod_group(D, max_denominator=None):
     Degree one gives all of C; any multiplicity >= 2 kills every nonzero
     quasiperiod; otherwise the differences from the base point must generate
     a cyclic group delta*Z (checked by rational reconstruction of their
-    ratios, then re-verified), and the group is (2*pi*i/delta) * Z.
+    ratios, then re-verified), and the group is (2*pi*i/delta) * Z.  It is
+    computed once per divisor and bound.
     """
+    groups = D._quasiperiod_groups
+    if max_denominator not in groups:
+        groups[max_denominator] = _quasiperiod_group(D, max_denominator)
+    return groups[max_denominator]
+
+
+def _quasiperiod_group(D, max_denominator):
     if D.degree == 0:
         raise ValueError("degenerate divisor")
     if D.degree == 1:

@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
-from .numeric import COEFF_CHOP, Record, close, json_complex, setfield
+from .numeric import COEFF_CHOP, MONIC_TOL, Record, close, json_complex, setfield
 
 
-def _trim(coeffs):
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) <= COEFF_CHOP:
-        cs.pop()
-    return tuple(cs)
+def _trim(cs):  # a list of complex numbers as a tuple, trailing entries at or below COEFF_CHOP dropped
+    n = len(cs)
+    while n and abs(cs[n - 1]) <= COEFF_CHOP:
+        n -= 1
+    return tuple(cs[:n])
 
 
 class Polynomial(Record):
@@ -36,7 +37,13 @@ class Polynomial(Record):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        setfield(self, "coeffs", _trim(coeffs))
+        setfield(self, "coeffs", _trim([complex(c) for c in coeffs]))
+
+    @classmethod
+    def _of(cls, cs):  # a list of complex numbers: trimmed, not converted
+        out = object.__new__(cls)
+        setfield(out, "coeffs", _trim(cs))
+        return out
 
     @classmethod
     def zero(cls):
@@ -59,12 +66,11 @@ class Polynomial(Record):
         return not self.coeffs
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Polynomial([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial._of([x + y for x, y in pairs])
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return Polynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -76,28 +82,29 @@ class Polynomial(Record):
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return Polynomial(out)
+        return Polynomial._of(out)
 
     def scale(self, c):
-        return Polynomial([c * a for a in self.coeffs])
+        return Polynomial._of([c * a for a in self.coeffs])
 
     def derivative(self, order=1):
         cs = list(self.coeffs)
         for _ in range(order):
             cs = [k * cs[k] for k in range(1, len(cs))]
-        return Polynomial(cs)
+        return Polynomial._of(cs)
 
     def shifted(self, t):
         """The polynomial z -> p(z - t), expanded exactly by binomials."""
         t = complex(t)
         n = len(self.coeffs)
+        powers = [(-t) ** e for e in range(n)]
         out = [0j] * n
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             for j in range(k + 1):
-                out[j] += c * math.comb(k, j) * (-t) ** (k - j)
-        return Polynomial(out)
+                out[j] += c * math.comb(k, j) * powers[k - j]
+        return Polynomial._of(out)
 
     def __call__(self, z):
         acc = 0j
@@ -170,7 +177,7 @@ class ExpPoly(Record):
     def _same_frequencies(cls, terms):
         """Terms whose frequencies come from a canonical form, in its order:
         only the zero polynomials are dropped, with no re-sort or re-merge."""
-        return cls._canonical(tuple((lam, p) for lam, p in terms if not p.is_zero))
+        return cls._canonical(tuple([(lam, p) for lam, p in terms if p.coeffs]))
 
     @classmethod
     def exponential(cls, lam, poly=None):
@@ -185,7 +192,21 @@ class ExpPoly(Record):
         return not self.terms
 
     def __add__(self, other):
-        return ExpPoly._canonical(_merge_sorted(self.terms, other.terms))
+        """The canonical sum, termwise where `_merge_sorted` merges term i of each side and nothing else:
+        the frequencies agree, are finite (`close` to themselves) and no neighbours are `close`."""
+        a, b = self.terms, other.terms
+        if len(a) == len(b):
+            out = []
+            prev = None
+            for (lam, p), (mu, q) in zip(a, b):
+                if lam != mu or not abs(lam) < math.inf or (prev is not None and close(prev, lam)):
+                    break
+                prev, s = lam, p + q
+                if s.coeffs:
+                    out.append((lam, s))
+            else:
+                return ExpPoly._canonical(tuple(out))
+        return ExpPoly._canonical(_merge_sorted(a, b))
 
     def __neg__(self):
         return ExpPoly._same_frequencies([(lam, -p) for lam, p in self.terms])
@@ -268,23 +289,15 @@ class DiffOperator(Record):
     __slots__ = ("coeffs", "roots")
 
     def __init__(self, coeffs, roots=None):
-        cs = _trim(coeffs)
+        cs = _trim([complex(c) for c in coeffs])
         if not cs:
             raise ValueError("operator must be nonzero")
         lead = cs[-1]
-        if abs(lead - 1.0) > 1e-9:
+        if abs(lead - 1.0) > MONIC_TOL:
             raise ValueError("operator must be monic")
         cs = cs[:-1] + (1.0 + 0j,)
         setfield(self, "coeffs", cs)
         setfield(self, "roots", None if roots is None else tuple(roots))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    @property
-    def monic(self):
-        return Polynomial(self.coeffs)
 
 
 @functools.lru_cache(maxsize=256)
@@ -362,16 +375,37 @@ def basis_of(D):
 
 
 def contains(D, f):
-    """Membership of f in the solution space of D's annihilator."""
+    """Membership of f in the solution space of D's annihilator, as apply_operator decides it: a term
+    close to a root of multiplicity above its degree is annihilated exactly (no earlier factor raises
+    the degree), so only the other terms run through it."""
     if D.degree == 0:
         raise ValueError("degenerate divisor")
-    return apply_operator(monic_polynomial(D), f).is_zero
+    rest = []
+    for lam, p in f.terms:
+        for mu, m in D.points:
+            if m >= len(p.coeffs) and close(lam, mu):
+                break
+        else:
+            rest.append((lam, p))
+    return not rest or apply_operator(monic_polynomial(D), ExpPoly._canonical(tuple(rest))).is_zero
 
 
 def random_member(D, rng, scale=1.0):
-    """Random element of the solution space, coefficients ~ scale."""
-    f = ExpPoly.zero()
-    for b in basis_of(D):
-        c = complex(rng.normal(), rng.normal()) * scale
-        f = f + b.scale(c)
-    return f
+    """Random element of the solution space: the basis functions times complex(normal, normal) * scale,
+    summed in one pass.  Their frequencies come sorted, so each merges with the last term or follows it,
+    as ExpPoly addition merges them; one array of draws is the same stream as scalar draws."""
+    if D.degree == 0:
+        raise ValueError("degenerate divisor")
+    draws = iter(rng.normal(size=2 * D.degree).tolist())
+    terms = []
+    for lam, mult in D.points:
+        for k in range(mult):
+            c = complex(next(draws), next(draws)) * scale
+            p = Polynomial._of([c * 0j] * k + [c * (1.0 + 0j)])
+            if p.coeffs and terms and close(terms[-1][0], lam):
+                head, last = terms.pop()
+                if (p := last + p).coeffs:
+                    terms.append((head, p))
+            elif p.coeffs:
+                terms.append((lam, p))
+    return ExpPoly._canonical(tuple(terms))

@@ -48,6 +48,12 @@ def _cnum(rng, scale=0.7):
     return complex(rng.standard_normal(), rng.standard_normal()) * scale
 
 
+def _cnums(rng, k, scale=0.7):
+    """k consecutive _cnum draws, from one array: the same stream as 2k scalar draws."""
+    xs = rng.standard_normal(2 * k).tolist()
+    return [complex(x, y) * scale for x, y in zip(xs[::2], xs[1::2])]
+
+
 def _det(m):
     """Determinant of a 2x2 or 3x3 matrix given as rows."""
     if len(m) == 2:
@@ -60,7 +66,8 @@ def _matrix(rng, n=2, special=False, min_det=0.25, scale=0.7):
     """Random n x n rows with |det| > min_det; divided by a square root of the
     determinant when special, so that det = 1."""
     while True:
-        m = [[_cnum(rng, scale) for _ in range(n)] for _ in range(n)]
+        cs = _cnums(rng, n * n, scale)
+        m = [cs[i : i + n] for i in range(0, n * n, n)]
         det = _det(m)
         if abs(det) > min_det:
             break
@@ -113,7 +120,8 @@ class _AffC:
         return a[0] * z + a[1]
 
     def random(self, rng):
-        return (cmath.exp(_cnum(rng)), _cnum(rng))
+        a, b = _cnums(rng, 2)
+        return (cmath.exp(a), b)
 
     def random_point(self, rng):
         return _cnum(rng)
@@ -173,7 +181,7 @@ class _PlaneHandler:
     """A handler of a family acting on C^2, in the coordinates (z, w)."""
 
     def random_point(self, rng):
-        return (_cnum(rng), _cnum(rng))
+        return tuple(_cnums(rng, 2))
 
 
 class _A1:
@@ -195,7 +203,7 @@ class _A1:
         return load_numpy().array(_matrix(rng, n=3))
 
     def random_point(self, rng):
-        return Proj2Point([_cnum(rng, 1.0) for _ in range(3)])
+        return Proj2Point(_cnums(rng, 3, 1.0))
 
 
 class _MatrixAffine(_PlaneHandler):
@@ -224,7 +232,7 @@ class _MatrixAffine(_PlaneHandler):
     def random_element(self, rng):
         np = load_numpy()
         m = np.array(_matrix(rng, special=self.special))
-        return (m, np.array([_cnum(rng), _cnum(rng)]))
+        return (m, np.array(_cnums(rng, 2)))
 
 
 class _C8(_PlaneHandler):
@@ -257,7 +265,7 @@ class _C8(_PlaneHandler):
         return (cmath.exp(t) * x[0] + v[0], cmath.exp(self.alpha * t) * x[1] + v[1])
 
     def random_element(self, rng):
-        return (_cnum(rng, 0.5), (_cnum(rng), _cnum(rng)))
+        return (_cnum(rng, 0.5), tuple(_cnums(rng, 2)))
 
 
 class _D3(_PlaneHandler):
@@ -279,7 +287,7 @@ class _D3(_PlaneHandler):
         return (g[0] * x[0] + g[1][0], g[0] * x[1] + g[1][1])
 
     def random_element(self, rng):
-        return (cmath.exp(_cnum(rng, 0.5)), (_cnum(rng), _cnum(rng)))
+        return (cmath.exp(_cnum(rng, 0.5)), tuple(_cnums(rng, 2)))
 
 
 class _D2:
@@ -304,7 +312,7 @@ class _D2:
         return self.uaff.uaff_multiply(g, x)
 
     def random_element(self, rng):
-        return self.uaff.UAffElement(_cnum(rng), _cnum(rng))
+        return self.uaff.UAffElement(*_cnums(rng, 2))
 
     random_point = random_element
 
@@ -378,8 +386,8 @@ class _BGamma12(_PlaneHandler):
         return projective.bg12_act(g, x)
 
     def random_element(self, rng):
-        p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
-        return projective.BGamma12Element(self.n, self.c, _cnum(rng, 0.5), _cnum(rng), p)
+        *p, lam = _cnums(rng, self.n + 2, 0.5)
+        return projective.BGamma12Element(self.n, self.c, lam, _cnum(rng), tuple(p))
 
 
 class _BGamma3(_PlaneHandler):
@@ -401,8 +409,8 @@ class _BGamma3(_PlaneHandler):
         return projective.bg3_act(g, x)
 
     def random_element(self, rng):
-        r = tuple(_cnum(rng, 0.5) for _ in range(self.n))
-        return projective.BGamma3Element(self.n, _cnum(rng, 0.5), _cnum(rng), r)
+        *r, lam = _cnums(rng, self.n + 1, 0.5)
+        return projective.BGamma3Element(self.n, lam, _cnum(rng), tuple(r))
 
 
 class _BDeltaLinear:
@@ -429,7 +437,7 @@ class _BDeltaLinear:
 
     def random_point(self, rng):
         while True:
-            x = (_cnum(rng), _cnum(rng))
+            x = tuple(_cnums(rng, 2))
             if abs(x[0]) + abs(x[1]) > 0.1:
                 return x
 
@@ -445,7 +453,7 @@ class _C9(_BDeltaLinear):
 
     def random_point(self, rng):
         while True:
-            a, b = ProjPoint(_cnum(rng, 1.0)), ProjPoint(_cnum(rng, 1.0))
+            a, b = map(ProjPoint, _cnums(rng, 2, 1.0))
             if a.distance(b) > EPS:
                 return QuadricPoint(a, b)
 
@@ -472,8 +480,7 @@ class _BDeltaBundle:
 
     def random_element(self, rng):
         m = _matrix(rng, special=self.special)
-        p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
-        return projective.OnGroupElement(self.n, m, p)
+        return projective.OnGroupElement(self.n, m, _cnums(rng, self.n + 1, 0.5))
 
     def random_point(self, rng):
         z = _cnum(rng, 1.1)
@@ -491,8 +498,7 @@ class _BGamma4(_BDeltaBundle):
 
     def random_element(self, rng):
         m = [[cmath.exp(_cnum(rng, 0.5)), _cnum(rng)], [0j, cmath.exp(_cnum(rng, 0.5))]]
-        p = tuple(_cnum(rng, 0.5) for _ in range(self.n + 1))
-        return projective.OnGroupElement(self.n, m, p)
+        return projective.OnGroupElement(self.n, m, _cnums(rng, self.n + 1, 0.5))
 
     random_point = _PlaneHandler.random_point
 

@@ -53,6 +53,14 @@ PIVOT_TIE = 1e-12
 # a Jacobi rotation is skipped once |u.v| <= this * |u| |v|: the pair is orthogonal to working precision
 JACOBI_TOL = 2.0**-52
 JACOBI_SWEEPS = 40
+# a differential operator is monic when its leading coefficient is within this of 1
+MONIC_TOL = 1e-9
+# an O(n) element's canonical phase comes from its first entry above this * the largest entry
+CANONICAL_REF_TOL = 1e-12
+# b is a unit of a lattice when b and 1/b map its basis into it to this lattice_contains tolerance
+UNIT_TOL = 1e-8
+# a sampled deck conjugate must keep its shift and offset constant to this (relative)
+DECK_TOL = 1e-7
 
 
 def load_numpy():

@@ -21,7 +21,7 @@ import cmath
 import functools
 import math
 
-from .numeric import EPS, Record, as_rows, distance, flat_distance, load_numpy, setfield
+from .numeric import CANONICAL_REF_TOL, EPS, Record, as_rows, distance, flat_distance, load_numpy, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +80,6 @@ class ProjPoint(Record):
     @classmethod
     def infinity(cls):
         return cls(1.0, 0.0)
-
-    @property
-    def is_infinity(self):
-        return abs(self.coords[1]) <= EPS * abs(self.coords[0])
-
-    @property
-    def affine(self):
-        if self.is_infinity:
-            raise ValueError("point at infinity has no affine value")
-        return self.coords[0] / self.coords[1]
 
     def distance(self, other):
         """The cross product of the normalized coordinates: 0 exactly for the same point."""
@@ -150,28 +140,15 @@ def _binomials(k):
     return tuple(math.comb(k, j) for j in range(k + 1))
 
 
-def _pair_power(u, v, k):
-    """Coefficients of (u*Z1 + v*Z2)^k over Z1^{k-j} Z2^j."""
-    return [c * u ** (k - j) * v**j for j, c in enumerate(_binomials(k))]
-
-
-def _pair_product(u, v, s, t, k, n):
-    """Coefficients of (u Z1 + v Z2)^(n-k) (s Z1 + t Z2)^k over Z1^{n-i} Z2^i."""
-    out = [0j] * (n + 1)
-    right = _pair_power(s, t, k)
-    for i, x in enumerate(_pair_power(u, v, n - k)):
-        for j, y in enumerate(right):
-            out[i + j] += x * y
-    return out
-
-
 def sym_power_rep(g, n):
     """Matrix of g acting on Sym^n C^2 in the basis e1^n, e1^{n-1}e2, ..., e2^n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a, b, c, d = _entries(g)
-    # column k is the image of e1^{n-k} e2^k, that is (a e1 + c e2)^{n-k} (b e1 + d e2)^k
-    return load_numpy().array([_pair_product(a, c, b, d, k, n) for k in range(n + 1)], dtype=complex).T
+    # column k is the image of e1^{n-k} e2^k, that is (a e1 + c e2)^{n-k} (b e1 + d e2)^k:
+    # the form Z1^{n-k} Z2^k with ((a, c), (b, d)) substituted
+    cols = [binary_form_substitute((0,) * k + (1,) + (0,) * (n - k), ((a, c), (b, d))) for k in range(n + 1)]
+    return load_numpy().array(cols, dtype=complex).T
 
 
 def binary_form_eval(coeffs, z1, z2):
@@ -183,12 +160,33 @@ def binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
     m00, m01, m10, m11 = _entries(m)
     n = len(coeffs) - 1
+    # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
+    # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
+    p00 = p01 = None
+    p10, p11 = [], []
     out = [0j] * (n + 1)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
-        for i, t in enumerate(_pair_product(m00, m01, m10, m11, j, n)):
+        # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
+        k = n - j
+        if p00 is None:
+            p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
+        while len(p10) <= j:
+            p10.append(m10 ** len(p10))
+            p11.append(m11 ** len(p11))
+        right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
+        prod = [0j] * (n + 1)
+        i = 0
+        for b in _binomials(k):
+            x = b * p00[k - i] * p01[i]
+            for l, y in enumerate(right, i):
+                prod[l] += x * y
+            i += 1
+        i = 0
+        for t in prod:
             out[i] += c * t
+            i += 1
     return tuple(out)
 
 
@@ -286,7 +284,7 @@ class BundlePoint(Record):
             return self
         if abs(self.z) == 0:
             raise ValueError("point is not on the chart overlap")
-        return BundlePoint(self.n, chart, 1 / self.z, self.w / self.z**self.n)
+        return BundlePoint(self.n, chart, 1 / self.z, _over_power(self.w, self.z, self.n))
 
     def distance(self, other):
         """Compared in this point's chart."""
@@ -295,18 +293,29 @@ class BundlePoint(Record):
         return max(distance(self.z, other.z), distance(self.w, other.w))
 
 
+def _over_power(val, s, n):
+    """val / s**n; a power s**n outside the float range is an error naming the bundle degree n."""
+    try:
+        p = s**n
+    except OverflowError:
+        raise OverflowError(f"{s}**{n} overflows: bundle degree {n} is too large for this point") from None
+    if p == 0:
+        raise ValueError(f"{s}**{n} underflows to 0: bundle degree {n} is too large for this point")
+    return val / p
+
+
 def _from_carrier(n, v, val):
     if abs(v[0]) <= abs(v[1]):
-        return BundlePoint(n, 0, complex(v[0] / v[1]), complex(val / v[1] ** n))
-    return BundlePoint(n, 1, complex(v[1] / v[0]), complex(val / v[0] ** n))
+        return BundlePoint(n, 0, complex(v[0] / v[1]), complex(_over_power(val, v[1], n)))
+    return BundlePoint(n, 1, complex(v[1] / v[0]), complex(_over_power(val, v[0], n)))
 
 
 class OnGroupElement(Record):
     """Element (g, p) of (GL(2,C)/Z_n) acting on O(n), p a degree-n binary form.
 
     The matrix is stored canonicalized modulo scalar n-th roots of unity: the
-    first entry of (1,1), (0,0), (0,1), (1,0) above 1e-12 of the largest
-    entry gets its argument into [0, 2 pi / n).
+    first entry of (1,1), (0,0), (0,1), (1,0) above CANONICAL_REF_TOL of the
+    largest entry gets its argument into [0, 2 pi / n).
     """
 
     __slots__ = ("n", "matrix", "poly")
@@ -314,16 +323,16 @@ class OnGroupElement(Record):
     def __init__(self, n, matrix, poly):
         n = int(n)
         try:
-            a, b, c, d = (complex(x) for x in _entries(matrix))
+            a, b, c, d = map(complex, _entries(matrix))
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
         if not _invertible(a, b, c, d):
             raise ValueError("matrix must be invertible")
-        p = tuple(complex(x) for x in poly)
+        p = tuple(map(complex, poly))
         if len(p) != n + 1:
             raise ValueError("polynomial must have degree n")
-        scale = max(abs(a), abs(b), abs(c), abs(d))
-        ref = next(x for x in (d, a, b, c) if abs(x) > 1e-12 * scale)
+        least = CANONICAL_REF_TOL * max(abs(a), abs(b), abs(c), abs(d))  # invertible: some entry exceeds it
+        ref = d if abs(d) > least else a if abs(a) > least else b if abs(b) > least else c
         k = int(cmath.phase(ref) % (2 * math.pi) // (2 * math.pi / n))
         if k:
             zeta = cmath.exp(-2j * math.pi * k / n)
@@ -374,7 +383,7 @@ def on_act(e, x):
     u1, u2 = a * v1 + b * v2, c * v1 + d * v2
     s = max(abs(u1), abs(u2))
     u1, u2 = u1 / s, u2 / s
-    val = val / s**e.n
+    val = _over_power(val, s, e.n)
     val = val + binary_form_eval(e.poly, u1, u2)
     return _from_carrier(e.n, (u1, u2), val)
 

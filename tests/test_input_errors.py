@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from homsurf import cli, uaff, verify
+from homsurf import cli, projective, uaff, verify
 from homsurf.families import classify_D1_subgroup
 from homsurf.numeric import NonDiscreteError
+from homsurf.projective import BundlePoint
 
 NAN = float("nan")
 INF = float("inf")
@@ -169,6 +170,35 @@ def test_cli_act_valid_d3(tmp_path, capsys):
     assert _act(tmp_path, "D3", elem, POINT) == 0
     out = json.loads(capsys.readouterr().out)
     assert math.isclose(out["z"]["re"], 1.0) and math.isclose(out["z"]["im"], 2.0)
+
+
+def _bundle_act(tmp_path, n):
+    """Bδ4's scaling by 1/2 on O(n) at the point z = i/4, w = -1 of chart 1: w is divided by (1/2)^n."""
+    elem = {"n": n, "matrix": [[0.5, 0], [0, 0.5]], "poly": [0] * (n + 1)}
+    return _act(tmp_path, "Bδ4", elem, {"n": n, "chart": 1, "z": _cj(0.25j), "w": -1})
+
+
+def test_cli_act_bundle_of_degree_200_acts(tmp_path, capsys):
+    assert _bundle_act(tmp_path, 200) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"n": 200, "chart": 1, "z": {"re": 0.0, "im": 0.25}, "w": {"re": -(2.0**200), "im": 0.0}}
+
+
+@pytest.mark.parametrize("n", [2000, 100000])
+def test_cli_act_bundle_whose_power_underflows_exits_2(tmp_path, capsys, n):
+    assert _bundle_act(tmp_path, n) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"bundle degree {n}" in err and "Traceback" not in err
+
+
+def test_bundle_chart_change_and_carrier_name_the_degree():
+    with pytest.raises(ValueError, match="bundle degree 2000"):
+        BundlePoint(2000, 0, 0.5 + 0j, 1.0 + 0j).to_chart(1)
+    with pytest.raises(OverflowError, match="bundle degree 2000"):
+        BundlePoint(2000, 0, 2.0 + 0j, 1.0 + 0j).to_chart(1)
+    with pytest.raises(ValueError, match="bundle degree 2000"):
+        projective._from_carrier(2000, (0.1 + 0j, 0.2 + 0j), 1.0 + 0j)
+    assert BundlePoint(200, 0, 0.5 + 0j, 1.0 + 0j).to_chart(1).w == 2.0**200
 
 
 def _classify(tmp_path, doc):
