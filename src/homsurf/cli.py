@@ -46,16 +46,6 @@ def _matrix_json(m):
     return [[complex_json(x) for x in row] for row in as_rows(m)]
 
 
-def canonical_family(label):
-    """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
-    from .families import family_label
-
-    try:
-        return family_label(label)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-
-
 # ---------------------------------------------------------------------------
 # element and point (de)serialization
 
@@ -134,10 +124,12 @@ def _classify_input(data):
 
 
 def cmd_classify(args):
+    bound = args.denominator_bound
+    if bound is not None and bound < 1:
+        raise InputError(f"--denominator-bound must be at least 1, got {bound}")
     with open(args.file) as fh:
         data = json.load(fh)
     ambient, gens, D = _classify_input(data)
-    bound = args.denominator_bound
     out = {"ambient": ambient}
     if ambient == "C2":
         from .families import classify_D1_subgroup
@@ -183,16 +175,17 @@ def cmd_classify(args):
 def _cover_from_args(D, element_data, cover_label):
     from . import bbeta
     from .catalogue import ascii_label
+    from .families import _degree
 
     name = ascii_label(cover_label)
     if name.startswith("Bb1"):
         name = name[len("Bb1"):]
     params = element_data.get("cover", {})
     if name in ("Bb2", "Bb2'"):
-        return bbeta.rgd_quotients(D, int(params.get("n", 1)))
+        return bbeta.rgd_quotients(D, _degree(params) if "n" in params else 1)
     kwargs = {}
     if "n" in params:
-        kwargs["n"] = int(params["n"])
+        kwargs["n"] = _degree(params)
     if "s" in params:
         kwargs["s"] = json_complex(params["s"])
     if "tau" in params:
@@ -203,9 +196,9 @@ def _cover_from_args(D, element_data, cover_label):
 
 
 def cmd_act(args):
-    from .families import SPECS
+    from .families import SPECS, family_label
 
-    label = canonical_family(args.family)
+    label = family_label(args.family)
     with open(args.element) as fh:
         edata = json.load(fh)
     with open(args.point) as fh:
@@ -213,7 +206,7 @@ def cmd_act(args):
     g = element_from_json(label, edata)
     x = point_from_json(label, pdata)
     spec = SPECS[label]
-    result = spec.handler(**spec.params(g, edata)).act(g, x)
+    result = spec.handler(**spec.params(edata)).act(g, x)
     if args.cover:
         if getattr(g, "divisor", None) is None:
             raise InputError("--cover is only available for the divisor families")

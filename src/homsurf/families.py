@@ -1,22 +1,26 @@
 """The elementary families of transitive actions and the generic dispatch.
 
-Each family label owns a handler with a uniform interface: identity,
+Each family label has one `Family` with a uniform interface: identity,
 multiply, inverse, act, and random sampling of elements and surface points.
-The handlers cover the matrix families (projective plane, affine plane,
-special affine plane), the product families, the one-parameter stabilizer
-family, the translation plane and its discrete subgroup classifier, the
-affine group, the quadric, and the divisor- and bundle-indexed families
-implemented in their own modules.
+A factory per label builds it from the group law and action functions of
+the family's module (`projective`, `bbeta`, `uaff`) or from closures over
+the family's parameters; the product families join the functions of two
+factors.  The factories cover the matrix families (projective plane, affine
+plane, special affine plane), the product families, the one-parameter
+stabilizer family, the translation plane and its discrete subgroup
+classifier, the affine group, the quadric, and the divisor- and
+bundle-indexed families.
 
-One table, `SPECS`, holds everything else known per label: the handler
-factory, the JSON codecs, the invariant check, the element distance and the
-quotient policy.
+One table, `SPECS`, holds everything else known per label: the factory, the
+JSON codecs, the invariant check, the element distance and the quotient
+policy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from . import projective
 from .numeric import (
@@ -81,426 +85,332 @@ def _inverse2(g):
     return load_numpy().array(projective.inverse2(g))
 
 
-# ---------------------------------------------------------------------------
-# factors for the product families
+def _eye2():
+    return load_numpy().eye(2, dtype=complex)
 
 
-class _TransC:
-    def identity(self):
-        return 0j
-
-    def multiply(self, a, b):
-        return a + b
-
-    def inverse(self, a):
-        return -a
-
-    def act(self, a, z):
-        return z + a
-
-    def random(self, rng):
-        return _cnum(rng)
-
-    random_point = random
+def _random_gl2(rng, special=False):
+    return load_numpy().array(_matrix(rng, special=special))
 
 
-class _AffC:
-    """z -> alpha z + beta as pairs (alpha, beta)."""
-
-    def identity(self):
-        return (1.0 + 0j, 0j)
-
-    def multiply(self, a, b):
-        return (a[0] * b[0], a[1] + a[0] * b[1])
-
-    def inverse(self, a):
-        return (1.0 / a[0], -a[1] / a[0])
-
-    def act(self, a, z):
-        return a[0] * z + a[1]
-
-    def random(self, rng):
-        a, b = _cnums(rng, 2)
-        return (cmath.exp(a), b)
-
-    def random_point(self, rng):
-        return _cnum(rng)
+def _plane_point(rng):
+    """A point of C^2, in the coordinates (z, w)."""
+    return tuple(_cnums(rng, 2))
 
 
-class _PSL2:
-    def identity(self):
-        return load_numpy().eye(2, dtype=complex)
+class Family:
+    """The group law of a family and its action on the family's surface.
 
-    def multiply(self, a, b):
-        return a @ b
+    `label` is the family label and `n` the bundle degree of the Bγ and Bδ
+    families (None for the others).  The points are those of C^2 unless the
+    factory gives its own `random_point`.  The operations are methods of this
+    one class, each calling the function its factory gave, so that wrapping a
+    method on the class (as perfbench's tracer does) sees every family's calls.
+    """
 
-    def inverse(self, a):
-        return _inverse2(a)
-
-    def act(self, a, p):
-        return mobius_act(a, p)
-
-    def random(self, rng):
-        return load_numpy().array(_matrix(rng))
-
-    def random_point(self, rng):
-        return ProjPoint(_cnum(rng, 1.0))
-
-
-class _ProductFamily:
-    """Product of two factor groups acting on the product surface."""
-
-    def __init__(self, label, f1, f2):
-        self.label = label
-        self.f1, self.f2 = f1, f2
+    def __init__(self, label, identity, multiply, inverse, act, random_element, random_point=_plane_point, n=None):
+        self.label, self.n = label, n
+        self._identity, self._multiply, self._inverse, self._act = identity, multiply, inverse, act
+        self._random_element, self._random_point = random_element, random_point
 
     def identity(self):
-        return (self.f1.identity(), self.f2.identity())
+        return self._identity()
 
     def multiply(self, g, h):
-        return (self.f1.multiply(g[0], h[0]), self.f2.multiply(g[1], h[1]))
+        return self._multiply(g, h)
 
     def inverse(self, g):
-        return (self.f1.inverse(g[0]), self.f2.inverse(g[1]))
+        return self._inverse(g)
 
     def act(self, g, x):
-        return (self.f1.act(g[0], x[0]), self.f2.act(g[1], x[1]))
+        return self._act(g, x)
 
     def random_element(self, rng):
-        return (self.f1.random(rng), self.f2.random(rng))
+        return self._random_element(rng)
 
     def random_point(self, rng):
-        return (self.f1.random_point(rng), self.f2.random_point(rng))
+        return self._random_point(rng)
 
 
 # ---------------------------------------------------------------------------
-# individual families
+# the factors of the product families: (identity, multiply, inverse, act, random element, random point)
 
 
-class _PlaneHandler:
-    """A handler of a family acting on C^2, in the coordinates (z, w)."""
-
-    def random_point(self, rng):
-        return tuple(_cnums(rng, 2))
+def _aff_random(rng):
+    a, b = _cnums(rng, 2)
+    return (cmath.exp(a), b)
 
 
-class _A1:
-    label = "A1"
-
-    def identity(self):
-        return load_numpy().eye(3, dtype=complex)
-
-    def multiply(self, g, h):
-        return g @ h
-
-    def inverse(self, g):
-        return load_numpy().linalg.inv(g)
-
-    def act(self, g, x):
-        return proj2_act(g, x)
-
-    def random_element(self, rng):
-        return load_numpy().array(_matrix(rng, n=3))
-
-    def random_point(self, rng):
-        return Proj2Point(_cnums(rng, 3, 1.0))
+# the translations z -> z + t
+_TRANS_C = (lambda: 0j, operator.add, operator.neg, lambda a, z: z + a, _cnum, _cnum)
+# z -> alpha z + beta as pairs (alpha, beta)
+_AFF_C = (
+    lambda: (1.0 + 0j, 0j),
+    lambda a, b: (a[0] * b[0], a[1] + a[0] * b[1]),
+    lambda a: (1.0 / a[0], -a[1] / a[0]),
+    lambda a, z: a[0] * z + a[1],
+    _aff_random,
+    _cnum,
+)
+_PSL2 = (_eye2, operator.matmul, _inverse2, mobius_act, _random_gl2, lambda rng: ProjPoint(_cnum(rng, 1.0)))
 
 
-class _MatrixAffine(_PlaneHandler):
-    """GL(2,C) or SL(2,C) semidirect translations of the plane."""
-
-    def __init__(self, label, special):
-        self.label = label
-        self.special = special
-
-    def identity(self):
-        np = load_numpy()
-        return (np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
-
-    def multiply(self, g, h):
-        return (g[0] @ h[0], g[1] + g[0] @ h[1])
-
-    def inverse(self, g):
-        mi = _inverse2(g[0])
-        return (mi, -mi @ g[1])
-
-    def act(self, g, x):
-        (a, b), (c, d) = as_rows(g[0])
-        t1, t2 = as_rows(g[1])
-        return (a * x[0] + b * x[1] + t1, c * x[0] + d * x[1] + t2)
-
-    def random_element(self, rng):
-        np = load_numpy()
-        m = np.array(_matrix(rng, special=self.special))
-        return (m, np.array(_cnums(rng, 2)))
+def _product(label, f1, f2):
+    """The product of two factor groups acting on the product surface."""
+    id1, mul1, inv1, act1, rnd1, pt1 = f1
+    id2, mul2, inv2, act2, rnd2, pt2 = f2
+    return Family(
+        label,
+        lambda: (id1(), id2()),
+        lambda g, h: (mul1(g[0], h[0]), mul2(g[1], h[1])),
+        lambda g: (inv1(g[0]), inv2(g[1])),
+        lambda g, x: (act1(g[0], x[0]), act2(g[1], x[1])),
+        lambda rng: (rnd1(rng), rnd2(rng)),
+        lambda rng: (pt1(rng), pt2(rng)),
+    )
 
 
-class _C8(_PlaneHandler):
+# ---------------------------------------------------------------------------
+# the factories of the other families
+
+
+def _a1():
+    return Family(
+        "A1",
+        lambda: load_numpy().eye(3, dtype=complex),
+        operator.matmul,
+        lambda g: load_numpy().linalg.inv(g),
+        proj2_act,
+        lambda rng: load_numpy().array(_matrix(rng, n=3)),
+        lambda rng: Proj2Point(_cnums(rng, 3, 1.0)),
+    )
+
+
+def _affine_identity():
+    np = load_numpy()
+    return (np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
+
+
+def _affine_multiply(g, h):
+    return (g[0] @ h[0], g[1] + g[0] @ h[1])
+
+
+def _affine_inverse(g):
+    mi = _inverse2(g[0])
+    return (mi, -mi @ g[1])
+
+
+def _affine_act(g, x):
+    (a, b), (c, d) = as_rows(g[0])
+    t1, t2 = as_rows(g[1])
+    return (a * x[0] + b * x[1] + t1, c * x[0] + d * x[1] + t2)
+
+
+def _matrix_affine(label, special):
+    """GL(2,C) (or SL(2,C) when special) semidirect translations of the plane."""
+
+    def random_element(rng):
+        return (_random_gl2(rng, special), load_numpy().array(_cnums(rng, 2)))
+
+    return Family(label, _affine_identity, _affine_multiply, _affine_inverse, _affine_act, random_element)
+
+
+def _c8(alpha=2.0 + 0.5j):
     """Diagonal one-parameter subgroup semidirect translations; alpha != 0, 1."""
+    alpha = complex(alpha)
+    if close(alpha, 1.0) or close(alpha, 0.0):
+        raise ValueError("C8 requires alpha different from 0 and 1")
 
-    label = "C8"
-
-    def __init__(self, alpha=2.0 + 0.5j):
-        self.alpha = complex(alpha)
-        if close(self.alpha, 1.0) or close(self.alpha, 0.0):
-            raise ValueError("C8 requires alpha different from 0 and 1")
-
-    def identity(self):
-        return (0j, (0j, 0j))
-
-    def multiply(self, g, h):
+    def multiply(g, h):
         t0, v0 = g
         t1, v1 = h
-        return (
-            t0 + t1,
-            (v0[0] + cmath.exp(t0) * v1[0], v0[1] + cmath.exp(self.alpha * t0) * v1[1]),
-        )
+        return (t0 + t1, (v0[0] + cmath.exp(t0) * v1[0], v0[1] + cmath.exp(alpha * t0) * v1[1]))
 
-    def inverse(self, g):
+    def inverse(g):
         t, v = g
-        return (-t, (-cmath.exp(-t) * v[0], -cmath.exp(-self.alpha * t) * v[1]))
+        return (-t, (-cmath.exp(-t) * v[0], -cmath.exp(-alpha * t) * v[1]))
 
-    def act(self, g, x):
+    def act(g, x):
         t, v = g
-        return (cmath.exp(t) * x[0] + v[0], cmath.exp(self.alpha * t) * x[1] + v[1])
+        return (cmath.exp(t) * x[0] + v[0], cmath.exp(alpha * t) * x[1] + v[1])
 
-    def random_element(self, rng):
-        return (_cnum(rng, 0.5), tuple(_cnums(rng, 2)))
+    return Family(
+        "C8", lambda: (0j, (0j, 0j)), multiply, inverse, act, lambda rng: (_cnum(rng, 0.5), tuple(_cnums(rng, 2)))
+    )
 
 
-class _D3(_PlaneHandler):
+def _d3_inverse(g):
+    mi = 1.0 / g[0]
+    return (mi, (-mi * g[1][0], -mi * g[1][1]))
+
+
+def _d3():
     """Rescaling and translation plane: (m, v) with m nonzero."""
-
-    label = "D3"
-
-    def identity(self):
-        return (1.0 + 0j, (0j, 0j))
-
-    def multiply(self, g, h):
-        return (g[0] * h[0], (g[1][0] + g[0] * h[1][0], g[1][1] + g[0] * h[1][1]))
-
-    def inverse(self, g):
-        mi = 1.0 / g[0]
-        return (mi, (-mi * g[1][0], -mi * g[1][1]))
-
-    def act(self, g, x):
-        return (g[0] * x[0] + g[1][0], g[0] * x[1] + g[1][1])
-
-    def random_element(self, rng):
-        return (cmath.exp(_cnum(rng, 0.5)), tuple(_cnums(rng, 2)))
+    return Family(
+        "D3",
+        lambda: (1.0 + 0j, (0j, 0j)),
+        lambda g, h: (g[0] * h[0], (g[1][0] + g[0] * h[1][0], g[1][1] + g[0] * h[1][1])),
+        _d3_inverse,
+        lambda g, x: (g[0] * x[0] + g[1][0], g[0] * x[1] + g[1][1]),
+        lambda rng: (cmath.exp(_cnum(rng, 0.5)), tuple(_cnums(rng, 2))),
+    )
 
 
-class _D2:
-    label = "D2"
+def _d2():
+    from . import uaff  # here: loading families does not load uaff
 
-    def __init__(self):
-        # imported with the handler: loading families does not load uaff
-        from . import uaff
+    def random(rng):
+        return uaff.UAffElement(*_cnums(rng, 2))
 
-        self.uaff = uaff
-
-    def identity(self):
-        return self.uaff.IDENTITY
-
-    def multiply(self, g, h):
-        return self.uaff.uaff_multiply(g, h)
-
-    def inverse(self, g):
-        return self.uaff.uaff_inverse(g)
-
-    def act(self, g, x):
-        return self.uaff.uaff_multiply(g, x)
-
-    def random_element(self, rng):
-        return self.uaff.UAffElement(*_cnums(rng, 2))
-
-    random_point = random_element
+    return Family(
+        "D2", lambda: uaff.IDENTITY, uaff.uaff_multiply, uaff.uaff_inverse, uaff.uaff_multiply, random, random
+    )
 
 
-class _BBeta1(_PlaneHandler):
-    label = "Bβ1"
+def _example_divisor():
+    from .divisor import Divisor
 
-    def __init__(self, divisor=None):
-        # imported with the handler: loading families does not load bbeta
-        from . import bbeta
-
-        self.bbeta = bbeta
-        if divisor is None:
-            from .divisor import Divisor
-
-            divisor = Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
-        self.divisor = divisor
-
-    def identity(self):
-        return self.bbeta.gd_identity(self.divisor)
-
-    def multiply(self, g, h):
-        return self.bbeta.gd_multiply(g, h)
-
-    def inverse(self, g):
-        return self.bbeta.gd_inverse(g)
-
-    def act(self, g, x):
-        return self.bbeta.gd_act(g, x)
-
-    def random_element(self, rng):
-        return self.bbeta.random_gd(self.divisor, rng)
+    return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
 
 
-class _BBeta2(_BBeta1):
-    label = "Bβ2"
+def _bbeta1(divisor=None):
+    from . import bbeta  # here: loading families does not load bbeta
 
-    def identity(self):
-        return self.bbeta.rgd_identity(self.divisor)
-
-    def multiply(self, g, h):
-        return self.bbeta.rgd_multiply(g, h)
-
-    def inverse(self, g):
-        return self.bbeta.rgd_inverse(g)
-
-    def act(self, g, x):
-        return self.bbeta.rgd_act(g, x)
-
-    def random_element(self, rng):
-        return self.bbeta.random_rgd(self.divisor, rng)
+    D = _example_divisor() if divisor is None else divisor
+    return Family(
+        "Bβ1",
+        lambda: bbeta.gd_identity(D),
+        bbeta.gd_multiply,
+        bbeta.gd_inverse,
+        bbeta.gd_act,
+        lambda rng: bbeta.random_gd(D, rng),
+    )
 
 
-class _BGamma12(_PlaneHandler):
+def _bbeta2(divisor=None):
+    from . import bbeta
+
+    D = _example_divisor() if divisor is None else divisor
+    return Family(
+        "Bβ2",
+        lambda: bbeta.rgd_identity(D),
+        bbeta.rgd_multiply,
+        bbeta.rgd_inverse,
+        bbeta.rgd_act,
+        lambda rng: bbeta.random_rgd(D, rng),
+    )
+
+
+def _bgamma12(n=2, c=0j):
     """Bγ1 (c != 0) or its subfamily Bγ2 (c = 0)."""
+    n, c = int(n), complex(c)
 
-    def __init__(self, n=2, c=0j):
-        self.n, self.c = int(n), complex(c)
-        self.label = "Bγ1" if self.c else "Bγ2"
+    def random_element(rng):
+        *p, lam = _cnums(rng, n + 2, 0.5)
+        return projective.BGamma12Element(n, c, lam, _cnum(rng), tuple(p))
 
-    def identity(self):
-        return projective.bg12_identity(self.n, self.c)
-
-    def multiply(self, g, h):
-        return projective.bg12_multiply(g, h)
-
-    def inverse(self, g):
-        return projective.bg12_inverse(g)
-
-    def act(self, g, x):
-        return projective.bg12_act(g, x)
-
-    def random_element(self, rng):
-        *p, lam = _cnums(rng, self.n + 2, 0.5)
-        return projective.BGamma12Element(self.n, self.c, lam, _cnum(rng), tuple(p))
+    return Family(
+        "Bγ1" if c else "Bγ2",
+        lambda: projective.bg12_identity(n, c),
+        projective.bg12_multiply,
+        projective.bg12_inverse,
+        projective.bg12_act,
+        random_element,
+        n=n,
+    )
 
 
-class _BGamma3(_PlaneHandler):
-    label = "Bγ3"
+def _bgamma3(n=2):
+    n = int(n)
 
-    def __init__(self, n=2):
-        self.n = int(n)
+    def random_element(rng):
+        *r, lam = _cnums(rng, n + 1, 0.5)
+        return projective.BGamma3Element(n, lam, _cnum(rng), tuple(r))
 
-    def identity(self):
-        return projective.bg3_identity(self.n)
-
-    def multiply(self, g, h):
-        return projective.bg3_multiply(g, h)
-
-    def inverse(self, g):
-        return projective.bg3_inverse(g)
-
-    def act(self, g, x):
-        return projective.bg3_act(g, x)
-
-    def random_element(self, rng):
-        *r, lam = _cnums(rng, self.n + 1, 0.5)
-        return projective.BGamma3Element(self.n, lam, _cnum(rng), tuple(r))
+    return Family(
+        "Bγ3",
+        lambda: projective.bg3_identity(n),
+        projective.bg3_multiply,
+        projective.bg3_inverse,
+        projective.bg3_act,
+        random_element,
+        n=n,
+    )
 
 
-class _BDeltaLinear:
-    """SL(2,C) or GL(2,C) acting linearly on C^2 minus the origin."""
-
-    def __init__(self, label, special):
-        self.label = label
-        self.special = special
-
-    def identity(self):
-        return load_numpy().eye(2, dtype=complex)
-
-    def multiply(self, g, h):
-        return g @ h
-
-    def inverse(self, g):
-        return _inverse2(g)
-
-    def act(self, g, x):
-        return projective.bdelta_act(g, x)
-
-    def random_element(self, rng):
-        return load_numpy().array(_matrix(rng, special=self.special))
-
-    def random_point(self, rng):
-        while True:
-            x = tuple(_cnums(rng, 2))
-            if abs(x[0]) + abs(x[1]) > 0.1:
-                return x
+def _punctured_point(rng):
+    while True:
+        x = tuple(_cnums(rng, 2))
+        if abs(x[0]) + abs(x[1]) > 0.1:
+            return x
 
 
-class _C9(_BDeltaLinear):
+def _bdelta_linear(label, special):
+    """SL(2,C) (special) or GL(2,C) acting linearly on C^2 minus the origin."""
+    return Family(
+        label,
+        _eye2,
+        operator.matmul,
+        _inverse2,
+        projective.bdelta_act,
+        lambda rng: _random_gl2(rng, special),
+        _punctured_point,
+    )
+
+
+def _quadric_point(rng):
+    while True:
+        a, b = map(ProjPoint, _cnums(rng, 2, 1.0))
+        if a.distance(b) > EPS:
+            return QuadricPoint(a, b)
+
+
+def _c9():
     """The matrices of Bδ2 taken modulo scalars, acting on ordered pairs of distinct points of P^1."""
-
-    def __init__(self):
-        super().__init__("C9", special=False)
-
-    def act(self, g, x):
-        return quadric_act(g, x)
-
-    def random_point(self, rng):
-        while True:
-            a, b = map(ProjPoint, _cnums(rng, 2, 1.0))
-            if a.distance(b) > EPS:
-                return QuadricPoint(a, b)
+    return Family("C9", _eye2, operator.matmul, _inverse2, quadric_act, _random_gl2, _quadric_point)
 
 
-class _BDeltaBundle:
+def _bdelta_bundle(label, special, n=2):
     """The full or special linear group of O(n), acting on bundle points."""
+    n = int(n)
 
-    def __init__(self, label, n, special):
-        self.label = label
-        self.n = int(n)
-        self.special = special
+    def random_element(rng):
+        m = _matrix(rng, special=special)
+        return projective.OnGroupElement(n, m, _cnums(rng, n + 1, 0.5))
 
-    def identity(self):
-        return projective.on_identity(self.n)
-
-    def multiply(self, g, h):
-        return projective.on_multiply(g, h)
-
-    def inverse(self, g):
-        return projective.on_inverse(g)
-
-    def act(self, g, x):
-        return projective.on_act(g, x)
-
-    def random_element(self, rng):
-        m = _matrix(rng, special=self.special)
-        return projective.OnGroupElement(self.n, m, _cnums(rng, self.n + 1, 0.5))
-
-    def random_point(self, rng):
+    def random_point(rng):
         z = _cnum(rng, 1.1)
-        return BundlePoint(self.n, int(rng.integers(2)), z, _cnum(rng))
+        return BundlePoint(n, int(rng.integers(2)), z, _cnum(rng))
+
+    return Family(
+        label,
+        lambda: projective.on_identity(n),
+        projective.on_multiply,
+        projective.on_inverse,
+        projective.on_act,
+        random_element,
+        random_point,
+        n=n,
+    )
 
 
-class _BGamma4(_BDeltaBundle):
+def _bgamma4(n=2):
     """The upper-triangular elements of Bδ4, acting on the affine chart C^2 of O(n)."""
+    n = int(n)
 
-    def __init__(self, n=2):
-        super().__init__("Bγ4", n, special=False)
-
-    def act(self, g, x):
-        return projective.bg4_act(g, x)
-
-    def random_element(self, rng):
+    def random_element(rng):
         m = [[cmath.exp(_cnum(rng, 0.5)), _cnum(rng)], [0j, cmath.exp(_cnum(rng, 0.5))]]
-        return projective.OnGroupElement(self.n, m, _cnums(rng, self.n + 1, 0.5))
+        return projective.OnGroupElement(n, m, _cnums(rng, n + 1, 0.5))
 
-    random_point = _PlaneHandler.random_point
+    return Family(
+        "Bγ4",
+        lambda: projective.on_identity(n),
+        projective.on_multiply,
+        projective.on_inverse,
+        projective.bg4_act,
+        random_element,
+        n=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +504,7 @@ _BUNDLE = (_bundle_point, lambda x: {"n": x.n, "chart": x.chart, "z": complex_js
 
 
 # ---------------------------------------------------------------------------
-# invariant checks, handler parameters and element distances
+# invariant checks and element distances
 
 
 def _no_check(g):
@@ -618,16 +528,8 @@ def _check_nonzero(what, *values):
         raise ValueError(f"{what} must be nonzero")
 
 
-def _no_params(g, data):
+def _no_params(data):
     return {}
-
-
-def _degree_param(g, data):
-    return {"n": g.n}
-
-
-def _divisor_param(g, data):
-    return {"divisor": g.divisor}
 
 
 def _proj_distance(g, h):
@@ -652,14 +554,15 @@ def _psl_first_distance(g, h):
 class FamilySpec:
     """One row of the family table: what the package knows of one base label.
 
-    `handler(**params)` builds the family's handler.  `element(data)` and
+    `handler(**params)` builds the family's `Family`.  `element(data)` and
     `point(data)` decode the JSON payloads of docs/families.md, and
     `point_json(x)` encodes a point; the constructor takes the point codecs
-    as one (decode, encode) pair, the plane's by default.  `params(g, data)`
-    are the handler parameters an element carries, `check(g)` raises
-    ValueError for an element that breaks the family's invariants, and
-    `distance(g, h)` compares two elements.  `policy` describes the discrete
-    subgroups the action has quotients by, and is empty when it has none.
+    as one (decode, encode) pair, the plane's by default.  `params(data)` are
+    the handler parameters an element payload carries (C8's `alpha`; no other
+    family's `act` reads one), `check(g)` raises ValueError for an element
+    that breaks the family's invariants, and `distance(g, h)` compares two
+    elements.  `policy` describes the discrete subgroups the action has
+    quotients by, and is empty when it has none.
     """
 
     __slots__ = ("handler", "element", "point", "point_json", "params", "check", "distance", "policy")
@@ -681,86 +584,80 @@ _HOPF = "Hopf identification z ~ lam z, 0 < |lam| < 1"
 # in the order of the verify suites
 SPECS = {
     "A1": FamilySpec(
-        _A1,
+        _a1,
         lambda d: _json_matrix(d["matrix"], 3),
         (lambda d: Proj2Point(_values(d["coords"])), lambda x: {"coords": _cjs(x.coords)}),
         check=_check_invertible,
         distance=_proj_distance,
     ),
-    "A2": FamilySpec(lambda: _MatrixAffine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0])),
-    "A3": FamilySpec(lambda: _MatrixAffine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0])),
+    "A2": FamilySpec(lambda: _matrix_affine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0])),
+    "A3": FamilySpec(lambda: _matrix_affine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0])),
     "Bβ1": FamilySpec(
-        _BBeta1,
+        _bbeta1,
         lambda d: _divisor_element(d, rescaled=False),
-        params=_divisor_param,
         policy="discrete subgroup pi of Q_D x| C, examples Bβ1A0..I",
     ),
     "Bβ2": FamilySpec(
-        _BBeta2,
+        _bbeta2,
         lambda d: _divisor_element(d, rescaled=True),
-        params=_divisor_param,
         policy="pi = n Z in the quasiperiod group, normalized divisor",
     ),
     "Bγ1": FamilySpec(
-        lambda n=2, c=1.7 + 0.3j: _BGamma12(n, c),
+        lambda n=2, c=1.7 + 0.3j: _bgamma12(n, c),
         lambda d: _bg12_element(d, json_complex(d["c"])),
-        params=lambda g, d: {"n": g.n, "c": g.c},
         check=lambda g: _check_nonzero("c", g.c),
     ),
     "Bγ2": FamilySpec(
-        lambda n=2: _BGamma12(n),
+        lambda n=2: _bgamma12(n),
         lambda d: _bg12_element(d, 0j),
-        params=_degree_param,
         policy="pi = {0} x Lambda, Lambda a discrete subgroup of C",
     ),
     "Bγ3": FamilySpec(
-        _BGamma3,
+        _bgamma3,
         lambda d: projective.BGamma3Element(_degree(d), json_complex(d["lam"]), json_complex(d["b"]), _values(d["r"])),
-        params=_degree_param,
     ),
-    "Bγ4": FamilySpec(_BGamma4, _on_element, params=_degree_param),
+    "Bγ4": FamilySpec(_bgamma4, _on_element),
     "Bδ1": FamilySpec(
-        lambda: _BDeltaLinear("Bδ1", True), _matrix_element, _PUNCTURED, check=_check_det_one, policy=_HOPF
+        lambda: _bdelta_linear("Bδ1", True), _matrix_element, _PUNCTURED, check=_check_det_one, policy=_HOPF
     ),
     "Bδ2": FamilySpec(
-        lambda: _BDeltaLinear("Bδ2", False), _matrix_element, _PUNCTURED, check=_check_invertible, policy=_HOPF
+        lambda: _bdelta_linear("Bδ2", False), _matrix_element, _PUNCTURED, check=_check_invertible, policy=_HOPF
     ),
     "Bδ3": FamilySpec(
-        lambda n=2: _BDeltaBundle("Bδ3", n, special=True),
+        lambda n=2: _bdelta_bundle("Bδ3", True, n),
         _on_element,
         _BUNDLE,
-        params=_degree_param,
         # the matrix is stored modulo n-th roots of unity, which multiply det by their squares
         check=lambda g: _check_det_one(g.matrix, g.n // math.gcd(g.n, 2)),
     ),
-    "Bδ4": FamilySpec(lambda n=2: _BDeltaBundle("Bδ4", n, special=False), _on_element, _BUNDLE, params=_degree_param),
+    "Bδ4": FamilySpec(lambda n=2: _bdelta_bundle("Bδ4", False, n), _on_element, _BUNDLE),
     "C2": FamilySpec(
-        lambda: _ProductFamily("C2", _TransC(), _AffC()),
+        lambda: _product("C2", _TRANS_C, _AFF_C),
         lambda d: (json_complex(d["t"]), _affine(d["affine"])),
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         policy="discrete subgroup Delta of C acting on the first factor",
     ),
     "C3": FamilySpec(
-        lambda: _ProductFamily("C3", _AffC(), _AffC()),
+        lambda: _product("C3", _AFF_C, _AFF_C),
         lambda d: (_affine(d["first"]), _affine(d["second"])),
         check=lambda g: _check_nonzero("alpha", g[0][0], g[1][0]),
     ),
     "C5": FamilySpec(
-        lambda: _ProductFamily("C5", _PSL2(), _TransC()),
+        lambda: _product("C5", _PSL2, _TRANS_C),
         lambda d: (_json_matrix(d["matrix"]), json_complex(d["t"])),
         _PROJ_TIMES_LINE,
         distance=_psl_first_distance,
         policy="discrete subgroup Delta of C acting on the second factor",
     ),
     "C6": FamilySpec(
-        lambda: _ProductFamily("C6", _PSL2(), _AffC()),
+        lambda: _product("C6", _PSL2, _AFF_C),
         lambda d: (_json_matrix(d["matrix"]), _affine(d["affine"])),
         _PROJ_TIMES_LINE,
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         distance=_psl_first_distance,
     ),
     "C7": FamilySpec(
-        lambda: _ProductFamily("C7", _PSL2(), _PSL2()),
+        lambda: _product("C7", _PSL2, _PSL2),
         lambda d: (_json_matrix(d["first"]), _json_matrix(d["second"])),
         (
             lambda d: (_proj(d["first"]), _proj(d["second"])),
@@ -769,12 +666,12 @@ SPECS = {
         distance=lambda g, h: max(_proj_distance(g[0], h[0]), _proj_distance(g[1], h[1])),
     ),
     "C8": FamilySpec(
-        _C8,
+        _c8,
         lambda d: (json_complex(d["t"]), _values(d["v"], 2)),
-        params=lambda g, d: {"alpha": json_complex(d["alpha"])} if "alpha" in d else {},
+        params=lambda d: {"alpha": json_complex(d["alpha"])} if "alpha" in d else {},
     ),
     "C9": FamilySpec(
-        _C9,
+        _c9,
         _matrix_element,
         (
             lambda d: QuadricPoint(_proj(d["alpha"]), _proj(d["beta"])),
@@ -785,40 +682,41 @@ SPECS = {
     ),
     # the translation plane C^2 = C x C
     "D1": FamilySpec(
-        lambda: _ProductFamily("D1", _TransC(), _TransC()),
+        lambda: _product("D1", _TRANS_C, _TRANS_C),
         lambda d: _values(d["v"], 2),
         policy="any discrete subgroup pi of C^2",
     ),
     "D2": FamilySpec(
-        _D2,
+        _d2,
         _uaff_element,
         (_uaff_element, lambda x: {"a": complex_json(x.a), "b": complex_json(x.b)}),
         policy="any discrete subgroup pi of uAff(C), table D2_1..D2_14",
     ),
     "D3": FamilySpec(
-        _D3, lambda d: (json_complex(d["m"]), _values(d["v"], 2)), check=lambda g: _check_nonzero("m", g[0])
+        _d3, lambda d: (json_complex(d["m"]), _values(d["v"], 2)), check=lambda g: _check_nonzero("m", g[0])
     ),
 }
 
 BASE_FAMILY_LABELS = tuple(SPECS)
 
 
-def family_label(label):
-    """The family label `label` spells: itself, or an alias such as Bb1 or Bbeta1."""
+def family_label(label, names=SPECS, what="family"):
+    """The name in `names` (the family labels by default) that `label` spells:
+    itself, or an alias such as Bb1 or Bbeta1.  ValueError names `what` when none does."""
     label = str(label)
-    if label in SPECS:
+    if label in names:
         return label  # an exact label needs neither the alias table nor the catalogue module
     from .catalogue import ascii_label
 
-    by_ascii = {ascii_label(lab): lab for lab in SPECS}
     key = ascii_label(label)
-    if key not in by_ascii:
-        raise ValueError(f"unknown family {label}")
-    return by_ascii[key]
+    for name in names:
+        if ascii_label(name) == key:
+            return name
+    raise ValueError(f"unknown {what} {label}")
 
 
 def build_family(label, **params):
-    """Handler for a family label in any spelling (see family_label); params as its factory takes them."""
+    """The `Family` of a label in any spelling (see family_label); params as its factory takes them."""
     return SPECS[family_label(label)].handler(**params)
 
 
@@ -996,14 +894,9 @@ def _classify_rank3(bc):
     c2 = [int(U[1][0]) * a + int(U[1][1]) * b for a, b in zip(wcombos[0], wcombos[1])]
     x1 = _realize(bc, c1)
     x2 = _realize(bc, c2)
-    if wrel:
-        fiber = _realize(bc, wrel[0])
-    else:
-        fiber = p
+    fiber = _realize(bc, wrel[0]) if wrel else p
     A = _transform_from_images(x1, fiber, (1, 0), (0, 1))
     tau_out, sigma = _apply(A, x2)
-    warnings = ()
-    if abs(sigma) <= 1e-8:
-        warnings = ("sigma is numerically close to zero; near the D1_4 boundary",)
+    warnings = ("sigma is numerically close to zero; near the D1_4 boundary",) if abs(sigma) <= 1e-8 else ()
     gens_out = ((1 + 0j, 0j), (tau_out, sigma), (0j, 1 + 0j))
     return D1Classification("D1_5", gens_out, _as_tuple(A), tau=tau_out, sigma=sigma, warnings=warnings)

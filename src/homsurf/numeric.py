@@ -205,7 +205,9 @@ def complex_json(z):
 
 def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
     """Best rational p/q with q bounded, or None if x looks irrational."""
-    bound = int(max_denominator or DENOMINATOR_BOUND)
+    bound = DENOMINATOR_BOUND if max_denominator is None else int(max_denominator)
+    if bound < 1:
+        raise ValueError(f"the denominator bound must be at least 1, got {max_denominator}")
     x = float(x)
     if math.isnan(x) or math.isinf(x):
         return None
@@ -486,7 +488,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     for frow in fracs:
         for f in frow:
             L = L * f.denominator // math.gcd(L, f.denominator)
-    if L > (max_denominator or DENOMINATOR_BOUND):
+    if L > (DENOMINATOR_BOUND if max_denominator is None else max_denominator):
         raise NonDiscreteError("coordinate denominators exceed the bound")
     M = [[f.numerator * (L // f.denominator) for f in frow] for frow in fracs]
 

@@ -417,13 +417,16 @@ def center_intersection(label, max_denominator=None):
         return UAffElement(TWO_PI_I * frac.numerator, 0)
     if name in NONABELIAN_LABELS or name == "D2_14":
         if name == "D2_14":
-            out = []
-            for v in _center_lattice(label):
-                out.append(v)
+            out = _center_lattice(label)
             return out[0] if out else IDENTITY
         gen = normal_form_generators(label)[0]
         x = gen.a / TWO_PI_I
         frac = rational_reconstruct(x.real, max_denominator=max_denominator)
+        if frac is None:
+            raise ValueError(
+                f"the rotation a / 2 pi i = {x.real:.12g} of {name} has no fraction whose denominator"
+                f" is within the denominator bound {max_denominator}"
+            )
         return UAffElement(TWO_PI_I * frac.numerator, 0)
     return IDENTITY
 
@@ -436,10 +439,7 @@ def _tau_coords(b, tau):
 
 def _center_lattice(label):
     """Generators of (Lambda' intersect 2 pi i Z) x 0 for the D2_14 row."""
-    out = []
-    for coeffs in _integer_combos_on_axis(label.a1, label.a2):
-        out.append(UAffElement(coeffs, 0))
-    return out
+    return [UAffElement(coeffs, 0) for coeffs in _integer_combos_on_axis(label.a1, label.a2)]
 
 
 def _integer_combos_on_axis(a1, a2):

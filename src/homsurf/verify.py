@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bbeta, bundles, families, projective, uaff
-from .catalogue import ascii_label
 from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
 from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
 from .numeric import close, distance
@@ -720,14 +719,6 @@ def suite_names():
     return list(families.BASE_FAMILY_LABELS) + list(PSEUDO_SUITES)
 
 
-def suite_name(target):
-    """The suite that `target` names, in any spelling of its label (Bβ1, Bb1, Bbeta1)."""
-    name = {ascii_label(f): f for f in suite_names()}.get(ascii_label(target))
-    if name is None:
-        raise ValueError(f"unknown verification suite {target}")
-    return name
-
-
 def run_suite(name, samples=100, seed=0):
     rec = Recorder()
     rng = rng_for(seed, name)
@@ -753,5 +744,7 @@ def run_verification(target="all", samples=100, seed=0):
     """Reports for one suite or all of them; deterministic given the seed."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    names = suite_names() if target == "all" else [suite_name(target)]
+    names = suite_names()
+    if target != "all":
+        names = [families.family_label(target, names, "verification suite")]
     return [run_suite(n, samples=samples, seed=seed) for n in names]

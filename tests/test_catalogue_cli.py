@@ -6,8 +6,8 @@ import pytest
 
 from homsurf import cli
 from homsurf.catalogue import ROWS, ascii_label, enumerate_catalogue, labels
-from homsurf.families import BASE_FAMILY_LABELS
-from homsurf.verify import suite_name
+from homsurf.families import BASE_FAMILY_LABELS, family_label
+from homsurf.verify import suite_names
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "catalogue_labels.txt"
 
@@ -343,17 +343,21 @@ def test_every_catalogue_label_is_found_in_every_spelling():
 def test_every_family_label_is_found_in_every_spelling():
     for label in BASE_FAMILY_LABELS:
         for spelling in _spellings(label):
-            assert cli.canonical_family(spelling) == label, spelling
-            assert suite_name(spelling) == label, spelling
+            assert family_label(spelling) == label, spelling
+            assert family_label(spelling, suite_names()) == label, spelling
 
 
-def test_pseudo_suites_and_unknown_labels():
+def test_pseudo_suites_and_unknown_labels(capsys):
     for name in ("exppoly", "divisor", "SC"):
-        assert suite_name(name) == name
-    with pytest.raises(ValueError):
-        suite_name("Bb9")
-    with pytest.raises(cli.InputError):
-        cli.canonical_family("Bbeta9")
+        assert family_label(name, suite_names()) == name
+    with pytest.raises(ValueError, match="unknown verification suite Bb9"):
+        family_label("Bb9", suite_names(), "verification suite")
+    with pytest.raises(ValueError, match="unknown family Bbeta9"):
+        family_label("Bbeta9")
+    assert cli.main(["act", "--family", "Bbeta9", "--element", "e.json", "--point", "p.json"]) == 2
+    assert capsys.readouterr().err == "error: unknown family Bbeta9\n"
+    assert cli.main(["verify", "Bb9"]) == 2
+    assert capsys.readouterr().err == "error: unknown verification suite Bb9\n"
 
 
 # the divisor [0] + [2 pi i], normalized for Bβ2 and with lambda = 0 for the Bβ1 example D

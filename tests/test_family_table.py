@@ -8,13 +8,14 @@ Non-finite numbers, overflowing results and elements that break their
 family's invariants exit 2, and every family has a row in the docs.
 """
 
+import cmath
 import json
 import math
 import pathlib
 
 import pytest
 
-from homsurf import cli
+from homsurf import cli, families
 from homsurf.families import BASE_FAMILY_LABELS, build_family
 
 
@@ -107,6 +108,37 @@ def _act(tmp_path, label, element, point):
     e.write_text(json.dumps(element))
     p.write_text(json.dumps(point))
     return cli.main(["act", "--family", label, "--element", str(e), "--point", str(p)])
+
+
+# the operations a tracer wraps on the handler class (perfbench/spans.py), and the samplers
+HANDLER_METHODS = ("identity", "multiply", "inverse", "act", "random_element", "random_point")
+
+
+@pytest.mark.parametrize("label", BASE_FAMILY_LABELS)
+def test_every_factory_builds_a_family(label):
+    handler = build_family(label)
+    assert type(handler) is families.Family
+    assert handler.label == label
+    for method in HANDLER_METHODS:
+        assert method in vars(families.Family) and method not in vars(handler), method
+    with pytest.raises(TypeError):
+        build_family(label, bogus=1)
+
+
+def test_family_parameters():
+    assert build_family("Bγ1", c=0).label == "Bγ2"
+    assert build_family("Bδ4", n=3).n == build_family("Bγ3", n=3).n == 3
+    assert build_family("A1").n is None
+    assert build_family("C8", alpha=3.0).act((0.5j, (0j, 0j)), (1.0 + 0j, 1.0 + 0j))[1] == cmath.exp(1.5j)
+    with pytest.raises(ValueError):
+        build_family("C8", alpha=1.0)
+
+
+def test_only_c8_elements_carry_handler_parameters():
+    for label in BASE_FAMILY_LABELS:
+        element, _, params = PAYLOADS[label]
+        assert families.SPECS[label].params(element) == params, label
+    assert families.SPECS["C8"].params({"t": 0, "v": [0, 0]}) == {}
 
 
 def test_every_family_has_a_payload():

@@ -201,10 +201,10 @@ def test_bundle_chart_change_and_carrier_name_the_degree():
     assert BundlePoint(200, 0, 0.5 + 0j, 1.0 + 0j).to_chart(1).w == 2.0**200
 
 
-def _classify(tmp_path, doc):
+def _classify(tmp_path, doc, *options):
     f = tmp_path / "gens.json"
     f.write_text(json.dumps(doc))
-    return cli.main(["classify", str(f)])
+    return cli.main(["classify", str(f), *options])
 
 
 MALFORMED = {
@@ -221,3 +221,69 @@ def test_malformed_payload_is_an_input_error(tmp_path, capsys, name):
     assert MALFORMED[name](tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# a D2_11 row (rotation by 2 pi / 3): its center intersection needs the fraction 1/3
+ROTATION_THIRD = {"ambient": "uaff", "generators": [{"a": _cj(2j * math.pi / 3), "b": _cj(0j)}, {"a": 0, "b": 1}]}
+
+
+def _classify_bound(tmp_path, doc, bound):
+    return _classify(tmp_path, doc, "--denominator-bound", str(bound))
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_cli_classify_center_beyond_the_denominator_bound_exits_2(tmp_path, capsys, bound):
+    assert _classify_bound(tmp_path, ROTATION_THIRD, bound) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"denominator bound {bound}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", [3, 6, 10**6])
+def test_cli_classify_center_within_the_denominator_bound(tmp_path, capsys, bound):
+    assert _classify_bound(tmp_path, ROTATION_THIRD, bound) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["label"] == "D2_11"
+    assert out["center_intersection"]["b"] == _cj(0j)
+    assert abs(out["center_intersection"]["a"]["im"] - 2 * math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("bound", [0, -1])
+@pytest.mark.parametrize("ambient", ["C2", "uaff"])
+def test_cli_classify_needs_a_positive_denominator_bound(tmp_path, capsys, bound, ambient):
+    doc = ROTATION_THIRD if ambient == "uaff" else {"ambient": "C2", "generators": [[1, 0]]}
+    assert _classify_bound(tmp_path, doc, bound) == 2
+    assert capsys.readouterr().err == f"error: --denominator-bound must be at least 1, got {bound}\n"
+
+
+def test_rational_reconstruct_needs_a_positive_bound():
+    from homsurf.numeric import rational_reconstruct
+
+    assert rational_reconstruct(0.5, max_denominator=2) == 0.5
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            rational_reconstruct(0.5, max_denominator=bound)
+
+
+# the divisor [0] + [2 pi i]: Bβ1 example D covers it, and it is normalized for Bβ2
+COVER_DIVISOR = {"points": [{"re": 0.0, "im": 0.0, "mult": 1}, {"re": 0.0, "im": 2 * math.pi, "mult": 1}]}
+COVERS = {
+    "Bb1": ({"t": _cj(0.5 + 0j)}, "D"),
+    "Bb2": ({"t": _cj(0.5 + 0j), "lambda": _cj(1.5 + 0j)}, "Bb2'"),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, "2", 0, True])
+@pytest.mark.parametrize("family", sorted(COVERS))
+def test_cli_act_cover_degree_must_be_a_positive_integer(tmp_path, capsys, family, n):
+    fields, cover = COVERS[family]
+    element = {"divisor": COVER_DIVISOR, "f": {"terms": []}, "cover": {"n": n}, **fields}
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    argv = ["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: n must be an integer of at least 1, got {n!r}\n"
+    element["cover"]["n"] = 2
+    e.write_text(json.dumps(element))
+    assert cli.main(argv) == 0
