@@ -180,6 +180,45 @@ def distance(a, b):
     raise TypeError(f"no distance for {type(a)}")
 
 
+def _scalar_distance(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _pair_distance(a, b):
+    return max(_scalar_distance(a[0], b[0]), _scalar_distance(a[1], b[1]))
+
+
+def _array_distance(a, b):
+    return flat_distance(_entries(a), _entries(b))
+
+
+def distance_for(a):
+    """`distance` for values shaped like a, with its structural dispatch done here, once.
+
+    For every b of a's shape the function returned gives `distance(a, b)` to
+    the bit: the same formula for numbers, the largest part distance of a
+    tuple (parts compared in order), the value type's own `distance` method,
+    `flat_distance` for arrays.  Values of any other type keep `distance`.
+    """
+    t = type(a)
+    if t in _SCALAR_TYPES:
+        return _scalar_distance
+    if t is tuple:
+        parts = tuple(map(distance_for, a))
+        if parts == (_scalar_distance, _scalar_distance):
+            return _pair_distance
+        if len(parts) == 2:
+            first, second = parts
+            return lambda a, b: max(first(a[0], b[0]), second(a[1], b[1]))
+        return lambda a, b: max((f(x, y) for f, x, y in zip(parts, a, b)), default=0.0)
+    own = getattr(t, "distance", None)
+    if own is not None:
+        return own
+    if hasattr(a, "ravel"):
+        return _array_distance
+    return distance
+
+
 # ---------------------------------------------------------------------------
 # JSON numbers: every codec reads and writes complex numbers through these
 
