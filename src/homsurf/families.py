@@ -39,12 +39,23 @@ from .numeric import (
     flat_distance,
     json_complex,
     lattice_reduce_tau,
-    load_numpy,
     r2c2,
     setfield,
     zmodule_basis,
 )
-from .projective import BundlePoint, ProjPoint, Proj2Point, QuadricPoint, mobius_act, proj2_act, quadric_act
+from .projective import (
+    BundlePoint,
+    ProjPoint,
+    Proj2Point,
+    QuadricPoint,
+    inverse2,
+    inverse3,
+    mobius_act,
+    product2,
+    product3,
+    proj2_act,
+    quadric_act,
+)
 
 
 def _cnum(rng, scale=0.7):
@@ -67,30 +78,22 @@ def _det(m):
 
 
 def _matrix(rng, n=2, special=False, min_det=0.25, scale=0.7):
-    """Random n x n rows with |det| > min_det; divided by a square root of the
-    determinant when special, so that det = 1."""
+    """A random n x n matrix as a tuple of rows, with |det| > min_det; divided by
+    a square root of the determinant when special, so that det = 1."""
     while True:
         cs = _cnums(rng, n * n, scale)
-        m = [cs[i : i + n] for i in range(0, n * n, n)]
+        m = tuple(tuple(cs[i : i + n]) for i in range(0, n * n, n))
         det = _det(m)
         if abs(det) > min_det:
             break
     if special:
         root = cmath.sqrt(det)
-        m = [[x / root for x in row] for row in m]
+        m = tuple(tuple(x / root for x in row) for row in m)
     return m
 
 
-def _inverse2(g):
-    return load_numpy().array(projective.inverse2(g))
-
-
-def _eye2():
-    return load_numpy().eye(2, dtype=complex)
-
-
-def _random_gl2(rng, special=False):
-    return load_numpy().array(_matrix(rng, special=special))
+_EYE2 = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
+_EYE3 = ((1.0 + 0j, 0j, 0j), (0j, 1.0 + 0j, 0j), (0j, 0j, 1.0 + 0j))
 
 
 def _plane_point(rng):
@@ -152,7 +155,7 @@ _AFF_C = (
     _aff_random,
     _cnum,
 )
-_PSL2 = (_eye2, operator.matmul, _inverse2, mobius_act, _random_gl2, lambda rng: ProjPoint(_cnum(rng, 1.0)))
+_PSL2 = (lambda: _EYE2, product2, inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0)))
 
 
 def _product(label, f1, f2):
@@ -177,27 +180,25 @@ def _product(label, f1, f2):
 def _a1():
     return Family(
         "A1",
-        lambda: load_numpy().eye(3, dtype=complex),
-        operator.matmul,
-        lambda g: load_numpy().linalg.inv(g),
+        lambda: _EYE3,
+        product3,
+        inverse3,
         proj2_act,
-        lambda rng: load_numpy().array(_matrix(rng, n=3)),
+        lambda rng: _matrix(rng, n=3),
         lambda rng: Proj2Point(_cnums(rng, 3, 1.0)),
     )
 
 
-def _affine_identity():
-    np = load_numpy()
-    return (np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
-
-
 def _affine_multiply(g, h):
-    return (g[0] @ h[0], g[1] + g[0] @ h[1])
+    (a, b), (c, d) = g[0]
+    (s, t), (x, y) = g[1], h[1]
+    return (product2(g[0], h[0]), (s + (a * x + b * y), t + (c * x + d * y)))
 
 
 def _affine_inverse(g):
-    mi = _inverse2(g[0])
-    return (mi, -mi @ g[1])
+    mi = (a, b), (c, d) = inverse2(g[0])
+    x, y = g[1]
+    return (mi, (-(a * x + b * y), -(c * x + d * y)))
 
 
 def _affine_act(g, x):
@@ -210,9 +211,9 @@ def _matrix_affine(label, special):
     """GL(2,C) (or SL(2,C) when special) semidirect translations of the plane."""
 
     def random_element(rng):
-        return (_random_gl2(rng, special), load_numpy().array(_cnums(rng, 2)))
+        return (_matrix(rng, special=special), tuple(_cnums(rng, 2)))
 
-    return Family(label, _affine_identity, _affine_multiply, _affine_inverse, _affine_act, random_element)
+    return Family(label, lambda: (_EYE2, (0j, 0j)), _affine_multiply, _affine_inverse, _affine_act, random_element)
 
 
 def _c8(alpha=2.0 + 0.5j):
@@ -349,11 +350,11 @@ def _bdelta_linear(label, special):
     """SL(2,C) (special) or GL(2,C) acting linearly on C^2 minus the origin."""
     return Family(
         label,
-        _eye2,
-        operator.matmul,
-        _inverse2,
+        lambda: _EYE2,
+        product2,
+        inverse2,
         projective.bdelta_act,
-        lambda rng: _random_gl2(rng, special),
+        lambda rng: _matrix(rng, special=special),
         _punctured_point,
     )
 
@@ -367,7 +368,7 @@ def _quadric_point(rng):
 
 def _c9():
     """The matrices of Bδ2 taken modulo scalars, acting on ordered pairs of distinct points of P^1."""
-    return Family("C9", _eye2, operator.matmul, _inverse2, quadric_act, _random_gl2, _quadric_point)
+    return Family("C9", lambda: _EYE2, product2, inverse2, quadric_act, _matrix, _quadric_point)
 
 
 def _bdelta_bundle(label, special, n=2):
@@ -474,6 +475,13 @@ def _divisor_element(data, rescaled):
     return bbeta.RGDElement(D, t, json_complex(data["lambda"]), f) if rescaled else bbeta.GDElement(D, t, f)
 
 
+def _c8_element(data):
+    """(t, v); the payload must also carry the family parameter alpha, which `params` reads."""
+    if "alpha" not in data:
+        raise ValueError("a C8 element needs its family parameter alpha")
+    return (json_complex(data["t"]), _values(data["v"], 2))
+
+
 def _bg12_element(data, c):
     lam, b = json_complex(data["lam"]), json_complex(data["b"])
     return projective.BGamma12Element(_degree(data), c, lam, b, _values(data["poly"]))
@@ -543,6 +551,16 @@ def _proj_distance(g, h):
     return flat_distance(xs, [s * y for y in ys])
 
 
+def _matrix_distance(g, h):
+    """`flat_distance` over the entries of two matrices given as rows."""
+    return flat_distance([x for row in g for x in row], [y for row in h for y in row])
+
+
+def _affine_distance(g, h):
+    """The larger `flat_distance` of the matrix parts and of the translations."""
+    return max(_matrix_distance(g[0], h[0]), flat_distance(g[1], h[1]))
+
+
 def _psl_first_distance(g, h):
     return max(_proj_distance(g[0], h[0]), distance(g[1], h[1]))
 
@@ -590,8 +608,12 @@ SPECS = {
         check=_check_invertible,
         distance=_proj_distance,
     ),
-    "A2": FamilySpec(lambda: _matrix_affine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0])),
-    "A3": FamilySpec(lambda: _matrix_affine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0])),
+    "A2": FamilySpec(
+        lambda: _matrix_affine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0]), distance=_affine_distance
+    ),
+    "A3": FamilySpec(
+        lambda: _matrix_affine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0]), distance=_affine_distance
+    ),
     "Bβ1": FamilySpec(
         _bbeta1,
         lambda d: _divisor_element(d, rescaled=False),
@@ -618,10 +640,20 @@ SPECS = {
     ),
     "Bγ4": FamilySpec(_bgamma4, _on_element),
     "Bδ1": FamilySpec(
-        lambda: _bdelta_linear("Bδ1", True), _matrix_element, _PUNCTURED, check=_check_det_one, policy=_HOPF
+        lambda: _bdelta_linear("Bδ1", True),
+        _matrix_element,
+        _PUNCTURED,
+        check=_check_det_one,
+        distance=_matrix_distance,
+        policy=_HOPF,
     ),
     "Bδ2": FamilySpec(
-        lambda: _bdelta_linear("Bδ2", False), _matrix_element, _PUNCTURED, check=_check_invertible, policy=_HOPF
+        lambda: _bdelta_linear("Bδ2", False),
+        _matrix_element,
+        _PUNCTURED,
+        check=_check_invertible,
+        distance=_matrix_distance,
+        policy=_HOPF,
     ),
     "Bδ3": FamilySpec(
         lambda n=2: _bdelta_bundle("Bδ3", True, n),
@@ -667,7 +699,7 @@ SPECS = {
     ),
     "C8": FamilySpec(
         _c8,
-        lambda d: (json_complex(d["t"]), _values(d["v"], 2)),
+        _c8_element,
         params=lambda d: {"alpha": json_complex(d["alpha"])} if "alpha" in d else {},
     ),
     "C9": FamilySpec(

@@ -67,9 +67,10 @@ def load_numpy():
     """The numpy module, imported on the first call.
 
     The package takes numpy only through this accessor, inside the functions
-    that use it: the verify-path handlers (matrix families, random sampling)
-    and array inputs.  No `act` or `classify` call reaches one, so none pays
-    for importing numpy.  `verify` imports numpy itself.
+    that use it: `sym_power_rep`, `uaff_matrix`, array inputs and a default
+    random generator.  No `act` or `classify` call reaches one, so none pays
+    for importing numpy.  `verify` imports numpy itself, for its generators;
+    no family handler multiplies or returns arrays.
     """
     import numpy
 

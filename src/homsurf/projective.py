@@ -51,6 +51,31 @@ def product2(g, h):
     return ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
 
 
+def product3(g, h):
+    """Product g h of two 3x3 matrices given as rows, as a tuple of rows."""
+    (a, b, c), (d, e, f), (p, q, r) = g
+    (A, B, C), (D, E, F), (P, Q, R) = h
+    return (
+        (a * A + b * D + c * P, a * B + b * E + c * Q, a * C + b * F + c * R),
+        (d * A + e * D + f * P, d * B + e * E + f * Q, d * C + e * F + f * R),
+        (p * A + q * D + r * P, p * B + q * E + r * Q, p * C + q * F + r * R),
+    )
+
+
+def inverse3(g):
+    """Inverse of an invertible 3x3 matrix given as rows: its adjugate over its determinant."""
+    (a, b, c), (d, e, f), (p, q, r) = g
+    c00, c01, c02 = e * r - f * q, f * p - d * r, d * q - e * p
+    det = a * c00 + b * c01 + c * c02
+    if det == 0:
+        raise ValueError("singular matrix")
+    return (
+        (c00 / det, (c * q - b * r) / det, (b * f - c * e) / det),
+        (c01 / det, (a * r - c * p) / det, (c * d - a * f) / det),
+        (c02 / det, (b * p - a * q) / det, (a * e - b * d) / det),
+    )
+
+
 def _invertible(a, b, c, d):
     """Whether |ad - bc| clears EPS times the squared largest entry (at least 1)."""
     return abs(a * d - b * c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
@@ -156,33 +181,42 @@ def binary_form_eval(coeffs, z1, z2):
     return sum(c * z1 ** (n - j) * z2**j for j, c in enumerate(coeffs))
 
 
-def binary_form_substitute(coeffs, m):
-    """Coefficients of q(M Z) for a binary form q of degree n."""
+def binary_form_substitute(coeffs, m, rows=None):
+    """Coefficients of q(M Z) for a binary form q of degree n.
+
+    `rows`, when given, is a list of n + 1 entries kept with M (None at first):
+    entry j is the image of the j-th monomial, filled when a form first has a
+    nonzero j-th coefficient and read from then on, with the same bits.
+    """
     m00, m01, m10, m11 = _entries(m)
     n = len(coeffs) - 1
-    # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
-    # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
+    # each power x**e that a computed row takes, computed once: the first such row takes the
+    # most powers of m00 and m01, the last the most of m10 and m11
     p00 = p01 = None
     p10, p11 = [], []
     out = [0j] * (n + 1)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
-        # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
-        k = n - j
-        if p00 is None:
-            p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
-        while len(p10) <= j:
-            p10.append(m10 ** len(p10))
-            p11.append(m11 ** len(p11))
-        right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
-        prod = [0j] * (n + 1)
-        i = 0
-        for b in _binomials(k):
-            x = b * p00[k - i] * p01[i]
-            for l, y in enumerate(right, i):
-                prod[l] += x * y
-            i += 1
+        prod = None if rows is None else rows[j]
+        if prod is None:
+            # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
+            k = n - j
+            if p00 is None:
+                p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
+            while len(p10) <= j:
+                p10.append(m10 ** len(p10))
+                p11.append(m11 ** len(p11))
+            right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
+            prod = [0j] * (n + 1)
+            i = 0
+            for b in _binomials(k):
+                x = b * p00[k - i] * p01[i]
+                for l, y in enumerate(right, i):
+                    prod[l] += x * y
+                i += 1
+            if rows is not None:
+                rows[j] = prod
         i = 0
         for t in prod:
             out[i] += c * t
@@ -318,7 +352,7 @@ class OnGroupElement(Record):
     largest entry gets its argument into [0, 2 pi / n).
     """
 
-    __slots__ = ("n", "matrix", "poly")
+    __slots__ = ("n", "matrix", "poly", "__dict__")  # the dict holds the inverse's substitution
 
     def __init__(self, n, matrix, poly):
         n = int(n)
@@ -341,8 +375,10 @@ class OnGroupElement(Record):
         setfield(self, "matrix", ((a, b), (c, d)))
         setfield(self, "poly", p)
 
-    def mat(self):
-        return load_numpy().array(self.matrix, dtype=complex)
+    @functools.cached_property
+    def inverse_rows(self):
+        """g^{-1} and its substitution rows (see binary_form_substitute), which `on_multiply` fills."""
+        return inverse2(self.matrix), [None] * (self.n + 1)
 
     def distance(self, other):
         """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
@@ -364,7 +400,7 @@ def on_multiply(e0, e1):
     """(g0, p0)(g1, p1) = (g0 g1, p0 + p1 o g0^{-1})."""
     if e0.n != e1.n:
         raise ValueError("mixed bundle degrees")
-    comp = binary_form_substitute(e1.poly, inverse2(e0.matrix))
+    comp = binary_form_substitute(e1.poly, *e0.inverse_rows)
     p = tuple(a + b for a, b in zip(e0.poly, comp))
     return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), p)
 

@@ -314,8 +314,8 @@ def suite_d1_extra(rng, samples, rec):
     for _ in range(max(3, samples // 10)):
         name = labels[int(rng.integers(len(labels)))]
         gens, _ = random_d1_generators(rng, name)
-        m = _random_gl2(rng)
-        gens = [tuple(m @ np.array(g)) for g in gens]
+        (a, b), (c, d) = _random_gl2(rng)
+        gens = [(a * x + b * y, c * x + d * y) for x, y in gens]
         if gens:
             order = rng.permutation(len(gens))
             gens = [gens[i] for i in order]
@@ -328,13 +328,12 @@ def suite_d1_extra(rng, samples, rec):
 
 def _random_gl2(rng):
     while True:
-        m = np.array(
-            [
-                [complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())],
-                [complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())],
-            ]
+        m = (
+            (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())),
+            (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())),
         )
-        if abs(np.linalg.det(m)) > 0.3:
+        (a, b), (c, d) = m
+        if abs(a * d - b * c) > 0.3:
             return m
 
 

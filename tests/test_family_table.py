@@ -17,6 +17,7 @@ import pytest
 
 from homsurf import cli, families
 from homsurf.families import BASE_FAMILY_LABELS, build_family
+from homsurf.numeric import Record
 
 
 def _cj(z):
@@ -123,6 +124,34 @@ def test_every_factory_builds_a_family(label):
         assert method in vars(families.Family) and method not in vars(handler), method
     with pytest.raises(TypeError):
         build_family(label, bogus=1)
+
+
+def _arrays_inside(value):
+    """The numpy arrays anywhere inside a value, walking tuples, lists and Records."""
+    import numpy as np
+
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for part in value for a in _arrays_inside(part)]
+    if isinstance(value, Record):
+        return [a for field in value._fields for a in _arrays_inside(getattr(value, field))]
+    return []
+
+
+@pytest.mark.parametrize("label", BASE_FAMILY_LABELS)
+def test_no_handler_returns_an_array(label):
+    # after a complex numpy product, cmath.exp and other SSE code run several times slower until
+    # a ufunc or LAPACK call; the verify path keeps clear of them by handing out no arrays
+    import numpy as np
+
+    handler = build_family(label)
+    rng = np.random.default_rng(5)
+    values = [handler.identity()]
+    for _ in range(20):
+        g, h, x = handler.random_element(rng), handler.random_element(rng), handler.random_point(rng)
+        values += [g, h, handler.multiply(g, h), handler.inverse(g), handler.act(g, x)]
+    assert not [a for v in values for a in _arrays_inside(v)]
 
 
 def test_family_parameters():

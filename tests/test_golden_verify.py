@@ -27,12 +27,12 @@ from homsurf import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SHA256 = {
-    1: "c5168dec79947f4b33845a29f27d80dd373c9ccd17d03fda119d25ad314c7401",
-    2: "fa2e2bd8cb546a86ceb43aa15d239748c4f612db6cc9f31df3e494b74d725ad7",
-    3: "c49e3168805b804113e43f5b8284c1fa482db8ecda98f498188154ce796f93df",
-    4: "468ffdbe00e285b0ef0dfceedc0fc3d7c46e2f9439c07d4beaa440f863efbcbc",
-    5: "c5baf8a8e2d3af6ee1fc0a30b2c34eb9ed12d91bd7a5fa11f0175357d1936296",
-    6: "3de5e0c089008d42bc0b4e3082671dc3161bdf8f312c4d92b4da8d5493e83785",
+    1: "d12dc5086e773c50b70c9c0c6a446387211502546204349907c56941aabe6338",
+    2: "78bc445eb0476df6d427107ba92c6c76c0424319b564054c64d8fd122b36db9f",
+    3: "a20378fde25a3d544a662da50780f8c8b15e976fddea44e548ac24079d538e45",
+    4: "d337d707475abd699c6f15d2a85405c8686c840a9942b25fea9f6308aaa5838b",
+    5: "4a5b2cad834a61b76b3bbf83dd901e44c5baeada20d8c8cb65499b45d9880e47",
+    6: "4a67201603cc63071377a1f93ae9df7abcf8eb03a574ea3bdd3c690d2ed496f0",
 }
 
 

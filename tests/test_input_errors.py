@@ -1,5 +1,6 @@
 """Invalid input fails with an input error (exit code 2), never a confident answer."""
 
+import cmath
 import json
 import math
 
@@ -170,6 +171,16 @@ def test_cli_act_valid_d3(tmp_path, capsys):
     assert _act(tmp_path, "D3", elem, POINT) == 0
     out = json.loads(capsys.readouterr().out)
     assert math.isclose(out["z"]["re"], 1.0) and math.isclose(out["z"]["im"], 2.0)
+
+
+def test_cli_act_c8_needs_alpha(tmp_path, capsys):
+    # alpha is the family parameter and part of the C8 element; without it the factory's default acted
+    elem = {"t": _cj(0.5j), "v": [_cj(1 + 0j), _cj(0j)]}
+    assert _act(tmp_path, "C8", elem, POINT) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert _act(tmp_path, "C8", dict(elem, alpha=_cj(3 + 0j)), POINT) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert complex(out["w"]["re"], out["w"]["im"]) == 2 * cmath.exp(1.5j)
 
 
 def _bundle_act(tmp_path, n):

@@ -9,13 +9,14 @@ tolerance would pass.
 
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homsurf import bundles, families, verify
+from homsurf import bundles, families, projective, verify
 from homsurf.divisor import Divisor, _quasiperiod_group, quasiperiod_group
 from homsurf.exppoly import (
     ExpPoly,
@@ -27,7 +28,7 @@ from homsurf.exppoly import (
     monic_polynomial,
     random_member,
 )
-from homsurf.numeric import COEFF_CHOP, lattice_contains
+from homsurf.numeric import COEFF_CHOP, distance, distance_for, lattice_contains
 from homsurf.projective import _binomials, _entries, _invertible, OnGroupElement, binary_form_substitute
 
 
@@ -432,6 +433,23 @@ def test_on_group_element_matches_the_replaced_constructor():
         assert same((e.n, e.matrix, e.poly), old_on_group_fields(n, m, [0] * (n + 1)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_kept_substitution_rows_match_a_fresh_substitution(n):
+    rng = np.random.default_rng(n + 20)
+    for m in _matrices(rng):
+        e = OnGroupElement(n, m, [0] * (n + 1))
+        m_inv, rows = e.inverse_rows
+        # forms with zeros in different places fill the kept rows in different orders
+        for zeros in ((), (0,), (n,), tuple(range(0, n + 1, 2)), tuple(range(n + 1)), ()):
+            coeffs = [complex(x, y) for x, y in rng.normal(size=(n + 1, 2))]
+            for j in zeros:
+                coeffs[j] = 0j
+            got = binary_form_substitute(coeffs, m_inv, rows)
+            assert same(got, binary_form_substitute(coeffs, projective.inverse2(e.matrix)))
+            assert same(got, old_binary_form_substitute(coeffs, m_inv))
+        assert e.inverse_rows[1] is rows and None not in rows
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
 @pytest.mark.parametrize("scale", [0.5, 0.7, 1.1])
 def test_cnums_equal_scalar_draws(k, scale):
@@ -477,3 +495,129 @@ def test_map_normalizes_deck_matches_the_replaced_check(c):
             assert a.normal() == b.normal()
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the distances of the axioms suite, resolved once per suite
+
+
+@pytest.mark.parametrize("label", families.BASE_FAMILY_LABELS)
+def test_resolved_distances_equal_distance(label):
+    handler = families.build_family(label)
+    rng = verify.rng_for(3, label)
+    element_distance = distance_for(handler.random_element(rng))
+    point_distance = distance_for(handler.random_point(rng))
+    ident = handler.identity()
+    for _ in range(200):
+        g, h = handler.random_element(rng), handler.random_element(rng)
+        x, y = handler.random_point(rng), handler.random_point(rng)
+        gh = handler.multiply(g, h)
+        for a, b in ((g, h), (handler.multiply(g, handler.inverse(g)), ident), (handler.multiply(g, ident), g)):
+            assert same(element_distance(a, b), distance(a, b))
+        for a, b in ((x, y), (handler.act(gh, x), handler.act(g, handler.act(h, x))), (handler.act(g, x), x)):
+            assert same(point_distance(a, b), distance(a, b))
+
+
+def test_resolved_distance_of_each_shape():
+    pairs = [
+        (1.5, 2),
+        (1j, 3 + 0j),
+        ((1j, 2.0), (0.5j, 2.5)),
+        ((1j, (2.0, 3j)), (1.5j, (2.0, -3j))),
+        ((1j, 2.0, 3.0), (1j, 2.5, -3.0)),
+        ((), ()),
+        (np.array([[1j, 2.0], [0.5, 3.0]]), np.array([[1j, 2.5], [0.5, -3.0]])),
+        (projective.ProjPoint(1j), projective.ProjPoint(2.0)),
+        ([1j, 2.0], [1.5j, 2.0]),
+    ]
+    for a, b in pairs:
+        assert same(distance_for(a)(a, b), distance(a, b)), (a, b)
+    assert distance_for([1j, 2.0]) is distance
+
+
+# ---------------------------------------------------------------------------
+# the matrix families' group laws: Python rows in place of numpy arrays
+
+
+def old_eye2():
+    return np.eye(2, dtype=complex)
+
+
+def old_inverse2(g):
+    return np.array(projective.inverse2(g))
+
+
+def old_affine_identity():
+    return (np.eye(2, dtype=complex), np.zeros(2, dtype=complex))
+
+
+def old_affine_multiply(g, h):
+    return (g[0] @ h[0], g[1] + g[0] @ h[1])
+
+
+def old_affine_inverse(g):
+    mi = old_inverse2(g[0])
+    return (mi, -mi @ g[1])
+
+
+# label -> (identity, multiply, inverse) of the numpy handler it replaced, the matrix parts as arrays
+OLD_LAWS = {
+    "A1": (lambda: np.eye(3, dtype=complex), operator.matmul, np.linalg.inv),
+    "A2": (old_affine_identity, old_affine_multiply, old_affine_inverse),
+    "A3": (old_affine_identity, old_affine_multiply, old_affine_inverse),
+    "Bδ1": (old_eye2, operator.matmul, old_inverse2),
+    "Bδ2": (old_eye2, operator.matmul, old_inverse2),
+    "C9": (old_eye2, operator.matmul, old_inverse2),
+}
+
+
+def _flat(x):
+    """The complex entries of a nested value: rows, pairs and arrays."""
+    if isinstance(x, (tuple, list, np.ndarray)):
+        return [z for part in x for z in _flat(part)]
+    return [complex(x)]
+
+
+def _relative(got, want):
+    """Largest entry difference over the largest entry (at least 1)."""
+    a, b = _flat(got), _flat(want)
+    assert len(a) == len(b)
+    return max(abs(x - y) for x, y in zip(a, b)) / max(1.0, *map(abs, a), *map(abs, b))
+
+
+def _as_arrays(label, g):
+    return (np.array(g[0]), np.array(g[1])) if label in ("A2", "A3") else np.array(g)
+
+
+@pytest.mark.parametrize("label", sorted(OLD_LAWS))
+def test_matrix_group_laws_match_the_numpy_handlers(label):
+    old_identity, old_multiply, old_inverse = OLD_LAWS[label]
+    handler = families.build_family(label)
+    assert _flat(handler.identity()) == _flat(old_identity())
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        g, h = handler.random_element(rng), handler.random_element(rng)
+        ga, ha = _as_arrays(label, g), _as_arrays(label, h)
+        assert _relative(handler.multiply(g, h), old_multiply(ga, ha)) <= 1e-14
+        # A1's adjugate inverse against LU: both are within a few ulps of the inverse, not of each other
+        assert _relative(handler.inverse(g), old_inverse(ga)) <= (1e-12 if label == "A1" else 1e-14)
+
+
+@pytest.mark.parametrize("label", ["C5", "C6", "C7"])
+def test_psl2_factors_match_the_numpy_handlers(label):
+    handler = families.build_family(label)
+    rng = np.random.default_rng(12)
+    assert _flat(handler.identity()[0]) == _flat(old_eye2())
+    for _ in range(500):
+        g, h = handler.random_element(rng), handler.random_element(rng)
+        for i in (0, 1) if label == "C7" else (0,):
+            assert _relative(handler.multiply(g, h)[i], np.array(g[i]) @ np.array(h[i])) <= 1e-14
+            assert _relative(handler.inverse(g)[i], old_inverse2(np.array(g[i]))) == 0.0
+
+
+def test_product3_and_inverse3_on_awkward_matrices():
+    m = ((0j, 1.0, 0j), (1.0, 0j, 0j), (0j, 0j, 2j))
+    assert _relative(projective.inverse3(m), np.linalg.inv(np.array(m))) == 0.0
+    assert _relative(projective.product3(m, projective.inverse3(m)), np.eye(3)) == 0.0
+    with pytest.raises(ValueError):
+        projective.inverse3(((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 1.0)))

@@ -89,7 +89,7 @@ def test_on_group_element_canonicalisation(g, ref, n):
     assert theta < 2 * math.pi / n + 1e-12
     # the canonical form does not depend on the root of unity it started from
     zeta = np.exp(2j * math.pi / n)
-    assert np.allclose(OnGroupElement(n, zeta * np.array(g), (0j,) * (n + 1)).mat(), got, atol=1e-14)
+    assert np.allclose(np.array(OnGroupElement(n, zeta * np.array(g), (0j,) * (n + 1)).matrix), got, atol=1e-14)
 
 
 def test_on_group_element_rejects_bad_matrices():
