@@ -196,7 +196,8 @@ def _affine_multiply(g, h):
 
 
 def _affine_inverse(g):
-    mi = (a, b), (c, d) = inverse2(g[0])
+    mi = inverse2(g[0])
+    (a, b), (c, d) = mi
     x, y = g[1]
     return (mi, (-(a * x + b * y), -(c * x + d * y)))
 
@@ -609,10 +610,16 @@ SPECS = {
         distance=_proj_distance,
     ),
     "A2": FamilySpec(
-        lambda: _matrix_affine("A2", False), _affine_map, check=lambda g: _check_invertible(g[0]), distance=_affine_distance
+        lambda: _matrix_affine("A2", False),
+        _affine_map,
+        check=lambda g: _check_invertible(g[0]),
+        distance=_affine_distance,
     ),
     "A3": FamilySpec(
-        lambda: _matrix_affine("A3", True), _affine_map, check=lambda g: _check_det_one(g[0]), distance=_affine_distance
+        lambda: _matrix_affine("A3", True),
+        _affine_map,
+        check=lambda g: _check_det_one(g[0]),
+        distance=_affine_distance,
     ),
     "Bβ1": FamilySpec(
         _bbeta1,

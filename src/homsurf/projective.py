@@ -181,42 +181,33 @@ def binary_form_eval(coeffs, z1, z2):
     return sum(c * z1 ** (n - j) * z2**j for j, c in enumerate(coeffs))
 
 
-def binary_form_substitute(coeffs, m, rows=None):
-    """Coefficients of q(M Z) for a binary form q of degree n.
-
-    `rows`, when given, is a list of n + 1 entries kept with M (None at first):
-    entry j is the image of the j-th monomial, filled when a form first has a
-    nonzero j-th coefficient and read from then on, with the same bits.
-    """
+def binary_form_substitute(coeffs, m):
+    """Coefficients of q(M Z) for a binary form q of degree n."""
     m00, m01, m10, m11 = _entries(m)
     n = len(coeffs) - 1
-    # each power x**e that a computed row takes, computed once: the first such row takes the
-    # most powers of m00 and m01, the last the most of m10 and m11
+    # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
+    # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
     p00 = p01 = None
     p10, p11 = [], []
     out = [0j] * (n + 1)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
-        prod = None if rows is None else rows[j]
-        if prod is None:
-            # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
-            k = n - j
-            if p00 is None:
-                p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
-            while len(p10) <= j:
-                p10.append(m10 ** len(p10))
-                p11.append(m11 ** len(p11))
-            right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
-            prod = [0j] * (n + 1)
-            i = 0
-            for b in _binomials(k):
-                x = b * p00[k - i] * p01[i]
-                for l, y in enumerate(right, i):
-                    prod[l] += x * y
-                i += 1
-            if rows is not None:
-                rows[j] = prod
+        # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
+        k = n - j
+        if p00 is None:
+            p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
+        while len(p10) <= j:
+            p10.append(m10 ** len(p10))
+            p11.append(m11 ** len(p11))
+        right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
+        prod = [0j] * (n + 1)
+        i = 0
+        for b in _binomials(k):
+            x = b * p00[k - i] * p01[i]
+            for l, y in enumerate(right, i):
+                prod[l] += x * y
+            i += 1
         i = 0
         for t in prod:
             out[i] += c * t
@@ -352,7 +343,7 @@ class OnGroupElement(Record):
     largest entry gets its argument into [0, 2 pi / n).
     """
 
-    __slots__ = ("n", "matrix", "poly", "__dict__")  # the dict holds the inverse's substitution
+    __slots__ = ("n", "matrix", "poly")
 
     def __init__(self, n, matrix, poly):
         n = int(n)
@@ -375,11 +366,6 @@ class OnGroupElement(Record):
         setfield(self, "matrix", ((a, b), (c, d)))
         setfield(self, "poly", p)
 
-    @functools.cached_property
-    def inverse_rows(self):
-        """g^{-1} and its substitution rows (see binary_form_substitute), which `on_multiply` fills."""
-        return inverse2(self.matrix), [None] * (self.n + 1)
-
     def distance(self, other):
         """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
         a = self.matrix[0] + self.matrix[1]
@@ -400,7 +386,7 @@ def on_multiply(e0, e1):
     """(g0, p0)(g1, p1) = (g0 g1, p0 + p1 o g0^{-1})."""
     if e0.n != e1.n:
         raise ValueError("mixed bundle degrees")
-    comp = binary_form_substitute(e1.poly, *e0.inverse_rows)
+    comp = binary_form_substitute(e1.poly, inverse2(e0.matrix))
     p = tuple(a + b for a, b in zip(e0.poly, comp))
     return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), p)
 

@@ -121,7 +121,7 @@ def axioms_suite(label, handler, rng, samples, rec, tol=1e-9):
         g = handler.random_element(rng)
         h = handler.random_element(rng)
         k = handler.random_element(rng)
-        x = handler.random_point(rng)  # the group law draws nothing, so x comes fourth as it always has
+        x = handler.random_point(rng)  # the group law draws nothing: x is the fourth draw of a sample either way
         if point_distance is None:
             # the first sample fixes the shapes: both distances skip the dispatch of `distance` from here on
             point_distance = distance_for(x)

@@ -433,23 +433,6 @@ def test_on_group_element_matches_the_replaced_constructor():
         assert same((e.n, e.matrix, e.poly), old_on_group_fields(n, m, [0] * (n + 1)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_kept_substitution_rows_match_a_fresh_substitution(n):
-    rng = np.random.default_rng(n + 20)
-    for m in _matrices(rng):
-        e = OnGroupElement(n, m, [0] * (n + 1))
-        m_inv, rows = e.inverse_rows
-        # forms with zeros in different places fill the kept rows in different orders
-        for zeros in ((), (0,), (n,), tuple(range(0, n + 1, 2)), tuple(range(n + 1)), ()):
-            coeffs = [complex(x, y) for x, y in rng.normal(size=(n + 1, 2))]
-            for j in zeros:
-                coeffs[j] = 0j
-            got = binary_form_substitute(coeffs, m_inv, rows)
-            assert same(got, binary_form_substitute(coeffs, projective.inverse2(e.matrix)))
-            assert same(got, old_binary_form_substitute(coeffs, m_inv))
-        assert e.inverse_rows[1] is rows and None not in rows
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
 @pytest.mark.parametrize("scale", [0.5, 0.7, 1.1])
 def test_cnums_equal_scalar_draws(k, scale):
