@@ -43,19 +43,7 @@ from .numeric import (
     setfield,
     zmodule_basis,
 )
-from .projective import (
-    BundlePoint,
-    ProjPoint,
-    Proj2Point,
-    QuadricPoint,
-    inverse2,
-    inverse3,
-    mobius_act,
-    product2,
-    product3,
-    proj2_act,
-    quadric_act,
-)
+from .projective import BundlePoint, ProjPoint, Proj2Point, QuadricPoint, mobius_act, proj2_act, quadric_act
 
 
 def _cnum(rng, scale=0.7):
@@ -155,7 +143,9 @@ _AFF_C = (
     _aff_random,
     _cnum,
 )
-_PSL2 = (lambda: _EYE2, product2, inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0)))
+_PSL2 = (
+    lambda: _EYE2, projective.product2, projective.inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0))
+)
 
 
 def _product(label, f1, f2):
@@ -181,8 +171,8 @@ def _a1():
     return Family(
         "A1",
         lambda: _EYE3,
-        product3,
-        inverse3,
+        projective.product3,
+        projective.inverse3,
         proj2_act,
         lambda rng: _matrix(rng, n=3),
         lambda rng: Proj2Point(_cnums(rng, 3, 1.0)),
@@ -192,11 +182,11 @@ def _a1():
 def _affine_multiply(g, h):
     (a, b), (c, d) = g[0]
     (s, t), (x, y) = g[1], h[1]
-    return (product2(g[0], h[0]), (s + (a * x + b * y), t + (c * x + d * y)))
+    return (projective.product2(g[0], h[0]), (s + (a * x + b * y), t + (c * x + d * y)))
 
 
 def _affine_inverse(g):
-    mi = inverse2(g[0])
+    mi = projective.inverse2(g[0])
     (a, b), (c, d) = mi
     x, y = g[1]
     return (mi, (-(a * x + b * y), -(c * x + d * y)))
@@ -352,8 +342,8 @@ def _bdelta_linear(label, special):
     return Family(
         label,
         lambda: _EYE2,
-        product2,
-        inverse2,
+        projective.product2,
+        projective.inverse2,
         projective.bdelta_act,
         lambda rng: _matrix(rng, special=special),
         _punctured_point,
@@ -369,7 +359,7 @@ def _quadric_point(rng):
 
 def _c9():
     """The matrices of Bδ2 taken modulo scalars, acting on ordered pairs of distinct points of P^1."""
-    return Family("C9", lambda: _EYE2, product2, inverse2, quadric_act, _matrix, _quadric_point)
+    return Family("C9", lambda: _EYE2, projective.product2, projective.inverse2, quadric_act, _matrix, _quadric_point)
 
 
 def _bdelta_bundle(label, special, n=2):

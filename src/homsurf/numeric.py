@@ -159,6 +159,14 @@ def _entries(x):
     return load_numpy().asarray(x, dtype=complex).ravel().tolist()
 
 
+def _scalar_distance(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _array_distance(a, b):
+    return flat_distance(_entries(a), _entries(b))
+
+
 def distance(a, b):
     """Relative distance between structurally matching values.
 
@@ -168,29 +176,21 @@ def distance(a, b):
     """
     ta, tb = type(a), type(b)
     if ta in _SCALAR_TYPES and tb in _SCALAR_TYPES:
-        return abs(a - b) / max(1.0, abs(a), abs(b))
+        return _scalar_distance(a, b)
     if ta is tuple and tb is tuple:
         return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
     own = getattr(a, "distance", None)
     if own is not None:
         return own(b)
     if hasattr(a, "ravel") or hasattr(b, "ravel"):
-        return flat_distance(_entries(a), _entries(b))
+        return _array_distance(a, b)
     if isinstance(a, (tuple, list)):
         return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
     raise TypeError(f"no distance for {type(a)}")
 
 
-def _scalar_distance(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def _pair_distance(a, b):
     return max(_scalar_distance(a[0], b[0]), _scalar_distance(a[1], b[1]))
-
-
-def _array_distance(a, b):
-    return flat_distance(_entries(a), _entries(b))
 
 
 def distance_for(a):
@@ -210,8 +210,8 @@ def distance_for(a):
             return _pair_distance
         if len(parts) == 2:
             first, second = parts
-            return lambda a, b: max(first(a[0], b[0]), second(a[1], b[1]))
-        return lambda a, b: max((f(x, y) for f, x, y in zip(parts, a, b)), default=0.0)
+            return lambda u, v: max(first(u[0], v[0]), second(u[1], v[1]))
+        return lambda u, v: max((f(x, y) for f, x, y in zip(parts, u, v)), default=0.0)
     own = getattr(t, "distance", None)
     if own is not None:
         return own

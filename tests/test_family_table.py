@@ -13,6 +13,7 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
 from homsurf import cli, families
@@ -128,8 +129,6 @@ def test_every_factory_builds_a_family(label):
 
 def _arrays_inside(value):
     """The numpy arrays anywhere inside a value, walking tuples, lists and Records."""
-    import numpy as np
-
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, (tuple, list)):
@@ -143,8 +142,6 @@ def _arrays_inside(value):
 def test_no_handler_returns_an_array(label):
     # after a complex numpy product, cmath.exp and other SSE code run several times slower until
     # a ufunc or LAPACK call; the verify path keeps clear of them by handing out no arrays
-    import numpy as np
-
     handler = build_family(label)
     rng = np.random.default_rng(5)
     values = [handler.identity()]

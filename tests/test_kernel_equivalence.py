@@ -4,7 +4,9 @@ Each `old_*` function below is a replaced implementation, kept verbatim as
 the oracle (a constructor call `Polynomial(cs)` is spelled `old_trim(cs)`,
 which is what that constructor did).  Results are compared with `==` and by
 repr, so a signed zero or a difference in the last bit fails where a
-tolerance would pass.
+tolerance would pass.  The one exception is the matrix families' group laws,
+which moved from numpy arrays to Python rows and so round differently: they
+are compared with the numpy handlers they replaced to a relative 1e-14.
 """
 
 import cmath
