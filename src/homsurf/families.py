@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from itertools import chain
 
 from . import projective
 from .numeric import (
@@ -28,8 +29,6 @@ from .numeric import (
     SL_DET_TOL,
     NonDiscreteError,
     Record,
-    _dot,
-    _norm,
     as_rows,
     c2r,
     c2r2,
@@ -533,9 +532,12 @@ def _no_params(data):
 
 def _proj_distance(g, h):
     """Distance between matrices modulo a scalar."""
-    xs = [complex(x) for row in as_rows(g) for x in row]
-    ys = [complex(y) for row in as_rows(h) for y in row]
-    i = max(range(len(xs)), key=lambda k: abs(xs[k]))
+    xs = list(map(complex, chain.from_iterable(as_rows(g))))
+    ys = list(map(complex, chain.from_iterable(as_rows(h))))
+    i, top = 0, abs(xs[0])
+    for k in range(1, len(xs)):  # the first entry of largest modulus, the one max() picks
+        if abs(xs[k]) > top:
+            i, top = k, abs(xs[k])
     if abs(ys[i]) == 0:
         return 1.0
     s = xs[i] / ys[i]
@@ -697,7 +699,7 @@ SPECS = {
     "C8": FamilySpec(
         _c8,
         _c8_element,
-        params=lambda d: {"alpha": json_complex(d["alpha"])} if "alpha" in d else {},
+        params=lambda d: {"alpha": json_complex(d["alpha"])},
     ),
     "C9": FamilySpec(
         _c9,
@@ -878,19 +880,20 @@ def _g0_annihilator(basis):
     unit-scaled vectors (n_i = (-1)^i times the 3x3 minor without column i),
     normalized; J n is a unit normal of J span, orthogonal to n.
     """
-    rows = [[x / size for x in b] for b, size in zip(basis, map(_norm, basis))]
+    sizes = [math.sqrt(sum(map(operator.mul, b, b))) for b in basis]
+    rows = [[x / size for x in b] for b, size in zip(basis, sizes)]
     n = [(-1) ** i * _det([[x for k, x in enumerate(r) if k != i] for r in rows]) for i in range(4)]
-    size = _norm(n)
+    size = math.sqrt(sum(map(operator.mul, n, n)))
     if size == 0.0:
         raise NonDiscreteError("degenerate rank-three configuration")
     n = [x / size for x in n]
-    return n, [_dot(row, n) for row in _J4]
+    return n, [sum(map(operator.mul, row, n)) for row in _J4]
 
 
 def _classify_rank3(bc):
     basis4 = [c2r2(p) for p in bc]
     n1, n2 = _g0_annihilator(basis4)
-    u = [(_dot(b, n1), _dot(b, n2)) for b in basis4]
+    u = [(sum(map(operator.mul, b, n1)), sum(map(operator.mul, b, n2))) for b in basis4]
 
     try:
         _, u_combos, pi0_relations = zmodule_basis(u)
@@ -910,7 +913,7 @@ def _classify_rank3(bc):
         return D1Classification("D1_4", gens_out, _as_tuple(A), tau=tau)
 
     # pi_0 has rank <= 1: the C^x-bundle row D1_5
-    ip = max(range(len(u)), key=lambda i: _norm(u[i]))
+    ip = max(range(len(u)), key=lambda i: math.sqrt(sum(map(operator.mul, u[i], u[i]))))
     p = bc[ip]
     phi = lambda v: p[1] * v[0] - p[0] * v[1]
     wvals = [phi(v) for v in bc]

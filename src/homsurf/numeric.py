@@ -22,8 +22,9 @@ NonDiscreteError.
 from __future__ import annotations
 
 import math
-import operator
 import os
+from itertools import chain
+from operator import mul, sub
 
 EPS = float(os.environ.get("HOMSURF_EPS", "1e-9"))
 COEFF_CHOP = 1e-12
@@ -243,14 +244,22 @@ def complex_json(z):
     return {"re": z.real, "im": z.imag}
 
 
-def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
-    """Best rational p/q with q bounded, or None if x looks irrational."""
+def _denominator_bound(max_denominator):
     bound = DENOMINATOR_BOUND if max_denominator is None else int(max_denominator)
     if bound < 1:
         raise ValueError(f"the denominator bound must be at least 1, got {max_denominator}")
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
+    return bound
+
+
+def _convergent(x, bound, tol=RECON_TOL):
+    """The first continued-fraction convergent p / q of the float x with q <= bound (at least 1)
+    that passes the rational test, as ints (p, q) in lowest terms with q > 0, or None."""
+    if not math.isfinite(x):
         return None
+    a = math.floor(x)
+    if a == x:  # the first convergent, a / 1, has no residual
+        return a, 1
+    size = max(1.0, abs(x))
     p0, q0, p1, q1 = 0, 1, 1, 0
     y = x
     for _ in range(64):
@@ -258,15 +267,23 @@ def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if q1 > bound:
             return None
-        if abs(x - p1 / q1) <= max(1.0, abs(x)) * min(tol, _STRICT_COEF / q1):
-            import fractions  # here only: it costs a cold call 1.5 ms; `from` would cost 0.5 us a call
-
-            return fractions.Fraction(p1, q1)
+        if abs(x - p1 / q1) <= size * min(tol, _STRICT_COEF / q1):
+            return p1, q1
         rem = y - a
         if rem <= 1e-18:
             return None
         y = 1.0 / rem
     return None
+
+
+def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
+    """Best rational p/q with q bounded, as a Fraction, or None if x looks irrational."""
+    pq = _convergent(float(x), _denominator_bound(max_denominator), tol)
+    if pq is None:
+        return None
+    import fractions  # here only: it costs a cold call 1.5 ms; `from` would cost 0.5 us a call
+
+    return fractions.Fraction(*pq)
 
 
 def c2r(z):
@@ -296,12 +313,13 @@ def singular_values(rows):
     rows = [_floats(r) for r in rows]
     vecs = [list(c) for c in zip(*rows)] if rows and len(rows[0]) < len(rows) else rows
     n = len(vecs)
+    sq = [sum(map(mul, v, v)) for v in vecs]  # recomputed when a rotation moves a vector
     for _ in range(JACOBI_SWEEPS):
         rotated = False
         for i in range(n - 1):
             for j in range(i + 1, n):
                 u, v = vecs[i], vecs[j]
-                a, b, g = _dot(u, u), _dot(v, v), _dot(u, v)
+                a, b, g = sq[i], sq[j], sum(map(mul, u, v))
                 if abs(g) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
                     continue
                 rotated = True
@@ -309,11 +327,12 @@ def singular_values(rows):
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
-                vecs[i] = [c * x - s * y for x, y in zip(u, v)]
-                vecs[j] = [s * x + c * y for x, y in zip(u, v)]
+                vecs[i] = u2 = [c * x - s * y for x, y in zip(u, v)]
+                vecs[j] = v2 = [s * x + c * y for x, y in zip(u, v)]
+                sq[i], sq[j] = sum(map(mul, u2, u2)), sum(map(mul, v2, v2))
         if not rotated:
             break
-    return sorted(map(_norm, vecs), reverse=True)
+    return sorted(map(math.sqrt, sq), reverse=True)
 
 
 def real_rank(vectors, tol=1e-8):
@@ -330,10 +349,10 @@ def hnf_with_transform(rows):
     Returns (H, U, rank) with U unimodular, U @ M = H, and the zero rows of
     H collected at the bottom.  Exact integer arithmetic throughout.
     """
-    M = [[int(x) for x in row] for row in rows]
+    M = [list(map(int, row)) for row in rows]
     n = len(M)
     m = len(M[0]) if n else 0
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U = _unit_rows(n, range(n))
     r = 0
     for col in range(m):
         if r == n:
@@ -373,20 +392,11 @@ def _floats(v):
     """A vector (tuple, list or array) as a list of Python floats."""
     if hasattr(v, "tolist"):
         return load_numpy().asarray(v, dtype=float).ravel().tolist()
-    return [float(x) for x in v]
+    return list(map(float, v))
 
 
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
-
-
-def _norm(v):
-    return math.sqrt(_dot(v, v))
-
-
-def _axpy(v, d, q):
-    """v - d q, entrywise."""
-    return [x - d * y for x, y in zip(v, q)]
+# Below, a dot product is sum(map(mul, u, v)) (from the int 0: an unrolled form must start from 0.0 +), in the
+# order the replaced helpers took: on 2 to 4 entries a call per dot product or norm costs more than the arithmetic.
 
 
 def _back_substitute(R, c):
@@ -394,11 +404,12 @@ def _back_substitute(R, c):
     n = len(c)
     x = [0.0] * n
     for k in range(n - 1, -1, -1):
-        if R[k][k]:
+        row = R[k]
+        if row[k]:
             s = c[k]
             for j in range(k + 1, n):
-                s -= R[k][j] * x[j]
-            x[k] = s / R[k][k]
+                s -= row[j] * x[j]
+            x[k] = s / row[k]
     return x
 
 
@@ -412,14 +423,13 @@ def _qr(cols):
     n = len(cols)
     Q = []
     R = [[0.0] * n for _ in range(n)]
-    top = max((_norm(c) for c in cols), default=0.0)
-    for k, col in enumerate(cols):
-        w = list(col)
+    top = max((math.sqrt(sum(map(mul, c, c))) for c in cols), default=0.0)
+    for k, w in enumerate(cols):
         for j, q in enumerate(Q):
             if q is not None:
-                d = R[j][k] = _dot(w, q)
-                w = _axpy(w, d, q)
-        nrm = _norm(w)
+                d = R[j][k] = sum(map(mul, w, q))
+                w = [x - d * y for x, y in zip(w, q)]
+        nrm = math.sqrt(sum(map(mul, w, w)))
         if nrm <= QR_DEPENDENT_TOL * top:
             Q.append(None)
         else:
@@ -432,30 +442,36 @@ def _qr_solve(Q, R, v):
     """Least-squares x with sum_k x_k cols_k ~ v, from the QR of the columns
     (dependent columns get 0)."""
     c = [0.0] * len(Q)
-    w = list(v)
+    w, d, last = v, 0.0, None
     for j, q in enumerate(Q):
         if q is not None:
-            c[j] = d = _dot(w, q)
-            w = _axpy(w, d, q)
+            if last is not None:  # project off the direction before, only when another follows
+                w = [x - d * y for x, y in zip(w, last)]
+            c[j] = d = sum(map(mul, w, q))
+            last = q
     return _back_substitute(R, c)
 
 
 def _integer_fit(v, cols, qr, tol, scale):
-    """Nearest integer coordinates of v over cols, or None when they miss by
-    more than tol or rebuild v only to more than tol * scale."""
+    """Nearest integer coordinates of v over cols, given qr = _qr(cols), or None
+    when they miss by more than tol or rebuild v only to more than tol * scale."""
     y = _qr_solve(*qr, v)
     if not all(map(math.isfinite, y)):
         return None
-    ints = [round(t) for t in y]
-    if max(abs(t - k) for t, k in zip(y, ints)) > tol:
+    ints = list(map(round, y))
+    if max(map(abs, map(sub, y, ints))) > tol:
         return None
-    w = list(v)
+    w = v
     for k, col in zip(ints, cols):
         if k:
-            w = _axpy(w, k, col)
-    if _norm(w) > tol * scale:
+            w = [x - k * y for x, y in zip(w, col)]
+    if math.sqrt(sum(map(mul, w, w))) > tol * scale:
         return None
     return ints
+
+
+def _unit_rows(n, rows):  # the given rows of the n x n identity matrix
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in rows]
 
 
 def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
@@ -473,22 +489,19 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     n = len(vecs)
     if n == 0:
         return [], [], []
-    flat = [abs(x) for v in vecs for x in v]
+    flat = list(map(abs, chain.from_iterable(vecs)))
     top = max(flat, default=0.0)
     total = sum(flat)
     if total != total:  # a NaN coordinate
         top = total
     if not top <= COORD_LIMIT:
         raise NonDiscreteError(f"generator coordinate {top} is not finite or beyond {COORD_LIMIT:.0e}")
-    norms = [_norm(v) for v in vecs]
+    norms = [math.sqrt(sum(map(mul, v, v))) for v in vecs]
     scale = max(norms)
-    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if scale == 0.0:
-        return [], [], unit
-    live = [i for i in range(n) if norms[i] > COEFF_CHOP * max(1.0, scale)]
-    dead = [i for i in range(n) if i not in live]
+    chop = COEFF_CHOP * max(1.0, scale)
+    live = [i for i in range(n) if norms[i] > chop]
     if not live:
-        return [], [], [unit[i] for i in dead]
+        return [], [], _unit_rows(n, range(n))
     A = [vecs[i] for i in live]
     r = real_rank(A)
     if r == 0:
@@ -496,60 +509,67 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
 
     # QR with column pivoting: each step takes as the next direction the first
     # residual whose norm is within PIVOT_TIE of the largest (so the choice does
-    # not follow the last bit of a sum) and projects it off every residual
-    residual = [list(a) for a in A]
+    # not follow the last bit of a sum) and projects it off every residual; rn
+    # holds the residuals' norms, the generators' own ones at first
+    residual = A
+    rn = [norms[i] for i in live]
     coef = [[] for _ in A]  # coef[i][k]: component of A[i] along direction k
     pivots = []
     for _ in range(r):
-        rn = [_norm(v) for v in residual]
         least = max(rn) * (1.0 - PIVOT_TIE)
-        j = next(i for i, x in enumerate(rn) if x >= least)
+        j = 0
+        while rn[j] < least:
+            j += 1
         q = [x / rn[j] for x in residual[j]]
         pivots.append(j)
-        for i, v in enumerate(residual):
-            d = _dot(v, q)
-            coef[i].append(d)
-            residual[i] = _axpy(v, d, q)
+        moved = []
+        for v, cf in zip(residual, coef):
+            d = sum(map(mul, v, q))
+            cf.append(d)
+            moved.append([x - d * y for x, y in zip(v, q)])
+        residual = moved
+        rn = [math.sqrt(sum(map(mul, v, v))) for v in residual]
     R = [[coef[j][k] for j in pivots] for k in range(r)]
 
-    coords = []
-    for c, res in zip(coef, residual):
-        if _norm(res) > SPAN_TOL * max(1.0, scale):
-            raise NonDiscreteError("generator leaves the detected real span")
-        coords.append(_back_substitute(R, c))
+    if max(rn) > SPAN_TOL * max(1.0, scale):
+        raise NonDiscreteError("generator leaves the detected real span")
+    coords = [_back_substitute(R, c) for c in coef]
 
+    # each coordinate as p / q in lowest terms, then all over their common denominator L
+    bound = _denominator_bound(max_denominator)
     fracs = []
     for row in coords:
-        frow = [rational_reconstruct(x, max_denominator=max_denominator, tol=tol) for x in row]
-        if any(f is None for f in frow):
+        frow = [_convergent(x, bound, tol) for x in row]
+        if None in frow:
             raise NonDiscreteError("irrational generator coordinates")
         fracs.append(frow)
     L = 1
     for frow in fracs:
-        for f in frow:
-            L = L * f.denominator // math.gcd(L, f.denominator)
-    if L > (DENOMINATOR_BOUND if max_denominator is None else max_denominator):
+        for _, q in frow:
+            if L % q:
+                L = L * q // math.gcd(L, q)
+    if L > bound:
         raise NonDiscreteError("coordinate denominators exceed the bound")
-    M = [[f.numerator * (L // f.denominator) for f in frow] for frow in fracs]
+    M = [[p * (L // q) for p, q in frow] for frow in fracs]
 
     H, U, rank = hnf_with_transform(M)
     if rank != r:
         raise NonDiscreteError("rank mismatch after integer reduction")
     P = list(zip(*(A[j] for j in pivots)))  # the columns of the pivot rows
-    basis = [[_dot(H[k], col) / L for col in P] for k in range(rank)]
+    basis = [[sum(map(mul, H[k], col)) / L for col in P] for k in range(rank)]
     for b in basis:
-        if _norm(b) < _NOISE_BAND * max(1.0, scale):
+        if math.sqrt(sum(map(mul, b, b))) < _NOISE_BAND * max(1.0, scale):
             raise NonDiscreteError("reduced basis vector collapsed into noise")
 
     def widen(row):
         full = [0] * n
-        for j, i in enumerate(live):
-            full[i] = row[j]
+        for i, x in zip(live, row):
+            full[i] = x
         return full
 
     combos = [widen(U[k]) for k in range(rank)]
     relations = [widen(U[k]) for k in range(rank, len(U))]
-    relations += [unit[i] for i in dead]
+    relations += _unit_rows(n, (i for i in range(n) if not norms[i] > chop))
 
     qr = _qr(basis)
     for a in A:
@@ -558,19 +578,28 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     return basis, combos, relations
 
 
+def zmodule_fit(basis):
+    """`zmodule_coords` over one basis as a function fit(v, tol, scale), with the QR of
+    the basis taken once, here; a caller keeps it for the vectors of one call only."""
+    cols = [_floats(b) for b in basis]
+    qr = _qr(cols)
+    dims = {len(c) for c in cols}
+
+    def fit(v, tol=COMBO_TOL, scale=0.0):
+        v = _floats(v)
+        size = math.sqrt(sum(map(mul, v, v)))
+        if not cols:
+            return [] if size <= EMPTY_BASIS_TOL * max(1.0, scale) else None
+        if dims != {len(v)}:
+            raise ValueError("basis vectors and v differ in dimension")
+        return _integer_fit(v, cols, qr, tol, max(1.0, scale, size))
+
+    return fit
+
+
 def zmodule_coords(v, basis, tol=COMBO_TOL, scale=0.0):
     """Integer coordinates of v in the Z-span of basis, or None."""
-    v = _floats(v)
-    if not basis:
-        return [] if _norm(v) <= EMPTY_BASIS_TOL * max(1.0, scale) else None
-    cols = [_floats(b) for b in basis]
-    if any(len(c) != len(v) for c in cols):
-        raise ValueError("basis vectors and v differ in dimension")
-    return _integer_fit(v, cols, _qr(cols), tol, max(1.0, scale, _norm(v)))
-
-
-def zmodule_contains(v, basis, tol=COMBO_TOL, scale=0.0):
-    return zmodule_coords(v, basis, tol=tol, scale=scale) is not None
+    return zmodule_fit(basis)(v, tol, scale)
 
 
 def saturate_lattice(values, images, scale, max_rounds=16):
@@ -586,12 +615,13 @@ def saturate_lattice(values, images, scale, max_rounds=16):
     for _ in range(max_rounds):
         if len(basis) > 2:
             raise NonDiscreteError("kernel closure exceeds rank two")
+        fit = zmodule_fit(basis)
         new = []
         for bv in basis:
             b = complex(bv[0], bv[1])
             for image in images:
                 img = image(b)
-                if not zmodule_contains(c2r(img), basis, scale=scale):
+                if fit(c2r(img), scale=scale) is None:
                     new.append(img)
         if not new:
             return basis

@@ -15,8 +15,11 @@ import cmath
 import math
 
 from .numeric import (
+    DENOMINATOR_BOUND,
     NonDiscreteError,
     Record,
+    _convergent,
+    _denominator_bound,
     c2r,
     canonical_sign,
     close,
@@ -24,11 +27,10 @@ from .numeric import (
     lattice_coords,
     lattice_reduce_tau,
     load_numpy,
-    rational_reconstruct,
     saturate_lattice,
     setfield,
     zmodule_basis,
-    zmodule_coords,
+    zmodule_fit,
 )
 from .surfaces import TorusPoint
 
@@ -222,8 +224,9 @@ def _classify_subgroup(gens, max_denominator):
     L = [_realize(gens, combo) for combo in combos]
 
     kernel_b = []
+    a_coords = zmodule_fit(a_basis)
     for g in gens:
-        coords = zmodule_coords(c2r(g.a), a_basis)
+        coords = a_coords(c2r(g.a))
         if coords is None:
             raise NonDiscreteError("not a tabulated subgroup: inconsistent a-components")
         h = g
@@ -386,49 +389,53 @@ def _classify_rank_two(L, pi0, scale):
 
 
 def center_intersection(label, max_denominator=None):
-    """Generator of pi intersect Z(G) = 2 pi i Z x 0; (0,0) when trivial."""
+    """Generator of pi intersect Z(G) = 2 pi i Z x 0; (0,0) when trivial.  A fraction the
+    answer needs whose denominator lies beyond max_denominator is a ValueError naming the bound."""
     name = label.name
     if name in ("D2", "D2_1", "D2_2", "D2_3"):
         return IDENTITY
-    if name in ("D2_4", "D2_5"):
+    if name == "D2_4":
         b = label.b
-        if name == "D2_4":
-            if abs(b.imag) > 1e-9 * max(1.0, abs(b)):
-                return IDENTITY
-            frac = rational_reconstruct(b.real, max_denominator=max_denominator)
-        else:
-            x, y = _tau_coords(b, label.tau)
-            fx = rational_reconstruct(x, max_denominator=max_denominator)
-            fy = rational_reconstruct(y, max_denominator=max_denominator)
-            if fx is None or fy is None:
-                return IDENTITY
-            q = fx.denominator * fy.denominator // math.gcd(fx.denominator, fy.denominator)
-            return UAffElement(TWO_PI_I * label.k * q, 0)
-        if frac is None:
+        if abs(b.imag) > 1e-9 * max(1.0, abs(b)):
             return IDENTITY
-        return UAffElement(TWO_PI_I * label.k * frac.denominator, 0)
+        pq = _center_fraction(b.real, "translation b", name, max_denominator)
+        return IDENTITY if pq is None else UAffElement(TWO_PI_I * label.k * pq[1], 0)
+    if name == "D2_5":
+        x, y = _tau_coords(label.b, label.tau)
+        px = _center_fraction(x, "coordinate x of b = x + y tau", name, max_denominator)
+        py = _center_fraction(y, "coordinate y of b = x + y tau", name, max_denominator)
+        if px is None or py is None:
+            return IDENTITY
+        q = px[1] * py[1] // math.gcd(px[1], py[1])
+        return UAffElement(TWO_PI_I * label.k * q, 0)
     if name == "D2_6":
         x = label.a / TWO_PI_I
         if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
             return IDENTITY
-        frac = rational_reconstruct(x.real, max_denominator=max_denominator)
-        if frac is None:
-            return IDENTITY
-        return UAffElement(TWO_PI_I * frac.numerator, 0)
-    if name in NONABELIAN_LABELS or name == "D2_14":
-        if name == "D2_14":
-            out = _center_lattice(label)
-            return out[0] if out else IDENTITY
-        gen = normal_form_generators(label)[0]
-        x = gen.a / TWO_PI_I
-        frac = rational_reconstruct(x.real, max_denominator=max_denominator)
-        if frac is None:
-            raise ValueError(
-                f"the rotation a / 2 pi i = {x.real:.12g} of {name} has no fraction whose denominator"
-                f" is within the denominator bound {max_denominator}"
-            )
-        return UAffElement(TWO_PI_I * frac.numerator, 0)
+        pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator)
+        return IDENTITY if pq is None else UAffElement(TWO_PI_I * pq[0], 0)
+    if name == "D2_14":
+        out = _center_lattice(label)
+        return out[0] if out else IDENTITY
+    if name in NONABELIAN_LABELS:
+        x = normal_form_generators(label)[0].a / TWO_PI_I
+        pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator, required=True)
+        return UAffElement(TWO_PI_I * pq[0], 0)
     return IDENTITY
+
+
+def _center_fraction(x, what, name, max_denominator, required=False):
+    """x as (p, q) within the denominator bound, or None when x is irrational.  The search runs
+    to DENOMINATOR_BOUND at least, so an x whose fraction lies beyond the bound is a ValueError
+    naming the bound, not an irrational; so is an irrational x `required` to have a fraction."""
+    bound = _denominator_bound(max_denominator)
+    pq = _convergent(x, max(bound, DENOMINATOR_BOUND))
+    if (pq is None and required) or (pq is not None and pq[1] > bound):
+        raise ValueError(
+            f"the {what} = {x:.12g} of {name} has no fraction whose denominator"
+            f" is within the denominator bound {max_denominator}"
+        )
+    return pq
 
 
 def _tau_coords(b, tau):

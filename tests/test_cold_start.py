@@ -105,7 +105,7 @@ CALLS = {
     "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, None),
 }
 # what no act or classify call may load: numpy, `dataclasses` (which brings `inspect`) and, for
-# act, `fractions` (which brings `decimal`)
+# act and the C2 and uaff classifiers, which build no Fraction, `fractions` (which brings `decimal`)
 NOT_LOADED = {"numpy", "dataclasses", "inspect"}
 NOT_LOADED_BY_ACT = NOT_LOADED | {"fractions", "decimal"}
 
@@ -119,7 +119,7 @@ def test_cli_call_loads_only_what_it_runs(tmp_path, name):
     if label is not None:
         assert doc["label"] == label
     assert ours == modules
-    assert not names & (NOT_LOADED_BY_ACT if name.startswith("act-") else NOT_LOADED)
+    assert not names & (NOT_LOADED if name.startswith(("classify-qd", "catalogue")) else NOT_LOADED_BY_ACT)
 
 
 def test_import_homsurf_loads_no_submodule():

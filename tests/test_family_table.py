@@ -164,7 +164,9 @@ def test_only_c8_elements_carry_handler_parameters():
     for label in BASE_FAMILY_LABELS:
         element, _, params = PAYLOADS[label]
         assert families.SPECS[label].params(element) == params, label
-    assert families.SPECS["C8"].params({"t": 0, "v": [0, 0]}) == {}
+    # a C8 payload without alpha never reaches `params`: its decoder refuses it
+    with pytest.raises(ValueError, match="alpha"):
+        families.SPECS["C8"].element({"t": 0, "v": [0, 0]})
 
 
 def test_every_family_has_a_payload():

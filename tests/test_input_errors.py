@@ -258,6 +258,37 @@ def test_cli_classify_center_within_the_denominator_bound(tmp_path, capsys, boun
     assert abs(out["center_intersection"]["a"]["im"] - 2 * math.pi) < 1e-12
 
 
+# an abelian D2_6 row whose cube is (2 pi i, 0): within bound 2 its center was once printed as (0, 0)
+ABELIAN_THIRD = {"ambient": "uaff", "generators": [{"a": _cj(2j * math.pi / 3), "b": _cj(1 + 0j)}]}
+
+
+def test_cli_classify_abelian_center_beyond_the_denominator_bound_exits_2(tmp_path, capsys):
+    assert _classify_bound(tmp_path, ABELIAN_THIRD, 2) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "denominator bound 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", [3, 10**6])
+def test_cli_classify_abelian_center_within_the_denominator_bound(tmp_path, capsys, bound):
+    assert _classify_bound(tmp_path, ABELIAN_THIRD, bound) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["label"] == "D2_6"
+    assert out["center_intersection"] == {"a": _cj(2j * math.pi), "b": _cj(0j)}
+
+
+@pytest.mark.parametrize("name", ["D2_4", "D2_5", "D2_6"])
+def test_abelian_center_beyond_the_bound_is_an_error_and_an_irrational_one_is_trivial(name):
+    from homsurf import uaff
+
+    third = {"D2_4": {"k": 1, "b": 1 / 3 + 0j}, "D2_5": {"k": 1, "b": 1 / 3 + 0j, "tau": 1j}, "D2_6": {"a": 2j * math.pi / 3}}
+    label = uaff.D2Label(name, **third[name])
+    with pytest.raises(ValueError, match="denominator bound 2"):
+        uaff.center_intersection(label, max_denominator=2)
+    assert uaff.center_intersection(label, max_denominator=3) != uaff.IDENTITY
+    irrational = {key: (math.sqrt(2) * v if key != "k" and key != "tau" else v) for key, v in third[name].items()}
+    assert uaff.center_intersection(uaff.D2Label(name, **irrational), max_denominator=2) == uaff.IDENTITY
+
+
 @pytest.mark.parametrize("bound", [0, -1])
 @pytest.mark.parametrize("ambient", ["C2", "uaff"])
 def test_cli_classify_needs_a_positive_denominator_bound(tmp_path, capsys, bound, ambient):

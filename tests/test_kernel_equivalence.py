@@ -1,8 +1,9 @@
-"""The verify-path kernels against the code they replaced, bit for bit.
+"""The verify-path and classifier kernels against the code they replaced, bit for bit.
 
 Each `old_*` function below is a replaced implementation, kept verbatim as
 the oracle (a constructor call `Polynomial(cs)` is spelled `old_trim(cs)`,
-which is what that constructor did).  Results are compared with `==` and by
+which is what that constructor did; the numeric layer's `_qr` is `old_qr`,
+and so on).  Results are compared with `==` and by
 repr, so a signed zero or a difference in the last bit fails where a
 tolerance would pass.  The one exception is the matrix families' group laws,
 which moved from numpy arrays to Python rows and so round differently: they
@@ -30,7 +31,30 @@ from homsurf.exppoly import (
     monic_polynomial,
     random_member,
 )
-from homsurf.numeric import COEFF_CHOP, distance, distance_for, lattice_contains
+from homsurf import numeric
+from homsurf.numeric import (
+    _NOISE_BAND,
+    _STRICT_COEF,
+    COEFF_CHOP,
+    COMBO_TOL,
+    COORD_LIMIT,
+    DENOMINATOR_BOUND,
+    EMPTY_BASIS_TOL,
+    JACOBI_SWEEPS,
+    JACOBI_TOL,
+    PIVOT_TIE,
+    QR_DEPENDENT_TOL,
+    RECON_TOL,
+    SPAN_TOL,
+    NonDiscreteError,
+    as_rows,
+    c2r,
+    distance,
+    distance_for,
+    flat_distance,
+    lattice_contains,
+    load_numpy,
+)
 from homsurf.projective import _binomials, _entries, _invertible, OnGroupElement, binary_form_substitute
 
 
@@ -213,6 +237,360 @@ def old_map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
         if not lattice_contains(lam0, data.w1, data.w2, tol=1e-6):
             return False
     return True
+
+# ---------------------------------------------------------------------------
+# the classifiers' numeric layer and the projective distance: the replaced code
+
+
+def old_rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
+    """Best rational p/q with q bounded, or None if x looks irrational."""
+    bound = DENOMINATOR_BOUND if max_denominator is None else int(max_denominator)
+    if bound < 1:
+        raise ValueError(f"the denominator bound must be at least 1, got {max_denominator}")
+    x = float(x)
+    if math.isnan(x) or math.isinf(x):
+        return None
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    y = x
+    for _ in range(64):
+        a = math.floor(y)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > bound:
+            return None
+        if abs(x - p1 / q1) <= max(1.0, abs(x)) * min(tol, _STRICT_COEF / q1):
+            import fractions  # here only: it costs a cold call 1.5 ms; `from` would cost 0.5 us a call
+
+            return fractions.Fraction(p1, q1)
+        rem = y - a
+        if rem <= 1e-18:
+            return None
+        y = 1.0 / rem
+    return None
+
+
+def old_singular_values(rows):
+    """Singular values of the matrix with the given rows, largest first.
+
+    One-sided Jacobi (Hestenes): plane rotations make the vectors of the
+    shorter side pairwise orthogonal to working precision, and their norms
+    are then the singular values, as accurate as LAPACK's (a pivoted QR
+    diagonal only approximates them).
+    """
+    rows = [old_floats(r) for r in rows]
+    vecs = [list(c) for c in zip(*rows)] if rows and len(rows[0]) < len(rows) else rows
+    n = len(vecs)
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                u, v = vecs[i], vecs[j]
+                a, b, g = old_dot(u, u), old_dot(v, v), old_dot(u, v)
+                if abs(g) <= JACOBI_TOL * math.sqrt(a) * math.sqrt(b):
+                    continue
+                rotated = True
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                vecs[i] = [c * x - s * y for x, y in zip(u, v)]
+                vecs[j] = [s * x + c * y for x, y in zip(u, v)]
+        if not rotated:
+            break
+    return sorted(map(old_norm, vecs), reverse=True)
+
+
+def old_real_rank(vectors, tol=1e-8):
+    """Dimension of the real span, singular values below tol*scale ignored."""
+    s = old_singular_values(vectors)
+    if not s or s[0] == 0.0:
+        return 0
+    return sum(1 for x in s if x > tol * max(1.0, s[0]))
+
+
+def old_hnf_with_transform(rows):
+    """Row Hermite normal form of an integer matrix.
+
+    Returns (H, U, rank) with U unimodular, U @ M = H, and the zero rows of
+    H collected at the bottom.  Exact integer arithmetic throughout.
+    """
+    M = [[int(x) for x in row] for row in rows]
+    n = len(M)
+    m = len(M[0]) if n else 0
+    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    r = 0
+    for col in range(m):
+        if r == n:
+            break
+        while True:
+            live = [i for i in range(r, n) if M[i][col] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: abs(M[i][col]))
+            if i0 != r:
+                M[r], M[i0] = M[i0], M[r]
+                U[r], U[i0] = U[i0], U[r]
+            done = True
+            for i in range(r + 1, n):
+                q = M[i][col] // M[r][col]
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+                if M[i][col] != 0:
+                    done = False
+            if done:
+                break
+        if r < n and M[r][col] != 0:
+            if M[r][col] < 0:
+                M[r] = [-a for a in M[r]]
+                U[r] = [-a for a in U[r]]
+            for i in range(r):
+                q = M[i][col] // M[r][col]
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], M[r])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
+            r += 1
+    return M, U, r
+
+
+def old_floats(v):
+    """A vector (tuple, list or array) as a list of Python floats."""
+    if hasattr(v, "tolist"):
+        return load_numpy().asarray(v, dtype=float).ravel().tolist()
+    return [float(x) for x in v]
+
+
+def old_dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def old_norm(v):
+    return math.sqrt(old_dot(v, v))
+
+
+def old_axpy(v, d, q):
+    """v - d q, entrywise."""
+    return [x - d * y for x, y in zip(v, q)]
+
+
+def old_back_substitute(R, c):
+    """x with R x = c for upper-triangular R; a zero diagonal entry gives x_k = 0."""
+    n = len(c)
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        if R[k][k]:
+            s = c[k]
+            for j in range(k + 1, n):
+                s -= R[k][j] * x[j]
+            x[k] = s / R[k][k]
+    return x
+
+
+def old_qr(cols):
+    """Thin QR of the matrix with columns `cols`, by modified Gram-Schmidt.
+
+    Returns (Q, R): Q the orthonormal directions (None for a column within
+    QR_DEPENDENT_TOL of the span of the columns before it) and R the upper
+    triangular coefficients, R[j][k] the component of column k along Q[j].
+    """
+    n = len(cols)
+    Q = []
+    R = [[0.0] * n for _ in range(n)]
+    top = max((old_norm(c) for c in cols), default=0.0)
+    for k, col in enumerate(cols):
+        w = list(col)
+        for j, q in enumerate(Q):
+            if q is not None:
+                d = R[j][k] = old_dot(w, q)
+                w = old_axpy(w, d, q)
+        nrm = old_norm(w)
+        if nrm <= QR_DEPENDENT_TOL * top:
+            Q.append(None)
+        else:
+            R[k][k] = nrm
+            Q.append([x / nrm for x in w])
+    return Q, R
+
+
+def old_qr_solve(Q, R, v):
+    """Least-squares x with sum_k x_k cols_k ~ v, from the QR of the columns
+    (dependent columns get 0)."""
+    c = [0.0] * len(Q)
+    w = list(v)
+    for j, q in enumerate(Q):
+        if q is not None:
+            c[j] = d = old_dot(w, q)
+            w = old_axpy(w, d, q)
+    return old_back_substitute(R, c)
+
+
+def old_integer_fit(v, cols, qr, tol, scale):
+    """Nearest integer coordinates of v over cols, or None when they miss by
+    more than tol or rebuild v only to more than tol * scale."""
+    y = old_qr_solve(*qr, v)
+    if not all(map(math.isfinite, y)):
+        return None
+    ints = [round(t) for t in y]
+    if max(abs(t - k) for t, k in zip(y, ints)) > tol:
+        return None
+    w = list(v)
+    for k, col in zip(ints, cols):
+        if k:
+            w = old_axpy(w, k, col)
+    if old_norm(w) > tol * scale:
+        return None
+    return ints
+
+
+def old_zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
+    """Exact basis of the Z-module generated by float vectors in R^m.
+
+    Vectors may be tuples, lists or arrays.  Returns (basis, combos,
+    relations): `basis` is a list of lists of floats, `combos[i]` an integer row over
+    the inputs realizing basis[i], and `relations` integer rows spanning the
+    combinations that vanish.  Raises NonDiscreteError when the module is not
+    discrete (irrational coordinates, denominator blow-up, or collapsed basis
+    vectors), and for generators with a non-finite coordinate or one beyond
+    COORD_LIMIT.
+    """
+    vecs = [old_floats(v) for v in vectors]
+    n = len(vecs)
+    if n == 0:
+        return [], [], []
+    flat = [abs(x) for v in vecs for x in v]
+    top = max(flat, default=0.0)
+    total = sum(flat)
+    if total != total:  # a NaN coordinate
+        top = total
+    if not top <= COORD_LIMIT:
+        raise NonDiscreteError(f"generator coordinate {top} is not finite or beyond {COORD_LIMIT:.0e}")
+    norms = [old_norm(v) for v in vecs]
+    scale = max(norms)
+    unit = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if scale == 0.0:
+        return [], [], unit
+    live = [i for i in range(n) if norms[i] > COEFF_CHOP * max(1.0, scale)]
+    dead = [i for i in range(n) if i not in live]
+    if not live:
+        return [], [], [unit[i] for i in dead]
+    A = [vecs[i] for i in live]
+    r = old_real_rank(A)
+    if r == 0:
+        raise NonDiscreteError("generators lie between the zero chop and the rank threshold")
+
+    # QR with column pivoting: each step takes as the next direction the first
+    # residual whose norm is within PIVOT_TIE of the largest (so the choice does
+    # not follow the last bit of a sum) and projects it off every residual
+    residual = [list(a) for a in A]
+    coef = [[] for _ in A]  # coef[i][k]: component of A[i] along direction k
+    pivots = []
+    for _ in range(r):
+        rn = [old_norm(v) for v in residual]
+        least = max(rn) * (1.0 - PIVOT_TIE)
+        j = next(i for i, x in enumerate(rn) if x >= least)
+        q = [x / rn[j] for x in residual[j]]
+        pivots.append(j)
+        for i, v in enumerate(residual):
+            d = old_dot(v, q)
+            coef[i].append(d)
+            residual[i] = old_axpy(v, d, q)
+    R = [[coef[j][k] for j in pivots] for k in range(r)]
+
+    coords = []
+    for c, res in zip(coef, residual):
+        if old_norm(res) > SPAN_TOL * max(1.0, scale):
+            raise NonDiscreteError("generator leaves the detected real span")
+        coords.append(old_back_substitute(R, c))
+
+    fracs = []
+    for row in coords:
+        frow = [old_rational_reconstruct(x, max_denominator=max_denominator, tol=tol) for x in row]
+        if any(f is None for f in frow):
+            raise NonDiscreteError("irrational generator coordinates")
+        fracs.append(frow)
+    L = 1
+    for frow in fracs:
+        for f in frow:
+            L = L * f.denominator // math.gcd(L, f.denominator)
+    if L > (DENOMINATOR_BOUND if max_denominator is None else max_denominator):
+        raise NonDiscreteError("coordinate denominators exceed the bound")
+    M = [[f.numerator * (L // f.denominator) for f in frow] for frow in fracs]
+
+    H, U, rank = old_hnf_with_transform(M)
+    if rank != r:
+        raise NonDiscreteError("rank mismatch after integer reduction")
+    P = list(zip(*(A[j] for j in pivots)))  # the columns of the pivot rows
+    basis = [[old_dot(H[k], col) / L for col in P] for k in range(rank)]
+    for b in basis:
+        if old_norm(b) < _NOISE_BAND * max(1.0, scale):
+            raise NonDiscreteError("reduced basis vector collapsed into noise")
+
+    def widen(row):
+        full = [0] * n
+        for j, i in enumerate(live):
+            full[i] = row[j]
+        return full
+
+    combos = [widen(U[k]) for k in range(rank)]
+    relations = [widen(U[k]) for k in range(rank, len(U))]
+    relations += [unit[i] for i in dead]
+
+    qr = old_qr(basis)
+    for a in A:
+        if old_integer_fit(a, basis, qr, COMBO_TOL, max(1.0, scale)) is None:
+            raise NonDiscreteError("generator is not an integer combination of the basis")
+    return basis, combos, relations
+
+
+def old_zmodule_coords(v, basis, tol=COMBO_TOL, scale=0.0):
+    """Integer coordinates of v in the Z-span of basis, or None."""
+    v = old_floats(v)
+    if not basis:
+        return [] if old_norm(v) <= EMPTY_BASIS_TOL * max(1.0, scale) else None
+    cols = [old_floats(b) for b in basis]
+    if any(len(c) != len(v) for c in cols):
+        raise ValueError("basis vectors and v differ in dimension")
+    return old_integer_fit(v, cols, old_qr(cols), tol, max(1.0, scale, old_norm(v)))
+
+
+def old_zmodule_contains(v, basis, tol=COMBO_TOL, scale=0.0):
+    return old_zmodule_coords(v, basis, tol=tol, scale=scale) is not None
+
+
+def old_saturate_lattice(values, images, scale, max_rounds=16):
+    """Basis of the smallest lattice of C containing `values` and closed under `images`.
+
+    `images` are maps of C (multiplications by units of the lattice to be);
+    each round adds the images of the basis vectors that are not yet in its
+    Z-span, in the order of the basis, then of `images`.  Raises
+    NonDiscreteError when the closure exceeds rank two or does not stabilize
+    within max_rounds.
+    """
+    basis, _, _ = old_zmodule_basis([c2r(b) for b in values])
+    for _ in range(max_rounds):
+        if len(basis) > 2:
+            raise NonDiscreteError("kernel closure exceeds rank two")
+        new = []
+        for bv in basis:
+            b = complex(bv[0], bv[1])
+            for image in images:
+                img = image(b)
+                if not old_zmodule_contains(c2r(img), basis, scale=scale):
+                    new.append(img)
+        if not new:
+            return basis
+        basis, _, _ = old_zmodule_basis(basis + [c2r(b) for b in new])
+    raise NonDiscreteError("kernel closure does not stabilize")
+
+
+def old_proj_distance(g, h):
+    """Distance between matrices modulo a scalar."""
+    xs = [complex(x) for row in as_rows(g) for x in row]
+    ys = [complex(y) for row in as_rows(h) for y in row]
+    i = max(range(len(xs)), key=lambda k: abs(xs[k]))
+    if abs(ys[i]) == 0:
+        return 1.0
+    s = xs[i] / ys[i]
+    return flat_distance(xs, [s * y for y in ys])
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +984,197 @@ def test_product3_and_inverse3_on_awkward_matrices():
     assert _relative(projective.product3(m, projective.inverse3(m)), np.eye(3)) == 0.0
     with pytest.raises(ValueError):
         projective.inverse3(((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# the classifiers' numeric layer
+
+
+def outcome(f, *args, **kwargs):
+    """What f returns, or the type and message of what it raises."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as e:  # noqa: BLE001 - an error is an outcome to compare
+        return (type(e).__name__, str(e))
+
+
+def generator_lists(dim, count, seed):
+    """Lists of 1 to 4 generators in R^dim: integer and rational combinations of one or two
+    vectors, with near-dependent, signed-zero, tiny, irrational and zero members."""
+    rng = np.random.default_rng([seed, dim])
+    out = []
+    for _ in range(count):
+        base = rng.normal(size=(int(rng.integers(1, 3)), dim)) * 10.0 ** rng.uniform(-3, 3)
+        coeffs = rng.integers(-3, 4, size=(int(rng.integers(1, 5)), len(base)))
+        vecs = (coeffs @ base / (1, 2, 3, 6, 7)[int(rng.integers(5))]).tolist()
+        kind = int(rng.integers(7))
+        if kind == 1:
+            vecs[0] = [x + 1e-9 * y for x, y in zip(vecs[0], rng.normal(size=dim))]
+        elif kind == 2:
+            for v in vecs:
+                v[int(rng.integers(dim))] = -0.0
+            vecs.append([-0.0, 0.0] * (dim // 2))
+        elif kind == 3:
+            vecs = [[1e-11 * x for x in v] for v in vecs]
+        elif kind == 4:
+            vecs.append([math.sqrt(2) * x for x in base[0]])
+        elif kind == 5:
+            vecs[0] = [x * (1.0 + 1e-12) for x in vecs[0]]
+        out.append(vecs[:4])
+    return out
+
+
+# non-finite, too large and all-zero generators, in R^2 and R^4
+EDGE_GENERATORS = [
+    [],
+    [(0.0, 0.0)],
+    [(-0.0, 0.0), (0.0, -0.0)],
+    [(float("nan"), 0.0)],
+    [(1.0, 0.0), (0.0, float("inf"))],
+    [(1e151, 0.0)],
+    [(-1e150, 0.0), (0.0, 1.0)],
+    [(1e300, 0.0), (0.0, 1e-300)],
+    [(1e-13, 0.0), (0.0, 1e-13)],
+    [(1.0, 0.0), (1.0 / 3, 0.0)],
+    [(1.0, 0.0), (0.5, 0.0), (0.0, 1.0)],
+    [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -0.0)],
+    [(1.0, 2.0, 0.0, 1.0), (float("-inf"), 0.0, 0.0, 0.0)],
+    [(1e151, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)],
+]
+
+
+@pytest.mark.parametrize("bound", [1, 2, None])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_zmodule_basis_matches_the_replaced_code(dim, bound):
+    for gens in generator_lists(dim, 300, 1) + EDGE_GENERATORS:
+        got = outcome(numeric.zmodule_basis, gens, max_denominator=bound)
+        assert same(got, outcome(old_zmodule_basis, gens, max_denominator=bound)), gens
+
+
+def test_zmodule_basis_keeps_its_bound_error():
+    for bound in (0, -3):
+        for gens in ([(1.0, 0.0)], [(1.0, 0.0), (0.5, 1.0)]):
+            got = outcome(numeric.zmodule_basis, gens, max_denominator=bound)
+            assert got[0] == "ValueError" and same(got, outcome(old_zmodule_basis, gens, max_denominator=bound))
+        # no coordinate to reconstruct, so no error
+        assert numeric.zmodule_basis([(0.0, 0.0)], max_denominator=bound) == ([], [], [[1]])
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_zmodule_coords_matches_the_replaced_code(dim):
+    rng = np.random.default_rng([2, dim])
+    for gens in generator_lists(dim, 200, 2):
+        found = outcome(numeric.zmodule_basis, gens)
+        if isinstance(found[0], str):
+            continue
+        basis = found[0]
+        probes = [list(g) for g in gens] + [
+            (rng.integers(-3, 4, size=len(basis)) @ np.array(basis, dtype=float).reshape(len(basis), dim)).tolist(),
+            [x + 0.5 * y for x, y in zip(gens[0], basis[0])] if basis else list(gens[0]),
+            [float("nan")] * dim,
+            [0.0] * dim,
+        ]
+        for v in probes:
+            for scale in (0.0, 10.0):
+                assert same(outcome(numeric.zmodule_coords, v, basis, scale=scale), old_zmodule_coords(v, basis, scale=scale))
+    for v in ((0.0, 0.0), (1e-9, 0.0), (1e-7, 0.0)):
+        assert same(numeric.zmodule_coords(v, []), old_zmodule_coords(v, []))
+    assert same(outcome(numeric.zmodule_coords, (1.0, 0.0, 5.0), [(1.0, 0.0)]), outcome(old_zmodule_coords, (1.0, 0.0, 5.0), [(1.0, 0.0)]))
+
+
+OMEGA = cmath.exp(1j * math.pi / 3)
+
+
+@pytest.mark.parametrize("units", [(1j, -1j), (OMEGA, 1 / OMEGA), (-1.0, -1.0), (2.0, 0.5), (cmath.exp(1j), cmath.exp(-1j))])
+def test_saturate_lattice_matches_the_replaced_code(units):
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        beta = complex(rng.normal(), rng.normal())
+        values = [beta * z for z in (1.0, (1j, OMEGA, 0.3 + 1.1j)[int(rng.integers(3))], 2.0)[: int(rng.integers(1, 4))]]
+        images = [lambda b, u=u: u * b for u in units]
+        scale = max(1.0, max(map(abs, values)))
+        got = outcome(numeric.saturate_lattice, values, images, scale)
+        assert same(got, outcome(old_saturate_lattice, values, images, scale))
+
+
+def test_singular_values_and_rank_match_the_replaced_code(rng):
+    for _ in range(400):
+        rows = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)))) * 10.0 ** rng.uniform(-6, 6)
+        if rng.integers(3) == 0:
+            rows[-1] = rows[0] * 2.0  # dependent
+        if rng.integers(3) == 0:
+            rows[0, 0] = -0.0
+        rows = rows.tolist()
+        assert same(numeric.singular_values(rows), old_singular_values(rows))
+        assert numeric.real_rank(rows) == old_real_rank(rows)
+    assert same(numeric.singular_values([]), old_singular_values([]))
+    assert same(numeric.singular_values([(0.0, -0.0), (-0.0, 0.0)]), old_singular_values([(0.0, -0.0), (-0.0, 0.0)]))
+
+
+def test_qr_solve_and_integer_fit_match_the_replaced_code(rng):
+    for _ in range(400):
+        dim = int(rng.choice([2, 4]))
+        cols = (rng.normal(size=(int(rng.integers(1, 4)), dim)) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        if rng.integers(3) == 0:
+            cols.append([2.0 * x - y for x, y in zip(cols[0], cols[-1])])  # dependent
+        ints = rng.integers(-3, 4, size=len(cols))
+        v = [sum(int(k) * c[i] for k, c in zip(ints, cols)) for i in range(dim)]
+        if rng.integers(3) == 0:
+            v = [x + 1e-3 * y for x, y in zip(v, rng.normal(size=dim))]
+        qr = numeric._qr(cols)
+        assert same(qr, old_qr(cols))
+        assert same(numeric._qr_solve(*qr, v), old_qr_solve(*qr, v))
+        assert same(numeric._back_substitute(qr[1], v[: len(cols)]), old_back_substitute(qr[1], v[: len(cols)]))
+        for tol, scale in ((COMBO_TOL, 1.0), (1e-2, 10.0)):
+            assert same(numeric._integer_fit(v, cols, qr, tol, scale), old_integer_fit(v, cols, qr, tol, scale))
+
+
+def test_hnf_matches_the_replaced_code(rng):
+    for _ in range(500):
+        rows = rng.integers(-6, 7, size=(int(rng.integers(1, 6)), int(rng.integers(1, 5))))
+        if rng.integers(3) == 0:
+            rows[-1] = 0
+        assert same(numeric.hnf_with_transform(rows.tolist()), old_hnf_with_transform(rows.tolist()))
+    assert same(numeric.hnf_with_transform([]), old_hnf_with_transform([]))
+
+
+RECONSTRUCT_INPUTS = [0.0, -0.0, 1.0, -3.0, 0.5, 1 / 3, -2 / 7, 5 / 6, 355 / 113, 1 / 999983, 0.1 + 1e-12,
+                      math.sqrt(2), math.pi, math.e, 1e-13, 1e300, -1e300, 2.0**60 + 0.5, 1 - 1e-12,
+                      float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 113, None])
+def test_rational_reconstruct_matches_the_replaced_code(bound):
+    rng = np.random.default_rng(4)
+    xs = RECONSTRUCT_INPUTS + (rng.integers(-50, 51, size=200) / rng.integers(1, 60, size=200)).tolist()
+    for x in xs + [x * (1 + 1e-11) for x in xs]:
+        got = numeric.rational_reconstruct(x, max_denominator=bound)
+        assert same(got, old_rational_reconstruct(x, max_denominator=bound)), x
+        pq = numeric._convergent(float(x), DENOMINATOR_BOUND if bound is None else bound)
+        assert pq == (None if got is None else (got.numerator, got.denominator))
+
+
+def test_rational_reconstruct_keeps_its_bound_error():
+    for bound in (0, -1):
+        assert same(outcome(numeric.rational_reconstruct, 0.5, bound), outcome(old_rational_reconstruct, 0.5, bound))
+
+
+def test_proj_distance_matches_the_replaced_code(rng):
+    shapes = [(2, 2), (3, 3)]
+    for _ in range(500):
+        n, m = shapes[int(rng.integers(2))]
+        g = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        h = g * complex(rng.normal(), rng.normal()) + 1e-9 * rng.normal(size=(n, m))
+        kind = int(rng.integers(4))
+        if kind == 1:  # ties of the largest modulus
+            g = np.array([[1.0, 1j], [-1.0, 0.5]]) if n == 2 else np.eye(3) * np.array([1.0, 1j, -1.0])
+        elif kind == 2:
+            h[np.unravel_index(np.abs(g).argmax(), g.shape)] = 0.0
+        elif kind == 3:
+            g = g.real.round()
+        for a, b in ((g, h), (g.tolist(), h.tolist()), (tuple(map(tuple, g.tolist())), h)):
+            assert same(families._proj_distance(a, b), old_proj_distance(a, b))
+    ints = ((1, 0), (0, 1))
+    assert same(families._proj_distance(ints, ((2, 0), (0, 2))), old_proj_distance(ints, ((2, 0), (0, 2))))
+    nan = ((float("nan"), 1.0), (2.0, 0.0))
+    assert same(repr(families._proj_distance(nan, ints)), repr(old_proj_distance(nan, ints)))
