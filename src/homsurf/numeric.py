@@ -340,7 +340,7 @@ def real_rank(vectors, tol=1e-8):
     s = singular_values(vectors)
     if not s or s[0] == 0.0:
         return 0
-    return sum(1 for x in s if x > tol * max(1.0, s[0]))
+    return len([x for x in s if x > tol * max(1.0, s[0])])
 
 
 def hnf_with_transform(rows):
@@ -423,7 +423,7 @@ def _qr(cols):
     n = len(cols)
     Q = []
     R = [[0.0] * n for _ in range(n)]
-    top = max((math.sqrt(sum(map(mul, c, c))) for c in cols), default=0.0)
+    top = max([math.sqrt(sum(map(mul, c, c))) for c in cols], default=0.0)
     for k, w in enumerate(cols):
         for j, q in enumerate(Q):
             if q is not None:
@@ -529,7 +529,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
             moved.append([x - d * y for x, y in zip(v, q)])
         residual = moved
         rn = [math.sqrt(sum(map(mul, v, v))) for v in residual]
-    R = [[coef[j][k] for j in pivots] for k in range(r)]
+    R = list(zip(*[coef[j] for j in pivots]))  # R[k][i]: component of pivot row i along direction k
 
     if max(rn) > SPAN_TOL * max(1.0, scale):
         raise NonDiscreteError("generator leaves the detected real span")
@@ -555,7 +555,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     H, U, rank = hnf_with_transform(M)
     if rank != r:
         raise NonDiscreteError("rank mismatch after integer reduction")
-    P = list(zip(*(A[j] for j in pivots)))  # the columns of the pivot rows
+    P = list(zip(*[A[j] for j in pivots]))  # the columns of the pivot rows
     basis = [[sum(map(mul, H[k], col)) / L for col in P] for k in range(rank)]
     for b in basis:
         if math.sqrt(sum(map(mul, b, b))) < _NOISE_BAND * max(1.0, scale):
@@ -569,7 +569,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
 
     combos = [widen(U[k]) for k in range(rank)]
     relations = [widen(U[k]) for k in range(rank, len(U))]
-    relations += _unit_rows(n, (i for i in range(n) if not norms[i] > chop))
+    relations += _unit_rows(n, [i for i in range(n) if not norms[i] > chop])
 
     qr = _qr(basis)
     for a in A:

@@ -258,7 +258,7 @@ def test_cli_classify_center_within_the_denominator_bound(tmp_path, capsys, boun
     assert abs(out["center_intersection"]["a"]["im"] - 2 * math.pi) < 1e-12
 
 
-# an abelian D2_6 row whose cube is (2 pi i, 0): within bound 2 its center was once printed as (0, 0)
+# an abelian D2_6 row whose cube is (2 pi i, 0): its center intersection needs the fraction 1/3
 ABELIAN_THIRD = {"ambient": "uaff", "generators": [{"a": _cj(2j * math.pi / 3), "b": _cj(1 + 0j)}]}
 
 
@@ -280,12 +280,16 @@ def test_cli_classify_abelian_center_within_the_denominator_bound(tmp_path, caps
 def test_abelian_center_beyond_the_bound_is_an_error_and_an_irrational_one_is_trivial(name):
     from homsurf import uaff
 
-    third = {"D2_4": {"k": 1, "b": 1 / 3 + 0j}, "D2_5": {"k": 1, "b": 1 / 3 + 0j, "tau": 1j}, "D2_6": {"a": 2j * math.pi / 3}}
+    third = {
+        "D2_4": {"k": 1, "b": 1 / 3 + 0j},
+        "D2_5": {"k": 1, "b": 1 / 3 + 0j, "tau": 1j},
+        "D2_6": {"a": 2j * math.pi / 3},
+    }
     label = uaff.D2Label(name, **third[name])
     with pytest.raises(ValueError, match="denominator bound 2"):
         uaff.center_intersection(label, max_denominator=2)
     assert uaff.center_intersection(label, max_denominator=3) != uaff.IDENTITY
-    irrational = {key: (math.sqrt(2) * v if key != "k" and key != "tau" else v) for key, v in third[name].items()}
+    irrational = {key: v if key in ("k", "tau") else math.sqrt(2) * v for key, v in third[name].items()}
     assert uaff.center_intersection(uaff.D2Label(name, **irrational), max_denominator=2) == uaff.IDENTITY
 
 

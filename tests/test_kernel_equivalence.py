@@ -1068,29 +1068,40 @@ def test_zmodule_coords_matches_the_replaced_code(dim):
         if isinstance(found[0], str):
             continue
         basis = found[0]
+        combo = rng.integers(-3, 4, size=len(basis)) @ np.array(basis, dtype=float).reshape(len(basis), dim)
         probes = [list(g) for g in gens] + [
-            (rng.integers(-3, 4, size=len(basis)) @ np.array(basis, dtype=float).reshape(len(basis), dim)).tolist(),
+            combo.tolist(),
             [x + 0.5 * y for x, y in zip(gens[0], basis[0])] if basis else list(gens[0]),
             [float("nan")] * dim,
             [0.0] * dim,
         ]
         for v in probes:
             for scale in (0.0, 10.0):
-                assert same(outcome(numeric.zmodule_coords, v, basis, scale=scale), old_zmodule_coords(v, basis, scale=scale))
+                got = outcome(numeric.zmodule_coords, v, basis, scale=scale)
+                assert same(got, old_zmodule_coords(v, basis, scale=scale))
     for v in ((0.0, 0.0), (1e-9, 0.0), (1e-7, 0.0)):
         assert same(numeric.zmodule_coords(v, []), old_zmodule_coords(v, []))
-    assert same(outcome(numeric.zmodule_coords, (1.0, 0.0, 5.0), [(1.0, 0.0)]), outcome(old_zmodule_coords, (1.0, 0.0, 5.0), [(1.0, 0.0)]))
+    # the rebuild residual is measured against max(1, scale, |v|): 0.5 passes beside 1e6, 2.0 does not
+    for v in ((1e6, 0.5), (1e6, 2.0), (3.0, 1e-7), (3.0, 2e-6)):
+        assert same(numeric.zmodule_coords(v, [(1.0, 0.0)]), old_zmodule_coords(v, [(1.0, 0.0)]))
+    mismatch = ((1.0, 0.0, 5.0), [(1.0, 0.0)])
+    assert same(outcome(numeric.zmodule_coords, *mismatch), outcome(old_zmodule_coords, *mismatch))
 
 
 OMEGA = cmath.exp(1j * math.pi / 3)
 
 
-@pytest.mark.parametrize("units", [(1j, -1j), (OMEGA, 1 / OMEGA), (-1.0, -1.0), (2.0, 0.5), (cmath.exp(1j), cmath.exp(-1j))])
+# units of the square and hexagonal lattices, of every lattice, and two maps that are no units
+UNITS = [(1j, -1j), (OMEGA, 1 / OMEGA), (-1.0, -1.0), (2.0, 0.5), (cmath.exp(1j), cmath.exp(-1j))]
+
+
+@pytest.mark.parametrize("units", UNITS)
 def test_saturate_lattice_matches_the_replaced_code(units):
     rng = np.random.default_rng(3)
     for _ in range(40):
         beta = complex(rng.normal(), rng.normal())
-        values = [beta * z for z in (1.0, (1j, OMEGA, 0.3 + 1.1j)[int(rng.integers(3))], 2.0)[: int(rng.integers(1, 4))]]
+        second = (1j, OMEGA, 0.3 + 1.1j)[int(rng.integers(3))]
+        values = [beta * z for z in (1.0, second, 2.0)[: int(rng.integers(1, 4))]]
         images = [lambda b, u=u: u * b for u in units]
         scale = max(1.0, max(map(abs, values)))
         got = outcome(numeric.saturate_lattice, values, images, scale)
