@@ -1037,13 +1037,14 @@ EDGE_GENERATORS = [
     [(1e-13, 0.0), (0.0, 1e-13)],
     [(1.0, 0.0), (1.0 / 3, 0.0)],
     [(1.0, 0.0), (0.5, 0.0), (0.0, 1.0)],
+    [(1.0, 0.0), (0.5, 0.0), (1.0 / 3, 0.0)],
     [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -0.0)],
     [(1.0, 2.0, 0.0, 1.0), (float("-inf"), 0.0, 0.0, 0.0)],
     [(1e151, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)],
 ]
 
 
-@pytest.mark.parametrize("bound", [1, 2, None])
+@pytest.mark.parametrize("bound", [1, 2, 3, None])
 @pytest.mark.parametrize("dim", [2, 4])
 def test_zmodule_basis_matches_the_replaced_code(dim, bound):
     for gens in generator_lists(dim, 300, 1) + EDGE_GENERATORS:
