@@ -13,10 +13,11 @@ each classifier returns (or the type and message of what it raises) on:
 - three generator pairs with an irrational ratio, which each classifier must
   reject;
 
-and, once, the rescaling probes of the classifiers' working range (the rows
-of ROADMAP item 2, wrong answers included: this file pins what the program
-does, not what it should do).  A rewrite of the numeric layer must leave
-every repr as it is.  Regenerate the file with
+and, once, the rescaling probes of the classifiers' working range: inputs
+that differ from a passing one only by a scale the classifier's normaliser
+contains, wrong rows included (this file pins what the program does, not
+what it should do).  A rewrite of the numeric layer must leave every repr
+as it is.  Regenerate the file with
 `PYTHONPATH=src python tests/test_classify_golden.py` only in a change that
 means to alter an outcome, and record why.
 """
