@@ -86,7 +86,7 @@ def gd_act(g, zw):
 
 
 def random_gd(D, rng, scale=0.7):
-    t = complex(rng.normal(), rng.normal()) * scale
+    t = complex(rng.standard_normal(), rng.standard_normal()) * scale
     return GDElement(D, t, random_member(D, rng, scale=scale))
 
 
@@ -132,8 +132,8 @@ def rgd_act(g, zw):
 
 
 def random_rgd(D, rng, scale=0.7):
-    t = complex(rng.normal(), rng.normal()) * scale
-    lam = cmath.exp(complex(rng.normal(), rng.normal()) * scale)
+    t = complex(rng.standard_normal(), rng.standard_normal()) * scale
+    lam = cmath.exp(complex(rng.standard_normal(), rng.standard_normal()) * scale)
     return RGDElement(D, t, lam, random_member(D, rng, scale=scale))
 
 

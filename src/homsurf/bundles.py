@@ -195,12 +195,13 @@ def as_map(phi):
 
 
 def _sample_points(rng, count):
-    # imaginary parts stay small so the Laurent data keeps a tame magnitude
-    for _ in range(count):
-        yield (
-            complex(rng.uniform(-1, 1), rng.uniform(-0.15, 0.15)),
-            complex(rng.normal(), rng.normal()),
-        )
+    # Im z stays small so the Laurent data keeps a tame magnitude; `lo + (hi - lo) * rng.random()` is
+    # the draw of rng.uniform(lo, hi) at a third of the cost, standard_normal() the draw of normal()
+    random, normal = rng.random, rng.standard_normal
+    return [
+        (complex(-1 + (1 - -1) * random(), -0.15 + (0.15 - -0.15) * random()), complex(normal(), normal()))
+        for _ in range(count)
+    ]
 
 
 def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
@@ -210,10 +211,13 @@ def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
     with k a constant integer and lam a constant lattice element (to the
     lattice_contains tolerance).
     """
-    pts = list(_sample_points(rng, samples))
-    forward, backward = fmap.forward, fmap.backward
+    pts = _sample_points(rng, samples)
+    forward = fmap.forward
+    back = [fmap.backward(z, w) for z, w in pts]  # the same for every generator: pulled back once
     for g in deck_generators(data):
-        images = [forward(*g(*backward(z, w))) for z, w in pts]
+        # g(z, w) = (z + k, c^k w + lam), written out with c^k taken once
+        k, ckg, lam = g.k, data.c**g.k, g.lam
+        images = [forward(z + k, ckg * w + lam) for z, w in back]
         ks = [z4 - z for (z4, _), (z, _) in zip(images, pts)]
         k0 = ks[0]
         kint = round(k0.real)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 
-from .numeric import COEFF_CHOP, MONIC_TOL, Record, close, json_complex, setfield
+from .numeric import COEFF_CHOP, MONIC_TOL, Record, binomials, close, json_complex, setfield
 
 
 def _trim(cs):  # a list of complex numbers as a tuple, trailing entries at or below COEFF_CHOP dropped
@@ -92,19 +92,6 @@ class Polynomial(Record):
         for _ in range(order):
             cs = [k * cs[k] for k in range(1, len(cs))]
         return Polynomial._of(cs)
-
-    def shifted(self, t):
-        """The polynomial z -> p(z - t), expanded exactly by binomials."""
-        t = complex(t)
-        n = len(self.coeffs)
-        powers = [(-t) ** e for e in range(n)]
-        out = [0j] * n
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(k + 1):
-                out[j] += c * math.comb(k, j) * powers[k - j]
-        return Polynomial._of(out)
 
     def __call__(self, z):
         acc = 0j
@@ -270,13 +257,24 @@ def evaluate(f, z):
 def translate(f, t):
     """The function z -> f(z - t), computed symbolically.
 
-    Frequencies are unchanged; each coefficient polynomial is binomially
-    shifted and scaled by e^{-lam t}.
+    Frequencies are unchanged; each coefficient polynomial is binomially shifted and scaled
+    by e^{-lam t} in one pass.  The shift keeps the leading coefficient, above COEFF_CHOP (or
+    NaN), so only the scaled coefficients need a trim.
     """
     t = complex(t)
-    return ExpPoly._same_frequencies(
-        [(lam, p.shifted(t).scale(cmath.exp(-lam * t))) for lam, p in f.terms]
-    )
+    terms = []
+    for lam, p in f.terms:
+        cs = p.coeffs
+        powers = [(-t) ** e for e in range(len(cs))]
+        out = [0j] * len(cs)
+        for k, c in enumerate(cs):
+            if c == 0:
+                continue
+            for j, b in enumerate(binomials(k)):
+                out[j] += c * b * powers[k - j]
+        s = cmath.exp(-lam * t)
+        terms.append((lam, Polynomial._of([s * a for a in out])))
+    return ExpPoly._same_frequencies(terms)
 
 
 class DiffOperator(Record):

@@ -21,6 +21,7 @@ NonDiscreteError.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from itertools import chain
@@ -62,6 +63,10 @@ CANONICAL_REF_TOL = 1e-12
 UNIT_TOL = 1e-8
 # a sampled deck conjugate must keep its shift and offset constant to this (relative)
 DECK_TOL = 1e-7
+# a quadratic's leading coefficient counts as zero (a root at infinity) at or below this * its largest
+LEADING_ZERO_TOL = 1e-8
+# a point of C^2 whose coordinates are at most this in modulus (absolute) is the origin
+ORIGIN_TOL = 1e-12
 
 
 def load_numpy():
@@ -135,6 +140,12 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+@functools.lru_cache(maxsize=64)
+def binomials(k):
+    """The binomial coefficients of degree k as ints: one row per degree, taken once."""
+    return tuple(math.comb(k, j) for j in range(k + 1))
 
 
 def close(x, y, tol=None, scale=0.0):

@@ -21,7 +21,8 @@ import cmath
 import functools
 import math
 
-from .numeric import CANONICAL_REF_TOL, EPS, Record, as_rows, distance, flat_distance, load_numpy, setfield
+from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, as_rows, binomials, distance
+from .numeric import flat_distance, load_numpy, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +161,6 @@ def mobius_act(g, p):
 # symmetric powers and binary forms
 
 
-@functools.lru_cache(maxsize=64)
-def _binomials(k):
-    return tuple(math.comb(k, j) for j in range(k + 1))
-
-
 def sym_power_rep(g, n):
     """Matrix of g acting on Sym^n C^2 in the basis e1^n, e1^{n-1}e2, ..., e2^n."""
     if n < 1:
@@ -181,9 +177,19 @@ def binary_form_eval(coeffs, z1, z2):
     return sum(c * z1 ** (n - j) * z2**j for j, c in enumerate(coeffs))
 
 
+SUBSTITUTE_CAP = 4  # degrees up to this run a straight-line kernel, higher degrees _substitute_loop
+
+
 def binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
     m00, m01, m10, m11 = _entries(m)
+    n = len(coeffs) - 1
+    if 0 <= n <= SUBSTITUTE_CAP:
+        return _substitute_kernel(n)(coeffs, m00, m01, m10, m11)
+    return _substitute_loop(coeffs, m00, m01, m10, m11)
+
+
+def _substitute_loop(coeffs, m00, m01, m10, m11):
     n = len(coeffs) - 1
     # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
     # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
@@ -200,10 +206,10 @@ def binary_form_substitute(coeffs, m):
         while len(p10) <= j:
             p10.append(m10 ** len(p10))
             p11.append(m11 ** len(p11))
-        right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
+        right = [b * p10[j - l] * p11[l] for l, b in enumerate(binomials(j))]
         prod = [0j] * (n + 1)
         i = 0
-        for b in _binomials(k):
+        for b in binomials(k):
             x = b * p00[k - i] * p01[i]
             for l, y in enumerate(right, i):
                 prod[l] += x * y
@@ -213,6 +219,38 @@ def binary_form_substitute(coeffs, m):
             out[i] += c * t
             i += 1
     return tuple(out)
+
+
+@functools.cache  # one kernel per degree, built on first use
+def _substitute_kernel(n):
+    """_substitute_loop at degree n as straight-line code, one branch per pattern of zero coefficients:
+    the loop's operations in its order, with its `c == 0` skips, powers (A, B, C, D of m00, m01, m10,
+    m11), int binomial factors and `0j +` starts, so a kernel gives its bits and raises where it raises."""
+    lines = ["def kernel(coeffs, m00, m01, m10, m11):", "    " + "".join(f"c{j}, " for j in range(n + 1)) + "= coeffs"]
+
+    def walk(j, pad, started, top):  # started: an earlier coefficient was nonzero; top: C, D powers taken
+        if j > n:
+            lines.append(pad + "return (" + "".join(f"o{i}, " if started else "0j, " for i in range(n + 1)) + ")")
+            return
+        k, body = n - j, pad + "    "
+        lines.append(f"{pad}if c{j} == 0:")
+        walk(j + 1, body, started, top)
+        lines.append(f"{pad}else:")
+        if not started:
+            lines.extend(f"{body}{v}{e} = {m} ** {e}" for v, m in (("A", "m00"), ("B", "m01")) for e in range(k + 1))
+        for e in range(top, j + 1):
+            lines.extend((f"{body}C{e} = m10 ** {e}", f"{body}D{e} = m11 ** {e}"))
+        lines.extend(f"{body}y{l} = {b} * C{j - l} * D{l}" for l, b in enumerate(binomials(j)))
+        for i, b in enumerate(binomials(k)):
+            lines.append(f"{body}x = {b} * A{k - i} * B{i}")
+            lines.extend(f"{body}t{i + l} = {'t%d' % (i + l) if i and l < j else '0j'} + x * y{l}" for l in range(j + 1))
+        lines.extend(f"{body}o{i} = {'o%d' % i if started else '0j'} + c{j} * t{i}" for i in range(n + 1))
+        walk(j + 1, body, True, j + 1)
+
+    walk(0, "    ", False, 0)
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +303,7 @@ def quadric_preimages(p2):
     disc = b * b - 4 * a * c
     if abs(disc) <= EPS * max(1.0, scale) ** 2:
         raise ValueError("point lies on the branch conic")
-    if abs(a) > 1e-8 * scale:
+    if abs(a) > LEADING_ZERO_TOL * scale:
         s = cmath.sqrt(disc)
         top = -(b + s) if abs(b + s) >= abs(b - s) else -(b - s)
         q = top / 2
@@ -372,10 +410,15 @@ class OnGroupElement(Record):
         b = other.matrix[0] + other.matrix[1]
         scale = max(1.0, *map(abs, a), *map(abs, b))
         best = math.inf
-        for j in range(self.n):
-            zeta = cmath.exp(2j * math.pi * j / self.n)
-            best = min(best, max(abs(x - zeta * y) for x, y in zip(a, b)) / scale)
+        for zeta in _roots_of_unity(self.n):
+            best = min(best, max([abs(x - zeta * y) for x, y in zip(a, b)]) / scale)
         return max(best, flat_distance(self.poly, other.poly))
+
+
+@functools.lru_cache(maxsize=64)
+def _roots_of_unity(n):
+    """The n-th roots of unity exp(2 pi i j / n), j = 0..n-1: one table per bundle degree."""
+    return tuple(cmath.exp(2j * math.pi * j / n) for j in range(n))
 
 
 def on_identity(n):
@@ -451,8 +494,9 @@ def bg12_multiply(e0, e1):
         raise ValueError("mixed subgroup parameters")
     n, c = e0.n, e0.c
     lam = e0.lam + e1.lam
-    b = cmath.exp(e0.lam * (1 - c / n)) * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
-    comp = binary_form_substitute(e1.poly, inverse2(_bg12_matrix(e0)))
+    a0 = cmath.exp(e0.lam * (1 - c / n))  # the (0, 0) entry of _bg12_matrix(e0), taken once
+    b = a0 * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
+    comp = binary_form_substitute(e1.poly, inverse2(((a0, complex(e0.b)), (0j, cmath.exp(-e0.lam * c / n)))))
     p = tuple(x + y for x, y in zip(e0.poly, comp))
     return BGamma12Element(n, c, lam, complex(b), p)
 
@@ -543,7 +587,7 @@ def bg4_act(e, zw):
 def bdelta_act(g, x):
     """Linear action on C^2 \\ 0."""
     x1, x2 = (complex(v) for v in x)
-    if max(abs(x1), abs(x2)) <= 1e-12:
+    if max(abs(x1), abs(x2)) <= ORIGIN_TOL:
         raise ValueError("the origin is not a point of the surface")
     a, b, c, d = _entries(g)
     return (a * x1 + b * x2, c * x1 + d * x2)

@@ -139,30 +139,33 @@ class D2Label(Record):
 
 
 def normal_form_generators(label):
-    """Generator list of the table row with the label's parameters."""
-    n, k, b, tau, a = label.name, label.k, label.b, label.tau, label.a
-    w = TWO_PI_I
-    rows = {
-        "D2": [],
-        "D2_1": [UAffElement(0, 1)],
-        "D2_2": [UAffElement(0, 1), UAffElement(0, tau)],
-        "D2_3": [UAffElement(w * k, 1)],
-        "D2_4": [UAffElement(w * k, b), UAffElement(0, 1)],
-        "D2_5": [UAffElement(w * k, b), UAffElement(0, 1), UAffElement(0, tau)],
-        "D2_6": [UAffElement(a, 0)],
-        "D2_7": [UAffElement(w * (k + 0.5), 0), UAffElement(0, 1)],
-        "D2_8": [UAffElement(w * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, tau)],
-        "D2_9": [UAffElement(1j * math.pi * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j)],
-        "D2_10": [UAffElement(w * (k + 1.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
-        "D2_11": [UAffElement(w * (k + 2.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
-        "D2_12": [UAffElement(w * (k + 4.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
-        "D2_13": [UAffElement(w * (k + 5.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
-        "D2_14": [UAffElement(label.a1, 0), UAffElement(label.a2, 0)],
-    }
-    return rows[n]
+    """Generator list of the table row with the label's parameters; a missing one is a ValueError."""
+    params, row = _NORMAL_FORMS[label.name]
+    values = [getattr(label, p) for p in params]
+    if None in values:
+        raise ValueError(f"row {label.name} needs the parameter {params[values.index(None)]}")
+    return row(*values)
 
 
 _OMEGA = cmath.exp(1j * math.pi / 3)
+# each row of the table: the label parameters it reads, and its generators as a function of them
+_NORMAL_FORMS = {
+    "D2": ((), lambda: []),
+    "D2_1": ((), lambda: [UAffElement(0, 1)]),
+    "D2_2": (("tau",), lambda tau: [UAffElement(0, 1), UAffElement(0, tau)]),
+    "D2_3": (("k",), lambda k: [UAffElement(TWO_PI_I * k, 1)]),
+    "D2_4": (("k", "b"), lambda k, b: [UAffElement(TWO_PI_I * k, b), UAffElement(0, 1)]),
+    "D2_5": (("k", "b", "tau"), lambda k, b, tau: [UAffElement(TWO_PI_I * k, b), UAffElement(0, 1), UAffElement(0, tau)]),
+    "D2_6": (("a",), lambda a: [UAffElement(a, 0)]),
+    "D2_7": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1)]),
+    "D2_8": (("k", "tau"), lambda k, tau: [UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, tau)]),
+    "D2_9": (("k",), lambda k: [UAffElement(1j * math.pi * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j)]),
+    "D2_10": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 1.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
+    "D2_11": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 2.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
+    "D2_12": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 4.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
+    "D2_13": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 5.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
+    "D2_14": (("a1", "a2"), lambda a1, a2: [UAffElement(a1, 0), UAffElement(a2, 0)]),
+}
 
 NONABELIAN_LABELS = {"D2_7", "D2_8", "D2_9", "D2_10", "D2_11", "D2_12", "D2_13"}
 

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from homsurf import cli
+from homsurf import cli, projective, verify
 from homsurf.catalogue import ROWS, ascii_label, enumerate_catalogue, labels
 from homsurf.families import BASE_FAMILY_LABELS, family_label
 from homsurf.verify import suite_names
@@ -304,6 +304,27 @@ def test_cli_verify_json(capsys):
     assert rows[0]["family"] == "C9" and rows[0]["passed"]
     names = " ".join(rows[0]["checks"])
     assert "quadric" in names
+
+
+def test_cli_verify_c9_quadric_bound_is_relative_to_the_point(capsys):
+    # a sample at this seed has |y|^2 = 6.2e6 and misses y^2 - 4 x z = 1 by 1.863e-09, a rounding error
+    assert cli.main(["verify", "C9", "--samples", "100", "--seed", "48853", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["passed"] and 1.8e-9 < row["max_error"] < 1.9e-9
+
+
+def test_c9_quadric_identity_fails_an_embedding_with_y_off_by_a_millionth(monkeypatch):
+    embed = projective.quadric_embed
+
+    def wrong(p):
+        x, y, z = embed(p)
+        return x, y * (1 + 1e-6), z
+
+    monkeypatch.setattr(projective, "quadric_embed", wrong)
+    for seed in (0, 7, 48853):
+        report = verify.run_suite("C9", samples=100, seed=seed)
+        assert not report.passed
+        assert any(f.startswith("quadric-identity: error") for f in report.failures)
 
 
 def test_cli_verify_determinism(capsys):

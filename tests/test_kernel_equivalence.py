@@ -13,13 +13,16 @@ are compared with the numpy handlers they replaced to a relative 1e-14.
 import cmath
 import math
 import operator
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from homsurf import bundles, families, projective, verify
+import homsurf
+from homsurf import bundles, families, projective, uaff, verify
 from homsurf.divisor import Divisor, _quasiperiod_group, quasiperiod_group
 from homsurf.exppoly import (
     ExpPoly,
@@ -30,6 +33,7 @@ from homsurf.exppoly import (
     contains,
     monic_polynomial,
     random_member,
+    translate,
 )
 from homsurf import numeric
 from homsurf.numeric import (
@@ -38,6 +42,7 @@ from homsurf.numeric import (
     COEFF_CHOP,
     COMBO_TOL,
     COORD_LIMIT,
+    DECK_TOL,
     DENOMINATOR_BOUND,
     EMPTY_BASIS_TOL,
     JACOBI_SWEEPS,
@@ -55,7 +60,8 @@ from homsurf.numeric import (
     lattice_contains,
     load_numpy,
 )
-from homsurf.projective import _binomials, _entries, _invertible, OnGroupElement, binary_form_substitute
+from homsurf.numeric import binomials as _binomials
+from homsurf.projective import SUBSTITUTE_CAP, _entries, _invertible, OnGroupElement, binary_form_substitute
 
 
 def same(a, b):
@@ -211,7 +217,7 @@ def old_as_map(phi):
 
 
 def old_map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
-    pts = list(bundles._sample_points(rng, samples))
+    pts = list(old_sample_points(rng, samples))
     for g in bundles.deck_generators(data):
         ks = []
         lams = []
@@ -237,6 +243,148 @@ def old_map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
         if not lattice_contains(lam0, data.w1, data.w2, tol=1e-6):
             return False
     return True
+
+# ---------------------------------------------------------------------------
+# the per-degree binary-form kernels, the deck check that pulls each point back once, the scalar
+# uniform draws, the fused translate, the table of roots of unity and the normal forms: the replaced code
+
+
+def old_loop_binary_form_substitute(coeffs, m):
+    """Coefficients of q(M Z) for a binary form q of degree n."""
+    m00, m01, m10, m11 = _entries(m)
+    n = len(coeffs) - 1
+    # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
+    # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
+    p00 = p01 = None
+    p10, p11 = [], []
+    out = [0j] * (n + 1)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        # (m00 Z1 + m01 Z2)^k (m10 Z1 + m11 Z2)^j over Z1^{n-i} Z2^i, k = n - j
+        k = n - j
+        if p00 is None:
+            p00, p01 = [m00**e for e in range(k + 1)], [m01**e for e in range(k + 1)]
+        while len(p10) <= j:
+            p10.append(m10 ** len(p10))
+            p11.append(m11 ** len(p11))
+        right = [b * p10[j - l] * p11[l] for l, b in enumerate(_binomials(j))]
+        prod = [0j] * (n + 1)
+        i = 0
+        for b in _binomials(k):
+            x = b * p00[k - i] * p01[i]
+            for l, y in enumerate(right, i):
+                prod[l] += x * y
+            i += 1
+        i = 0
+        for t in prod:
+            out[i] += c * t
+            i += 1
+    return tuple(out)
+
+
+def old_sample_points(rng, count):
+    # imaginary parts stay small so the Laurent data keeps a tame magnitude
+    for _ in range(count):
+        yield (
+            complex(rng.uniform(-1, 1), rng.uniform(-0.15, 0.15)),
+            complex(rng.normal(), rng.normal()),
+        )
+
+
+def old_per_generator_map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
+    pts = list(old_sample_points(rng, samples))
+    forward, backward = fmap.forward, fmap.backward
+    for g in bundles.deck_generators(data):
+        images = [forward(*g(*backward(z, w))) for z, w in pts]
+        ks = [z4 - z for (z4, _), (z, _) in zip(images, pts)]
+        k0 = ks[0]
+        kint = round(k0.real)
+        if abs(k0 - kint) > tol * max(1.0, abs(k0)):
+            return False
+        ck = data.c**kint
+        scale = max([abs(w4) for _, w4 in images] + [1.0])
+        bound = tol * max(1.0, abs(k0), scale)
+        if any(abs(dk - k0) > bound for dk in ks):
+            return False
+        lam_vals = [w4 - ck * w for (_, w4), (_, w) in zip(images, pts)]
+        lam0 = lam_vals[0]
+        bound = tol * max(1.0, scale)
+        if any(abs(v - lam0) > bound for v in lam_vals):
+            return False
+        if not lattice_contains(lam0, data.w1, data.w2):
+            return False
+    return True
+
+
+def old_polynomial_shifted(p, t):  # Polynomial.shifted, with `self` spelled `p`
+    """The polynomial z -> p(z - t), expanded exactly by binomials."""
+    t = complex(t)
+    n = len(p.coeffs)
+    powers = [(-t) ** e for e in range(n)]
+    out = [0j] * n
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * powers[k - j]
+    return Polynomial._of(out)
+
+
+def old_translate(f, t):
+    t = complex(t)
+    return ExpPoly._same_frequencies(
+        [(lam, old_polynomial_shifted(p, t).scale(cmath.exp(-lam * t))) for lam, p in f.terms]
+    )
+
+
+def old_on_distance(self, other):  # OnGroupElement.distance
+    """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
+    a = self.matrix[0] + self.matrix[1]
+    b = other.matrix[0] + other.matrix[1]
+    scale = max(1.0, *map(abs, a), *map(abs, b))
+    best = math.inf
+    for j in range(self.n):
+        zeta = cmath.exp(2j * math.pi * j / self.n)
+        best = min(best, max(abs(x - zeta * y) for x, y in zip(a, b)) / scale)
+    return max(best, flat_distance(self.poly, other.poly))
+
+
+def old_bg12_multiply(e0, e1):
+    if (e0.n, e0.c) != (e1.n, e1.c):
+        raise ValueError("mixed subgroup parameters")
+    n, c = e0.n, e0.c
+    lam = e0.lam + e1.lam
+    b = cmath.exp(e0.lam * (1 - c / n)) * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
+    comp = binary_form_substitute(e1.poly, projective.inverse2(projective._bg12_matrix(e0)))
+    p = tuple(x + y for x, y in zip(e0.poly, comp))
+    return projective.BGamma12Element(n, c, lam, complex(b), p)
+
+
+def old_normal_form_generators(label):
+    """Generator list of the table row with the label's parameters."""
+    n, k, b, tau, a = label.name, label.k, label.b, label.tau, label.a
+    w = uaff.TWO_PI_I
+    UAffElement, _OMEGA = uaff.UAffElement, uaff._OMEGA
+    rows = {
+        "D2": [],
+        "D2_1": [UAffElement(0, 1)],
+        "D2_2": [UAffElement(0, 1), UAffElement(0, tau)],
+        "D2_3": [UAffElement(w * k, 1)],
+        "D2_4": [UAffElement(w * k, b), UAffElement(0, 1)],
+        "D2_5": [UAffElement(w * k, b), UAffElement(0, 1), UAffElement(0, tau)],
+        "D2_6": [UAffElement(a, 0)],
+        "D2_7": [UAffElement(w * (k + 0.5), 0), UAffElement(0, 1)],
+        "D2_8": [UAffElement(w * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, tau)],
+        "D2_9": [UAffElement(1j * math.pi * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j)],
+        "D2_10": [UAffElement(w * (k + 1.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
+        "D2_11": [UAffElement(w * (k + 2.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
+        "D2_12": [UAffElement(w * (k + 4.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
+        "D2_13": [UAffElement(w * (k + 5.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)],
+        "D2_14": [UAffElement(label.a1, 0), UAffElement(label.a2, 0)],
+    }
+    return rows[n]
+
 
 # ---------------------------------------------------------------------------
 # the classifiers' numeric layer and the projective distance: the replaced code
@@ -612,7 +760,8 @@ def test_polynomial_arithmetic_matches_the_replaced_code(p, q, c):
     assert same(p.scale(c).coeffs, old_scale(p, c))
     for order in (1, 2, 3):
         assert same(p.derivative(order).coeffs, old_derivative(p, order))
-    assert same(p.shifted(c).coeffs, old_shifted(p, c))
+    f = ExpPoly.from_poly(p)  # translate shifts in place of the deleted Polynomial.shifted
+    assert same(outcome(translate, f, c), outcome(old_translate, f, c))
 
 
 def test_polynomial_constructor_still_converts_and_trims():
@@ -795,10 +944,69 @@ def test_binary_form_substitute_takes_only_the_powers_it_uses():
         binary_form_substitute((1.0 + 0j, 0j, 0j), m)
 
 
-@given(st.lists(coefficients, min_size=2, max_size=6), st.lists(coefficients, min_size=4, max_size=4))
+@given(st.lists(coefficients, min_size=1, max_size=7), st.lists(coefficients, min_size=4, max_size=4))
 def test_binary_form_substitute_matches_on_any_entries(coeffs, entries):
     m = (tuple(entries[:2]), tuple(entries[2:]))
     assert same(binary_form_substitute(coeffs, m), old_binary_form_substitute(coeffs, m))
+    assert same(binary_form_substitute(coeffs, m), old_loop_binary_form_substitute(coeffs, m))
+
+
+# the zeros a coefficient may be: int, float and complex, with either sign in either part
+ZEROS = (0, 0.0, -0.0, 0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+@pytest.mark.parametrize("n", range(SUBSTITUTE_CAP + 4))
+def test_substitute_kernels_match_the_replaced_loop(n):
+    """Every pattern of zero coefficients up to the cap (one kernel branch each), a sample above it."""
+    rng = np.random.default_rng([n, 13])
+    masks = range(1 << (n + 1)) if n <= SUBSTITUTE_CAP else rng.integers(1 << (n + 1), size=24).tolist()
+    for m in _matrices(rng):
+        for mask in masks:
+            coeffs = [complex(x, y) for x, y in rng.normal(size=(n + 1, 2))]
+            for j in range(n + 1):
+                if mask >> j & 1:
+                    coeffs[j] = ZEROS[int(rng.integers(len(ZEROS)))]
+            assert same(binary_form_substitute(coeffs, m), old_loop_binary_form_substitute(coeffs, m))
+            assert same(binary_form_substitute(tuple(coeffs), m), old_loop_binary_form_substitute(coeffs, m))
+    assert projective._substitute_kernel.cache_info().currsize <= SUBSTITUTE_CAP + 1  # keyed by degree only
+
+
+# real and complex values at which the loop's int factors and `0j +` starts change a result's bits
+SPECIAL_REALS = (0, 1, -3, 0.0, -0.0, 2.5, math.inf, -math.inf, math.nan, 1e-300)
+SPECIAL_COMPLEX = (0j, complex(-0.0, -0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), complex(1.0, math.nan), 1.5 - 2j)
+
+
+@pytest.mark.parametrize("pool", [SPECIAL_REALS, SPECIAL_REALS + SPECIAL_COMPLEX])
+def test_substitute_kernels_match_the_replaced_loop_on_special_values(pool):
+    """Infinities, NaNs, ints and real entries: with real entries and coefficients, an infinite
+    product starts a complex sum from `0j +`, which keeps the imaginary part 0 where an int factor
+    times the complex sum would make it NaN.  Compared by repr, since NaN != NaN."""
+    rng = np.random.default_rng(len(pool))
+    for _ in range(3000):
+        n = int(rng.integers(SUBSTITUTE_CAP + 3))
+        coeffs = [pool[i] for i in rng.integers(len(pool), size=n + 1)]
+        e = [pool[i] for i in rng.integers(len(pool), size=4)]
+        m = ((e[0], e[1]), (e[2], e[3]))
+        assert repr(outcome(binary_form_substitute, coeffs, m)) == repr(outcome(old_loop_binary_form_substitute, coeffs, m))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, SUBSTITUTE_CAP, SUBSTITUTE_CAP + 1])
+def test_substitute_kernels_overflow_where_the_loop_does(n):
+    """An entry whose square overflows raises exactly when an expansion takes that power, with the
+    loop's message: the kernels take the loop's powers in the loop's order, and no others."""
+    raised = returned = 0
+    for big in (1e200, complex(1e200, 0.0), -1e160j, 10**400):
+        for pos in range(4):
+            entries = [0.5, 1.0 + 0j, -2.0, 0.25j]
+            entries[pos] = big
+            m = (tuple(entries[:2]), tuple(entries[2:]))
+            for mask in range(1 << (n + 1)):
+                coeffs = [0j if mask >> j & 1 else complex(j + 1, -1.0) for j in range(n + 1)]
+                got = outcome(binary_form_substitute, coeffs, m)
+                assert same(got, outcome(old_loop_binary_form_substitute, coeffs, m))
+                raised += isinstance(got[0], str)
+                returned += not isinstance(got[0], str)
+    assert returned and (raised or n == 0)  # degree 0 takes no power above the zeroth
 
 
 def test_on_group_element_matches_the_replaced_constructor():
@@ -858,6 +1066,139 @@ def test_map_normalizes_deck_matches_the_replaced_check(c):
             assert a.normal() == b.normal()
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _recording(fmap, log):
+    """fmap, with each argument pair of its forward map appended to log."""
+    return bundles.PlaneMap(lambda z, w: log.append((z, w)) or fmap.forward(z, w), fmap.backward)
+
+
+@pytest.mark.parametrize("c", [1.0 + 0j, -1.0 + 0j, 1j])
+def test_deck_check_pulling_each_point_back_once_matches_the_replaced_check(c):
+    """Family members, corrupt maps and compositions: the same verdicts, the same forward images in
+    the same order, bit for bit, and the same draws taken from the generator."""
+    rng = np.random.default_rng(11)
+    data = bundles.SCData(1.0 + 0j, 1j, c)
+    verdicts = set()
+    for _ in range(8):
+        f1, f2 = (bundles.as_map(verify.random_sc_biholo(rng, data)) for _ in range(2))
+        for fmap in (f1, verify.corrupt_sc_map(rng, data), f1.compose(f2)):
+            seed = int(rng.integers(1 << 30))
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            new_log, old_log = [], []
+            got = bundles.map_normalizes_deck(_recording(fmap, new_log), data, a)
+            assert got == old_per_generator_map_normalizes_deck(_recording(fmap, old_log), data, b)
+            assert new_log and same(new_log, old_log)
+            assert a.random() == b.random()
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_points_draw_the_replaced_stream(seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count in (0, 1, 7, 50):
+        assert same(bundles._sample_points(a, count), list(old_sample_points(b, count)))
+    assert a.random() == b.random()
+
+
+# every `lo + (hi - lo) * rng.random()` draw of the package, read from its source
+UNIFORM_DRAW = re.compile(r"(-?[\d.]+) \+ \((-?[\d.]+) - (-?[\d.]+)\) \* (?:rng\.)?random\(\)")
+
+
+def _uniform_draw_bounds():
+    found = set()
+    for path in pathlib.Path(homsurf.__file__).parent.glob("*.py"):
+        for lo, hi, lo_again in UNIFORM_DRAW.findall(path.read_text(encoding="utf-8")):
+            assert lo == lo_again, f"{path.name}: {lo} + ({hi} - {lo_again}) is not a uniform draw"
+            found.add((float(lo), float(hi)))
+    return sorted(found)
+
+
+def test_the_uniform_draw_sites_are_the_pinned_bounds():
+    pinned = [(-1.0, 1.0), (-0.15, 0.15), (-0.45, 0.45), (0.9, 1.6), (-0.4, 0.4), (0.9, 1.5), (-0.5, 0.5), (-0.25, 0.25), (-0.35, 0.35)]
+    assert _uniform_draw_bounds() == sorted(pinned)
+
+
+@pytest.mark.parametrize("lo, hi", _uniform_draw_bounds())
+def test_uniform_equals_the_scalar_formula(lo, hi):
+    for seed in range(3):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [repr(lo + (hi - lo) * a.random()) for _ in range(2000)]
+        assert got == [repr(b.uniform(lo, hi)) for _ in range(2000)], (
+            f"numpy's Generator.uniform({lo}, {hi}) no longer draws lo + (hi - lo) * random(): the verify "
+            "path's scalar draws (bundles._sample_points, verify) would change every seeded report"
+        )
+        assert [repr(a.random()) for _ in range(200)] == [repr(b.uniform()) for _ in range(200)], (
+            "numpy's Generator.uniform() no longer equals random(): the corrupt SC maps would change"
+        )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_equals_standard_normal(seed):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert [repr(a.standard_normal()) for _ in range(5000)] == [repr(b.normal()) for _ in range(5000)], (
+        "numpy's Generator.normal() no longer equals standard_normal(): the verify path's scalar draws "
+        "would change every seeded report"
+    )
+
+
+# ---------------------------------------------------------------------------
+# translate, the O(n) distance, the Bgamma1/2 group law and the normal forms against the replaced code
+
+frequencies = st.sampled_from([0j, complex(-0.0, 0.0), 1j, -0.5 + 2j, 2j * math.pi, 1e-3 - 1e-3j, 30.0 + 0j])
+
+
+@given(st.lists(st.tuples(frequencies, polynomials), max_size=3), coefficients)
+def test_translate_matches_the_replaced_code(terms, t):
+    f = ExpPoly(tuple(terms))
+    assert same(outcome(translate, f, t), outcome(old_translate, f, t))
+
+
+def test_translate_raises_where_the_replaced_code_does():
+    f = ExpPoly(((-1.0 + 0j, Polynomial((1.0, 2.0, 3.0))), (0.5j, Polynomial((0j, -0.0, 1e-13, 2.0)))))
+    for t in (0j, complex(-0.0, -0.0), 1e200, 1000.0, -1000.0 + 5j, 1e-12j):
+        assert same(outcome(translate, f, t), outcome(old_translate, f, t))
+    assert isinstance(outcome(translate, f, 1e200)[0], str)  # (-t) ** 2 overflows
+    assert isinstance(outcome(translate, f, 1000.0)[0], str)  # e^{1000} overflows
+
+
+def test_on_distance_matches_the_replaced_code():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 5, 8):
+        for m in _matrices(rng):
+            poly = [complex(x, y) for x, y in rng.normal(size=(n + 1, 2))]
+            e = OnGroupElement(n, m, poly)
+            zeta = cmath.exp(2j * math.pi * int(rng.integers(n)) / n)
+            (a, b), (c, d) = e.matrix
+            others = [
+                e,
+                OnGroupElement(n, ((zeta * a, zeta * b), (zeta * c, zeta * d)), poly),
+                OnGroupElement(n, verify._random_gl2(rng), poly[::-1]),
+                OnGroupElement(n, m, [math.nan] + poly[1:]),
+            ]
+            for o in others:
+                assert same(e.distance(o), old_on_distance(e, o))
+                assert same(o.distance(e), old_on_distance(o, e))
+
+
+@pytest.mark.parametrize("label", ["Bγ1", "Bγ2"])
+def test_bg12_multiply_matches_the_replaced_code(label):
+    handler = families.build_family(label)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        g, h = handler.random_element(rng), handler.random_element(rng)
+        assert same(projective.bg12_multiply(g, h), old_bg12_multiply(g, h))
+
+
+def test_normal_form_generators_match_the_replaced_table():
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        for name in uaff.CANONICAL_ROW:
+            _, label = verify.random_d2_generators(rng, name)
+            assert same(uaff.normal_form_generators(label), old_normal_form_generators(label))
+            label = uaff.D2Label(name, k=int(rng.integers(-3, 4)), b=-0.0, tau=1j, a=complex(-0.0, 1.0), a1=0j, a2=2j)
+            assert same(uaff.normal_form_generators(label), old_normal_form_generators(label))
 
 
 # ---------------------------------------------------------------------------

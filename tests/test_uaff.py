@@ -246,3 +246,28 @@ def test_product_cover_coset_invariance(rng):
 def test_product_cover_nonabelian_rejected():
     with pytest.raises(ValueError, match="nontrivial"):
         product_cover(D2Label("D2_7", k=0), IDENTITY)
+
+
+def test_normal_form_rows_without_k_build_their_generators():
+    # labels the classifier returns: the rows that read no k built every other row, k = None included
+    assert normal_form_generators(D2Label("D2_1")) == [UAffElement(0, 1)]
+    assert normal_form_generators(D2Label("D2_6", a=1j)) == [UAffElement(1j, 0)]
+    assert center_intersection(D2Label("D2_1")) == IDENTITY
+    assert center_intersection(D2Label("D2_6", a=1j)) == IDENTITY
+
+
+@pytest.mark.parametrize(
+    "label, missing",
+    [
+        (D2Label("D2_2"), "tau"),
+        (D2Label("D2_3", b=1.0), "k"),
+        (D2Label("D2_4", k=1), "b"),
+        (D2Label("D2_5", k=1, b=0.5), "tau"),
+        (D2Label("D2_6", k=1), "a"),
+        (D2Label("D2_9"), "k"),
+        (D2Label("D2_14", a1=1.0), "a2"),
+    ],
+)
+def test_normal_form_row_names_a_missing_parameter(label, missing):
+    with pytest.raises(ValueError, match=f"row {label.name} needs the parameter {missing}"):
+        normal_form_generators(label)
