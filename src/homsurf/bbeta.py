@@ -5,10 +5,11 @@ divisor's annihilator, acting on C^2 by (t, f)(z, w) = (z + t, w + f(z + t));
 rG_D adds a rescaling of w.  Their commutants are built from quasiperiods and
 weights, and every quotient of the plane by a discrete subgroup of the
 commutant is one of ten explicit examples (labelled A0, A1, B, ..., I), each
-realized here as a covering map with the induced action on the quotient
-surface.  classify_pi sends a discrete subgroup of the commutant to its
-example, replaying the normalization steps (divisor rescaling, w-rescaling,
-and the shift automorphisms available for each divisor shape).
+realized here as a `Cover`: the covering map, the induced action on the
+quotient surface, and the deck group from the one table `_deck_pairs`.
+classify_pi sends a discrete subgroup of the commutant to its example,
+replaying the normalization steps (divisor rescaling, w-rescaling, and the
+shift automorphisms available for each divisor shape).
 
 Degree-one divisors are rejected throughout: those actions are the
 translation plane and the affine group, handled elsewhere.
@@ -22,6 +23,8 @@ import math
 from .divisor import Divisor, quasiperiod_group, weight
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
 from .numeric import (
+    LINE_INDEX_TOL,
+    ORBIT_TOL,
     NonDiscreteError,
     Record,
     c2r,
@@ -295,6 +298,12 @@ class BBeta1Label(Record):
         return out
 
 
+def _near_int(x, tol):
+    """The integer nearest Re x when x is within tol * max(1, |x|) of it, else None."""
+    k = round(x.real)
+    return None if abs(x - k) > tol * max(1.0, abs(x)) else k
+
+
 def _canonical_line_data(D):
     """(lam, ks) for a divisor of the shape [lam] + sum [lam + 2 pi i k_j]."""
     qg = quasiperiod_group(D)
@@ -306,9 +315,8 @@ def _canonical_line_data(D):
     lam = pts[0]
     ks = []
     for p in pts[1:]:
-        k = (p - lam) / TWO_PI_I
-        kk = round(k.real)
-        if abs(k - kk) > 1e-6 * max(1.0, abs(k)) or kk <= 0:
+        kk = _near_int((p - lam) / TWO_PI_I, LINE_INDEX_TOL)
+        if kk is None or kk <= 0:
             raise ValueError("divisor points must differ from the base by 2 pi i k, k > 0")
         ks.append(kk)
     g = 0
@@ -325,9 +333,8 @@ def _fourier_coeffs(f, lam):
     for freq, poly in f.terms:
         if poly.degree > 0:
             raise ValueError("member has a polynomial factor; divisor is not reduced")
-        k = (freq - lam) / TWO_PI_I
-        kk = round(k.real)
-        if abs(k - kk) > 1e-6 * max(1.0, abs(k)):
+        kk = _near_int((freq - lam) / TWO_PI_I, LINE_INDEX_TOL)
+        if kk is None:
             raise ValueError("member frequency off the divisor line")
         out[kk] = out.get(kk, 0j) + poly.coeffs[0]
     return out
@@ -337,31 +344,29 @@ def _eval_exponent_poly(coeffs, u):
     return sum(c * u**k for k, c in coeffs.items())
 
 
-class CoveringMap:
-    """A quotient X = C^2 -> X' with the induced action of G_D (or rG_D)."""
+class Cover(Record):
+    """A quotient X = C^2 -> X' with the induced action of G_D (or rG_D) on X'.
 
-    label = None
-    surface = ""
+    cover(z, w) is the covering map, act(g, point) the action on X',
+    equal(p, q, tol=None) equality of points of X', and deck the generators
+    of the deck group pi as CentralizerElements.
+    """
 
-    def cover(self, z, w):
-        raise NotImplementedError
+    __slots__ = ("cover", "act", "equal", "deck")
 
-    def act(self, g, point):
-        raise NotImplementedError
-
-    def equal(self, p, q, tol=None):
-        return product_equal(p, q, tol=tol)
+    def __init__(self, cover, act, equal, deck):
+        setfield(self, "cover", cover)
+        setfield(self, "act", act)
+        setfield(self, "equal", equal)
+        setfield(self, "deck", deck)
 
     def pi_generators(self):
-        raise NotImplementedError
+        return list(self.deck)
 
     def cover_c2(self, z, w):
         """Plain C^2-valued local form of the cover, for Jacobian checks."""
-        p = self.cover(z, w)
-        out = []
-        for comp in p:
-            out.append(comp.value if isinstance(comp, TorusPoint) else comp)
-        return complex(out[0]), complex(out[1])
+        a, b = (c.value if isinstance(c, TorusPoint) else c for c in self.cover(z, w))
+        return complex(a), complex(b)
 
     def jacobian_ok(self, z, w, h=1e-5, tol=1e-8):
         dz = [(self.cover_c2(z + h, w)[i] - self.cover_c2(z - h, w)[i]) / (2 * h) for i in (0, 1)]
@@ -371,345 +376,219 @@ class CoveringMap:
         return abs(det) > tol * max(1.0, scale)
 
 
-class _LineCover(CoveringMap):
-    """Shared machinery for the examples over a rank-one quasiperiod divisor."""
-
-    def __init__(self, label):
-        self.label = label
-        self.D = label.divisor
-        self.lam, self.ks = _canonical_line_data(self.D)
-        self.n = int(label.n)
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        self.q = cmath.exp(self.lam * self.n)
-
-    def _zpart(self, z):
-        return cmath.exp(TWO_PI_I * z / self.n)
-
-    def _pcoeffs(self, g):
-        return _fourier_coeffs(g.f, self.lam)
+# the rank of the w-translation lattice (Z, or Z + tau Z) in the deck group of examples B..I
+_LATTICE_RANK = {"B": 0, "C": 0, "D": 1, "E": 1, "F": 1, "G": 2, "H": 2, "I": 2}
 
 
-class CoverA(CoveringMap):
+def _deck_pairs(name, n=None, s=None, tau=None, delta=()):
+    """The deck generators (w, s) of an example, with the number types pi_generators gives.
+
+    A0/A1: the w-translations by Delta.  B..I: (n, s), with s = 1 for C and 0
+    when absent, then the w-translations by 1 (D, E, F) or by 1 and tau (G, H, I).
+    """
+    if name in ("A0", "A1"):
+        return [(0j, d) for d in delta]
+    lattice = (1.0, tau)[: _LATTICE_RANK[name]]
+    return [(n, 1.0 if name == "C" else (0j if s is None else s))] + [(0j, u) for u in lattice]
+
+
+def _deck(D, pairs):
+    return tuple(CentralizerElement(D, w, s) for w, s in pairs)
+
+
+def _param(label, field):
+    value = getattr(label, field)
+    if value is None:
+        raise ValueError(f"example {label.name} needs the cover parameter {field!r}")
+    return value
+
+
+def _positive_n(n):
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
+def _lam_exponent(lam, n, name):
+    """The integer m != 0 with lam = 2 pi i m / n, which examples C, E and H require."""
+    m = _near_int(lam * n / TWO_PI_I, LINE_INDEX_TOL)
+    if m is None or m == 0:
+        raise ValueError(f"example {name} requires lam = 2 pi i m / n, m nonzero")
+    return m
+
+
+def _delta_cover(label):
     """A0/A1: w-translations by a discrete group Delta; X' = C x (C / Delta)."""
+    D = _check_divisor(label.divisor)
+    delta = tuple(complex(d) for d in label.delta)
+    if len(delta) not in (1, 2):
+        raise ValueError("Delta must have rank one or two")
+    if any(abs(d) == 0 for d in delta):
+        raise ValueError("the generators of Delta must be nonzero")
+    if len(delta) == 2:
+        lattice_reduce_tau(*delta)  # a NonDiscreteError (a ValueError) unless Delta is a lattice
+    deg0 = D.degree_at(0)
+    if label.name == "A0" and deg0 != 0:
+        raise ValueError("A0 requires zero degree at the origin")
+    if label.name == "A1" and deg0 == 0:
+        raise ValueError("A1 requires positive degree at the origin")
+    deck = _deck(D, _deck_pairs(label.name, delta=delta))
+    if len(delta) == 1:
 
-    def __init__(self, label):
-        self.label = label
-        self.D = label.divisor
-        _check_divisor(self.D)
-        self.delta = tuple(complex(d) for d in label.delta)
-        if len(self.delta) not in (1, 2):
-            raise ValueError("Delta must have rank one or two")
-        deg0 = self.D.degree_at(0)
-        if label.name == "A0" and deg0 != 0:
-            raise ValueError("A0 requires zero degree at the origin")
-        if label.name == "A1" and deg0 == 0:
-            raise ValueError("A1 requires positive degree at the origin")
-        self.surface = "C x (C/Delta)"
+        def cover(z, w):
+            return (z, cmath.exp(TWO_PI_I * w / delta[0]))
 
-    def cover(self, z, w):
-        if len(self.delta) == 1:
-            return (z, cmath.exp(TWO_PI_I * w / self.delta[0]))
-        return (z, TorusPoint(w, self.delta[0], self.delta[1]))
+        def act(g, point):
+            z1 = point[0] + g.t
+            return (z1, point[1] * cmath.exp(TWO_PI_I * evaluate(g.f, z1) / delta[0]))
 
-    def act(self, g, point):
-        z, fiber = point
-        z1 = z + g.t
-        val = evaluate(g.f, z1)
-        if len(self.delta) == 1:
-            return (z1, fiber * cmath.exp(TWO_PI_I * val / self.delta[0]))
-        return (z1, fiber.shifted(val))
+    else:
 
-    def pi_generators(self):
-        return [CentralizerElement(self.D, 0j, d) for d in self.delta]
+        def cover(z, w):
+            return (z, TorusPoint(w, delta[0], delta[1]))
 
+        def act(g, point):
+            z1 = point[0] + g.t
+            return (z1, point[1].shifted(evaluate(g.f, z1)))
 
-class CoverB(_LineCover):
-    """pi = <(n, 0)>; X' = C^x x C via (e^{2 pi i z / n}, e^{-lam z} w)."""
-
-    surface = "C^x x C"
-
-    def cover(self, z, w):
-        return (self._zpart(z), cmath.exp(-self.lam * z) * w)
-
-    def act(self, g, point):
-        Z, W = point
-        P = self._pcoeffs(g)
-        Z1 = self._zpart(g.t) * Z
-        return (Z1, cmath.exp(-self.lam * g.t) * W + _eval_exponent_poly(P, Z1**self.n))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, 0j)]
+    return Cover(cover, act, product_equal, deck)
 
 
-class CoverC(_LineCover):
-    """pi = <(n, 1)> with e^{lam n} = 1; X' = C^x x C via (e^{2 pi i z/n}, w - z/n)."""
+def _line_cover(label):
+    """Examples B..I over [lam] + sum [lam + 2 pi i k_j]: X' fibres over C^x by e^{2 pi i z / n}.
 
-    surface = "C^x x C"
-
-    def __init__(self, label):
-        super().__init__(label)
-        if not close(self.q, 1.0, tol=1e-8):
-            raise ValueError("example C requires e^{lam n} = 1")
-        m = self.lam * self.n / TWO_PI_I
-        self.m = round(m.real)
-        if abs(m - self.m) > 1e-6 * max(1.0, abs(m)) or self.m == 0:
-            raise ValueError("example C requires lam = 2 pi i m / n, m nonzero")
-
-    def _dcoeffs(self, g):
-        return {self.m + self.n * k: c for k, c in self._pcoeffs(g).items()}
-
-    def cover(self, z, w):
-        return (self._zpart(z), w - z / self.n)
-
-    def act(self, g, point):
-        Z, W = point
-        Z1 = self._zpart(g.t) * Z
-        return (Z1, W - g.t / self.n + _eval_exponent_poly(self._dcoeffs(g), Z1))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, 1.0)]
-
-
-class CoverD(_LineCover):
-    """pi = <(n, 0), (0, 1)> with lam = 0; X' = C^x x C^x."""
-
-    surface = "C^x x C^x"
-
-    def __init__(self, label):
-        super().__init__(label)
-        if not close(self.lam, 0j, tol=1e-8):
-            raise ValueError("example D requires lam = 0")
-
-    def cover(self, z, w):
-        return (self._zpart(z), cmath.exp(TWO_PI_I * w))
-
-    def act(self, g, point):
-        Z, W = point
-        P = self._pcoeffs(g)
-        Z1 = self._zpart(g.t) * Z
-        return (Z1, W * cmath.exp(TWO_PI_I * _eval_exponent_poly(P, Z1**self.n)))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, 0j), CentralizerElement(self.D, 0j, 1.0)]
-
-
-class CoverE(_LineCover):
-    """pi = <(n, s), (0, 1)> with e^{lam n} = 1, lam != 0; X' = C^x x C^x."""
-
-    surface = "C^x x C^x"
-
-    def __init__(self, label):
-        super().__init__(label)
-        self.s = complex(label.s)
-        m = self.lam * self.n / TWO_PI_I
-        self.m = round(m.real)
-        if abs(m - self.m) > 1e-6 * max(1.0, abs(m)) or self.m == 0:
-            raise ValueError("example E requires lam = 2 pi i m / n, m nonzero")
-
-    def cover(self, z, w):
-        return (self._zpart(z), cmath.exp(TWO_PI_I * (self.n * w - self.s * z) / self.n))
-
-    def act(self, g, point):
-        Z, W = point
-        P = self._pcoeffs(g)
-        Z1 = self._zpart(g.t) * Z
-        arg = -self.s * g.t / self.n + Z1**self.m * _eval_exponent_poly(P, Z1**self.n)
-        return (Z1, W * cmath.exp(TWO_PI_I * arg))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, self.s), CentralizerElement(self.D, 0j, 1.0)]
-
-
-class _OrbitCover(CoveringMap):
-    """Covers whose target has no global product chart: points are orbit reps."""
-
-    def cover(self, z, w):
-        return (complex(z), complex(w))
-
-    def act(self, g, point):
-        return gd_act(g, point)
-
-    def cover_c2(self, z, w):
-        return (complex(z), complex(w))
-
-
-class CoverF(_LineCover, _OrbitCover):
-    """pi = <(n, 0), (0, 1)> with e^{lam n} = -1: the nontrivial principal bundle."""
-
-    surface = "C^x -> X' -> C^x"
-
-    def __init__(self, label):
-        _LineCover.__init__(self, label)
-        if not close(self.q, -1.0, tol=1e-8):
-            raise ValueError("example F requires e^{lam n} = -1")
-
-    def equal(self, p, q, tol=None):
-        k = (q[0] - p[0]) / self.n
-        kk = round(k.real)
-        if abs(k - kk) > 1e-7 * max(1.0, abs(k)):
-            return False
-        d = q[1] - (-1.0) ** kk * p[1]
-        return abs(d - round(d.real)) <= 1e-7 * max(1.0, abs(d))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, 0j), CentralizerElement(self.D, 0j, 1.0)]
-
-
-class CoverG(_LineCover):
-    """pi = <(n, 0), (0, 1), (0, tau)> with lam = 0; X' = C^x x elliptic curve."""
-
-    surface = "C^x x (C/Lambda)"
-
-    def __init__(self, label):
-        super().__init__(label)
-        if not close(self.lam, 0j, tol=1e-8):
-            raise ValueError("example G requires lam = 0")
-        self.tau = complex(label.tau)
-        if self.tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-
-    def cover(self, z, w):
-        return (self._zpart(z), TorusPoint(w, 1.0, self.tau))
-
-    def act(self, g, point):
-        Z, W = point
-        P = self._pcoeffs(g)
-        Z1 = self._zpart(g.t) * Z
-        return (Z1, W.shifted(_eval_exponent_poly(P, Z1**self.n)))
-
-    def pi_generators(self):
-        D = self.D
-        return [
-            CentralizerElement(D, self.n, 0j),
-            CentralizerElement(D, 0j, 1.0),
-            CentralizerElement(D, 0j, self.tau),
-        ]
-
-
-class CoverH(_LineCover):
-    """pi = <(n, s), (0, 1), (0, tau)> with e^{lam n} = 1, lam != 0."""
-
-    surface = "C^x x (C/Lambda)"
-
-    def __init__(self, label):
-        super().__init__(label)
-        self.s = complex(label.s)
-        self.tau = complex(label.tau)
-        if self.tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-        m = self.lam * self.n / TWO_PI_I
-        self.m = round(m.real)
-        if abs(m - self.m) > 1e-6 * max(1.0, abs(m)) or self.m == 0:
-            raise ValueError("example H requires lam = 2 pi i m / n, m nonzero")
-
-    def cover(self, z, w):
-        return (self._zpart(z), TorusPoint(w - self.s * z / self.n, 1.0, self.tau))
-
-    def act(self, g, point):
-        Z, W = point
-        P = self._pcoeffs(g)
-        Z1 = self._zpart(g.t) * Z
-        shift = -self.s * g.t / self.n + Z1**self.m * _eval_exponent_poly(P, Z1**self.n)
-        return (Z1, W.shifted(shift))
-
-    def pi_generators(self):
-        D = self.D
-        return [
-            CentralizerElement(D, self.n, self.s),
-            CentralizerElement(D, 0j, 1.0),
-            CentralizerElement(D, 0j, self.tau),
-        ]
-
-
-class CoverI(_LineCover, _OrbitCover):
-    """pi = <(n, 0), (0, 1), (0, tau)> with e^{lam n} != 1 a unit of the lattice."""
-
-    surface = "C/Lambda -> X' -> C^x"
-
-    def __init__(self, label):
-        _LineCover.__init__(self, label)
-        self.tau = complex(label.tau)
-        if self.tau.imag <= 0:
-            raise ValueError("tau must lie in the upper half plane")
-        if close(self.q, 1.0, tol=1e-8):
+    B: X' = C^x x C via e^{-lam z} w.  C (e^{lam n} = 1): C^x x C via w - z / n.
+    D (lam = 0), E (e^{lam n} = 1, lam != 0): C^x x C^x; G (lam = 0), H (as E):
+    C^x x (C / (Z + tau Z)); the fibre coordinate is w - s z / n.  F (e^{lam n}
+    = -1) and I (e^{lam n} != 1 a unit of Z + tau Z) have no global product
+    chart: a point of X' is an orbit representative in C^2.
+    """
+    name, D = label.name, label.divisor
+    lam, _ = _canonical_line_data(D)
+    n = _positive_n(_param(label, "n"))
+    mult = cmath.exp(lam * n)
+    if name in ("D", "G") and not close(lam, 0j, tol=1e-8):
+        raise ValueError(f"example {name} requires lam = 0")
+    if name == "C" and not close(mult, 1.0, tol=1e-8):
+        raise ValueError("example C requires e^{lam n} = 1")
+    if name == "F" and not close(mult, -1.0, tol=1e-8):
+        raise ValueError("example F requires e^{lam n} = -1")
+    s = complex(_param(label, "s")) if name in ("E", "H") else None
+    tau = complex(_param(label, "tau")) if name in ("G", "H", "I") else None
+    if tau is not None and tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half plane")
+    m = _lam_exponent(lam, n, name) if name in ("C", "E", "H") else 0
+    if name == "I":
+        if close(mult, 1.0, tol=1e-8):
             raise ValueError("example I requires e^{lam n} != 1")
-        for u in (1.0, self.tau):
-            if not lattice_contains(self.q * u, 1.0, self.tau) or not lattice_contains(
-                u / self.q, 1.0, self.tau
-            ):
+        for u in (1.0, tau):
+            if not lattice_contains(mult * u, 1.0, tau) or not lattice_contains(u / mult, 1.0, tau):
                 raise ValueError("example I requires e^{lam n} to preserve the lattice")
+    deck = _deck(D, _deck_pairs(name, n, s, tau))
 
-    def equal(self, p, q, tol=None):
-        k = (q[0] - p[0]) / self.n
-        kk = round(k.real)
-        if abs(k - kk) > 1e-7 * max(1.0, abs(k)):
-            return False
-        d = q[1] - self.q**kk * p[1]
-        return lattice_contains(d, 1.0, self.tau)
+    if name in ("F", "I"):
+        unit = -1.0 if name == "F" else mult
 
-    def pi_generators(self):
-        D = self.D
-        return [
-            CentralizerElement(D, self.n, 0j),
-            CentralizerElement(D, 0j, 1.0),
-            CentralizerElement(D, 0j, self.tau),
-        ]
+        def equal(p, q, tol=None):
+            k = _near_int((q[0] - p[0]) / n, ORBIT_TOL)
+            if k is None:
+                return False
+            d = q[1] - unit**k * p[1]
+            if name == "F":
+                return _near_int(d, ORBIT_TOL) is not None
+            return lattice_contains(d, 1.0, tau)
 
+        def orbit_rep(z, w):
+            return (complex(z), complex(w))
 
-_COVERS = {
-    "A0": CoverA,
-    "A1": CoverA,
-    "B": CoverB,
-    "C": CoverC,
-    "D": CoverD,
-    "E": CoverE,
-    "F": CoverF,
-    "G": CoverG,
-    "H": CoverH,
-    "I": CoverI,
-}
+        return Cover(orbit_rep, gd_act, equal, deck)
+
+    def zpart(z):
+        return cmath.exp(TWO_PI_I * z / n)
+
+    def lift(g, Z):
+        """e^{2 pi i t / n} Z and the coefficients of g.f as a Laurent polynomial in it."""
+        return zpart(g.t) * Z, _fourier_coeffs(g.f, lam)
+
+    if name == "B":
+
+        def cover(z, w):
+            return (zpart(z), cmath.exp(-lam * z) * w)
+
+        def act(g, point):
+            Z1, P = lift(g, point[0])
+            return (Z1, cmath.exp(-lam * g.t) * point[1] + _eval_exponent_poly(P, Z1**n))
+
+    elif name == "C":
+
+        def cover(z, w):
+            return (zpart(z), w - z / n)
+
+        def act(g, point):
+            Z1, P = lift(g, point[0])
+            shift = _eval_exponent_poly({m + n * k: c for k, c in P.items()}, Z1)
+            return (Z1, point[1] - g.t / n + shift)
+
+    else:
+
+        def fibre(z, w):
+            return w if s is None else w - s * z / n
+
+        def shift(g, Z1, P):
+            """-s t / n + Z1^m P(Z1^n), where s = m = 0 for D and G."""
+            x = _eval_exponent_poly(P, Z1**n)
+            return x if s is None else -s * g.t / n + Z1**m * x
+
+        if tau is None:  # D, E: the fibre C / Z, through e^{2 pi i .}
+
+            def cover(z, w):
+                return (zpart(z), cmath.exp(TWO_PI_I * fibre(z, w)))
+
+            def act(g, point):
+                Z1, P = lift(g, point[0])
+                return (Z1, point[1] * cmath.exp(TWO_PI_I * shift(g, Z1, P)))
+
+        else:  # G, H: the fibre C / (Z + tau Z)
+
+            def cover(z, w):
+                return (zpart(z), TorusPoint(fibre(z, w), 1.0, tau))
+
+            def act(g, point):
+                Z1, P = lift(g, point[0])
+                return (Z1, point[1].shifted(shift(g, Z1, P)))
+
+    return Cover(cover, act, product_equal, deck)
 
 
 def quotient_cover(label):
     """The covering map and induced action for a quotient example label."""
-    if label.name not in _COVERS:
-        raise ValueError(f"unknown example {label.name}")
-    return _COVERS[label.name](label)
-
-
-class CoverRGD(CoveringMap):
-    """The rG_D quotients: X' = C^x x C via (e^{2 pi i z / n}, w)."""
-
-    surface = "C^x x C"
-
-    def __init__(self, D, n):
-        qg = quasiperiod_group(D)
-        if qg.kind != "rank1":
-            raise ValueError("no quotients")
-        lam, ks = _canonical_line_data(D)
-        if not close(lam, 0j, tol=1e-8):
-            raise ValueError("divisor must have the normalized shape [0] + sum [2 pi i k_j]")
-        self.D = D
-        self.n = int(n)
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-
-    def cover(self, z, w):
-        return (cmath.exp(TWO_PI_I * z / self.n), w)
-
-    def act(self, g, point):
-        Z, W = point
-        P = _fourier_coeffs(g.f, 0j)
-        Z1 = cmath.exp(TWO_PI_I * g.t / self.n) * Z
-        return (Z1, g.lam * W + _eval_exponent_poly(P, Z1**self.n))
-
-    def pi_generators(self):
-        return [CentralizerElement(self.D, self.n, 0j)]
+    if label.name in ("A0", "A1"):
+        return _delta_cover(label)
+    if label.name in _LATTICE_RANK:
+        return _line_cover(label)
+    raise ValueError(f"unknown example {label.name}")
 
 
 def rgd_quotients(D, n):
-    return CoverRGD(D, n)
+    """The rG_D quotients by <(n, 0)>: X' = C^x x C via (e^{2 pi i z / n}, w)."""
+    if quasiperiod_group(D).kind != "rank1":
+        raise ValueError("no quotients")
+    lam, _ = _canonical_line_data(D)
+    if not close(lam, 0j, tol=1e-8):
+        raise ValueError("divisor must have the normalized shape [0] + sum [2 pi i k_j]")
+    n = _positive_n(n)
+
+    def cover(z, w):
+        return (cmath.exp(TWO_PI_I * z / n), w)
+
+    def act(g, point):
+        Z, W = point
+        P = _fourier_coeffs(g.f, 0j)
+        Z1 = cmath.exp(TWO_PI_I * g.t / n) * Z
+        return (Z1, g.lam * W + _eval_exponent_poly(P, Z1**n))
+
+    return Cover(cover, act, product_equal, _deck(D, _deck_pairs("B", n)))
 
 
 # ---------------------------------------------------------------------------
@@ -782,12 +661,14 @@ def _pi_cap_g(norm_gens, E, tol=1e-8):
 
     A pair (k, s) acts by (z + k, e^{lam k} w + s); this is a G_E action
     exactly when e^{lam k} = 1 and the constant s lies in the solution space,
-    i.e. s = 0 or E has positive degree at the origin.
+    i.e. s = 0 or E has positive degree at the origin.  The pairs come from
+    `_deck_pairs`; they are returned as (int, complex).
     """
     lam = E.support[0]
     deg0 = E.degree_at(0)
     out = []
     for k, s in norm_gens:
+        k, s = round(k.real), complex(s)
         if not close(cmath.exp(lam * k), 1.0, tol=tol):
             continue
         if abs(s) <= tol or deg0 > 0:
@@ -832,7 +713,7 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
             )
             delta, nu = (1.0 + 0j, tau), 1.0 / v1
         label = BBeta1Label(name, D, delta=delta)
-        pig = tuple((0, d) for d in delta) if deg0 > 0 else ()
+        pig = _pi_cap_g(_deck_pairs(name, delta=delta), D)
         return BBeta1Classification(label, f"Bβ1{name}", {"mu": 1.0, "nu": nu, "t": 0.0}, pig)
 
     mu = qg.generator
@@ -869,23 +750,12 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
     norm = {"mu": mu, "nu": 1.0 + 0j, "t": 0.0}
 
     def finish(name, s_val=None, tau=None):
-        kw = {}
-        if s_val is not None:
-            kw["s"] = s_val
-        if tau is not None:
-            kw["tau"] = tau
-        label = BBeta1Label(name, E, n=n, **kw)
+        label = BBeta1Label(name, E, n=n, s=s_val, tau=tau)
         row = f"Bβ1{name}"
         if name == "B":
             row = "Bβ1B0" if close(q, 1.0, tol=1e-8) else "Bβ1B1"
-        norm_gens = [(n, 0j if s_val is None else s_val)]
-        if name in ("D", "E", "F"):
-            norm_gens.append((0, 1.0 + 0j))
-        if name in ("G", "H", "I"):
-            norm_gens += [(0, 1.0 + 0j), (0, tau)]
-        if name == "C":
-            norm_gens = [(n, 1.0 + 0j)]
-        return BBeta1Classification(label, row, dict(norm), _pi_cap_g(norm_gens, E))
+        pig = _pi_cap_g(_deck_pairs(name, n, s_val, tau), E)
+        return BBeta1Classification(label, row, dict(norm), pig)
 
     if not pi0:
         if abs(s_n) <= tol * scale:

@@ -67,6 +67,10 @@ DECK_TOL = 1e-7
 LEADING_ZERO_TOL = 1e-8
 # a point of C^2 whose coordinates are at most this in modulus (absolute) is the origin
 ORIGIN_TOL = 1e-12
+# bbeta: (divisor point - lam) / 2 pi i and lam n / 2 pi i are integers this close (relative)
+LINE_INDEX_TOL = 1e-6
+# bbeta examples F, I: orbit representatives are equal when z-difference / n is this near an integer
+ORBIT_TOL = 1e-7
 
 
 def load_numpy():

@@ -9,6 +9,8 @@ from homsurf.bbeta import (
     CentralizerElement,
     GDElement,
     RGDElement,
+    _canonical_line_data,
+    _lam_exponent,
     cent_act,
     cent_inverse,
     cent_multiply,
@@ -270,6 +272,60 @@ def test_cover_a_examples(rng):
         quotient_cover(BBeta1Label("A0", D_LINE, delta=(1.0 + 0j,)))
 
 
+@pytest.mark.parametrize(
+    "delta",
+    [(0j,), (1.0 + 0j, 0j), (0j, 1j), (1.0 + 0j, 2.0 + 0j), (1j, -3j)],
+    ids=["zero", "zero-second", "zero-first", "real-line", "imaginary-line"],
+)
+def test_cover_a_rejects_a_degenerate_delta(delta):
+    # a zero generator, or two generators spanning no lattice of C
+    with pytest.raises(ValueError):
+        quotient_cover(BBeta1Label("A1", D_LINE, delta=delta))
+
+
+@pytest.mark.parametrize(
+    "label, field",
+    [
+        (BBeta1Label("B", D_LINE), "n"),
+        (BBeta1Label("G", D_LINE, n=1), "tau"),
+        (BBeta1Label("E", Divisor([(TPI, 1), (2 * TPI, 1)]), n=1), "s"),
+        (BBeta1Label("H", Divisor([(TPI, 1), (2 * TPI, 1)]), n=1, tau=1j), "s"),
+        (BBeta1Label("H", Divisor([(TPI, 1), (2 * TPI, 1)]), n=1, s=0.5), "tau"),
+        (BBeta1Label("I", Divisor([(1j * math.pi, 1), (1j * math.pi + TPI, 1)]), n=1), "tau"),
+    ],
+    ids=["B-n", "G-tau", "E-s", "H-s", "H-tau", "I-tau"],
+)
+def test_cover_names_a_missing_parameter(label, field):
+    with pytest.raises(ValueError, match=f"example {label.name} needs the cover parameter '{field}'"):
+        quotient_cover(label)
+
+
+# sha256 of repr(quotient_cover(label).pi_generators()), one line per label of
+# verify.sample_cover_labels: the deck generators' values and number types, which
+# the classify-mix benchmark builds its inputs from
+PI_GENERATORS_SHA256 = {
+    0: "ec7bc978d3883e4c0e0fdc5405f602daa99221ee182aa8efa57d7e41cb4e2816",
+    1: "aa865cc55e3c13b16c7f0e5abe173d06c9ba4873d61538524e496191bbb999c8",
+    2: "4621a4a44a450ac2070910c48633442e4b47384264d5e0612ba92b586718e0f8",
+    3: "2afe068b4af8f675c95283c89065f4923432a332fb6cba940ba78c972000972b",
+    4: "d2f8c76b4201b98ec4c1db82609b1140cd0e2b82bce915047f001170f65c423a",
+    5: "ec1b8cbba800ac604a1301fd08f6110dd04797d16909efae8d1385aaba87c520",
+    6: "d4d636d342cb0c8d5ef5deea2129601f89d9a3e61aadf7243c1c4cde48bcecad",
+    7: "eeb42049a3539772e3afb265ce6756370d63a8908efc6ceae4389273bd52b436",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PI_GENERATORS_SHA256))
+def test_pi_generators_match_the_digest(seed):
+    import hashlib
+
+    import numpy as np
+
+    labels = verify.sample_cover_labels(np.random.default_rng(seed))
+    text = "".join(repr(quotient_cover(label).pi_generators()) + "\n" for label in labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == PI_GENERATORS_SHA256[seed]
+
+
 def test_classify_pi_examples():
     res = classify_pi(
         [CentralizerElement(D_LINE, 1, 0), CentralizerElement(D_LINE, 0, 1)], D_LINE
@@ -328,7 +384,8 @@ def test_cover_c_negative_exponent():
     n = 2
     D = Divisor([(-TPI / n, 1), (-TPI / n + TPI, 1)])
     cov = quotient_cover(BBeta1Label("C", D, n=n))
-    assert cov.m == -1
+    lam, _ = _canonical_line_data(D)
+    assert _lam_exponent(lam, n, "C") == -1
     rng2 = __import__("numpy").random.default_rng(5)
     for _ in range(20):
         g, x = verify._cover_sample(rng2, D)

@@ -4,8 +4,9 @@ import pathlib
 
 import pytest
 
-from homsurf import cli, projective, verify
+from homsurf import bbeta, cli, projective, verify
 from homsurf.catalogue import ROWS, ascii_label, enumerate_catalogue, labels
+from homsurf.divisor import Divisor
 from homsurf.families import BASE_FAMILY_LABELS, family_label
 from homsurf.verify import suite_names
 
@@ -183,6 +184,59 @@ def test_cli_act_bb1_with_cover(tmp_path, capsys):
     # cover (e^{2 pi i z}, w) of the translated point (1, 0.5)
     assert abs(out["point"][0]["re"] - 1.0) < 1e-9
     assert abs(out["point"][1]["re"] - 0.5) < 1e-9
+
+
+def _cj(z):
+    return {"re": z.real, "im": z.imag}
+
+
+# one admissible instance per cover row: the base point lam of the divisor
+# [lam] + [lam + 2 pi i] and the label's parameters
+COVER_ROWS = {
+    "A0": (0.5 + 0j, {"delta": (1.0 + 0j, 0.2 + 1.1j)}),
+    "A1": (0j, {"delta": (0.5j,)}),
+    "B": (0.3 + 0.2j, {"n": 2}),
+    "C": (2j * math.pi, {"n": 1}),
+    "D": (0j, {"n": 2}),
+    "E": (1j * math.pi, {"n": 2, "s": 0.3 - 0.1j}),
+    "F": (1j * math.pi, {"n": 1}),
+    "G": (0j, {"n": 1, "tau": 0.2 + 1.3j}),
+    "H": (2j * math.pi, {"n": 1, "s": 0.3 - 0.1j, "tau": 0.2 + 1.3j}),
+    "I": (1j * math.pi, {"n": 1, "tau": 0.2 + 1.3j}),
+    "Bb2": (0j, {"n": 2}),
+}
+
+
+@pytest.mark.parametrize("cover", sorted(COVER_ROWS))
+def test_cli_act_every_cover_row_matches_the_cover_in_process(tmp_path, capsys, cover):
+    lam, params = COVER_ROWS[cover]
+    D = Divisor([(lam, 1), (lam + 2j * math.pi, 1)])
+    terms = [
+        {"lambda": _cj(lam), "coeffs": [_cj(0.3 + 0j)]},
+        {"lambda": _cj(lam + 2j * math.pi), "coeffs": [_cj(0.2j)]},
+    ]
+    cover_json = {k: v for k, v in params.items() if k == "n"}
+    cover_json.update({k: _cj(v) for k, v in params.items() if k in ("s", "tau")})
+    if "delta" in params:
+        cover_json["delta"] = [_cj(d) for d in params["delta"]]
+    element = {"divisor": D.to_json(), "t": _cj(0.25 + 0.1j), "f": {"terms": terms}, "cover": cover_json}
+    family = "Bb2" if cover == "Bb2" else "Bb1"
+    if family == "Bb2":
+        element["lambda"] = _cj(1.5 - 0.5j)
+    x = (0.3 + 0.1j, -0.2 + 0.4j)
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps({"z": _cj(x[0]), "w": _cj(x[1])}))
+    argv = ["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    g = cli.element_from_json(family_label(family), element)
+    if family == "Bb2":
+        covered = bbeta.rgd_quotients(D, params["n"]).cover(*bbeta.rgd_act(g, x))
+    else:
+        covered = bbeta.quotient_cover(bbeta.BBeta1Label(cover, D, **params)).cover(*bbeta.gd_act(g, x))
+    assert out == {"cover": cover, "point": [cli._component_json(c) for c in covered]}
 
 
 def test_cli_act_bb1_double_origin(tmp_path, capsys):

@@ -333,3 +333,36 @@ def test_cli_act_cover_degree_must_be_a_positive_integer(tmp_path, capsys, famil
     element["cover"]["n"] = 2
     e.write_text(json.dumps(element))
     assert cli.main(argv) == 0
+
+
+def _line_divisor(lam):
+    return {"points": [{"re": p.real, "im": p.imag, "mult": 1} for p in (lam, lam + 2j * math.pi)]}
+
+
+# (cover, base point lam of [lam] + [lam + 2 pi i], the element's "cover" field, the error);
+# each divisor suits its example, so the parameter named is the one fault
+BAD_COVER_PARAMETERS = {
+    "B-without-n": ("B", 0j, {}, "example B needs the cover parameter 'n'"),
+    "G-without-tau": ("G", 0j, {"n": 1}, "example G needs the cover parameter 'tau'"),
+    "E-without-s": ("E", 2j * math.pi, {"n": 1}, "example E needs the cover parameter 's'"),
+    "H-without-tau": (
+        "H", 2j * math.pi, {"n": 1, "s": _cj(0.5 + 0j)}, "example H needs the cover parameter 'tau'"
+    ),
+    "I-without-tau": ("I", 1j * math.pi, {"n": 1}, "example I needs the cover parameter 'tau'"),
+    "A0-zero-delta": ("A0", 0.5 + 0j, {"delta": [0]}, "the generators of Delta must be nonzero"),
+    "A0-collinear-delta": ("A0", 0.5 + 0j, {"delta": [1, 2]}, "lattice basis is not R-independent"),
+    "A1-zero-in-lattice": ("A1", 0j, {"delta": [1, 0]}, "the generators of Delta must be nonzero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COVER_PARAMETERS))
+def test_cli_act_cover_missing_parameter_or_degenerate_delta_exits_2(tmp_path, capsys, case):
+    cover, lam, params, error = BAD_COVER_PARAMETERS[case]
+    element = {"divisor": _line_divisor(lam), "t": _cj(0.5 + 0j), "f": {"terms": []}, "cover": params}
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    argv = ["act", "--family", "Bb1", "--element", str(e), "--point", str(p), "--cover", cover]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
