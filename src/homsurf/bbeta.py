@@ -23,17 +23,27 @@ import math
 from .divisor import Divisor, quasiperiod_group, weight
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
 from .numeric import (
+    COMMUTANT_TOL,
+    JACOBIAN_STEP,
+    JACOBIAN_TOL,
+    LAM_SHAPE_TOL,
+    LAM_TOL,
     LINE_INDEX_TOL,
+    LINE_SHAPE_TOL,
     ORBIT_TOL,
+    TRANSLATION_CHOP,
     NonDiscreteError,
     Record,
     c2r,
     close,
     distance,
+    geometric_sum,
     hnf_with_transform,
     lattice_contains,
-    lattice_coords,
+    lattice_frame,
     lattice_reduce_tau,
+    lattice_residue,
+    near_int,
     saturate_lattice,
     setfield,
     zmodule_basis,
@@ -285,29 +295,19 @@ class BBeta1Label(Record):
         setfield(self, "delta", delta)  # generators of the w-translation group for A0/A1
         setfield(self, "warnings", warnings)
 
+    def cover_parameters(self):
+        """The parameters n, s, tau and delta that the label sets, by name."""
+        values = {f: getattr(self, f) for f in ("n", "s", "tau", "delta")}
+        return {f: v for f, v in values.items() if v not in (None, ())}
+
     def params(self):
-        out = {"divisor": self.divisor.to_json()}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.s is not None:
-            out["s"] = self.s
-        if self.tau is not None:
-            out["tau"] = self.tau
-        if self.delta:
-            out["delta"] = self.delta
-        return out
-
-
-def _near_int(x, tol):
-    """The integer nearest Re x when x is within tol * max(1, |x|) of it, else None."""
-    k = round(x.real)
-    return None if abs(x - k) > tol * max(1.0, abs(x)) else k
+        return {"divisor": self.divisor.to_json(), **self.cover_parameters()}
 
 
 def _canonical_line_data(D):
     """(lam, ks) for a divisor of the shape [lam] + sum [lam + 2 pi i k_j]."""
     qg = quasiperiod_group(D)
-    if qg.kind != "rank1" or not close(qg.generator, 1.0, tol=1e-6):
+    if qg.kind != "rank1" or not close(qg.generator, 1.0, tol=LINE_SHAPE_TOL):
         raise ValueError(
             "divisor must have the normalized shape [lam] + sum [lam + 2 pi i k_j]"
         )
@@ -315,14 +315,11 @@ def _canonical_line_data(D):
     lam = pts[0]
     ks = []
     for p in pts[1:]:
-        kk = _near_int((p - lam) / TWO_PI_I, LINE_INDEX_TOL)
+        kk = near_int((p - lam) / TWO_PI_I, LINE_INDEX_TOL)
         if kk is None or kk <= 0:
             raise ValueError("divisor points must differ from the base by 2 pi i k, k > 0")
         ks.append(kk)
-    g = 0
-    for k in ks:
-        g = math.gcd(g, k)
-    if g != 1:
+    if math.gcd(*ks) != 1:
         raise ValueError("the integers k_j must be relatively prime")
     return lam, ks
 
@@ -333,7 +330,7 @@ def _fourier_coeffs(f, lam):
     for freq, poly in f.terms:
         if poly.degree > 0:
             raise ValueError("member has a polynomial factor; divisor is not reduced")
-        kk = _near_int((freq - lam) / TWO_PI_I, LINE_INDEX_TOL)
+        kk = near_int((freq - lam) / TWO_PI_I, LINE_INDEX_TOL)
         if kk is None:
             raise ValueError("member frequency off the divisor line")
         out[kk] = out.get(kk, 0j) + poly.coeffs[0]
@@ -368,12 +365,13 @@ class Cover(Record):
         a, b = (c.value if isinstance(c, TorusPoint) else c for c in self.cover(z, w))
         return complex(a), complex(b)
 
-    def jacobian_ok(self, z, w, h=1e-5, tol=1e-8):
+    def jacobian_ok(self, z, w):
+        h = JACOBIAN_STEP
         dz = [(self.cover_c2(z + h, w)[i] - self.cover_c2(z - h, w)[i]) / (2 * h) for i in (0, 1)]
         dw = [(self.cover_c2(z, w + h)[i] - self.cover_c2(z, w - h)[i]) / (2 * h) for i in (0, 1)]
         det = dz[0] * dw[1] - dz[1] * dw[0]
         scale = max(abs(x) for x in dz + dw)
-        return abs(det) > tol * max(1.0, scale)
+        return abs(det) > JACOBIAN_TOL * max(1.0, scale)
 
 
 # the rank of the w-translation lattice (Z, or Z + tau Z) in the deck group of examples B..I
@@ -412,7 +410,7 @@ def _positive_n(n):
 
 def _lam_exponent(lam, n, name):
     """The integer m != 0 with lam = 2 pi i m / n, which examples C, E and H require."""
-    m = _near_int(lam * n / TWO_PI_I, LINE_INDEX_TOL)
+    m = near_int(lam * n / TWO_PI_I, LINE_INDEX_TOL)
     if m is None or m == 0:
         raise ValueError(f"example {name} requires lam = 2 pi i m / n, m nonzero")
     return m
@@ -468,11 +466,11 @@ def _line_cover(label):
     lam, _ = _canonical_line_data(D)
     n = _positive_n(_param(label, "n"))
     mult = cmath.exp(lam * n)
-    if name in ("D", "G") and not close(lam, 0j, tol=1e-8):
+    if name in ("D", "G") and not close(lam, 0j, tol=LAM_TOL):
         raise ValueError(f"example {name} requires lam = 0")
-    if name == "C" and not close(mult, 1.0, tol=1e-8):
+    if name == "C" and not close(mult, 1.0, tol=LAM_TOL):
         raise ValueError("example C requires e^{lam n} = 1")
-    if name == "F" and not close(mult, -1.0, tol=1e-8):
+    if name == "F" and not close(mult, -1.0, tol=LAM_TOL):
         raise ValueError("example F requires e^{lam n} = -1")
     s = complex(_param(label, "s")) if name in ("E", "H") else None
     tau = complex(_param(label, "tau")) if name in ("G", "H", "I") else None
@@ -480,7 +478,7 @@ def _line_cover(label):
         raise ValueError("tau must lie in the upper half plane")
     m = _lam_exponent(lam, n, name) if name in ("C", "E", "H") else 0
     if name == "I":
-        if close(mult, 1.0, tol=1e-8):
+        if close(mult, 1.0, tol=LAM_TOL):
             raise ValueError("example I requires e^{lam n} != 1")
         for u in (1.0, tau):
             if not lattice_contains(mult * u, 1.0, tau) or not lattice_contains(u / mult, 1.0, tau):
@@ -491,12 +489,12 @@ def _line_cover(label):
         unit = -1.0 if name == "F" else mult
 
         def equal(p, q, tol=None):
-            k = _near_int((q[0] - p[0]) / n, ORBIT_TOL)
+            k = near_int((q[0] - p[0]) / n, ORBIT_TOL)
             if k is None:
                 return False
             d = q[1] - unit**k * p[1]
             if name == "F":
-                return _near_int(d, ORBIT_TOL) is not None
+                return near_int(d, ORBIT_TOL) is not None
             return lattice_contains(d, 1.0, tau)
 
         def orbit_rep(z, w):
@@ -562,12 +560,23 @@ def _line_cover(label):
 
 
 def quotient_cover(label):
-    """The covering map and induced action for a quotient example label."""
-    if label.name in ("A0", "A1"):
-        return _delta_cover(label)
-    if label.name in _LATTICE_RANK:
-        return _line_cover(label)
-    raise ValueError(f"unknown example {label.name}")
+    """The covering map and induced action for a quotient example label.
+
+    A parameter the example does not read is a ValueError naming it; C takes
+    s only as 1, the value `classify_pi` gives its label.
+    """
+    name = label.name
+    if name not in _LATTICE_RANK and name not in ("A0", "A1"):
+        raise ValueError(f"unknown example {name}")
+    rank = _LATTICE_RANK.get(name)
+    line = rank is not None
+    reads = {"n": line, "s": name in ("C", "E", "H"), "tau": rank == 2, "delta": not line}
+    for field in label.cover_parameters():
+        if not reads[field]:
+            raise ValueError(f"example {name} does not take the cover parameter {field!r}")
+    if name == "C" and label.s not in (None, 1):
+        raise ValueError("example C takes the cover parameter 's' only as 1")
+    return _delta_cover(label) if rank is None else _line_cover(label)
 
 
 def rgd_quotients(D, n):
@@ -575,7 +584,7 @@ def rgd_quotients(D, n):
     if quasiperiod_group(D).kind != "rank1":
         raise ValueError("no quotients")
     lam, _ = _canonical_line_data(D)
-    if not close(lam, 0j, tol=1e-8):
+    if not close(lam, 0j, tol=LAM_TOL):
         raise ValueError("divisor must have the normalized shape [0] + sum [2 pi i k_j]")
     n = _positive_n(n)
 
@@ -615,12 +624,7 @@ def _qd_power(a, m, gamma):
     if m < 0:
         inv = (-a[0], -gamma ** (-a[0]) * a[1])
         return _qd_power(inv, -m, gamma)
-    q = gamma ** a[0]
-    if abs(q - 1.0) > 1e-8:
-        s = (q**m - 1.0) / (q - 1.0)
-    else:
-        s = sum(q**j for j in range(m))
-    return (m * a[0], a[1] * s)
+    return (m * a[0], a[1] * geometric_sum(gamma ** a[0], m))
 
 
 def table_automorphism(D, nu=1.0, t=0.0):
@@ -637,11 +641,12 @@ def table_automorphism(D, nu=1.0, t=0.0):
     if abs(nu) == 0:
         raise ValueError("nu must be nonzero")
     lam, _ = _canonical_line_data(D)
-    if abs(lam) <= 1e-9:
+    if abs(lam) <= LAM_SHAPE_TOL:
         mode = "linear"
+    elif near_int(lam / TWO_PI_I, LAM_SHAPE_TOL) is not None:
+        mode = "rescale-only"
     else:
-        x = lam / TWO_PI_I
-        mode = "rescale-only" if abs(x - round(x.real)) <= 1e-9 * max(1.0, abs(x)) else "exponential"
+        mode = "exponential"
 
     def apply(c):
         k = c.w
@@ -656,7 +661,7 @@ def table_automorphism(D, nu=1.0, t=0.0):
     return apply
 
 
-def _pi_cap_g(norm_gens, E, tol=1e-8):
+def _pi_cap_g(norm_gens, E):
     """Generators of the normalized pi that act as elements of G_E.
 
     A pair (k, s) acts by (z + k, e^{lam k} w + s); this is a G_E action
@@ -669,14 +674,14 @@ def _pi_cap_g(norm_gens, E, tol=1e-8):
     out = []
     for k, s in norm_gens:
         k, s = round(k.real), complex(s)
-        if not close(cmath.exp(lam * k), 1.0, tol=tol):
+        if not close(cmath.exp(lam * k), 1.0, tol=LAM_TOL):
             continue
-        if abs(s) <= tol or deg0 > 0:
+        if abs(s) <= COMMUTANT_TOL or deg0 > 0:
             out.append((k, s))
     return tuple(out)
 
 
-def classify_pi(gens, D, tol=1e-8, max_denominator=None):
+def classify_pi(gens, D, max_denominator=None):
     """Send a discrete subgroup of the commutant to its quotient example.
 
     gens are CentralizerElements over D.  Returns a BBeta1Classification with
@@ -686,32 +691,22 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
     _check_divisor(D)
     qg = quasiperiod_group(D, max_denominator=max_denominator)
     for g in gens:
-        if not qg.contains(g.w, tol=tol):
+        if not qg.contains(g.w):
             raise ValueError("generator is not in the commutant: invalid quasiperiod")
     scale = max([abs(g.w) + abs(g.s) for g in gens] + [1.0])
 
     ws = [g.w for g in gens]
-    if qg.kind != "rank1" or all(abs(w) <= tol * scale for w in ws):
-        svals = [g.s for g in gens if abs(g.s) > 1e-12 * scale]
-        if svals:
-            basis, _, _ = zmodule_basis([c2r(s) for s in svals])
-        else:
-            basis = []
+    if qg.kind != "rank1" or all(abs(w) <= COMMUTANT_TOL * scale for w in ws):
+        svals = [g.s for g in gens if abs(g.s) > TRANSLATION_CHOP * scale]
+        basis, _, _ = zmodule_basis([c2r(s) for s in svals])
         if len(basis) > 2:
             raise NonDiscreteError("w-translation group has rank > 2")
         if not basis:
             label = BBeta1Label("trivial", D)
             return BBeta1Classification(label, "Bβ1", {"mu": 1.0, "nu": 1.0, "t": 0.0})
-        deg0 = D.degree_at(0)
-        name = "A1" if deg0 > 0 else "A0"
-        if len(basis) == 1:
-            d = complex(basis[0][0], basis[0][1])
-            delta, nu = (1.0 + 0j,), 1.0 / d
-        else:
-            v1, _, tau, _ = lattice_reduce_tau(
-                complex(basis[0][0], basis[0][1]), complex(basis[1][0], basis[1][1])
-            )
-            delta, nu = (1.0 + 0j, tau), 1.0 / v1
+        name = "A1" if D.degree_at(0) > 0 else "A0"
+        nu, tau = lattice_frame(basis)
+        delta = (1.0 + 0j,) if tau is None else (1.0 + 0j, tau)
         label = BBeta1Label(name, D, delta=delta)
         pig = _pi_cap_g(_deck_pairs(name, delta=delta), D)
         return BBeta1Classification(label, f"Bβ1{name}", {"mu": 1.0, "nu": nu, "t": 0.0}, pig)
@@ -721,7 +716,7 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
     lam, _ = _canonical_line_data(E)
     gamma = cmath.exp(lam)
 
-    pairs = [(qg.index_of(g.w, tol=tol), g.s) for g in gens]
+    pairs = [(qg.index_of(g.w), g.s) for g in gens]
     H, U, rank = hnf_with_transform([[k] for k, _ in pairs])
     if rank == 0:
         raise AssertionError("unreachable: some quasiperiod index is nonzero")
@@ -737,7 +732,7 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
         red = _qd_mult(_qd_power(gen_n, -m, gamma), pair, gamma)
         if red[0] != 0:
             raise AssertionError("gcd reduction failed")
-        if abs(red[1]) > 1e-12 * scale:
+        if abs(red[1]) > TRANSLATION_CHOP * scale:
             kernel_s.append(red[1])
     q = gamma**n
     try:
@@ -746,21 +741,21 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
         raise NonDiscreteError(f"not a discrete commutant subgroup: {e}") from e
 
     s_n = gen_n[1]
-    lam_zero = abs(lam) <= 1e-9
+    lam_zero = abs(lam) <= LAM_SHAPE_TOL
     norm = {"mu": mu, "nu": 1.0 + 0j, "t": 0.0}
 
     def finish(name, s_val=None, tau=None):
         label = BBeta1Label(name, E, n=n, s=s_val, tau=tau)
         row = f"Bβ1{name}"
         if name == "B":
-            row = "Bβ1B0" if close(q, 1.0, tol=1e-8) else "Bβ1B1"
+            row = "Bβ1B0" if close(q, 1.0, tol=LAM_TOL) else "Bβ1B1"
         pig = _pi_cap_g(_deck_pairs(name, n, s_val, tau), E)
         return BBeta1Classification(label, row, dict(norm), pig)
 
     if not pi0:
-        if abs(s_n) <= tol * scale:
+        if abs(s_n) <= COMMUTANT_TOL * scale:
             return finish("B")
-        if not close(q, 1.0, tol=1e-8):
+        if not close(q, 1.0, tol=LAM_TOL):
             norm["t"] = -s_n / (1 - q)
             return finish("B")
         if lam_zero:
@@ -769,35 +764,20 @@ def classify_pi(gens, D, tol=1e-8, max_denominator=None):
         norm["nu"] = 1.0 / s_n
         return finish("C", s_val=1.0 + 0j)
 
-    if len(pi0) == 1:
-        u = complex(pi0[0][0], pi0[0][1])
-        nu = 1.0 / u
-        norm["nu"] = nu
-        s1 = nu * s_n
-        if lam_zero:
-            norm["t"] = -s1 / n
-            return finish("D")
-        if close(q, 1.0, tol=1e-8):
-            s1 = s1 - round(s1.real)
-            return finish("E", s_val=s1)
-        if close(q, -1.0, tol=1e-8):
-            norm["t"] = -s1 / 2
-            return finish("F")
-        raise NonDiscreteError("e^{lam n} must be a unit of the kernel group")
-
-    v1, _, tau, _ = lattice_reduce_tau(
-        complex(pi0[0][0], pi0[0][1]), complex(pi0[1][0], pi0[1][1])
-    )
-    nu = 1.0 / v1
+    # nu rescales a rank-one kernel to Z (examples D, E, F) and a rank-two one to Z + tau Z
+    nu, tau = lattice_frame(pi0)
     norm["nu"] = nu
     s1 = nu * s_n
     if lam_zero:
         norm["t"] = -s1 / n
-        return finish("G", tau=tau)
-    if close(q, 1.0, tol=1e-8):
-        x, y = lattice_coords(s1, 1.0 + 0j, tau)
-        s1 = s1 - round(x) - round(y) * tau
-        return finish("H", s_val=s1, tau=tau)
+        return finish("D" if tau is None else "G", tau=tau)
+    if close(q, 1.0, tol=LAM_TOL):
+        return finish("E" if tau is None else "H", s_val=lattice_residue(s1, tau), tau=tau)
+    if tau is None:
+        if close(q, -1.0, tol=LAM_TOL):
+            norm["t"] = -s1 / 2
+            return finish("F")
+        raise NonDiscreteError("e^{lam n} must be a unit of the kernel group")
     if lattice_contains(q, 1.0, tau) and lattice_contains(1.0 / q, 1.0, tau):
         norm["t"] = -s1 / (1 - q)
         return finish("I", tau=tau)

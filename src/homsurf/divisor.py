@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numeric import EPS, Record, canonical_sign, close, json_complex, rational_reconstruct, setfield
+from .numeric import EPS, QUASIPERIOD_TOL, Record, canonical_sign, close, json_complex, near_int
+from .numeric import rational_reconstruct, setfield
 
 DEGREE_CAP = 32
 
@@ -87,23 +88,22 @@ class QuasiperiodGroup(Record):
     def is_trivial(self):
         return self.kind == "trivial"
 
-    def contains(self, w, tol=1e-8):
+    def contains(self, w):
         w = complex(w)
         if self.kind == "all":
             return True
         if self.kind == "trivial":
-            return abs(w) <= tol * max(1.0, abs(w))
-        k = w / self.generator
-        return abs(k - round(k.real)) <= tol * max(1.0, abs(k))
+            return abs(w) <= QUASIPERIOD_TOL * max(1.0, abs(w))
+        return near_int(w / self.generator, QUASIPERIOD_TOL) is not None
 
-    def index_of(self, w, tol=1e-8):
+    def index_of(self, w):
         """Integer k with w = k * generator (rank-one groups only)."""
         if self.kind != "rank1":
             raise ValueError("not a rank-one quasiperiod group")
-        k = complex(w) / self.generator
-        if abs(k - round(k.real)) > tol * max(1.0, abs(k)):
+        k = near_int(complex(w) / self.generator, QUASIPERIOD_TOL)
+        if k is None:
             raise ValueError("not a quasiperiod")
-        return int(round(k.real))
+        return k
 
 
 def quasiperiod_group(D, max_denominator=None):
@@ -140,18 +140,10 @@ def _quasiperiod_group(D, max_denominator):
         if frac is None:
             return QuasiperiodGroup("trivial")
         ratios.append(frac)
-    den = 1
-    for f in ratios:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    nums = [int(f * den) for f in ratios]
-    g = 0
-    for v in nums:
-        g = math.gcd(g, v)
-    delta = d0 * g / den
-    for d in diffs:
-        k = d / delta
-        if abs(k - round(k.real)) > 1e-8 * max(1.0, abs(k)):
-            return QuasiperiodGroup("trivial")
+    den = math.lcm(*(f.denominator for f in ratios))
+    delta = d0 * math.gcd(*(int(f * den) for f in ratios)) / den
+    if any(near_int(d / delta, QUASIPERIOD_TOL) is None for d in diffs):
+        return QuasiperiodGroup("trivial")
     gen = canonical_sign(2j * cmath.pi / delta)
     return QuasiperiodGroup("rank1", gen)
 

@@ -26,6 +26,7 @@ from itertools import chain
 from . import projective
 from .numeric import (
     EPS,
+    INDEPENDENT_TOL,
     SL_DET_TOL,
     NonDiscreteError,
     Record,
@@ -800,10 +801,10 @@ def _apply(A, v):
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
 
 
-def _complex_independent(u, v, tol=1e-8):
+def _complex_independent(u, v):
     det = u[0] * v[1] - u[1] * v[0]
     s = max(abs(u[0]) + abs(u[1]), abs(v[0]) + abs(v[1]), 1.0)
-    return abs(det) > tol * s * s
+    return abs(det) > INDEPENDENT_TOL * s * s
 
 
 def _complement(u):

@@ -1,8 +1,7 @@
 """Numeric conventions shared by the whole package.
 
-Float comparisons funnel through `close` with a relative epsilon
-(overridable via the HOMSURF_EPS environment variable).  Symbolic
-coefficient cancellation uses the absolute chop COEFF_CHOP.  `distance` is
+Float comparisons funnel through `close` with the relative epsilon EPS.
+Symbolic coefficient cancellation uses the absolute chop COEFF_CHOP.  `distance` is
 the one relative distance between values, and JSON numbers are read only
 through `json_complex`, which refuses non-finite ones.
 
@@ -23,11 +22,10 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from itertools import chain
 from operator import mul, sub
 
-EPS = float(os.environ.get("HOMSURF_EPS", "1e-9"))
+EPS = 1e-9
 COEFF_CHOP = 1e-12
 DENOMINATOR_BOUND = 10**6
 RECON_TOL = 1e-8
@@ -71,16 +69,40 @@ ORIGIN_TOL = 1e-12
 LINE_INDEX_TOL = 1e-6
 # bbeta examples F, I: orbit representatives are equal when z-difference / n is this near an integer
 ORBIT_TOL = 1e-7
+# real_rank counts the singular values above this * max(1, the largest)
+RANK_TOL = 1e-8
+SATURATE_ROUNDS = 16  # most closure rounds of saturate_lattice
+REDUCE_STEPS = 64  # most reduction steps of lattice_reduce_tau
+# a quasiperiod is an integer multiple of the generator to this (a near_int tolerance)
+QUASIPERIOD_TOL = 1e-8
+# geometric_sum takes the closed form when |q - 1| is above this, else the sum itself
+GEOMETRIC_SUM_TOL = 1e-8
+# uaff: the phase a / 2 pi i of a rotation meets a table fraction to this
+PHASE_TOL = 1e-8
+# bbeta: a divisor has the canonical line shape when its quasiperiod generator is 1 to this
+LINE_SHAPE_TOL = 1e-6
+# bbeta: e^{lam n} = +-1 and lam = 0 to this (`close`); lam is 0, or in 2 pi i Z, to LAM_SHAPE_TOL
+LAM_TOL = 1e-8
+LAM_SHAPE_TOL = 1e-9
+# bbeta.classify_pi: quasiperiods and translations at most this * scale (a deck pair's: at most
+# this) are zero; a translation at most TRANSLATION_CHOP * scale is dropped from the generators
+COMMUTANT_TOL = 1e-8
+TRANSLATION_CHOP = 1e-12
+# bbeta.Cover.jacobian_ok: central differences of this step, and |det| above this * max(1, scale)
+JACOBIAN_STEP = 1e-5
+JACOBIAN_TOL = 1e-8
+# families: two pairs of C^2 are C-independent when |det| is above this * max(1, larger 1-norm)^2
+INDEPENDENT_TOL = 1e-8
 
 
 def load_numpy():
     """The numpy module, imported on the first call.
 
     The package takes numpy only through this accessor, inside the functions
-    that use it: `sym_power_rep`, `uaff_matrix`, array inputs and a default
-    random generator.  No `act` or `classify` call reaches one, so none pays
-    for importing numpy.  `verify` imports numpy itself, for its generators;
-    no family handler multiplies or returns arrays.
+    that use it: `uaff_matrix`, array inputs and a default random generator.
+    No `act` or `classify` call reaches one, so none pays for importing
+    numpy.  `verify` imports numpy itself, for its generators; no family
+    handler multiplies or returns arrays.
     """
     import numpy
 
@@ -266,7 +288,7 @@ def _denominator_bound(max_denominator):
     return bound
 
 
-def _convergent(x, bound, tol=RECON_TOL):
+def _convergent(x, bound):
     """The first continued-fraction convergent p / q of the float x with q <= bound (at least 1)
     that passes the rational test, as ints (p, q) in lowest terms with q > 0, or None."""
     if not math.isfinite(x):
@@ -282,7 +304,7 @@ def _convergent(x, bound, tol=RECON_TOL):
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         if q1 > bound:
             return None
-        if abs(x - p1 / q1) <= size * min(tol, _STRICT_COEF / q1):
+        if abs(x - p1 / q1) <= size * min(RECON_TOL, _STRICT_COEF / q1):
             return p1, q1
         rem = y - a
         if rem <= 1e-18:
@@ -291,9 +313,9 @@ def _convergent(x, bound, tol=RECON_TOL):
     return None
 
 
-def rational_reconstruct(x, max_denominator=None, tol=RECON_TOL):
+def rational_reconstruct(x, max_denominator=None):
     """Best rational p/q with q bounded, as a Fraction, or None if x looks irrational."""
-    pq = _convergent(float(x), _denominator_bound(max_denominator), tol)
+    pq = _convergent(float(x), _denominator_bound(max_denominator))
     if pq is None:
         return None
     import fractions  # here only: it costs a cold call 1.5 ms; `from` would cost 0.5 us a call
@@ -350,12 +372,12 @@ def singular_values(rows):
     return sorted(map(math.sqrt, sq), reverse=True)
 
 
-def real_rank(vectors, tol=1e-8):
-    """Dimension of the real span, singular values below tol*scale ignored."""
+def real_rank(vectors):
+    """Dimension of the real span, singular values at or below RANK_TOL * scale ignored."""
     s = singular_values(vectors)
     if not s or s[0] == 0.0:
         return 0
-    return len([x for x in s if x > tol * max(1.0, s[0])])
+    return len([x for x in s if x > RANK_TOL * max(1.0, s[0])])
 
 
 def hnf_with_transform(rows):
@@ -489,7 +511,7 @@ def _unit_rows(n, rows):  # the given rows of the n x n identity matrix
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in rows]
 
 
-def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
+def zmodule_basis(vectors, *, max_denominator=None):
     """Exact basis of the Z-module generated by float vectors in R^m.
 
     Vectors may be tuples, lists or arrays.  Returns (basis, combos,
@@ -554,7 +576,7 @@ def zmodule_basis(vectors, *, max_denominator=None, tol=RECON_TOL):
     bound = _denominator_bound(max_denominator)
     fracs = []
     for row in coords:
-        frow = [_convergent(x, bound, tol) for x in row]
+        frow = [_convergent(x, bound) for x in row]
         if None in frow:
             raise NonDiscreteError("irrational generator coordinates")
         fracs.append(frow)
@@ -617,17 +639,17 @@ def zmodule_coords(v, basis, tol=COMBO_TOL, scale=0.0):
     return zmodule_fit(basis)(v, tol, scale)
 
 
-def saturate_lattice(values, images, scale, max_rounds=16):
+def saturate_lattice(values, images, scale):
     """Basis of the smallest lattice of C containing `values` and closed under `images`.
 
     `images` are maps of C (multiplications by units of the lattice to be);
     each round adds the images of the basis vectors that are not yet in its
     Z-span, in the order of the basis, then of `images`.  Raises
     NonDiscreteError when the closure exceeds rank two or does not stabilize
-    within max_rounds.
+    within SATURATE_ROUNDS.
     """
     basis, _, _ = zmodule_basis([c2r(b) for b in values])
-    for _ in range(max_rounds):
+    for _ in range(SATURATE_ROUNDS):
         if len(basis) > 2:
             raise NonDiscreteError("kernel closure exceeds rank two")
         fit = zmodule_fit(basis)
@@ -644,16 +666,15 @@ def saturate_lattice(values, images, scale, max_rounds=16):
     raise NonDiscreteError("kernel closure does not stabilize")
 
 
-def canonical_sign(z, tol=None):
-    """Scale a nonzero complex by +-1 so (Re, Im) is lexicographically positive."""
+def canonical_sign(z):
+    """Scale a nonzero complex by +-1 so (Re, Im) is lexicographically positive (to EPS)."""
     z = complex(z)
-    t = EPS if tol is None else tol
-    if z.real < -t * abs(z) or (abs(z.real) <= t * abs(z) and z.imag < 0):
+    if z.real < -EPS * abs(z) or (abs(z.real) <= EPS * abs(z) and z.imag < 0):
         return -z
     return z
 
 
-def lattice_reduce_tau(w1, w2, max_steps=64):
+def lattice_reduce_tau(w1, w2):
     """Oriented reduced basis of the lattice Z w1 + Z w2.
 
     Returns (v1, v2, tau, U) with (v1, v2) = U @ (w1, w2) for the integer
@@ -668,7 +689,7 @@ def lattice_reduce_tau(w1, w2, max_steps=64):
     v1, v2 = w1, w2
     if (v2 / v1).imag < 0:
         v2, r, s = -v2, -r, -s
-    for _ in range(max_steps):
+    for _ in range(REDUCE_STEPS):
         t = v2 / v1
         nshift = int(round(t.real))
         if nshift:
@@ -690,6 +711,7 @@ def lattice_reduce_tau(w1, w2, max_steps=64):
         t = v2 / v1
     return v1, v2, t, [[p, q], [r, s]]
 
+
 def lattice_coords(value, w1, w2):
     """Real coordinates (x, y) with value = x*w1 + y*w2, by Cramer's rule."""
     value, w1, w2 = complex(value), complex(w1), complex(w2)
@@ -706,3 +728,38 @@ def lattice_contains(value, w1, w2, tol=LATTICE_TOL):
     x, y = lattice_coords(value, w1, w2)
     scale = max(1.0, abs(value) / max(abs(w1), abs(w2)))
     return bool(abs(x - round(x)) <= tol * scale and abs(y - round(y)) <= tol * scale)
+
+
+# ---------------------------------------------------------------------------
+# the lattice arithmetic of the D2 and Bβ1 classifiers
+
+
+def near_int(x, tol):
+    """The integer nearest Re x when x is within tol * max(1, |x|) of it, else None."""
+    k = round(x.real)
+    return None if abs(x - k) > tol * max(1.0, abs(x)) else k
+
+
+def geometric_sum(q, n):
+    """1 + q + ... + q^(n-1) for n >= 0: the closed form, or the sum itself when q is near 1."""
+    if abs(q - 1.0) > GEOMETRIC_SUM_TOL:
+        return (q**n - 1.0) / (q - 1.0)
+    return sum(q**j for j in range(n))
+
+
+def lattice_frame(basis):
+    """(nu, tau) for a rank-one or rank-two lattice of C given as zmodule_basis rows (Re, Im):
+    nu maps it onto Z (tau None) or onto Z + tau Z, tau reduced by lattice_reduce_tau."""
+    vals = [complex(v[0], v[1]) for v in basis]
+    if len(vals) == 1:
+        return 1.0 / vals[0], None
+    v1, _, tau, _ = lattice_reduce_tau(*vals)
+    return 1.0 / v1, tau
+
+
+def lattice_residue(z, tau=None):
+    """z less the point of Z (tau None) or of Z + tau Z whose coordinates round those of z."""
+    if tau is None:
+        return z - round(z.real)
+    x, y = lattice_coords(z, 1.0 + 0j, tau)
+    return z - round(x) - round(y) * tau

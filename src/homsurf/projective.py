@@ -1,4 +1,4 @@
-"""Projective-line machinery: Moebius actions, symmetric powers, the affine
+"""Projective-line machinery: Moebius actions, binary forms, the affine
 quadric and its double cover, and the line-bundle surfaces O(n).
 
 Points of the projective line are homogeneous pairs; equality is projective
@@ -6,8 +6,7 @@ Points of the projective line are homogeneous pairs; equality is projective
 charts glued by (Z, W) = (1/z, w/z^n); the group action is computed on a
 homogeneous carrier (v, q(v)) so chart switching near the gluing locus is
 automatic.  Binary forms of degree n are coefficient vectors indexed by
-descending powers of the first variable, matching the monomial basis used by
-sym_power_rep.
+descending powers of the first variable.
 
 Convention fixed here (checked against the root-transformation oracle in the
 tests): a matrix g acts on root pairs by Moebius transformation and on the
@@ -22,7 +21,7 @@ import functools
 import math
 
 from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, as_rows, binomials, distance
-from .numeric import flat_distance, load_numpy, setfield
+from .numeric import flat_distance, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +157,7 @@ def mobius_act(g, p):
 
 
 # ---------------------------------------------------------------------------
-# symmetric powers and binary forms
-
-
-def sym_power_rep(g, n):
-    """Matrix of g acting on Sym^n C^2 in the basis e1^n, e1^{n-1}e2, ..., e2^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a, b, c, d = _entries(g)
-    # column k is the image of e1^{n-k} e2^k, that is (a e1 + c e2)^{n-k} (b e1 + d e2)^k:
-    # the form Z1^{n-k} Z2^k with ((a, c), (b, d)) substituted
-    cols = [binary_form_substitute((0,) * k + (1,) + (0,) * (n - k), ((a, c), (b, d))) for k in range(n + 1)]
-    return load_numpy().array(cols, dtype=complex).T
+# binary forms
 
 
 def binary_form_eval(coeffs, z1, z2):

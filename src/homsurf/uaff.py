@@ -16,6 +16,7 @@ import math
 
 from .numeric import (
     DENOMINATOR_BOUND,
+    PHASE_TOL,
     NonDiscreteError,
     Record,
     _convergent,
@@ -24,8 +25,11 @@ from .numeric import (
     canonical_sign,
     close,
     distance,
+    geometric_sum,
     lattice_coords,
+    lattice_frame,
     lattice_reduce_tau,
+    lattice_residue,
     load_numpy,
     saturate_lattice,
     setfield,
@@ -70,12 +74,7 @@ def uaff_power(g, n):
         return IDENTITY
     if n < 0:
         return uaff_inverse(uaff_power(g, -n))
-    q = cmath.exp(g.a)
-    if abs(q - 1.0) > 1e-8:
-        s = (q**n - 1.0) / (q - 1.0)
-    else:
-        s = sum(q**j for j in range(n))
-    return UAffElement(n * g.a, g.b * s)
+    return UAffElement(n * g.a, g.b * geometric_sum(cmath.exp(g.a), n))
 
 
 def uaff_is_identity(g, tol=None, scale=0.0):
@@ -176,16 +175,16 @@ CANONICAL_ROW["D2_12"] = "D2_11"
 CANONICAL_ROW["D2_13"] = "D2_10"
 
 
-def _phase_fraction(a, tol=1e-8):
+def _phase_fraction(a):
     """a as 2 pi i (k + s): requires Re a ~ 0; returns (k, s) with s in [0, 1)."""
-    if abs(a.real) > tol * max(1.0, abs(a)):
+    if abs(a.real) > PHASE_TOL * max(1.0, abs(a)):
         return None
     x = a.imag / (2 * math.pi)
-    k = math.floor(x + tol)
+    k = math.floor(x + PHASE_TOL)
     s = x - k
-    if s > 1 - tol:
+    if s > 1 - PHASE_TOL:
         k, s = k + 1, 0.0
-    if s < tol:
+    if s < PHASE_TOL:
         s = 0.0
     return k, s
 
@@ -265,21 +264,17 @@ def _classify_subgroup(gens, max_denominator):
     raise NonDiscreteError("not a tabulated subgroup: a-components have rank > 2")
 
 
-def _pi0_pair(pi0):
-    return [complex(v[0], v[1]) for v in pi0]
+def _kernel_generators(tau):
+    """The table's generators (0, 1), and (0, tau) for a rank-two kernel lattice."""
+    return (UAffElement(0, 1),) if tau is None else (UAffElement(0, 1), UAffElement(0, tau))
 
 
 def _classify_kernel_only(pi0):
-    vals = _pi0_pair(pi0)
-    if not vals:
+    if not pi0:
         return D2Label("D2"), UAffAutomorphism()
-    if len(vals) == 1:
-        beta = 1.0 / vals[0]
-        return D2Label("D2_1", generators=(UAffElement(0, 1),)), UAffAutomorphism(0, beta)
-    v1, v2, tau, _ = lattice_reduce_tau(vals[0], vals[1])
-    beta = 1.0 / v1
-    label = D2Label("D2_2", tau=tau, generators=(UAffElement(0, 1), UAffElement(0, tau)))
-    return label, UAffAutomorphism(0, beta)
+    beta, tau = lattice_frame(pi0)
+    name = "D2_1" if tau is None else "D2_2"
+    return D2Label(name, tau=tau, generators=_kernel_generators(tau)), UAffAutomorphism(0, beta)
 
 
 def _kill_b(A, B, beta):
@@ -294,11 +289,10 @@ def _classify_rank_one(g, pi0, scale):
     frac0 = _phase_fraction(g.a)
     if frac0 is not None:
         k0, s0 = frac0
-        if s0 > 0.5 + 1e-9 or (k0 < 0 and (s0 == 0.0 or close(s0, 0.5, tol=1e-8))):
+        if s0 > 0.5 + 1e-9 or (k0 < 0 and (s0 == 0.0 or close(s0, 0.5, tol=PHASE_TOL))):
             g = uaff_inverse(g)
     A, B = g.a, g.b
-    vals = _pi0_pair(pi0)
-    if not vals:
+    if not pi0:
         frac = _phase_fraction(A)
         if frac is not None and frac[1] == 0.0:
             k = frac[0]
@@ -313,49 +307,35 @@ def _classify_rank_one(g, pi0, scale):
         a = canonical_sign(A)
         return D2Label("D2_6", a=a, generators=(UAffElement(a, 0),)), UAffAutomorphism(gamma, 1.0)
 
-    if len(vals) == 1:
-        beta = 1.0 / vals[0]
-        frac = _phase_fraction(A)
-        if frac is None:
-            raise NonDiscreteError("not a tabulated subgroup: e^a does not preserve the kernel")
-        k, s = frac
-        if close(s, 0.0, tol=1e-8):
-            b = beta * B
-            b = b - round(b.real)
-            gens = (UAffElement(TWO_PI_I * k, b), UAffElement(0, 1))
-            return D2Label("D2_4", k=k, b=b, generators=gens), UAffAutomorphism(0, beta)
-        if close(s, 0.5, tol=1e-8):
-            gamma = _kill_b(A, B, beta)
-            gens = (UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1))
-            return D2Label("D2_7", k=k, generators=gens), UAffAutomorphism(gamma, beta)
-        raise NonDiscreteError("not a tabulated subgroup: e^a is not +-1 on a rank-one kernel")
-
-    v1, v2, tau, _ = lattice_reduce_tau(vals[0], vals[1])
-    beta = 1.0 / v1
+    # beta rescales a rank-one kernel to Z (rows D2_4, D2_7) and a rank-two one to Z + tau Z
+    beta, tau = lattice_frame(pi0)
     frac = _phase_fraction(A)
     if frac is None:
-        raise NonDiscreteError("not a tabulated subgroup: e^a does not fix the kernel lattice")
+        kept = "preserve the kernel" if tau is None else "fix the kernel lattice"
+        raise NonDiscreteError(f"not a tabulated subgroup: e^a does not {kept}")
     k, s = frac
-    sq = close(tau, 1j, tol=1e-6)
-    hexa = close(tau, _OMEGA, tol=1e-6)
-    if close(s, 0.0, tol=1e-8):
-        b = beta * B
-        x, y = lattice_coords(b, 1.0 + 0j, tau)
-        b = b - round(x) - round(y) * tau
-        gens = (UAffElement(TWO_PI_I * k, b), UAffElement(0, 1), UAffElement(0, tau))
-        return D2Label("D2_5", k=k, b=b, tau=tau, generators=gens), UAffAutomorphism(0, beta)
-    gamma = _kill_b(A, B, beta)
-    phi = UAffAutomorphism(gamma, beta)
-    if close(s, 0.5, tol=1e-8):
-        gens = (UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, tau))
-        return D2Label("D2_8", k=k, tau=tau, generators=gens), phi
-    if sq and (close(s, 0.25, tol=1e-8) or close(s, 0.75, tol=1e-8)):
-        kk = 2 * k if close(s, 0.25, tol=1e-8) else 2 * k + 1
+    kernel = _kernel_generators(tau)
+    if close(s, 0.0, tol=PHASE_TOL):
+        b = lattice_residue(beta * B, tau)
+        name = "D2_4" if tau is None else "D2_5"
+        gens = (UAffElement(TWO_PI_I * k, b),) + kernel
+        return D2Label(name, k=k, b=b, tau=tau, generators=gens), UAffAutomorphism(0, beta)
+    half = close(s, 0.5, tol=PHASE_TOL)
+    if tau is None and not half:
+        raise NonDiscreteError("not a tabulated subgroup: e^a is not +-1 on a rank-one kernel")
+    phi = UAffAutomorphism(_kill_b(A, B, beta), beta)
+    if half:
+        name = "D2_7" if tau is None else "D2_8"
+        gens = (UAffElement(TWO_PI_I * (k + 0.5), 0),) + kernel
+        return D2Label(name, k=k, tau=tau, generators=gens), phi
+    quarter = close(s, 0.25, tol=PHASE_TOL)
+    if close(tau, 1j, tol=1e-6) and (quarter or close(s, 0.75, tol=PHASE_TOL)):
+        kk = 2 * k if quarter else 2 * k + 1
         gens = (UAffElement(1j * math.pi * (kk + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j))
         return D2Label("D2_9", k=kk, tau=1j, generators=gens), phi
-    if hexa:
+    if close(tau, _OMEGA, tol=1e-6):
         for name, frac6 in (("D2_10", 1), ("D2_11", 2), ("D2_12", 4), ("D2_13", 5)):
-            if close(s, frac6 / 6.0, tol=1e-8):
+            if close(s, frac6 / 6.0, tol=PHASE_TOL):
                 gens = (
                     UAffElement(TWO_PI_I * (k + frac6 / 6.0), 0),
                     UAffElement(0, 1),
@@ -372,19 +352,13 @@ def _classify_rank_two(L, pi0, scale):
     e1, e2 = 1 - cmath.exp(a1), 1 - cmath.exp(a2)
     if abs(b1) <= 1e-9 * scale and abs(b2) <= 1e-9 * scale:
         phi = UAffAutomorphism()
-    elif abs(e1) > abs(e2):
-        if abs(e1) <= 1e-9:
-            raise NonDiscreteError("not a tabulated subgroup: cannot remove b-components")
-        phi = UAffAutomorphism(-b1 / e1, 1.0)
-        r = aut_apply(phi, L[1])
-        if abs(r.b) > 1e-6 * scale:
-            raise NonDiscreteError("not a tabulated subgroup: b-components are not removable")
     else:
-        if abs(e2) <= 1e-9:
+        # kill the b of the generator with the larger |1 - e^a|, then check the other's
+        e, b, other = (e1, b1, L[1]) if abs(e1) > abs(e2) else (e2, b2, L[0])
+        if abs(e) <= 1e-9:
             raise NonDiscreteError("not a tabulated subgroup: cannot remove b-components")
-        phi = UAffAutomorphism(-b2 / e2, 1.0)
-        r = aut_apply(phi, L[0])
-        if abs(r.b) > 1e-6 * scale:
+        phi = UAffAutomorphism(-b / e, 1.0)
+        if abs(aut_apply(phi, other).b) > 1e-6 * scale:
             raise NonDiscreteError("not a tabulated subgroup: b-components are not removable")
     v1, v2, _, _ = lattice_reduce_tau(a1, a2)
     gens = (UAffElement(v1, 0), UAffElement(v2, 0))
@@ -404,13 +378,12 @@ def center_intersection(label, max_denominator=None):
         pq = _center_fraction(b.real, "translation b", name, max_denominator)
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * label.k * pq[1], 0)
     if name == "D2_5":
-        x, y = _tau_coords(label.b, label.tau)
+        x, y = lattice_coords(label.b, 1.0, label.tau)
         px = _center_fraction(x, "coordinate x of b = x + y tau", name, max_denominator)
         py = _center_fraction(y, "coordinate y of b = x + y tau", name, max_denominator)
         if px is None or py is None:
             return IDENTITY
-        q = px[1] * py[1] // math.gcd(px[1], py[1])
-        return UAffElement(TWO_PI_I * label.k * q, 0)
+        return UAffElement(TWO_PI_I * label.k * math.lcm(px[1], py[1]), 0)
     if name == "D2_6":
         x = label.a / TWO_PI_I
         if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
@@ -418,8 +391,7 @@ def center_intersection(label, max_denominator=None):
         pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator)
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * pq[0], 0)
     if name == "D2_14":
-        out = _center_lattice(label)
-        return out[0] if out else IDENTITY
+        return _center_d2_14(label.a1, label.a2)
     if name in NONABELIAN_LABELS:
         x = normal_form_generators(label)[0].a / TWO_PI_I
         pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator, required=True)
@@ -441,49 +413,19 @@ def _center_fraction(x, what, name, max_denominator, required=False):
     return pq
 
 
-def _tau_coords(b, tau):
-    y = b.imag / tau.imag
-    x = b.real - y * tau.real
-    return x, y
+def _center_d2_14(a1, a2):
+    """(2 pi i k, 0) for the least k > 0 with 2 pi i k in Z a1 + Z a2, or the identity when none.
 
-
-def _center_lattice(label):
-    """Generators of (Lambda' intersect 2 pi i Z) x 0 for the D2_14 row."""
-    return [UAffElement(coeffs, 0) for coeffs in _integer_combos_on_axis(label.a1, label.a2)]
-
-
-def _integer_combos_on_axis(a1, a2):
-    """Smallest positive element of (Z a1 + Z a2) intersect i R, if any, as 2 pi i k.
-
-    Searches the combinations m a1 + n a2 with |m|, |n| <= 30, m then n in
-    increasing order, the first of least modulus winning.  The real part
-    m Re(a1) + n Re(a2) can pass its test only within `slack` of 0, so for
-    each m only the n near -m Re(a1) / Re(a2) are tried (when Re(a2) = 0,
-    the whole row or none of it).
+    k is the gcd of the p of the integer relations m a1 + n a2 + p 2 pi i = 0.
+    A pair that is not a lattice raises NonDiscreteError.
     """
-    # twice the real-part tolerance at the largest |v|, which also covers the rounding
-    slack = 2e-9 * max(1.0, 31 * (abs(a1) + abs(a2)))
-    full = range(-30, 31)
-    best = None
-    for m in full:
-        if a2.real:
-            c = -m * a1.real / a2.real
-            reach = slack / abs(a2.real) + 1
-            lo, hi = c - reach, c + reach
-            finite = math.isfinite(lo) and math.isfinite(hi)
-            ns = range(max(-30, math.floor(lo)), min(30, math.ceil(hi)) + 1) if finite else full
-        else:
-            ns = full if abs(m * a1.real) <= slack else ()
-        for n in ns:
-            if m == 0 and n == 0:
-                continue
-            v = m * a1 + n * a2
-            if abs(v.real) <= 1e-9 * max(1.0, abs(v)):
-                k = v.imag / (2 * math.pi)
-                if abs(k - round(k)) <= 1e-8 * max(1.0, abs(k)) and round(k) != 0:
-                    if best is None or abs(v) < abs(best):
-                        best = TWO_PI_I * round(k)
-    return [best] if best is not None else []
+    lattice_reduce_tau(a1, a2)  # a NonDiscreteError unless a1 and a2 are R-independent
+    try:
+        _, _, relations = zmodule_basis([c2r(a1), c2r(a2), c2r(TWO_PI_I)])
+    except NonDiscreteError:  # 2 pi i is no rational combination of a1 and a2
+        return IDENTITY
+    k = math.gcd(*(row[2] for row in relations))
+    return UAffElement(TWO_PI_I * k, 0) if k else IDENTITY
 
 
 ABELIAN_COVER_LABELS = {"D2", "D2_1", "D2_2", "D2_3", "D2_4", "D2_5", "D2_6", "D2_14"}

@@ -276,6 +276,16 @@ def test_cli_classify_abelian_center_within_the_denominator_bound(tmp_path, caps
     assert out["center_intersection"] == {"a": _cj(2j * math.pi), "b": _cj(0j)}
 
 
+def test_cli_classify_d2_14_center_from_a_large_combination(tmp_path, capsys):
+    # the lattice of 2 pi i / 41 and 1.7 meets the center in 2 pi i Z, reached only at 41 a1
+    gens = [{"a": _cj(2j * math.pi / 41), "b": _cj(0j)}, {"a": 1.7, "b": 0}]
+    doc = {"ambient": "uaff", "generators": gens}
+    assert _classify(tmp_path, doc) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["label"] == "D2_14"
+    assert out["center_intersection"] == {"a": {"re": 0.0, "im": 2 * math.pi}, "b": _cj(0j)}
+
+
 @pytest.mark.parametrize("name", ["D2_4", "D2_5", "D2_6"])
 def test_abelian_center_beyond_the_bound_is_an_error_and_an_irrational_one_is_trivial(name):
     from homsurf import uaff
@@ -341,6 +351,7 @@ def _line_divisor(lam):
 
 # (cover, base point lam of [lam] + [lam + 2 pi i], the element's "cover" field, the error);
 # each divisor suits its example, so the parameter named is the one fault
+_STRAY = "example {} does not take the cover parameter '{}'"
 BAD_COVER_PARAMETERS = {
     "B-without-n": ("B", 0j, {}, "example B needs the cover parameter 'n'"),
     "G-without-tau": ("G", 0j, {"n": 1}, "example G needs the cover parameter 'tau'"),
@@ -352,6 +363,14 @@ BAD_COVER_PARAMETERS = {
     "A0-zero-delta": ("A0", 0.5 + 0j, {"delta": [0]}, "the generators of Delta must be nonzero"),
     "A0-collinear-delta": ("A0", 0.5 + 0j, {"delta": [1, 2]}, "lattice basis is not R-independent"),
     "A1-zero-in-lattice": ("A1", 0j, {"delta": [1, 0]}, "the generators of Delta must be nonzero"),
+    "D-with-s": ("D", 0j, {"n": 1, "tau": _cj(1j), "s": _cj(0.5 + 0j)}, _STRAY.format("D", "s")),
+    "E-with-tau": ("E", 2j * math.pi, {"n": 1, "s": 1, "tau": _cj(1j)}, _STRAY.format("E", "tau")),
+    "G-with-delta": ("G", 0j, {"n": 1, "tau": _cj(1j), "delta": [1]}, _STRAY.format("G", "delta")),
+    "A1-with-tau": ("A1", 0j, {"delta": [1], "tau": _cj(1j)}, _STRAY.format("A1", "tau")),
+    "C-with-s-not-1": (
+        "C", 2j * math.pi, {"n": 1, "s": 2},
+        "example C takes the cover parameter 's' only as 1",
+    ),
 }
 
 
@@ -366,3 +385,15 @@ def test_cli_act_cover_missing_parameter_or_degenerate_delta_exits_2(tmp_path, c
     argv = ["act", "--family", "Bb1", "--element", str(e), "--point", str(p), "--cover", cover]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_cli_act_cover_c_takes_s_as_1(tmp_path, capsys):
+    # the s = 1 of the C label classify_pi reports
+    element = {"divisor": _line_divisor(2j * math.pi), "t": _cj(0.5 + 0j), "f": {"terms": []}}
+    element["cover"] = {"n": 1, "s": 1}
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    argv = ["act", "--family", "Bb1", "--element", str(e), "--point", str(p), "--cover", "C"]
+    assert cli.main(argv) == 0

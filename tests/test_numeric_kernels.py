@@ -86,7 +86,8 @@ def test_lattice_coords_rejects_a_dependent_pair():
 
 
 # ---------------------------------------------------------------------------
-# the D2_14 axis search against the full 61 x 61 search it replaces
+# the D2_14 center, read from the integer relations of (a1, a2, 2 pi i), against the full
+# 61 x 61 search of the combinations m a1 + n a2 on the imaginary axis it replaced
 
 
 def axis_search_oracle(a1, a2):
@@ -130,20 +131,34 @@ def axis_cases(rng):
         yield complex(1e-12 * rng.normal(), rng.normal()), _cn(rng)
         yield _cn(rng), complex(1e-13 * rng.normal(), 2 * math.pi / m0)  # tiny Re(a2)
     for r in (math.sqrt(2), math.sqrt(3), math.pi, (1 + math.sqrt(5)) / 2):
-        yield TWO_PI_I, TWO_PI_I * r  # irrational ratio on the axis
         yield 1 + TWO_PI_I, r + TWO_PI_I * r * r
-        yield complex(1.0, 2.0), complex(r, 2.0 * r)  # real ratio r: no hit
     yield 1.0 + 0j, TWO_PI_I  # both on an axis
+
+
+def non_lattice_cases():
+    """(a1, a2) pairs on one real line: no D2_14 row has them."""
+    for r in (math.sqrt(2), math.sqrt(3), math.pi, (1 + math.sqrt(5)) / 2):
+        yield TWO_PI_I, TWO_PI_I * r  # irrational ratio on the axis
+        yield complex(1.0, 2.0), complex(r, 2.0 * r)  # real ratio r
     yield TWO_PI_I / 30, TWO_PI_I / 29
+
+
+def d2_14_center(a1, a2):
+    return uaff.center_intersection(uaff.D2Label("D2_14", a1=a1, a2=a2))
 
 
 def test_axis_search_matches_the_full_search(rng):
     hits = 0
     for a1, a2 in axis_cases(rng):
         want = axis_search_oracle(a1, a2)
-        assert uaff._integer_combos_on_axis(a1, a2) == want, (a1, a2)
+        got = d2_14_center(a1, a2)
+        assert abs(got.a) == (abs(want[0]) if want else 0.0), (a1, a2)
+        assert got.a.real == 0.0 and got.a.imag >= 0.0 and got.b == 0, (a1, a2)
         hits += bool(want)
     assert hits > 150
+    for a1, a2 in non_lattice_cases():
+        with pytest.raises(NonDiscreteError):
+            d2_14_center(a1, a2)
 
 
 def test_axis_search_keeps_hits_at_the_corner():
@@ -151,7 +166,7 @@ def test_axis_search_keeps_hits_at_the_corner():
     a2 = (TWO_PI_I - 30 * a1) / 30  # +-(30 a1 + 30 a2) = +-2 pi i, nothing shorter
     want = axis_search_oracle(a1, a2)
     assert len(want) == 1 and math.isclose(abs(want[0]), 2 * math.pi)
-    assert uaff._integer_combos_on_axis(a1, a2) == want
+    assert d2_14_center(a1, a2) == uaff.UAffElement(TWO_PI_I, 0)
 
 
 # ---------------------------------------------------------------------------

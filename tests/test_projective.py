@@ -31,7 +31,6 @@ from homsurf.projective import (
     quadric_double_cover,
     quadric_embed,
     quadric_preimages,
-    sym_power_rep,
 )
 
 
@@ -65,18 +64,19 @@ def test_mobius_examples():
         mobius_act(np.array([[1.0, 1.0], [1.0, 1.0]]), p)
 
 
-def test_sym_power_examples(rng):
+def test_binary_form_substitute_respects_products(rng):
+    # p(g h Z) = (p o g)(h Z): substitution is a right action of the matrices on forms
     g = rand_matrix(rng)
-    assert np.allclose(sym_power_rep(g, 1), g)
     a = 0.7 + 0.4j
-    d = np.diag([a, 1 / a])
-    assert np.allclose(sym_power_rep(d, 2), np.diag([a**2, 1.0, a**-2]))
-    for n in (2, 3):
+    assert np.allclose(binary_form_substitute((0, 1, 0), np.diag([a, 1 / a])), (0, 1, 0))
+    assert np.allclose(binary_form_substitute((1, 0, 0), np.diag([a, 1 / a])), (a**2, 0, 0))
+    for n in (1, 2, 3):
+        p = [complex(rng.normal(), rng.normal()) for _ in range(n + 1)]
         h = rand_matrix(rng)
-        lhs = sym_power_rep(g @ h, n)
-        rhs = sym_power_rep(g, n) @ sym_power_rep(h, n)
+        lhs = binary_form_substitute(p, g @ h)
+        rhs = binary_form_substitute(binary_form_substitute(p, g), h)
         assert np.allclose(lhs, rhs)
-        assert np.allclose(sym_power_rep(np.eye(2), n), np.eye(n + 1))
+        assert np.allclose(binary_form_substitute(p, np.eye(2)), p)
 
 
 def test_quadric_embed_examples():

@@ -207,10 +207,31 @@ def test_center_intersection_table():
 
 def test_center_intersection_d2_14():
     label = D2Label("D2_14", a1=3j * math.pi, a2=1.7 + 0j)
-    got = center_intersection(label)
-    assert min(distance(got, UAffElement(6j * math.pi, 0)), distance(got, UAffElement(-6j * math.pi, 0))) <= EPS
+    assert center_intersection(label) == UAffElement(6j * math.pi, 0)
     label2 = D2Label("D2_14", a1=1.0 + 0j, a2=0.3 + 1.2j)
     assert uaff_is_identity(center_intersection(label2))
+
+
+def test_center_intersection_d2_14_needs_no_small_combination():
+    # 41 a1 = 2 pi i: a combination beyond |m|, |n| <= 30
+    label = D2Label("D2_14", a1=TPI / 41, a2=1.7 + 0j)
+    assert center_intersection(label) == UAffElement(TPI, 0)
+
+
+def test_center_intersection_d2_14_is_on_the_positive_axis(rng):
+    # a2 = (2 pi i k - m a1) / n with m, n coprime: the center is generated by 2 pi i |k|
+    for _ in range(12):
+        a1 = complex(rng.normal(), rng.normal())
+        m, n = rng.choice([(1, 2), (3, 5), (-2, 7), (4, -9), (-5, -6)])
+        k = int(rng.integers(1, 4)) * int(rng.choice([-1, 1]))
+        label = D2Label("D2_14", a1=a1, a2=(TPI * k - m * a1) / n)
+        assert center_intersection(label) == UAffElement(TPI * abs(k), 0), (a1, m, n, k)
+
+
+def test_center_intersection_d2_14_rejects_a_non_lattice():
+    for a1, a2 in ((TPI, TPI * math.sqrt(2)), (1.0 + 2.0j, 3.0 + 6.0j), (1.0, 0.0)):
+        with pytest.raises(NonDiscreteError):
+            center_intersection(D2Label("D2_14", a1=a1, a2=a2))
 
 
 def test_center_intersection_d2_5_rational_combination():
