@@ -29,7 +29,7 @@ _HOMES = {
     "contains": "exppoly",
     "monic_polynomial": "exppoly",
     "build_family": "families",
-    "classify_D1_subgroup": "families",
+    "classify_D1_subgroup": "d1",
     "quotient_policy": "families",
     "NonDiscreteError": "numeric",
     "D2Label": "uaff",

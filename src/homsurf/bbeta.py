@@ -22,32 +22,11 @@ import math
 
 from .divisor import Divisor, quasiperiod_group, weight
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
-from .numeric import (
-    COMMUTANT_TOL,
-    JACOBIAN_STEP,
-    JACOBIAN_TOL,
-    LAM_SHAPE_TOL,
-    LAM_TOL,
-    LINE_INDEX_TOL,
-    LINE_SHAPE_TOL,
-    ORBIT_TOL,
-    TRANSLATION_CHOP,
-    NonDiscreteError,
-    Record,
-    c2r,
-    close,
-    distance,
-    geometric_sum,
-    hnf_with_transform,
-    lattice_contains,
-    lattice_frame,
-    lattice_reduce_tau,
-    lattice_residue,
-    near_int,
-    saturate_lattice,
-    setfield,
-    zmodule_basis,
-)
+from .lattice import c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame
+from .lattice import lattice_reduce_tau, lattice_residue, near_int, saturate_lattice, zmodule_basis
+from .numeric import COMMUTANT_TOL, JACOBIAN_STEP, JACOBIAN_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL
+from .numeric import LINE_SHAPE_TOL, ORBIT_TOL, TRANSLATION_CHOP, NonDiscreteError, Record, close, distance
+from .numeric import setfield
 from .surfaces import TorusPoint, product_equal
 
 TWO_PI_I = 2j * math.pi

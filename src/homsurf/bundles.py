@@ -19,7 +19,8 @@ import cmath
 import math
 from functools import cached_property
 
-from .numeric import DECK_TOL, UNIT_TOL, Record, close, lattice_contains, load_numpy, rational_reconstruct, setfield
+from .lattice import lattice_contains, near_int, rational_reconstruct
+from .numeric import DECK_TOL, UNIT_TOL, Record, close, load_numpy, setfield
 
 LAURENT_DEGREE_CAP = 8
 TWO_PI_I = 2j * math.pi
@@ -220,8 +221,8 @@ def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
         images = [forward(z + k, ckg * w + lam) for z, w in back]
         ks = [z4 - z for (z4, _), (z, _) in zip(images, pts)]
         k0 = ks[0]
-        kint = round(k0.real)
-        if abs(k0 - kint) > tol * max(1.0, abs(k0)):
+        kint = near_int(k0, tol)
+        if kint is None:
             return False
         ck = data.c**kint
         scale = max([abs(w4) for _, w4 in images] + [1.0])

@@ -132,7 +132,7 @@ def cmd_classify(args):
     ambient, gens, D = _classify_input(data)
     out = {"ambient": ambient}
     if ambient == "C2":
-        from .families import classify_D1_subgroup
+        from .d1 import classify_D1_subgroup
 
         res = classify_D1_subgroup(gens)
         out.update(

@@ -14,8 +14,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numeric import EPS, QUASIPERIOD_TOL, Record, canonical_sign, close, json_complex, near_int
-from .numeric import rational_reconstruct, setfield
+from .lattice import near_int, rational_reconstruct
+from .numeric import EPS, QUASIPERIOD_TOL, Record, canonical_sign, close, json_complex, setfield
 
 DEGREE_CAP = 32
 

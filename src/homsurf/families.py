@@ -7,9 +7,10 @@ the family's module (`projective`, `bbeta`, `uaff`) or from closures over
 the family's parameters; the product families join the functions of two
 factors.  The factories cover the matrix families (projective plane, affine
 plane, special affine plane), the product families, the one-parameter
-stabilizer family, the translation plane and its discrete subgroup
-classifier, the affine group, the quadric, and the divisor- and
-bundle-indexed families.
+stabilizer family, the translation plane (whose discrete subgroups `d1`
+classifies), the affine group, the quadric, and the divisor- and
+bundle-indexed families.  A factory or codec imports its family's module
+when it runs, so loading this module loads none of them.
 
 One table, `SPECS`, holds everything else known per label: the factory, the
 JSON codecs, the invariant check, the element distance and the quotient
@@ -23,27 +24,8 @@ import math
 import operator
 from itertools import chain
 
-from . import projective
-from .numeric import (
-    EPS,
-    INDEPENDENT_TOL,
-    SL_DET_TOL,
-    NonDiscreteError,
-    Record,
-    as_rows,
-    c2r,
-    c2r2,
-    close,
-    complex_json,
-    distance,
-    flat_distance,
-    json_complex,
-    lattice_reduce_tau,
-    r2c2,
-    setfield,
-    zmodule_basis,
-)
-from .projective import BundlePoint, ProjPoint, Proj2Point, QuadricPoint, mobius_act, proj2_act, quadric_act
+from .numeric import EPS, SL_DET_TOL, Record, as_rows, close, complex_json, determinant, distance, flat_distance
+from .numeric import inverse2, inverse3, json_complex, product2, product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -57,21 +39,13 @@ def _cnums(rng, k, scale=0.7):
     return [complex(x, y) * scale for x, y in zip(xs[::2], xs[1::2])]
 
 
-def _det(m):
-    """Determinant of a 2x2 or 3x3 matrix given as rows."""
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _matrix(rng, n=2, special=False, min_det=0.25, scale=0.7):
     """A random n x n matrix as a tuple of rows, with |det| > min_det; divided by
     a square root of the determinant when special, so that det = 1."""
     while True:
         cs = _cnums(rng, n * n, scale)
         m = tuple(tuple(cs[i : i + n]) for i in range(0, n * n, n))
-        det = _det(m)
+        det = determinant(m)
         if abs(det) > min_det:
             break
     if special:
@@ -143,9 +117,12 @@ _AFF_C = (
     _aff_random,
     _cnum,
 )
-_PSL2 = (
-    lambda: _EYE2, projective.product2, projective.inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0))
-)
+
+
+def _psl2():
+    from .projective import ProjPoint, mobius_act
+
+    return (lambda: _EYE2, product2, inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0)))
 
 
 def _product(label, f1, f2):
@@ -168,11 +145,13 @@ def _product(label, f1, f2):
 
 
 def _a1():
+    from .projective import Proj2Point, proj2_act
+
     return Family(
         "A1",
         lambda: _EYE3,
-        projective.product3,
-        projective.inverse3,
+        product3,
+        inverse3,
         proj2_act,
         lambda rng: _matrix(rng, n=3),
         lambda rng: Proj2Point(_cnums(rng, 3, 1.0)),
@@ -182,11 +161,11 @@ def _a1():
 def _affine_multiply(g, h):
     (a, b), (c, d) = g[0]
     (s, t), (x, y) = g[1], h[1]
-    return (projective.product2(g[0], h[0]), (s + (a * x + b * y), t + (c * x + d * y)))
+    return (product2(g[0], h[0]), (s + (a * x + b * y), t + (c * x + d * y)))
 
 
 def _affine_inverse(g):
-    mi = projective.inverse2(g[0])
+    mi = inverse2(g[0])
     (a, b), (c, d) = mi
     x, y = g[1]
     return (mi, (-(a * x + b * y), -(c * x + d * y)))
@@ -295,6 +274,8 @@ def _bbeta2(divisor=None):
 
 def _bgamma12(n=2, c=0j):
     """Bγ1 (c != 0) or its subfamily Bγ2 (c = 0)."""
+    from . import projective
+
     n, c = int(n), complex(c)
 
     def random_element(rng):
@@ -313,6 +294,8 @@ def _bgamma12(n=2, c=0j):
 
 
 def _bgamma3(n=2):
+    from . import projective
+
     n = int(n)
 
     def random_element(rng):
@@ -339,31 +322,36 @@ def _punctured_point(rng):
 
 def _bdelta_linear(label, special):
     """SL(2,C) (special) or GL(2,C) acting linearly on C^2 minus the origin."""
+    from .projective import bdelta_act
+
     return Family(
         label,
         lambda: _EYE2,
-        projective.product2,
-        projective.inverse2,
-        projective.bdelta_act,
+        product2,
+        inverse2,
+        bdelta_act,
         lambda rng: _matrix(rng, special=special),
         _punctured_point,
     )
 
 
-def _quadric_point(rng):
-    while True:
-        a, b = map(ProjPoint, _cnums(rng, 2, 1.0))
-        if a.distance(b) > EPS:
-            return QuadricPoint(a, b)
-
-
 def _c9():
     """The matrices of Bδ2 taken modulo scalars, acting on ordered pairs of distinct points of P^1."""
-    return Family("C9", lambda: _EYE2, projective.product2, projective.inverse2, quadric_act, _matrix, _quadric_point)
+    from .projective import ProjPoint, QuadricPoint, quadric_act
+
+    def random_point(rng):
+        while True:
+            a, b = map(ProjPoint, _cnums(rng, 2, 1.0))
+            if a.distance(b) > EPS:
+                return QuadricPoint(a, b)
+
+    return Family("C9", lambda: _EYE2, product2, inverse2, quadric_act, _matrix, random_point)
 
 
 def _bdelta_bundle(label, special, n=2):
     """The full or special linear group of O(n), acting on bundle points."""
+    from . import projective
+
     n = int(n)
 
     def random_element(rng):
@@ -372,7 +360,7 @@ def _bdelta_bundle(label, special, n=2):
 
     def random_point(rng):
         z = _cnum(rng, 1.1)
-        return BundlePoint(n, int(rng.integers(2)), z, _cnum(rng))
+        return projective.BundlePoint(n, int(rng.integers(2)), z, _cnum(rng))
 
     return Family(
         label,
@@ -388,6 +376,8 @@ def _bdelta_bundle(label, special, n=2):
 
 def _bgamma4(n=2):
     """The upper-triangular elements of Bδ4, acting on the affine chart C^2 of O(n)."""
+    from . import projective
+
     n = int(n)
 
     def random_element(rng):
@@ -444,7 +434,21 @@ def _affine(data):
 
 
 def _proj(data):
+    from .projective import ProjPoint
+
     return ProjPoint(*_values(data, 2))
+
+
+def _proj2(data):
+    from .projective import Proj2Point
+
+    return Proj2Point(_values(data["coords"]))
+
+
+def _quadric(data):
+    from .projective import QuadricPoint
+
+    return QuadricPoint(_proj(data["alpha"]), _proj(data["beta"]))
 
 
 def _cjs(values):
@@ -474,15 +478,27 @@ def _c8_element(data):
 
 
 def _bg12_element(data, c):
+    from .projective import BGamma12Element
+
     lam, b = json_complex(data["lam"]), json_complex(data["b"])
-    return projective.BGamma12Element(_degree(data), c, lam, b, _values(data["poly"]))
+    return BGamma12Element(_degree(data), c, lam, b, _values(data["poly"]))
+
+
+def _bg3_element(data):
+    from .projective import BGamma3Element
+
+    return BGamma3Element(_degree(data), json_complex(data["lam"]), json_complex(data["b"]), _values(data["r"]))
 
 
 def _on_element(data):
-    return projective.OnGroupElement(_degree(data), _json_matrix(data["matrix"]), _values(data["poly"]))
+    from .projective import OnGroupElement
+
+    return OnGroupElement(_degree(data), _json_matrix(data["matrix"]), _values(data["poly"]))
 
 
 def _bundle_point(data):
+    from .projective import BundlePoint
+
     chart = data["chart"]
     if type(chart) is not int or chart not in (0, 1):
         raise ValueError(f"chart must be 0 or 1, got {chart!r}")
@@ -511,13 +527,13 @@ def _no_check(g):
 
 
 def _check_invertible(m):
-    if abs(_det(m)) <= EPS * max(1.0, *(abs(x) for row in m for x in row)) ** len(m):
+    if abs(determinant(m)) <= EPS * max(1.0, *(abs(x) for row in m for x in row)) ** len(m):
         raise ValueError("the matrix must be invertible")
 
 
 def _check_det_one(m, power=1):
     """det(m) ** power = 1 within SL_DET_TOL; power > 1 allows the scalars an element is taken modulo."""
-    det = _det(m) ** power
+    det = determinant(m) ** power
     if not close(det, 1.0, tol=SL_DET_TOL):
         raise ValueError(f"the matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
 
@@ -598,7 +614,7 @@ SPECS = {
     "A1": FamilySpec(
         _a1,
         lambda d: _json_matrix(d["matrix"], 3),
-        (lambda d: Proj2Point(_values(d["coords"])), lambda x: {"coords": _cjs(x.coords)}),
+        (_proj2, lambda x: {"coords": _cjs(x.coords)}),
         check=_check_invertible,
         distance=_proj_distance,
     ),
@@ -636,7 +652,7 @@ SPECS = {
     ),
     "Bγ3": FamilySpec(
         _bgamma3,
-        lambda d: projective.BGamma3Element(_degree(d), json_complex(d["lam"]), json_complex(d["b"]), _values(d["r"])),
+        _bg3_element,
     ),
     "Bγ4": FamilySpec(_bgamma4, _on_element),
     "Bδ1": FamilySpec(
@@ -675,21 +691,21 @@ SPECS = {
         check=lambda g: _check_nonzero("alpha", g[0][0], g[1][0]),
     ),
     "C5": FamilySpec(
-        lambda: _product("C5", _PSL2, _TRANS_C),
+        lambda: _product("C5", _psl2(), _TRANS_C),
         lambda d: (_json_matrix(d["matrix"]), json_complex(d["t"])),
         _PROJ_TIMES_LINE,
         distance=_psl_first_distance,
         policy="discrete subgroup Delta of C acting on the second factor",
     ),
     "C6": FamilySpec(
-        lambda: _product("C6", _PSL2, _AFF_C),
+        lambda: _product("C6", _psl2(), _AFF_C),
         lambda d: (_json_matrix(d["matrix"]), _affine(d["affine"])),
         _PROJ_TIMES_LINE,
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         distance=_psl_first_distance,
     ),
     "C7": FamilySpec(
-        lambda: _product("C7", _PSL2, _PSL2),
+        lambda: _product("C7", _psl2(), _psl2()),
         lambda d: (_json_matrix(d["first"]), _json_matrix(d["second"])),
         (
             lambda d: (_proj(d["first"]), _proj(d["second"])),
@@ -706,7 +722,7 @@ SPECS = {
         _c9,
         _matrix_element,
         (
-            lambda d: QuadricPoint(_proj(d["alpha"]), _proj(d["beta"])),
+            _quadric,
             lambda x: {"alpha": _cjs(x.alpha.coords), "beta": _cjs(x.beta.coords)},
         ),
         distance=_proj_distance,
@@ -766,170 +782,10 @@ def quotient_policy(label):
     return QuotientPolicy("policy" if description else "none", description)
 
 
-# ---------------------------------------------------------------------------
-# discrete subgroups of the translation plane
+def __getattr__(name):
+    # perfbench looks the D1 classifier up here by name: the hook can go once it names `d1`
+    if name == "classify_D1_subgroup":
+        from .d1 import classify_D1_subgroup
 
-
-# multiplication by i on C^2 = R^4, in the coordinates of c2r2
-_J4 = [[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-
-
-class D1Classification(Record):
-    __slots__ = ("label", "generators", "transform", "tau", "sigma", "warnings")
-
-    def __init__(self, label, generators, transform, tau=None, sigma=None, warnings=()):
-        setfield(self, "label", label)
-        setfield(self, "generators", generators)  # normalized generators, pairs of complex numbers
-        setfield(self, "transform", transform)  # 2x2 complex matrix applied to the inputs
-        setfield(self, "tau", tau)
-        setfield(self, "sigma", sigma)
-        setfield(self, "warnings", warnings)
-
-
-def _transform_from_images(src1, src2, img1, img2):
-    """The C-linear map sending src1 -> img1, src2 -> img2, as rows."""
-    try:
-        inv = projective.inverse2(((src1[0], src2[0]), (src1[1], src2[1])))
-    except ValueError:
-        raise NonDiscreteError("the normalizing change of basis is singular") from None
-    return projective.product2(((img1[0], img2[0]), (img1[1], img2[1])), inv)
-
-
-def _apply(A, v):
-    """The 2x2 complex matrix A (rows) applied to the pair v."""
-    (a, b), (c, d) = A
-    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-
-def _complex_independent(u, v):
-    det = u[0] * v[1] - u[1] * v[0]
-    s = max(abs(u[0]) + abs(u[1]), abs(v[0]) + abs(v[1]), 1.0)
-    return abs(det) > INDEPENDENT_TOL * s * s
-
-
-def _complement(u):
-    return (0j, 1.0 + 0j) if _complex_independent(u, (0j, 1.0 + 0j)) else (1.0 + 0j, 0j)
-
-
-def _line_coordinates(vectors):
-    """Collinear complex pairs as scalars along a common unit direction."""
-    u = max(vectors, key=lambda v: abs(v[0]) + abs(v[1]))
-    j = 0 if abs(u[0]) >= abs(u[1]) else 1
-    norm = (abs(u[0]) ** 2 + abs(u[1]) ** 2) ** 0.5
-    direction = (u[0] / norm, u[1] / norm)
-    return direction, [v[j] / direction[j] for v in vectors]
-
-
-def _realize(vectors, combo):
-    z = 0j
-    w = 0j
-    for v, c in zip(vectors, combo):
-        z += c * v[0]
-        w += c * v[1]
-    return (z, w)
-
-
-def classify_D1_subgroup(gens):
-    """Normal form of a discrete subgroup of the translation plane C^2.
-
-    Returns a D1Classification with the table label (D1, D1_1 .. D1_6), a
-    normalized generating set, and the change of basis that produces it.
-    Raises NonDiscreteError for generators that do not span a discrete group.
-    """
-    pairs = [(complex(v[0]), complex(v[1])) for v in gens]
-    basis, _, _ = zmodule_basis([c2r2(p) for p in pairs])
-    rank = len(basis)
-    bc = [r2c2(b) for b in basis]
-
-    if rank == 0:
-        return D1Classification("D1", (), ((1, 0), (0, 1)))
-    if rank == 1:
-        A = _transform_from_images(bc[0], _complement(bc[0]), (1, 0), (0, 1))
-        return D1Classification("D1_1", ((1.0 + 0j, 0j),), _as_tuple(A))
-    if rank == 2:
-        if _complex_independent(bc[0], bc[1]):
-            A = _transform_from_images(bc[0], bc[1], (1, 0), (0, 1))
-            return D1Classification("D1_2", ((1 + 0j, 0j), (0j, 1 + 0j)), _as_tuple(A))
-        direction, zs = _line_coordinates(bc)
-        v1, v2, tau, _ = lattice_reduce_tau(zs[0], zs[1])
-        base = (v1 * direction[0], v1 * direction[1])
-        A = _transform_from_images(base, _complement(base), (1, 0), (0, 1))
-        gens_out = ((1 + 0j, 0j), (tau, 0j))
-        return D1Classification("D1_3", gens_out, _as_tuple(A), tau=tau)
-    if rank == 3:
-        return _classify_rank3(bc)
-    if rank == 4:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if _complex_independent(bc[i], bc[j]):
-                    rest = [bc[k] for k in range(4) if k not in (i, j)]
-                    A = _transform_from_images(bc[i], bc[j], (1, 0), (0, 1))
-                    imgs = [_apply(A, v) for v in rest]
-                    gens_out = ((1 + 0j, 0j), (0j, 1 + 0j)) + tuple(imgs)
-                    return D1Classification("D1_6", gens_out, _as_tuple(A))
-    raise NonDiscreteError("discrete subgroups of C^2 have rank at most 4")
-
-
-def _as_tuple(m):
-    return tuple(tuple(complex(x) for x in row) for row in as_rows(m))
-
-
-def _g0_annihilator(basis):
-    """Orthonormal pair spanning the annihilator of G_0 = span intersect J span.
-
-    The unit normal n of the span is the generalized cross product of the
-    unit-scaled vectors (n_i = (-1)^i times the 3x3 minor without column i),
-    normalized; J n is a unit normal of J span, orthogonal to n.
-    """
-    sizes = [math.sqrt(sum(map(operator.mul, b, b))) for b in basis]
-    rows = [[x / size for x in b] for b, size in zip(basis, sizes)]
-    n = [(-1) ** i * _det([[x for k, x in enumerate(r) if k != i] for r in rows]) for i in range(4)]
-    size = math.sqrt(sum(map(operator.mul, n, n)))
-    if size == 0.0:
-        raise NonDiscreteError("degenerate rank-three configuration")
-    n = [x / size for x in n]
-    return n, [sum(map(operator.mul, row, n)) for row in _J4]
-
-
-def _classify_rank3(bc):
-    basis4 = [c2r2(p) for p in bc]
-    n1, n2 = _g0_annihilator(basis4)
-    u = [(sum(map(operator.mul, b, n1)), sum(map(operator.mul, b, n2))) for b in basis4]
-
-    try:
-        _, u_combos, pi0_relations = zmodule_basis(u)
-    except NonDiscreteError:
-        u_combos, pi0_relations = None, None
-
-    if pi0_relations is not None and len(pi0_relations) == 2:
-        # pi_0 has rank two: the trivial-bundle row D1_4
-        p1 = _realize(bc, pi0_relations[0])
-        p2 = _realize(bc, pi0_relations[1])
-        x1 = _realize(bc, u_combos[0])
-        direction, zs = _line_coordinates([p1, p2])
-        v1, v2, tau, _ = lattice_reduce_tau(zs[0], zs[1])
-        base = (v1 * direction[0], v1 * direction[1])
-        A = _transform_from_images(base, x1, (1, 0), (0, 1))
-        gens_out = ((1 + 0j, 0j), (tau, 0j), (0j, 1 + 0j))
-        return D1Classification("D1_4", gens_out, _as_tuple(A), tau=tau)
-
-    # pi_0 has rank <= 1: the C^x-bundle row D1_5
-    ip = max(range(len(u)), key=lambda i: math.sqrt(sum(map(operator.mul, u[i], u[i]))))
-    p = bc[ip]
-    phi = lambda v: p[1] * v[0] - p[0] * v[1]
-    wvals = [phi(v) for v in bc]
-    wbasis, wcombos, wrel = zmodule_basis([c2r(w) for w in wvals])
-    if len(wbasis) != 2:
-        raise NonDiscreteError("rank-three subgroup without a transverse lattice")
-    om = [complex(b[0], b[1]) for b in wbasis]
-    v1, v2, tau, U = lattice_reduce_tau(om[0], om[1])
-    c1 = [int(U[0][0]) * a + int(U[0][1]) * b for a, b in zip(wcombos[0], wcombos[1])]
-    c2 = [int(U[1][0]) * a + int(U[1][1]) * b for a, b in zip(wcombos[0], wcombos[1])]
-    x1 = _realize(bc, c1)
-    x2 = _realize(bc, c2)
-    fiber = _realize(bc, wrel[0]) if wrel else p
-    A = _transform_from_images(x1, fiber, (1, 0), (0, 1))
-    tau_out, sigma = _apply(A, x2)
-    warnings = ("sigma is numerically close to zero; near the D1_4 boundary",) if abs(sigma) <= 1e-8 else ()
-    gens_out = ((1 + 0j, 0j), (tau_out, sigma), (0j, 1 + 0j))
-    return D1Classification("D1_5", gens_out, _as_tuple(A), tau=tau_out, sigma=sigma, warnings=warnings)
+        return classify_D1_subgroup
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

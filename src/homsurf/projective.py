@@ -21,59 +21,7 @@ import functools
 import math
 
 from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, as_rows, binomials, distance
-from .numeric import flat_distance, setfield
-
-
-# ---------------------------------------------------------------------------
-# 2x2 matrices in closed form: numpy's per-call cost outweighs the arithmetic
-
-
-def _entries(g):
-    """The entries a, b, c, d of a 2x2 matrix given as an ndarray or nested rows."""
-    # as_rows, written out: the verify suites call this about 800 times per suite
-    (a, b), (c, d) = g.tolist() if hasattr(g, "tolist") else g
-    return a, b, c, d
-
-
-def inverse2(g):
-    """Inverse of an invertible 2x2 matrix, as a tuple of rows."""
-    a, b, c, d = _entries(g)
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular matrix")
-    return ((d / det, -b / det), (-c / det, a / det))
-
-
-def product2(g, h):
-    """Product g h of two 2x2 matrices, as a tuple of rows."""
-    a, b, c, d = _entries(g)
-    e, f, p, q = _entries(h)
-    return ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
-
-
-def product3(g, h):
-    """Product g h of two 3x3 matrices given as rows, as a tuple of rows."""
-    (a, b, c), (d, e, f), (p, q, r) = g
-    (A, B, C), (D, E, F), (P, Q, R) = h
-    return (
-        (a * A + b * D + c * P, a * B + b * E + c * Q, a * C + b * F + c * R),
-        (d * A + e * D + f * P, d * B + e * E + f * Q, d * C + e * F + f * R),
-        (p * A + q * D + r * P, p * B + q * E + r * Q, p * C + q * F + r * R),
-    )
-
-
-def inverse3(g):
-    """Inverse of an invertible 3x3 matrix given as rows: its adjugate over its determinant."""
-    (a, b, c), (d, e, f), (p, q, r) = g
-    c00, c01, c02 = e * r - f * q, f * p - d * r, d * q - e * p
-    det = a * c00 + b * c01 + c * c02
-    if det == 0:
-        raise ValueError("singular matrix")
-    return (
-        (c00 / det, (c * q - b * r) / det, (b * f - c * e) / det),
-        (c01 / det, (a * r - c * p) / det, (c * d - a * f) / det),
-        (c02 / det, (b * p - a * q) / det, (a * e - b * d) / det),
-    )
+from .numeric import entries2, flat_distance, inverse2, product2, setfield
 
 
 def _invertible(a, b, c, d):
@@ -149,7 +97,7 @@ def proj2_act(g3, p, tol=None):
 
 def mobius_act(g, p):
     """Moebius action of an invertible 2x2 matrix on the projective line."""
-    a, b, c, d = _entries(g)
+    a, b, c, d = entries2(g)
     if not _invertible(a, b, c, d):
         raise ValueError("singular matrix")
     z1, z2 = p.coords
@@ -170,7 +118,7 @@ SUBSTITUTE_CAP = 4  # degrees up to this run a straight-line kernel, higher degr
 
 def binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
-    m00, m01, m10, m11 = _entries(m)
+    m00, m01, m10, m11 = entries2(m)
     n = len(coeffs) - 1
     if 0 <= n <= SUBSTITUTE_CAP:
         return _substitute_kernel(n)(coeffs, m00, m01, m10, m11)
@@ -374,7 +322,7 @@ class OnGroupElement(Record):
     def __init__(self, n, matrix, poly):
         n = int(n)
         try:
-            a, b, c, d = map(complex, _entries(matrix))
+            a, b, c, d = map(complex, entries2(matrix))
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
         if not _invertible(a, b, c, d):
@@ -577,6 +525,6 @@ def bdelta_act(g, x):
     x1, x2 = (complex(v) for v in x)
     if max(abs(x1), abs(x2)) <= ORIGIN_TOL:
         raise ValueError("the origin is not a point of the surface")
-    a, b, c, d = _entries(g)
+    a, b, c, d = entries2(g)
     return (a * x1 + b * x2, c * x1 + d * x2)
 

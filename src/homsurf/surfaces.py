@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .numeric import Record, close, lattice_contains, lattice_coords, setfield
+from .lattice import lattice_contains, lattice_coords
+from .numeric import Record, close, setfield
 
 
 class TorusPoint(Record):

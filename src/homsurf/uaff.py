@@ -14,28 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numeric import (
-    DENOMINATOR_BOUND,
-    PHASE_TOL,
-    NonDiscreteError,
-    Record,
-    _convergent,
-    _denominator_bound,
-    c2r,
-    canonical_sign,
-    close,
-    distance,
-    geometric_sum,
-    lattice_coords,
-    lattice_frame,
-    lattice_reduce_tau,
-    lattice_residue,
-    load_numpy,
-    saturate_lattice,
-    setfield,
-    zmodule_basis,
-    zmodule_fit,
-)
+from .lattice import _convergent, _denominator_bound, c2r, geometric_sum, lattice_coords, lattice_frame
+from .lattice import lattice_reduce_tau, lattice_residue, saturate_lattice, zmodule_basis, zmodule_fit
+from .numeric import DENOMINATOR_BOUND, PHASE_TOL, NonDiscreteError, Record, canonical_sign, close, distance
+from .numeric import load_numpy, setfield
 from .surfaces import TorusPoint
 
 TWO_PI_I = 2j * math.pi
@@ -391,7 +373,7 @@ def center_intersection(label, max_denominator=None):
         pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator)
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * pq[0], 0)
     if name == "D2_14":
-        return _center_d2_14(label.a1, label.a2)
+        return _center_d2_14(label.a1, label.a2, max_denominator)
     if name in NONABELIAN_LABELS:
         x = normal_form_generators(label)[0].a / TWO_PI_I
         pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator, required=True)
@@ -413,19 +395,30 @@ def _center_fraction(x, what, name, max_denominator, required=False):
     return pq
 
 
-def _center_d2_14(a1, a2):
+def _center_d2_14(a1, a2, max_denominator):
     """(2 pi i k, 0) for the least k > 0 with 2 pi i k in Z a1 + Z a2, or the identity when none.
 
     k is the gcd of the p of the integer relations m a1 + n a2 + p 2 pi i = 0.
-    A pair that is not a lattice raises NonDiscreteError.
+    A pair that is not a lattice raises NonDiscreteError.  As in `_center_fraction`,
+    the search runs to DENOMINATOR_BOUND at least, so relations that need a
+    denominator beyond max_denominator are a ValueError naming the bound.
     """
     lattice_reduce_tau(a1, a2)  # a NonDiscreteError unless a1 and a2 are R-independent
-    try:
-        _, _, relations = zmodule_basis([c2r(a1), c2r(a2), c2r(TWO_PI_I)])
-    except NonDiscreteError:  # 2 pi i is no rational combination of a1 and a2
-        return IDENTITY
-    k = math.gcd(*(row[2] for row in relations))
-    return UAffElement(TWO_PI_I * k, 0) if k else IDENTITY
+    bound = _denominator_bound(max_denominator)
+    vectors = [c2r(a1), c2r(a2), c2r(TWO_PI_I)]
+    for search in (bound,) if bound >= DENOMINATOR_BOUND else (bound, DENOMINATOR_BOUND):
+        try:
+            _, _, relations = zmodule_basis(vectors, max_denominator=search)
+        except NonDiscreteError:  # 2 pi i is no rational combination of a1 and a2 within `search`
+            continue
+        if search > bound:
+            raise ValueError(
+                "the relations of 2 pi i to a1 and a2 of D2_14 need a denominator"
+                f" beyond the denominator bound {max_denominator}"
+            )
+        k = math.gcd(*(row[2] for row in relations))
+        return UAffElement(TWO_PI_I * k, 0) if k else IDENTITY
+    return IDENTITY
 
 
 ABELIAN_COVER_LABELS = {"D2", "D2_1", "D2_2", "D2_3", "D2_4", "D2_5", "D2_6", "D2_14"}

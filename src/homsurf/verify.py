@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bbeta, bundles, families, projective, uaff
+from .d1 import classify_D1_subgroup
 from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
 from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
 from .numeric import close, distance, distance_for
@@ -318,7 +319,7 @@ def suite_d1_extra(rng, samples, rec):
             order = rng.permutation(len(gens))
             gens = [gens[i] for i in order]
         try:
-            got = families.classify_D1_subgroup(gens)
+            got = classify_D1_subgroup(gens)
             rec.boolean("classify-stability", got.label == name, f"{name} -> {got.label}")
         except Exception as e:  # noqa: BLE001
             rec.boolean("classify-stability", False, f"{name}: {e}")

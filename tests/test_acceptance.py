@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from homsurf import bbeta, bundles, cli, families, projective, uaff, verify
+from homsurf import bbeta, bundles, cli, d1, families, projective, uaff, verify
 from homsurf.divisor import Divisor, quasiperiod_group, weight
 from homsurf.exppoly import apply_operator, basis_of, evaluate, monic_polynomial, random_member
 from homsurf.numeric import EPS, distance
@@ -231,7 +231,7 @@ def test_criterion_09_classification_roundtrips():
         gg = [tuple(m @ np.array(v)) for v in gens]
         order = rng.permutation(len(gg))
         gg = [gg[i] for i in order]
-        got = families.classify_D1_subgroup(gg)
+        got = d1.classify_D1_subgroup(gg)
         if got.label != name:
             bad.append(("D1", name, got.label))
     d2_names = verify.D2_NAMES

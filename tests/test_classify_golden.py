@@ -29,7 +29,7 @@ import pathlib
 
 import numpy as np
 
-from homsurf import bbeta, families, uaff, verify
+from homsurf import bbeta, d1, uaff, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "classify_outcomes.json"
 SEEDS = range(8)
@@ -75,7 +75,7 @@ def seeded_cases(seed):
     out = []
     for name in ("D1", "D1_1", "D1_2", "D1_3", "D1_4", "D1_5", "D1_6"):
         gens, _ = verify.random_d1_generators(rng, name)
-        out.append(["D1", name, _outcome(families.classify_D1_subgroup, _move_d1(rng, gens))])
+        out.append(["D1", name, _outcome(d1.classify_D1_subgroup, _move_d1(rng, gens))])
     for name in verify.D2_NAMES:
         gens, _ = verify.random_d2_generators(rng, name)
         out.append(["D2", name, _outcome(_classify_d2, _move_d2(rng, gens))])
@@ -83,7 +83,7 @@ def seeded_cases(seed):
         gens = _move_bb1(rng, bbeta.quotient_cover(label).pi_generators(), label.divisor)
         out.append(["Bb1", label.name, _outcome(bbeta.classify_pi, gens, label.divisor)])
     r = math.sqrt((2, 3, 5, 7)[seed % 4]) * (1 + seed % 3)
-    out.append(["D1", "irrational", _outcome(families.classify_D1_subgroup, _move_d1(rng, [(1, 0), (r, 0)]))])
+    out.append(["D1", "irrational", _outcome(d1.classify_D1_subgroup, _move_d1(rng, [(1, 0), (r, 0)]))])
     kernel = [uaff.UAffElement(0j, 1 + 0j), uaff.UAffElement(0j, complex(r))]
     out.append(["D2", "irrational-kernel", _outcome(_classify_d2, _move_d2(rng, kernel))])
     rotations = [uaff.UAffElement(1 + 0j, 0j), uaff.UAffElement(complex(r), 0j)]
@@ -97,10 +97,10 @@ def probe_cases():
     for k in range(-14, 15, 2):
         s = 10.0**k
         for name, gens in (("[(s,0),(0,s)]", [(s, 0), (0, s)]), ("[(s,0),(is,0)]", [(s, 0), (1j * s, 0)])):
-            out.append(["D1", f"{name} s=1e{k}", _outcome(families.classify_D1_subgroup, gens)])
+            out.append(["D1", f"{name} s=1e{k}", _outcome(d1.classify_D1_subgroup, gens)])
     for k in range(0, 13):
         r = 10.0 ** (k / 2)
-        out.append(["D1", f"[(r,0),(0,1/r)] r^2=1e{k}", _outcome(families.classify_D1_subgroup, [(r, 0), (0, 1 / r)])])
+        out.append(["D1", f"[(r,0),(0,1/r)] r^2=1e{k}", _outcome(d1.classify_D1_subgroup, [(r, 0), (0, 1 / r)])])
     for k in range(-12, 13):
         s = 10.0**k
         gens = [uaff.UAffElement(0j, complex(s)), uaff.UAffElement(0j, 1j * s)]

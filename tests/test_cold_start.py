@@ -53,7 +53,7 @@ POINT = {"z": _cj(1 + 0j), "w": _cj(2 - 1j)}
 TRANSLATION = [_cj(0.5j), _cj(1 + 0j)]
 A2 = {"matrix": [[_cj(1 + 1j), _cj(2 + 0j)], [_cj(0j), _cj(1 - 1j)]], "translation": TRANSLATION}
 A3 = {"matrix": [[_cj(1 + 0j), _cj(2j)], [_cj(0j), _cj(1 + 0j)]], "translation": TRANSLATION}
-D1 = {"v": [_cj(1j), _cj(-2 + 0j)]}
+D1_ELEMENT = {"v": [_cj(1j), _cj(-2 + 0j)]}
 D2 = {"a": _cj(0.3 + 0.2j), "b": _cj(1 + 0j)}
 D2_POINT = {"a": _cj(0j), "b": _cj(1j)}
 # a matrix element, decoded as Python rows like A2's
@@ -84,22 +84,24 @@ UAFF_LATTICE = {
 }
 
 BASE = {"homsurf", "homsurf.numeric"}
-ACT = BASE | {"homsurf.families", "homsurf.projective"}
-QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.surfaces"}
-UAFF_MODULES = BASE | {"homsurf.surfaces", "homsurf.uaff"}
+ACT = BASE | {"homsurf.families"}
+PROJECTIVE = ACT | {"homsurf.projective"}
+QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.surfaces", "homsurf.lattice"}
+D1 = BASE | {"homsurf.d1", "homsurf.lattice"}
+UAFF_MODULES = BASE | {"homsurf.surfaces", "homsurf.uaff", "homsurf.lattice"}
 
 # call -> (argv after `homsurf`, homsurf modules loaded, expected label or None); no call loads numpy
 CALLS = {
     "act-A2": (lambda t: _act_args(t, "A2", A2, POINT), ACT, None),
     "act-A3": (lambda t: _act_args(t, "A3", A3, POINT), ACT, None),
-    "act-D1": (lambda t: _act_args(t, "D1", D1, POINT), ACT, None),
+    "act-D1": (lambda t: _act_args(t, "D1", D1_ELEMENT, POINT), ACT, None),
     "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | UAFF_MODULES, None),
-    "act-C9": (lambda t: _act_args(t, "C9", C9, C9_POINT), ACT, None),
+    "act-C9": (lambda t: _act_args(t, "C9", C9, C9_POINT), PROJECTIVE, None),
     "classify-qd": (lambda t: ["classify", _write(t, "qd.json", QD_B)], QD, "Bβ1B"),
     "classify-qd-lattice": (lambda t: ["classify", _write(t, "qd.json", QD_D)], QD, "Bβ1D"),
-    "classify-C2": (lambda t: ["classify", _write(t, "c2.json", C2)], ACT, "D1_1"),
-    "classify-C2-D1_5": (lambda t: ["classify", _write(t, "c2.json", C2_D1_5)], ACT, "D1_5"),
-    "classify-C2-D1_6": (lambda t: ["classify", _write(t, "c2.json", C2_D1_6)], ACT, "D1_6"),
+    "classify-C2": (lambda t: ["classify", _write(t, "c2.json", C2)], D1, "D1_1"),
+    "classify-C2-D1_5": (lambda t: ["classify", _write(t, "c2.json", C2_D1_5)], D1, "D1_5"),
+    "classify-C2-D1_6": (lambda t: ["classify", _write(t, "c2.json", C2_D1_6)], D1, "D1_6"),
     "classify-uaff": (lambda t: ["classify", _write(t, "uaff.json", UAFF)], UAFF_MODULES, "D2_1"),
     "classify-uaff-lattice": (lambda t: ["classify", _write(t, "uaff.json", UAFF_LATTICE)], UAFF_MODULES, "D2_9"),
     "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, None),

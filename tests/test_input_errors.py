@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homsurf import cli, projective, uaff, verify
-from homsurf.families import classify_D1_subgroup
+from homsurf.d1 import classify_D1_subgroup
 from homsurf.numeric import NonDiscreteError
 from homsurf.projective import BundlePoint
 
@@ -286,6 +286,26 @@ def test_cli_classify_d2_14_center_from_a_large_combination(tmp_path, capsys):
     assert out["center_intersection"] == {"a": {"re": 0.0, "im": 2 * math.pi}, "b": _cj(0j)}
 
 
+@pytest.mark.parametrize("bound", [2, 40])
+def test_cli_classify_d2_14_center_beyond_the_denominator_bound_exits_2(tmp_path, capsys, bound):
+    # 41 a1 = 2 pi i: the relation needs the denominator 41
+    gens = [{"a": _cj(2j * math.pi / 41), "b": _cj(0j)}, {"a": 1.7, "b": 0}]
+    assert _classify_bound(tmp_path, {"ambient": "uaff", "generators": gens}, bound) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"denominator bound {bound}" in err and "Traceback" not in err
+    assert _classify_bound(tmp_path, {"ambient": "uaff", "generators": gens}, 41) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["center_intersection"] == {"a": {"re": 0.0, "im": 2 * math.pi}, "b": _cj(0j)}
+
+
+def test_d2_14_center_of_an_irrational_relation_is_trivial_at_any_bound():
+    from homsurf import uaff
+
+    label = uaff.D2Label("D2_14", a1=1j * math.sqrt(2), a2=1.7 + 0j)
+    for bound in (1, 2, None, 10**7):
+        assert uaff.center_intersection(label, max_denominator=bound) == uaff.IDENTITY
+
+
 @pytest.mark.parametrize("name", ["D2_4", "D2_5", "D2_6"])
 def test_abelian_center_beyond_the_bound_is_an_error_and_an_irrational_one_is_trivial(name):
     from homsurf import uaff
@@ -312,7 +332,7 @@ def test_cli_classify_needs_a_positive_denominator_bound(tmp_path, capsys, bound
 
 
 def test_rational_reconstruct_needs_a_positive_bound():
-    from homsurf.numeric import rational_reconstruct
+    from homsurf.lattice import rational_reconstruct
 
     assert rational_reconstruct(0.5, max_denominator=2) == 0.5
     for bound in (0, -1):

@@ -35,7 +35,7 @@ from homsurf.exppoly import (
     random_member,
     translate,
 )
-from homsurf import numeric
+from homsurf import lattice, numeric
 from homsurf.numeric import (
     _NOISE_BAND,
     _STRICT_COEF,
@@ -53,15 +53,15 @@ from homsurf.numeric import (
     SPAN_TOL,
     NonDiscreteError,
     as_rows,
-    c2r,
     distance,
     distance_for,
     flat_distance,
-    lattice_contains,
     load_numpy,
 )
+from homsurf.lattice import c2r, lattice_contains
 from homsurf.numeric import binomials as _binomials
-from homsurf.projective import SUBSTITUTE_CAP, _entries, _invertible, OnGroupElement, binary_form_substitute
+from homsurf.numeric import entries2
+from homsurf.projective import SUBSTITUTE_CAP, _invertible, OnGroupElement, binary_form_substitute
 
 
 def same(a, b):
@@ -155,7 +155,7 @@ def old_pair_product(u, v, s, t, k, n):
 
 
 def old_binary_form_substitute(coeffs, m):
-    m00, m01, m10, m11 = _entries(m)
+    m00, m01, m10, m11 = entries2(m)
     n = len(coeffs) - 1
     out = [0j] * (n + 1)
     for j, c in enumerate(coeffs):
@@ -168,7 +168,7 @@ def old_binary_form_substitute(coeffs, m):
 
 def old_on_group_fields(n, matrix, poly):
     n = int(n)
-    a, b, c, d = (complex(x) for x in _entries(matrix))
+    a, b, c, d = (complex(x) for x in entries2(matrix))
     assert _invertible(a, b, c, d)
     p = tuple(complex(x) for x in poly)
     scale = max(abs(a), abs(b), abs(c), abs(d))
@@ -251,7 +251,7 @@ def old_map_normalizes_deck(fmap, data, rng, samples=50, tol=1e-7):
 
 def old_loop_binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
-    m00, m01, m10, m11 = _entries(m)
+    m00, m01, m10, m11 = entries2(m)
     n = len(coeffs) - 1
     # each power x**e that a nonzero coefficient's expansion takes, computed once: the first such
     # coefficient takes the most powers of m00 and m01, the last the most of m10 and m11
@@ -1321,10 +1321,10 @@ def test_psl2_factors_match_the_numpy_handlers(label):
 
 def test_product3_and_inverse3_on_awkward_matrices():
     m = ((0j, 1.0, 0j), (1.0, 0j, 0j), (0j, 0j, 2j))
-    assert _relative(projective.inverse3(m), np.linalg.inv(np.array(m))) == 0.0
-    assert _relative(projective.product3(m, projective.inverse3(m)), np.eye(3)) == 0.0
+    assert _relative(numeric.inverse3(m), np.linalg.inv(np.array(m))) == 0.0
+    assert _relative(numeric.product3(m, numeric.inverse3(m)), np.eye(3)) == 0.0
     with pytest.raises(ValueError):
-        projective.inverse3(((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 1.0)))
+        numeric.inverse3(((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -1389,24 +1389,24 @@ EDGE_GENERATORS = [
 @pytest.mark.parametrize("dim", [2, 4])
 def test_zmodule_basis_matches_the_replaced_code(dim, bound):
     for gens in generator_lists(dim, 300, 1) + EDGE_GENERATORS:
-        got = outcome(numeric.zmodule_basis, gens, max_denominator=bound)
+        got = outcome(lattice.zmodule_basis, gens, max_denominator=bound)
         assert same(got, outcome(old_zmodule_basis, gens, max_denominator=bound)), gens
 
 
 def test_zmodule_basis_keeps_its_bound_error():
     for bound in (0, -3):
         for gens in ([(1.0, 0.0)], [(1.0, 0.0), (0.5, 1.0)]):
-            got = outcome(numeric.zmodule_basis, gens, max_denominator=bound)
+            got = outcome(lattice.zmodule_basis, gens, max_denominator=bound)
             assert got[0] == "ValueError" and same(got, outcome(old_zmodule_basis, gens, max_denominator=bound))
         # no coordinate to reconstruct, so no error
-        assert numeric.zmodule_basis([(0.0, 0.0)], max_denominator=bound) == ([], [], [[1]])
+        assert lattice.zmodule_basis([(0.0, 0.0)], max_denominator=bound) == ([], [], [[1]])
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_zmodule_coords_matches_the_replaced_code(dim):
     rng = np.random.default_rng([2, dim])
     for gens in generator_lists(dim, 200, 2):
-        found = outcome(numeric.zmodule_basis, gens)
+        found = outcome(lattice.zmodule_basis, gens)
         if isinstance(found[0], str):
             continue
         basis = found[0]
@@ -1419,15 +1419,15 @@ def test_zmodule_coords_matches_the_replaced_code(dim):
         ]
         for v in probes:
             for scale in (0.0, 10.0):
-                got = outcome(numeric.zmodule_coords, v, basis, scale=scale)
+                got = outcome(lattice.zmodule_coords, v, basis, scale=scale)
                 assert same(got, old_zmodule_coords(v, basis, scale=scale))
     for v in ((0.0, 0.0), (1e-9, 0.0), (1e-7, 0.0)):
-        assert same(numeric.zmodule_coords(v, []), old_zmodule_coords(v, []))
+        assert same(lattice.zmodule_coords(v, []), old_zmodule_coords(v, []))
     # the rebuild residual is measured against max(1, scale, |v|): 0.5 passes beside 1e6, 2.0 does not
     for v in ((1e6, 0.5), (1e6, 2.0), (3.0, 1e-7), (3.0, 2e-6)):
-        assert same(numeric.zmodule_coords(v, [(1.0, 0.0)]), old_zmodule_coords(v, [(1.0, 0.0)]))
+        assert same(lattice.zmodule_coords(v, [(1.0, 0.0)]), old_zmodule_coords(v, [(1.0, 0.0)]))
     mismatch = ((1.0, 0.0, 5.0), [(1.0, 0.0)])
-    assert same(outcome(numeric.zmodule_coords, *mismatch), outcome(old_zmodule_coords, *mismatch))
+    assert same(outcome(lattice.zmodule_coords, *mismatch), outcome(old_zmodule_coords, *mismatch))
 
 
 OMEGA = cmath.exp(1j * math.pi / 3)
@@ -1446,7 +1446,7 @@ def test_saturate_lattice_matches_the_replaced_code(units):
         values = [beta * z for z in (1.0, second, 2.0)[: int(rng.integers(1, 4))]]
         images = [lambda b, u=u: u * b for u in units]
         scale = max(1.0, max(map(abs, values)))
-        got = outcome(numeric.saturate_lattice, values, images, scale)
+        got = outcome(lattice.saturate_lattice, values, images, scale)
         assert same(got, outcome(old_saturate_lattice, values, images, scale))
 
 
@@ -1458,10 +1458,10 @@ def test_singular_values_and_rank_match_the_replaced_code(rng):
         if rng.integers(3) == 0:
             rows[0, 0] = -0.0
         rows = rows.tolist()
-        assert same(numeric.singular_values(rows), old_singular_values(rows))
-        assert numeric.real_rank(rows) == old_real_rank(rows)
-    assert same(numeric.singular_values([]), old_singular_values([]))
-    assert same(numeric.singular_values([(0.0, -0.0), (-0.0, 0.0)]), old_singular_values([(0.0, -0.0), (-0.0, 0.0)]))
+        assert same(lattice.singular_values(rows), old_singular_values(rows))
+        assert lattice.real_rank(rows) == old_real_rank(rows)
+    assert same(lattice.singular_values([]), old_singular_values([]))
+    assert same(lattice.singular_values([(0.0, -0.0), (-0.0, 0.0)]), old_singular_values([(0.0, -0.0), (-0.0, 0.0)]))
 
 
 def test_qr_solve_and_integer_fit_match_the_replaced_code(rng):
@@ -1474,12 +1474,12 @@ def test_qr_solve_and_integer_fit_match_the_replaced_code(rng):
         v = [sum(int(k) * c[i] for k, c in zip(ints, cols)) for i in range(dim)]
         if rng.integers(3) == 0:
             v = [x + 1e-3 * y for x, y in zip(v, rng.normal(size=dim))]
-        qr = numeric._qr(cols)
+        qr = lattice._qr(cols)
         assert same(qr, old_qr(cols))
-        assert same(numeric._qr_solve(*qr, v), old_qr_solve(*qr, v))
-        assert same(numeric._back_substitute(qr[1], v[: len(cols)]), old_back_substitute(qr[1], v[: len(cols)]))
+        assert same(lattice._qr_solve(*qr, v), old_qr_solve(*qr, v))
+        assert same(lattice._back_substitute(qr[1], v[: len(cols)]), old_back_substitute(qr[1], v[: len(cols)]))
         for tol, scale in ((COMBO_TOL, 1.0), (1e-2, 10.0)):
-            assert same(numeric._integer_fit(v, cols, qr, tol, scale), old_integer_fit(v, cols, qr, tol, scale))
+            assert same(lattice._integer_fit(v, cols, qr, tol, scale), old_integer_fit(v, cols, qr, tol, scale))
 
 
 def test_hnf_matches_the_replaced_code(rng):
@@ -1487,8 +1487,8 @@ def test_hnf_matches_the_replaced_code(rng):
         rows = rng.integers(-6, 7, size=(int(rng.integers(1, 6)), int(rng.integers(1, 5))))
         if rng.integers(3) == 0:
             rows[-1] = 0
-        assert same(numeric.hnf_with_transform(rows.tolist()), old_hnf_with_transform(rows.tolist()))
-    assert same(numeric.hnf_with_transform([]), old_hnf_with_transform([]))
+        assert same(lattice.hnf_with_transform(rows.tolist()), old_hnf_with_transform(rows.tolist()))
+    assert same(lattice.hnf_with_transform([]), old_hnf_with_transform([]))
 
 
 RECONSTRUCT_INPUTS = [0.0, -0.0, 1.0, -3.0, 0.5, 1 / 3, -2 / 7, 5 / 6, 355 / 113, 1 / 999983, 0.1 + 1e-12,
@@ -1501,15 +1501,15 @@ def test_rational_reconstruct_matches_the_replaced_code(bound):
     rng = np.random.default_rng(4)
     xs = RECONSTRUCT_INPUTS + (rng.integers(-50, 51, size=200) / rng.integers(1, 60, size=200)).tolist()
     for x in xs + [x * (1 + 1e-11) for x in xs]:
-        got = numeric.rational_reconstruct(x, max_denominator=bound)
+        got = lattice.rational_reconstruct(x, max_denominator=bound)
         assert same(got, old_rational_reconstruct(x, max_denominator=bound)), x
-        pq = numeric._convergent(float(x), DENOMINATOR_BOUND if bound is None else bound)
+        pq = lattice._convergent(float(x), DENOMINATOR_BOUND if bound is None else bound)
         assert pq == (None if got is None else (got.numerator, got.denominator))
 
 
 def test_rational_reconstruct_keeps_its_bound_error():
     for bound in (0, -1):
-        assert same(outcome(numeric.rational_reconstruct, 0.5, bound), outcome(old_rational_reconstruct, 0.5, bound))
+        assert same(outcome(lattice.rational_reconstruct, 0.5, bound), outcome(old_rational_reconstruct, 0.5, bound))
 
 
 def test_proj_distance_matches_the_replaced_code(rng):

@@ -7,7 +7,8 @@ import pytest
 
 from homsurf import families, projective
 from homsurf.numeric import distance
-from homsurf.projective import OnGroupElement, ProjPoint, binary_form_substitute, inverse2, product2
+from homsurf.numeric import inverse2, product2
+from homsurf.projective import OnGroupElement, ProjPoint, binary_form_substitute
 
 
 def rand_complex_matrix(rng):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homsurf import families, numeric, uaff
+from homsurf import d1, lattice, uaff
 from homsurf.exppoly import ExpPoly, Polynomial
-from homsurf.numeric import COORD_LIMIT, NonDiscreteError, lattice_coords, zmodule_basis, zmodule_coords
+from homsurf.lattice import lattice_coords, zmodule_basis, zmodule_coords
+from homsurf.numeric import COORD_LIMIT, NonDiscreteError
 
 TWO_PI_I = 2j * math.pi
 
@@ -17,7 +18,7 @@ TWO_PI_I = 2j * math.pi
 def qr_lstsq(cols, v):
     """x and the fitted vector sum_k x_k cols_k from the Gram-Schmidt QR solve."""
     cols = [list(map(float, c)) for c in cols]
-    x = numeric._qr_solve(*numeric._qr(cols), list(map(float, v)))
+    x = lattice._qr_solve(*lattice._qr(cols), list(map(float, v)))
     return np.array(x), np.array(cols).T @ np.array(x)
 
 
@@ -231,13 +232,13 @@ def test_zmodule_basis_rejects_an_irrational_pair():
 
 
 def test_saturate_lattice_closes_under_the_images():
-    square = numeric.saturate_lattice([1.0 + 0j], (lambda b: 1j * b, lambda b: -1j * b), 1.0)
+    square = lattice.saturate_lattice([1.0 + 0j], (lambda b: 1j * b, lambda b: -1j * b), 1.0)
     assert len(square) == 2
     for z in (1, 1j, 2 - 3j):
-        assert zmodule_coords(numeric.c2r(z), square) is not None
-    assert zmodule_coords(numeric.c2r(0.5 + 0.5j), square) is None
+        assert zmodule_coords(lattice.c2r(z), square) is not None
+    assert zmodule_coords(lattice.c2r(0.5 + 0.5j), square) is None
     with pytest.raises(NonDiscreteError):
-        numeric.saturate_lattice([1.0 + 0j], (lambda b: 2 * b, lambda b: b / 2), 1.0)
+        lattice.saturate_lattice([1.0 + 0j], (lambda b: 2 * b, lambda b: b / 2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +275,9 @@ def test_real_rank_matches_the_svd_on_random_matrices(rng):
     for _ in range(400):
         k, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         rows = rng.normal(size=(k, m)) * 10.0 ** rng.uniform(-4, 4)
-        assert numeric.real_rank(rows.tolist()) == numpy_rank(rows) == min(k, m)
+        assert lattice.real_rank(rows.tolist()) == numpy_rank(rows) == min(k, m)
         s = np.linalg.svd(rows, compute_uv=False)
-        assert np.allclose(numeric.singular_values(rows.tolist()), s, rtol=0, atol=1e-13 * s[0])
+        assert np.allclose(lattice.singular_values(rows.tolist()), s, rtol=0, atol=1e-13 * s[0])
 
 
 @pytest.mark.parametrize("noise", [1e-12, 1e-9, 1e-7])
@@ -288,20 +289,20 @@ def test_real_rank_matches_the_svd_on_noisy_rank_deficient_matrices(rng, noise):
         rows = rng.normal(size=(k, r)) @ rng.normal(size=(r, m)) * scale
         rows += rng.normal(size=(k, m)) * noise * np.abs(rows).max()
         want = numpy_rank(rows)
-        assert numeric.real_rank(rows.tolist()) == want
+        assert lattice.real_rank(rows.tolist()) == want
         if noise < 1e-8:
             assert want == r
 
 
 def test_real_rank_of_empty_and_zero_input():
-    assert numeric.real_rank([]) == 0
-    assert numeric.real_rank([(0.0, 0.0), (0.0, 0.0)]) == 0
+    assert lattice.real_rank([]) == 0
+    assert lattice.real_rank([(0.0, 0.0), (0.0, 0.0)]) == 0
 
 
 def test_transform_from_images_matches_numpy_inverse(rng):
     for _ in range(200):
         src1, src2, img1, img2 = (tuple(complex(*rng.normal(size=2)) for _ in range(2)) for _ in range(4))
-        got = np.array(families._transform_from_images(src1, src2, img1, img2))
+        got = np.array(d1._transform_from_images(src1, src2, img1, img2))
         m = np.array([[src1[0], src2[0]], [src1[1], src2[1]]])
         t = np.array([[img1[0], img2[0]], [img1[1], img2[1]]])
         want = t @ np.linalg.inv(m)
@@ -310,14 +311,14 @@ def test_transform_from_images_matches_numpy_inverse(rng):
 
 def test_transform_from_images_rejects_a_singular_source():
     with pytest.raises(NonDiscreteError):
-        families._transform_from_images((1, 2), (2, 4), (1, 0), (0, 1))
+        d1._transform_from_images((1, 2), (2, 4), (1, 0), (0, 1))
 
 
 def test_g0_annihilator_matches_the_svd_null_vector(rng):
-    J = np.array(families._J4, dtype=float)
+    J = np.array(d1._J4, dtype=float)
     for _ in range(200):
         basis = rng.normal(size=(3, 4)) * 10.0 ** rng.uniform(-3, 3)
-        n1, n2 = (np.array(v) for v in families._g0_annihilator(basis.tolist()))
+        n1, n2 = (np.array(v) for v in d1._g0_annihilator(basis.tolist()))
         null = np.linalg.svd(basis)[2][3]
         assert min(np.abs(n1 - null).max(), np.abs(n1 + null).max()) < 1e-12
         assert np.allclose(n2, J @ n1, rtol=0, atol=1e-15)

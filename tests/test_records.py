@@ -2,20 +2,22 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import homsurf
 from homsurf import bundles, numeric, surfaces, uaff
 from homsurf.numeric import Record
 
-MODULES = ("bbeta", "bundles", "catalogue", "divisor", "exppoly", "families", "projective", "surfaces", "uaff")
+MODULES = tuple(m.name for m in pkgutil.iter_modules(homsurf.__path__))
 
 
 def _records():
     for name in MODULES:
         module = importlib.import_module(f"homsurf.{name}")
         for _, cls in inspect.getmembers(module, inspect.isclass):
-            if cls.__module__ == module.__name__ and issubclass(cls, Record):
+            if cls.__module__ == module.__name__ and issubclass(cls, Record) and cls is not Record:
                 yield cls
 
 
