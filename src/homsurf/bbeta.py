@@ -22,12 +22,11 @@ import math
 
 from .divisor import Divisor, quasiperiod_group, weight
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
-from .lattice import c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame
+from .lattice import TorusPoint, c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame
 from .lattice import lattice_reduce_tau, lattice_residue, near_int, saturate_lattice, zmodule_basis
-from .numeric import COMMUTANT_TOL, JACOBIAN_STEP, JACOBIAN_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL
+from .numeric import COMMUTANT_TOL, EPS, JACOBIAN_STEP, JACOBIAN_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL
 from .numeric import LINE_SHAPE_TOL, ORBIT_TOL, TRANSLATION_CHOP, NonDiscreteError, Record, close, distance
 from .numeric import setfield
-from .surfaces import TorusPoint, product_equal
 
 TWO_PI_I = 2j * math.pi
 
@@ -324,8 +323,8 @@ class Cover(Record):
     """A quotient X = C^2 -> X' with the induced action of G_D (or rG_D) on X'.
 
     cover(z, w) is the covering map, act(g, point) the action on X',
-    equal(p, q, tol=None) equality of points of X', and deck the generators
-    of the deck group pi as CentralizerElements.
+    equal(p, q) equality of points of X', and deck the generators of the
+    deck group pi as CentralizerElements.
     """
 
     __slots__ = ("cover", "act", "equal", "deck")
@@ -351,6 +350,11 @@ class Cover(Record):
         det = dz[0] * dw[1] - dz[1] * dw[0]
         scale = max(abs(x) for x in dz + dw)
         return abs(det) > JACOBIAN_TOL * max(1.0, scale)
+
+
+def _product_equal(p, q):
+    """Equality of points of a product quotient X': their distance is at most EPS."""
+    return distance(p, q) <= EPS
 
 
 # the rank of the w-translation lattice (Z, or Z + tau Z) in the deck group of examples B..I
@@ -429,7 +433,7 @@ def _delta_cover(label):
             z1 = point[0] + g.t
             return (z1, point[1].shifted(evaluate(g.f, z1)))
 
-    return Cover(cover, act, product_equal, deck)
+    return Cover(cover, act, _product_equal, deck)
 
 
 def _line_cover(label):
@@ -467,7 +471,7 @@ def _line_cover(label):
     if name in ("F", "I"):
         unit = -1.0 if name == "F" else mult
 
-        def equal(p, q, tol=None):
+        def equal(p, q):
             k = near_int((q[0] - p[0]) / n, ORBIT_TOL)
             if k is None:
                 return False
@@ -535,7 +539,7 @@ def _line_cover(label):
                 Z1, P = lift(g, point[0])
                 return (Z1, point[1].shifted(shift(g, Z1, P)))
 
-    return Cover(cover, act, product_equal, deck)
+    return Cover(cover, act, _product_equal, deck)
 
 
 def quotient_cover(label):
@@ -576,7 +580,7 @@ def rgd_quotients(D, n):
         Z1 = cmath.exp(TWO_PI_I * g.t / n) * Z
         return (Z1, g.lam * W + _eval_exponent_poly(P, Z1**n))
 
-    return Cover(cover, act, product_equal, _deck(D, _deck_pairs("B", n)))
+    return Cover(cover, act, _product_equal, _deck(D, _deck_pairs("B", n)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 from functools import cached_property
 
 from .lattice import lattice_contains, near_int, rational_reconstruct
-from .numeric import DECK_TOL, UNIT_TOL, Record, close, load_numpy, setfield
+from .numeric import DECK_TOL, UNIT_TOL, Record, close, setfield
 
 LAURENT_DEGREE_CAP = 8
 TWO_PI_I = 2j * math.pi
@@ -195,6 +195,10 @@ def as_map(phi):
     return PlaneMap(phi.row, lambda z, w: biholo_inverse_apply(phi, z, w))
 
 
+# map_normalizes_deck checks each conjugate at this many sampled points
+_DECK_SAMPLES = 50
+
+
 def _sample_points(rng, count):
     # Im z stays small so the Laurent data keeps a tame magnitude; `lo + (hi - lo) * rng.random()` is
     # the draw of rng.uniform(lo, hi) at a third of the cost, standard_normal() the draw of normal()
@@ -205,14 +209,14 @@ def _sample_points(rng, count):
     ]
 
 
-def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
+def map_normalizes_deck(fmap, data, rng):
     """Whether conjugation by the map sends every deck generator into the deck group.
 
     The conjugate is sampled; it must have the deck form (z + k, c^k w + lam)
     with k a constant integer and lam a constant lattice element (to the
     lattice_contains tolerance).
     """
-    pts = _sample_points(rng, samples)
+    pts = _sample_points(rng, _DECK_SAMPLES)
     forward = fmap.forward
     back = [fmap.backward(z, w) for z, w in pts]  # the same for every generator: pulled back once
     for g in deck_generators(data):
@@ -221,17 +225,17 @@ def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
         images = [forward(z + k, ckg * w + lam) for z, w in back]
         ks = [z4 - z for (z4, _), (z, _) in zip(images, pts)]
         k0 = ks[0]
-        kint = near_int(k0, tol)
+        kint = near_int(k0, DECK_TOL)
         if kint is None:
             return False
         ck = data.c**kint
         scale = max([abs(w4) for _, w4 in images] + [1.0])
-        bound = tol * max(1.0, abs(k0), scale)
+        bound = DECK_TOL * max(1.0, abs(k0), scale)
         if any(abs(dk - k0) > bound for dk in ks):
             return False
         lam_vals = [w4 - ck * w for (_, w4), (_, w) in zip(images, pts)]
         lam0 = lam_vals[0]
-        bound = tol * max(1.0, scale)
+        bound = DECK_TOL * max(1.0, scale)
         if any(abs(v - lam0) > bound for v in lam_vals):
             return False
         if not lattice_contains(lam0, data.w1, data.w2):
@@ -239,8 +243,6 @@ def map_normalizes_deck(fmap, data, rng, samples=50, tol=DECK_TOL):
     return True
 
 
-def normalizes_deck(phi, data=None, rng=None, samples=50):
+def normalizes_deck(phi, rng):
     """Sample-verify that a family member normalizes the deck group."""
-    data = data or phi.data
-    rng = rng or load_numpy().random.default_rng(0)
-    return map_normalizes_deck(as_map(phi), data, rng, samples=samples)
+    return map_normalizes_deck(as_map(phi), phi.data, rng)

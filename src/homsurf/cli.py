@@ -75,7 +75,7 @@ def point_to_json(label, point):
 
 
 def _component_json(comp):
-    from .surfaces import TorusPoint
+    from .lattice import TorusPoint
 
     if isinstance(comp, TorusPoint):
         return {

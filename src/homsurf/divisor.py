@@ -15,7 +15,7 @@ import cmath
 import math
 
 from .lattice import near_int, rational_reconstruct
-from .numeric import EPS, QUASIPERIOD_TOL, Record, canonical_sign, close, json_complex, setfield
+from .numeric import EPS, QUASIPERIOD_TOL, RATIO_REAL_TOL, Record, canonical_sign, close, json_complex, setfield
 
 DEGREE_CAP = 32
 
@@ -134,7 +134,7 @@ def _quasiperiod_group(D, max_denominator):
     ratios = []
     for d in diffs:
         r = d / d0
-        if abs(r.imag) > 1e-8 * max(1.0, abs(r)):
+        if abs(r.imag) > RATIO_REAL_TOL * max(1.0, abs(r)):
             return QuasiperiodGroup("trivial")
         frac = rational_reconstruct(r.real, max_denominator=max_denominator)
         if frac is None:
@@ -148,21 +148,21 @@ def _quasiperiod_group(D, max_denominator):
     return QuasiperiodGroup("rank1", gen)
 
 
-def weight(D, w, max_denominator=None):
+def weight(D, w):
     """Multiplier gamma_w = e^{lam_1 w}; the same for every point of D."""
-    qg = quasiperiod_group(D, max_denominator=max_denominator)
+    qg = quasiperiod_group(D)
     if not qg.contains(w):
         raise ValueError("not a quasiperiod")
     return cmath.exp(D.support[0] * complex(w))
 
 
-def _match_scaled(D, E, mu, tol):
+def _match_scaled(D, E, mu):
     taken = [False] * len(E.points)
     scale = max([abs(p) for p in D.support + E.support] + [1.0])
     for p, m in D.points:
         hit = False
         for j, (q, mm) in enumerate(E.points):
-            if not taken[j] and mm == m and abs(q - mu * p) <= tol * scale:
+            if not taken[j] and mm == m and abs(q - mu * p) <= EPS * scale:
                 taken[j] = True
                 hit = True
                 break
@@ -171,30 +171,29 @@ def _match_scaled(D, E, mu, tol):
     return all(taken)
 
 
-def equivalent_mod_rescaling(D, E, tol=None):
+def equivalent_mod_rescaling(D, E):
     """A nonzero mu with E = mu * D as multisets, or None."""
-    t = EPS if tol is None else tol
     if D.degree != E.degree:
         return None
     if sorted(m for _, m in D.points) != sorted(m for _, m in E.points):
         return None
-    scale = max([abs(p) for p in D.support + E.support] + [0.0])
-    nz = [(p, m) for p, m in D.points if abs(p) > t * max(1.0, scale)]
+    zero = EPS * max([1.0] + [abs(p) for p in D.support + E.support])
+    nz = [(p, m) for p, m in D.points if abs(p) > zero]
     if not nz:
-        if all(abs(q) <= t * max(1.0, scale) for q in E.support):
+        if all(abs(q) <= zero for q in E.support):
             return 1.0 + 0j
         return None
     d0, m0 = nz[0]
     for q, mm in E.points:
-        if mm != m0 or abs(q) <= t * max(1.0, scale):
+        if mm != m0 or abs(q) <= zero:
             continue
         mu = q / d0
-        if _match_scaled(D, E, mu, t):
+        if _match_scaled(D, E, mu):
             return mu
     return None
 
 
-def equivalent_mod_affine(D, E, tol=None):
+def equivalent_mod_affine(D, E):
     """A pair (mu, a), mu nonzero, with E = mu * D + a as multisets, or None."""
     if D.degree != E.degree or D.degree == 0:
         return None
@@ -202,7 +201,7 @@ def equivalent_mod_affine(D, E, tol=None):
     ce = sum(p * m for p, m in E.points) / E.degree
     D0 = D.translated(-cd)
     E0 = E.translated(-ce)
-    mu = equivalent_mod_rescaling(D0, E0, tol=tol)
+    mu = equivalent_mod_rescaling(D0, E0)
     if mu is None:
         return None
     return mu, ce - mu * cd

@@ -12,9 +12,10 @@ row Hermite normal form.  Generators whose coordinates fail reconstruction,
 or whose reduced basis collapses below the noise band, raise
 NonDiscreteError.
 
-The D1, D2 and Bβ1 classifiers, the quasiperiod groups of `divisor` and the
-torus points of `surfaces` import it; an `act` call on a family other than
-D2 does not load it.  Its tolerances are named constants of `numeric`.
+The D1, D2 and Bβ1 classifiers and the quasiperiod groups of `divisor`
+import it, and the points of the torus factors of the product quotients,
+`TorusPoint`, live here; an `act` call on a family other than D2 does not
+load it.  Its tolerances are named constants of `numeric`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import mul, sub
 from .numeric import COEFF_CHOP, COMBO_TOL, COORD_LIMIT, DENOMINATOR_BOUND, EMPTY_BASIS_TOL, GEOMETRIC_SUM_TOL
 from .numeric import JACOBI_SWEEPS, JACOBI_TOL, LATTICE_TOL, PIVOT_TIE, QR_DEPENDENT_TOL, RANK_TOL, RECON_TOL
 from .numeric import REDUCE_CHOP, REDUCE_EDGE_TOL, REDUCE_STEPS, SATURATE_ROUNDS, SPAN_TOL, _NOISE_BAND, _STRICT_COEF
-from .numeric import NonDiscreteError, load_numpy
+from .numeric import NonDiscreteError, Record, load_numpy, setfield
 
 
 def _denominator_bound(max_denominator):
@@ -466,6 +467,26 @@ def lattice_contains(value, w1, w2, tol=LATTICE_TOL):
     x, y = lattice_coords(value, w1, w2)
     scale = max(1.0, abs(value) / max(abs(w1), abs(w2)))
     return bool(abs(x - round(x)) <= tol * scale and abs(y - round(y)) <= tol * scale)
+
+
+class TorusPoint(Record):
+    """Point of C modulo the lattice spanned by (w1, w2); stored via a representative."""
+
+    __slots__ = ("value", "w1", "w2")
+
+    def __init__(self, value, w1, w2):
+        setfield(self, "value", value)
+        setfield(self, "w1", w1)
+        setfield(self, "w2", w2)
+
+    def distance(self, other):
+        """How far the difference of the representatives is from the lattice, relative to them."""
+        x, y = lattice_coords(self.value - other.value, self.w1, self.w2)
+        dx, dy = x - round(x), y - round(y)
+        return abs(dx * self.w1 + dy * self.w2) / max(1.0, abs(self.value), abs(other.value))
+
+    def shifted(self, t):
+        return TorusPoint(self.value + t, self.w1, self.w2)
 
 
 # ---------------------------------------------------------------------------

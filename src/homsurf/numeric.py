@@ -71,6 +71,23 @@ QUASIPERIOD_TOL = 1e-8
 GEOMETRIC_SUM_TOL = 1e-8
 # uaff: the phase a / 2 pi i of a rotation meets a table fraction to this
 PHASE_TOL = 1e-8
+# uaff classifier: a b-component (of a reduced generator, a commutator or a rank-one or rank-two
+# generator) at most this * scale is zero; a generator reduced by the a-basis keeps an a of at most
+# KERNEL_A_TOL * scale
+B_ZERO_TOL = 1e-9
+KERNEL_A_TOL = 1e-7
+# uaff: a rank-one generator whose phase s exceeds 1/2 by more than this is inverted
+HALF_PHASE_TOL = 1e-9
+# uaff: the kernel lattice's tau is i or e^{pi i / 3} when `close` to this
+TAU_UNIT_TOL = 1e-6
+# uaff, rank two: |1 - e^a| at most this (absolute) takes no b away; the other generator's b left
+# after the one that can is at most B_REMOVED_TOL * scale
+EXP_ONE_TOL = 1e-9
+B_REMOVED_TOL = 1e-6
+# uaff.center_intersection: b (D2_4) and a / 2 pi i (D2_6) are real when |Im| is at most this * max(1, |x|)
+CENTER_REAL_TOL = 1e-9
+# divisor: a ratio of differences of divisor points is real when |Im| is at most this * max(1, |r|)
+RATIO_REAL_TOL = 1e-8
 # bbeta: a divisor has the canonical line shape when its quasiperiod generator is 1 to this
 LINE_SHAPE_TOL = 1e-6
 # bbeta: e^{lam n} = +-1 and lam = 0 to this (`close`); lam is 0, or in 2 pi i Z, to LAM_SHAPE_TOL
@@ -93,10 +110,10 @@ def load_numpy():
     """The numpy module, imported on the first call.
 
     The package takes numpy only through this accessor, inside the functions
-    that use it: `uaff_matrix`, array inputs and a default random generator.
-    No `act` or `classify` call reaches one, so none pays for importing
-    numpy.  `verify` imports numpy itself, for its generators; no family
-    handler multiplies or returns arrays.
+    that use it: `uaff_matrix` and array inputs.  No `act` or `classify`
+    call reaches one, so none pays for importing numpy.  `verify` imports
+    numpy itself, for its generators; no family handler multiplies or
+    returns arrays.
     """
     import numpy
 
@@ -125,9 +142,9 @@ class Record:
     A subclass names its fields in `__slots__` ("__dict__" added if it caches
     properties) and sets them in an explicit `__init__` through `setfield`.
     `==` compares the tuples of fields of two instances of one class (another
-    class gives NotImplemented, and a subclass may define its own `__eq__`),
-    the hash is that of the tuple, the repr reads `Name(field=value, ...)`, and
-    assigning or deleting an attribute raises AttributeError.
+    class gives NotImplemented), the hash is that of the tuple, the repr
+    reads `Name(field=value, ...)`, and assigning or deleting an attribute
+    raises AttributeError.
     """
 
     __slots__ = ()
@@ -147,9 +164,8 @@ class Record:
             f"def __hash__(self):\n    return hash(({this}))\n",
             namespace,
         )
+        cls.__eq__ = namespace["__eq__"]
         cls.__hash__ = namespace["__hash__"]
-        if "__eq__" not in vars(cls):
-            cls.__eq__ = namespace["__eq__"]
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

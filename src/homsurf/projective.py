@@ -88,7 +88,7 @@ def cross3(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def proj2_act(g3, p, tol=None):
+def proj2_act(g3, p):
     """Linear action of an invertible 3x3 matrix on the projective plane."""
     rows = as_rows(g3)
     x, y, z = p.coords

@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 import math
 
-from .lattice import _convergent, _denominator_bound, c2r, geometric_sum, lattice_coords, lattice_frame
+from .lattice import TorusPoint, _convergent, _denominator_bound, c2r, geometric_sum, lattice_coords, lattice_frame
 from .lattice import lattice_reduce_tau, lattice_residue, saturate_lattice, zmodule_basis, zmodule_fit
-from .numeric import DENOMINATOR_BOUND, PHASE_TOL, NonDiscreteError, Record, canonical_sign, close, distance
-from .numeric import load_numpy, setfield
-from .surfaces import TorusPoint
+from .numeric import B_REMOVED_TOL, B_ZERO_TOL, CENTER_REAL_TOL, DENOMINATOR_BOUND, EXP_ONE_TOL, HALF_PHASE_TOL
+from .numeric import KERNEL_A_TOL, PHASE_TOL, TAU_UNIT_TOL, NonDiscreteError, Record, canonical_sign, close
+from .numeric import distance, load_numpy, setfield
 
 TWO_PI_I = 2j * math.pi
 
@@ -59,8 +59,8 @@ def uaff_power(g, n):
     return UAffElement(n * g.a, g.b * geometric_sum(cmath.exp(g.a), n))
 
 
-def uaff_is_identity(g, tol=None, scale=0.0):
-    return close(g.a, 0, tol=tol, scale=scale) and close(g.b, 0, tol=tol, scale=scale)
+def uaff_is_identity(g):
+    return close(g.a, 0) and close(g.b, 0)
 
 
 def uaff_matrix(g):
@@ -119,42 +119,77 @@ class D2Label(Record):
         return out
 
 
+def _row_values(label, reads):
+    """The label's values of the parameters its row reads; a missing one is a ValueError naming it."""
+    values = [getattr(label, p) for p in reads]
+    if None in values:
+        raise ValueError(f"row {label.name} needs the parameter {reads[values.index(None)]}")
+    return values
+
+
 def normal_form_generators(label):
     """Generator list of the table row with the label's parameters; a missing one is a ValueError."""
-    params, row = _NORMAL_FORMS[label.name]
-    values = [getattr(label, p) for p in params]
-    if None in values:
-        raise ValueError(f"row {label.name} needs the parameter {params[values.index(None)]}")
-    return row(*values)
+    reads, generators, _ = _ROWS[label.name]
+    return list(generators(*_row_values(label, reads)))
+
+
+def _label(name, **params):
+    """The label of a table row, with its parameters and the row's generators."""
+    reads, generators, _ = _ROWS[name]
+    return D2Label(name, generators=generators(*(params[p] for p in reads)), **params)
 
 
 _OMEGA = cmath.exp(1j * math.pi / 3)
-# each row of the table: the label parameters it reads, and its generators as a function of them
-_NORMAL_FORMS = {
-    "D2": ((), lambda: []),
-    "D2_1": ((), lambda: [UAffElement(0, 1)]),
-    "D2_2": (("tau",), lambda tau: [UAffElement(0, 1), UAffElement(0, tau)]),
-    "D2_3": (("k",), lambda k: [UAffElement(TWO_PI_I * k, 1)]),
-    "D2_4": (("k", "b"), lambda k, b: [UAffElement(TWO_PI_I * k, b), UAffElement(0, 1)]),
-    "D2_5": (("k", "b", "tau"), lambda k, b, tau: [UAffElement(TWO_PI_I * k, b), UAffElement(0, 1), UAffElement(0, tau)]),
-    "D2_6": (("a",), lambda a: [UAffElement(a, 0)]),
-    "D2_7": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1)]),
-    "D2_8": (("k", "tau"), lambda k, tau: [UAffElement(TWO_PI_I * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, tau)]),
-    "D2_9": (("k",), lambda k: [UAffElement(1j * math.pi * (k + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j)]),
-    "D2_10": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 1.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
-    "D2_11": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 2.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
-    "D2_12": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 4.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
-    "D2_13": (("k",), lambda k: [UAffElement(TWO_PI_I * (k + 5.0 / 6), 0), UAffElement(0, 1), UAffElement(0, _OMEGA)]),
-    "D2_14": (("a1", "a2"), lambda a1, a2: [UAffElement(a1, 0), UAffElement(a2, 0)]),
+# the kernel translations (0, 1), (0, i) and (0, omega) of the table's rows
+_B1, _BI, _BW = UAffElement(0, 1), UAffElement(0, 1j), UAffElement(0, _OMEGA)
+# each row of the table: the label parameters it reads, its generators as a function of them, and
+# its product cover as a function of them and of the point's (a, b); None for a nonabelian row
+_ROWS = {
+    "D2": ((), lambda: (), lambda a, b: (a, b)),
+    "D2_1": ((), lambda: (_B1,), lambda a, b: (a, cmath.exp(TWO_PI_I * cmath.exp(-a) * b))),
+    "D2_2": (
+        ("tau",),
+        lambda tau: (_B1, UAffElement(0, tau)),
+        lambda tau, a, b: (a, TorusPoint(cmath.exp(-a) * b, 1.0, tau)),
+    ),
+    "D2_3": (
+        ("k",),
+        lambda k: (UAffElement(TWO_PI_I * k, 1),),
+        lambda k, a, b: (cmath.exp(a / k), cmath.exp(-a) * b - a / (TWO_PI_I * k)),
+    ),
+    "D2_4": (
+        ("k", "b"),
+        lambda k, b: (UAffElement(TWO_PI_I * k, b), _B1),
+        lambda k, bp, a, b: (cmath.exp(a / k), cmath.exp(TWO_PI_I * cmath.exp(-a) * b - a * bp / k)),
+    ),
+    "D2_5": (
+        ("k", "b", "tau"),
+        lambda k, b, tau: (UAffElement(TWO_PI_I * k, b), _B1, UAffElement(0, tau)),
+        lambda k, bp, tau, a, b: (
+            cmath.exp(a / k),
+            TorusPoint(cmath.exp(-a) * b - a * bp / (TWO_PI_I * k), 1.0, tau),
+        ),
+    ),
+    "D2_6": (("a",), lambda a: (UAffElement(a, 0),), lambda a6, a, b: (cmath.exp(TWO_PI_I * a / a6), b)),
+    "D2_7": (("k",), lambda k: (UAffElement(TWO_PI_I * (k + 0.5), 0), _B1), None),
+    "D2_8": (("k", "tau"), lambda k, tau: (UAffElement(TWO_PI_I * (k + 0.5), 0), _B1, UAffElement(0, tau)), None),
+    "D2_9": (("k",), lambda k: (UAffElement(1j * math.pi * (k + 0.5), 0), _B1, _BI), None),
+    "D2_10": (("k",), lambda k: (UAffElement(TWO_PI_I * (k + 1.0 / 6), 0), _B1, _BW), None),
+    "D2_11": (("k",), lambda k: (UAffElement(TWO_PI_I * (k + 2.0 / 6), 0), _B1, _BW), None),
+    "D2_12": (("k",), lambda k: (UAffElement(TWO_PI_I * (k + 4.0 / 6), 0), _B1, _BW), None),
+    "D2_13": (("k",), lambda k: (UAffElement(TWO_PI_I * (k + 5.0 / 6), 0), _B1, _BW), None),
+    "D2_14": (
+        ("a1", "a2"),
+        lambda a1, a2: (UAffElement(a1, 0), UAffElement(a2, 0)),
+        lambda a1, a2, a, b: (TorusPoint(a, a1, a2), b),
+    ),
 }
 
-NONABELIAN_LABELS = {"D2_7", "D2_8", "D2_9", "D2_10", "D2_11", "D2_12", "D2_13"}
+NONABELIAN_LABELS = {name for name, (_, _, cover) in _ROWS.items() if cover is None}
 
 # rows presenting the same subgroups with the generator inverted; the
 # classifier only ever reports the canonical member of each pair
-CANONICAL_ROW = {name: name for name in ("D2",) + tuple(f"D2_{i}" for i in range(1, 15))}
-CANONICAL_ROW["D2_12"] = "D2_11"
-CANONICAL_ROW["D2_13"] = "D2_10"
+CANONICAL_ROW = dict(zip(_ROWS, _ROWS), D2_12="D2_11", D2_13="D2_10")
 
 
 def _phase_fraction(a):
@@ -217,14 +252,14 @@ def _classify_subgroup(gens, max_denominator):
         for elem, c in zip(L, coords):
             if c:
                 h = uaff_multiply(uaff_power(elem, -c), h)
-        if abs(h.a) > 1e-7 * scale:
+        if abs(h.a) > KERNEL_A_TOL * scale:
             raise NonDiscreteError("not a tabulated subgroup: kernel reduction failed")
-        if abs(h.b) > 1e-9 * scale:
+        if abs(h.b) > B_ZERO_TOL * scale:
             kernel_b.append(h.b)
     for i in range(len(L)):
         for j in range(i + 1, len(L)):
             c = commutator(L[i], L[j])
-            if abs(c.b) > 1e-9 * scale:
+            if abs(c.b) > B_ZERO_TOL * scale:
                 kernel_b.append(c.b)
 
     pi0 = []
@@ -246,17 +281,11 @@ def _classify_subgroup(gens, max_denominator):
     raise NonDiscreteError("not a tabulated subgroup: a-components have rank > 2")
 
 
-def _kernel_generators(tau):
-    """The table's generators (0, 1), and (0, tau) for a rank-two kernel lattice."""
-    return (UAffElement(0, 1),) if tau is None else (UAffElement(0, 1), UAffElement(0, tau))
-
-
 def _classify_kernel_only(pi0):
     if not pi0:
         return D2Label("D2"), UAffAutomorphism()
     beta, tau = lattice_frame(pi0)
-    name = "D2_1" if tau is None else "D2_2"
-    return D2Label(name, tau=tau, generators=_kernel_generators(tau)), UAffAutomorphism(0, beta)
+    return _label("D2_1" if tau is None else "D2_2", tau=tau), UAffAutomorphism(0, beta)
 
 
 def _kill_b(A, B, beta):
@@ -271,23 +300,17 @@ def _classify_rank_one(g, pi0, scale):
     frac0 = _phase_fraction(g.a)
     if frac0 is not None:
         k0, s0 = frac0
-        if s0 > 0.5 + 1e-9 or (k0 < 0 and (s0 == 0.0 or close(s0, 0.5, tol=PHASE_TOL))):
+        if s0 > 0.5 + HALF_PHASE_TOL or (k0 < 0 and (s0 == 0.0 or close(s0, 0.5, tol=PHASE_TOL))):
             g = uaff_inverse(g)
     A, B = g.a, g.b
     if not pi0:
         frac = _phase_fraction(A)
         if frac is not None and frac[1] == 0.0:
             k = frac[0]
-            if abs(B) <= 1e-9 * scale:
-                a = canonical_sign(A)
-                return D2Label("D2_6", a=a, generators=(UAffElement(a, 0),)), UAffAutomorphism()
-            return (
-                D2Label("D2_3", k=k, generators=(UAffElement(TWO_PI_I * k, 1),)),
-                UAffAutomorphism(0, 1.0 / B),
-            )
-        gamma = _kill_b(A, B, 1.0)
-        a = canonical_sign(A)
-        return D2Label("D2_6", a=a, generators=(UAffElement(a, 0),)), UAffAutomorphism(gamma, 1.0)
+            if abs(B) <= B_ZERO_TOL * scale:
+                return _label("D2_6", a=canonical_sign(A)), UAffAutomorphism()
+            return _label("D2_3", k=k), UAffAutomorphism(0, 1.0 / B)
+        return _label("D2_6", a=canonical_sign(A)), UAffAutomorphism(_kill_b(A, B, 1.0), 1.0)
 
     # beta rescales a rank-one kernel to Z (rows D2_4, D2_7) and a rank-two one to Z + tau Z
     beta, tau = lattice_frame(pi0)
@@ -296,34 +319,22 @@ def _classify_rank_one(g, pi0, scale):
         kept = "preserve the kernel" if tau is None else "fix the kernel lattice"
         raise NonDiscreteError(f"not a tabulated subgroup: e^a does not {kept}")
     k, s = frac
-    kernel = _kernel_generators(tau)
     if close(s, 0.0, tol=PHASE_TOL):
         b = lattice_residue(beta * B, tau)
-        name = "D2_4" if tau is None else "D2_5"
-        gens = (UAffElement(TWO_PI_I * k, b),) + kernel
-        return D2Label(name, k=k, b=b, tau=tau, generators=gens), UAffAutomorphism(0, beta)
+        return _label("D2_4" if tau is None else "D2_5", k=k, b=b, tau=tau), UAffAutomorphism(0, beta)
     half = close(s, 0.5, tol=PHASE_TOL)
     if tau is None and not half:
         raise NonDiscreteError("not a tabulated subgroup: e^a is not +-1 on a rank-one kernel")
     phi = UAffAutomorphism(_kill_b(A, B, beta), beta)
     if half:
-        name = "D2_7" if tau is None else "D2_8"
-        gens = (UAffElement(TWO_PI_I * (k + 0.5), 0),) + kernel
-        return D2Label(name, k=k, tau=tau, generators=gens), phi
+        return _label("D2_7" if tau is None else "D2_8", k=k, tau=tau), phi
     quarter = close(s, 0.25, tol=PHASE_TOL)
-    if close(tau, 1j, tol=1e-6) and (quarter or close(s, 0.75, tol=PHASE_TOL)):
-        kk = 2 * k if quarter else 2 * k + 1
-        gens = (UAffElement(1j * math.pi * (kk + 0.5), 0), UAffElement(0, 1), UAffElement(0, 1j))
-        return D2Label("D2_9", k=kk, tau=1j, generators=gens), phi
-    if close(tau, _OMEGA, tol=1e-6):
+    if close(tau, 1j, tol=TAU_UNIT_TOL) and (quarter or close(s, 0.75, tol=PHASE_TOL)):
+        return _label("D2_9", k=2 * k if quarter else 2 * k + 1, tau=1j), phi
+    if close(tau, _OMEGA, tol=TAU_UNIT_TOL):
         for name, frac6 in (("D2_10", 1), ("D2_11", 2), ("D2_12", 4), ("D2_13", 5)):
             if close(s, frac6 / 6.0, tol=PHASE_TOL):
-                gens = (
-                    UAffElement(TWO_PI_I * (k + frac6 / 6.0), 0),
-                    UAffElement(0, 1),
-                    UAffElement(0, _OMEGA),
-                )
-                return D2Label(name, k=k, tau=_OMEGA, generators=gens), phi
+                return _label(name, k=k, tau=_OMEGA), phi
     raise NonDiscreteError("not a tabulated subgroup: e^a is not a unit of the kernel lattice")
 
 
@@ -332,19 +343,18 @@ def _classify_rank_two(L, pi0, scale):
         raise NonDiscreteError("not a tabulated subgroup: rank-two image with nontrivial kernel")
     (a1, b1), (a2, b2) = (L[0].a, L[0].b), (L[1].a, L[1].b)
     e1, e2 = 1 - cmath.exp(a1), 1 - cmath.exp(a2)
-    if abs(b1) <= 1e-9 * scale and abs(b2) <= 1e-9 * scale:
+    if abs(b1) <= B_ZERO_TOL * scale and abs(b2) <= B_ZERO_TOL * scale:
         phi = UAffAutomorphism()
     else:
         # kill the b of the generator with the larger |1 - e^a|, then check the other's
         e, b, other = (e1, b1, L[1]) if abs(e1) > abs(e2) else (e2, b2, L[0])
-        if abs(e) <= 1e-9:
+        if abs(e) <= EXP_ONE_TOL:
             raise NonDiscreteError("not a tabulated subgroup: cannot remove b-components")
         phi = UAffAutomorphism(-b / e, 1.0)
-        if abs(aut_apply(phi, other).b) > 1e-6 * scale:
+        if abs(aut_apply(phi, other).b) > B_REMOVED_TOL * scale:
             raise NonDiscreteError("not a tabulated subgroup: b-components are not removable")
     v1, v2, _, _ = lattice_reduce_tau(a1, a2)
-    gens = (UAffElement(v1, 0), UAffElement(v2, 0))
-    return D2Label("D2_14", a1=v1, a2=v2, generators=gens), phi
+    return _label("D2_14", a1=v1, a2=v2), phi
 
 
 def center_intersection(label, max_denominator=None):
@@ -355,7 +365,7 @@ def center_intersection(label, max_denominator=None):
         return IDENTITY
     if name == "D2_4":
         b = label.b
-        if abs(b.imag) > 1e-9 * max(1.0, abs(b)):
+        if abs(b.imag) > CENTER_REAL_TOL * max(1.0, abs(b)):
             return IDENTITY
         pq = _center_fraction(b.real, "translation b", name, max_denominator)
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * label.k * pq[1], 0)
@@ -368,7 +378,7 @@ def center_intersection(label, max_denominator=None):
         return UAffElement(TWO_PI_I * label.k * math.lcm(px[1], py[1]), 0)
     if name == "D2_6":
         x = label.a / TWO_PI_I
-        if abs(x.imag) > 1e-9 * max(1.0, abs(x)):
+        if abs(x.imag) > CENTER_REAL_TOL * max(1.0, abs(x)):
             return IDENTITY
         pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator)
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * pq[0], 0)
@@ -421,39 +431,16 @@ def _center_d2_14(a1, a2, max_denominator):
     return IDENTITY
 
 
-ABELIAN_COVER_LABELS = {"D2", "D2_1", "D2_2", "D2_3", "D2_4", "D2_5", "D2_6", "D2_14"}
-
-
 def product_cover(label, point):
     """Map a point of the group to the product surface X' for an abelian row.
 
     The map is constant on right cosets of the subgroup; nonabelian rows have
-    no such map (the bundle is nontrivial) and raise ValueError.
+    no such map (the bundle is nontrivial) and raise ValueError, as does a
+    label that misses a parameter its row reads.
     """
-    if label.name in NONABELIAN_LABELS:
-        raise ValueError("bundle is nontrivial")
-    if label.name not in ABELIAN_COVER_LABELS:
+    if label.name not in _ROWS:
         raise ValueError(f"unknown label {label.name}")
-    a, b = point.a, point.b
-    name = label.name
-    if name == "D2":
-        return (a, b)
-    if name == "D2_1":
-        return (a, cmath.exp(TWO_PI_I * cmath.exp(-a) * b))
-    if name == "D2_2":
-        return (a, TorusPoint(cmath.exp(-a) * b, 1.0, label.tau))
-    if name == "D2_3":
-        k = label.k
-        return (cmath.exp(a / k), cmath.exp(-a) * b - a / (TWO_PI_I * k))
-    if name == "D2_4":
-        k, bp = label.k, label.b
-        return (cmath.exp(a / k), cmath.exp(TWO_PI_I * cmath.exp(-a) * b - a * bp / k))
-    if name == "D2_5":
-        k, bp = label.k, label.b
-        val = cmath.exp(-a) * b - a * bp / (TWO_PI_I * k)
-        return (cmath.exp(a / k), TorusPoint(val, 1.0, label.tau))
-    if name == "D2_6":
-        return (cmath.exp(TWO_PI_I * a / label.a), b)
-    if name == "D2_14":
-        return (TorusPoint(a, label.a1, label.a2), b)
-    raise AssertionError(name)
+    reads, _, cover = _ROWS[label.name]
+    if cover is None:
+        raise ValueError("bundle is nontrivial")
+    return cover(*_row_values(label, reads), point.a, point.b)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import bbeta, bundles, families, projective, uaff
 from .d1 import classify_D1_subgroup
 from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
 from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
-from .numeric import close, distance, distance_for
+from .numeric import Record, close, distance, distance_for, setfield
 
 TWO_PI_I = 2j * math.pi
 
@@ -30,14 +29,16 @@ TWO_PI_I = 2j * math.pi
 # the report
 
 
-@dataclass
-class VerificationReport:
-    family: str
-    checks: tuple
-    samples: int
-    max_error: float
-    passed: bool
-    failures: tuple = ()
+class VerificationReport(Record):
+    __slots__ = ("family", "checks", "samples", "max_error", "passed", "failures")
+
+    def __init__(self, family, checks, samples, max_error, passed, failures=()):
+        setfield(self, "family", family)
+        setfield(self, "checks", checks)
+        setfield(self, "samples", samples)
+        setfield(self, "max_error", max_error)
+        setfield(self, "passed", passed)
+        setfield(self, "failures", failures)
 
     def to_json(self):
         return {
@@ -76,11 +77,11 @@ def rng_for(seed, family):
     return np.random.default_rng([int(seed), zlib.crc32(family.encode())])
 
 
-def random_line_divisor(rng, lam=None, max_k=4, n_extra=None):
+def random_line_divisor(rng, lam=None, max_k=4):
     """Divisor [lam] + sum [lam + 2 pi i k_j] with coprime positive k_j."""
     if lam is None:
         lam = complex(rng.standard_normal(), rng.standard_normal()) * 0.5
-    count = int(n_extra if n_extra is not None else rng.integers(1, 3))
+    count = int(rng.integers(1, 3))
     while True:
         ks = sorted(set(int(k) for k in rng.integers(1, max_k + 1, size=count)))
         g = 0
@@ -111,8 +112,11 @@ def random_tau(rng):
 # ---------------------------------------------------------------------------
 # axioms common to every family
 
+# the largest distance the group laws and the action law may leave at a sample
+AXIOMS_TOL = 1e-9
 
-def axioms_suite(label, handler, rng, samples, rec, tol=1e-9):
+
+def axioms_suite(label, handler, rng, samples, rec):
     element_distance = families.SPECS[label].distance
     point_distance = None
     ident = handler.identity()
@@ -129,11 +133,11 @@ def axioms_suite(label, handler, rng, samples, rec, tol=1e-9):
         gh = handler.multiply(g, h)
         lhs = handler.multiply(gh, k)
         rhs = handler.multiply(g, handler.multiply(h, k))
-        rec.value("associativity", element_distance(lhs, rhs), tol)
-        rec.value("identity", element_distance(handler.multiply(g, ident), g), tol)
+        rec.value("associativity", element_distance(lhs, rhs), AXIOMS_TOL)
+        rec.value("identity", element_distance(handler.multiply(g, ident), g), AXIOMS_TOL)
         gi = handler.inverse(g)
-        rec.value("inverse", element_distance(handler.multiply(g, gi), ident), tol)
-        rec.value("action", point_distance(handler.act(gh, x), handler.act(g, handler.act(h, x))), tol)
+        rec.value("inverse", element_distance(handler.multiply(g, gi), ident), AXIOMS_TOL)
+        rec.value("action", point_distance(handler.act(gh, x), handler.act(g, handler.act(h, x))), AXIOMS_TOL)
     for _ in range(max(1, samples // 50)):
         g = handler.random_element(rng)
         if element_distance(g, ident) < 1e-6:
@@ -472,13 +476,13 @@ def _covers_suite(rng, samples, rec):
             lhs = cov.cover(*bbeta.gd_act(g, (z, w)))
             rhs = cov.act(g, cov.cover(z, w))
             rec.boolean(
-                f"cover-equivariance-{label.name}", cov.equal(lhs, rhs, tol=1e-9), label.name
+                f"cover-equivariance-{label.name}", cov.equal(lhs, rhs), label.name
             )
             for pg in cov.pi_generators():
                 moved = bbeta.cent_act(pg, (z, w))
                 rec.boolean(
                     f"cover-invariance-{label.name}",
-                    cov.equal(cov.cover(*moved), cov.cover(z, w), tol=1e-9),
+                    cov.equal(cov.cover(*moved), cov.cover(z, w)),
                     label.name,
                 )
             rec.boolean(f"cover-jacobian-{label.name}", cov.jacobian_ok(z, w), label.name)
@@ -517,10 +521,10 @@ def suite_bbeta2_extra(rng, samples, rec):
         g = bbeta.random_rgd(D0, rng, scale=0.4)
         lhs = cov.cover(*bbeta.rgd_act(g, (z, w)))
         rhs = cov.act(g, cov.cover(z, w))
-        rec.boolean("rgd-cover-equivariance", cov.equal(lhs, rhs, tol=1e-9))
+        rec.boolean("rgd-cover-equivariance", cov.equal(lhs, rhs))
         rec.boolean(
             "rgd-cover-invariance",
-            cov.equal(cov.cover(z + n, w), cov.cover(z, w), tol=1e-9),
+            cov.equal(cov.cover(z + n, w), cov.cover(z, w)),
         )
     _morphism_suite(rng, max(5, samples // 4), rec)
 

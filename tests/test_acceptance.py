@@ -201,10 +201,10 @@ def test_criterion_08_covering_equivariance():
             g, x = verify._cover_sample(rng, label.divisor)
             lhs = cov.cover(*bbeta.gd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
-            ok = ok and cov.equal(lhs, rhs, tol=1e-9)
+            ok = ok and cov.equal(lhs, rhs)
             for pg in cov.pi_generators():
                 y = bbeta.cent_act(pg, x)
-                ok = ok and cov.equal(cov.cover(*y), cov.cover(*x), tol=1e-9)
+                ok = ok and cov.equal(cov.cover(*y), cov.cover(*x))
         assert ok, label.name
     assert tested == {"B", "C", "D", "E", "F", "G", "H", "I"}
     D0, _, _ = verify.random_line_divisor(rng, lam=0.0, max_k=2)
@@ -215,8 +215,8 @@ def test_criterion_08_covering_equivariance():
         g = bbeta.random_rgd(D0, rng, scale=0.25)
         lhs = cov.cover(*bbeta.rgd_act(g, (z, w)))
         rhs = cov.act(g, cov.cover(z, w))
-        ok = ok and cov.equal(lhs, rhs, tol=1e-9)
-        ok = ok and cov.equal(cov.cover(z + 2, w), cov.cover(z, w), tol=1e-9)
+        ok = ok and cov.equal(lhs, rhs)
+        ok = ok and cov.equal(cov.cover(z + 2, w), cov.cover(z, w))
     _report(8, "covering equivariance for Bβ1B..I and Bβ2", ok)
 
 

@@ -232,10 +232,10 @@ def test_all_covers_equivariant(rng):
             g, x = verify._cover_sample(rng, label.divisor)
             lhs = cov.cover(*gd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
-            assert cov.equal(lhs, rhs, tol=1e-9), label.name
+            assert cov.equal(lhs, rhs), label.name
             for pg in cov.pi_generators():
                 y = cent_act(pg, x)
-                assert cov.equal(cov.cover(*y), cov.cover(*x), tol=1e-9), label.name
+                assert cov.equal(cov.cover(*y), cov.cover(*x)), label.name
             assert cov.jacobian_ok(*x), label.name
 
 
@@ -265,7 +265,7 @@ def test_cover_a_examples(rng):
             g, x = verify._cover_sample(rng, D)
             lhs = cov.cover(*gd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
-            assert cov.equal(lhs, rhs, tol=1e-9)
+            assert cov.equal(lhs, rhs)
     with pytest.raises(ValueError, match="positive degree"):
         quotient_cover(BBeta1Label("A1", E, delta=(1.0 + 0j,)))
     with pytest.raises(ValueError, match="zero degree"):
@@ -391,7 +391,7 @@ def test_cover_c_negative_exponent():
         g, x = verify._cover_sample(rng2, D)
         lhs = cov.cover(*gd_act(g, x))
         rhs = cov.act(g, cov.cover(*x))
-        assert cov.equal(lhs, rhs, tol=1e-9)
+        assert cov.equal(lhs, rhs)
 
 
 def test_classify_pi_rescaled_divisor(rng):

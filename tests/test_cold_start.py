@@ -86,9 +86,9 @@ UAFF_LATTICE = {
 BASE = {"homsurf", "homsurf.numeric"}
 ACT = BASE | {"homsurf.families"}
 PROJECTIVE = ACT | {"homsurf.projective"}
-QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.surfaces", "homsurf.lattice"}
+QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.lattice"}
 D1 = BASE | {"homsurf.d1", "homsurf.lattice"}
-UAFF_MODULES = BASE | {"homsurf.surfaces", "homsurf.uaff", "homsurf.lattice"}
+UAFF_MODULES = BASE | {"homsurf.uaff", "homsurf.lattice"}
 
 # call -> (argv after `homsurf`, homsurf modules loaded, expected label or None); no call loads numpy
 CALLS = {

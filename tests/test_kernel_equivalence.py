@@ -386,6 +386,44 @@ def old_normal_form_generators(label):
     return rows[n]
 
 
+def old_product_cover(label, point):
+    """Map a point of the group to the product surface X' for an abelian row.
+
+    The map is constant on right cosets of the subgroup; nonabelian rows have
+    no such map (the bundle is nontrivial) and raise ValueError.
+    """
+    NONABELIAN_LABELS = {"D2_7", "D2_8", "D2_9", "D2_10", "D2_11", "D2_12", "D2_13"}
+    ABELIAN_COVER_LABELS = {"D2", "D2_1", "D2_2", "D2_3", "D2_4", "D2_5", "D2_6", "D2_14"}
+    TWO_PI_I, TorusPoint = uaff.TWO_PI_I, lattice.TorusPoint
+    if label.name in NONABELIAN_LABELS:
+        raise ValueError("bundle is nontrivial")
+    if label.name not in ABELIAN_COVER_LABELS:
+        raise ValueError(f"unknown label {label.name}")
+    a, b = point.a, point.b
+    name = label.name
+    if name == "D2":
+        return (a, b)
+    if name == "D2_1":
+        return (a, cmath.exp(TWO_PI_I * cmath.exp(-a) * b))
+    if name == "D2_2":
+        return (a, TorusPoint(cmath.exp(-a) * b, 1.0, label.tau))
+    if name == "D2_3":
+        k = label.k
+        return (cmath.exp(a / k), cmath.exp(-a) * b - a / (TWO_PI_I * k))
+    if name == "D2_4":
+        k, bp = label.k, label.b
+        return (cmath.exp(a / k), cmath.exp(TWO_PI_I * cmath.exp(-a) * b - a * bp / k))
+    if name == "D2_5":
+        k, bp = label.k, label.b
+        val = cmath.exp(-a) * b - a * bp / (TWO_PI_I * k)
+        return (cmath.exp(a / k), TorusPoint(val, 1.0, label.tau))
+    if name == "D2_6":
+        return (cmath.exp(TWO_PI_I * a / label.a), b)
+    if name == "D2_14":
+        return (TorusPoint(a, label.a1, label.a2), b)
+    raise AssertionError(name)
+
+
 # ---------------------------------------------------------------------------
 # the classifiers' numeric layer and the projective distance: the replaced code
 
@@ -1199,6 +1237,25 @@ def test_normal_form_generators_match_the_replaced_table():
             assert same(uaff.normal_form_generators(label), old_normal_form_generators(label))
             label = uaff.D2Label(name, k=int(rng.integers(-3, 4)), b=-0.0, tau=1j, a=complex(-0.0, 1.0), a1=0j, a2=2j)
             assert same(uaff.normal_form_generators(label), old_normal_form_generators(label))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_product_covers_and_classifier_labels_follow_the_row_table(seed):
+    rng = np.random.default_rng(seed)
+    for name in uaff.CANONICAL_ROW:
+        gens, label = verify.random_d2_generators(rng, name)
+        phi = uaff.UAffAutomorphism(complex(rng.standard_normal(), 0.5), cmath.exp(0.3j * seed))
+        for subgroup in (gens, [uaff.aut_apply(phi, g) for g in gens]):
+            got, _ = uaff.classify_subgroup(subgroup)
+            assert same(got.generators, tuple(uaff.normal_form_generators(got))), name
+        if name in uaff.NONABELIAN_LABELS:
+            continue
+        for _ in range(4):
+            point = uaff.UAffElement(
+                complex(rng.standard_normal(), rng.standard_normal()),
+                complex(rng.standard_normal(), rng.standard_normal()),
+            )
+            assert same(uaff.product_cover(label, point), old_product_cover(label, point)), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pkgutil
 import pytest
 
 import homsurf
-from homsurf import bundles, numeric, surfaces, uaff
+from homsurf import bundles, numeric, uaff
+from homsurf.lattice import TorusPoint
 from homsurf.numeric import Record
 
 MODULES = tuple(m.name for m in pkgutil.iter_modules(homsurf.__path__))
@@ -23,7 +24,7 @@ def _records():
 
 def test_every_value_type_is_a_slotted_record():
     classes = list(_records())
-    assert len(classes) == 30
+    assert len(classes) == 31
     for cls in classes:
         assert not hasattr(cls, "__dataclass_fields__"), cls
         assert cls._fields and set(cls._fields) <= set(cls.__slots__), cls
@@ -64,10 +65,17 @@ def test_init_checks_still_run():
         bundles.SCData(1.0, 1j, 2.0)
 
 
-def test_a_record_may_keep_its_own_equality_and_cache_properties():
-    p, q = surfaces.TorusPoint(0.25, 1.0, 1j), surfaces.TorusPoint(1.25 + 1j, 1.0, 1j)
-    assert p == q and p.value != q.value
-    assert hash(p) == hash((0.25, 1.0, 1j))
+def test_no_record_defines_its_own_equality():
+    # equality to a tolerance is `distance(a, b) <= tol`; == and the hash always follow the fields
+    for cls in _records():
+        assert "def __eq__" not in inspect.getsource(cls), cls
+    p, q = TorusPoint(0.25, 1.0, 1j), TorusPoint(0.25, 1.0, 1j)
+    assert p == q and hash(p) == hash(q) == hash((0.25, 1.0, 1j))
+    r = TorusPoint(1.25 + 1j, 1.0, 1j)
+    assert p != r and len({p, q, r}) == 2 and p.distance(r) <= numeric.EPS
+
+
+def test_a_record_may_cache_properties():
     data = bundles.SCData(1.0, 1j, 1j)
     assert data.case == "root" and data.case is data.case
     assert repr(data) == "SCData(w1=1.0, w2=1j, c=1j)"

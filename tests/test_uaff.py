@@ -292,3 +292,19 @@ def test_normal_form_rows_without_k_build_their_generators():
 def test_normal_form_row_names_a_missing_parameter(label, missing):
     with pytest.raises(ValueError, match=f"row {label.name} needs the parameter {missing}"):
         normal_form_generators(label)
+
+
+@pytest.mark.parametrize(
+    "label, missing",
+    [
+        (D2Label("D2_2"), "tau"),
+        (D2Label("D2_3", b=1.0), "k"),
+        (D2Label("D2_4", k=1), "b"),
+        (D2Label("D2_5", k=1, b=0.5), "tau"),
+        (D2Label("D2_6", k=1), "a"),
+        (D2Label("D2_14", a1=1.0), "a2"),
+    ],
+)
+def test_product_cover_names_a_missing_parameter(label, missing):
+    with pytest.raises(ValueError, match=f"row {label.name} needs the parameter {missing}"):
+        product_cover(label, UAffElement(0.1j, 0.5))
