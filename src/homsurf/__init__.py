@@ -34,7 +34,7 @@ _HOMES = {
     "NonDiscreteError": "numeric",
     "D2Label": "uaff",
     "UAffAutomorphism": "uaff",
-    "UAffElement": "uaff",
+    "UAffElement": "uaffgroup",
     "classify_subgroup": "uaff",
     "VerificationReport": "verify",
     "run_verification": "verify",

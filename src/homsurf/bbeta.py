@@ -2,14 +2,12 @@
 
 G_D is the semidirect product of translations with the solution space of the
 divisor's annihilator, acting on C^2 by (t, f)(z, w) = (z + t, w + f(z + t));
-rG_D adds a rescaling of w.  Their commutants are built from quasiperiods and
-weights, and every quotient of the plane by a discrete subgroup of the
-commutant is one of ten explicit examples (labelled A0, A1, B, ..., I), each
-realized here as a `Cover`: the covering map, the induced action on the
-quotient surface, and the deck group from the one table `_deck_pairs`.
-classify_pi sends a discrete subgroup of the commutant to its example,
-replaying the normalization steps (divisor rescaling, w-rescaling, and the
-shift automorphisms available for each divisor shape).
+rG_D adds a rescaling of w.  Every quotient of the plane by a discrete
+subgroup of their commutant (see `qd`) is one of ten explicit examples
+(labelled A0, A1, B, ..., I), each realized here as a `Cover`: the covering
+map, the induced action on the quotient surface, and the deck group from the
+one table `qd._deck_pairs`.  The commutant, the example labels and their
+classifier `classify_pi` live in `qd` and are re-imported here.
 
 Degree-one divisors are rejected throughout: those actions are the
 translation plane and the affine group, handled elsewhere.
@@ -18,23 +16,15 @@ translation plane and the affine group, handled elsewhere.
 from __future__ import annotations
 
 import cmath
-import math
 
-from .divisor import Divisor, quasiperiod_group, weight
+from .divisor import quasiperiod_group
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
-from .lattice import TorusPoint, c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame
-from .lattice import lattice_reduce_tau, lattice_residue, near_int, saturate_lattice, zmodule_basis
-from .numeric import COMMUTANT_TOL, EPS, JACOBIAN_STEP, JACOBIAN_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL
-from .numeric import LINE_SHAPE_TOL, ORBIT_TOL, TRANSLATION_CHOP, NonDiscreteError, Record, close, distance
-from .numeric import setfield
-
-TWO_PI_I = 2j * math.pi
-
-
-def _check_divisor(D):
-    if D.degree < 2:
-        raise ValueError("degree-one divisors are the translation plane / affine group")
-    return D
+from .lattice import TorusPoint, lattice_contains, lattice_reduce_tau, near_int
+from .numeric import EPS, JACOBIAN_STEP, JACOBIAN_TOL, LAM_TOL, LINE_INDEX_TOL, ORBIT_TOL, Record, close
+from .numeric import distance, setfield
+from .qd import _LATTICE_RANK, TWO_PI_I, BBeta1Classification, BBeta1Label, CentralizerElement  # noqa: F401
+from .qd import _canonical_line_data, _check_divisor, _deck_pairs, cent_act, cent_identity  # noqa: F401
+from .qd import cent_inverse, cent_multiply, classify_pi, table_automorphism  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -129,47 +119,6 @@ def random_rgd(D, rng, scale=0.7):
 
 
 # ---------------------------------------------------------------------------
-# the commutant of G_D: quasiperiods semidirect w-translations
-
-
-class CentralizerElement(Record):
-    """Pair (w, s) acting by (z, w) -> (w + z, gamma_w w + s)."""
-
-    __slots__ = ("divisor", "w", "s")
-
-    def __init__(self, divisor, w, s):
-        setfield(self, "divisor", divisor)
-        setfield(self, "w", w)
-        setfield(self, "s", s)
-        if not quasiperiod_group(self.divisor).contains(self.w):
-            raise ValueError("invalid quasiperiod")
-
-    @property
-    def gamma(self):
-        return weight(self.divisor, self.w)
-
-
-def cent_identity(D):
-    return CentralizerElement(D, 0j, 0j)
-
-
-def cent_multiply(c0, c1):
-    if c0.divisor != c1.divisor:
-        raise ValueError("divisor mismatch")
-    return CentralizerElement(c0.divisor, c0.w + c1.w, c0.s + c0.gamma * c1.s)
-
-
-def cent_inverse(c):
-    g = c.gamma
-    return CentralizerElement(c.divisor, -c.w, -c.s / g)
-
-
-def cent_act(c, zw):
-    z, w = zw
-    return (c.w + z, c.gamma * w + c.s)
-
-
-# ---------------------------------------------------------------------------
 # the three morphism families
 
 
@@ -259,49 +208,6 @@ def morphism_family(kind, group, divisor, *, g=None, mu=None, nu=None, f0=None, 
 # quotient examples
 
 
-class BBeta1Label(Record):
-    """One of the quotient examples A0, A1, B, ..., I with its parameters."""
-
-    __slots__ = ("name", "divisor", "n", "s", "tau", "delta", "warnings")
-
-    def __init__(self, name, divisor, n=None, s=None, tau=None, delta=(), warnings=()):
-        setfield(self, "name", name)
-        setfield(self, "divisor", divisor)
-        setfield(self, "n", n)
-        setfield(self, "s", s)
-        setfield(self, "tau", tau)
-        setfield(self, "delta", delta)  # generators of the w-translation group for A0/A1
-        setfield(self, "warnings", warnings)
-
-    def cover_parameters(self):
-        """The parameters n, s, tau and delta that the label sets, by name."""
-        values = {f: getattr(self, f) for f in ("n", "s", "tau", "delta")}
-        return {f: v for f, v in values.items() if v not in (None, ())}
-
-    def params(self):
-        return {"divisor": self.divisor.to_json(), **self.cover_parameters()}
-
-
-def _canonical_line_data(D):
-    """(lam, ks) for a divisor of the shape [lam] + sum [lam + 2 pi i k_j]."""
-    qg = quasiperiod_group(D)
-    if qg.kind != "rank1" or not close(qg.generator, 1.0, tol=LINE_SHAPE_TOL):
-        raise ValueError(
-            "divisor must have the normalized shape [lam] + sum [lam + 2 pi i k_j]"
-        )
-    pts = D.support
-    lam = pts[0]
-    ks = []
-    for p in pts[1:]:
-        kk = near_int((p - lam) / TWO_PI_I, LINE_INDEX_TOL)
-        if kk is None or kk <= 0:
-            raise ValueError("divisor points must differ from the base by 2 pi i k, k > 0")
-        ks.append(kk)
-    if math.gcd(*ks) != 1:
-        raise ValueError("the integers k_j must be relatively prime")
-    return lam, ks
-
-
 def _fourier_coeffs(f, lam):
     """f = e^{lam z} * sum c_k e^{2 pi i k z} as the dict {k: c_k}."""
     out = {}
@@ -355,22 +261,6 @@ class Cover(Record):
 def _product_equal(p, q):
     """Equality of points of a product quotient X': their distance is at most EPS."""
     return distance(p, q) <= EPS
-
-
-# the rank of the w-translation lattice (Z, or Z + tau Z) in the deck group of examples B..I
-_LATTICE_RANK = {"B": 0, "C": 0, "D": 1, "E": 1, "F": 1, "G": 2, "H": 2, "I": 2}
-
-
-def _deck_pairs(name, n=None, s=None, tau=None, delta=()):
-    """The deck generators (w, s) of an example, with the number types pi_generators gives.
-
-    A0/A1: the w-translations by Delta.  B..I: (n, s), with s = 1 for C and 0
-    when absent, then the w-translations by 1 (D, E, F) or by 1 and tau (G, H, I).
-    """
-    if name in ("A0", "A1"):
-        return [(0j, d) for d in delta]
-    lattice = (1.0, tau)[: _LATTICE_RANK[name]]
-    return [(n, 1.0 if name == "C" else (0j if s is None else s))] + [(0j, u) for u in lattice]
 
 
 def _deck(D, pairs):
@@ -581,187 +471,3 @@ def rgd_quotients(D, n):
         return (Z1, g.lam * W + _eval_exponent_poly(P, Z1**n))
 
     return Cover(cover, act, _product_equal, _deck(D, _deck_pairs("B", n)))
-
-
-# ---------------------------------------------------------------------------
-# classification of discrete subgroups of the commutant
-
-
-class BBeta1Classification(Record):
-    __slots__ = ("label", "table_row", "normalizer", "pi_cap_g")
-
-    def __init__(self, label, table_row, normalizer, pi_cap_g=()):
-        setfield(self, "label", label)
-        setfield(self, "table_row", table_row)
-        setfield(self, "normalizer", normalizer)
-        setfield(self, "pi_cap_g", pi_cap_g)
-
-
-def _qd_mult(a, b, gamma):
-    return (a[0] + b[0], a[1] + gamma ** a[0] * b[1])
-
-
-def _qd_power(a, m, gamma):
-    if m == 0:
-        return (0, 0j)
-    if m < 0:
-        inv = (-a[0], -gamma ** (-a[0]) * a[1])
-        return _qd_power(inv, -m, gamma)
-    return (m * a[0], a[1] * geometric_sum(gamma ** a[0], m))
-
-
-def table_automorphism(D, nu=1.0, t=0.0):
-    """The action of an automorphism pair (nu, t) on commutant elements.
-
-    For a divisor in the canonical shape [lam] + sum [lam + 2 pi i k_j] the
-    available maps depend on the shape: with lam not in 2 pi i Z the shift
-    enters through 1 - e^{lam k}; with lam = 0 it enters linearly in k; for
-    the remaining shapes (lam a nonzero multiple of 2 pi i) only the
-    rescaling by nu acts.
-    """
-    nu = complex(nu)
-    t = complex(t)
-    if abs(nu) == 0:
-        raise ValueError("nu must be nonzero")
-    lam, _ = _canonical_line_data(D)
-    if abs(lam) <= LAM_SHAPE_TOL:
-        mode = "linear"
-    elif near_int(lam / TWO_PI_I, LAM_SHAPE_TOL) is not None:
-        mode = "rescale-only"
-    else:
-        mode = "exponential"
-
-    def apply(c):
-        k = c.w
-        if mode == "exponential":
-            shift = t * (1 - cmath.exp(lam * k))
-        elif mode == "linear":
-            shift = t * k
-        else:
-            shift = 0j
-        return CentralizerElement(D, c.w, nu * c.s + shift)
-
-    return apply
-
-
-def _pi_cap_g(norm_gens, E):
-    """Generators of the normalized pi that act as elements of G_E.
-
-    A pair (k, s) acts by (z + k, e^{lam k} w + s); this is a G_E action
-    exactly when e^{lam k} = 1 and the constant s lies in the solution space,
-    i.e. s = 0 or E has positive degree at the origin.  The pairs come from
-    `_deck_pairs`; they are returned as (int, complex).
-    """
-    lam = E.support[0]
-    deg0 = E.degree_at(0)
-    out = []
-    for k, s in norm_gens:
-        k, s = round(k.real), complex(s)
-        if not close(cmath.exp(lam * k), 1.0, tol=LAM_TOL):
-            continue
-        if abs(s) <= COMMUTANT_TOL or deg0 > 0:
-            out.append((k, s))
-    return tuple(out)
-
-
-def classify_pi(gens, D, max_denominator=None):
-    """Send a discrete subgroup of the commutant to its quotient example.
-
-    gens are CentralizerElements over D.  Returns a BBeta1Classification with
-    the normalized label (over the rescaled divisor when a rescaling was
-    applied) and the normalizing data (mu, nu, t).
-    """
-    _check_divisor(D)
-    qg = quasiperiod_group(D, max_denominator=max_denominator)
-    for g in gens:
-        if not qg.contains(g.w):
-            raise ValueError("generator is not in the commutant: invalid quasiperiod")
-    scale = max([abs(g.w) + abs(g.s) for g in gens] + [1.0])
-
-    ws = [g.w for g in gens]
-    if qg.kind != "rank1" or all(abs(w) <= COMMUTANT_TOL * scale for w in ws):
-        svals = [g.s for g in gens if abs(g.s) > TRANSLATION_CHOP * scale]
-        basis, _, _ = zmodule_basis([c2r(s) for s in svals])
-        if len(basis) > 2:
-            raise NonDiscreteError("w-translation group has rank > 2")
-        if not basis:
-            label = BBeta1Label("trivial", D)
-            return BBeta1Classification(label, "Bβ1", {"mu": 1.0, "nu": 1.0, "t": 0.0})
-        name = "A1" if D.degree_at(0) > 0 else "A0"
-        nu, tau = lattice_frame(basis)
-        delta = (1.0 + 0j,) if tau is None else (1.0 + 0j, tau)
-        label = BBeta1Label(name, D, delta=delta)
-        pig = _pi_cap_g(_deck_pairs(name, delta=delta), D)
-        return BBeta1Classification(label, f"Bβ1{name}", {"mu": 1.0, "nu": nu, "t": 0.0}, pig)
-
-    mu = qg.generator
-    E = D.scaled(mu)
-    lam, _ = _canonical_line_data(E)
-    gamma = cmath.exp(lam)
-
-    pairs = [(qg.index_of(g.w), g.s) for g in gens]
-    H, U, rank = hnf_with_transform([[k] for k, _ in pairs])
-    if rank == 0:
-        raise AssertionError("unreachable: some quasiperiod index is nonzero")
-    n = H[0][0]
-    gen_n = (0, 0j)
-    for c, p in zip(U[0], pairs):
-        if c:
-            gen_n = _qd_mult(gen_n, _qd_power(p, c, gamma), gamma)
-
-    kernel_s = []
-    for pair in pairs:
-        m = pair[0] // n
-        red = _qd_mult(_qd_power(gen_n, -m, gamma), pair, gamma)
-        if red[0] != 0:
-            raise AssertionError("gcd reduction failed")
-        if abs(red[1]) > TRANSLATION_CHOP * scale:
-            kernel_s.append(red[1])
-    q = gamma**n
-    try:
-        pi0 = saturate_lattice(kernel_s, (lambda b: q * b, lambda b: b / q), scale) if kernel_s else []
-    except NonDiscreteError as e:
-        raise NonDiscreteError(f"not a discrete commutant subgroup: {e}") from e
-
-    s_n = gen_n[1]
-    lam_zero = abs(lam) <= LAM_SHAPE_TOL
-    norm = {"mu": mu, "nu": 1.0 + 0j, "t": 0.0}
-
-    def finish(name, s_val=None, tau=None):
-        label = BBeta1Label(name, E, n=n, s=s_val, tau=tau)
-        row = f"Bβ1{name}"
-        if name == "B":
-            row = "Bβ1B0" if close(q, 1.0, tol=LAM_TOL) else "Bβ1B1"
-        pig = _pi_cap_g(_deck_pairs(name, n, s_val, tau), E)
-        return BBeta1Classification(label, row, dict(norm), pig)
-
-    if not pi0:
-        if abs(s_n) <= COMMUTANT_TOL * scale:
-            return finish("B")
-        if not close(q, 1.0, tol=LAM_TOL):
-            norm["t"] = -s_n / (1 - q)
-            return finish("B")
-        if lam_zero:
-            norm["t"] = -s_n / n
-            return finish("B")
-        norm["nu"] = 1.0 / s_n
-        return finish("C", s_val=1.0 + 0j)
-
-    # nu rescales a rank-one kernel to Z (examples D, E, F) and a rank-two one to Z + tau Z
-    nu, tau = lattice_frame(pi0)
-    norm["nu"] = nu
-    s1 = nu * s_n
-    if lam_zero:
-        norm["t"] = -s1 / n
-        return finish("D" if tau is None else "G", tau=tau)
-    if close(q, 1.0, tol=LAM_TOL):
-        return finish("E" if tau is None else "H", s_val=lattice_residue(s1, tau), tau=tau)
-    if tau is None:
-        if close(q, -1.0, tol=LAM_TOL):
-            norm["t"] = -s1 / 2
-            return finish("F")
-        raise NonDiscreteError("e^{lam n} must be a unit of the kernel group")
-    if lattice_contains(q, 1.0, tau) and lattice_contains(1.0 / q, 1.0, tau):
-        norm["t"] = -s1 / (1 - q)
-        return finish("I", tau=tau)
-    raise NonDiscreteError("e^{lam n} must be a unit of the kernel lattice")

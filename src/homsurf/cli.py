@@ -9,17 +9,18 @@ schemas per family are documented in docs/families.md.
 
 Each subcommand imports the modules it runs, and the codecs of a family (in
 the family table, `families.SPECS`) those of their family, so a call loads
-only those (see "Cold start" in the README).
+only those (see "Cold start" in the README).  One table, `COMMANDS`, drives
+the parsing of the arguments, the usage lines and `--help`, without argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 
-from .numeric import NonDiscreteError, as_rows, complex_json, json_complex
+from .numeric import as_rows, complex_json, json_complex
 
 
 class InputError(Exception):
@@ -114,8 +115,8 @@ def _classify_input(data):
         gens = [UAffElement(json_complex(g["a"]), json_complex(g["b"])) for g in data["generators"]]
         return ambient, gens, None
     if ambient == "qd":
-        from .bbeta import CentralizerElement
         from .divisor import Divisor
+        from .qd import CentralizerElement
 
         D = Divisor.from_json(data["divisor"])
         gens = [CentralizerElement(D, json_complex(g["w"]), json_complex(g["s"])) for g in data["generators"]]
@@ -158,7 +159,7 @@ def cmd_classify(args):
             center_intersection={"a": complex_json(center.a), "b": complex_json(center.b)},
         )
     else:
-        from .bbeta import classify_pi
+        from .qd import classify_pi
 
         res = classify_pi(gens, D, max_denominator=bound)
         out.update(
@@ -221,10 +222,7 @@ def cmd_act(args):
 def cmd_verify(args):
     from .verify import run_verification
 
-    try:
-        reports = run_verification(args.family or "all", samples=args.samples, seed=args.seed)
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    reports = run_verification(args.family or "all", samples=args.samples, seed=args.seed)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
@@ -239,41 +237,93 @@ def cmd_verify(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
+# name -> (function, help, arguments).  An argument is (name, metavar, type, default): a positional
+# unless its name starts with "--", a switch (False until given) when it has no metavar, and required
+# when its default is REQUIRED.  The table drives parsing, the usage lines and --help.
+REQUIRED = object()
+_JSON = ("--json", None, bool, False)
+COMMANDS = {
+    "catalogue": (cmd_catalogue, "list the classification table", (("--filter", "PREFIX", str, None), _JSON)),
+    "classify": (
+        cmd_classify, "classify a discrete subgroup from a JSON file",
+        (("file", "FILE", str, REQUIRED), ("--denominator-bound", "N", int, None)),
+    ),
+    "act": (
+        cmd_act, "apply a group element to a surface point",
+        (("--family", "F", str, REQUIRED), ("--element", "E.json", str, REQUIRED),
+         ("--point", "P.json", str, REQUIRED), ("--cover", "LABEL", str, None)),
+    ),
+    "verify": (
+        cmd_verify, "run the property suites",
+        (("family", "FAMILY|all", str, None), ("--samples", "N", int, 100), ("--seed", "S", int, 0), _JSON),
+    ),
+}
+
+
+class UsageError(InputError):
+    pass
+
+
+def usage(name):
+    """The usage line of a subcommand."""
+    words = ["homsurf", name]
+    for flag, meta, _, default in COMMANDS[name][2]:
+        word = meta if not flag.startswith("--") else flag if meta is None else f"{flag} {meta}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def parse(argv):
+    """(the subcommand's function, its arguments by name) from the words after `homsurf`."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError(f"expected a subcommand, one of {', '.join(COMMANDS)}")
+    fn, _, arguments = COMMANDS[argv[0]]
+    values = {a[0]: a[3] for a in arguments}
+    positionals, words = [a for a in arguments if not a[0].startswith("--")], argv[1:]
+    while words:
+        word, *words = words
+        if not word.startswith("--"):
+            if not positionals:
+                raise UsageError(f"unexpected argument {word!r}")
+            (flag, _, kind, _), value = positionals.pop(0), word
+        else:
+            flag, eq, value = word.partition("=")  # an option, named in full or by a unique prefix
+            hits = [a for a in arguments if a[0] == flag] or [a for a in arguments if a[0].startswith(flag)]
+            if len(hits) != 1 or flag == "--":
+                raise UsageError(f"{'ambiguous' if len(hits) > 1 else 'unrecognized'} option {flag}")
+            flag, meta, kind, _ = hits[0]
+            if meta is None and eq:
+                raise UsageError(f"{flag} takes no value")
+            if meta is None:
+                value = True
+            elif not eq:
+                if not words or words[0].startswith("--"):
+                    raise UsageError(f"{flag} expects a value {meta}")
+                value, *words = words
+        try:
+            values[flag] = kind(value)
+        except ValueError:
+            raise UsageError(f"{flag} expects an integer, got {value!r}") from None
+    missing = [a[0] if a[0].startswith("--") else a[1] for a in arguments if values[a[0]] is REQUIRED]
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    return fn, types.SimpleNamespace(**{flag.lstrip("-").replace("-", "_"): values[flag] for flag in values})
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="homsurf", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalogue", help="list the classification table")
-    p.add_argument("--filter", default=None, help="label prefix filter")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalogue)
-
-    p = sub.add_parser("classify", help="classify a discrete subgroup from a JSON file")
-    p.add_argument("file")
-    p.add_argument("--denominator-bound", type=int, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("act", help="apply a group element to a surface point")
-    p.add_argument("--family", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--cover", default=None)
-    p.set_defaults(func=cmd_act)
-
-    p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("family", nargs="?", default=None)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    args = parser.parse_args(argv)
+    """Run one `homsurf` call (the words of `sys.argv` when argv is None) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    lines = ["usage:", *(f"  {usage(n)}" for n in names)]
+    if "-h" in argv or "--help" in argv:
+        print(*lines, "", *(f"  {n:10s} {COMMANDS[n][1]}" for n in names), sep="\n")
+        return 0
     try:
-        return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, NonDiscreteError, KeyError, OSError, OverflowError, json.JSONDecodeError) as e:
+        fn, args = parse(argv)
+        return fn(args)
+    except (InputError, ValueError, KeyError, OSError, OverflowError) as e:  # NonDiscreteError: a ValueError
+        if isinstance(e, UsageError):
+            print(*lines, sep="\n", file=sys.stderr)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

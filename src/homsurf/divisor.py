@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .lattice import near_int, rational_reconstruct
+from .lattice import _convergent, _denominator_bound, near_int
 from .numeric import EPS, QUASIPERIOD_TOL, RATIO_REAL_TOL, Record, canonical_sign, close, json_complex, setfield
 
 DEGREE_CAP = 32
@@ -131,17 +131,17 @@ def _quasiperiod_group(D, max_denominator):
     pts = D.support
     diffs = [p - pts[0] for p in pts[1:]]
     d0 = diffs[0]
-    ratios = []
+    ratios = []  # each d / d0 as the integers (p, q) of p / q
     for d in diffs:
         r = d / d0
         if abs(r.imag) > RATIO_REAL_TOL * max(1.0, abs(r)):
             return QuasiperiodGroup("trivial")
-        frac = rational_reconstruct(r.real, max_denominator=max_denominator)
-        if frac is None:
+        pq = _convergent(r.real, _denominator_bound(max_denominator))
+        if pq is None:
             return QuasiperiodGroup("trivial")
-        ratios.append(frac)
-    den = math.lcm(*(f.denominator for f in ratios))
-    delta = d0 * math.gcd(*(int(f * den) for f in ratios)) / den
+        ratios.append(pq)
+    den = math.lcm(*(q for _, q in ratios))
+    delta = d0 * math.gcd(*(p * (den // q) for p, q in ratios)) / den
     if any(near_int(d / delta, QUASIPERIOD_TOL) is None for d in diffs):
         return QuasiperiodGroup("trivial")
     gen = canonical_sign(2j * cmath.pi / delta)

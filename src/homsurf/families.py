@@ -3,7 +3,7 @@
 Each family label has one `Family` with a uniform interface: identity,
 multiply, inverse, act, and random sampling of elements and surface points.
 A factory per label builds it from the group law and action functions of
-the family's module (`projective`, `bbeta`, `uaff`) or from closures over
+the family's module (`projective`, `bbeta`, `uaffgroup`) or from closures over
 the family's parameters; the product families join the functions of two
 factors.  The factories cover the matrix families (projective plane, affine
 plane, special affine plane), the product families, the one-parameter
@@ -228,14 +228,12 @@ def _d3():
 
 
 def _d2():
-    from . import uaff  # here: loading families does not load uaff
+    from . import uaffgroup as u  # here: loading families does not load it
 
     def random(rng):
-        return uaff.UAffElement(*_cnums(rng, 2))
+        return u.UAffElement(*_cnums(rng, 2))
 
-    return Family(
-        "D2", lambda: uaff.IDENTITY, uaff.uaff_multiply, uaff.uaff_inverse, uaff.uaff_multiply, random, random
-    )
+    return Family("D2", lambda: u.IDENTITY, u.uaff_multiply, u.uaff_inverse, u.uaff_multiply, random, random)
 
 
 def _example_divisor():
@@ -456,7 +454,7 @@ def _cjs(values):
 
 
 def _uaff_element(data):
-    from .uaff import UAffElement
+    from .uaffgroup import UAffElement
 
     return UAffElement(json_complex(data["a"]), json_complex(data["b"]))
 

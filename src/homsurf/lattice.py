@@ -14,8 +14,8 @@ NonDiscreteError.
 
 The D1, D2 and Bβ1 classifiers and the quasiperiod groups of `divisor`
 import it, and the points of the torus factors of the product quotients,
-`TorusPoint`, live here; an `act` call on a family other than D2 does not
-load it.  Its tolerances are named constants of `numeric`.
+`TorusPoint`, live here; an `act` call loads it only for the Bβ1 and Bβ2
+families, through `bbeta`.  Its tolerances are named constants of `numeric`.
 """
 
 from __future__ import annotations

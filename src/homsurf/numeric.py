@@ -88,12 +88,12 @@ B_REMOVED_TOL = 1e-6
 CENTER_REAL_TOL = 1e-9
 # divisor: a ratio of differences of divisor points is real when |Im| is at most this * max(1, |r|)
 RATIO_REAL_TOL = 1e-8
-# bbeta: a divisor has the canonical line shape when its quasiperiod generator is 1 to this
+# qd: a divisor has the canonical line shape when its quasiperiod generator is 1 to this
 LINE_SHAPE_TOL = 1e-6
-# bbeta: e^{lam n} = +-1 and lam = 0 to this (`close`); lam is 0, or in 2 pi i Z, to LAM_SHAPE_TOL
+# bbeta, qd: e^{lam n} = +-1 and lam = 0 to this (`close`); lam is 0, or in 2 pi i Z, to LAM_SHAPE_TOL
 LAM_TOL = 1e-8
 LAM_SHAPE_TOL = 1e-9
-# bbeta.classify_pi: quasiperiods and translations at most this * scale (a deck pair's: at most
+# qd.classify_pi: quasiperiods and translations at most this * scale (a deck pair's: at most
 # this) are zero; a translation at most TRANSLATION_CHOP * scale is dropped from the generators
 COMMUTANT_TOL = 1e-8
 TRANSLATION_CHOP = 1e-12

@@ -1,12 +1,13 @@
 """The universal cover of the complex affine group of C, and its discrete subgroups.
 
 Elements are pairs (a, b) with (a, b)(a', b') = (a + a', b + e^a b'), the
-simply connected nonabelian complex Lie group of dimension two.  The module
-implements the group arithmetic and its 3x3 matrix model, the automorphism
-group (a, b) -> (a, gamma (1 - e^a) + beta b), the classifier of discrete
-subgroups into the fourteen normal forms D2_1 .. D2_14, the intersection of
-each subgroup with the center 2 pi i Z x {0}, and the explicit product-cover
-maps that exist exactly when the subgroup is abelian.
+simply connected nonabelian complex Lie group of dimension two.  The group
+law is `uaffgroup`'s, re-imported here.  The module adds powers, the 3x3
+matrix model, the automorphism group (a, b) -> (a, gamma (1 - e^a) + beta b),
+the classifier of discrete subgroups into the fourteen normal forms
+D2_1 .. D2_14, the intersection of each subgroup with the center
+2 pi i Z x {0}, and the explicit product-cover maps that exist exactly when
+the subgroup is abelian.
 """
 
 from __future__ import annotations
@@ -18,35 +19,10 @@ from .lattice import TorusPoint, _convergent, _denominator_bound, c2r, geometric
 from .lattice import lattice_reduce_tau, lattice_residue, saturate_lattice, zmodule_basis, zmodule_fit
 from .numeric import B_REMOVED_TOL, B_ZERO_TOL, CENTER_REAL_TOL, DENOMINATOR_BOUND, EXP_ONE_TOL, HALF_PHASE_TOL
 from .numeric import KERNEL_A_TOL, PHASE_TOL, TAU_UNIT_TOL, NonDiscreteError, Record, canonical_sign, close
-from .numeric import distance, load_numpy, setfield
+from .numeric import load_numpy, setfield
+from .uaffgroup import IDENTITY, UAffElement, uaff_inverse, uaff_multiply
 
 TWO_PI_I = 2j * math.pi
-
-
-class UAffElement(Record):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-
-    def __iter__(self):
-        yield self.a
-        yield self.b
-
-    def distance(self, other):
-        return max(distance(self.a, other.a), distance(self.b, other.b))
-
-
-IDENTITY = UAffElement(0j, 0j)
-
-
-def uaff_multiply(g, h):
-    return UAffElement(g.a + h.a, g.b + cmath.exp(g.a) * h.b)
-
-
-def uaff_inverse(g):
-    return UAffElement(-g.a, -cmath.exp(-g.a) * g.b)
 
 
 def uaff_power(g, n):
@@ -119,18 +95,22 @@ class D2Label(Record):
         return out
 
 
-def _row_values(label, reads):
-    """The label's values of the parameters its row reads; a missing one is a ValueError naming it."""
+def _row(label):
+    """(the values of the parameters the label's row reads, its generators, its cover); an unknown
+    label or a missing parameter is a ValueError naming it."""
+    if label.name not in _ROWS:
+        raise ValueError(f"unknown label {label.name}")
+    reads, generators, cover = _ROWS[label.name]
     values = [getattr(label, p) for p in reads]
     if None in values:
         raise ValueError(f"row {label.name} needs the parameter {reads[values.index(None)]}")
-    return values
+    return values, generators, cover
 
 
 def normal_form_generators(label):
     """Generator list of the table row with the label's parameters; a missing one is a ValueError."""
-    reads, generators, _ = _ROWS[label.name]
-    return list(generators(*_row_values(label, reads)))
+    values, generators, _ = _row(label)
+    return list(generators(*values))
 
 
 def _label(name, **params):
@@ -358,8 +338,10 @@ def _classify_rank_two(L, pi0, scale):
 
 
 def center_intersection(label, max_denominator=None):
-    """Generator of pi intersect Z(G) = 2 pi i Z x 0; (0,0) when trivial.  A fraction the
-    answer needs whose denominator lies beyond max_denominator is a ValueError naming the bound."""
+    """Generator of pi intersect Z(G) = 2 pi i Z x 0; (0,0) when trivial.  A fraction the answer
+    needs whose denominator lies beyond max_denominator is a ValueError naming the bound, and so
+    are an unknown label and a missing parameter."""
+    _row(label)
     name = label.name
     if name in ("D2", "D2_1", "D2_2", "D2_3"):
         return IDENTITY
@@ -384,11 +366,9 @@ def center_intersection(label, max_denominator=None):
         return IDENTITY if pq is None else UAffElement(TWO_PI_I * pq[0], 0)
     if name == "D2_14":
         return _center_d2_14(label.a1, label.a2, max_denominator)
-    if name in NONABELIAN_LABELS:
-        x = normal_form_generators(label)[0].a / TWO_PI_I
-        pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator, required=True)
-        return UAffElement(TWO_PI_I * pq[0], 0)
-    return IDENTITY
+    x = normal_form_generators(label)[0].a / TWO_PI_I  # a nonabelian row
+    pq = _center_fraction(x.real, "rotation a / 2 pi i", name, max_denominator, required=True)
+    return UAffElement(TWO_PI_I * pq[0], 0)
 
 
 def _center_fraction(x, what, name, max_denominator, required=False):
@@ -438,9 +418,7 @@ def product_cover(label, point):
     no such map (the bundle is nontrivial) and raise ValueError, as does a
     label that misses a parameter its row reads.
     """
-    if label.name not in _ROWS:
-        raise ValueError(f"unknown label {label.name}")
-    reads, _, cover = _ROWS[label.name]
+    values, _, cover = _row(label)
     if cover is None:
         raise ValueError("bundle is nontrivial")
-    return cover(*_row_values(label, reads), point.a, point.b)
+    return cover(*values, point.a, point.b)

@@ -421,3 +421,35 @@ def test_rgd_quotient_cover():
     assert cov2.equal(cov2.cover(0.2, 0.4), cov2.cover(2.2, 0.4))
     with pytest.raises(ValueError, match="no quotients"):
         rgd_quotients(Divisor([(0.0, 2)]), 1)
+
+
+def _two_passes(label):
+    """classify_pi's label of the cover's deck generators, then its label of that label's."""
+    first = classify_pi(quotient_cover(label).pi_generators(), label.divisor).label
+    return first, classify_pi(quotient_cover(first).pi_generators(), first.divisor).label
+
+
+def _sample_label(seed, name):
+    import numpy as np
+
+    (label,) = [x for x in verify.sample_cover_labels(np.random.default_rng(seed)) if x.name == name]
+    return label
+
+
+@pytest.mark.parametrize("name", "BCDEFGI")
+@pytest.mark.parametrize("seed", range(8))
+def test_classify_pi_of_its_own_normal_form_is_a_fixed_point(seed, name):
+    first, second = _two_passes(_sample_label(seed, name))
+    assert first.name == name
+    assert second == first
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2 (normal forms that are not canonical): classify_pi negates the s of H on every pass",
+)
+@pytest.mark.parametrize("seed", range(8))
+def test_classify_pi_of_its_own_normal_form_is_a_fixed_point_for_h(seed):
+    first, second = _two_passes(_sample_label(seed, "H"))
+    assert first.name == second.name == "H"
+    assert second == first

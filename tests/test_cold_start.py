@@ -86,16 +86,16 @@ UAFF_LATTICE = {
 BASE = {"homsurf", "homsurf.numeric"}
 ACT = BASE | {"homsurf.families"}
 PROJECTIVE = ACT | {"homsurf.projective"}
-QD = BASE | {"homsurf.bbeta", "homsurf.divisor", "homsurf.exppoly", "homsurf.lattice"}
+QD = BASE | {"homsurf.qd", "homsurf.divisor", "homsurf.lattice"}
 D1 = BASE | {"homsurf.d1", "homsurf.lattice"}
-UAFF_MODULES = BASE | {"homsurf.uaff", "homsurf.lattice"}
+UAFF_MODULES = BASE | {"homsurf.uaff", "homsurf.uaffgroup", "homsurf.lattice"}
 
 # call -> (argv after `homsurf`, homsurf modules loaded, expected label or None); no call loads numpy
 CALLS = {
     "act-A2": (lambda t: _act_args(t, "A2", A2, POINT), ACT, None),
     "act-A3": (lambda t: _act_args(t, "A3", A3, POINT), ACT, None),
     "act-D1": (lambda t: _act_args(t, "D1", D1_ELEMENT, POINT), ACT, None),
-    "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | UAFF_MODULES, None),
+    "act-D2": (lambda t: _act_args(t, "D2", D2, D2_POINT), ACT | {"homsurf.uaffgroup"}, None),
     "act-C9": (lambda t: _act_args(t, "C9", C9, C9_POINT), PROJECTIVE, None),
     "classify-qd": (lambda t: ["classify", _write(t, "qd.json", QD_B)], QD, "Bβ1B"),
     "classify-qd-lattice": (lambda t: ["classify", _write(t, "qd.json", QD_D)], QD, "Bβ1D"),
@@ -106,10 +106,10 @@ CALLS = {
     "classify-uaff-lattice": (lambda t: ["classify", _write(t, "uaff.json", UAFF_LATTICE)], UAFF_MODULES, "D2_9"),
     "catalogue": (lambda t: ["catalogue", "--filter", "D1", "--json"], BASE | {"homsurf.catalogue"}, None),
 }
-# what no act or classify call may load: numpy, `dataclasses` (which brings `inspect`) and, for
-# act and the C2 and uaff classifiers, which build no Fraction, `fractions` (which brings `decimal`)
-NOT_LOADED = {"numpy", "dataclasses", "inspect"}
-NOT_LOADED_BY_ACT = NOT_LOADED | {"fractions", "decimal"}
+# what no act or classify call may load: numpy, `dataclasses` (which brings `inspect`), `argparse`
+# (which brings `gettext` and `locale`), and `fractions` (which brings `decimal`), since every
+# classifier reads its fractions as integer pairs
+NOT_LOADED = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -121,14 +121,14 @@ def test_cli_call_loads_only_what_it_runs(tmp_path, name):
     if label is not None:
         assert doc["label"] == label
     assert ours == modules
-    assert not names & (NOT_LOADED if name.startswith(("classify-qd", "catalogue")) else NOT_LOADED_BY_ACT)
+    assert not names & NOT_LOADED
 
 
 def test_import_homsurf_loads_no_submodule():
     code, _, ours, names = _run("-c", "import homsurf")
     assert code == 0
     assert ours == {"homsurf"}
-    assert not names & NOT_LOADED_BY_ACT
+    assert not names & NOT_LOADED
 
 
 def test_public_names_are_their_home_objects():

@@ -308,3 +308,30 @@ def test_normal_form_row_names_a_missing_parameter(label, missing):
 def test_product_cover_names_a_missing_parameter(label, missing):
     with pytest.raises(ValueError, match=f"row {label.name} needs the parameter {missing}"):
         product_cover(label, UAffElement(0.1j, 0.5))
+
+
+@pytest.mark.parametrize(
+    "label, missing",
+    [
+        (D2Label("D2_2"), "tau"),
+        (D2Label("D2_3"), "k"),
+        (D2Label("D2_4", k=1), "b"),
+        (D2Label("D2_5", k=1, b=0.5), "tau"),
+        (D2Label("D2_6"), "a"),
+        (D2Label("D2_7"), "k"),
+        (D2Label("D2_14", a1=1.0), "a2"),
+    ],
+)
+def test_center_intersection_names_a_missing_parameter(label, missing):
+    with pytest.raises(ValueError, match=f"row {label.name} needs the parameter {missing}"):
+        center_intersection(label)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [center_intersection, normal_form_generators, lambda label: product_cover(label, IDENTITY)],
+    ids=["center_intersection", "normal_form_generators", "product_cover"],
+)
+def test_an_unknown_label_is_a_value_error(fn):
+    with pytest.raises(ValueError, match="unknown label D2_99"):
+        fn(D2Label("D2_99"))
