@@ -2,7 +2,8 @@
 
 G_D is the semidirect product of translations with the solution space of the
 divisor's annihilator, acting on C^2 by (t, f)(z, w) = (z + t, w + f(z + t));
-rG_D adds a rescaling of w.  Every quotient of the plane by a discrete
+rG_D adds a rescaling of w, and G_D is its subgroup lam = 1, so one element
+type and one group law serve both.  Every quotient of the plane by a discrete
 subgroup of their commutant (see `qd`) is one of ten explicit examples
 (labelled A0, A1, B, ..., I), each realized here as a `Cover`: the covering
 map, the induced action on the quotient surface, and the deck group from the
@@ -28,50 +29,12 @@ from .qd import cent_inverse, cent_multiply, classify_pi, table_automorphism  # 
 
 
 # ---------------------------------------------------------------------------
-# G_D and rG_D
-
-
-class GDElement(Record):
-    __slots__ = ("divisor", "t", "f")
-
-    def __init__(self, divisor, t, f):
-        setfield(self, "divisor", divisor)
-        setfield(self, "t", t)
-        setfield(self, "f", f)
-        _check_divisor(self.divisor)
-        if not contains(self.divisor, self.f):
-            raise ValueError("f is not in the solution space of the divisor")
-
-    def distance(self, other):
-        return max(distance(self.t, other.t), self.f.distance(other.f))
-
-
-def gd_identity(D):
-    return GDElement(D, 0j, ExpPoly.zero())
-
-
-def gd_multiply(g, h):
-    if g.divisor != h.divisor:
-        raise ValueError("divisor mismatch")
-    return GDElement(g.divisor, g.t + h.t, g.f + translate(h.f, g.t))
-
-
-def gd_inverse(g):
-    return GDElement(g.divisor, -g.t, translate(g.f, -g.t).scale(-1))
-
-
-def gd_act(g, zw):
-    z, w = zw
-    z1 = z + g.t
-    return (z1, w + evaluate(g.f, z1))
-
-
-def random_gd(D, rng, scale=0.7):
-    t = complex(rng.standard_normal(), rng.standard_normal()) * scale
-    return GDElement(D, t, random_member(D, rng, scale=scale))
+# rG_D, and G_D as its subgroup lam = 1
 
 
 class RGDElement(Record):
+    """(t, lam, f) in rG_D, acting by (z, w) -> (z + t, lam w + f(z + t)); G_D is lam = 1."""
+
     __slots__ = ("divisor", "t", "lam", "f")
 
     def __init__(self, divisor, t, lam, f):
@@ -80,7 +43,7 @@ class RGDElement(Record):
         setfield(self, "lam", lam)
         setfield(self, "f", f)
         _check_divisor(self.divisor)
-        if abs(self.lam) == 0:
+        if self.lam == 0:
             raise ValueError("the rescaling component must be nonzero")
         if not contains(self.divisor, self.f):
             raise ValueError("f is not in the solution space of the divisor")
@@ -96,9 +59,10 @@ def rgd_identity(D):
 def rgd_multiply(g, h):
     if g.divisor != h.divisor:
         raise ValueError("divisor mismatch")
-    return RGDElement(
-        g.divisor, g.t + h.t, g.lam * h.lam, g.f + translate(h.f, g.t).scale(g.lam)
-    )
+    f = translate(h.f, g.t)
+    if g.lam != 1:  # a G_D element (lam = 1) leaves the scale out
+        f = f.scale(g.lam)
+    return RGDElement(g.divisor, g.t + h.t, g.lam * h.lam, g.f + f)
 
 
 def rgd_inverse(g):
@@ -112,6 +76,12 @@ def rgd_act(g, zw):
     return (z1, g.lam * w + evaluate(g.f, z1))
 
 
+def random_gd(D, rng, scale=0.7):
+    """A random element of G_D: lam = 1."""
+    t = complex(rng.standard_normal(), rng.standard_normal()) * scale
+    return RGDElement(D, t, 1, random_member(D, rng, scale=scale))
+
+
 def random_rgd(D, rng, scale=0.7):
     t = complex(rng.standard_normal(), rng.standard_normal()) * scale
     lam = cmath.exp(complex(rng.standard_normal(), rng.standard_normal()) * scale)
@@ -119,7 +89,7 @@ def random_rgd(D, rng, scale=0.7):
 
 
 # ---------------------------------------------------------------------------
-# the three morphism families
+# the morphisms: inner and rescaling ones of G_D and rG_D, shears of G_D, translations of rG_D
 
 
 class Morphism(Record):
@@ -134,74 +104,66 @@ class Morphism(Record):
         setfield(self, "target", target)
 
 
-def morphism_family(kind, group, divisor, *, g=None, mu=None, nu=None, f0=None, a=None):
-    """One of the three morphism families for 'gd' or 'rgd'.
+def inner_morphism(g):
+    """Conjugation by g: delta is the action of g."""
+    ginv = rgd_inverse(g)
 
-    kind 1: inner, by a group element g.
-    kind 2: divisor rescaling by mu with w scaled by nu.
-    kind 3: gd: shear by f0 in the solution space of divisor + [0];
-            rgd: divisor translation by a via (z, w) -> (z, e^{az} w).
-    """
-    D = _check_divisor(divisor)
-    if group not in ("gd", "rgd"):
-        raise ValueError("group must be 'gd' or 'rgd'")
-    if kind == 1:
-        act = gd_act if group == "gd" else rgd_act
-        mult = gd_multiply if group == "gd" else rgd_multiply
-        inv = gd_inverse if group == "gd" else rgd_inverse
-        ginv = inv(g)
+    def delta(zw):
+        return rgd_act(g, zw)
 
-        def delta(zw):
-            return act(g, zw)
+    def h(x):
+        return rgd_multiply(rgd_multiply(g, x), ginv)
 
-        def h(x):
-            return mult(mult(g, x), ginv)
+    return Morphism(delta, h, g.divisor, g.divisor)
 
-        return Morphism(delta, h, D, D)
-    if kind == 2:
-        mu = complex(mu)
-        nu = complex(nu)
-        if abs(mu) == 0 or abs(nu) == 0:
-            raise ValueError("mu and nu must be nonzero")
-        E = D.scaled(mu)
 
-        def delta(zw):
-            return (zw[0] / mu, nu * zw[1])
+def rescaling_morphism(D, mu, nu):
+    """The divisor rescaled by mu, with w scaled by nu: onto the group of D.scaled(mu)."""
+    D = _check_divisor(D)
+    mu, nu = complex(mu), complex(nu)
+    if abs(mu) == 0 or abs(nu) == 0:
+        raise ValueError("mu and nu must be nonzero")
+    E = D.scaled(mu)
 
-        if group == "gd":
+    def delta(zw):
+        return (zw[0] / mu, nu * zw[1])
 
-            def h(x):
-                return GDElement(E, x.t / mu, x.f.scale_argument(mu).scale(nu))
+    def h(x):
+        return RGDElement(E, x.t / mu, x.lam, x.f.scale_argument(mu).scale(nu))
 
-        else:
+    return Morphism(delta, h, D, E)
 
-            def h(x):
-                return RGDElement(E, x.t / mu, x.lam, x.f.scale_argument(mu).scale(nu))
 
-        return Morphism(delta, h, D, E)
-    if kind == 3:
-        if group == "gd":
-            if f0 is None or not contains(D.plus_point(0j), f0):
-                raise ValueError("f0 must lie in the solution space of divisor + [0]")
+def shear_morphism(D, f0):
+    """The shear (z, w) -> (z, w + f0(z)) of G_D, f0 in the solution space of D + [0]."""
+    D = _check_divisor(D)
+    if not contains(D.plus_point(0j), f0):
+        raise ValueError("f0 must lie in the solution space of divisor + [0]")
 
-            def delta(zw):
-                return (zw[0], zw[1] + evaluate(f0, zw[0]))
+    def delta(zw):
+        return (zw[0], zw[1] + evaluate(f0, zw[0]))
 
-            def h(x):
-                return GDElement(D, x.t, x.f + f0 - translate(f0, x.t))
+    def h(x):
+        if x.lam != 1:
+            raise ValueError("the shear normalizes G_D only: lam must be 1")
+        return RGDElement(D, x.t, x.lam, x.f + f0 - translate(f0, x.t))
 
-            return Morphism(delta, h, D, D)
-        a = complex(a)
-        F = D.translated(a)
+    return Morphism(delta, h, D, D)
 
-        def delta(zw):
-            return (zw[0], cmath.exp(a * zw[0]) * zw[1])
 
-        def h(x):
-            return RGDElement(F, x.t, cmath.exp(a * x.t) * x.lam, x.f.modulate(a))
+def translation_morphism(D, a):
+    """(z, w) -> (z, e^{az} w): rG_D onto rG of the divisor translated by a."""
+    D = _check_divisor(D)
+    a = complex(a)
+    F = D.translated(a)
 
-        return Morphism(delta, h, D, F)
-    raise ValueError("kind must be 1, 2 or 3")
+    def delta(zw):
+        return (zw[0], cmath.exp(a * zw[0]) * zw[1])
+
+    def h(x):
+        return RGDElement(F, x.t, cmath.exp(a * x.t) * x.lam, x.f.modulate(a))
+
+    return Morphism(delta, h, D, F)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +335,7 @@ def _line_cover(label):
         def orbit_rep(z, w):
             return (complex(z), complex(w))
 
-        return Cover(orbit_rep, gd_act, equal, deck)
+        return Cover(orbit_rep, rgd_act, equal, deck)
 
     def zpart(z):
         return cmath.exp(TWO_PI_I * z / n)

@@ -278,15 +278,15 @@ def translate(f, t):
 
 
 class DiffOperator(Record):
-    """Monic constant-coefficient operator p(d/dz).
+    """Monic constant-coefficient operator p(d/dz) with its root multiset.
 
-    When built from a divisor the root multiset is kept, so that applying the
-    operator to a member of its own solution space cancels structurally.
+    `apply_operator` goes through the roots, so that applying the operator
+    to a member of its own solution space cancels structurally.
     """
 
     __slots__ = ("coeffs", "roots")
 
-    def __init__(self, coeffs, roots=None):
+    def __init__(self, coeffs, roots):
         cs = _trim([complex(c) for c in coeffs])
         if not cs:
             raise ValueError("operator must be nonzero")
@@ -295,7 +295,7 @@ class DiffOperator(Record):
             raise ValueError("operator must be monic")
         cs = cs[:-1] + (1.0 + 0j,)
         setfield(self, "coeffs", cs)
-        setfield(self, "roots", None if roots is None else tuple(roots))
+        setfield(self, "roots", tuple(roots))
 
 
 @functools.lru_cache(maxsize=256)
@@ -315,47 +315,25 @@ def monic_polynomial(D):
     return DiffOperator(p.coeffs, roots=D.points)
 
 
-def _taylor_shift_coeffs(coeffs, lam):
-    """Coefficients c_m of p(X + lam), so p(d/dz) = sum c_m d^m on e^{lam z} terms."""
-    n = len(coeffs)
-    cs = [0j] * n
-    for m in range(n):
-        acc = 0j
-        for k in range(m, n):
-            acc += coeffs[k] * math.comb(k, m) * lam ** (k - m)
-        cs[m] = acc
-    return cs
-
-
 def apply_operator(op, f):
     """Apply p(d/dz) to f symbolically; result is in canonical form.
 
-    With the operator's roots available, each factor (d/dz - mu) acting on
-    e^{lam z} q(z) with lam == mu kills a degree exactly, so annihilation of
-    basis members produces an exactly empty result.
+    Each factor (d/dz - mu) of the operator's roots acting on e^{lam z} q(z)
+    with lam == mu kills a degree exactly, so annihilation of basis members
+    produces an exactly empty result.
     """
     out = []
     for lam, p in f.terms:
         q = p
-        if op.roots is not None:
-            for mu, mult in op.roots:
-                if q.is_zero:
-                    break
-                d = lam - complex(mu)
-                if close(lam, complex(mu)):
-                    q = q.derivative(mult)
-                else:
-                    for _ in range(mult):
-                        q = q.derivative() + q.scale(d)
-        else:
-            cs = _taylor_shift_coeffs(op.coeffs, lam)
-            acc = Polynomial.zero()
-            deriv = q
-            for m, c in enumerate(cs):
-                if m > 0:
-                    deriv = deriv.derivative()
-                acc = acc + deriv.scale(c)
-            q = acc
+        for mu, mult in op.roots:
+            if q.is_zero:
+                break
+            d = lam - complex(mu)
+            if close(lam, complex(mu)):
+                q = q.derivative(mult)
+            else:
+                for _ in range(mult):
+                    q = q.derivative() + q.scale(d)
         if not q.is_zero:
             out.append((lam, q))
     return ExpPoly(tuple(out))

@@ -242,31 +242,19 @@ def _example_divisor():
     return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
 
 
-def _bbeta1(divisor=None):
+def _bbeta(label, divisor):
+    """Bβ1 (G_D) or Bβ2 (rG_D): both run the law of rG_D; only the sampler differs."""
     from . import bbeta  # here: loading families does not load bbeta
 
     D = _example_divisor() if divisor is None else divisor
+    sample = bbeta.random_gd if label == "Bβ1" else bbeta.random_rgd
     return Family(
-        "Bβ1",
-        lambda: bbeta.gd_identity(D),
-        bbeta.gd_multiply,
-        bbeta.gd_inverse,
-        bbeta.gd_act,
-        lambda rng: bbeta.random_gd(D, rng),
-    )
-
-
-def _bbeta2(divisor=None):
-    from . import bbeta
-
-    D = _example_divisor() if divisor is None else divisor
-    return Family(
-        "Bβ2",
+        label,
         lambda: bbeta.rgd_identity(D),
         bbeta.rgd_multiply,
         bbeta.rgd_inverse,
         bbeta.rgd_act,
-        lambda rng: bbeta.random_rgd(D, rng),
+        lambda rng: sample(D, rng),
     )
 
 
@@ -465,7 +453,7 @@ def _divisor_element(data, rescaled):
     from .exppoly import ExpPoly
 
     D, t, f = Divisor.from_json(data["divisor"]), json_complex(data["t"]), ExpPoly.from_json(data["f"])
-    return bbeta.RGDElement(D, t, json_complex(data["lambda"]), f) if rescaled else bbeta.GDElement(D, t, f)
+    return bbeta.RGDElement(D, t, json_complex(data["lambda"]) if rescaled else 1, f)
 
 
 def _c8_element(data):
@@ -629,12 +617,12 @@ SPECS = {
         distance=_affine_distance,
     ),
     "Bβ1": FamilySpec(
-        _bbeta1,
+        lambda divisor=None: _bbeta("Bβ1", divisor),
         lambda d: _divisor_element(d, rescaled=False),
         policy="discrete subgroup pi of Q_D x| C, examples Bβ1A0..I",
     ),
     "Bβ2": FamilySpec(
-        _bbeta2,
+        lambda divisor=None: _bbeta("Bβ2", divisor),
         lambda d: _divisor_element(d, rescaled=True),
         policy="pi = n Z in the quasiperiod group, normalized divisor",
     ),

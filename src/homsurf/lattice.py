@@ -364,8 +364,8 @@ def zmodule_basis(vectors, *, max_denominator=None):
 
 
 def zmodule_fit(basis):
-    """`zmodule_coords` over one basis as a function fit(v, tol, scale), with the QR of
-    the basis taken once, here; a caller keeps it for the vectors of one call only."""
+    """fit(v, tol, scale): the integer coordinates of v in the Z-span of basis, or None.
+    The QR of the basis is taken once, here; a caller keeps fit for one call's vectors."""
     cols = [_floats(b) for b in basis]
     qr = _qr(cols)
     dims = {len(c) for c in cols}
@@ -380,11 +380,6 @@ def zmodule_fit(basis):
         return _integer_fit(v, cols, qr, tol, max(1.0, scale, size))
 
     return fit
-
-
-def zmodule_coords(v, basis, tol=COMBO_TOL, scale=0.0):
-    """Integer coordinates of v in the Z-span of basis, or None."""
-    return zmodule_fit(basis)(v, tol, scale)
 
 
 def saturate_lattice(values, images, scale):

@@ -412,7 +412,12 @@ class BGamma12Element(Record):
             raise ValueError("polynomial must have degree n")
 
     def distance(self, other):
-        return max(distance(self.lam, other.lam), distance(self.b, other.b), flat_distance(self.poly, other.poly))
+        lam = other.lam
+        if self.c == 0:  # the law and the action read lam only through e^lam: compare it modulo 2 pi i
+            turns = (lam - self.lam).imag / (2 * math.pi)
+            if math.isfinite(turns) and (k := round(turns)):
+                lam -= 2j * math.pi * k
+        return max(distance(self.lam, lam), distance(self.b, other.b), flat_distance(self.poly, other.poly))
 
 
 def bg12_identity(n, c):

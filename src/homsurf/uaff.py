@@ -65,11 +65,6 @@ def aut_apply(phi, g):
     return UAffElement(g.a, phi.gamma * (1 - cmath.exp(g.a)) + phi.beta * g.b)
 
 
-def aut_compose(phi2, phi1):
-    """phi2 after phi1."""
-    return UAffAutomorphism(phi2.gamma + phi2.beta * phi1.gamma, phi2.beta * phi1.beta)
-
-
 class D2Label(Record):
     """Normal form of a discrete subgroup, with its table parameters."""
 

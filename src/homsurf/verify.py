@@ -383,13 +383,13 @@ def _gd_structure(rng, samples, rec):
     for _ in range(samples):
         g = bbeta.random_gd(E, rng, scale=0.5)
         h = bbeta.random_gd(E, rng, scale=0.5)
-        rec.boolean("vd-closure-exact", contains(E, bbeta.gd_multiply(g, h).f))
+        rec.boolean("vd-closure-exact", contains(E, bbeta.rgd_multiply(g, h).f))
         gg = bbeta.random_gd(D, rng, scale=0.4)
         k = int(rng.integers(-2, 3))
         c = bbeta.CentralizerElement(D, k, complex(rng.standard_normal(), rng.standard_normal()))
         x = (complex(rng.standard_normal(), rng.standard_normal()) * 0.4, complex(rng.standard_normal(), rng.standard_normal()) * 0.4)
-        lhs = bbeta.cent_act(c, bbeta.gd_act(gg, x))
-        rhs = bbeta.gd_act(gg, bbeta.cent_act(c, x))
+        lhs = bbeta.cent_act(c, bbeta.rgd_act(gg, x))
+        rhs = bbeta.rgd_act(gg, bbeta.cent_act(c, x))
         rec.value("centralizer-commutes", distance(lhs, rhs), 1e-9)
 
 
@@ -461,7 +461,7 @@ def _cover_sample(rng, D):
         z = complex(-0.5 + (0.5 - -0.5) * rng.random(), -0.25 + (0.25 - -0.25) * rng.random())
         w = complex(rng.standard_normal(), rng.standard_normal()) * 0.5
         g = bbeta.random_gd(D, rng, scale=0.25)
-        y = bbeta.gd_act(g, (z, w))
+        y = bbeta.rgd_act(g, (z, w))
         if abs(y[1]) < 12 and abs(y[0].imag) < 0.8:
             return g, (z, w)
     raise AssertionError("could not sample a bounded cover point")
@@ -473,7 +473,7 @@ def _covers_suite(rng, samples, rec):
         D = label.divisor
         for _ in range(max(3, samples // 8)):
             g, (z, w) = _cover_sample(rng, D)
-            lhs = cov.cover(*bbeta.gd_act(g, (z, w)))
+            lhs = cov.cover(*bbeta.rgd_act(g, (z, w)))
             rhs = cov.act(g, cov.cover(z, w))
             rec.boolean(
                 f"cover-equivariance-{label.name}", cov.equal(lhs, rhs), label.name
@@ -533,30 +533,25 @@ def _morphism_suite(rng, samples, rec):
     D = random_divisor(rng, max_deg=4)
     for group in ("gd", "rgd"):
         rand = bbeta.random_gd if group == "gd" else bbeta.random_rgd
-        act = bbeta.gd_act if group == "gd" else bbeta.rgd_act
         g0 = rand(D, rng, scale=0.5)
         morphs = [
-            bbeta.morphism_family(1, group, D, g=g0),
-            bbeta.morphism_family(
-                2,
-                group,
+            bbeta.inner_morphism(g0),
+            bbeta.rescaling_morphism(
                 D,
                 mu=cmath.exp(complex(rng.standard_normal(), rng.standard_normal()) * 0.4),
                 nu=cmath.exp(complex(rng.standard_normal(), rng.standard_normal()) * 0.4),
             ),
         ]
         if group == "gd":
-            f0 = random_member(D.plus_point(0j), rng, scale=0.5)
-            morphs.append(bbeta.morphism_family(3, group, D, f0=f0))
+            morphs.append(bbeta.shear_morphism(D, random_member(D.plus_point(0j), rng, scale=0.5)))
         else:
-            morphs.append(bbeta.morphism_family(3, group, D, a=complex(rng.standard_normal(), rng.standard_normal()) * 0.4))
+            morphs.append(bbeta.translation_morphism(D, complex(rng.standard_normal(), rng.standard_normal()) * 0.4))
         for kind, mor in enumerate(morphs, start=1):
-            tact = bbeta.gd_act if group == "gd" else bbeta.rgd_act
             for _ in range(max(3, samples // 6)):
                 g = rand(D, rng, scale=0.5)
                 x = (complex(rng.standard_normal(), rng.standard_normal()) * 0.5, complex(rng.standard_normal(), rng.standard_normal()) * 0.5)
-                lhs = mor.delta(act(g, x))
-                rhs = tact(mor.h(g), mor.delta(x))
+                lhs = mor.delta(bbeta.rgd_act(g, x))
+                rhs = bbeta.rgd_act(mor.h(g), mor.delta(x))
                 rec.value(f"morphism-{group}-kind{kind}", distance(lhs, rhs), 1e-8)
 
 

@@ -199,7 +199,7 @@ def test_criterion_08_covering_equivariance():
         tested.add(label.name)
         for _ in range(500):
             g, x = verify._cover_sample(rng, label.divisor)
-            lhs = cov.cover(*bbeta.gd_act(g, x))
+            lhs = cov.cover(*bbeta.rgd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
             ok = ok and cov.equal(lhs, rhs)
             for pg in cov.pi_generators():

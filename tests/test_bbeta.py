@@ -7,7 +7,6 @@ from homsurf import verify
 from homsurf.bbeta import (
     BBeta1Label,
     CentralizerElement,
-    GDElement,
     RGDElement,
     _canonical_line_data,
     _lam_exponent,
@@ -15,18 +14,18 @@ from homsurf.bbeta import (
     cent_inverse,
     cent_multiply,
     classify_pi,
-    gd_act,
-    gd_identity,
-    gd_inverse,
-    gd_multiply,
-    morphism_family,
+    inner_morphism,
     quotient_cover,
     random_gd,
     random_rgd,
+    rescaling_morphism,
     rgd_act,
     rgd_identity,
+    rgd_inverse,
     rgd_multiply,
     rgd_quotients,
+    shear_morphism,
+    translation_morphism,
 )
 from homsurf.divisor import Divisor
 from homsurf.exppoly import ExpPoly, Polynomial, contains, random_member
@@ -41,52 +40,58 @@ def z_poly():
     return ExpPoly.from_poly(Polynomial((0.0, 1.0)))
 
 
+def gd(D, t, f):
+    """The G_D element (t, f): the element of rG_D with lam = 1."""
+    return RGDElement(D, t, 1, f)
+
+
 def test_gd_identity_law(rng):
     g = random_gd(D_DOUBLE, rng)
-    assert verify.distance(gd_multiply(gd_identity(D_DOUBLE), g), g) < 1e-12
+    assert g.lam == 1
+    assert verify.distance(rgd_multiply(rgd_identity(D_DOUBLE), g), g) < 1e-12
 
 
 def test_gd_multiply_example():
-    g = GDElement(D_DOUBLE, 1.0, z_poly())
-    gg = gd_multiply(g, g)
-    assert close(gg.t, 2.0)
+    g = gd(D_DOUBLE, 1.0, z_poly())
+    gg = rgd_multiply(g, g)
+    assert close(gg.t, 2.0) and gg.lam == 1
     assert distance(gg.f, ExpPoly.from_poly(Polynomial((-1.0, 2.0)))) <= EPS
     # pointwise-composition oracle
     z, w = 0.37 - 0.21j, -0.4 + 0.9j
-    once = gd_act(g, gd_act(g, (z, w)))
-    both = gd_act(gg, (z, w))
+    once = rgd_act(g, rgd_act(g, (z, w)))
+    both = rgd_act(gg, (z, w))
     assert verify.distance(once, both) < 1e-12
 
 
 def test_gd_inverse_cancels(rng):
     g = random_gd(D_DOUBLE, rng)
-    prod = gd_multiply(g, gd_inverse(g))
-    assert close(prod.t, 0.0) and prod.f.is_zero
+    prod = rgd_multiply(g, rgd_inverse(g))
+    assert close(prod.t, 0.0) and prod.lam == 1 and prod.f.is_zero
 
 
 def test_gd_act_examples():
-    g = GDElement(D_DOUBLE, 1.0, z_poly())
-    assert verify.distance(gd_act(gd_identity(D_DOUBLE), (0.3, 0.7)), (0.3, 0.7)) < 1e-14
-    assert verify.distance(gd_act(g, (0.0, 0.0)), (1.0, 1.0)) < 1e-12
-    h = GDElement(D_LINE, 0.0, ExpPoly.exponential(TPI))
-    assert verify.distance(gd_act(h, (0.0, 0.0)), (0.0, 1.0)) < 1e-12
+    g = gd(D_DOUBLE, 1.0, z_poly())
+    assert verify.distance(rgd_act(rgd_identity(D_DOUBLE), (0.3, 0.7)), (0.3, 0.7)) < 1e-14
+    assert verify.distance(rgd_act(g, (0.0, 0.0)), (1.0, 1.0)) < 1e-12
+    h = gd(D_LINE, 0.0, ExpPoly.exponential(TPI))
+    assert verify.distance(rgd_act(h, (0.0, 0.0)), (0.0, 1.0)) < 1e-12
 
 
 def test_gd_divisor_mismatch():
-    g = GDElement(D_DOUBLE, 0.0, z_poly())
-    h = GDElement(D_LINE, 0.0, ExpPoly.zero())
+    g = gd(D_DOUBLE, 0.0, z_poly())
+    h = gd(D_LINE, 0.0, ExpPoly.zero())
     with pytest.raises(ValueError, match="mismatch"):
-        gd_multiply(g, h)
+        rgd_multiply(g, h)
 
 
 def test_degree_one_divisors_rejected():
     with pytest.raises(ValueError, match="degree-one"):
-        GDElement(Divisor([(0.0, 1)]), 0.0, ExpPoly.zero())
+        gd(Divisor([(0.0, 1)]), 0.0, ExpPoly.zero())
 
 
 def test_gd_membership_not_in_vd():
     with pytest.raises(ValueError, match="solution space"):
-        GDElement(D_DOUBLE, 0.0, ExpPoly.exponential(1.0))
+        gd(D_DOUBLE, 0.0, ExpPoly.exponential(1.0))
 
 
 def test_vd_closure_exact(rng):
@@ -94,7 +99,7 @@ def test_vd_closure_exact(rng):
     for _ in range(30):
         g = random_gd(D, rng)
         h = random_gd(D, rng)
-        assert contains(D, gd_multiply(g, h).f)
+        assert contains(D, rgd_multiply(g, h).f)
 
 
 def test_rgd_examples(rng):
@@ -130,14 +135,14 @@ def test_centralizer_commutes_with_gd(rng):
         k = int(rng.integers(-2, 3))
         c = CentralizerElement(D, k, complex(rng.normal(), rng.normal()))
         x = (complex(rng.normal(), rng.normal()) * 0.4, complex(rng.normal(), rng.normal()) * 0.4)
-        lhs = cent_act(c, gd_act(g, x))
-        rhs = gd_act(g, cent_act(c, x))
+        lhs = cent_act(c, rgd_act(g, x))
+        rhs = rgd_act(g, cent_act(c, x))
         assert verify.distance(lhs, rhs) <= 1e-9
 
 
 def test_morphism_kind2_identity_pair(rng):
     D = Divisor([(0.5, 1), (1.0, 1)])
-    mor = morphism_family(2, "gd", D, mu=1.0, nu=1.0)
+    mor = rescaling_morphism(D, mu=1.0, nu=1.0)
     g = random_gd(D, rng)
     x = (0.3, -0.2j)
     assert verify.distance(mor.delta(x), x) < 1e-12
@@ -147,12 +152,12 @@ def test_morphism_kind2_identity_pair(rng):
 
 def test_morphism_kind2_rescales_divisor():
     D = Divisor([(1.0, 1), (2.0, 1)])
-    mor = morphism_family(2, "gd", D, mu=2.0, nu=1.5)
+    mor = rescaling_morphism(D, mu=2.0, nu=1.5)
     assert mor.target == Divisor([(2.0, 1), (4.0, 1)])
 
 
 def test_morphism_kind3_rgd_shifts_divisor():
-    mor = morphism_family(3, "rgd", D_DOUBLE, a=1.0)
+    mor = translation_morphism(D_DOUBLE, 1.0)
     assert mor.target == Divisor([(1.0, 2)])
     z, w = 0.4, 0.7
     dz, dw = mor.delta((z, w))
@@ -161,7 +166,23 @@ def test_morphism_kind3_rgd_shifts_divisor():
 
 def test_morphism_kind3_requires_membership():
     with pytest.raises(ValueError, match="solution space"):
-        morphism_family(3, "gd", D_DOUBLE, f0=ExpPoly.exponential(1.0))
+        shear_morphism(D_DOUBLE, ExpPoly.exponential(1.0))
+
+
+def test_shear_refuses_an_element_outside_gd(rng):
+    mor = shear_morphism(D_DOUBLE, z_poly())
+    assert mor.h(random_gd(D_DOUBLE, rng)).lam == 1
+    with pytest.raises(ValueError, match="G_D only"):
+        mor.h(random_rgd(D_DOUBLE, rng))
+
+
+def test_morphism_constructors_refuse_bad_parameters():
+    with pytest.raises(ValueError, match="nonzero"):
+        rescaling_morphism(D_DOUBLE, mu=0.0, nu=1.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        rescaling_morphism(D_DOUBLE, mu=1.0, nu=0.0)
+    with pytest.raises(ValueError, match="degree-one"):
+        translation_morphism(Divisor([(0.0, 1)]), 1.0)
 
 
 @pytest.mark.parametrize("group", ["gd", "rgd"])
@@ -169,23 +190,21 @@ def test_morphism_kind3_requires_membership():
 def test_morphism_equivariance(group, kind, rng):
     D = Divisor([(0.2 + 0.3j, 2), (-0.4, 1)])
     rand = random_gd if group == "gd" else random_rgd
-    action = gd_act if group == "gd" else rgd_act
-    kwargs = {}
     if kind == 1:
-        kwargs["g"] = rand(D, rng, scale=0.5)
+        mor = inner_morphism(rand(D, rng, scale=0.5))
     elif kind == 2:
-        kwargs["mu"] = cmath.exp(complex(rng.normal(), rng.normal()) * 0.4)
-        kwargs["nu"] = cmath.exp(complex(rng.normal(), rng.normal()) * 0.4)
+        mu = cmath.exp(complex(rng.normal(), rng.normal()) * 0.4)
+        nu = cmath.exp(complex(rng.normal(), rng.normal()) * 0.4)
+        mor = rescaling_morphism(D, mu, nu)
     elif group == "gd":
-        kwargs["f0"] = random_member(D.plus_point(0j), rng, scale=0.5)
+        mor = shear_morphism(D, random_member(D.plus_point(0j), rng, scale=0.5))
     else:
-        kwargs["a"] = complex(rng.normal(), rng.normal()) * 0.4
-    mor = morphism_family(kind, group, D, **kwargs)
+        mor = translation_morphism(D, complex(rng.normal(), rng.normal()) * 0.4)
     for _ in range(40):
         g = rand(D, rng, scale=0.5)
         x = (complex(rng.normal(), rng.normal()) * 0.5, complex(rng.normal(), rng.normal()) * 0.5)
-        lhs = mor.delta(action(g, x))
-        rhs = action(mor.h(g), mor.delta(x))
+        lhs = mor.delta(rgd_act(g, x))
+        rhs = rgd_act(mor.h(g), mor.delta(x))
         assert verify.distance(lhs, rhs) <= 1e-9
 
 
@@ -230,7 +249,7 @@ def test_all_covers_equivariant(rng):
         cov = quotient_cover(label)
         for _ in range(25):
             g, x = verify._cover_sample(rng, label.divisor)
-            lhs = cov.cover(*gd_act(g, x))
+            lhs = cov.cover(*rgd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
             assert cov.equal(lhs, rhs), label.name
             for pg in cov.pi_generators():
@@ -263,7 +282,7 @@ def test_cover_a_examples(rng):
     for cov, D in ((covA1, D_LINE), (covA0, E)):
         for _ in range(20):
             g, x = verify._cover_sample(rng, D)
-            lhs = cov.cover(*gd_act(g, x))
+            lhs = cov.cover(*rgd_act(g, x))
             rhs = cov.act(g, cov.cover(*x))
             assert cov.equal(lhs, rhs)
     with pytest.raises(ValueError, match="positive degree"):
@@ -389,7 +408,7 @@ def test_cover_c_negative_exponent():
     rng2 = __import__("numpy").random.default_rng(5)
     for _ in range(20):
         g, x = verify._cover_sample(rng2, D)
-        lhs = cov.cover(*gd_act(g, x))
+        lhs = cov.cover(*rgd_act(g, x))
         rhs = cov.act(g, cov.cover(*x))
         assert cov.equal(lhs, rhs)
 

@@ -235,7 +235,7 @@ def test_cli_act_every_cover_row_matches_the_cover_in_process(tmp_path, capsys, 
     if family == "Bb2":
         covered = bbeta.rgd_quotients(D, params["n"]).cover(*bbeta.rgd_act(g, x))
     else:
-        covered = bbeta.quotient_cover(bbeta.BBeta1Label(cover, D, **params)).cover(*bbeta.gd_act(g, x))
+        covered = bbeta.quotient_cover(bbeta.BBeta1Label(cover, D, **params)).cover(*bbeta.rgd_act(g, x))
     assert out == {"cover": cover, "point": [cli._component_json(c) for c in covered]}
 
 

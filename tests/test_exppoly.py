@@ -6,7 +6,6 @@ import pytest
 
 from homsurf.divisor import Divisor
 from homsurf.exppoly import (
-    DiffOperator,
     ExpPoly,
     Polynomial,
     apply_operator,
@@ -91,7 +90,7 @@ def test_translate_evaluate_compatibility(rng):
 
 
 def test_apply_operator_derivative_of_constant():
-    d = DiffOperator((0.0, 1.0))  # d/dz
+    d = monic_polynomial(Divisor([(0.0, 1)]))  # d/dz
     assert apply_operator(d, ExpPoly.from_poly(Polynomial.const(7.0))).is_zero
 
 

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import homsurf
-from homsurf import bundles, families, projective, uaff, verify
+from homsurf import bbeta, bundles, families, projective, uaff, verify
 from homsurf.divisor import Divisor, _quasiperiod_group, quasiperiod_group
 from homsurf.exppoly import (
     ExpPoly,
@@ -31,6 +31,7 @@ from homsurf.exppoly import (
     apply_operator,
     basis_of,
     contains,
+    evaluate,
     monic_polynomial,
     random_member,
     translate,
@@ -1461,6 +1462,9 @@ def test_zmodule_basis_keeps_its_bound_error():
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_zmodule_coords_matches_the_replaced_code(dim):
+    def zmodule_coords(v, basis, scale=0.0):
+        return lattice.zmodule_fit(basis)(v, scale=scale)
+
     rng = np.random.default_rng([2, dim])
     for gens in generator_lists(dim, 200, 2):
         found = outcome(lattice.zmodule_basis, gens)
@@ -1476,15 +1480,15 @@ def test_zmodule_coords_matches_the_replaced_code(dim):
         ]
         for v in probes:
             for scale in (0.0, 10.0):
-                got = outcome(lattice.zmodule_coords, v, basis, scale=scale)
+                got = outcome(zmodule_coords, v, basis, scale=scale)
                 assert same(got, old_zmodule_coords(v, basis, scale=scale))
     for v in ((0.0, 0.0), (1e-9, 0.0), (1e-7, 0.0)):
-        assert same(lattice.zmodule_coords(v, []), old_zmodule_coords(v, []))
+        assert same(zmodule_coords(v, []), old_zmodule_coords(v, []))
     # the rebuild residual is measured against max(1, scale, |v|): 0.5 passes beside 1e6, 2.0 does not
     for v in ((1e6, 0.5), (1e6, 2.0), (3.0, 1e-7), (3.0, 2e-6)):
-        assert same(lattice.zmodule_coords(v, [(1.0, 0.0)]), old_zmodule_coords(v, [(1.0, 0.0)]))
+        assert same(zmodule_coords(v, [(1.0, 0.0)]), old_zmodule_coords(v, [(1.0, 0.0)]))
     mismatch = ((1.0, 0.0, 5.0), [(1.0, 0.0)])
-    assert same(outcome(lattice.zmodule_coords, *mismatch), outcome(old_zmodule_coords, *mismatch))
+    assert same(outcome(zmodule_coords, *mismatch), outcome(old_zmodule_coords, *mismatch))
 
 
 OMEGA = cmath.exp(1j * math.pi / 3)
@@ -1588,3 +1592,182 @@ def test_proj_distance_matches_the_replaced_code(rng):
     assert same(families._proj_distance(ints, ((2, 0), (0, 2))), old_proj_distance(ints, ((2, 0), (0, 2))))
     nan = ((float("nan"), 1.0), (2.0, 0.0))
     assert same(repr(families._proj_distance(nan, ints)), repr(old_proj_distance(nan, ints)))
+
+
+# ---------------------------------------------------------------------------
+# G_D as the lam = 1 subgroup of rG_D, and the four morphism constructors, against the replaced
+# G_D law and `morphism_family`
+
+
+class OldGDElement(numeric.Record):
+    __slots__ = ("divisor", "t", "f")
+
+    def __init__(self, divisor, t, f):
+        numeric.setfield(self, "divisor", divisor)
+        numeric.setfield(self, "t", t)
+        numeric.setfield(self, "f", f)
+        bbeta._check_divisor(self.divisor)
+        if not contains(self.divisor, self.f):
+            raise ValueError("f is not in the solution space of the divisor")
+
+
+def old_gd_identity(D):
+    return OldGDElement(D, 0j, ExpPoly.zero())
+
+
+def old_gd_multiply(g, h):
+    if g.divisor != h.divisor:
+        raise ValueError("divisor mismatch")
+    return OldGDElement(g.divisor, g.t + h.t, g.f + translate(h.f, g.t))
+
+
+def old_gd_inverse(g):
+    return OldGDElement(g.divisor, -g.t, translate(g.f, -g.t).scale(-1))
+
+
+def old_gd_act(g, zw):
+    z, w = zw
+    z1 = z + g.t
+    return (z1, w + evaluate(g.f, z1))
+
+
+def old_random_gd(D, rng, scale=0.7):
+    t = complex(rng.standard_normal(), rng.standard_normal()) * scale
+    return OldGDElement(D, t, random_member(D, rng, scale=scale))
+
+
+def old_rgd_multiply(g, h):
+    if g.divisor != h.divisor:
+        raise ValueError("divisor mismatch")
+    return bbeta.RGDElement(
+        g.divisor, g.t + h.t, g.lam * h.lam, g.f + translate(h.f, g.t).scale(g.lam)
+    )
+
+
+def old_morphism_family(kind, group, divisor, *, g=None, mu=None, nu=None, f0=None, a=None):
+    D = bbeta._check_divisor(divisor)
+    if group not in ("gd", "rgd"):
+        raise ValueError("group must be 'gd' or 'rgd'")
+    if kind == 1:
+        act = old_gd_act if group == "gd" else bbeta.rgd_act
+        mult = old_gd_multiply if group == "gd" else old_rgd_multiply
+        inv = old_gd_inverse if group == "gd" else bbeta.rgd_inverse
+        ginv = inv(g)
+
+        def delta(zw):
+            return act(g, zw)
+
+        def h(x):
+            return mult(mult(g, x), ginv)
+
+        return bbeta.Morphism(delta, h, D, D)
+    if kind == 2:
+        mu = complex(mu)
+        nu = complex(nu)
+        if abs(mu) == 0 or abs(nu) == 0:
+            raise ValueError("mu and nu must be nonzero")
+        E = D.scaled(mu)
+
+        def delta(zw):
+            return (zw[0] / mu, nu * zw[1])
+
+        if group == "gd":
+
+            def h(x):
+                return OldGDElement(E, x.t / mu, x.f.scale_argument(mu).scale(nu))
+
+        else:
+
+            def h(x):
+                return bbeta.RGDElement(E, x.t / mu, x.lam, x.f.scale_argument(mu).scale(nu))
+
+        return bbeta.Morphism(delta, h, D, E)
+    if kind == 3:
+        if group == "gd":
+            if f0 is None or not contains(D.plus_point(0j), f0):
+                raise ValueError("f0 must lie in the solution space of divisor + [0]")
+
+            def delta(zw):
+                return (zw[0], zw[1] + evaluate(f0, zw[0]))
+
+            def h(x):
+                return OldGDElement(D, x.t, x.f + f0 - translate(f0, x.t))
+
+            return bbeta.Morphism(delta, h, D, D)
+        a = complex(a)
+        F = D.translated(a)
+
+        def delta(zw):
+            return (zw[0], cmath.exp(a * zw[0]) * zw[1])
+
+        def h(x):
+            return bbeta.RGDElement(F, x.t, cmath.exp(a * x.t) * x.lam, x.f.modulate(a))
+
+        return bbeta.Morphism(delta, h, D, F)
+    raise ValueError("kind must be 1, 2 or 3")
+
+
+def same_element(new, old):
+    """An rG_D element equals a replaced one: a G_D element (no lam) when lam is 1."""
+    lam = getattr(old, "lam", 1)
+    return (
+        new.divisor == old.divisor and same(new.t, old.t) and new.lam == lam and same(new.f, old.f)
+    )
+
+
+def _cnum(rng, scale):
+    return complex(rng.standard_normal(), rng.standard_normal()) * scale
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gd_as_the_lam_one_subgroup_matches_the_replaced_law(seed):
+    rng, old_rng = np.random.default_rng([seed, 20]), np.random.default_rng([seed, 20])
+    D = verify.random_divisor(rng, max_deg=4)
+    assert D == verify.random_divisor(old_rng, max_deg=4)
+    one, old_one = bbeta.rgd_identity(D), old_gd_identity(D)
+    assert same_element(one, old_one)
+    for _ in range(20):
+        g, h = bbeta.random_gd(D, rng), bbeta.random_gd(D, rng)
+        G, H = old_random_gd(D, old_rng), old_random_gd(D, old_rng)
+        assert g.lam == 1 and same_element(g, G) and same_element(h, H)
+        assert same_element(bbeta.rgd_multiply(g, h), old_gd_multiply(G, H))
+        assert same_element(bbeta.rgd_multiply(one, g), old_gd_multiply(old_one, G))
+        assert same_element(bbeta.rgd_inverse(g), old_gd_inverse(G))
+        gh = bbeta.rgd_multiply(g, bbeta.rgd_inverse(h))
+        assert same_element(gh, old_gd_multiply(G, old_gd_inverse(H)))
+        x = (_cnum(rng, 0.5), _cnum(rng, 0.5))
+        assert x == (_cnum(old_rng, 0.5), _cnum(old_rng, 0.5))
+        assert bbeta.rgd_act(g, x) == old_gd_act(G, x)
+        assert same(bbeta.rgd_act(one, x), old_gd_act(old_one, x))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_morphism_constructors_match_morphism_family(seed):
+    rng = np.random.default_rng([seed, 21])
+    D = verify.random_divisor(rng, max_deg=4)
+    for group in ("gd", "rgd"):
+        rand, old_rand = (bbeta.random_gd, old_random_gd) if group == "gd" else (bbeta.random_rgd, bbeta.random_rgd)
+        state = rng.bit_generator.state
+        g0 = rand(D, rng, scale=0.5)
+        rng.bit_generator.state = state
+        G0 = old_rand(D, rng, scale=0.5)
+        mu, nu, a = cmath.exp(_cnum(rng, 0.4)), cmath.exp(_cnum(rng, 0.4)), _cnum(rng, 0.4)
+        pairs = [
+            (bbeta.inner_morphism(g0), old_morphism_family(1, group, D, g=G0)),
+            (bbeta.rescaling_morphism(D, mu, nu), old_morphism_family(2, group, D, mu=mu, nu=nu)),
+        ]
+        if group == "gd":
+            f0 = random_member(D.plus_point(0j), rng, scale=0.5)
+            pairs.append((bbeta.shear_morphism(D, f0), old_morphism_family(3, group, D, f0=f0)))
+        else:
+            pairs.append((bbeta.translation_morphism(D, a), old_morphism_family(3, group, D, a=a)))
+        for kind, (mor, old) in enumerate(pairs, start=1):
+            assert (mor.source, mor.target) == (old.source, old.target), (group, kind)
+            for _ in range(10):
+                state = rng.bit_generator.state
+                g = rand(D, rng, scale=0.5)
+                rng.bit_generator.state = state
+                G = old_rand(D, rng, scale=0.5)
+                x = (_cnum(rng, 0.5), _cnum(rng, 0.5))
+                assert same(mor.delta(x), old.delta(x)), (group, kind)
+                assert same_element(mor.h(g), old.h(G)), (group, kind)

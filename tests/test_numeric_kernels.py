@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from homsurf import d1, lattice, uaff
 from homsurf.exppoly import ExpPoly, Polynomial
-from homsurf.lattice import lattice_coords, zmodule_basis, zmodule_coords
+from homsurf.lattice import lattice_coords, zmodule_basis, zmodule_fit
 from homsurf.numeric import COORD_LIMIT, NonDiscreteError
 
 TWO_PI_I = 2j * math.pi
@@ -191,20 +191,22 @@ def test_zmodule_coords_recovers_integer_combinations(data):
     assume(np.linalg.norm(basis, axis=1).min() > 0.1)
     assume(np.linalg.cond(basis.T) < 1e3)
     v = np.array(coeffs, dtype=float) @ basis
-    assert zmodule_coords(v, list(basis)) == coeffs
-    assert zmodule_coords(tuple(v.tolist()), [tuple(b) for b in basis.tolist()]) == coeffs
-    assert zmodule_coords(v + 0.5 * basis[0], list(basis)) is None
+    fit = zmodule_fit(list(basis))
+    assert fit(v) == coeffs
+    assert zmodule_fit([tuple(b) for b in basis.tolist()])(tuple(v.tolist())) == coeffs
+    assert fit(v + 0.5 * basis[0]) is None
 
 
 def test_zmodule_coords_with_an_empty_basis():
-    assert zmodule_coords((0.0, 0.0), []) == []
-    assert zmodule_coords((1e-9, 0.0), []) == []
-    assert zmodule_coords((1e-7, 0.0), []) is None
+    fit = zmodule_fit([])
+    assert fit((0.0, 0.0)) == []
+    assert fit((1e-9, 0.0)) == []
+    assert fit((1e-7, 0.0)) is None
 
 
 def test_zmodule_coords_rejects_a_dimension_mismatch():
     with pytest.raises(ValueError):
-        zmodule_coords((1.0, 0.0, 5.0), [(1.0, 0.0)])
+        zmodule_fit([(1.0, 0.0)])((1.0, 0.0, 5.0))
 
 
 def test_zmodule_basis_accepts_tuples_and_arrays():
@@ -234,9 +236,10 @@ def test_zmodule_basis_rejects_an_irrational_pair():
 def test_saturate_lattice_closes_under_the_images():
     square = lattice.saturate_lattice([1.0 + 0j], (lambda b: 1j * b, lambda b: -1j * b), 1.0)
     assert len(square) == 2
+    fit = zmodule_fit(square)
     for z in (1, 1j, 2 - 3j):
-        assert zmodule_coords(lattice.c2r(z), square) is not None
-    assert zmodule_coords(lattice.c2r(0.5 + 0.5j), square) is None
+        assert fit(lattice.c2r(z)) is not None
+    assert fit(lattice.c2r(0.5 + 0.5j)) is None
     with pytest.raises(NonDiscreteError):
         lattice.saturate_lattice([1.0 + 0j], (lambda b: 2 * b, lambda b: b / 2), 1.0)
 

@@ -177,6 +177,26 @@ def test_bgamma12_action_examples():
     assert close(z, 2.0) and close(w, 4.0)
 
 
+def test_bgamma2_distance_reads_lam_modulo_two_pi_i(rng):
+    # with c = 0 the law and the action read lam only through e^lam: (2 pi i, 0, 0) is the identity
+    n, turn = 2, 2j * math.pi
+    one = BGamma12Element(n, 0j, 0j, 0j, (0j,) * (n + 1))
+    g = BGamma12Element(n, 0j, turn, 0j, (0j,) * (n + 1))
+    for _ in range(20):
+        x = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+        assert distance(bg12_act(g, x), x) <= EPS
+    assert g.distance(one) <= EPS and one.distance(g) <= EPS
+    h = BGamma12Element(n, 0j, 0.3 - 0.2j, 0.5j, (0.1, 0j, -0.2j))
+    shifted = BGamma12Element(n, 0j, h.lam - 2 * turn, h.b, h.poly)
+    assert h.distance(shifted) <= EPS and shifted.distance(h) <= EPS
+    assert h.distance(BGamma12Element(n, 0j, h.lam + 0.5 * turn, h.b, h.poly)) > 0.5
+    # with c != 0 the element moves w: it stays far from the identity
+    c = 1.7 + 0.3j
+    moving = BGamma12Element(n, c, turn, 0j, (0j,) * (n + 1))
+    assert moving.distance(BGamma12Element(n, c, 0j, 0j, (0j,) * (n + 1))) > 0.5
+    assert distance(bg12_act(moving, (0.3, 1.0)), (0.3, 1.0)) > 0.5
+
+
 def test_bgamma12_group_axioms(rng):
     n, c = 2, 1.3 - 0.4j
     for _ in range(60):

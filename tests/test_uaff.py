@@ -13,7 +13,6 @@ from homsurf.uaff import (
     UAffAutomorphism,
     UAffElement,
     aut_apply,
-    aut_compose,
     center_intersection,
     classify_subgroup,
     commutator,
@@ -86,7 +85,9 @@ def test_automorphism_composition(rng):
     p1 = UAffAutomorphism(0.3 - 1j, 1.5)
     p2 = UAffAutomorphism(-0.2j, 0.5 + 0.5j)
     g = UAffElement(0.7, -0.3j)
-    assert distance(aut_apply(aut_compose(p2, p1), g), aut_apply(p2, aut_apply(p1, g))) <= EPS
+    # p2 after p1 is the automorphism (gamma2 + beta2 gamma1, beta2 beta1)
+    composed = UAffAutomorphism(p2.gamma + p2.beta * p1.gamma, p2.beta * p1.beta)
+    assert distance(aut_apply(composed, g), aut_apply(p2, aut_apply(p1, g))) <= EPS
 
 
 def test_commutator_examples(rng):
