@@ -68,20 +68,6 @@ class SCData(Record):
     def root_fraction(self):
         return self._fraction.numerator, self._fraction.denominator
 
-    def to_json(self):
-        return {
-            "lattice": [
-                {"re": self.w1.real, "im": self.w1.imag},
-                {"re": self.w2.real, "im": self.w2.imag},
-            ],
-            "c": {"re": self.c.real, "im": self.c.imag},
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        w1, w2 = (complex(v["re"], v["im"]) for v in data["lattice"])
-        return cls(w1, w2, complex(data["c"]["re"], data["c"]["im"]))
-
 
 class DeckElement(Record):
     """(z, w) -> (z + k, c^k w + lam) for integer k and lam in the lattice."""

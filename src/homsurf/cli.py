@@ -4,43 +4,28 @@ Subcommands: `catalogue` lists the classification table, `classify` sends a
 generator file to the matching discrete-subgroup classifier, `act` applies a
 group element to a surface point (optionally composed with a labelled
 covering map), and `verify` runs the seeded property suites.  Exit codes:
-0 success, 1 verification failure, 2 input error.  Element and point JSON
-schemas per family are documented in docs/families.md.
+0 success, 1 verification failure, 2 input error.  Every JSON payload is
+read by `numeric.decode` through its schema (docs/families.md): the element
+and point schemas of the family table, `families.SPECS`, and the classify
+files' schemas here.
 
-Each subcommand imports the modules it runs, and the codecs of a family (in
-the family table, `families.SPECS`) those of their family, so a call loads
-only those (see "Cold start" in the README).  One table, `COMMANDS`, drives
-the parsing of the arguments, the usage lines and `--help`, without argparse.
+Each subcommand imports the modules it runs, and the schema constructors of
+a family those of their family, so a call loads only those (see "Cold
+start" in the README).  One table, `COMMANDS`, drives the parsing of the
+arguments, the usage lines and `--help`, without argparse.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 import types
 
-from .numeric import as_rows, complex_json, json_complex
+from .numeric import COMPLEX, DIVISOR, PAIR, TEXT, Schema, as_rows, complex_json, decode, encode, lazy
 
 
 class InputError(Exception):
     pass
-
-
-def _decoder(what):
-    """Report the errors a malformed JSON payload raises while decoding as input errors."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def decode(*args):
-            try:
-                return fn(*args)
-            except (TypeError, IndexError, AttributeError) as e:
-                raise InputError(f"malformed {what}: {e}") from None
-
-        return decode
-
-    return wrap
 
 
 def _matrix_json(m):
@@ -48,31 +33,38 @@ def _matrix_json(m):
 
 
 # ---------------------------------------------------------------------------
-# element and point (de)serialization
+# element and point payloads, read and written through the schemas of the family table
 
 
-@_decoder("element")
 def element_from_json(label, data):
     """The element of family `label` that the payload encodes, its invariants checked."""
     from .families import SPECS
 
     spec = SPECS[label]
-    g = spec.element(data)
+    g = decode(spec.element, data, "element")
     spec.check(g)
     return g
 
 
-@_decoder("point")
+def element_parameters(label, data):
+    """The values, by key, of what an element payload that `element_from_json` has read carries
+    beside the element: C8's family parameter alpha, the "cover" parameters of Bβ1 and Bβ2."""
+    from .families import SPECS
+
+    schema = SPECS[label].element
+    return {key: decode(schema.fields[key], data[key], f"element.{key}") for key in schema.aside if key in data}
+
+
 def point_from_json(label, data):
     from .families import SPECS
 
-    return SPECS[label].point(data)
+    return decode(SPECS[label].point, data, "point")
 
 
 def point_to_json(label, point):
     from .families import SPECS
 
-    return SPECS[label].point_json(point)
+    return encode(SPECS[label].point, point)
 
 
 def _component_json(comp):
@@ -103,25 +95,21 @@ def cmd_catalogue(args):
     return 0
 
 
-@_decoder("classify file")
-def _classify_input(data):
-    """(ambient, generators, divisor) of a classify file; the divisor is None but for qd."""
-    ambient = data.get("ambient")
-    if ambient == "C2":
-        return ambient, [(json_complex(v[0]), json_complex(v[1])) for v in data["generators"]], None
-    if ambient == "uaff":
-        from .uaff import UAffElement
-
-        gens = [UAffElement(json_complex(g["a"]), json_complex(g["b"])) for g in data["generators"]]
-        return ambient, gens, None
-    if ambient == "qd":
-        from .divisor import Divisor
-        from .qd import CentralizerElement
-
-        D = Divisor.from_json(data["divisor"])
-        gens = [CentralizerElement(D, json_complex(g["w"]), json_complex(g["s"])) for g in data["generators"]]
-        return ambient, gens, D
-    raise InputError(f"unknown ambient {ambient!r}")
+# the classify file of each ambient, read as (generators, divisor): the divisor is None but for qd
+_centralizer = lazy("qd", "CentralizerElement")
+_AMBIENTS = {
+    "C2": Schema({"ambient": TEXT, "generators": [PAIR]}, make=lambda gens: (gens, None), aside=("ambient",)),
+    "uaff": Schema(
+        {"ambient": TEXT, "generators": [Schema({"a": COMPLEX, "b": COMPLEX}, make=lazy("uaff", "UAffElement"))]},
+        make=lambda gens: (gens, None),
+        aside=("ambient",),
+    ),
+    "qd": Schema(
+        {"ambient": TEXT, "divisor": DIVISOR, "generators": [Schema({"w": COMPLEX, "s": COMPLEX})]},
+        make=lambda D, gens: ([_centralizer(D, w, s) for w, s in gens], D),
+        aside=("ambient",),
+    ),
+}
 
 
 def cmd_classify(args):
@@ -130,7 +118,10 @@ def cmd_classify(args):
         raise InputError(f"--denominator-bound must be at least 1, got {bound}")
     with open(args.file) as fh:
         data = json.load(fh)
-    ambient, gens, D = _classify_input(data)
+    ambient = data.get("ambient") if type(data) is dict else None
+    if ambient not in tuple(_AMBIENTS):  # a tuple: the ambient may be any JSON value, a list too
+        raise InputError(f"file.ambient: expected one of {', '.join(_AMBIENTS)}, got {ambient!r}")
+    gens, D = decode(_AMBIENTS[ambient], data, "file")
     out = {"ambient": ambient}
     if ambient == "C2":
         from .d1 import classify_D1_subgroup
@@ -173,27 +164,20 @@ def cmd_classify(args):
     return 0
 
 
-def _cover_from_args(D, element_data, cover_label):
+def _cover_from_args(D, params, cover_label):
+    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters."""
     from . import bbeta
     from .catalogue import ascii_label
-    from .families import _degree
 
     name = ascii_label(cover_label)
     if name.startswith("Bb1"):
         name = name[len("Bb1"):]
-    params = element_data.get("cover", {})
     if name in ("Bb2", "Bb2'"):
-        return bbeta.rgd_quotients(D, _degree(params) if "n" in params else 1)
-    kwargs = {}
-    if "n" in params:
-        kwargs["n"] = _degree(params)
-    if "s" in params:
-        kwargs["s"] = json_complex(params["s"])
-    if "tau" in params:
-        kwargs["tau"] = json_complex(params["tau"])
-    if "delta" in params:
-        kwargs["delta"] = tuple(json_complex(x) for x in params["delta"])
-    return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **kwargs))
+        for key in params:
+            if key != "n":
+                raise ValueError(f"example {name} does not take the cover parameter {key!r}")
+        return bbeta.rgd_quotients(D, params.get("n", 1))
+    return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params))
 
 
 def cmd_act(args):
@@ -206,13 +190,13 @@ def cmd_act(args):
         pdata = json.load(fh)
     g = element_from_json(label, edata)
     x = point_from_json(label, pdata)
-    spec = SPECS[label]
-    result = spec.handler(**spec.params(edata)).act(g, x)
+    params = element_parameters(label, edata)
+    cover = params.pop("cover", {})
+    result = SPECS[label].handler(**params).act(g, x)
     if args.cover:
         if getattr(g, "divisor", None) is None:
             raise InputError("--cover is only available for the divisor families")
-        cov = _cover_from_args(g.divisor, edata, args.cover)
-        covered = cov.cover(*result)
+        covered = _cover_from_args(g.divisor, cover, args.cover).cover(*result)
         print(json.dumps({"cover": args.cover, "point": [_component_json(c) for c in covered]}, indent=2))
     else:
         print(json.dumps(point_to_json(label, result), indent=2))

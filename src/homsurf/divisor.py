@@ -15,7 +15,7 @@ import cmath
 import math
 
 from .lattice import _convergent, _denominator_bound, near_int
-from .numeric import EPS, QUASIPERIOD_TOL, RATIO_REAL_TOL, Record, canonical_sign, close, json_complex, setfield
+from .numeric import DIVISOR, EPS, QUASIPERIOD_TOL, RATIO_REAL_TOL, Record, canonical_sign, close, decode, setfield
 
 DEGREE_CAP = 32
 
@@ -72,7 +72,7 @@ class Divisor(Record):
 
     @classmethod
     def from_json(cls, data):
-        return cls([(json_complex(p), int(p["mult"])) for p in data["points"]])
+        return decode(DIVISOR, data, "divisor")
 
 
 class QuasiperiodGroup(Record):

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 
-from .numeric import COEFF_CHOP, MONIC_TOL, Record, binomials, close, json_complex, setfield
+from .numeric import COEFF_CHOP, EXPPOLY, MONIC_TOL, Record, binomials, close, decode, setfield
 
 
 def _trim(cs):  # a list of complex numbers as a tuple, trailing entries at or below COEFF_CHOP dropped
@@ -240,12 +240,7 @@ class ExpPoly(Record):
 
     @classmethod
     def from_json(cls, data):
-        terms = []
-        for t in data["terms"]:
-            lam = json_complex(t["lambda"])
-            poly = Polynomial([json_complex(c) for c in t["coeffs"]])
-            terms.append((lam, poly))
-        return cls(tuple(terms))
+        return decode(EXPPOLY, data, "exppoly")
 
 
 def evaluate(f, z):

@@ -9,12 +9,13 @@ factors.  The factories cover the matrix families (projective plane, affine
 plane, special affine plane), the product families, the one-parameter
 stabilizer family, the translation plane (whose discrete subgroups `d1`
 classifies), the affine group, the quadric, and the divisor- and
-bundle-indexed families.  A factory or codec imports its family's module
-when it runs, so loading this module loads none of them.
+bundle-indexed families.  A factory, or the constructor of a payload
+schema, imports its family's module when it runs, so loading this module
+loads none of them.
 
 One table, `SPECS`, holds everything else known per label: the factory, the
-JSON codecs, the invariant check, the element distance and the quotient
-policy.
+element and point schemas of the JSON payloads, the invariant check, the
+element distance and the quotient policy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import math
 import operator
 from itertools import chain
 
-from .numeric import EPS, SL_DET_TOL, Record, as_rows, close, complex_json, determinant, distance, flat_distance
-from .numeric import inverse2, inverse3, json_complex, product2, product3, setfield
+from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, MATRIX2, MATRIX3, PAIR, SL_DET_TOL
+from .numeric import Record, Schema, _itself, _values, as_rows, close, determinant, distance, flat_distance, inverse2
+from .numeric import inverse3, lazy, product2, product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -382,126 +384,33 @@ def _bgamma4(n=2):
 
 
 # ---------------------------------------------------------------------------
-# JSON codecs: the element and point schemas of docs/families.md
+# the element and point schemas of docs/families.md
 
+_bg12 = lazy("projective", "BGamma12Element")
+_proj = lazy("projective", "ProjPoint")
+_quadric = lazy("projective", "QuadricPoint")
+_rgd = lazy("bbeta", "RGDElement")
 
-def _values(data, n=None):
-    """The complex numbers of a JSON list, which must have n entries when n is given."""
-    if n is not None and len(data) != n:
-        raise ValueError(f"expected {n} complex numbers, got {len(data)}")
-    return tuple(json_complex(x) for x in data)
-
-
-def _json_matrix(data, n=2):
-    """An n x n matrix as Python rows, which every handler's `act` takes as well as an array."""
-    m = [[json_complex(x) for x in row] for row in data]
-    if [len(row) for row in m] != [n] * n:
-        raise ValueError(f"matrix must be {n}x{n}, got rows of lengths {[len(row) for row in m]}")
-    return m
-
-
-def _matrix_element(data):
-    return _json_matrix(data["matrix"])
-
-
-def _affine_map(data):
-    return (_json_matrix(data["matrix"]), _values(data["translation"], 2))
-
-
-def _degree(data):
-    n = data["n"]
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
-    return n
-
-
-def _affine(data):
-    return (json_complex(data["alpha"]), json_complex(data["beta"]))
-
-
-def _proj(data):
-    from .projective import ProjPoint
-
-    return ProjPoint(*_values(data, 2))
-
-
-def _proj2(data):
-    from .projective import Proj2Point
-
-    return Proj2Point(_values(data["coords"]))
-
-
-def _quadric(data):
-    from .projective import QuadricPoint
-
-    return QuadricPoint(_proj(data["alpha"]), _proj(data["beta"]))
-
-
-def _cjs(values):
-    return [complex_json(z) for z in values]
-
-
-def _uaff_element(data):
-    from .uaffgroup import UAffElement
-
-    return UAffElement(json_complex(data["a"]), json_complex(data["b"]))
-
-
-def _divisor_element(data, rescaled):
-    from . import bbeta
-    from .divisor import Divisor
-    from .exppoly import ExpPoly
-
-    D, t, f = Divisor.from_json(data["divisor"]), json_complex(data["t"]), ExpPoly.from_json(data["f"])
-    return bbeta.RGDElement(D, t, json_complex(data["lambda"]) if rescaled else 1, f)
-
-
-def _c8_element(data):
-    """(t, v); the payload must also carry the family parameter alpha, which `params` reads."""
-    if "alpha" not in data:
-        raise ValueError("a C8 element needs its family parameter alpha")
-    return (json_complex(data["t"]), _values(data["v"], 2))
-
-
-def _bg12_element(data, c):
-    from .projective import BGamma12Element
-
-    lam, b = json_complex(data["lam"]), json_complex(data["b"])
-    return BGamma12Element(_degree(data), c, lam, b, _values(data["poly"]))
-
-
-def _bg3_element(data):
-    from .projective import BGamma3Element
-
-    return BGamma3Element(_degree(data), json_complex(data["lam"]), json_complex(data["b"]), _values(data["r"]))
-
-
-def _on_element(data):
-    from .projective import OnGroupElement
-
-    return OnGroupElement(_degree(data), _json_matrix(data["matrix"]), _values(data["poly"]))
-
-
-def _bundle_point(data):
-    from .projective import BundlePoint
-
-    chart = data["chart"]
-    if type(chart) is not int or chart not in (0, 1):
-        raise ValueError(f"chart must be 0 or 1, got {chart!r}")
-    return BundlePoint(_degree(data), chart, json_complex(data["z"]), json_complex(data["w"]))
-
-
-# (decode, encode) of each point schema
-_PLANE = (
-    lambda d: (json_complex(d["z"]), json_complex(d["w"])),
-    lambda x: {"z": complex_json(x[0]), "w": complex_json(x[1])},
+_AFFINE = Schema({"alpha": COMPLEX, "beta": COMPLEX})
+_AFFINE_MAP = Schema({"matrix": MATRIX2, "translation": PAIR})
+_MATRIX = Schema({"matrix": MATRIX2}, make=_itself)
+_ON = Schema({"n": DEGREE, "matrix": MATRIX2, "poly": COMPLEXES}, make=lazy("projective", "OnGroupElement"))
+_UAFF = Schema({"a": COMPLEX, "b": COMPLEX}, make=lazy("uaffgroup", "UAffElement"), parts=lambda g: (g.a, g.b))
+# the parameters of `act --cover`, each read only by the examples that take it (bbeta.quotient_cover)
+_COVER = Schema(
+    {"n": DEGREE, "s": COMPLEX, "tau": COMPLEX, "delta": COMPLEXES}, make=dict, optional=("n", "s", "tau", "delta")
 )
-_PROJ_TIMES_LINE = (
-    lambda d: (_proj(d["zproj"]), json_complex(d["w"])),
-    lambda x: {"zproj": _cjs(x[0].coords), "w": complex_json(x[1])},
+# the points
+_PLANE = Schema({"z": COMPLEX, "w": COMPLEX})
+_PROJ_TIMES_LINE = Schema(
+    {"zproj": PAIR, "w": COMPLEX}, make=lambda z, w: (_proj(*z), w), parts=lambda x: (x[0].coords, x[1])
 )
-_PUNCTURED = (lambda d: _values(d["x"], 2), lambda x: {"x": _cjs(x)})
-_BUNDLE = (_bundle_point, lambda x: {"n": x.n, "chart": x.chart, "z": complex_json(x.z), "w": complex_json(x.w)})
+_PUNCTURED = Schema({"x": PAIR}, make=_itself, parts=_values)
+_BUNDLE = Schema(
+    {"n": DEGREE, "chart": CHART, "z": COMPLEX, "w": COMPLEX},
+    make=lazy("projective", "BundlePoint"),
+    parts=lambda x: (x.n, x.chart, x.z, x.w),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +436,6 @@ def _check_det_one(m, power=1):
 def _check_nonzero(what, *values):
     if 0 in values:
         raise ValueError(f"{what} must be nonzero")
-
-
-def _no_params(data):
-    return {}
 
 
 def _proj_distance(g, h):
@@ -568,26 +473,22 @@ def _psl_first_distance(g, h):
 class FamilySpec:
     """One row of the family table: what the package knows of one base label.
 
-    `handler(**params)` builds the family's `Family`.  `element(data)` and
-    `point(data)` decode the JSON payloads of docs/families.md, and
-    `point_json(x)` encodes a point; the constructor takes the point codecs
-    as one (decode, encode) pair, the plane's by default.  `params(data)` are
-    the handler parameters an element payload carries (C8's `alpha`; no other
-    family's `act` reads one), `check(g)` raises ValueError for an element
+    `handler(**params)` builds the family's `Family`.  `element` and `point`
+    are the `numeric.Schema`s of its JSON payloads (docs/families.md), the
+    plane's point by default; the `aside` keys of an element are C8's handler
+    parameter `alpha` (no other family's `act` reads one) and the "cover"
+    parameters of Bβ1 and Bβ2.  `check(g)` raises ValueError for an element
     that breaks the family's invariants, and `distance(g, h)` compares two
     elements.  `policy` describes the discrete subgroups the action has
     quotients by, and is empty when it has none.
     """
 
-    __slots__ = ("handler", "element", "point", "point_json", "params", "check", "distance", "policy")
+    __slots__ = ("handler", "element", "point", "check", "distance", "policy")
 
-    def __init__(
-        self, handler, element, point=_PLANE, *, params=_no_params, check=_no_check, distance=distance, policy=""
-    ):
+    def __init__(self, handler, element, point=_PLANE, *, check=_no_check, distance=distance, policy=""):
         self.handler = handler
         self.element = element
-        self.point, self.point_json = point
-        self.params = params
+        self.point = point
         self.check = check
         self.distance = distance
         self.policy = policy
@@ -599,51 +500,64 @@ _HOPF = "Hopf identification z ~ lam z, 0 < |lam| < 1"
 SPECS = {
     "A1": FamilySpec(
         _a1,
-        lambda d: _json_matrix(d["matrix"], 3),
-        (_proj2, lambda x: {"coords": _cjs(x.coords)}),
+        Schema({"matrix": MATRIX3}, make=_itself),
+        Schema({"coords": COMPLEXES}, make=lazy("projective", "Proj2Point"), parts=lambda x: (x.coords,)),
         check=_check_invertible,
         distance=_proj_distance,
     ),
     "A2": FamilySpec(
         lambda: _matrix_affine("A2", False),
-        _affine_map,
+        _AFFINE_MAP,
         check=lambda g: _check_invertible(g[0]),
         distance=_affine_distance,
     ),
     "A3": FamilySpec(
         lambda: _matrix_affine("A3", True),
-        _affine_map,
+        _AFFINE_MAP,
         check=lambda g: _check_det_one(g[0]),
         distance=_affine_distance,
     ),
     "Bβ1": FamilySpec(
         lambda divisor=None: _bbeta("Bβ1", divisor),
-        lambda d: _divisor_element(d, rescaled=False),
+        Schema(
+            {"divisor": DIVISOR, "t": COMPLEX, "f": EXPPOLY, "cover": _COVER},
+            make=lambda D, t, f: _rgd(D, t, 1, f),
+            optional=("cover",),
+            aside=("cover",),
+        ),
         policy="discrete subgroup pi of Q_D x| C, examples Bβ1A0..I",
     ),
     "Bβ2": FamilySpec(
         lambda divisor=None: _bbeta("Bβ2", divisor),
-        lambda d: _divisor_element(d, rescaled=True),
+        Schema(
+            {"divisor": DIVISOR, "t": COMPLEX, "lambda": COMPLEX, "f": EXPPOLY, "cover": _COVER},
+            make=_rgd,
+            optional=("cover",),
+            aside=("cover",),
+        ),
         policy="pi = n Z in the quasiperiod group, normalized divisor",
     ),
     "Bγ1": FamilySpec(
         lambda n=2, c=1.7 + 0.3j: _bgamma12(n, c),
-        lambda d: _bg12_element(d, json_complex(d["c"])),
+        Schema({"n": DEGREE, "c": COMPLEX, "lam": COMPLEX, "b": COMPLEX, "poly": COMPLEXES}, make=_bg12),
         check=lambda g: _check_nonzero("c", g.c),
     ),
     "Bγ2": FamilySpec(
         lambda n=2: _bgamma12(n),
-        lambda d: _bg12_element(d, 0j),
+        Schema(
+            {"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "poly": COMPLEXES},
+            make=lambda n, lam, b, poly: _bg12(n, 0j, lam, b, poly),
+        ),
         policy="pi = {0} x Lambda, Lambda a discrete subgroup of C",
     ),
     "Bγ3": FamilySpec(
         _bgamma3,
-        _bg3_element,
+        Schema({"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "r": COMPLEXES}, make=lazy("projective", "BGamma3Element")),
     ),
-    "Bγ4": FamilySpec(_bgamma4, _on_element),
+    "Bγ4": FamilySpec(_bgamma4, _ON),
     "Bδ1": FamilySpec(
         lambda: _bdelta_linear("Bδ1", True),
-        _matrix_element,
+        _MATRIX,
         _PUNCTURED,
         check=_check_det_one,
         distance=_matrix_distance,
@@ -651,7 +565,7 @@ SPECS = {
     ),
     "Bδ2": FamilySpec(
         lambda: _bdelta_linear("Bδ2", False),
-        _matrix_element,
+        _MATRIX,
         _PUNCTURED,
         check=_check_invertible,
         distance=_matrix_distance,
@@ -659,57 +573,55 @@ SPECS = {
     ),
     "Bδ3": FamilySpec(
         lambda n=2: _bdelta_bundle("Bδ3", True, n),
-        _on_element,
+        _ON,
         _BUNDLE,
         # the matrix is stored modulo n-th roots of unity, which multiply det by their squares
         check=lambda g: _check_det_one(g.matrix, g.n // math.gcd(g.n, 2)),
     ),
-    "Bδ4": FamilySpec(lambda n=2: _bdelta_bundle("Bδ4", False, n), _on_element, _BUNDLE),
+    "Bδ4": FamilySpec(lambda n=2: _bdelta_bundle("Bδ4", False, n), _ON, _BUNDLE),
     "C2": FamilySpec(
         lambda: _product("C2", _TRANS_C, _AFF_C),
-        lambda d: (json_complex(d["t"]), _affine(d["affine"])),
+        Schema({"t": COMPLEX, "affine": _AFFINE}),
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         policy="discrete subgroup Delta of C acting on the first factor",
     ),
     "C3": FamilySpec(
         lambda: _product("C3", _AFF_C, _AFF_C),
-        lambda d: (_affine(d["first"]), _affine(d["second"])),
+        Schema({"first": _AFFINE, "second": _AFFINE}),
         check=lambda g: _check_nonzero("alpha", g[0][0], g[1][0]),
     ),
     "C5": FamilySpec(
         lambda: _product("C5", _psl2(), _TRANS_C),
-        lambda d: (_json_matrix(d["matrix"]), json_complex(d["t"])),
+        Schema({"matrix": MATRIX2, "t": COMPLEX}),
         _PROJ_TIMES_LINE,
         distance=_psl_first_distance,
         policy="discrete subgroup Delta of C acting on the second factor",
     ),
     "C6": FamilySpec(
         lambda: _product("C6", _psl2(), _AFF_C),
-        lambda d: (_json_matrix(d["matrix"]), _affine(d["affine"])),
+        Schema({"matrix": MATRIX2, "affine": _AFFINE}),
         _PROJ_TIMES_LINE,
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         distance=_psl_first_distance,
     ),
     "C7": FamilySpec(
         lambda: _product("C7", _psl2(), _psl2()),
-        lambda d: (_json_matrix(d["first"]), _json_matrix(d["second"])),
-        (
-            lambda d: (_proj(d["first"]), _proj(d["second"])),
-            lambda x: {"first": _cjs(x[0].coords), "second": _cjs(x[1].coords)},
+        Schema({"first": MATRIX2, "second": MATRIX2}),
+        Schema(
+            {"first": PAIR, "second": PAIR},
+            make=lambda a, b: (_proj(*a), _proj(*b)),
+            parts=lambda x: (x[0].coords, x[1].coords),
         ),
         distance=lambda g, h: max(_proj_distance(g[0], h[0]), _proj_distance(g[1], h[1])),
     ),
-    "C8": FamilySpec(
-        _c8,
-        _c8_element,
-        params=lambda d: {"alpha": json_complex(d["alpha"])},
-    ),
+    "C8": FamilySpec(_c8, Schema({"t": COMPLEX, "v": PAIR, "alpha": COMPLEX}, aside=("alpha",))),
     "C9": FamilySpec(
         _c9,
-        _matrix_element,
-        (
-            _quadric,
-            lambda x: {"alpha": _cjs(x.alpha.coords), "beta": _cjs(x.beta.coords)},
+        _MATRIX,
+        Schema(
+            {"alpha": PAIR, "beta": PAIR},
+            make=lambda a, b: _quadric(_proj(*a), _proj(*b)),
+            parts=lambda x: (x.alpha.coords, x.beta.coords),
         ),
         distance=_proj_distance,
         policy="the swap (alpha, beta) -> (beta, alpha): X' = P^2 minus a conic",
@@ -717,18 +629,11 @@ SPECS = {
     # the translation plane C^2 = C x C
     "D1": FamilySpec(
         lambda: _product("D1", _TRANS_C, _TRANS_C),
-        lambda d: _values(d["v"], 2),
+        Schema({"v": PAIR}, make=_itself),
         policy="any discrete subgroup pi of C^2",
     ),
-    "D2": FamilySpec(
-        _d2,
-        _uaff_element,
-        (_uaff_element, lambda x: {"a": complex_json(x.a), "b": complex_json(x.b)}),
-        policy="any discrete subgroup pi of uAff(C), table D2_1..D2_14",
-    ),
-    "D3": FamilySpec(
-        _d3, lambda d: (json_complex(d["m"]), _values(d["v"], 2)), check=lambda g: _check_nonzero("m", g[0])
-    ),
+    "D2": FamilySpec(_d2, _UAFF, _UAFF, policy="any discrete subgroup pi of uAff(C), table D2_1..D2_14"),
+    "D3": FamilySpec(_d3, Schema({"m": COMPLEX, "v": PAIR}), check=lambda g: _check_nonzero("m", g[0])),
 }
 
 BASE_FAMILY_LABELS = tuple(SPECS)

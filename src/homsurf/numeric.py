@@ -2,8 +2,9 @@
 
 Float comparisons funnel through `close` with the relative epsilon EPS.
 Symbolic coefficient cancellation uses the absolute chop COEFF_CHOP.  `distance` is
-the one relative distance between values, and JSON numbers are read only
-through `json_complex`, which refuses non-finite ones.  The closed-form
+the one relative distance between values, and every JSON payload is read
+by `decode` through its schema, which refuses non-finite numbers, missing
+and unknown keys and wrong shapes, naming their path.  The closed-form
 2x2 and 3x3 matrix kernels live here, for the matrix families and the D1
 classifier; the lattice layer of the classifiers lives in `lattice`.
 """
@@ -329,18 +330,143 @@ def distance_for(a):
 
 
 # ---------------------------------------------------------------------------
-# JSON numbers: every codec reads and writes complex numbers through these
+# JSON payloads: every payload is read by `decode`, through its schema
+
+# the kinds of a value: a finite number (REAL), a complex number (COMPLEX: a finite number or
+# {"re": x, "im": y}), a list of complex numbers (COMPLEXES, PAIR of exactly two), an n x n matrix
+# ("matrix", n), an integer of at least 1 (DEGREE), a chart 0 or 1 (CHART), a string (TEXT), a
+# Schema (an object), or a list of one kind (a JSON list of values of that kind)
+REAL, COMPLEX, COMPLEXES, PAIR, DEGREE, CHART, TEXT = "real", "complex", "complexes", "pair", "degree", "chart", "text"
+MATRIX2, MATRIX3 = ("matrix", 2), ("matrix", 3)
 
 
-def json_complex(data):
-    """A finite complex number from a JSON number or a {"re": x, "im": y} object."""
-    try:
-        z = complex(data) if isinstance(data, (int, float)) else complex(data["re"], data["im"])
-    except (TypeError, OverflowError):
-        raise ValueError(f"not a finite complex number: {data!r}") from None
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"not a finite complex number: {data!r}")
-    return z
+def _values(*values):
+    return values
+
+
+def _itself(value):
+    return value
+
+
+class Schema:
+    """A JSON object: the kind of each of its keys, in order, and the constructor of its value.
+
+    `make` takes the values of the keys in order (a tuple of them by default), those of the
+    `optional` keys that are present by name.  The `aside` keys are read and checked but left
+    out of `make`: the caller reads them (C8's family parameter alpha, the "cover" parameters).
+    `parts(value)` gives back the values of the keys, in order, for `encode` (the value itself by
+    default, the inverse of the default `make`).
+    """
+
+    __slots__ = ("fields", "make", "parts", "optional", "aside")
+
+    def __init__(self, fields, make=_values, parts=_itself, optional=(), aside=()):
+        self.fields, self.make, self.parts, self.optional, self.aside = fields, make, parts, optional, aside
+
+
+def lazy(module, name):
+    """A function calling `name` of the package module `module`, imported when it is called: a schema's
+    constructor, so that a table of schemas loads no family module until a payload of that family is read."""
+
+    def call(*args, **kwargs):
+        return getattr(__import__(f"{__package__}.{module}", fromlist=(name,)), name)(*args, **kwargs)
+
+    return call
+
+
+def _json_list(data, path, n=None):
+    if type(data) is not list:
+        raise ValueError(f"{path}: expected a list, got {data!r}")
+    if n is not None and len(data) != n:
+        raise ValueError(f"{path}: expected {n} entries, got {len(data)}")
+    return data
+
+
+_RE_IM = Schema({"re": REAL, "im": REAL}, make=complex)
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def decode(schema, data, path):
+    """The value that `data`, as `json.load` returns it, encodes under `schema` (a kind).
+
+    A missing or unknown key, a value of the wrong type or shape and a non-finite number raise
+    ValueError naming their path: `element: unknown key 'lambda'`, `element.translation: expected
+    2 entries, got 3`, `element.v[0]: missing key 're'`.
+    """
+    if type(schema) is Schema:
+        if type(data) is not dict:
+            raise ValueError(f"{path}: expected an object, got {data!r}")
+        for key in data:
+            if key not in schema.fields:
+                raise ValueError(f"{path}: unknown key {key!r}")
+        args, kwargs = [], {}
+        for key, kind in schema.fields.items():
+            if key not in data:
+                if key in schema.optional:
+                    continue
+                raise ValueError(f"{path}: missing key {key!r}")
+            value = decode(kind, data[key], f"{path}.{key}")
+            if key in schema.aside:
+                continue
+            if key in schema.optional:
+                kwargs[key] = value
+            else:
+                args.append(value)
+        return schema.make(*args, **kwargs)
+    if type(schema) is list:
+        return [decode(schema[0], x, f"{path}[{i}]") for i, x in enumerate(_json_list(data, path))]
+    if schema == COMPLEX:
+        return decode(_RE_IM, data, path) if type(data) is dict else complex(decode(REAL, data, path))
+    if schema == REAL:
+        if type(data) is float and math.isfinite(data) or type(data) is int and abs(data) <= _FLOAT_MAX:
+            return float(data)
+        raise ValueError(f"{path}: not a finite number: {data!r}")
+    if schema in (COMPLEXES, PAIR):
+        values = _json_list(data, path, 2 if schema == PAIR else None)
+        return tuple(decode(COMPLEX, x, f"{path}[{i}]") for i, x in enumerate(values))
+    if schema == DEGREE:
+        if type(data) is not int or data < 1:
+            raise ValueError(f"{path}: {path.rpartition('.')[2]} must be an integer of at least 1, got {data!r}")
+        return data
+    if schema == CHART:
+        if type(data) is not int or data not in (0, 1):
+            raise ValueError(f"{path}: chart must be 0 or 1, got {data!r}")
+        return data
+    if schema == TEXT:
+        if type(data) is not str:
+            raise ValueError(f"{path}: expected a string, got {data!r}")
+        return data
+    n = schema[1]  # ("matrix", n): the matrix as Python rows, which every handler's `act` takes
+    rows = [list(decode(COMPLEXES, row, f"{path}[{i}]")) for i, row in enumerate(_json_list(data, path))]
+    if [len(row) for row in rows] != [n] * n:
+        raise ValueError(f"{path}: matrix must be {n}x{n}, got rows of lengths {[len(row) for row in rows]}")
+    return rows
+
+
+# the divisor and exponential-polynomial payloads of docs/families.md, which the Bβ elements and the qd
+# classify file share
+_polynomial = lazy("exppoly", "Polynomial")
+DIVISOR = Schema(
+    {"points": [Schema({"re": REAL, "im": REAL, "mult": DEGREE}, make=lambda re, im, mult: (complex(re, im), mult))]},
+    make=lazy("divisor", "Divisor"),
+)
+EXPPOLY = Schema(
+    {"terms": [Schema({"lambda": COMPLEX, "coeffs": COMPLEXES}, make=lambda lam, cs: (lam, _polynomial(cs)))]},
+    make=lazy("exppoly", "ExpPoly"),
+)
+
+
+def encode(schema, value):
+    """The JSON object of `value` under `schema`: `decode`'s inverse, for schemas whose keys are
+    complex numbers, lists of them or integers (the point schemas)."""
+    out = {}
+    for (key, kind), part in zip(schema.fields.items(), schema.parts(value)):
+        if kind == COMPLEX:
+            part = complex_json(part)
+        elif kind in (PAIR, COMPLEXES):
+            part = [complex_json(z) for z in part]
+        out[key] = part
+    return out
 
 
 def complex_json(z):

@@ -111,9 +111,3 @@ def test_corrupted_instances_fail(rng):
         for _ in range(8):
             bad = verify.corrupt_sc_map(rng, data)
             assert not map_normalizes_deck(bad, data, rng), c
-
-
-def test_scdata_json_roundtrip():
-    data = SCData(*SQUARE, 1j)
-    back = SCData.from_json(data.to_json())
-    assert close(back.c, data.c) and close(back.w1, data.w1) and close(back.w2, data.w2)

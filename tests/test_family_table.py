@@ -163,10 +163,10 @@ def test_family_parameters():
 def test_only_c8_elements_carry_handler_parameters():
     for label in BASE_FAMILY_LABELS:
         element, _, params = PAYLOADS[label]
-        assert families.SPECS[label].params(element) == params, label
-    # a C8 payload without alpha never reaches `params`: its decoder refuses it
-    with pytest.raises(ValueError, match="alpha"):
-        families.SPECS["C8"].element({"t": 0, "v": [0, 0]})
+        assert cli.element_parameters(label, element) == params, label
+    # a C8 payload without alpha never reaches `element_parameters`: its schema refuses it
+    with pytest.raises(ValueError, match="element: missing key 'alpha'"):
+        cli.element_from_json("C8", {"t": 0, "v": [0, 0]})
 
 
 def test_every_family_has_a_payload():
@@ -282,11 +282,39 @@ def test_bdelta3_takes_its_matrix_modulo_the_roots_of_unity(tmp_path, capsys):
 # the family table and docs/families.md
 
 
-def test_every_family_has_a_row_in_the_element_schema_table():
+def _top_level_keys(payload):
+    """The keys of the outermost object of a payload as docs/families.md writes it."""
+    keys, depth, i = set(), 0, 0
+    while i < len(payload):
+        if payload[i] in "{[":
+            depth += 1
+        elif payload[i] in "}]":
+            depth -= 1
+        elif payload[i] == '"':
+            end = payload.index('"', i + 1)
+            if depth == 1 and payload[end + 1 :].lstrip().startswith(":"):
+                keys.add(payload[i + 1 : end])
+            i = end
+        i += 1
+    return keys
+
+
+_TABLES = {"element": "## Group element schemas", "point": "## Point schemas"}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+def test_docs_tables_list_the_schema_keys(kind):
+    """Each family has one row in the docs table, and the row's keys are those of the family's schema."""
     docs = (pathlib.Path(__file__).parents[1] / "docs" / "families.md").read_text()
-    section = docs.split("## Group element schemas")[1].split("\n## ")[0]
-    documented = set()
+    section = docs.split(_TABLES[kind])[1].split("\n## ")[0]
+    documented = {}
     for line in section.splitlines():
         if line.startswith("| ") and not line.startswith("| family"):
-            documented.update(label.strip() for label in line.split("|")[1].split(","))
-    assert set(BASE_FAMILY_LABELS) <= documented  # the keys of the family table
+            _, labels, payload, *_ = line.split("|")
+            keys = _top_level_keys(payload.split("`")[1])
+            for label in labels.split(","):
+                assert label.strip() not in documented, label
+                documented[label.strip()] = keys
+    assert sorted(documented) == sorted(BASE_FAMILY_LABELS)  # the keys of the family table
+    for label, keys in documented.items():
+        assert keys == set(getattr(families.SPECS[label], kind).fields), label

@@ -218,20 +218,58 @@ def _classify(tmp_path, doc, *options):
     return cli.main(["classify", str(f), *options])
 
 
+def _divisor_with_mult(mult):
+    return {"points": [{"re": 0.0, "im": 0.0, "mult": mult}, {"re": 0.0, "im": 2 * math.pi, "mult": 1}]}
+
+
+def _bb1_with_mult(tmp, mult):
+    return _act(tmp, "Bb1", {"divisor": _divisor_with_mult(mult), "t": 0.5, "f": {"terms": []}}, POINT)
+
+
+def _qd_with_mult(tmp, mult):
+    return _classify(tmp, {"ambient": "qd", "divisor": _divisor_with_mult(mult), "generators": [{"w": 1, "s": 0}]})
+
+
+# name -> (the call, the path its error names)
 MALFORMED = {
-    "a2-matrix-not-rows": lambda tmp: _act(tmp, "A2", {"matrix": 5, "translation": [_cj(0j), _cj(0j)]}, POINT),
-    "point-coordinate-a-string": lambda tmp: _act(tmp, "D1", {"v": [_cj(1 + 0j), _cj(0j)]}, {"z": "abc", "w": 1}),
-    "c2-generator-a-string": lambda tmp: _classify(tmp, {"ambient": "C2", "generators": [[1, "x"]]}),
-    "classify-file-a-list": lambda tmp: _classify(tmp, [{"ambient": "C2", "generators": []}]),
-    "d1-element-too-short": lambda tmp: _act(tmp, "D1", {"v": [1]}, POINT),
+    "a2-matrix-not-rows": (
+        lambda tmp: _act(tmp, "A2", {"matrix": 5, "translation": [_cj(0j), _cj(0j)]}, POINT),
+        "element.matrix:",
+    ),
+    "point-coordinate-a-string": (
+        lambda tmp: _act(tmp, "D1", {"v": [_cj(1 + 0j), _cj(0j)]}, {"z": "abc", "w": 1}),
+        "point.z:",
+    ),
+    "c2-generator-a-string": (
+        lambda tmp: _classify(tmp, {"ambient": "C2", "generators": [[1, "x"]]}),
+        "file.generators[0][1]:",
+    ),
+    "classify-file-a-list": (lambda tmp: _classify(tmp, [{"ambient": "C2", "generators": []}]), "file.ambient:"),
+    "d1-element-too-short": (lambda tmp: _act(tmp, "D1", {"v": [1]}, POINT), "element.v:"),
+    "d1-coordinate-without-re": (
+        lambda tmp: _act(tmp, "D1", {"v": [{"im": 0}, 0]}, POINT),
+        "element.v[0]: missing key 're'",
+    ),
+    # a multiplicity is a JSON integer of at least 1: not read as int(2.7), int(True) or int("3")
+    "bb1-mult-a-float": (lambda tmp: _bb1_with_mult(tmp, 2.7), "element.divisor.points[0].mult: mult must be"),
+    "bb1-mult-a-boolean": (lambda tmp: _bb1_with_mult(tmp, True), "element.divisor.points[0].mult: mult must be"),
+    "bb1-mult-a-string": (lambda tmp: _bb1_with_mult(tmp, "3"), "element.divisor.points[0].mult: mult must be"),
+    "qd-mult-a-float": (lambda tmp: _qd_with_mult(tmp, 2.7), "file.divisor.points[0].mult: mult must be"),
+    # a JSON boolean is not a number, though Python's bool is an int
+    "d1-element-booleans": (lambda tmp: _act(tmp, "D1", {"v": [True, False]}, POINT), "element.v[0]:"),
+    "point-coordinate-a-boolean": (
+        lambda tmp: _act(tmp, "D1", {"v": [1, 0]}, {"z": 1, "w": {"re": True, "im": 0}}),
+        "point.w.re:",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_payload_is_an_input_error(tmp_path, capsys, name):
-    assert MALFORMED[name](tmp_path) == 2
+    call, path = MALFORMED[name]
+    assert call(tmp_path) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1 and "Traceback" not in err
 
 
 # a D2_11 row (rotation by 2 pi / 3): its center intersection needs the fraction 1/3
@@ -359,7 +397,7 @@ def test_cli_act_cover_degree_must_be_a_positive_integer(tmp_path, capsys, famil
     p.write_text(json.dumps(POINT))
     argv = ["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: n must be an integer of at least 1, got {n!r}\n"
+    assert capsys.readouterr().err == f"error: element.cover.n: n must be an integer of at least 1, got {n!r}\n"
     element["cover"]["n"] = 2
     e.write_text(json.dumps(element))
     assert cli.main(argv) == 0
@@ -417,3 +455,48 @@ def test_cli_act_cover_c_takes_s_as_1(tmp_path, capsys):
     p.write_text(json.dumps(POINT))
     argv = ["act", "--family", "Bb1", "--element", str(e), "--point", str(p), "--cover", "C"]
     assert cli.main(argv) == 0
+
+
+# a valid payload with one key more: each exited 0 with the key ignored (a Bβ1 element with a lambda
+# acted as lambda = 1); the schema refuses the key, naming it
+_BB1 = {"divisor": COVER_DIVISOR, "t": _cj(0.5 + 0j), "f": {"terms": []}}
+_AFFINE = {"alpha": _cj(2 + 0j), "beta": _cj(1 + 0j)}
+STRAY_KEYS = {
+    "bb1-lambda": ("Bb1", dict(_BB1, **{"lambda": _cj(2 + 0j)}), POINT, "element: unknown key 'lambda'"),
+    "a2-translaton": (
+        "A2",
+        {"matrix": IDENTITY2, "translation": [_cj(0j), _cj(1 + 0j)], "translaton": [_cj(0j), _cj(0j)]},
+        POINT,
+        "element: unknown key 'translaton'",
+    ),
+    "d3-lambda": ("D3", {"m": _cj(2 + 0j), "v": [0, 0], "lambda": 1}, POINT, "element: unknown key 'lambda'"),
+    "c2-beta": ("C2", {"t": _cj(1 + 0j), "affine": _AFFINE, "beta": 1}, POINT, "element: unknown key 'beta'"),
+    "c8-n": ("C8", {"t": 0, "v": [0, 0], "alpha": 3, "n": 2}, POINT, "element: unknown key 'n'"),
+    "plane-point-third-key": ("D1", {"v": [1, 0]}, dict(POINT, x=0), "point: unknown key 'x'"),
+    "cover-stray-key": ("Bb1", dict(_BB1, cover={"n": 1, "m": 2}), POINT, "element.cover: unknown key 'm'"),
+    "cover-on-a2": (
+        "A2",
+        {"matrix": IDENTITY2, "translation": [0, 0], "cover": {"n": 1}},
+        POINT,
+        "element: unknown key 'cover'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_KEYS))
+def test_cli_act_refuses_a_key_its_schema_does_not_have(tmp_path, capsys, case):
+    family, element, point, error = STRAY_KEYS[case]
+    assert _act(tmp_path, family, element, point) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_cli_act_cover_bb2_takes_only_n(tmp_path, capsys):
+    element = {"divisor": COVER_DIVISOR, "t": _cj(0.5 + 0j), "lambda": _cj(1.5 + 0j), "f": {"terms": []}}
+    element["cover"] = {"n": 2, "tau": _cj(1j)}
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    argv = ["act", "--family", "Bb2", "--element", str(e), "--point", str(p), "--cover", "Bb2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: example Bb2 does not take the cover parameter 'tau'\n"
