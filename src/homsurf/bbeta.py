@@ -22,8 +22,8 @@ from .divisor import quasiperiod_group
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
 from .lattice import TorusPoint, lattice_contains, lattice_reduce_tau, near_int
 from .numeric import EPS, JACOBIAN_STEP, JACOBIAN_TOL, LAM_TOL, LINE_INDEX_TOL, ORBIT_TOL, Record, close
-from .numeric import distance, setfield
-from .qd import _LATTICE_RANK, TWO_PI_I, BBeta1Classification, BBeta1Label, CentralizerElement  # noqa: F401
+from .numeric import TWO_PI_I, distance, setfield
+from .qd import _LATTICE_RANK, BBeta1Classification, BBeta1Label, CentralizerElement  # noqa: F401
 from .qd import _canonical_line_data, _check_divisor, _deck_pairs, cent_act, cent_identity  # noqa: F401
 from .qd import cent_inverse, cent_multiply, classify_pi, table_automorphism  # noqa: F401
 

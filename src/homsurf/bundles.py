@@ -20,10 +20,9 @@ import math
 from functools import cached_property
 
 from .lattice import lattice_contains, near_int, rational_reconstruct
-from .numeric import DECK_TOL, UNIT_TOL, Record, close, setfield
+from .numeric import DECK_TOL, TWO_PI_I, UNIT_TOL, Record, close, setfield
 
 LAURENT_DEGREE_CAP = 8
-TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
 
 

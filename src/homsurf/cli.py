@@ -21,7 +21,7 @@ import json
 import sys
 import types
 
-from .numeric import COMPLEX, DIVISOR, PAIR, TEXT, Schema, as_rows, complex_json, decode, encode, lazy
+from .numeric import COMPLEX, DIVISOR, PAIR, TEXT, Schema, complex_json, decode, encode, lazy
 
 
 class InputError(Exception):
@@ -29,7 +29,7 @@ class InputError(Exception):
 
 
 def _matrix_json(m):
-    return [[complex_json(x) for x in row] for row in as_rows(m)]
+    return [[complex_json(x) for x in row] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,10 @@ def element_from_json(label, data):
 
     spec = SPECS[label]
     g = decode(spec.element, data, "element")
-    spec.check(g)
+    try:
+        spec.check(g)
+    except ValueError as e:
+        raise type(e)(f"element: {e}") from None
     return g
 
 
@@ -126,7 +129,7 @@ def cmd_classify(args):
     if ambient == "C2":
         from .d1 import classify_D1_subgroup
 
-        res = classify_D1_subgroup(gens)
+        res = classify_D1_subgroup(gens, max_denominator=bound)
         out.update(
             label=res.label,
             normalized_generators=[[complex_json(a), complex_json(b)] for a, b in res.generators],

@@ -11,7 +11,7 @@ import math
 from operator import mul
 
 from .lattice import c2r, c2r2, lattice_reduce_tau, r2c2, zmodule_basis
-from .numeric import INDEPENDENT_TOL, SIGMA_WARN_TOL, NonDiscreteError, Record, as_rows, determinant
+from .numeric import INDEPENDENT_TOL, SIGMA_WARN_TOL, NonDiscreteError, Record, determinant
 from .numeric import inverse2, product2, setfield
 
 
@@ -74,15 +74,16 @@ def _realize(vectors, combo):
     return (z, w)
 
 
-def classify_D1_subgroup(gens):
+def classify_D1_subgroup(gens, max_denominator=None):
     """Normal form of a discrete subgroup of the translation plane C^2.
 
     Returns a D1Classification with the table label (D1, D1_1 .. D1_6), a
     normalized generating set, and the change of basis that produces it.
-    Raises NonDiscreteError for generators that do not span a discrete group.
+    Raises NonDiscreteError for generators that do not span a discrete group;
+    max_denominator bounds the denominators of commensurable coordinates.
     """
     pairs = [(complex(v[0]), complex(v[1])) for v in gens]
-    basis, _, _ = zmodule_basis([c2r2(p) for p in pairs])
+    basis, _, _ = zmodule_basis([c2r2(p) for p in pairs], max_denominator=max_denominator)
     rank = len(basis)
     bc = [r2c2(b) for b in basis]
 
@@ -90,19 +91,19 @@ def classify_D1_subgroup(gens):
         return D1Classification("D1", (), ((1, 0), (0, 1)))
     if rank == 1:
         A = _transform_from_images(bc[0], _complement(bc[0]), (1, 0), (0, 1))
-        return D1Classification("D1_1", ((1.0 + 0j, 0j),), _as_tuple(A))
+        return D1Classification("D1_1", ((1.0 + 0j, 0j),), A)
     if rank == 2:
         if _complex_independent(bc[0], bc[1]):
             A = _transform_from_images(bc[0], bc[1], (1, 0), (0, 1))
-            return D1Classification("D1_2", ((1 + 0j, 0j), (0j, 1 + 0j)), _as_tuple(A))
+            return D1Classification("D1_2", ((1 + 0j, 0j), (0j, 1 + 0j)), A)
         direction, zs = _line_coordinates(bc)
         v1, v2, tau, _ = lattice_reduce_tau(zs[0], zs[1])
         base = (v1 * direction[0], v1 * direction[1])
         A = _transform_from_images(base, _complement(base), (1, 0), (0, 1))
         gens_out = ((1 + 0j, 0j), (tau, 0j))
-        return D1Classification("D1_3", gens_out, _as_tuple(A), tau=tau)
+        return D1Classification("D1_3", gens_out, A, tau=tau)
     if rank == 3:
-        return _classify_rank3(bc)
+        return _classify_rank3(bc, max_denominator)
     if rank == 4:
         for i in range(4):
             for j in range(i + 1, 4):
@@ -111,12 +112,8 @@ def classify_D1_subgroup(gens):
                     A = _transform_from_images(bc[i], bc[j], (1, 0), (0, 1))
                     imgs = [_apply(A, v) for v in rest]
                     gens_out = ((1 + 0j, 0j), (0j, 1 + 0j)) + tuple(imgs)
-                    return D1Classification("D1_6", gens_out, _as_tuple(A))
+                    return D1Classification("D1_6", gens_out, A)
     raise NonDiscreteError("discrete subgroups of C^2 have rank at most 4")
-
-
-def _as_tuple(m):
-    return tuple(tuple(complex(x) for x in row) for row in as_rows(m))
 
 
 def _g0_annihilator(basis):
@@ -136,13 +133,13 @@ def _g0_annihilator(basis):
     return n, [sum(map(mul, row, n)) for row in _J4]
 
 
-def _classify_rank3(bc):
+def _classify_rank3(bc, max_denominator):
     basis4 = [c2r2(p) for p in bc]
     n1, n2 = _g0_annihilator(basis4)
     u = [(sum(map(mul, b, n1)), sum(map(mul, b, n2))) for b in basis4]
 
     try:
-        _, u_combos, pi0_relations = zmodule_basis(u)
+        _, u_combos, pi0_relations = zmodule_basis(u, max_denominator=max_denominator)
     except NonDiscreteError:
         u_combos, pi0_relations = None, None
 
@@ -156,14 +153,14 @@ def _classify_rank3(bc):
         base = (v1 * direction[0], v1 * direction[1])
         A = _transform_from_images(base, x1, (1, 0), (0, 1))
         gens_out = ((1 + 0j, 0j), (tau, 0j), (0j, 1 + 0j))
-        return D1Classification("D1_4", gens_out, _as_tuple(A), tau=tau)
+        return D1Classification("D1_4", gens_out, A, tau=tau)
 
     # pi_0 has rank <= 1: the C^x-bundle row D1_5
     ip = max(range(len(u)), key=lambda i: math.sqrt(sum(map(mul, u[i], u[i]))))
     p = bc[ip]
     phi = lambda v: p[1] * v[0] - p[0] * v[1]
     wvals = [phi(v) for v in bc]
-    wbasis, wcombos, wrel = zmodule_basis([c2r(w) for w in wvals])
+    wbasis, wcombos, wrel = zmodule_basis([c2r(w) for w in wvals], max_denominator=max_denominator)
     if len(wbasis) != 2:
         raise NonDiscreteError("rank-three subgroup without a transverse lattice")
     om = [complex(b[0], b[1]) for b in wbasis]
@@ -177,4 +174,4 @@ def _classify_rank3(bc):
     tau_out, sigma = _apply(A, x2)
     warnings = ("sigma is numerically close to zero; near the D1_4 boundary",) if abs(sigma) <= SIGMA_WARN_TOL else ()
     gens_out = ((1 + 0j, 0j), (tau_out, sigma), (0j, 1 + 0j))
-    return D1Classification("D1_5", gens_out, _as_tuple(A), tau=tau_out, sigma=sigma, warnings=warnings)
+    return D1Classification("D1_5", gens_out, A, tau=tau_out, sigma=sigma, warnings=warnings)

@@ -26,7 +26,7 @@ import operator
 from itertools import chain
 
 from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, MATRIX2, MATRIX3, PAIR, SL_DET_TOL
-from .numeric import Record, Schema, _itself, _values, as_rows, close, determinant, distance, flat_distance, inverse2
+from .numeric import Record, Schema, _itself, _values, close, determinant, distance, flat_distance, inverse2
 from .numeric import inverse3, lazy, product2, product3, setfield
 
 
@@ -174,8 +174,8 @@ def _affine_inverse(g):
 
 
 def _affine_act(g, x):
-    (a, b), (c, d) = as_rows(g[0])
-    t1, t2 = as_rows(g[1])
+    (a, b), (c, d) = g[0]
+    t1, t2 = g[1]
     return (a * x[0] + b * x[1] + t1, c * x[0] + d * x[1] + t2)
 
 
@@ -440,8 +440,8 @@ def _check_nonzero(what, *values):
 
 def _proj_distance(g, h):
     """Distance between matrices modulo a scalar."""
-    xs = list(map(complex, chain.from_iterable(as_rows(g))))
-    ys = list(map(complex, chain.from_iterable(as_rows(h))))
+    xs = list(map(complex, chain.from_iterable(g)))
+    ys = list(map(complex, chain.from_iterable(h)))
     i, top = 0, abs(xs[0])
     for k in range(1, len(xs)):  # the first entry of largest modulus, the one max() picks
         if abs(xs[k]) > top:

@@ -27,7 +27,7 @@ from operator import mul, sub
 from .numeric import COEFF_CHOP, COMBO_TOL, COORD_LIMIT, DENOMINATOR_BOUND, EMPTY_BASIS_TOL, GEOMETRIC_SUM_TOL
 from .numeric import JACOBI_SWEEPS, JACOBI_TOL, LATTICE_TOL, PIVOT_TIE, QR_DEPENDENT_TOL, RANK_TOL, RECON_TOL
 from .numeric import REDUCE_CHOP, REDUCE_EDGE_TOL, REDUCE_STEPS, SATURATE_ROUNDS, SPAN_TOL, _NOISE_BAND, _STRICT_COEF
-from .numeric import NonDiscreteError, Record, load_numpy, setfield
+from .numeric import NonDiscreteError, Record, setfield
 
 
 def _denominator_bound(max_denominator):
@@ -96,7 +96,7 @@ def singular_values(rows):
     are then the singular values, as accurate as LAPACK's (a pivoted QR
     diagonal only approximates them).
     """
-    rows = [_floats(r) for r in rows]
+    rows = [list(map(float, r)) for r in rows]
     vecs = [list(c) for c in zip(*rows)] if rows and len(rows[0]) < len(rows) else rows
     n = len(vecs)
     sq = [sum(map(mul, v, v)) for v in vecs]  # recomputed when a rotation moves a vector
@@ -173,12 +173,6 @@ def hnf_with_transform(rows):
             r += 1
     return M, U, r
 
-
-def _floats(v):
-    """A vector (tuple, list or array) as a list of Python floats."""
-    if hasattr(v, "tolist"):
-        return load_numpy().asarray(v, dtype=float).ravel().tolist()
-    return list(map(float, v))
 
 # Below, a dot product is sum(map(mul, u, v)) (from the int 0: an unrolled form must start from 0.0 +), in the
 # order the replaced helpers took: on 2 to 4 entries a call per dot product or norm costs more than the arithmetic.
@@ -262,7 +256,7 @@ def _unit_rows(n, rows):  # the given rows of the n x n identity matrix
 def zmodule_basis(vectors, *, max_denominator=None):
     """Exact basis of the Z-module generated by float vectors in R^m.
 
-    Vectors may be tuples, lists or arrays.  Returns (basis, combos,
+    Vectors are sequences of numbers.  Returns (basis, combos,
     relations): `basis` is a list of lists of floats, `combos[i]` an integer row over
     the inputs realizing basis[i], and `relations` integer rows spanning the
     combinations that vanish.  Raises NonDiscreteError when the module is not
@@ -270,7 +264,7 @@ def zmodule_basis(vectors, *, max_denominator=None):
     vectors), and for generators with a non-finite coordinate or one beyond
     COORD_LIMIT.
     """
-    vecs = [_floats(v) for v in vectors]
+    vecs = [list(map(float, v)) for v in vectors]
     n = len(vecs)
     if n == 0:
         return [], [], []
@@ -366,12 +360,12 @@ def zmodule_basis(vectors, *, max_denominator=None):
 def zmodule_fit(basis):
     """fit(v, tol, scale): the integer coordinates of v in the Z-span of basis, or None.
     The QR of the basis is taken once, here; a caller keeps fit for one call's vectors."""
-    cols = [_floats(b) for b in basis]
+    cols = [list(map(float, b)) for b in basis]
     qr = _qr(cols)
     dims = {len(c) for c in cols}
 
     def fit(v, tol=COMBO_TOL, scale=0.0):
-        v = _floats(v)
+        v = list(map(float, v))
         size = math.sqrt(sum(map(mul, v, v)))
         if not cols:
             return [] if size <= EMPTY_BASIS_TOL * max(1.0, scale) else None

@@ -18,6 +18,7 @@ EPS = 1e-9
 COEFF_CHOP = 1e-12
 DENOMINATOR_BOUND = 10**6
 RECON_TOL = 1e-8
+TWO_PI_I = 2j * math.pi
 
 # a convergent p/q must beat this / q in residual to count as rational
 _STRICT_COEF = 1e-10
@@ -107,25 +108,6 @@ INDEPENDENT_TOL = 1e-8
 SIGMA_WARN_TOL = 1e-8
 
 
-def load_numpy():
-    """The numpy module, imported on the first call.
-
-    The package takes numpy only through this accessor, inside the functions
-    that use it: `uaff_matrix` and array inputs.  No `act` or `classify`
-    call reaches one, so none pays for importing numpy.  `verify` imports
-    numpy itself, for its generators; no family handler multiplies or
-    returns arrays.
-    """
-    import numpy
-
-    return numpy
-
-
-def as_rows(x):
-    """An array as nested Python lists; anything else (rows, tuples) as it is."""
-    return x.tolist() if hasattr(x, "tolist") else x
-
-
 class NonDiscreteError(ValueError):
     """The given generators do not span a discrete subgroup."""
 
@@ -195,16 +177,9 @@ def close(x, y, tol=None, scale=0.0):
 # 2x2 and 3x3 matrices in closed form: numpy's per-call cost outweighs the arithmetic
 
 
-def entries2(g):
-    """The entries a, b, c, d of a 2x2 matrix given as an ndarray or nested rows."""
-    # as_rows, written out: the verify suites call this about 800 times per suite
-    (a, b), (c, d) = g.tolist() if hasattr(g, "tolist") else g
-    return a, b, c, d
-
-
 def inverse2(g):
-    """Inverse of an invertible 2x2 matrix, as a tuple of rows."""
-    a, b, c, d = entries2(g)
+    """Inverse of an invertible 2x2 matrix given as rows, as a tuple of rows."""
+    (a, b), (c, d) = g
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix")
@@ -212,9 +187,9 @@ def inverse2(g):
 
 
 def product2(g, h):
-    """Product g h of two 2x2 matrices, as a tuple of rows."""
-    a, b, c, d = entries2(g)
-    e, f, p, q = entries2(h)
+    """Product g h of two 2x2 matrices given as rows, as a tuple of rows."""
+    (a, b), (c, d) = g
+    (e, f), (p, q) = h
     return ((a * e + b * p, a * f + b * q), (c * e + d * p, c * f + d * q))
 
 
@@ -263,25 +238,16 @@ def flat_distance(xs, ys):
     return max(abs(x - y) for x, y in zip(xs, ys)) / s
 
 
-def _entries(x):
-    """The entries of an array, or of nested rows of numbers, as one flat list of complex numbers."""
-    return load_numpy().asarray(x, dtype=complex).ravel().tolist()
-
-
 def _scalar_distance(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def _array_distance(a, b):
-    return flat_distance(_entries(a), _entries(b))
 
 
 def distance(a, b):
     """Relative distance between structurally matching values.
 
-    Numbers: |a - b| over max(1, |a|, |b|).  Tuples and lists: the largest
-    distance of their entries.  Arrays and numpy scalars: `flat_distance` of
-    their entries.  Every other value type defines its own `distance(other)`.
+    Numbers: |a - b| over max(1, |a|, |b|).  Tuples: the largest distance of
+    their entries.  Every other value type defines its own `distance(other)`;
+    a value with neither shape (an array, a list) raises TypeError.
     """
     ta, tb = type(a), type(b)
     if ta in _SCALAR_TYPES and tb in _SCALAR_TYPES:
@@ -291,10 +257,6 @@ def distance(a, b):
     own = getattr(a, "distance", None)
     if own is not None:
         return own(b)
-    if hasattr(a, "ravel") or hasattr(b, "ravel"):
-        return _array_distance(a, b)
-    if isinstance(a, (tuple, list)):
-        return max((distance(x, y) for x, y in zip(a, b)), default=0.0)
     raise TypeError(f"no distance for {type(a)}")
 
 
@@ -307,8 +269,8 @@ def distance_for(a):
 
     For every b of a's shape the function returned gives `distance(a, b)` to
     the bit: the same formula for numbers, the largest part distance of a
-    tuple (parts compared in order), the value type's own `distance` method,
-    `flat_distance` for arrays.  Values of any other type keep `distance`.
+    tuple (parts compared in order), the value type's own `distance` method.
+    A value of any other type raises TypeError, as `distance` does.
     """
     t = type(a)
     if t in _SCALAR_TYPES:
@@ -324,9 +286,7 @@ def distance_for(a):
     own = getattr(t, "distance", None)
     if own is not None:
         return own
-    if hasattr(a, "ravel"):
-        return _array_distance
-    return distance
+    raise TypeError(f"no distance for {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +351,7 @@ def decode(schema, data, path):
 
     A missing or unknown key, a value of the wrong type or shape and a non-finite number raise
     ValueError naming their path: `element: unknown key 'lambda'`, `element.translation: expected
-    2 entries, got 3`, `element.v[0]: missing key 're'`.
+    2 entries, got 3`, `element.v[0]: missing key 're'`; so does a ValueError of a schema's `make`.
     """
     if type(schema) is Schema:
         if type(data) is not dict:
@@ -412,7 +372,10 @@ def decode(schema, data, path):
                 kwargs[key] = value
             else:
                 args.append(value)
-        return schema.make(*args, **kwargs)
+        try:
+            return schema.make(*args, **kwargs)
+        except ValueError as e:  # the constructor's own check: its type kept, a NonDiscreteError stays one
+            raise type(e)(f"{path}: {e}") from None
     if type(schema) is list:
         return [decode(schema[0], x, f"{path}[{i}]") for i, x in enumerate(_json_list(data, path))]
     if schema == COMPLEX:

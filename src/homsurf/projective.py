@@ -20,8 +20,8 @@ import cmath
 import functools
 import math
 
-from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, as_rows, binomials, distance
-from .numeric import entries2, flat_distance, inverse2, product2, setfield
+from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, binomials, distance, flat_distance
+from .numeric import inverse2, product2, setfield
 
 
 def _invertible(a, b, c, d):
@@ -90,14 +90,13 @@ def cross3(a, b):
 
 def proj2_act(g3, p):
     """Linear action of an invertible 3x3 matrix on the projective plane."""
-    rows = as_rows(g3)
     x, y, z = p.coords
-    return Proj2Point([r[0] * x + r[1] * y + r[2] * z for r in rows])
+    return Proj2Point([r[0] * x + r[1] * y + r[2] * z for r in g3])
 
 
 def mobius_act(g, p):
     """Moebius action of an invertible 2x2 matrix on the projective line."""
-    a, b, c, d = entries2(g)
+    (a, b), (c, d) = g
     if not _invertible(a, b, c, d):
         raise ValueError("singular matrix")
     z1, z2 = p.coords
@@ -118,7 +117,7 @@ SUBSTITUTE_CAP = 4  # degrees up to this run a straight-line kernel, higher degr
 
 def binary_form_substitute(coeffs, m):
     """Coefficients of q(M Z) for a binary form q of degree n."""
-    m00, m01, m10, m11 = entries2(m)
+    (m00, m01), (m10, m11) = m
     n = len(coeffs) - 1
     if 0 <= n <= SUBSTITUTE_CAP:
         return _substitute_kernel(n)(coeffs, m00, m01, m10, m11)
@@ -322,7 +321,7 @@ class OnGroupElement(Record):
     def __init__(self, n, matrix, poly):
         n = int(n)
         try:
-            a, b, c, d = map(complex, entries2(matrix))
+            (a, b), (c, d) = (map(complex, row) for row in matrix)
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
         if not _invertible(a, b, c, d):
@@ -530,6 +529,6 @@ def bdelta_act(g, x):
     x1, x2 = (complex(v) for v in x)
     if max(abs(x1), abs(x2)) <= ORIGIN_TOL:
         raise ValueError("the origin is not a point of the surface")
-    a, b, c, d = entries2(g)
+    (a, b), (c, d) = g
     return (a * x1 + b * x2, c * x1 + d * x2)
 

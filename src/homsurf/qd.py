@@ -15,9 +15,7 @@ from .divisor import quasiperiod_group, weight
 from .lattice import c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame, lattice_residue
 from .lattice import near_int, saturate_lattice, zmodule_basis
 from .numeric import COMMUTANT_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL, LINE_SHAPE_TOL, TRANSLATION_CHOP
-from .numeric import NonDiscreteError, Record, close, setfield
-
-TWO_PI_I = 2j * math.pi
+from .numeric import TWO_PI_I, NonDiscreteError, Record, close, setfield
 
 
 def _check_divisor(D):

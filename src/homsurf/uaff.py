@@ -19,10 +19,8 @@ from .lattice import TorusPoint, _convergent, _denominator_bound, c2r, geometric
 from .lattice import lattice_reduce_tau, lattice_residue, saturate_lattice, zmodule_basis, zmodule_fit
 from .numeric import B_REMOVED_TOL, B_ZERO_TOL, CENTER_REAL_TOL, DENOMINATOR_BOUND, EXP_ONE_TOL, HALF_PHASE_TOL
 from .numeric import KERNEL_A_TOL, PHASE_TOL, TAU_UNIT_TOL, NonDiscreteError, Record, canonical_sign, close
-from .numeric import load_numpy, setfield
+from .numeric import TWO_PI_I, setfield
 from .uaffgroup import IDENTITY, UAffElement, uaff_inverse, uaff_multiply
-
-TWO_PI_I = 2j * math.pi
 
 
 def uaff_power(g, n):
@@ -40,9 +38,8 @@ def uaff_is_identity(g):
 
 
 def uaff_matrix(g):
-    """3x3 matrix model; matrix(g) @ matrix(h) = matrix(g h)."""
-    ea = cmath.exp(g.a)
-    return load_numpy().array([[ea, 0, g.b], [0, 1, g.a], [0, 0, 1]], dtype=complex)
+    """3x3 matrix model as rows of complex numbers: the product of matrix(g) and matrix(h) is matrix(g h)."""
+    return ((cmath.exp(g.a), 0j, complex(g.b)), (0j, 1 + 0j, complex(g.a)), (0j, 0j, 1 + 0j))
 
 
 def commutator(g, h):

@@ -20,9 +20,7 @@ from . import bbeta, bundles, families, projective, uaff
 from .d1 import classify_D1_subgroup
 from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
 from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
-from .numeric import Record, close, distance, distance_for, setfield
-
-TWO_PI_I = 2j * math.pi
+from .numeric import TWO_PI_I, Record, close, distance, distance_for, product3, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +217,9 @@ def suite_uaff_extra(rng, samples, rec):
     for _ in range(samples):
         g = uaff.UAffElement(complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal()))
         h = uaff.UAffElement(complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal()))
-        # a Python product: numpy's complex matmul (OpenBLAS zgemm) leaves cmath.exp about 10x
-        # slower until another numpy call, and the suites after this one (D3 to SC) make none
-        a, b = uaff.uaff_matrix(g).tolist(), uaff.uaff_matrix(h).tolist()
-        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-        rec.value("matrix-oracle", distance(uaff.uaff_matrix(uaff.uaff_multiply(g, h)), m), 1e-10)
+        m = product3(uaff.uaff_matrix(g), uaff.uaff_matrix(h))
+        want = uaff.uaff_matrix(uaff.uaff_multiply(g, h))
+        rec.value("matrix-oracle", families._matrix_distance(want, m), 1e-10)
         phi = uaff.UAffAutomorphism(complex(rng.standard_normal(), rng.standard_normal()), cmath.exp(complex(rng.standard_normal(), rng.standard_normal())))
         lhs = uaff.aut_apply(phi, uaff.uaff_multiply(g, h))
         rhs = uaff.uaff_multiply(uaff.aut_apply(phi, g), uaff.aut_apply(phi, h))
@@ -317,7 +313,7 @@ def suite_d1_extra(rng, samples, rec):
     for _ in range(max(3, samples // 10)):
         name = labels[int(rng.integers(len(labels)))]
         gens, _ = random_d1_generators(rng, name)
-        (a, b), (c, d) = _random_gl2(rng)
+        (a, b), (c, d) = families._matrix(rng, min_det=0.3, scale=1.0)
         gens = [(a * x + b * y, c * x + d * y) for x, y in gens]
         if gens:
             order = rng.permutation(len(gens))
@@ -327,17 +323,6 @@ def suite_d1_extra(rng, samples, rec):
             rec.boolean("classify-stability", got.label == name, f"{name} -> {got.label}")
         except Exception as e:  # noqa: BLE001
             rec.boolean("classify-stability", False, f"{name}: {e}")
-
-
-def _random_gl2(rng):
-    while True:
-        m = (
-            (complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal())),
-            (complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal())),
-        )
-        (a, b), (c, d) = m
-        if abs(a * d - b * c) > 0.3:
-            return m
 
 
 def random_d1_generators(rng, name):

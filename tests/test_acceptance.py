@@ -77,8 +77,8 @@ def test_criterion_03_uaff_matrix_oracle():
     for _ in range(10000):
         g = uaff.UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
         h = uaff.UAffElement(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-        lhs = uaff.uaff_matrix(uaff.uaff_multiply(g, h))
-        rhs = uaff.uaff_matrix(g) @ uaff.uaff_matrix(h)
+        lhs = np.array(uaff.uaff_matrix(uaff.uaff_multiply(g, h)))
+        rhs = np.array(uaff.uaff_matrix(g)) @ np.array(uaff.uaff_matrix(h))
         err = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
         worst = max(worst, err)
     _report(3, "uAff 3x3 matrix oracle, 10000 pairs", worst <= 1e-10, f"max err {worst:.2e}")
@@ -227,7 +227,7 @@ def test_criterion_09_classification_roundtrips():
     for trial in range(200):
         name = d1_names[trial % len(d1_names)]
         gens, _ = verify.random_d1_generators(rng, name)
-        m = verify._random_gl2(rng)
+        m = families._matrix(rng, min_det=0.3, scale=1.0)
         gg = [tuple(m @ np.array(v)) for v in gens]
         order = rng.permutation(len(gg))
         gg = [gg[i] for i in order]

@@ -29,7 +29,7 @@ import pathlib
 
 import numpy as np
 
-from homsurf import bbeta, d1, uaff, verify
+from homsurf import bbeta, d1, families, uaff, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "classify_outcomes.json"
 SEEDS = range(8)
@@ -52,7 +52,7 @@ def _cnum(rng, scale=1.0):
 
 
 def _move_d1(rng, gens):
-    (a, b), (c, d) = verify._random_gl2(rng)
+    (a, b), (c, d) = families._matrix(rng, min_det=0.3, scale=1.0)
     gens = [(a * x + b * y, c * x + d * y) for x, y in gens]
     return [gens[i] for i in rng.permutation(len(gens))] if gens else gens
 

@@ -5,6 +5,7 @@ process; the modules it loaded are read off the import-time report on
 stderr.  The CLI module itself runs as `__main__`, so it is not listed.
 """
 
+import ast
 import importlib
 import json
 import math
@@ -129,6 +130,24 @@ def test_import_homsurf_loads_no_submodule():
     assert code == 0
     assert ours == {"homsurf"}
     assert not names & NOT_LOADED
+
+
+def _imported_names(tree):
+    """The modules that a module's import statements name, relative imports left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_verify_imports_numpy():
+    # the package's values are Python numbers and tuples of rows; verify draws its samples with numpy's generator
+    importers = set()
+    for path in sorted(pathlib.Path(homsurf.__file__).parent.glob("*.py")):
+        if any(name.split(".")[0] == "numpy" for name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))):
+            importers.add(path.name)
+    assert importers == {"verify.py"}
 
 
 def test_public_names_are_their_home_objects():

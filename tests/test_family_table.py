@@ -16,9 +16,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from homsurf import cli, families
+from homsurf import cli, families, numeric
 from homsurf.families import BASE_FAMILY_LABELS, build_family
-from homsurf.numeric import Record
+from homsurf.numeric import Record, Schema
 
 
 def _cj(z):
@@ -282,21 +282,31 @@ def test_bdelta3_takes_its_matrix_modulo_the_roots_of_unity(tmp_path, capsys):
 # the family table and docs/families.md
 
 
-def _top_level_keys(payload):
-    """The keys of the outermost object of a payload as docs/families.md writes it."""
-    keys, depth, i = set(), 0, 0
+def _key_paths(payload):
+    """The key paths of a payload as docs/families.md writes it: ("points", "mult") for a key of the
+    objects listed under "points", and (key, "<name>") for a key whose value is the shared sub-schema
+    <name>."""
+    paths, stack, key, i = set(), [], None, 0
     while i < len(payload):
-        if payload[i] in "{[":
-            depth += 1
-        elif payload[i] in "}]":
-            depth -= 1
-        elif payload[i] == '"':
-            end = payload.index('"', i + 1)
-            if depth == 1 and payload[end + 1 :].lstrip().startswith(":"):
-                keys.add(payload[i + 1 : end])
+        ch = payload[i]
+        if ch in "{[":
+            stack.append(key)
+            key = None
+        elif ch in "}]":
+            stack.pop()
+            key = None
+        elif ch == ",":
+            key = None
+        elif ch in '"<':
+            end = payload.index('"' if ch == '"' else ">", i + 1)
+            if ch == "<":
+                paths.add((*filter(None, stack), key, payload[i : end + 1]))
+            elif payload[end + 1 :].lstrip().startswith(":"):
+                key = payload[i + 1 : end]
+                paths.add((*filter(None, stack), key))
             i = end
         i += 1
-    return keys
+    return paths
 
 
 _TABLES = {"element": "## Group element schemas", "point": "## Point schemas"}
@@ -311,10 +321,55 @@ def test_docs_tables_list_the_schema_keys(kind):
     for line in section.splitlines():
         if line.startswith("| ") and not line.startswith("| family"):
             _, labels, payload, *_ = line.split("|")
-            keys = _top_level_keys(payload.split("`")[1])
+            keys = {path[0] for path in _key_paths(payload.split("`")[1]) if len(path) == 1}
             for label in labels.split(","):
                 assert label.strip() not in documented, label
                 documented[label.strip()] = keys
     assert sorted(documented) == sorted(BASE_FAMILY_LABELS)  # the keys of the family table
     for label, keys in documented.items():
         assert keys == set(getattr(families.SPECS[label], kind).fields), label
+
+
+def _schema_key_paths(schema, named, prefix=()):
+    """The key paths of a schema, in `_key_paths`' form; a shared sub-schema is named, not entered."""
+    for key, kind in schema.fields.items():
+        path = (*prefix, key)
+        yield path
+        kind = kind[0] if type(kind) is list else kind
+        if kind in named:
+            yield (*path, named[kind])
+        elif isinstance(kind, Schema):
+            yield from _schema_key_paths(kind, named, path)
+
+
+def _bullets(text):
+    """name -> the first code span of each bullet `- name: ...`, its continuation lines joined."""
+    bullets, name = {}, None
+    for line in text.splitlines():
+        if line.startswith("- "):
+            name, _, body = line[2:].partition(": ")
+            bullets[name] = body
+        elif line.startswith("  ") and name is not None:
+            bullets[name] += " " + line.strip()
+        else:
+            name = None
+    return {name: body.split("`")[1] for name, body in bullets.items() if body.startswith("`")}
+
+
+def test_docs_sub_schema_bullets_list_the_schema_keys():
+    """The shared sub-schemas and the classify files of docs/families.md, key by key at every depth."""
+    shared = {"divisor": numeric.DIVISOR, "exppoly": numeric.EXPPOLY, "cover": families._COVER}
+    schemas = dict(
+        shared,
+        **{
+            "translation plane": cli._AMBIENTS["C2"],
+            "affine group": cli._AMBIENTS["uaff"],
+            "divisor commutant": cli._AMBIENTS["qd"],
+        },
+    )
+    named = {schema: f"<{name}>" for name, schema in shared.items()}
+    docs = (pathlib.Path(__file__).parents[1] / "docs" / "families.md").read_text()
+    bullets = {name: payload for name, payload in _bullets(docs).items() if name in schemas}
+    assert sorted(bullets) == sorted(schemas)
+    for name, payload in bullets.items():
+        assert _key_paths(payload) == set(_schema_key_paths(schemas[name], named)), name

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from homsurf import cli, projective, uaff, verify
+from homsurf import cli, numeric, projective, uaff, verify
 from homsurf.d1 import classify_D1_subgroup
 from homsurf.numeric import NonDiscreteError
 from homsurf.projective import BundlePoint
@@ -138,6 +138,40 @@ def test_cli_act_matrix_needs_its_family_size(tmp_path, capsys, family, n):
 def test_cli_act_a3_needs_det_one(tmp_path):
     m = [[_cj(2 + 0j), _cj(0j)], [_cj(0j), _cj(1 + 0j)]]
     assert _act(tmp_path, "A3", {"matrix": m, "translation": [_cj(0j), _cj(0j)]}, POINT) == 2
+
+
+# a constructor's or an invariant check's error names the payload it refuses, as a schema error does
+CONSTRUCTOR_ERRORS = {
+    "bd4-poly-too-short": (
+        "Bδ4",
+        {"n": 2, "matrix": [[1, 0], [0, 1]], "poly": [1]},
+        {"n": 2, "chart": 0, "z": 0.5, "w": 1},
+        "element: polynomial must have degree n",
+    ),
+    "bg3-r-wrong-length": ("Bγ3", {"n": 2, "lam": 1, "b": 0, "r": [1, 2, 3]}, POINT, "element: r must have degree n - 1"),
+    "a3-det-2": (
+        "A3",
+        {"matrix": [[2, 0], [0, 1]], "translation": [0, 0]},
+        POINT,
+        "element: the matrix must have det 1, got |det - 1| = 1.000e+00",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTOR_ERRORS))
+def test_cli_act_constructor_and_check_errors_name_the_element(tmp_path, capsys, case):
+    family, element, point, error = CONSTRUCTOR_ERRORS[case]
+    assert _act(tmp_path, family, element, point) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_decode_prefixes_the_path_to_a_constructor_error_keeping_its_type():
+    def refuse(x):
+        raise NonDiscreteError("not discrete")
+
+    schema = [numeric.Schema({"x": numeric.REAL}, make=refuse)]
+    with pytest.raises(NonDiscreteError, match=r"^file\.generators\[0\]: not discrete$"):
+        numeric.decode(schema, [{"x": 1}], "file.generators")
 
 
 def test_cli_act_a2_needs_an_invertible_matrix(tmp_path):
@@ -359,6 +393,20 @@ def test_abelian_center_beyond_the_bound_is_an_error_and_an_irrational_one_is_tr
     assert uaff.center_intersection(label, max_denominator=3) != uaff.IDENTITY
     irrational = {key: v if key in ("k", "tau") else math.sqrt(2) * v for key, v in third[name].items()}
     assert uaff.center_intersection(uaff.D2Label(name, **irrational), max_denominator=2) == uaff.IDENTITY
+
+
+# a C2 generator with the coordinate 1/3: commensurable with 1 only at denominators of at least 3
+C2_THIRD = {"ambient": "C2", "generators": [[1, 0], [0.3333333333333333, 0]]}
+
+
+def test_cli_classify_c2_honours_the_denominator_bound(tmp_path, capsys):
+    assert _classify_bound(tmp_path, C2_THIRD, 2) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert _classify_bound(tmp_path, C2_THIRD, 3) == 0
+    assert json.loads(capsys.readouterr().out)["label"] == "D1_1"
+    with pytest.raises(NonDiscreteError):
+        classify_D1_subgroup([(1, 0), (1 / 3, 0)], max_denominator=2)
 
 
 @pytest.mark.parametrize("bound", [0, -1])

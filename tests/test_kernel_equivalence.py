@@ -53,15 +53,12 @@ from homsurf.numeric import (
     RECON_TOL,
     SPAN_TOL,
     NonDiscreteError,
-    as_rows,
     distance,
     distance_for,
     flat_distance,
-    load_numpy,
 )
 from homsurf.lattice import c2r, lattice_contains
 from homsurf.numeric import binomials as _binomials
-from homsurf.numeric import entries2
 from homsurf.projective import SUBSTITUTE_CAP, _invertible, OnGroupElement, binary_form_substitute
 
 
@@ -71,7 +68,20 @@ def same(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the replaced code
+# the replaced code, and the array helpers it took from the numeric layer
+
+
+def load_numpy():
+    return np
+
+
+def as_rows(x):
+    return x.tolist() if hasattr(x, "tolist") else x
+
+
+def entries2(g):
+    (a, b), (c, d) = as_rows(g)
+    return a, b, c, d
 
 
 def old_trim(coeffs):
@@ -956,7 +966,7 @@ def test_quasiperiod_group_is_computed_once_per_divisor():
 def _matrices(rng):
     yield ((1.0, 0.0), (0.0, 1.0))
     yield ((2, 1), (0, 1))
-    yield np.array([[0.5, -1.0], [0.25j, 2.0]])
+    yield ((0.5 + 0j, -1.0 + 0j), (0.25j, 2.0 + 0j))  # the entries of a complex array, as rows
     for _ in range(6):
         yield tuple(tuple(complex(x, y) for x, y in row) for row in rng.normal(size=(2, 2, 2)))
 
@@ -1213,7 +1223,7 @@ def test_on_distance_matches_the_replaced_code():
             others = [
                 e,
                 OnGroupElement(n, ((zeta * a, zeta * b), (zeta * c, zeta * d)), poly),
-                OnGroupElement(n, verify._random_gl2(rng), poly[::-1]),
+                OnGroupElement(n, families._matrix(rng, min_det=0.3, scale=1.0), poly[::-1]),
                 OnGroupElement(n, m, [math.nan] + poly[1:]),
             ]
             for o in others:
@@ -1288,13 +1298,27 @@ def test_resolved_distance_of_each_shape():
         ((1j, (2.0, 3j)), (1.5j, (2.0, -3j))),
         ((1j, 2.0, 3.0), (1j, 2.5, -3.0)),
         ((), ()),
-        (np.array([[1j, 2.0], [0.5, 3.0]]), np.array([[1j, 2.5], [0.5, -3.0]])),
         (projective.ProjPoint(1j), projective.ProjPoint(2.0)),
-        ([1j, 2.0], [1.5j, 2.0]),
     ]
     for a, b in pairs:
         assert same(distance_for(a)(a, b), distance(a, b)), (a, b)
-    assert distance_for([1j, 2.0]) is distance
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([[1j, 2.0], [0.5, 3.0]]), np.array([[1j, 2.5], [0.5, -3.0]])),
+        ([1j, 2.0], [1.5j, 2.0]),
+        (np.float64(1.5), np.float64(2.0)),
+    ],
+)
+def test_distance_refuses_arrays_and_lists(a, b):
+    """Numbers, tuples and values with their own `distance` are the value types: nothing else is
+    converted, so an array or a list raises TypeError in both forms."""
+    with pytest.raises(TypeError, match="no distance"):
+        distance(a, b)
+    with pytest.raises(TypeError, match="no distance"):
+        distance_for(a)
 
 
 # ---------------------------------------------------------------------------
@@ -1306,7 +1330,7 @@ def old_eye2():
 
 
 def old_inverse2(g):
-    return np.array(projective.inverse2(g))
+    return np.array(projective.inverse2(as_rows(g)))
 
 
 def old_affine_identity():
