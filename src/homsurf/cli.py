@@ -168,19 +168,23 @@ def cmd_classify(args):
 
 
 def _cover_from_args(D, params, cover_label):
-    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters."""
+    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters;
+    its errors name the payload path `element.cover`."""
     from . import bbeta
     from .catalogue import ascii_label
 
     name = ascii_label(cover_label)
     if name.startswith("Bb1"):
         name = name[len("Bb1"):]
-    if name in ("Bb2", "Bb2'"):
-        for key in params:
-            if key != "n":
-                raise ValueError(f"example {name} does not take the cover parameter {key!r}")
-        return bbeta.rgd_quotients(D, params.get("n", 1))
-    return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params))
+    try:
+        if name in ("Bb2", "Bb2'"):
+            for key in params:
+                if key != "n":
+                    raise ValueError(f"example {name} does not take the cover parameter {key!r}")
+            return bbeta.rgd_quotients(D, params.get("n", 1))
+        return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params))
+    except ValueError as e:  # its type kept, as numeric.decode keeps it: a NonDiscreteError stays one
+        raise type(e)(f"element.cover: {e}") from None
 
 
 def cmd_act(args):

@@ -27,7 +27,7 @@ from itertools import chain
 
 from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, MATRIX2, MATRIX3, PAIR, SL_DET_TOL
 from .numeric import Record, Schema, _itself, _values, close, determinant, distance, flat_distance, inverse2
-from .numeric import inverse3, lazy, product2, product3, setfield
+from .numeric import ORIGIN_TOL, inverse3, lazy, product2, product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -260,47 +260,6 @@ def _bbeta(label, divisor):
     )
 
 
-def _bgamma12(n=2, c=0j):
-    """Bγ1 (c != 0) or its subfamily Bγ2 (c = 0)."""
-    from . import projective
-
-    n, c = int(n), complex(c)
-
-    def random_element(rng):
-        *p, lam = _cnums(rng, n + 2, 0.5)
-        return projective.BGamma12Element(n, c, lam, _cnum(rng), tuple(p))
-
-    return Family(
-        "Bγ1" if c else "Bγ2",
-        lambda: projective.bg12_identity(n, c),
-        projective.bg12_multiply,
-        projective.bg12_inverse,
-        projective.bg12_act,
-        random_element,
-        n=n,
-    )
-
-
-def _bgamma3(n=2):
-    from . import projective
-
-    n = int(n)
-
-    def random_element(rng):
-        *r, lam = _cnums(rng, n + 1, 0.5)
-        return projective.BGamma3Element(n, lam, _cnum(rng), tuple(r))
-
-    return Family(
-        "Bγ3",
-        lambda: projective.bg3_identity(n),
-        projective.bg3_multiply,
-        projective.bg3_inverse,
-        projective.bg3_act,
-        random_element,
-        n=n,
-    )
-
-
 def _punctured_point(rng):
     while True:
         x = tuple(_cnums(rng, 2))
@@ -362,22 +321,29 @@ def _bdelta_bundle(label, special, n=2):
     )
 
 
-def _bgamma4(n=2):
-    """The upper-triangular elements of Bδ4, acting on the affine chart C^2 of O(n)."""
+def _bgamma(label, n=2, c=0j):
+    """Bγ1 (c != 0), its subfamily Bγ2 (c = 0), Bγ3 and Bγ4: upper-triangular elements of Bδ4, acting
+    on the affine chart C^2 of O(n).  All four run the law of Bδ4; only the sampler differs."""
     from . import projective
 
-    n = int(n)
+    n, c = int(n), complex(c)
 
     def random_element(rng):
-        m = [[cmath.exp(_cnum(rng, 0.5)), _cnum(rng)], [0j, cmath.exp(_cnum(rng, 0.5))]]
-        return projective.OnGroupElement(n, m, _cnums(rng, n + 1, 0.5))
+        if label == "Bγ4":
+            m = ((cmath.exp(_cnum(rng, 0.5)), _cnum(rng)), (0j, cmath.exp(_cnum(rng, 0.5))))
+            return projective.OnGroupElement(n, m, _cnums(rng, n + 1, 0.5))
+        if label == "Bγ3":
+            *r, lam = _cnums(rng, n + 1, 0.5)
+            return projective.bgamma3_element(n, lam, _cnum(rng), r)
+        *p, lam = _cnums(rng, n + 2, 0.5)
+        return projective.bgamma12_element(n, c, lam, _cnum(rng), p)
 
     return Family(
-        "Bγ4",
+        label,
         lambda: projective.on_identity(n),
         projective.on_multiply,
         projective.on_inverse,
-        projective.bg4_act,
+        projective.bgamma_chart_act,
         random_element,
         n=n,
     )
@@ -386,10 +352,24 @@ def _bgamma4(n=2):
 # ---------------------------------------------------------------------------
 # the element and point schemas of docs/families.md
 
-_bg12 = lazy("projective", "BGamma12Element")
+_bg12 = lazy("projective", "bgamma12_element")
 _proj = lazy("projective", "ProjPoint")
 _quadric = lazy("projective", "QuadricPoint")
 _rgd = lazy("bbeta", "RGDElement")
+
+
+def _bgamma1_element(n, c, *rest):
+    """The Bγ1 element of a payload: Bγ2's constructor, which takes c = 0, with c = 0 refused."""
+    _check_nonzero("c", c)
+    return _bg12(n, c, *rest)
+
+
+def _off_the_origin(x):
+    """A point of C^2 minus the origin; `bdelta_act` checks the same for in-process callers."""
+    if max(abs(x[0]), abs(x[1])) <= ORIGIN_TOL:
+        raise ValueError("the origin is not a point of the surface")
+    return x
+
 
 _AFFINE = Schema({"alpha": COMPLEX, "beta": COMPLEX})
 _AFFINE_MAP = Schema({"matrix": MATRIX2, "translation": PAIR})
@@ -405,7 +385,7 @@ _PLANE = Schema({"z": COMPLEX, "w": COMPLEX})
 _PROJ_TIMES_LINE = Schema(
     {"zproj": PAIR, "w": COMPLEX}, make=lambda z, w: (_proj(*z), w), parts=lambda x: (x[0].coords, x[1])
 )
-_PUNCTURED = Schema({"x": PAIR}, make=_itself, parts=_values)
+_PUNCTURED = Schema({"x": PAIR}, make=_off_the_origin, parts=_values)
 _BUNDLE = Schema(
     {"n": DEGREE, "chart": CHART, "z": COMPLEX, "w": COMPLEX},
     make=lazy("projective", "BundlePoint"),
@@ -538,12 +518,11 @@ SPECS = {
         policy="pi = n Z in the quasiperiod group, normalized divisor",
     ),
     "Bγ1": FamilySpec(
-        lambda n=2, c=1.7 + 0.3j: _bgamma12(n, c),
-        Schema({"n": DEGREE, "c": COMPLEX, "lam": COMPLEX, "b": COMPLEX, "poly": COMPLEXES}, make=_bg12),
-        check=lambda g: _check_nonzero("c", g.c),
+        lambda n=2, c=1.7 + 0.3j: _bgamma("Bγ1" if c else "Bγ2", n, c),
+        Schema({"n": DEGREE, "c": COMPLEX, "lam": COMPLEX, "b": COMPLEX, "poly": COMPLEXES}, make=_bgamma1_element),
     ),
     "Bγ2": FamilySpec(
-        lambda n=2: _bgamma12(n),
+        lambda n=2: _bgamma("Bγ2", n),
         Schema(
             {"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "poly": COMPLEXES},
             make=lambda n, lam, b, poly: _bg12(n, 0j, lam, b, poly),
@@ -551,10 +530,10 @@ SPECS = {
         policy="pi = {0} x Lambda, Lambda a discrete subgroup of C",
     ),
     "Bγ3": FamilySpec(
-        _bgamma3,
-        Schema({"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "r": COMPLEXES}, make=lazy("projective", "BGamma3Element")),
+        lambda n=2: _bgamma("Bγ3", n),
+        Schema({"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "r": COMPLEXES}, make=lazy("projective", "bgamma3_element")),
     ),
-    "Bγ4": FamilySpec(_bgamma4, _ON),
+    "Bγ4": FamilySpec(lambda n=2: _bgamma("Bγ4", n), _ON),
     "Bδ1": FamilySpec(
         lambda: _bdelta_linear("Bδ1", True),
         _MATRIX,

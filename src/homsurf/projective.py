@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 
 from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, binomials, distance, flat_distance
 from .numeric import inverse2, product2, setfield
@@ -321,19 +322,21 @@ class OnGroupElement(Record):
     def __init__(self, n, matrix, poly):
         n = int(n)
         try:
-            (a, b), (c, d) = (map(complex, row) for row in matrix)
+            (a, b), (c, d) = matrix
+            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
-        if not _invertible(a, b, c, d):
+        ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
+        if not abs(a * d - b * c) > EPS * max(1.0, ma, mb, mc, md) ** 2:  # _invertible, each modulus taken once
             raise ValueError("matrix must be invertible")
         p = tuple(map(complex, poly))
         if len(p) != n + 1:
             raise ValueError("polynomial must have degree n")
-        least = CANONICAL_REF_TOL * max(abs(a), abs(b), abs(c), abs(d))  # invertible: some entry exceeds it
-        ref = d if abs(d) > least else a if abs(a) > least else b if abs(b) > least else c
+        least = CANONICAL_REF_TOL * max(ma, mb, mc, md)  # invertible: some entry exceeds it
+        ref = d if md > least else a if ma > least else b if mb > least else c
         k = int(cmath.phase(ref) % (2 * math.pi) // (2 * math.pi / n))
         if k:
-            zeta = cmath.exp(-2j * math.pi * k / n)
+            zeta = _unit_turns(n)[k]
             a, b, c, d = a * zeta, b * zeta, c * zeta, d * zeta
         setfield(self, "n", n)
         setfield(self, "matrix", ((a, b), (c, d)))
@@ -341,12 +344,12 @@ class OnGroupElement(Record):
 
     def distance(self, other):
         """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
-        a = self.matrix[0] + self.matrix[1]
-        b = other.matrix[0] + other.matrix[1]
-        scale = max(1.0, *map(abs, a), *map(abs, b))
+        (a, b), (c, d) = self.matrix
+        (x, y), (z, w) = other.matrix
+        scale = max(1.0, abs(a), abs(b), abs(c), abs(d), abs(x), abs(y), abs(z), abs(w))
         best = math.inf
         for zeta in _roots_of_unity(self.n):
-            best = min(best, max([abs(x - zeta * y) for x, y in zip(a, b)]) / scale)
+            best = min(best, max(abs(a - zeta * x), abs(b - zeta * y), abs(c - zeta * z), abs(d - zeta * w)) / scale)
         return max(best, flat_distance(self.poly, other.poly))
 
 
@@ -354,6 +357,12 @@ class OnGroupElement(Record):
 def _roots_of_unity(n):
     """The n-th roots of unity exp(2 pi i j / n), j = 0..n-1: one table per bundle degree."""
     return tuple(cmath.exp(2j * math.pi * j / n) for j in range(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_turns(n):
+    """exp(-2 pi i k / n), k = 0..n, the factors that canonicalize a matrix: k = n when a phase rounds to 2 pi."""
+    return tuple(cmath.exp(-2j * math.pi * k / n) for k in range(n + 1))
 
 
 def on_identity(n):
@@ -365,12 +374,11 @@ def on_multiply(e0, e1):
     if e0.n != e1.n:
         raise ValueError("mixed bundle degrees")
     comp = binary_form_substitute(e1.poly, inverse2(e0.matrix))
-    p = tuple(a + b for a, b in zip(e0.poly, comp))
-    return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), p)
+    return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), tuple(map(operator.add, e0.poly, comp)))
 
 
 def on_inverse(e):
-    p = tuple(-c for c in binary_form_substitute(e.poly, e.matrix))
+    p = tuple(map(operator.neg, binary_form_substitute(e.poly, e.matrix)))
     return OnGroupElement(e.n, inverse2(e.matrix), p)
 
 
@@ -389,135 +397,40 @@ def on_act(e, x):
 
 
 # ---------------------------------------------------------------------------
-# the Bgamma subgroups acting on the affine chart C^2 of O(n)
+# the Bgamma subgroups: upper-triangular elements of O(n), acting on the affine chart C^2
 
 
-class BGamma12Element(Record):
-    """Element of the subgroup C^n_c x| Sym^n(C^2)^*, coordinates (lam, b, p).
-
-    The matrix part is exp(lam(1 - c/n)), b over 0, exp(-lam c/n) modulo
-    n-th roots of unity; c = 0 is the family with central w-translations.
-    """
-
-    __slots__ = ("n", "c", "lam", "b", "poly")
-
-    def __init__(self, n, c, lam, b, poly):
-        setfield(self, "n", n)
-        setfield(self, "c", c)
-        setfield(self, "lam", lam)
-        setfield(self, "b", b)
-        setfield(self, "poly", poly)
-        if len(self.poly) != self.n + 1:
-            raise ValueError("polynomial must have degree n")
-
-    def distance(self, other):
-        lam = other.lam
-        if self.c == 0:  # the law and the action read lam only through e^lam: compare it modulo 2 pi i
-            turns = (lam - self.lam).imag / (2 * math.pi)
-            if math.isfinite(turns) and (k := round(turns)):
-                lam -= 2j * math.pi * k
-        return max(distance(self.lam, lam), distance(self.b, other.b), flat_distance(self.poly, other.poly))
+def _upper(n, log_a, b, log_d, poly):
+    """The element with the matrix ((e^log_a, b), (0, e^log_d)) and the form poly."""
+    try:
+        a, d = cmath.exp(log_a), cmath.exp(log_d)
+    except OverflowError:
+        raise ValueError("the matrix overflows") from None
+    return OnGroupElement(n, ((a, b), (0j, d)), poly)
 
 
-def bg12_identity(n, c):
-    return BGamma12Element(n, complex(c), 0j, 0j, (0j,) * (n + 1))
+def bgamma12_element(n, c, lam, b, poly):
+    """(lam, b, p) of Bgamma1 (c != 0) or Bgamma2 (c = 0): the matrix
+    ((e^{lam(1 - c/n)}, b), (0, e^{-lam c/n})) with the form p."""
+    return _upper(n, lam * (1 - c / n), b, -lam * c / n, poly)
 
 
-def _bg12_matrix(e):
-    a = cmath.exp(e.lam * (1 - e.c / e.n))
-    d = cmath.exp(-e.lam * e.c / e.n)
-    return ((a, complex(e.b)), (0j, d))
+def bgamma3_element(n, lam, b, r):
+    """(lam, b, r) of Bgamma3: the matrix ((1, b), (0, e^{-lam})) with the form lam Z1^n + Z2 r(Z1, Z2)."""
+    if len(r) != n:
+        raise ValueError("r must have degree n - 1")
+    return _upper(n, 0j, b, -lam, (lam, *r))
 
 
-def bg12_multiply(e0, e1):
-    if (e0.n, e0.c) != (e1.n, e1.c):
-        raise ValueError("mixed subgroup parameters")
-    n, c = e0.n, e0.c
-    lam = e0.lam + e1.lam
-    a0 = cmath.exp(e0.lam * (1 - c / n))  # the (0, 0) entry of _bg12_matrix(e0), taken once
-    b = a0 * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
-    comp = binary_form_substitute(e1.poly, inverse2(((a0, complex(e0.b)), (0j, cmath.exp(-e0.lam * c / n)))))
-    p = tuple(x + y for x, y in zip(e0.poly, comp))
-    return BGamma12Element(n, c, lam, complex(b), p)
-
-
-def bg12_inverse(e):
-    n, c = e.n, e.c
-    lam = -e.lam
-    b = -e.b * cmath.exp(-e.lam * (1 - 2 * c / n))
-    p = tuple(-x for x in binary_form_substitute(e.poly, _bg12_matrix(e)))
-    return BGamma12Element(n, c, lam, complex(b), p)
-
-
-def bg12_act(e, zw):
-    z, w = zw
-    z1 = cmath.exp(e.lam) * z + e.b * cmath.exp(e.lam * e.c / e.n)
-    w1 = cmath.exp(e.lam * e.c) * w + binary_form_eval(e.poly, z1, 1.0)
-    return (complex(z1), complex(w1))
-
-
-class BGamma3Element(Record):
-    """Element ((1, b; 0, e^{-lam}), lam Z1^n + Z2 r) of the coupled subgroup."""
-
-    __slots__ = ("n", "lam", "b", "r")
-
-    def __init__(self, n, lam, b, r):
-        setfield(self, "n", n)
-        setfield(self, "lam", lam)
-        setfield(self, "b", b)
-        setfield(self, "r", r)  # degree n-1 form coefficients
-        if len(self.r) != self.n:
-            raise ValueError("r must have degree n - 1")
-
-    def poly(self):
-        # lam Z1^n + Z2 * r(Z1, Z2)
-        return (complex(self.lam),) + tuple(complex(x) for x in self.r)
-
-    def distance(self, other):
-        return max(distance(self.lam, other.lam), distance(self.b, other.b), flat_distance(self.r, other.r))
-
-
-def bg3_identity(n):
-    return BGamma3Element(n, 0j, 0j, (0j,) * n)
-
-
-def _bg3_matrix(e):
-    return ((1.0 + 0j, complex(e.b)), (0j, cmath.exp(-e.lam)))
-
-
-def bg3_multiply(e0, e1):
-    if e0.n != e1.n:
-        raise ValueError("mixed subgroup parameters")
-    lam = e0.lam + e1.lam
-    b = e1.b + e0.b * cmath.exp(-e1.lam)
-    comp = binary_form_substitute(e1.poly(), inverse2(_bg3_matrix(e0)))
-    full = tuple(x + y for x, y in zip(e0.poly(), comp))
-    return BGamma3Element(e0.n, lam, complex(b), full[1:])
-
-
-def bg3_inverse(e):
-    lam = -e.lam
-    b = -e.b * cmath.exp(e.lam)
-    full = tuple(-x for x in binary_form_substitute(e.poly(), _bg3_matrix(e)))
-    return BGamma3Element(e.n, lam, complex(b), full[1:])
-
-
-def bg3_act(e, zw):
-    z, w = zw
-    z1 = cmath.exp(e.lam) * (z + e.b)
-    w1 = cmath.exp(e.lam * e.n) * w + binary_form_eval(e.poly(), z1, 1.0)
-    return (complex(z1), complex(w1))
-
-
-def bg4_act(e, zw):
-    """Action of an O(n) element fixing infinity on the affine chart C^2."""
+def bgamma_chart_act(e, zw):
+    """Action of an element of O(n) fixing infinity, one of Bgamma1 to Bgamma4, on the affine chart C^2:
+    z' = (a z + b) / d, w' = w / d^n + p(z', 1)."""
     (a, b), (c, d) = e.matrix
     if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
-        raise ValueError("Bgamma4 elements must fix infinity")
+        raise ValueError("Bgamma elements must fix infinity")
     z, w = zw
-    out = on_act(e, BundlePoint(e.n, 0, complex(z), complex(w)))
-    out = out.to_chart(0)
-    return (out.z, out.w)
+    z1 = (a * z + b) / d
+    return (z1, _over_power(w, d, e.n) + binary_form_eval(e.poly, z1, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -673,7 +673,7 @@ def suite_bgamma2_center(rng, samples, rec):
     n = handler.n
     for _ in range(max(3, samples // 10)):
         s = complex(rng.standard_normal(), rng.standard_normal())
-        shift = projective.BGamma12Element(n, 0.0, 0j, 0j, (0j,) * n + (s,))
+        shift = projective.bgamma12_element(n, 0.0, 0j, 0j, (0j,) * n + (s,))
         g = handler.random_element(rng)
         x = handler.random_point(rng)
         lhs = handler.act(g, handler.act(shift, x))

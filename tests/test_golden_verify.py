@@ -27,12 +27,12 @@ from homsurf import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SHA256 = {
-    1: "d12dc5086e773c50b70c9c0c6a446387211502546204349907c56941aabe6338",
-    2: "78bc445eb0476df6d427107ba92c6c76c0424319b564054c64d8fd122b36db9f",
-    3: "a20378fde25a3d544a662da50780f8c8b15e976fddea44e548ac24079d538e45",
-    4: "d337d707475abd699c6f15d2a85405c8686c840a9942b25fea9f6308aaa5838b",
-    5: "4a5b2cad834a61b76b3bbf83dd901e44c5baeada20d8c8cb65499b45d9880e47",
-    6: "4a67201603cc63071377a1f93ae9df7abcf8eb03a574ea3bdd3c690d2ed496f0",
+    1: "ad2f2f217b7ac780128be09d9c8667badd9a1ee1fe3f7b514a6e3a3385b6eaa2",
+    2: "4a3a02cdceb2cefc3469bd5a63af24f7d1f50ec6bd1ab83b04d1e9381c41e9eb",
+    3: "83842eabff36a954713fe6181e2ee3085d71f36dcaade3710849653ecee56bf5",
+    4: "a4676b10395a7a6d7c9fd338ba5993bd1b1f45bcefe911e6a4407c5537205eab",
+    5: "3d247a9fda1d2e6eb860d5aea1e71bb91c4dff4ad9bd407eac35c2cae770bac6",
+    6: "c7e1a8f8ae9a67a4660b7eadfea690bc9742dcf6e6cc9e57876c6c7a35ab08ba",
 }
 
 

@@ -149,6 +149,25 @@ CONSTRUCTOR_ERRORS = {
         "element: polynomial must have degree n",
     ),
     "bg3-r-wrong-length": ("Bγ3", {"n": 2, "lam": 1, "b": 0, "r": [1, 2, 3]}, POINT, "element: r must have degree n - 1"),
+    "bg1-c-0": (
+        "Bγ1",
+        {"n": 2, "c": 0, "lam": 1, "b": 0, "poly": [0, 0, 0]},
+        POINT,
+        "element: c must be nonzero",
+    ),
+    "bg2-matrix-overflows": (
+        "Bγ2",
+        {"n": 2, "lam": 1000, "b": 0, "poly": [0, 0, 0]},
+        POINT,
+        "element: the matrix overflows",
+    ),
+    "bg3-matrix-singular": ("Bγ3", {"n": 2, "lam": 800, "b": 0, "r": [0, 0]}, POINT, "element: matrix must be invertible"),
+    "bd1-point-at-the-origin": (
+        "Bδ1",
+        {"matrix": IDENTITY2},
+        {"x": [0, 0]},
+        "point: the origin is not a point of the surface",
+    ),
     "a3-det-2": (
         "A3",
         {"matrix": [[2, 0], [0, 1]], "translation": [0, 0]},
@@ -490,7 +509,7 @@ def test_cli_act_cover_missing_parameter_or_degenerate_delta_exits_2(tmp_path, c
     p.write_text(json.dumps(POINT))
     argv = ["act", "--family", "Bb1", "--element", str(e), "--point", str(p), "--cover", cover]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == f"error: element.cover: {error}\n"
 
 
 def test_cli_act_cover_c_takes_s_as_1(tmp_path, capsys):
@@ -547,4 +566,4 @@ def test_cli_act_cover_bb2_takes_only_n(tmp_path, capsys):
     p.write_text(json.dumps(POINT))
     argv = ["act", "--family", "Bb2", "--element", str(e), "--point", str(p), "--cover", "Bb2"]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "error: example Bb2 does not take the cover parameter 'tau'\n"
+    assert capsys.readouterr().err == "error: element.cover: example Bb2 does not take the cover parameter 'tau'\n"

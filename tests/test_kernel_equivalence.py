@@ -361,17 +361,6 @@ def old_on_distance(self, other):  # OnGroupElement.distance
     return max(best, flat_distance(self.poly, other.poly))
 
 
-def old_bg12_multiply(e0, e1):
-    if (e0.n, e0.c) != (e1.n, e1.c):
-        raise ValueError("mixed subgroup parameters")
-    n, c = e0.n, e0.c
-    lam = e0.lam + e1.lam
-    b = cmath.exp(e0.lam * (1 - c / n)) * e1.b + cmath.exp(-e1.lam * c / n) * e0.b
-    comp = binary_form_substitute(e1.poly, projective.inverse2(projective._bg12_matrix(e0)))
-    p = tuple(x + y for x, y in zip(e0.poly, comp))
-    return projective.BGamma12Element(n, c, lam, complex(b), p)
-
-
 def old_normal_form_generators(label):
     """Generator list of the table row with the label's parameters."""
     n, k, b, tau, a = label.name, label.k, label.b, label.tau, label.a
@@ -1070,6 +1059,15 @@ def test_on_group_element_matches_the_replaced_constructor():
         assert same((e.n, e.matrix, e.poly), old_on_group_fields(n, m, [0] * (n + 1)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_on_group_element_reads_a_phase_that_rounds_to_two_pi(n):
+    # a phase of -1e-300 is 2 pi modulo 2 pi, so k = n: the factor read from the table is exp(-2 pi i n / n)
+    m = ((2.0 + 0j, 0.5j), (0j, complex(1.0, -1e-300)))
+    assert int(cmath.phase(m[1][1]) % (2 * math.pi) // (2 * math.pi / n)) == n
+    e = OnGroupElement(n, m, [0] * (n + 1))
+    assert same((e.n, e.matrix, e.poly), old_on_group_fields(n, m, [0] * (n + 1)))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
 @pytest.mark.parametrize("scale", [0.5, 0.7, 1.1])
 def test_cnums_equal_scalar_draws(k, scale):
@@ -1229,15 +1227,6 @@ def test_on_distance_matches_the_replaced_code():
             for o in others:
                 assert same(e.distance(o), old_on_distance(e, o))
                 assert same(o.distance(e), old_on_distance(o, e))
-
-
-@pytest.mark.parametrize("label", ["Bγ1", "Bγ2"])
-def test_bg12_multiply_matches_the_replaced_code(label):
-    handler = families.build_family(label)
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        g, h = handler.random_element(rng), handler.random_element(rng)
-        assert same(projective.bg12_multiply(g, h), old_bg12_multiply(g, h))
 
 
 def test_normal_form_generators_match_the_replaced_table():

@@ -6,21 +6,17 @@ import pytest
 
 from homsurf.numeric import EPS, close, distance
 from homsurf.projective import (
-    BGamma3Element,
-    BGamma12Element,
     BundlePoint,
     OnGroupElement,
     Proj2Point,
     ProjPoint,
     QuadricPoint,
     bdelta_act,
-    bg3_act,
-    bg12_act,
-    bg12_inverse,
-    bg12_multiply,
+    bgamma3_element,
+    bgamma12_element,
+    bgamma_chart_act,
     binary_form_eval,
     binary_form_substitute,
-    bg4_act,
     conic_complement_act,
     mobius_act,
     on_act,
@@ -168,40 +164,56 @@ def test_on_zn_quotient_identification():
 
 def test_bgamma12_action_examples():
     # Bgamma2 rescalings move only the base coordinate
-    e = BGamma12Element(2, 0.0, 0.7, 0j, (0j, 0j, 0j))
-    z, w = bg12_act(e, (1.0, 1.0))
+    e = bgamma12_element(2, 0.0, 0.7, 0j, (0j, 0j, 0j))
+    z, w = bgamma_chart_act(e, (1.0, 1.0))
     assert close(z, cmath.exp(0.7)) and close(w, 1.0)
     # Bgamma1 with c = 2, lam = log 2 doubles z and quadruples w
-    e2 = BGamma12Element(2, 2.0, math.log(2), 0j, (0j, 0j, 0j))
-    z, w = bg12_act(e2, (1.0, 1.0))
+    e2 = bgamma12_element(2, 2.0, math.log(2), 0j, (0j, 0j, 0j))
+    z, w = bgamma_chart_act(e2, (1.0, 1.0))
     assert close(z, 2.0) and close(w, 4.0)
 
 
 def test_bgamma2_distance_reads_lam_modulo_two_pi_i(rng):
     # with c = 0 the law and the action read lam only through e^lam: (2 pi i, 0, 0) is the identity
     n, turn = 2, 2j * math.pi
-    one = BGamma12Element(n, 0j, 0j, 0j, (0j,) * (n + 1))
-    g = BGamma12Element(n, 0j, turn, 0j, (0j,) * (n + 1))
+    one = bgamma12_element(n, 0j, 0j, 0j, (0j,) * (n + 1))
+    g = bgamma12_element(n, 0j, turn, 0j, (0j,) * (n + 1))
     for _ in range(20):
         x = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-        assert distance(bg12_act(g, x), x) <= EPS
+        assert distance(bgamma_chart_act(g, x), x) <= EPS
     assert g.distance(one) <= EPS and one.distance(g) <= EPS
-    h = BGamma12Element(n, 0j, 0.3 - 0.2j, 0.5j, (0.1, 0j, -0.2j))
-    shifted = BGamma12Element(n, 0j, h.lam - 2 * turn, h.b, h.poly)
+    lam, b, p = 0.3 - 0.2j, 0.5j, (0.1, 0j, -0.2j)
+    h = bgamma12_element(n, 0j, lam, b, p)
+    shifted = bgamma12_element(n, 0j, lam - 2 * turn, b, p)
     assert h.distance(shifted) <= EPS and shifted.distance(h) <= EPS
-    assert h.distance(BGamma12Element(n, 0j, h.lam + 0.5 * turn, h.b, h.poly)) > 0.5
+    assert h.distance(bgamma12_element(n, 0j, lam + 0.5 * turn, b, p)) > 0.5
     # with c != 0 the element moves w: it stays far from the identity
     c = 1.7 + 0.3j
-    moving = BGamma12Element(n, c, turn, 0j, (0j,) * (n + 1))
-    assert moving.distance(BGamma12Element(n, c, 0j, 0j, (0j,) * (n + 1))) > 0.5
-    assert distance(bg12_act(moving, (0.3, 1.0)), (0.3, 1.0)) > 0.5
+    moving = bgamma12_element(n, c, turn, 0j, (0j,) * (n + 1))
+    assert moving.distance(bgamma12_element(n, c, 0j, 0j, (0j,) * (n + 1))) > 0.5
+    assert distance(bgamma_chart_act(moving, (0.3, 1.0)), (0.3, 1.0)) > 0.5
+
+
+def test_bgamma1_is_effective_at_rational_c():
+    # at n = c = 2, lam = 2 pi i gives e^lam = e^{lam c} = 1: the element fixes every point, so it is the identity
+    n, turn, zero = 2, 2j * math.pi, (0j, 0j, 0j)
+    one = on_identity(n)
+    g = bgamma12_element(n, 2.0, turn, 0j, zero)
+    assert g.distance(one) <= EPS and one.distance(g) <= EPS
+    rng = np.random.default_rng(23)
+    points = [(complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())) for _ in range(50)]
+    assert max(distance(bgamma_chart_act(g, x), x) for x in points) <= EPS
+    # at a generic c the same lam moves w and stays far from the identity
+    moving = bgamma12_element(n, 1.7 + 0.3j, turn, 0j, zero)
+    assert moving.distance(one) > 0.5 and one.distance(moving) > 0.5
+    assert max(distance(bgamma_chart_act(moving, x), x) for x in points) > 0.5
 
 
 def test_bgamma12_group_axioms(rng):
     n, c = 2, 1.3 - 0.4j
     for _ in range(60):
         es = [
-            BGamma12Element(
+            bgamma12_element(
                 n, c,
                 complex(rng.normal(), rng.normal()) * 0.5,
                 complex(rng.normal(), rng.normal()),
@@ -210,29 +222,42 @@ def test_bgamma12_group_axioms(rng):
             for _ in range(3)
         ]
         g, h, k = es
-        lhs = bg12_multiply(bg12_multiply(g, h), k)
-        rhs = bg12_multiply(g, bg12_multiply(h, k))
-        assert close(lhs.lam, rhs.lam) and close(lhs.b, rhs.b)
+        lhs = on_multiply(on_multiply(g, h), k)
+        rhs = on_multiply(g, on_multiply(h, k))
+        assert lhs.distance(rhs) <= EPS
         x = (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
-        assert np.allclose(bg12_act(bg12_multiply(g, h), x), bg12_act(g, bg12_act(h, x)))
-        ident = bg12_multiply(g, bg12_inverse(g))
-        assert close(ident.lam, 0.0) and close(ident.b, 0.0)
+        assert np.allclose(bgamma_chart_act(on_multiply(g, h), x), bgamma_chart_act(g, bgamma_chart_act(h, x)))
+        assert on_multiply(g, on_inverse(g)).distance(on_identity(n)) <= EPS
 
 
 def test_bgamma3_identity_case():
-    e = BGamma3Element(2, 0.0, 0.0, (0j, 0j))
-    assert np.allclose(bg3_act(e, (0.4, 0.7)), (0.4, 0.7))
-    e2 = BGamma3Element(2, 0.3, 0.0, (0j, 0j))
-    z, w = bg3_act(e2, (1.0, 0.0))
+    e = bgamma3_element(2, 0.0, 0.0, (0j, 0j))
+    assert np.allclose(bgamma_chart_act(e, (0.4, 0.7)), (0.4, 0.7))
+    e2 = bgamma3_element(2, 0.3, 0.0, (0j, 0j))
+    z, w = bgamma_chart_act(e2, (1.0, 0.0))
     # matrix part scales, then the coupled a Z1^n term adds lam * z'^n
     assert close(z, cmath.exp(0.3))
     assert close(w, cmath.exp(0.6) * 0.0 + 0.3 * z**2)
 
 
+def test_bgamma3_is_closed_under_the_law(rng):
+    # the product and the inverse are the Bgamma3 elements of lam0 + lam1, b1 + b0 e^{-lam1} and of -lam, -b e^lam
+    n = 3
+    for _ in range(40):
+        (lam0, b0, lam1, b1), r0, r1 = (
+            [complex(rng.normal(), rng.normal()) * 0.5 for _ in range(k)] for k in (4, n, n)
+        )
+        g, h = bgamma3_element(n, lam0, b0, r0), bgamma3_element(n, lam1, b1, r1)
+        gh, gi = on_multiply(g, h), on_inverse(g)
+        assert close(gh.poly[0], lam0 + lam1) and close(gi.poly[0], -lam0)
+        assert gh.distance(bgamma3_element(n, lam0 + lam1, b1 + b0 * cmath.exp(-lam1), gh.poly[1:])) <= EPS
+        assert gi.distance(bgamma3_element(n, -lam0, -b0 * cmath.exp(lam0), gi.poly[1:])) <= EPS
+
+
 def test_bgamma4_requires_upper_triangular():
     e = OnGroupElement(2, np.array([[1.0, 0.0], [1.0, 1.0]]), (0j, 0j, 0j))
     with pytest.raises(ValueError, match="infinity"):
-        bg4_act(e, (0.3, 0.4))
+        bgamma_chart_act(e, (0.3, 0.4))
 
 
 def test_bdelta_examples():
