@@ -7,8 +7,11 @@ type and one group law serve both.  Every quotient of the plane by a discrete
 subgroup of their commutant (see `qd`) is one of ten explicit examples
 (labelled A0, A1, B, ..., I), each realized here as a `Cover`: the covering
 map, the induced action on the quotient surface, and the deck group from the
-one table `qd._deck_pairs`.  The commutant, the example labels and their
-classifier `classify_pi` live in `qd` and are re-imported here.
+one table `qd._deck_pairs`.  Two functions make them: `_delta_cover` for A0
+and A1, `_line_cover` for B..I, whose examples B..E, G and H share one product
+chart with one induced action.  The quotients of rG_D by <(n, 0)>
+(`rgd_quotients`) are example B's cover.  The commutant, the example labels
+and their classifier `classify_pi` live in `qd` and are re-imported here.
 
 Degree-one divisors are rejected throughout: those actions are the
 translation plane and the affine group, handled elsewhere.
@@ -289,13 +292,14 @@ def _delta_cover(label):
 
 
 def _line_cover(label):
-    """Examples B..I over [lam] + sum [lam + 2 pi i k_j]: X' fibres over C^x by e^{2 pi i z / n}.
+    """Examples B..I over [lam] + sum [lam + 2 pi i k_j]: X' fibres over C^x by Z = e^{2 pi i z / n}.
 
-    B: X' = C^x x C via e^{-lam z} w.  C (e^{lam n} = 1): C^x x C via w - z / n.
-    D (lam = 0), E (e^{lam n} = 1, lam != 0): C^x x C^x; G (lam = 0), H (as E):
-    C^x x (C / (Z + tau Z)); the fibre coordinate is w - s z / n.  F (e^{lam n}
-    = -1) and I (e^{lam n} != 1 a unit of Z + tau Z) have no global product
-    chart: a point of X' is an orbit representative in C^2.
+    B..E, G and H share one product chart.  The fibre coordinate is e^{-lam z} w
+    for B and w - s z / n for the others (s = 1 for C, the label's s for E and H,
+    0 for D and G); the fibre is C (B, C), C / Z through e^{2 pi i .} (D, E) or
+    C / (Z + tau Z) (G, H), as `_LATTICE_RANK` says.  F (e^{lam n} = -1) and I
+    (e^{lam n} != 1 a unit of Z + tau Z) have no global product chart: a point of
+    X' is an orbit representative in C^2.
     """
     name, D = label.name, label.divisor
     lam, _ = _canonical_line_data(D)
@@ -337,59 +341,24 @@ def _line_cover(label):
 
         return Cover(orbit_rep, rgd_act, equal, deck)
 
-    def zpart(z):
-        return cmath.exp(TWO_PI_I * z / n)
+    rank = _LATTICE_RANK[name]
+    rate = lam if name == "B" else 0j  # B's fibre coordinate e^{-lam z} w, the others' w - slope z / n
+    slope = 1.0 if name == "C" else 0 if s is None else s
 
-    def lift(g, Z):
-        """e^{2 pi i t / n} Z and the coefficients of g.f as a Laurent polynomial in it."""
-        return zpart(g.t) * Z, _fourier_coeffs(g.f, lam)
+    def cover(z, w):
+        f = cmath.exp(-rate * z) * w - slope * z / n
+        fibre = f if rank == 0 else cmath.exp(TWO_PI_I * f) if rank == 1 else TorusPoint(f, 1.0, tau)
+        return (cmath.exp(TWO_PI_I * z / n), fibre)
 
-    if name == "B":
-
-        def cover(z, w):
-            return (zpart(z), cmath.exp(-lam * z) * w)
-
-        def act(g, point):
-            Z1, P = lift(g, point[0])
-            return (Z1, cmath.exp(-lam * g.t) * point[1] + _eval_exponent_poly(P, Z1**n))
-
-    elif name == "C":
-
-        def cover(z, w):
-            return (zpart(z), w - z / n)
-
-        def act(g, point):
-            Z1, P = lift(g, point[0])
-            shift = _eval_exponent_poly({m + n * k: c for k, c in P.items()}, Z1)
-            return (Z1, point[1] - g.t / n + shift)
-
-    else:
-
-        def fibre(z, w):
-            return w if s is None else w - s * z / n
-
-        def shift(g, Z1, P):
-            """-s t / n + Z1^m P(Z1^n), where s = m = 0 for D and G."""
-            x = _eval_exponent_poly(P, Z1**n)
-            return x if s is None else -s * g.t / n + Z1**m * x
-
-        if tau is None:  # D, E: the fibre C / Z, through e^{2 pi i .}
-
-            def cover(z, w):
-                return (zpart(z), cmath.exp(TWO_PI_I * fibre(z, w)))
-
-            def act(g, point):
-                Z1, P = lift(g, point[0])
-                return (Z1, point[1] * cmath.exp(TWO_PI_I * shift(g, Z1, P)))
-
-        else:  # G, H: the fibre C / (Z + tau Z)
-
-            def cover(z, w):
-                return (zpart(z), TorusPoint(fibre(z, w), 1.0, tau))
-
-            def act(g, point):
-                Z1, P = lift(g, point[0])
-                return (Z1, point[1].shifted(shift(g, Z1, P)))
+    def act(g, point):
+        # (t, lam_g, f_g) moves Z to Z1 = e^{2 pi i t / n} Z and adds -slope t / n + Z1^m P(Z1^n) to the
+        # fibre coordinate, P the Fourier coefficients of f_g; a fibre C first scales it by lam_g e^{-rate t}
+        Z, W = point
+        Z1 = cmath.exp(TWO_PI_I * g.t / n) * Z
+        shift = -slope * g.t / n + Z1**m * _eval_exponent_poly(_fourier_coeffs(g.f, lam), Z1**n)
+        if rank == 0:
+            return (Z1, g.lam * cmath.exp(-rate * g.t) * W + shift)
+        return (Z1, W * cmath.exp(TWO_PI_I * shift) if rank == 1 else W.shifted(shift))
 
     return Cover(cover, act, _product_equal, deck)
 
@@ -415,21 +384,11 @@ def quotient_cover(label):
 
 
 def rgd_quotients(D, n):
-    """The rG_D quotients by <(n, 0)>: X' = C^x x C via (e^{2 pi i z / n}, w)."""
+    """The rG_D quotients by <(n, 0)>: example B's cover, X' = C^x x C via (e^{2 pi i z / n}, w),
+    whose action takes the rescaling lam_g of rG_D along."""
     if quasiperiod_group(D).kind != "rank1":
         raise ValueError("no quotients")
     lam, _ = _canonical_line_data(D)
     if not close(lam, 0j, tol=LAM_TOL):
         raise ValueError("divisor must have the normalized shape [0] + sum [2 pi i k_j]")
-    n = _positive_n(n)
-
-    def cover(z, w):
-        return (cmath.exp(TWO_PI_I * z / n), w)
-
-    def act(g, point):
-        Z, W = point
-        P = _fourier_coeffs(g.f, 0j)
-        Z1 = cmath.exp(TWO_PI_I * g.t / n) * Z
-        return (Z1, g.lam * W + _eval_exponent_poly(P, Z1**n))
-
-    return Cover(cover, act, _product_equal, _deck(D, _deck_pairs("B", n)))
+    return _line_cover(BBeta1Label("B", D, n=n))

@@ -21,7 +21,7 @@ import json
 import sys
 import types
 
-from .numeric import COMPLEX, DIVISOR, PAIR, TEXT, Schema, complex_json, decode, encode, lazy
+from .numeric import COMPLEX, DIVISOR, LAM_TOL, PAIR, TEXT, Schema, close, complex_json, decode, encode, lazy
 
 
 class InputError(Exception):
@@ -51,7 +51,7 @@ def element_from_json(label, data):
 
 def element_parameters(label, data):
     """The values, by key, of what an element payload that `element_from_json` has read carries
-    beside the element: C8's family parameter alpha, the "cover" parameters of Bβ1 and Bβ2."""
+    beside the element: the "cover" parameters of Bβ1 and Bβ2."""
     from .families import SPECS
 
     schema = SPECS[label].element
@@ -168,23 +168,36 @@ def cmd_classify(args):
 
 
 def _cover_from_args(D, params, cover_label):
-    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters;
-    its errors name the payload path `element.cover`."""
+    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters:
+    LABEL is an example A0..I of Bβ1, a catalogue row of Bβ1 (B0 and B1 are example B) or Bβ2′.
+    Its errors name what is at fault: `--cover`, the element's divisor or its "cover" parameters."""
+    import cmath
+
     from . import bbeta
     from .catalogue import ascii_label
 
     name = ascii_label(cover_label)
     if name.startswith("Bb1"):
         name = name[len("Bb1"):]
-    try:
-        if name in ("Bb2", "Bb2'"):
-            for key in params:
-                if key != "n":
-                    raise ValueError(f"example {name} does not take the cover parameter {key!r}")
+    example = "B" if name in ("B0", "B1") else name
+    line, rgd = example in bbeta._LATTICE_RANK, name in ("Bb2", "Bb2'")
+    if not (line or rgd or name in ("A0", "A1")):
+        raise InputError(f"--cover: unknown example {cover_label}")
+    for key in params if rgd else ():
+        if key != "n":
+            raise ValueError(f"element.cover: example {name} does not take the cover parameter {key!r}")
+    path = "element.divisor"
+    try:  # its errors keep their type, as numeric.decode keeps it: a NonDiscreteError stays one
+        if rgd:
             return bbeta.rgd_quotients(D, params.get("n", 1))
-        return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params))
-    except ValueError as e:  # its type kept, as numeric.decode keeps it: a NonDiscreteError stays one
-        raise type(e)(f"element.cover: {e}") from None
+        lam = bbeta._canonical_line_data(D)[0] if line else None  # the shape of the divisor first
+        path = "element.cover"
+        cover = bbeta.quotient_cover(bbeta.BBeta1Label(example, D, **params))
+        if name in ("B0", "B1") and close(cmath.exp(lam * params["n"]), 1.0, tol=LAM_TOL) != (name == "B0"):
+            raise ValueError(f"example {name} requires e^{{lam n}} {'=' if name == 'B0' else '!='} 1")
+        return cover
+    except ValueError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 def cmd_act(args):
@@ -197,12 +210,11 @@ def cmd_act(args):
         pdata = json.load(fh)
     g = element_from_json(label, edata)
     x = point_from_json(label, pdata)
-    params = element_parameters(label, edata)
-    cover = params.pop("cover", {})
-    result = SPECS[label].handler(**params).act(g, x)
+    result = SPECS[label].handler().act(g, x)
     if args.cover:
         if getattr(g, "divisor", None) is None:
             raise InputError("--cover is only available for the divisor families")
+        cover = element_parameters(label, edata).get("cover", {})
         covered = _cover_from_args(g.divisor, cover, args.cover).cover(*result)
         print(json.dumps({"cover": args.cover, "point": [_component_json(c) for c in covered]}, indent=2))
     else:

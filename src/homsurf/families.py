@@ -127,8 +127,8 @@ def _psl2():
     return (lambda: _EYE2, product2, inverse2, mobius_act, _matrix, lambda rng: ProjPoint(_cnum(rng, 1.0)))
 
 
-def _product(label, f1, f2):
-    """The product of two factor groups acting on the product surface."""
+def _product(label, f1, f2, random_element=None):
+    """The product of two factor groups acting on the product surface (on a subgroup it samples)."""
     id1, mul1, inv1, act1, rnd1, pt1 = f1
     id2, mul2, inv2, act2, rnd2, pt2 = f2
     return Family(
@@ -137,7 +137,7 @@ def _product(label, f1, f2):
         lambda g, h: (mul1(g[0], h[0]), mul2(g[1], h[1])),
         lambda g: (inv1(g[0]), inv2(g[1])),
         lambda g, x: (act1(g[0], x[0]), act2(g[1], x[1])),
-        lambda rng: (rnd1(rng), rnd2(rng)),
+        random_element or (lambda rng: (rnd1(rng), rnd2(rng))),
         lambda rng: (pt1(rng), pt2(rng)),
     )
 
@@ -188,45 +188,26 @@ def _matrix_affine(label, special):
     return Family(label, lambda: (_EYE2, (0j, 0j)), _affine_multiply, _affine_inverse, _affine_act, random_element)
 
 
-def _c8(alpha=2.0 + 0.5j):
-    """Diagonal one-parameter subgroup semidirect translations; alpha != 0, 1."""
-    alpha = complex(alpha)
+def _c8_element(t, v, alpha=2.0 + 0.5j):
+    """The pair of affine maps (e^t z + v0, e^{alpha t} w + v1) in C3's group; alpha != 0, 1."""
     if close(alpha, 1.0) or close(alpha, 0.0):
         raise ValueError("C8 requires alpha different from 0 and 1")
-
-    def multiply(g, h):
-        t0, v0 = g
-        t1, v1 = h
-        return (t0 + t1, (v0[0] + cmath.exp(t0) * v1[0], v0[1] + cmath.exp(alpha * t0) * v1[1]))
-
-    def inverse(g):
-        t, v = g
-        return (-t, (-cmath.exp(-t) * v[0], -cmath.exp(-alpha * t) * v[1]))
-
-    def act(g, x):
-        t, v = g
-        return (cmath.exp(t) * x[0] + v[0], cmath.exp(alpha * t) * x[1] + v[1])
-
-    return Family(
-        "C8", lambda: (0j, (0j, 0j)), multiply, inverse, act, lambda rng: (_cnum(rng, 0.5), tuple(_cnums(rng, 2)))
-    )
+    return ((cmath.exp(t), v[0]), (cmath.exp(alpha * t), v[1]))
 
 
-def _d3_inverse(g):
-    mi = 1.0 / g[0]
-    return (mi, (-mi * g[1][0], -mi * g[1][1]))
+def _d3_element(m, v):
+    """The rescaling by m != 0 and the translation by v, as a pair of affine maps in C3's group."""
+    return ((m, v[0]), (m, v[1]))
 
 
-def _d3():
-    """Rescaling and translation plane: (m, v) with m nonzero."""
-    return Family(
-        "D3",
-        lambda: (1.0 + 0j, (0j, 0j)),
-        lambda g, h: (g[0] * h[0], (g[1][0] + g[0] * h[1][0], g[1][1] + g[0] * h[1][1])),
-        _d3_inverse,
-        lambda g, x: (g[0] * x[0] + g[1][0], g[0] * x[1] + g[1][1]),
-        lambda rng: (cmath.exp(_cnum(rng, 0.5)), tuple(_cnums(rng, 2))),
-    )
+def _aff_subgroup(label):
+    """C2, C8 and D3: subgroups of C3's Aff(C) x Aff(C), which run its law; only the sampler differs."""
+    samplers = {
+        "C2": lambda rng: ((1.0 + 0j, _cnum(rng)), _aff_random(rng)),
+        "C8": lambda rng: _c8_element(_cnum(rng, 0.5), _cnums(rng, 2)),
+        "D3": lambda rng: _d3_element(cmath.exp(_cnum(rng, 0.5)), _cnums(rng, 2)),
+    }
+    return _product(label, _AFF_C, _AFF_C, samplers[label])
 
 
 def _d2():
@@ -455,12 +436,11 @@ class FamilySpec:
 
     `handler(**params)` builds the family's `Family`.  `element` and `point`
     are the `numeric.Schema`s of its JSON payloads (docs/families.md), the
-    plane's point by default; the `aside` keys of an element are C8's handler
-    parameter `alpha` (no other family's `act` reads one) and the "cover"
-    parameters of Bβ1 and Bβ2.  `check(g)` raises ValueError for an element
-    that breaks the family's invariants, and `distance(g, h)` compares two
-    elements.  `policy` describes the discrete subgroups the action has
-    quotients by, and is empty when it has none.
+    plane's point by default; the one `aside` key of an element is "cover",
+    the parameters of `act --cover` for Bβ1 and Bβ2.  `check(g)` raises
+    ValueError for an element that breaks the family's invariants, and
+    `distance(g, h)` compares two elements.  `policy` describes the discrete
+    subgroups the action has quotients by, and is empty when it has none.
     """
 
     __slots__ = ("handler", "element", "point", "check", "distance", "policy")
@@ -559,8 +539,8 @@ SPECS = {
     ),
     "Bδ4": FamilySpec(lambda n=2: _bdelta_bundle("Bδ4", False, n), _ON, _BUNDLE),
     "C2": FamilySpec(
-        lambda: _product("C2", _TRANS_C, _AFF_C),
-        Schema({"t": COMPLEX, "affine": _AFFINE}),
+        lambda: _aff_subgroup("C2"),
+        Schema({"t": COMPLEX, "affine": _AFFINE}, make=lambda t, affine: ((1.0 + 0j, t), affine)),
         check=lambda g: _check_nonzero("alpha", g[1][0]),
         policy="discrete subgroup Delta of C acting on the first factor",
     ),
@@ -593,7 +573,7 @@ SPECS = {
         ),
         distance=lambda g, h: max(_proj_distance(g[0], h[0]), _proj_distance(g[1], h[1])),
     ),
-    "C8": FamilySpec(_c8, Schema({"t": COMPLEX, "v": PAIR, "alpha": COMPLEX}, aside=("alpha",))),
+    "C8": FamilySpec(lambda: _aff_subgroup("C8"), Schema({"t": COMPLEX, "v": PAIR, "alpha": COMPLEX}, make=_c8_element)),
     "C9": FamilySpec(
         _c9,
         _MATRIX,
@@ -612,7 +592,11 @@ SPECS = {
         policy="any discrete subgroup pi of C^2",
     ),
     "D2": FamilySpec(_d2, _UAFF, _UAFF, policy="any discrete subgroup pi of uAff(C), table D2_1..D2_14"),
-    "D3": FamilySpec(_d3, Schema({"m": COMPLEX, "v": PAIR}), check=lambda g: _check_nonzero("m", g[0])),
+    "D3": FamilySpec(
+        lambda: _aff_subgroup("D3"),
+        Schema({"m": COMPLEX, "v": PAIR}, make=_d3_element),
+        check=lambda g: _check_nonzero("m", g[0][0]),
+    ),
 }
 
 BASE_FAMILY_LABELS = tuple(SPECS)

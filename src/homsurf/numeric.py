@@ -313,7 +313,7 @@ class Schema:
 
     `make` takes the values of the keys in order (a tuple of them by default), those of the
     `optional` keys that are present by name.  The `aside` keys are read and checked but left
-    out of `make`: the caller reads them (C8's family parameter alpha, the "cover" parameters).
+    out of `make`: the caller reads them (the "cover" parameters, a classify file's ambient).
     `parts(value)` gives back the values of the keys, in order, for `encode` (the value itself by
     default, the inverse of the default `make`).
     """

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from homsurf import families, verify
+from homsurf import cli, families, verify
 from homsurf.families import build_family, classify_D1_subgroup, quotient_policy
-from homsurf.numeric import NonDiscreteError, close
+from homsurf.numeric import EPS, NonDiscreteError, close
 
 
 @pytest.mark.parametrize("label", families.BASE_FAMILY_LABELS)
@@ -55,23 +55,39 @@ def test_d1_vector_addition():
 
 
 def test_c8_composition_and_action():
-    h = build_family("C8", alpha=2.0)
-    g = h.multiply((1.0, (0j, 0j)), (0j, (1.0, 1.0)))
-    assert close(g[0], 1.0)
-    assert close(g[1][0], math.e) and close(g[1][1], math.e**2)
-    z, w = h.act((1.0, (0j, 0j)), (1.0, 1.0))
+    # a C8 element is the pair of affine maps (e^t z + v0, e^{alpha t} w + v1), in C3's group
+    h = build_family("C8")
+    g = h.multiply(families._c8_element(1.0, (0j, 0j), 2.0), families._c8_element(0j, (1.0, 1.0), 2.0))
+    assert close(g[0][0], math.e) and close(g[1][0], math.e**2)
+    assert close(g[0][1], math.e) and close(g[1][1], math.e**2)
+    z, w = h.act(families._c8_element(1.0, (0j, 0j), 2.0), (1.0, 1.0))
     assert close(z, math.e) and close(w, math.e**2)
+
+
+def test_c8_is_effective_at_rational_alpha():
+    # at alpha = 2 the element (t, v) = (2 pi i, 0) moves no point: it is C8's identity, and compares so
+    h, spec = build_family("C8"), families.SPECS["C8"]
+    rng = verify.rng_for(3, "C8")
+    points = [h.random_point(rng) for _ in range(50)]
+    payload = {"t": {"re": 0.0, "im": 2 * math.pi}, "v": [0, 0]}
+    g = cli.element_from_json("C8", dict(payload, alpha=2))
+    assert spec.distance(g, h.identity()) <= EPS
+    assert max(verify.distance(h.act(g, x), x) for x in points) <= EPS
+    g = cli.element_from_json("C8", dict(payload, alpha={"re": 2.0, "im": 0.5}))  # the default alpha
+    assert spec.distance(g, h.identity()) > EPS
+    assert max(verify.distance(h.act(g, x), x) for x in points) > EPS
 
 
 def test_d3_action():
     h = build_family("D3")
-    z, w = h.act((2.0, (0j, 0j)), (1.0, 1.0))
+    z, w = h.act(families._d3_element(2.0, (0j, 0j)), (1.0, 1.0))
     assert close(z, 2.0) and close(w, 2.0)
 
 
 def test_c2_translation_action():
+    # the translation t = 1 of the first factor is the affine map (1, 1)
     h = build_family("C2")
-    z, w = h.act((1.0, (1.0, 0j)), (0j, 0j))
+    z, w = h.act(((1.0, 1.0), (1.0, 0j)), (0j, 0j))
     assert close(z, 1.0) and close(w, 0.0)
 
 

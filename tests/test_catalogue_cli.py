@@ -190,9 +190,9 @@ def _cj(z):
     return {"re": z.real, "im": z.imag}
 
 
-# one admissible instance per cover row: the base point lam of the divisor
-# [lam] + [lam + 2 pi i] and the label's parameters
-COVER_ROWS = {
+# one admissible instance per cover example: the base point lam of the divisor [lam] + [lam + 2 pi i]
+# and the label's parameters
+EXAMPLES = {
     "A0": (0.5 + 0j, {"delta": (1.0 + 0j, 0.2 + 1.1j)}),
     "A1": (0j, {"delta": (0.5j,)}),
     "B": (0.3 + 0.2j, {"n": 2}),
@@ -203,8 +203,22 @@ COVER_ROWS = {
     "G": (0j, {"n": 1, "tau": 0.2 + 1.3j}),
     "H": (2j * math.pi, {"n": 1, "s": 0.3 - 0.1j, "tau": 0.2 + 1.3j}),
     "I": (1j * math.pi, {"n": 1, "tau": 0.2 + 1.3j}),
-    "Bb2": (0j, {"n": 2}),
 }
+# every cover `act --cover` takes: the examples by letter, and the catalogue's spelling of each quotient
+# row of Bβ1 and of Bβ2′ (Bb2 covers as Bβ2′); B0 and B1 are example B where e^{lam n} = 1 and where not
+COVER_ROWS = {
+    **EXAMPLES,
+    **{f"Bβ1{name}": row for name, row in EXAMPLES.items() if name != "B"},
+    "Bβ1B0": (0j, {"n": 2}),
+    "Bβ1B1": EXAMPLES["B"],
+    "Bb2": (0j, {"n": 2}),
+    "Bβ2′": (0j, {"n": 2}),
+}
+
+
+def test_every_quotient_row_of_the_divisor_families_has_a_cover_row():
+    rows = [r.label for r in ROWS if r.label.startswith(("Bβ1", "Bβ2")) and r.quotient_policy == "is-quotient"]
+    assert sorted(rows) == sorted(cover for cover in COVER_ROWS if cover.startswith("Bβ"))
 
 
 @pytest.mark.parametrize("cover", sorted(COVER_ROWS))
@@ -220,7 +234,7 @@ def test_cli_act_every_cover_row_matches_the_cover_in_process(tmp_path, capsys, 
     if "delta" in params:
         cover_json["delta"] = [_cj(d) for d in params["delta"]]
     element = {"divisor": D.to_json(), "t": _cj(0.25 + 0.1j), "f": {"terms": terms}, "cover": cover_json}
-    family = "Bb2" if cover == "Bb2" else "Bb1"
+    family = "Bb2" if cover in ("Bb2", "Bβ2′") else "Bb1"
     if family == "Bb2":
         element["lambda"] = _cj(1.5 - 0.5j)
     x = (0.3 + 0.1j, -0.2 + 0.4j)
@@ -235,7 +249,8 @@ def test_cli_act_every_cover_row_matches_the_cover_in_process(tmp_path, capsys, 
     if family == "Bb2":
         covered = bbeta.rgd_quotients(D, params["n"]).cover(*bbeta.rgd_act(g, x))
     else:
-        covered = bbeta.quotient_cover(bbeta.BBeta1Label(cover, D, **params)).cover(*bbeta.rgd_act(g, x))
+        example = "B" if cover in ("Bβ1B0", "Bβ1B1") else cover.removeprefix("Bβ1")
+        covered = bbeta.quotient_cover(bbeta.BBeta1Label(example, D, **params)).cover(*bbeta.rgd_act(g, x))
     assert out == {"cover": cover, "point": [cli._component_json(c) for c in covered]}
 
 

@@ -48,58 +48,51 @@ EXPPOLY = {
     ]
 }
 
-# label -> (element, point, handler parameters the element carries)
+# label -> (element, point)
 PAYLOADS = {
-    "A1": ({"matrix": _m((1, 1j, 0), (0, 2, 0), (0.5, 0, 1))}, {"coords": _cs(1, 0.5j, -0.25)}, {}),
-    "A2": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j)), "translation": _cs(0.5j, 1)}, _plane(1, 2 - 1j), {}),
-    "A3": ({"matrix": _m((1, 2j), (0, 1)), "translation": _cs(0.5j, 1)}, _plane(-1j, 0.5), {}),
-    "C2": ({"t": _cj(1 - 1j), "affine": {"alpha": _cj(2j), "beta": _cj(0.5)}}, _plane(0.25, 1j), {}),
+    "A1": ({"matrix": _m((1, 1j, 0), (0, 2, 0), (0.5, 0, 1))}, {"coords": _cs(1, 0.5j, -0.25)}),
+    "A2": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j)), "translation": _cs(0.5j, 1)}, _plane(1, 2 - 1j)),
+    "A3": ({"matrix": _m((1, 2j), (0, 1)), "translation": _cs(0.5j, 1)}, _plane(-1j, 0.5)),
+    "C2": ({"t": _cj(1 - 1j), "affine": {"alpha": _cj(2j), "beta": _cj(0.5)}}, _plane(0.25, 1j)),
     "C3": (
         {"first": {"alpha": _cj(2), "beta": _cj(1j)}, "second": {"alpha": _cj(-1j), "beta": _cj(0.25)}},
         _plane(1 + 1j, -2),
-        {},
     ),
-    "C5": ({"matrix": _m((1, 1j), (0.5, 2)), "t": _cj(1 + 1j)}, {"zproj": _cs(0.5j, 1), "w": _cj(2)}, {}),
+    "C5": ({"matrix": _m((1, 1j), (0.5, 2)), "t": _cj(1 + 1j)}, {"zproj": _cs(0.5j, 1), "w": _cj(2)}),
     "C6": (
         {"matrix": _m((2, 1), (1j, 1)), "affine": {"alpha": _cj(0.5 - 1j), "beta": _cj(3)}},
         {"zproj": _cs(1, -0.75), "w": _cj(1j)},
-        {},
     ),
     "C7": (
         {"first": _m((1, 1j), (0.5, 2)), "second": _m((0, 1), (-1, 0.5j))},
         {"first": _cs(1, -0.5), "second": _cs(0.25j, 1)},
-        {},
     ),
-    "C8": ({"t": _cj(0.3 - 0.2j), "v": _cs(1, 1j), "alpha": _cj(3 - 1j)}, _plane(0.5, -0.5j), {"alpha": 3 - 1j}),
-    "C9": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j))}, {"alpha": _cs(0.5j, 1), "beta": _cs(1, 0.5)}, {}),
-    "D1": ({"v": _cs(1j, -2)}, _plane(1, 2 - 1j), {}),
-    "D2": ({"a": _cj(0.3 + 0.2j), "b": _cj(1)}, {"a": _cj(0.1j), "b": _cj(1j)}, {}),
-    "D3": ({"m": _cj(2j), "v": _cs(1, -1)}, _plane(1, 2), {}),
-    "Bβ1": ({"divisor": DIVISOR, "t": _cj(0.3), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1), {}),
-    "Bβ2": ({"divisor": DIVISOR, "t": _cj(0.3), "lambda": _cj(2), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1), {}),
+    "C8": ({"t": _cj(0.3 - 0.2j), "v": _cs(1, 1j), "alpha": _cj(3 - 1j)}, _plane(0.5, -0.5j)),
+    "C9": ({"matrix": _m((1 + 1j, 2), (0, 1 - 1j))}, {"alpha": _cs(0.5j, 1), "beta": _cs(1, 0.5)}),
+    "D1": ({"v": _cs(1j, -2)}, _plane(1, 2 - 1j)),
+    "D2": ({"a": _cj(0.3 + 0.2j), "b": _cj(1)}, {"a": _cj(0.1j), "b": _cj(1j)}),
+    "D3": ({"m": _cj(2j), "v": _cs(1, -1)}, _plane(1, 2)),
+    "Bβ1": ({"divisor": DIVISOR, "t": _cj(0.3), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1)),
+    "Bβ2": ({"divisor": DIVISOR, "t": _cj(0.3), "lambda": _cj(2), "f": EXPPOLY}, _plane(0.1 + 0.2j, 1)),
     "Bγ1": (
         {"n": 2, "c": _cj(1.5), "lam": _cj(0.3), "b": _cj(0.5j), "poly": _cs(0.1, 0.2j, -0.3)},
         _plane(1, 1j),
-        {},
     ),
-    "Bγ2": ({"n": 2, "lam": _cj(0.3j), "b": _cj(-0.5), "poly": _cs(0.1, 0.2j, -0.3)}, _plane(1, 1j), {}),
-    "Bγ3": ({"n": 2, "lam": _cj(0.3), "b": _cj(0.5j), "r": _cs(0.1, 0.2j)}, _plane(-1, 0.5), {}),
+    "Bγ2": ({"n": 2, "lam": _cj(0.3j), "b": _cj(-0.5), "poly": _cs(0.1, 0.2j, -0.3)}, _plane(1, 1j)),
+    "Bγ3": ({"n": 2, "lam": _cj(0.3), "b": _cj(0.5j), "r": _cs(0.1, 0.2j)}, _plane(-1, 0.5)),
     "Bγ4": (
         {"n": 2, "matrix": _m((1.5, 0.5), (0, 0.8j)), "poly": _cs(0.1, 0.2j, -0.3)},
         _plane(0.5j, 1),
-        {},
     ),
-    "Bδ1": ({"matrix": _m((1, 2j), (0, 1))}, {"x": _cs(1, -1)}, {}),
-    "Bδ2": ({"matrix": _m((2, 1), (1, 2))}, {"x": _cs(1, -1)}, {}),
+    "Bδ1": ({"matrix": _m((1, 2j), (0, 1))}, {"x": _cs(1, -1)}),
+    "Bδ2": ({"matrix": _m((2, 1), (1, 2))}, {"x": _cs(1, -1)}),
     "Bδ3": (
         {"n": 2, "matrix": _m((2, 1), (1, 1)), "poly": _cs(0.1, 0.2j, -0.3)},
         {"n": 2, "chart": 0, "z": _cj(0.5), "w": _cj(1j)},
-        {},
     ),
     "Bδ4": (
         {"n": 3, "matrix": _m((1, 1j), (0.5, 2)), "poly": _cs(0.1, 0.2j, -0.3, 1)},
         {"n": 3, "chart": 1, "z": _cj(0.25j), "w": _cj(-1)},
-        {},
     ),
 }
 
@@ -155,18 +148,23 @@ def test_family_parameters():
     assert build_family("Bγ1", c=0).label == "Bγ2"
     assert build_family("Bδ4", n=3).n == build_family("Bγ3", n=3).n == 3
     assert build_family("A1").n is None
-    assert build_family("C8", alpha=3.0).act((0.5j, (0j, 0j)), (1.0 + 0j, 1.0 + 0j))[1] == cmath.exp(1.5j)
+    # C8's alpha is part of its element, not a parameter of its handler
+    assert build_family("C8").act(families._c8_element(0.5j, (0j, 0j), 3.0), (1.0 + 0j, 1.0 + 0j))[1] == cmath.exp(1.5j)
+    with pytest.raises(TypeError):
+        build_family("C8", alpha=3.0)
     with pytest.raises(ValueError):
-        build_family("C8", alpha=1.0)
+        families._c8_element(0j, (0j, 0j), 1.0)
 
 
-def test_only_c8_elements_carry_handler_parameters():
+def test_no_element_carries_handler_parameters():
     for label in BASE_FAMILY_LABELS:
-        element, _, params = PAYLOADS[label]
-        assert cli.element_parameters(label, element) == params, label
-    # a C8 payload without alpha never reaches `element_parameters`: its schema refuses it
+        element, _ = PAYLOADS[label]
+        assert cli.element_parameters(label, element) == {}, label
+    # a C8 payload without alpha is refused, and so is one whose alpha is 0 or 1, naming the element
     with pytest.raises(ValueError, match="element: missing key 'alpha'"):
         cli.element_from_json("C8", {"t": 0, "v": [0, 0]})
+    with pytest.raises(ValueError, match="^element: C8 requires alpha different from 0 and 1$"):
+        cli.element_from_json("C8", {"t": 0, "v": [0, 0], "alpha": 1})
 
 
 def test_every_family_has_a_payload():
@@ -175,17 +173,17 @@ def test_every_family_has_a_payload():
 
 @pytest.mark.parametrize("label", sorted(PAYLOADS))
 def test_act_prints_the_handlers_point(tmp_path, capsys, label):
-    element, point, params = PAYLOADS[label]
+    element, point = PAYLOADS[label]
     assert _act(tmp_path, label, element, point) == 0
     g = cli.element_from_json(label, element)
     x = cli.point_from_json(label, point)
-    want = cli.point_to_json(label, build_family(label, **params).act(g, x))
+    want = cli.point_to_json(label, build_family(label).act(g, x))
     assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("label", sorted(PAYLOADS))
 def test_point_round_trip(label):
-    _, point, _ = PAYLOADS[label]
+    _, point = PAYLOADS[label]
     assert cli.point_to_json(label, cli.point_from_json(label, point)) == point
 
 
@@ -198,7 +196,7 @@ INF = {"re": float("inf"), "im": 0.0}
 
 def _edit(label, element=None, point=None):
     """The payloads of `label` with some fields replaced."""
-    e, p, _ = PAYLOADS[label]
+    e, p = PAYLOADS[label]
     return label, {**e, **(element or {})}, {**p, **(point or {})}
 
 

@@ -27,12 +27,12 @@ from homsurf import cli
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 SHA256 = {
-    1: "ad2f2f217b7ac780128be09d9c8667badd9a1ee1fe3f7b514a6e3a3385b6eaa2",
-    2: "4a3a02cdceb2cefc3469bd5a63af24f7d1f50ec6bd1ab83b04d1e9381c41e9eb",
-    3: "83842eabff36a954713fe6181e2ee3085d71f36dcaade3710849653ecee56bf5",
-    4: "a4676b10395a7a6d7c9fd338ba5993bd1b1f45bcefe911e6a4407c5537205eab",
+    1: "1eb6c39146bb33e9d96810c7b4aa088e02198207c9c96726ab50ddc343b73021",
+    2: "52f24eb30cbbcb73bd43ce369abad8c886d9fb8548db0621ea578fb475500f12",
+    3: "1bfe198ce28cc104497135f4c3ab6523ada7783c6c7286e8be6bed128501a151",
+    4: "fff75abbbe22da555ccc2d2ab4cf3d3a5d313246b989eddde0b159bc05a6f925",
     5: "3d247a9fda1d2e6eb860d5aea1e71bb91c4dff4ad9bd407eac35c2cae770bac6",
-    6: "c7e1a8f8ae9a67a4660b7eadfea690bc9742dcf6e6cc9e57876c6c7a35ab08ba",
+    6: "5b7980795c1cb735d8ec22b6189c0953b739091f0aac665ef366461dcef5729b",
 }
 
 

@@ -227,7 +227,7 @@ def test_cli_act_valid_d3(tmp_path, capsys):
 
 
 def test_cli_act_c8_needs_alpha(tmp_path, capsys):
-    # alpha is the family parameter and part of the C8 element; without it the factory's default acted
+    # alpha is part of the C8 element, the exponent of its second multiplier; without it a default acted
     elem = {"t": _cj(0.5j), "v": [_cj(1 + 0j), _cj(0j)]}
     assert _act(tmp_path, "C8", elem, POINT) == 2
     assert "alpha" in capsys.readouterr().err
@@ -567,3 +567,41 @@ def test_cli_act_cover_bb2_takes_only_n(tmp_path, capsys):
     argv = ["act", "--family", "Bb2", "--element", str(e), "--point", str(p), "--cover", "Bb2"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: element.cover: example Bb2 does not take the cover parameter 'tau'\n"
+
+
+# each error of `act --cover` names what is at fault: the option, the element's divisor or its "cover"
+# parameters.  (family, divisor points, --cover, error); B0 and B1 are the catalogue's rows of example
+# B, where e^{lam n} = 1 and where it is not
+COVER_FAULTS = {
+    "unknown-example": ("Bb1", (0j, 2j * math.pi), "Zq", "--cover: unknown example Zq"),
+    "unknown-row": ("Bb1", (0j, 2j * math.pi), "Bβ1Zq", "--cover: unknown example Bβ1Zq"),
+    "bb2-divisor-not-normalized": (
+        "Bb2", (0.5, 0.5 + 2j * math.pi), "Bb2",
+        "element.divisor: divisor must have the normalized shape [0] + sum [2 pi i k_j]",
+    ),
+    "divisor-off-a-line": (
+        "Bb1", (0j, 1 + 0j), "D",
+        "element.divisor: divisor must have the normalized shape [lam] + sum [lam + 2 pi i k_j]",
+    ),
+    "b0-with-e-lam-n-not-1": (
+        "Bb1", (0.3 + 0.2j, 0.3 + (0.2 + 2 * math.pi) * 1j), "Bβ1B0",
+        "element.cover: example B0 requires e^{lam n} = 1",
+    ),
+    "b1-with-e-lam-n-1": ("Bb1", (0j, 2j * math.pi), "Bb1B1", "element.cover: example B1 requires e^{lam n} != 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVER_FAULTS))
+def test_cli_act_cover_errors_name_what_is_at_fault(tmp_path, capsys, case):
+    family, points, cover, error = COVER_FAULTS[case]
+    divisor = {"points": [{"re": p.real, "im": p.imag, "mult": 1} for p in map(complex, points)]}
+    element = {"divisor": divisor, "t": _cj(0.5 + 0j), "f": {"terms": []}, "cover": {"n": 1}}
+    if family == "Bb2":
+        element["lambda"] = _cj(1.5 + 0j)
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    argv = ["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"

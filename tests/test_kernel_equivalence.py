@@ -1784,3 +1784,127 @@ def test_the_morphism_constructors_match_morphism_family(seed):
                 x = (_cnum(rng, 0.5), _cnum(rng, 0.5))
                 assert same(mor.delta(x), old.delta(x)), (group, kind)
                 assert same_element(mor.h(g), old.h(G)), (group, kind)
+
+
+# ---------------------------------------------------------------------------
+# one product chart for examples B..E, G and H, and rG_D's quotients as example B's cover, against
+# the closures `bbeta._line_cover` and `rgd_quotients` built per branch
+
+
+def old_line_cover(label):
+    """The cover map and the action of examples B..E, G and H as one closure pair per branch built
+    them; the checks and the deck group, which did not change, are left out."""
+    name, D = label.name, label.divisor
+    lam, _ = bbeta._canonical_line_data(D)
+    n = label.n
+    s = complex(label.s) if name in ("E", "H") else None
+    tau = complex(label.tau) if name in ("G", "H") else None
+    m = bbeta._lam_exponent(lam, n, name) if name in ("C", "E", "H") else 0
+
+    def zpart(z):
+        return cmath.exp(numeric.TWO_PI_I * z / n)
+
+    def lift(g, Z):
+        return zpart(g.t) * Z, bbeta._fourier_coeffs(g.f, lam)
+
+    if name == "B":
+
+        def cover(z, w):
+            return (zpart(z), cmath.exp(-lam * z) * w)
+
+        def act(g, point):
+            Z1, P = lift(g, point[0])
+            return (Z1, cmath.exp(-lam * g.t) * point[1] + bbeta._eval_exponent_poly(P, Z1**n))
+
+    elif name == "C":
+
+        def cover(z, w):
+            return (zpart(z), w - z / n)
+
+        def act(g, point):
+            Z1, P = lift(g, point[0])
+            shift = bbeta._eval_exponent_poly({m + n * k: c for k, c in P.items()}, Z1)
+            return (Z1, point[1] - g.t / n + shift)
+
+    else:
+
+        def fibre(z, w):
+            return w if s is None else w - s * z / n
+
+        def shift(g, Z1, P):
+            x = bbeta._eval_exponent_poly(P, Z1**n)
+            return x if s is None else -s * g.t / n + Z1**m * x
+
+        if tau is None:
+
+            def cover(z, w):
+                return (zpart(z), cmath.exp(numeric.TWO_PI_I * fibre(z, w)))
+
+            def act(g, point):
+                Z1, P = lift(g, point[0])
+                return (Z1, point[1] * cmath.exp(numeric.TWO_PI_I * shift(g, Z1, P)))
+
+        else:
+
+            def cover(z, w):
+                return (zpart(z), lattice.TorusPoint(fibre(z, w), 1.0, tau))
+
+            def act(g, point):
+                Z1, P = lift(g, point[0])
+                return (Z1, point[1].shifted(shift(g, Z1, P)))
+
+    return cover, act
+
+
+def old_rgd_quotients(D, n):
+    """The cover map and the action of `rgd_quotients`, as its own closures built them."""
+
+    def cover(z, w):
+        return (cmath.exp(numeric.TWO_PI_I * z / n), w)
+
+    def act(g, point):
+        Z, W = point
+        P = bbeta._fourier_coeffs(g.f, 0j)
+        Z1 = cmath.exp(numeric.TWO_PI_I * g.t / n) * Z
+        return (Z1, g.lam * W + bbeta._eval_exponent_poly(P, Z1**n))
+
+    return cover, act
+
+
+def _quotient_relative(got, want):
+    """Largest difference of two points of a product quotient over the largest entry (at least 1),
+    a point of C / (Z + tau Z) by its representative."""
+    got, want = ([getattr(c, "value", c) for c in p] for p in (got, want))
+    return _relative(got, want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_product_chart_matches_the_replaced_closures(seed):
+    rng = verify.rng_for(seed, "Bβ1")
+    for label in verify.sample_cover_labels(rng):
+        if label.name in ("F", "I"):  # orbit representatives: no product chart, unchanged
+            continue
+        cov = bbeta.quotient_cover(label)
+        old_cover, old_act = old_line_cover(label)
+        for _ in range(20):
+            g, (z, w) = verify._cover_sample(rng, label.divisor)
+            point = cov.cover(z, w)
+            assert repr(point) == repr(old_cover(z, w)), label.name
+            assert _quotient_relative(cov.act(g, point), old_act(g, point)) <= 1e-12, label.name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rgd_quotients_match_the_replaced_closures_and_example_b(n):
+    rng = np.random.default_rng([n, 24])
+    D, _, _ = verify.random_line_divisor(rng, lam=0.0, max_k=3)
+    cov, example_b = bbeta.rgd_quotients(D, n), bbeta.quotient_cover(bbeta.BBeta1Label("B", D, n=n))
+    old_cover, old_act = old_rgd_quotients(D, n)
+    assert cov.deck == example_b.deck
+    for _ in range(40):
+        z, w = _cnum(rng, 0.5), _cnum(rng, 0.7)
+        point = cov.cover(z, w)
+        assert repr(point) == repr(old_cover(z, w)) == repr(example_b.cover(z, w))
+        g = bbeta.random_rgd(D, rng, scale=0.4)
+        assert _quotient_relative(cov.act(g, point), old_act(g, point)) <= 1e-12
+        g = bbeta.random_gd(D, rng, scale=0.4)  # on G_D, rG_D's quotient is example B's
+        assert repr(cov.act(g, point)) == repr(example_b.act(g, point))
