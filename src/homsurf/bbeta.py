@@ -6,12 +6,14 @@ rG_D adds a rescaling of w, and G_D is its subgroup lam = 1, so one element
 type and one group law serve both.  Every quotient of the plane by a discrete
 subgroup of their commutant (see `qd`) is one of ten explicit examples
 (labelled A0, A1, B, ..., I), each realized here as a `Cover`: the covering
-map, the induced action on the quotient surface, and the deck group from the
-one table `qd._deck_pairs`.  Two functions make them: `_delta_cover` for A0
-and A1, `_line_cover` for B..I, whose examples B..E, G and H share one product
-chart with one induced action.  The quotients of rG_D by <(n, 0)>
-(`rgd_quotients`) are example B's cover.  The commutant, the example labels
-and their classifier `classify_pi` live in `qd` and are re-imported here.
+map, the induced action on the quotient surface, and the deck group.
+`quotient_cover` makes the cover of each row of the one table
+`qd.QUOTIENT_ROWS`, which holds the rows' examples, fibre lattices, cover
+parameters and conditions: `_delta_cover` for A0 and A1, `_line_cover` for
+B..I, whose examples B..E, G and H share one product chart with one induced
+action.  The quotients of rG_D by <(n, 1, 0)> (row Bβ2′) are example B's
+cover.  The commutant, the example labels and their classifier
+`classify_pi` live in `qd` and are re-imported here.
 
 Degree-one divisors are rejected throughout: those actions are the
 translation plane and the affine group, handled elsewhere.
@@ -24,11 +26,12 @@ import cmath
 from .divisor import quasiperiod_group
 from .exppoly import ExpPoly, contains, evaluate, random_member, translate
 from .lattice import TorusPoint, lattice_contains, lattice_reduce_tau, near_int
-from .numeric import EPS, JACOBIAN_STEP, JACOBIAN_TOL, LAM_TOL, LINE_INDEX_TOL, ORBIT_TOL, Record, close
-from .numeric import TWO_PI_I, distance, setfield
-from .qd import _LATTICE_RANK, BBeta1Classification, BBeta1Label, CentralizerElement  # noqa: F401
+from .numeric import EPS, JACOBIAN_STEP, JACOBIAN_TOL, LINE_INDEX_TOL, ORBIT_TOL, TWO_PI_I, Record, distance
+from .numeric import setfield
+from .qd import QUOTIENT_ROWS, BBeta1Classification, BBeta1Label, CentralizerElement  # noqa: F401
 from .qd import _canonical_line_data, _check_divisor, _deck_pairs, cent_act, cent_identity  # noqa: F401
-from .qd import cent_inverse, cent_multiply, classify_pi, table_automorphism  # noqa: F401
+from .qd import DivisorError, cent_inverse, cent_multiply, check_row, classify_pi, lam_exponent, quotient_row  # noqa: F401
+from .qd import table_automorphism  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -228,48 +231,12 @@ def _product_equal(p, q):
     return distance(p, q) <= EPS
 
 
-def _deck(D, pairs):
-    return tuple(CentralizerElement(D, w, s) for w, s in pairs)
-
-
-def _param(label, field):
-    value = getattr(label, field)
-    if value is None:
-        raise ValueError(f"example {label.name} needs the cover parameter {field!r}")
-    return value
-
-
-def _positive_n(n):
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return n
-
-
-def _lam_exponent(lam, n, name):
-    """The integer m != 0 with lam = 2 pi i m / n, which examples C, E and H require."""
-    m = near_int(lam * n / TWO_PI_I, LINE_INDEX_TOL)
-    if m is None or m == 0:
-        raise ValueError(f"example {name} requires lam = 2 pi i m / n, m nonzero")
-    return m
-
-
-def _delta_cover(label):
+def _delta_cover(delta):
     """A0/A1: w-translations by a discrete group Delta; X' = C x (C / Delta)."""
-    D = _check_divisor(label.divisor)
-    delta = tuple(complex(d) for d in label.delta)
     if len(delta) not in (1, 2):
         raise ValueError("Delta must have rank one or two")
     if any(abs(d) == 0 for d in delta):
         raise ValueError("the generators of Delta must be nonzero")
-    if len(delta) == 2:
-        lattice_reduce_tau(*delta)  # a NonDiscreteError (a ValueError) unless Delta is a lattice
-    deg0 = D.degree_at(0)
-    if label.name == "A0" and deg0 != 0:
-        raise ValueError("A0 requires zero degree at the origin")
-    if label.name == "A1" and deg0 == 0:
-        raise ValueError("A1 requires positive degree at the origin")
-    deck = _deck(D, _deck_pairs(label.name, delta=delta))
     if len(delta) == 1:
 
         def cover(z, w):
@@ -280,6 +247,7 @@ def _delta_cover(label):
             return (z1, point[1] * cmath.exp(TWO_PI_I * evaluate(g.f, z1) / delta[0]))
 
     else:
+        lattice_reduce_tau(*delta)  # a NonDiscreteError (a ValueError) unless Delta is a lattice
 
         def cover(z, w):
             return (z, TorusPoint(w, delta[0], delta[1]))
@@ -288,62 +256,39 @@ def _delta_cover(label):
             z1 = point[0] + g.t
             return (z1, point[1].shifted(evaluate(g.f, z1)))
 
-    return Cover(cover, act, _product_equal, deck)
+    return cover, act, _product_equal
 
 
-def _line_cover(label):
+def _line_cover(example, rank, lam, n, s, tau):
     """Examples B..I over [lam] + sum [lam + 2 pi i k_j]: X' fibres over C^x by Z = e^{2 pi i z / n}.
 
     B..E, G and H share one product chart.  The fibre coordinate is e^{-lam z} w
     for B and w - s z / n for the others (s = 1 for C, the label's s for E and H,
     0 for D and G); the fibre is C (B, C), C / Z through e^{2 pi i .} (D, E) or
-    C / (Z + tau Z) (G, H), as `_LATTICE_RANK` says.  F (e^{lam n} = -1) and I
-    (e^{lam n} != 1 a unit of Z + tau Z) have no global product chart: a point of
+    C / (Z + tau Z) (G, H), as the rank of the row's fibre lattice says.  F (e^{lam n} = -1)
+    and I (e^{lam n} != 1 a unit of Z + tau Z) have no global product chart: a point of
     X' is an orbit representative in C^2.
     """
-    name, D = label.name, label.divisor
-    lam, _ = _canonical_line_data(D)
-    n = _positive_n(_param(label, "n"))
-    mult = cmath.exp(lam * n)
-    if name in ("D", "G") and not close(lam, 0j, tol=LAM_TOL):
-        raise ValueError(f"example {name} requires lam = 0")
-    if name == "C" and not close(mult, 1.0, tol=LAM_TOL):
-        raise ValueError("example C requires e^{lam n} = 1")
-    if name == "F" and not close(mult, -1.0, tol=LAM_TOL):
-        raise ValueError("example F requires e^{lam n} = -1")
-    s = complex(_param(label, "s")) if name in ("E", "H") else None
-    tau = complex(_param(label, "tau")) if name in ("G", "H", "I") else None
-    if tau is not None and tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    m = _lam_exponent(lam, n, name) if name in ("C", "E", "H") else 0
-    if name == "I":
-        if close(mult, 1.0, tol=LAM_TOL):
-            raise ValueError("example I requires e^{lam n} != 1")
-        for u in (1.0, tau):
-            if not lattice_contains(mult * u, 1.0, tau) or not lattice_contains(u / mult, 1.0, tau):
-                raise ValueError("example I requires e^{lam n} to preserve the lattice")
-    deck = _deck(D, _deck_pairs(name, n, s, tau))
-
-    if name in ("F", "I"):
-        unit = -1.0 if name == "F" else mult
+    if example in ("F", "I"):
+        unit = -1.0 if example == "F" else cmath.exp(lam * n)
 
         def equal(p, q):
             k = near_int((q[0] - p[0]) / n, ORBIT_TOL)
             if k is None:
                 return False
             d = q[1] - unit**k * p[1]
-            if name == "F":
+            if example == "F":
                 return near_int(d, ORBIT_TOL) is not None
             return lattice_contains(d, 1.0, tau)
 
         def orbit_rep(z, w):
             return (complex(z), complex(w))
 
-        return Cover(orbit_rep, rgd_act, equal, deck)
+        return orbit_rep, rgd_act, equal
 
-    rank = _LATTICE_RANK[name]
-    rate = lam if name == "B" else 0j  # B's fibre coordinate e^{-lam z} w, the others' w - slope z / n
-    slope = 1.0 if name == "C" else 0 if s is None else s
+    m = lam_exponent(lam, n) if example in ("C", "E", "H") else 0
+    rate = lam if example == "B" else 0j  # B's fibre coordinate e^{-lam z} w, the others' w - slope z / n
+    slope = 1.0 if example == "C" else 0 if s is None else s
 
     def cover(z, w):
         f = cmath.exp(-rate * z) * w - slope * z / n
@@ -360,35 +305,53 @@ def _line_cover(label):
             return (Z1, g.lam * cmath.exp(-rate * g.t) * W + shift)
         return (Z1, W * cmath.exp(TWO_PI_I * shift) if rank == 1 else W.shifted(shift))
 
-    return Cover(cover, act, _product_equal, deck)
+    return cover, act, _product_equal
+
+
+def _gd_only(act, name):
+    """The action `act` on a quotient that only G_D acts on: an element of rG_D with lam != 1 is refused."""
+
+    def gd_act(g, point):
+        if g.lam != 1:
+            raise ValueError(f"only G_D acts on example {name}: lam must be 1")
+        return act(g, point)
+
+    return gd_act
 
 
 def quotient_cover(label):
-    """The covering map and induced action for a quotient example label.
-
-    A parameter the example does not read is a ValueError naming it; C takes
-    s only as 1, the value `classify_pi` gives its label.
-    """
-    name = label.name
-    if name not in _LATTICE_RANK and name not in ("A0", "A1"):
-        raise ValueError(f"unknown example {name}")
-    rank = _LATTICE_RANK.get(name)
-    line = rank is not None
-    reads = {"n": line, "s": name in ("C", "E", "H"), "tau": rank == 2, "delta": not line}
-    for field in label.cover_parameters():
-        if not reads[field]:
+    """The covering map and induced action of the quotient row or example the label names, whose facts
+    `qd.QUOTIENT_ROWS` holds.  A parameter the row does not read, or one it reads that the label lacks and
+    the row has no default for, is a ValueError naming it; C takes s only as 1, the value `classify_pi`
+    gives its label.  A fault of the divisor is a `qd.DivisorError`.  Example B's action takes the
+    rescaling of rG_D along (Bβ2′ is example B); the others refuse lam != 1."""
+    name, D = label.name, label.divisor
+    key = quotient_row(name)
+    _, example, rank, reads, _ = QUOTIENT_ROWS[key]
+    params = label.cover_parameters()
+    for field in params:
+        if field not in reads:
             raise ValueError(f"example {name} does not take the cover parameter {field!r}")
-    if name == "C" and label.s not in (None, 1):
+    params = {**reads, **params}
+    if example == "C" and params["s"] != 1:
         raise ValueError("example C takes the cover parameter 's' only as 1")
-    return _delta_cover(label) if rank is None else _line_cover(label)
-
-
-def rgd_quotients(D, n):
-    """The rG_D quotients by <(n, 0)>: example B's cover, X' = C^x x C via (e^{2 pi i z / n}, w),
-    whose action takes the rescaling lam_g of rG_D along."""
-    if quasiperiod_group(D).kind != "rank1":
-        raise ValueError("no quotients")
-    lam, _ = _canonical_line_data(D)
-    if not close(lam, 0j, tol=LAM_TOL):
-        raise ValueError("divisor must have the normalized shape [0] + sum [2 pi i k_j]")
-    return _line_cover(BBeta1Label("B", D, n=n))
+    _check_divisor(D)
+    if rank is not None and quasiperiod_group(D).kind != "rank1":
+        raise DivisorError("no quotients")
+    lam = None if rank is None else _canonical_line_data(D)[0]
+    check_row(key, D, lam)  # the conditions on the divisor alone
+    for field, value in params.items():
+        if value is None:
+            raise ValueError(f"example {name} needs the cover parameter {field!r}")
+    n = int(params["n"]) if "n" in params else None
+    if n is not None and n < 1:
+        raise ValueError("n must be a positive integer")
+    s, tau = (complex(params[f]) if f in params else None for f in ("s", "tau"))
+    if tau is not None and tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half plane")
+    delta = tuple(complex(d) for d in params.get("delta", ()))
+    key = quotient_row(name, lam, n)
+    check_row(key, D, lam, n, tau)
+    deck = tuple(CentralizerElement(D, w, shift) for w, shift in _deck_pairs(key, n, s, tau, delta))
+    cover, act, equal = _delta_cover(delta) if rank is None else _line_cover(example, rank, lam, n, s, tau)
+    return Cover(cover, act if example == "B" else _gd_only(act, name), equal, deck)

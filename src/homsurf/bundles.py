@@ -19,20 +19,11 @@ import cmath
 import math
 from functools import cached_property
 
-from .lattice import lattice_contains, near_int, rational_reconstruct
+from .lattice import is_unit, lattice_contains, near_int, rational_reconstruct
 from .numeric import DECK_TOL, TWO_PI_I, UNIT_TOL, Record, close, setfield
 
 LAURENT_DEGREE_CAP = 8
 PI_I = 1j * math.pi
-
-
-def _is_unit_of(b, w1, w2, tol=UNIT_TOL):
-    if abs(b) == 0:
-        return False
-    return all(
-        lattice_contains(x, w1, w2, tol=tol)
-        for x in (b * w1, b * w2, w1 / b, w2 / b)
-    )
 
 
 class SCData(Record):
@@ -44,7 +35,7 @@ class SCData(Record):
         setfield(self, "w1", w1)
         setfield(self, "w2", w2)
         setfield(self, "c", c)
-        if not _is_unit_of(self.c, self.w1, self.w2):
+        if not is_unit(self.c, self.w1, self.w2, UNIT_TOL):
             raise ValueError("c must satisfy c Lambda = Lambda")
 
     # the invariants below are computed once per (frozen) instance
@@ -113,7 +104,7 @@ class SCBiholomorphism(Record):
         case = self.data.case
         if case == "root" and self.sign == -1:
             raise ValueError("only c = +-1 admits the reflection")
-        if not _is_unit_of(self.b, self.data.w1, self.data.w2):
+        if not is_unit(self.b, self.data.w1, self.data.w2, UNIT_TOL):
             raise ValueError("b must satisfy b Lambda = Lambda")
         if case != "one" and not lattice_contains(self.lam0, self.data.w1, self.data.w2):
             raise ValueError("lam0 must lie in the lattice")

@@ -21,7 +21,7 @@ import json
 import sys
 import types
 
-from .numeric import COMPLEX, DIVISOR, LAM_TOL, PAIR, TEXT, Schema, close, complex_json, decode, encode, lazy
+from .numeric import COMPLEX, DIVISOR, PAIR, TEXT, Schema, complex_json, decode, encode, lazy
 
 
 class InputError(Exception):
@@ -168,36 +168,21 @@ def cmd_classify(args):
 
 
 def _cover_from_args(D, params, cover_label):
-    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters:
-    LABEL is an example A0..I of Bβ1, a catalogue row of Bβ1 (B0 and B1 are example B) or Bβ2′.
-    Its errors name what is at fault: `--cover`, the element's divisor or its "cover" parameters."""
-    import cmath
-
+    """The covering map of `--cover LABEL` over the divisor D, with the element's "cover" parameters: LABEL is
+    a row of `qd.QUOTIENT_ROWS` by its catalogue label or name, or an example A0..I, also prefixed by Bβ1.  Its
+    errors name what is at fault: `--cover`, the divisor (a `qd.DivisorError`) or the "cover" parameters."""
     from . import bbeta
     from .catalogue import ascii_label
+    from .qd import QUOTIENT_ROWS, DivisorError
 
-    name = ascii_label(cover_label)
-    if name.startswith("Bb1"):
-        name = name[len("Bb1"):]
-    example = "B" if name in ("B0", "B1") else name
-    line, rgd = example in bbeta._LATTICE_RANK, name in ("Bb2", "Bb2'")
-    if not (line or rgd or name in ("A0", "A1")):
+    names = {ascii_label(key): row[0] for key, row in QUOTIENT_ROWS.items()}  # Bb1A0 .. Bb1I and Bb2'
+    name = {**names, **{name: name for name in names.values()}, "B": "B", "Bb1B": "B"}.get(ascii_label(cover_label))
+    if name is None:
         raise InputError(f"--cover: unknown example {cover_label}")
-    for key in params if rgd else ():
-        if key != "n":
-            raise ValueError(f"element.cover: example {name} does not take the cover parameter {key!r}")
-    path = "element.divisor"
     try:  # its errors keep their type, as numeric.decode keeps it: a NonDiscreteError stays one
-        if rgd:
-            return bbeta.rgd_quotients(D, params.get("n", 1))
-        lam = bbeta._canonical_line_data(D)[0] if line else None  # the shape of the divisor first
-        path = "element.cover"
-        cover = bbeta.quotient_cover(bbeta.BBeta1Label(example, D, **params))
-        if name in ("B0", "B1") and close(cmath.exp(lam * params["n"]), 1.0, tol=LAM_TOL) != (name == "B0"):
-            raise ValueError(f"example {name} requires e^{{lam n}} {'=' if name == 'B0' else '!='} 1")
-        return cover
+        return bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params))
     except ValueError as e:
-        raise type(e)(f"{path}: {e}") from None
+        raise type(e)(f"element.{'divisor' if isinstance(e, DivisorError) else 'cover'}: {e}") from None
 
 
 def cmd_act(args):

@@ -54,8 +54,8 @@ class Polynomial(Record):
         return cls((complex(c),))
 
     @classmethod
-    def monomial(cls, k, c=1.0):
-        return cls((0.0,) * k + (complex(c),))
+    def monomial(cls, k):
+        return cls((0.0,) * k + (1.0 + 0j,))
 
     @property
     def degree(self):
@@ -71,9 +71,6 @@ class Polynomial(Record):
 
     def __neg__(self):
         return Polynomial._of([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if self.is_zero or other.is_zero:

@@ -219,17 +219,12 @@ def _d2():
     return Family("D2", lambda: u.IDENTITY, u.uaff_multiply, u.uaff_inverse, u.uaff_multiply, random, random)
 
 
-def _example_divisor():
+def _bbeta(label):
+    """Bβ1 (G_D) or Bβ2 (rG_D) over one example divisor: both run the law of rG_D; only the sampler differs."""
+    from . import bbeta  # here: loading families does not load bbeta
     from .divisor import Divisor
 
-    return Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
-
-
-def _bbeta(label, divisor):
-    """Bβ1 (G_D) or Bβ2 (rG_D): both run the law of rG_D; only the sampler differs."""
-    from . import bbeta  # here: loading families does not load bbeta
-
-    D = _example_divisor() if divisor is None else divisor
+    D = Divisor([(0.3 + 0.1j, 2), (-0.4 + 0.6j, 1)])
     sample = bbeta.random_gd if label == "Bβ1" else bbeta.random_rgd
     return Family(
         label,
@@ -478,7 +473,7 @@ SPECS = {
         distance=_affine_distance,
     ),
     "Bβ1": FamilySpec(
-        lambda divisor=None: _bbeta("Bβ1", divisor),
+        lambda: _bbeta("Bβ1"),
         Schema(
             {"divisor": DIVISOR, "t": COMPLEX, "f": EXPPOLY, "cover": _COVER},
             make=lambda D, t, f: _rgd(D, t, 1, f),
@@ -488,7 +483,7 @@ SPECS = {
         policy="discrete subgroup pi of Q_D x| C, examples Bβ1A0..I",
     ),
     "Bβ2": FamilySpec(
-        lambda divisor=None: _bbeta("Bβ2", divisor),
+        lambda: _bbeta("Bβ2"),
         Schema(
             {"divisor": DIVISOR, "t": COMPLEX, "lambda": COMPLEX, "f": EXPPOLY, "cover": _COVER},
             make=_rgd,

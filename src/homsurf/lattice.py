@@ -358,20 +358,20 @@ def zmodule_basis(vectors, *, max_denominator=None):
 
 
 def zmodule_fit(basis):
-    """fit(v, tol, scale): the integer coordinates of v in the Z-span of basis, or None.
+    """fit(v, scale): the integer coordinates of v in the Z-span of basis, or None.
     The QR of the basis is taken once, here; a caller keeps fit for one call's vectors."""
     cols = [list(map(float, b)) for b in basis]
     qr = _qr(cols)
     dims = {len(c) for c in cols}
 
-    def fit(v, tol=COMBO_TOL, scale=0.0):
+    def fit(v, scale=0.0):
         v = list(map(float, v))
         size = math.sqrt(sum(map(mul, v, v)))
         if not cols:
             return [] if size <= EMPTY_BASIS_TOL * max(1.0, scale) else None
         if dims != {len(v)}:
             raise ValueError("basis vectors and v differ in dimension")
-        return _integer_fit(v, cols, qr, tol, max(1.0, scale, size))
+        return _integer_fit(v, cols, qr, COMBO_TOL, max(1.0, scale, size))
 
     return fit
 
@@ -456,6 +456,11 @@ def lattice_contains(value, w1, w2, tol=LATTICE_TOL):
     x, y = lattice_coords(value, w1, w2)
     scale = max(1.0, abs(value) / max(abs(w1), abs(w2)))
     return bool(abs(x - round(x)) <= tol * scale and abs(y - round(y)) <= tol * scale)
+
+
+def is_unit(b, w1, w2, tol=LATTICE_TOL):
+    """Whether b maps the lattice Z w1 + Z w2 onto itself: b and 1 / b map its basis into it, to `tol`."""
+    return b != 0 and all(lattice_contains(x, w1, w2, tol=tol) for x in (b * w1, b * w2, w1 / b, w2 / b))
 
 
 class TorusPoint(Record):

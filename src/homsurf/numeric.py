@@ -167,10 +167,10 @@ def binomials(k):
     return tuple(math.comb(k, j) for j in range(k + 1))
 
 
-def close(x, y, tol=None, scale=0.0):
-    """Relative comparison: |x-y| <= tol * max(1, |x|, |y|, scale)."""
+def close(x, y, tol=None):
+    """Relative comparison: |x-y| <= tol * max(1, |x|, |y|)."""
     t = EPS if tol is None else tol
-    return abs(x - y) <= t * max(1.0, abs(x), abs(y), scale)
+    return abs(x - y) <= t * max(1.0, abs(x), abs(y))
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,19 @@ import cmath
 import math
 
 from .divisor import quasiperiod_group, weight
-from .lattice import c2r, geometric_sum, hnf_with_transform, lattice_contains, lattice_frame, lattice_residue
-from .lattice import near_int, saturate_lattice, zmodule_basis
+from .lattice import c2r, geometric_sum, hnf_with_transform, is_unit, lattice_frame, lattice_residue, near_int
+from .lattice import saturate_lattice, zmodule_basis
 from .numeric import COMMUTANT_TOL, LAM_SHAPE_TOL, LAM_TOL, LINE_INDEX_TOL, LINE_SHAPE_TOL, TRANSLATION_CHOP
 from .numeric import TWO_PI_I, NonDiscreteError, Record, close, setfield
 
 
+class DivisorError(ValueError):
+    """A divisor that a quotient row cannot be taken over: its degree, its shape or a row's condition on it."""
+
+
 def _check_divisor(D):
     if D.degree < 2:
-        raise ValueError("degree-one divisors are the translation plane / affine group")
+        raise DivisorError("degree-one divisors are the translation plane / affine group")
     return D
 
 
@@ -62,7 +66,7 @@ def cent_act(c, zw):
 
 
 class BBeta1Label(Record):
-    """One of the quotient examples A0, A1, B, ..., I with its parameters."""
+    """A quotient example A0, A1, B, ..., I, or a row of `QUOTIENT_ROWS` by its name, with its parameters."""
 
     __slots__ = ("name", "divisor", "n", "s", "tau", "delta", "warnings")
 
@@ -88,34 +92,100 @@ def _canonical_line_data(D):
     """(lam, ks) for a divisor of the shape [lam] + sum [lam + 2 pi i k_j]."""
     qg = quasiperiod_group(D)
     if qg.kind != "rank1" or not close(qg.generator, 1.0, tol=LINE_SHAPE_TOL):
-        raise ValueError("divisor must have the normalized shape [lam] + sum [lam + 2 pi i k_j]")
+        raise DivisorError("divisor must have the normalized shape [lam] + sum [lam + 2 pi i k_j]")
     pts = D.support
     lam = pts[0]
     ks = []
     for p in pts[1:]:
         kk = near_int((p - lam) / TWO_PI_I, LINE_INDEX_TOL)
         if kk is None or kk <= 0:
-            raise ValueError("divisor points must differ from the base by 2 pi i k, k > 0")
+            raise DivisorError("divisor points must differ from the base by 2 pi i k, k > 0")
         ks.append(kk)
     if math.gcd(*ks) != 1:
-        raise ValueError("the integers k_j must be relatively prime")
+        raise DivisorError("the integers k_j must be relatively prime")
     return lam, ks
 
 
-# the rank of the w-translation lattice (Z, or Z + tau Z) in the deck group of examples B..I
-_LATTICE_RANK = {"B": 0, "C": 0, "D": 1, "E": 1, "F": 1, "G": 2, "H": 2, "I": 2}
+# The quotient rows of the divisor families, by catalogue label: (the name `bbeta.quotient_cover` and
+# `act --cover` know the row by, its example, the rank of its fibre lattice, the cover parameters it
+# reads with their defaults (None: the label must give it), its conditions).  The deck group's fibre
+# lattice is none (rank 0), Z (1), Z + tau Z (2) or, for A0 and A1, the parameter Delta (None).  A
+# condition on the divisor [lam] + sum [lam + 2 pi i k_j] and n is the error its failure raises, whose
+# words after "requires" name its test in `holds`.  Example B is two rows, B0 and B1; Bβ2′ is example B
+# of rG_D over lam = 0, by default its quotient by <(1, 1, 0)>.
+_M, _UNIT = "lam = 2 pi i m / n, m nonzero", "e^{lam n} to preserve the lattice"
+_ZERO_SHAPE = "divisor must have the normalized shape [0] + sum [2 pi i k_j]"
+QUOTIENT_ROWS = {
+    "Bβ1A0": ("A0", "A0", None, {"delta": None}, ("A0 requires zero degree at the origin",)),
+    "Bβ1A1": ("A1", "A1", None, {"delta": None}, ("A1 requires positive degree at the origin",)),
+    "Bβ1B0": ("B0", "B", 0, {"n": None}, ("example B0 requires e^{lam n} = 1",)),
+    "Bβ1B1": ("B1", "B", 0, {"n": None}, ("example B1 requires e^{lam n} != 1",)),
+    "Bβ1C": ("C", "C", 0, {"n": None, "s": 1.0}, ("example C requires e^{lam n} = 1", "example C requires " + _M)),
+    "Bβ1D": ("D", "D", 1, {"n": None}, ("example D requires lam = 0",)),
+    "Bβ1E": ("E", "E", 1, {"n": None, "s": None}, ("example E requires " + _M,)),
+    "Bβ1F": ("F", "F", 1, {"n": None}, ("example F requires e^{lam n} = -1",)),
+    "Bβ1G": ("G", "G", 2, {"n": None, "tau": None}, ("example G requires lam = 0",)),
+    "Bβ1H": ("H", "H", 2, {"n": None, "s": None, "tau": None}, ("example H requires " + _M,)),
+    "Bβ1I": ("I", "I", 2, {"n": None, "tau": None}, ("example I requires e^{lam n} != 1", "example I requires " + _UNIT)),
+    "Bβ2′": ("Bb2", "B", 0, {"n": 1}, (_ZERO_SHAPE,)),
+}
+_NAMES = {row[0]: key for key, row in QUOTIENT_ROWS.items()}
 
 
-def _deck_pairs(name, n=None, s=None, tau=None, delta=()):
-    """The deck generators (w, s) of an example, with the number types pi_generators gives.
+def lam_exponent(lam, n):
+    """The integer m with lam = 2 pi i m / n, or None."""
+    return near_int(lam * n / TWO_PI_I, LINE_INDEX_TOL)
 
-    A0/A1: the w-translations by Delta.  B..I: (n, s), with s = 1 for C and 0
-    when absent, then the w-translations by 1 (D, E, F) or by 1 and tau (G, H, I).
-    """
-    if name in ("A0", "A1"):
+
+def holds(test, lam=None, n=None, tau=None, deg0=None):
+    """Whether the condition `test` of QUOTIENT_ROWS holds for the degree deg0 of the divisor at 0, or for its
+    lam, n and tau (None when it reads n and n is None): lam = 0 and e^{lam n} = 1 or -1 when `close` to
+    LAM_TOL, e^{lam n} a unit of Z + tau Z by `is_unit`."""
+    if test == "zero degree at the origin":
+        return deg0 == 0
+    if test == "positive degree at the origin":
+        return deg0 > 0
+    if test in ("lam = 0", _ZERO_SHAPE):
+        return close(lam, 0j, tol=LAM_TOL)
+    if test not in (_M, _UNIT, "e^{lam n} = 1", "e^{lam n} != 1", "e^{lam n} = -1"):
+        raise ValueError(f"unknown condition {test}")
+    if n is None:
+        return None
+    if test == _M:
+        return lam_exponent(lam, n) not in (None, 0)
+    q = cmath.exp(lam * n)
+    if test == _UNIT:
+        return is_unit(q, 1.0, tau)
+    if test == "e^{lam n} = -1":
+        return close(q, -1.0, tol=LAM_TOL)
+    return close(q, 1.0, tol=LAM_TOL) == (test == "e^{lam n} = 1")
+
+
+def quotient_row(name, lam=None, n=None):
+    """The catalogue label of the quotient row named `name`.  Example B names two rows, B0 where
+    e^{lam n} = 1 and B1 where not; before lam is known B0 stands for both, which read the same."""
+    if name == "B":
+        name = "B1" if lam is not None and not holds("e^{lam n} = 1", lam, n) else "B0"
+    if name not in _NAMES:
+        raise ValueError(f"unknown example {name}")
+    return _NAMES[name]
+
+
+def check_row(key, D, lam, n=None, tau=None):
+    """Raise the error of the first condition of quotient row `key` that D, its lam, n and tau fail; with n
+    None, of those that read neither n nor tau, as a DivisorError."""
+    for error in QUOTIENT_ROWS[key][4]:
+        if holds(error.partition(" requires ")[2] or error, lam, n, tau, D.degree_at(0)) is False:
+            raise (DivisorError if n is None else ValueError)(error)
+
+
+def _deck_pairs(key, n=None, s=None, tau=None, delta=()):
+    """The deck generators (w, s) of quotient row `key`, with the number types pi_generators gives: A0/A1's
+    w-translations by Delta, else (n, s) (s = 1 for C, 0 if absent) and the translations by 1, or 1 and tau."""
+    _, example, rank, _, _ = QUOTIENT_ROWS[key]
+    if rank is None:
         return [(0j, d) for d in delta]
-    lattice = (1.0, tau)[: _LATTICE_RANK[name]]
-    return [(n, 1.0 if name == "C" else (0j if s is None else s))] + [(0j, u) for u in lattice]
+    return [(n, 1.0 if example == "C" else (0j if s is None else s))] + [(0j, u) for u in (1.0, tau)[:rank]]
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +295,9 @@ def classify_pi(gens, D, max_denominator=None):
         name = "A1" if D.degree_at(0) > 0 else "A0"
         nu, tau = lattice_frame(basis)
         delta = (1.0 + 0j,) if tau is None else (1.0 + 0j, tau)
-        label = BBeta1Label(name, D, delta=delta)
-        pig = _pi_cap_g(_deck_pairs(name, delta=delta), D)
-        return BBeta1Classification(label, f"Bβ1{name}", {"mu": 1.0, "nu": nu, "t": 0.0}, pig)
+        key = quotient_row(name)
+        pig = _pi_cap_g(_deck_pairs(key, delta=delta), D)
+        return BBeta1Classification(BBeta1Label(name, D, delta=delta), key, {"mu": 1.0, "nu": nu, "t": 0.0}, pig)
 
     mu = qg.generator
     E = D.scaled(mu)
@@ -263,12 +333,9 @@ def classify_pi(gens, D, max_denominator=None):
     norm = {"mu": mu, "nu": 1.0 + 0j, "t": 0.0}
 
     def finish(name, s_val=None, tau=None):
-        label = BBeta1Label(name, E, n=n, s=s_val, tau=tau)
-        row = f"Bβ1{name}"
-        if name == "B":
-            row = "Bβ1B0" if close(q, 1.0, tol=LAM_TOL) else "Bβ1B1"
-        pig = _pi_cap_g(_deck_pairs(name, n, s_val, tau), E)
-        return BBeta1Classification(label, row, dict(norm), pig)
+        key = quotient_row(name, lam, n)
+        pig = _pi_cap_g(_deck_pairs(key, n, s_val, tau), E)
+        return BBeta1Classification(BBeta1Label(name, E, n=n, s=s_val, tau=tau), key, dict(norm), pig)
 
     if not pi0:
         if abs(s_n) <= COMMUTANT_TOL * scale:
@@ -296,7 +363,7 @@ def classify_pi(gens, D, max_denominator=None):
             norm["t"] = -s1 / 2
             return finish("F")
         raise NonDiscreteError("e^{lam n} must be a unit of the kernel group")
-    if lattice_contains(q, 1.0, tau) and lattice_contains(1.0 / q, 1.0, tau):
+    if holds(_UNIT, lam, n, tau):
         norm["t"] = -s1 / (1 - q)
         return finish("I", tau=tau)
     raise NonDiscreteError("e^{lam n} must be a unit of the kernel lattice")

@@ -18,10 +18,6 @@ class UAffElement(Record):
         setfield(self, "a", a)
         setfield(self, "b", b)
 
-    def __iter__(self):
-        yield self.a
-        yield self.b
-
     def distance(self, other):
         return max(distance(self.a, other.a), distance(self.b, other.b))
 

@@ -499,7 +499,7 @@ def _classify_pi_stability(rng, trials, rec):
 def suite_bbeta2_extra(rng, samples, rec):
     D0, _, _ = random_line_divisor(rng, lam=0.0, max_k=3)
     n = int(rng.integers(1, 4))
-    cov = bbeta.rgd_quotients(D0, n)
+    cov = bbeta.quotient_cover(bbeta.BBeta1Label("Bb2", D0, n=n))
     for _ in range(max(5, samples // 4)):
         z = complex(-0.5 + (0.5 - -0.5) * rng.random(), -0.35 + (0.35 - -0.35) * rng.random())
         w = complex(rng.standard_normal(), rng.standard_normal()) * 0.7

@@ -208,7 +208,7 @@ def test_criterion_08_covering_equivariance():
         assert ok, label.name
     assert tested == {"B", "C", "D", "E", "F", "G", "H", "I"}
     D0, _, _ = verify.random_line_divisor(rng, lam=0.0, max_k=2)
-    cov = bbeta.rgd_quotients(D0, 2)
+    cov = bbeta.quotient_cover(bbeta.BBeta1Label("Bb2", D0, n=2))
     for _ in range(500):
         z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.25, 0.25))
         w = complex(rng.normal(), rng.normal()) * 0.5

@@ -9,12 +9,12 @@ from homsurf.bbeta import (
     CentralizerElement,
     RGDElement,
     _canonical_line_data,
-    _lam_exponent,
     cent_act,
     cent_inverse,
     cent_multiply,
     classify_pi,
     inner_morphism,
+    lam_exponent,
     quotient_cover,
     random_gd,
     random_rgd,
@@ -23,13 +23,13 @@ from homsurf.bbeta import (
     rgd_identity,
     rgd_inverse,
     rgd_multiply,
-    rgd_quotients,
     shear_morphism,
     translation_morphism,
 )
 from homsurf.divisor import Divisor
 from homsurf.exppoly import ExpPoly, Polynomial, contains, random_member
 from homsurf.numeric import EPS, close, distance
+from homsurf.qd import DivisorError, holds
 
 TPI = 2j * math.pi
 D_DOUBLE = Divisor([(0.0, 2)])
@@ -404,7 +404,7 @@ def test_cover_c_negative_exponent():
     D = Divisor([(-TPI / n, 1), (-TPI / n + TPI, 1)])
     cov = quotient_cover(BBeta1Label("C", D, n=n))
     lam, _ = _canonical_line_data(D)
-    assert _lam_exponent(lam, n, "C") == -1
+    assert lam_exponent(lam, n) == -1
     rng2 = __import__("numpy").random.default_rng(5)
     for _ in range(20):
         g, x = verify._cover_sample(rng2, D)
@@ -430,16 +430,16 @@ def test_classify_pi_rescaled_divisor(rng):
 
 
 def test_rgd_quotient_cover():
-    cov = rgd_quotients(D_LINE, 1)
+    cov = quotient_cover(BBeta1Label("Bb2", D_LINE, n=1))  # row Bβ2′
     assert cov.equal(cov.cover(0.3, 0.5), cov.cover(1.3, 0.5))
     g = RGDElement(D_LINE, 1.0, 1.0, ExpPoly.zero())  # the quotiented generator (n,1,0)
     p = cov.cover(0.2, 0.4)
     assert cov.equal(cov.act(g, p), cov.cover(*rgd_act(g, (0.2, 0.4))))
-    cov2 = rgd_quotients(D_LINE, 2)
+    cov2 = quotient_cover(BBeta1Label("Bb2", D_LINE, n=2))
     assert not cov2.equal(cov2.cover(0.2, 0.4), cov2.cover(1.2, 0.4))
     assert cov2.equal(cov2.cover(0.2, 0.4), cov2.cover(2.2, 0.4))
     with pytest.raises(ValueError, match="no quotients"):
-        rgd_quotients(Divisor([(0.0, 2)]), 1)
+        quotient_cover(BBeta1Label("Bb2", Divisor([(0.0, 2)]), n=1))
 
 
 def _two_passes(label):
@@ -472,3 +472,57 @@ def test_classify_pi_of_its_own_normal_form_is_a_fixed_point_for_h(seed):
     first, second = _two_passes(_sample_label(seed, "H"))
     assert first.name == second.name == "H"
     assert second == first
+
+
+def test_classify_pi_removes_s_by_a_shift_when_lam_is_0():
+    # lam = 0 and a trivial kernel: the shift t = -s / n conjugates (2, 0.7 + 0.2i) to (2, 0), row B0
+    res = classify_pi([CentralizerElement(D_LINE, 2, 0.7 + 0.2j)], D_LINE)
+    assert res.table_row == "Bβ1B0" and res.label.name == "B" and res.label.n == 2
+    assert close(res.normalizer["t"], -0.35 - 0.1j)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_only_example_b_takes_lam_not_1_along(seed):
+    """The rescaling of rG_D descends to example B's quotient (and Bβ2′, example B) only.  The induced
+    action of every other row refuses an element with lam != 1: acting on one returned a point that broke
+    equivariance (C, D, E, G, H, A0, A1) or that told deck-equivalent points apart (F and I)."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    E = Divisor([(0.5, 1), (0.5 + TPI, 1)])
+    labels = verify.sample_cover_labels(rng) + [
+        BBeta1Label("A0", E, delta=(1.0 + 0j,)),
+        BBeta1Label("A0", E, delta=(1.0 + 0j, 0.2 + 1.1j)),
+        BBeta1Label("A1", D_LINE, delta=(1.0 + 0j,)),
+        BBeta1Label("Bb2", D_LINE, n=2),
+    ]
+    for label in labels:
+        cov = quotient_cover(label)
+        for lam in (2.0, 1.5):
+            g, x = verify._cover_sample(rng, label.divisor)
+            g = RGDElement(g.divisor, g.t, lam, g.f)
+            if label.name in ("B", "Bb2"):
+                assert cov.equal(cov.cover(*rgd_act(g, x)), cov.act(g, cov.cover(*x))), label.name
+            else:
+                with pytest.raises(ValueError, match=f"^only G_D acts on example {label.name}: lam must be 1$"):
+                    cov.act(g, cov.cover(*x))
+
+
+def test_holds_refuses_a_condition_it_does_not_know():
+    assert holds("e^{lam n} = 1", 0j, 1) and not holds("e^{lam n} != 1", 0j, 1)
+    assert holds("e^{lam n} = 1", 0j) is None  # it reads n
+    for test in ("e^{lam n} = 2", "example D requires lam = 0", ""):
+        with pytest.raises(ValueError, match="^unknown condition"):
+            holds(test, 0j, 1, 1j, 0)
+
+
+def test_a_fault_of_the_divisor_is_a_divisor_error():
+    # what `act --cover` names `element.divisor`: the shape, and the conditions that read neither n nor tau
+    D_HALF = Divisor([(0.5, 1), (0.5 + TPI, 1)])
+    labels = [BBeta1Label("D", D_HALF, n=1), BBeta1Label("Bb2", D_HALF), BBeta1Label("G", D_DOUBLE, n=1, tau=1j)]
+    for label in labels + [BBeta1Label("A0", D_LINE, delta=(1.0 + 0j,))]:
+        with pytest.raises(DivisorError):
+            quotient_cover(label)
+    with pytest.raises(ValueError, match="^example B0 requires e\\^\\{lam n\\} = 1$") as caught:
+        quotient_cover(BBeta1Label("B0", D_HALF, n=1))
+    assert not isinstance(caught.value, DivisorError)

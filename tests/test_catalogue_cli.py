@@ -246,11 +246,8 @@ def test_cli_act_every_cover_row_matches_the_cover_in_process(tmp_path, capsys, 
     assert cli.main(argv) == 0
     out = json.loads(capsys.readouterr().out)
     g = cli.element_from_json(family_label(family), element)
-    if family == "Bb2":
-        covered = bbeta.rgd_quotients(D, params["n"]).cover(*bbeta.rgd_act(g, x))
-    else:
-        example = "B" if cover in ("Bβ1B0", "Bβ1B1") else cover.removeprefix("Bβ1")
-        covered = bbeta.quotient_cover(bbeta.BBeta1Label(example, D, **params)).cover(*bbeta.rgd_act(g, x))
+    name = "Bb2" if family == "Bb2" else cover.removeprefix("Bβ1")  # the row's name in qd.QUOTIENT_ROWS
+    covered = bbeta.quotient_cover(bbeta.BBeta1Label(name, D, **params)).cover(*bbeta.rgd_act(g, x))
     assert out == {"cover": cover, "point": [cli._component_json(c) for c in covered]}
 
 

@@ -371,3 +371,25 @@ def test_docs_sub_schema_bullets_list_the_schema_keys():
     assert sorted(bullets) == sorted(schemas)
     for name, payload in bullets.items():
         assert _key_paths(payload) == set(_schema_key_paths(schemas[name], named)), name
+
+
+def test_docs_covering_table_is_the_quotient_row_table():
+    """The "Covering maps" table of docs/families.md lists each row of qd.QUOTIENT_ROWS once, with its name,
+    the cover parameters it reads (`s` = 1: with its default) and its conditions: the words of each
+    condition's error after "requires"."""
+    from homsurf.qd import QUOTIENT_ROWS
+
+    docs = (pathlib.Path(__file__).parents[1] / "docs" / "families.md").read_text()
+    section = docs.split("## Covering maps")[1].split("\n## ")[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            _, row, name, params, conditions, _ = line.split("|")
+            assert row.strip() not in documented, row
+            fields = [p.partition("=") for p in params.split(",")]
+            reads = {f.strip().strip("`"): float(d) if d.strip() else None for f, _, d in fields}
+            documented[row.strip().strip("`")] = (name.strip().strip("`"), reads, tuple(c.strip() for c in conditions.split(";")))
+    assert documented == {
+        key: (name, reads, tuple(error.partition(" requires ")[2] or error for error in conditions))
+        for key, (name, _, _, reads, conditions) in QUOTIENT_ROWS.items()
+    }

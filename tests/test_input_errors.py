@@ -588,6 +588,8 @@ COVER_FAULTS = {
         "element.cover: example B0 requires e^{lam n} = 1",
     ),
     "b1-with-e-lam-n-1": ("Bb1", (0j, 2j * math.pi), "Bb1B1", "element.cover: example B1 requires e^{lam n} != 1"),
+    "row-name-after-the-bb1-prefix": ("Bb1", (0j, 2j * math.pi), "Bb1Bb2", "--cover: unknown example Bb1Bb2"),
+    "d-with-lam-not-0": ("Bb1", (0.5, 0.5 + 2j * math.pi), "D", "element.divisor: example D requires lam = 0"),
 }
 
 
@@ -605,3 +607,29 @@ def test_cli_act_cover_errors_name_what_is_at_fault(tmp_path, capsys, case):
     argv = ["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def _act_cover(tmp_path, family, element, cover):
+    e = tmp_path / "e.json"
+    p = tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(POINT))
+    return cli.main(["act", "--family", family, "--element", str(e), "--point", str(p), "--cover", cover])
+
+
+def test_cli_act_cover_bb2_takes_n_as_1_by_default(tmp_path, capsys):
+    element = {"divisor": COVER_DIVISOR, "t": _cj(0.5 + 0j), "lambda": _cj(1.5 + 0j), "f": {"terms": []}}
+    assert _act_cover(tmp_path, "Bb2", element, "Bb2") == 0
+    by_default = capsys.readouterr().out
+    element["cover"] = {"n": 1}
+    assert _act_cover(tmp_path, "Bb2", element, "Bb2") == 0
+    assert capsys.readouterr().out == by_default
+
+
+@pytest.mark.parametrize("lam", [0.5j * math.pi, 1.570796j])
+def test_cli_act_cover_i_tests_the_unit_to_lattice_tol(tmp_path, capsys, lam):
+    # e^{lam n} = i to 3e-7 at lam = 1.570796i is a unit of Z + iZ within LATTICE_TOL (1e-6), as it is
+    # for classify_pi's decision of example I
+    element = {"divisor": _line_divisor(lam), "t": _cj(0.5 + 0j), "f": {"terms": []}}
+    element["cover"] = {"n": 1, "tau": _cj(1j)}
+    assert _act_cover(tmp_path, "Bb1", element, "I") == 0, capsys.readouterr().err

@@ -1799,7 +1799,7 @@ def old_line_cover(label):
     n = label.n
     s = complex(label.s) if name in ("E", "H") else None
     tau = complex(label.tau) if name in ("G", "H") else None
-    m = bbeta._lam_exponent(lam, n, name) if name in ("C", "E", "H") else 0
+    m = bbeta.lam_exponent(lam, n) if name in ("C", "E", "H") else 0
 
     def zpart(z):
         return cmath.exp(numeric.TWO_PI_I * z / n)
@@ -1897,7 +1897,8 @@ def test_the_product_chart_matches_the_replaced_closures(seed):
 def test_rgd_quotients_match_the_replaced_closures_and_example_b(n):
     rng = np.random.default_rng([n, 24])
     D, _, _ = verify.random_line_divisor(rng, lam=0.0, max_k=3)
-    cov, example_b = bbeta.rgd_quotients(D, n), bbeta.quotient_cover(bbeta.BBeta1Label("B", D, n=n))
+    cov = bbeta.quotient_cover(bbeta.BBeta1Label("Bb2", D, n=n))  # row Bβ2′
+    example_b = bbeta.quotient_cover(bbeta.BBeta1Label("B", D, n=n))
     old_cover, old_act = old_rgd_quotients(D, n)
     assert cov.deck == example_b.deck
     for _ in range(40):

@@ -348,3 +348,9 @@ def test_zmodule_basis_pivot_ignores_last_bit_ties():
         assert label.name == "D2_2"
         betas.add(complex(round(phi.beta.real, 9), round(phi.beta.imag, 9)))
     assert len(betas) == 1
+
+
+def test_lattice_reduce_tau_glues_the_edge_re_tau_minus_one_half():
+    # Re tau = -1/2 and Re tau = 1/2 bound the fundamental domain; the reduced tau takes the second
+    _, _, tau, U = lattice.lattice_reduce_tau(1.0, -0.5 + 1.2j)
+    assert abs(tau - (0.5 + 1.2j)) <= 1e-12 and U == [[1, 0], [1, 1]]

@@ -277,3 +277,10 @@ def test_binary_form_substitution_consistency(rng):
     sub = binary_form_substitute(coeffs, m)
     direct = binary_form_eval(coeffs, m[0, 0] * z + m[0, 1] * w, m[1, 0] * z + m[1, 1] * w)
     assert abs(binary_form_eval(sub, z, w) - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+def test_preimages_of_a_point_with_zero_leading_coefficient():
+    # a = 0: the roots of a z^2 + b z + c are infinity and -c / b
+    p1, p2 = quadric_preimages(Proj2Point((0.0, 1.0, 0.5)))
+    assert distance(p1.alpha, ProjPoint.infinity()) <= EPS and distance(p1.beta, ProjPoint(-0.5)) <= EPS
+    assert p2 == p1.swapped()
