@@ -14,8 +14,8 @@ schema, imports its family's module when it runs, so loading this module
 loads none of them.
 
 One table, `SPECS`, holds everything else known per label: the factory, the
-element and point schemas of the JSON payloads, the invariant check, the
-element distance and the quotient policy.
+element and point schemas of the JSON payloads, whose constructors check the
+family's invariants, the element distance and the quotient policy.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import operator
 from itertools import chain
 
 from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, MATRIX2, MATRIX3, PAIR, SL_DET_TOL
-from .numeric import Record, Schema, _itself, _values, close, determinant, distance, flat_distance, inverse2
-from .numeric import ORIGIN_TOL, inverse3, lazy, product2, product3, setfield
+from .numeric import Record, Schema, _itself, _values, check_invertible, close, determinant, distance, flat_distance
+from .numeric import ORIGIN_TOL, inverse2, inverse3, lazy, product2, product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -197,7 +197,7 @@ def _c8_element(t, v, alpha=2.0 + 0.5j):
 
 def _d3_element(m, v):
     """The rescaling by m != 0 and the translation by v, as a pair of affine maps in C3's group."""
-    return ((m, v[0]), (m, v[1]))
+    return ((_nonzero("m", m), v[0]), (m, v[1]))
 
 
 def _aff_subgroup(label):
@@ -326,18 +326,45 @@ def _bgamma(label, n=2, c=0j):
 
 
 # ---------------------------------------------------------------------------
-# the element and point schemas of docs/families.md
+# the element and point schemas of docs/families.md; an element schema's constructor checks the invariants
 
 _bg12 = lazy("projective", "bgamma12_element")
+_on = lazy("projective", "OnGroupElement")
 _proj = lazy("projective", "ProjPoint")
 _quadric = lazy("projective", "QuadricPoint")
 _rgd = lazy("bbeta", "RGDElement")
 
 
+def _nonzero(what, value):
+    """value, once it is nonzero; the error calls it `what`."""
+    if value == 0:
+        raise ValueError(f"{what} must be nonzero")
+    return value
+
+
+def _invertible_affine(affine):
+    """An affine map (alpha, beta) of C, z -> alpha z + beta, once it is invertible: alpha nonzero."""
+    return (_nonzero("alpha", affine[0]), affine[1])
+
+
+def _det_one(m, power=1):
+    """m, once det(m) ** power = 1 within SL_DET_TOL; power > 1 allows the scalars an element is taken modulo."""
+    det = determinant(m) ** power
+    if not close(det, 1.0, tol=SL_DET_TOL):
+        raise ValueError(f"the matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
+    return m
+
+
 def _bgamma1_element(n, c, *rest):
     """The Bγ1 element of a payload: Bγ2's constructor, which takes c = 0, with c = 0 refused."""
-    _check_nonzero("c", c)
-    return _bg12(n, c, *rest)
+    return _bg12(n, _nonzero("c", c), *rest)
+
+
+def _bdelta3_element(n, m, poly):
+    """The Bδ3 element of a payload: det = 1 up to the n-th roots of unity its matrix is stored modulo."""
+    g = _on(n, m, poly)
+    _det_one(g.matrix, g.n // math.gcd(g.n, 2))
+    return g
 
 
 def _off_the_origin(x):
@@ -348,9 +375,8 @@ def _off_the_origin(x):
 
 
 _AFFINE = Schema({"alpha": COMPLEX, "beta": COMPLEX})
-_AFFINE_MAP = Schema({"matrix": MATRIX2, "translation": PAIR})
-_MATRIX = Schema({"matrix": MATRIX2}, make=_itself)
-_ON = Schema({"n": DEGREE, "matrix": MATRIX2, "poly": COMPLEXES}, make=lazy("projective", "OnGroupElement"))
+_GL2 = Schema({"matrix": MATRIX2}, make=check_invertible)
+_ON = Schema({"n": DEGREE, "matrix": MATRIX2, "poly": COMPLEXES}, make=_on)
 _UAFF = Schema({"a": COMPLEX, "b": COMPLEX}, make=lazy("uaffgroup", "UAffElement"), parts=lambda g: (g.a, g.b))
 # the parameters of `act --cover`, each read only by the examples that take it (bbeta.quotient_cover)
 _COVER = Schema(
@@ -370,28 +396,7 @@ _BUNDLE = Schema(
 
 
 # ---------------------------------------------------------------------------
-# invariant checks and element distances
-
-
-def _no_check(g):
-    pass
-
-
-def _check_invertible(m):
-    if abs(determinant(m)) <= EPS * max(1.0, *(abs(x) for row in m for x in row)) ** len(m):
-        raise ValueError("the matrix must be invertible")
-
-
-def _check_det_one(m, power=1):
-    """det(m) ** power = 1 within SL_DET_TOL; power > 1 allows the scalars an element is taken modulo."""
-    det = determinant(m) ** power
-    if not close(det, 1.0, tol=SL_DET_TOL):
-        raise ValueError(f"the matrix must have det 1, got |det - 1| = {abs(det - 1):.3e}")
-
-
-def _check_nonzero(what, *values):
-    if 0 in values:
-        raise ValueError(f"{what} must be nonzero")
+# element distances
 
 
 def _proj_distance(g, h):
@@ -432,19 +437,18 @@ class FamilySpec:
     `handler(**params)` builds the family's `Family`.  `element` and `point`
     are the `numeric.Schema`s of its JSON payloads (docs/families.md), the
     plane's point by default; the one `aside` key of an element is "cover",
-    the parameters of `act --cover` for Bβ1 and Bβ2.  `check(g)` raises
-    ValueError for an element that breaks the family's invariants, and
+    the parameters of `act --cover` for Bβ1 and Bβ2, and the element schema's
+    constructor refuses an element that breaks the family's invariants.
     `distance(g, h)` compares two elements.  `policy` describes the discrete
     subgroups the action has quotients by, and is empty when it has none.
     """
 
-    __slots__ = ("handler", "element", "point", "check", "distance", "policy")
+    __slots__ = ("handler", "element", "point", "distance", "policy")
 
-    def __init__(self, handler, element, point=_PLANE, *, check=_no_check, distance=distance, policy=""):
+    def __init__(self, handler, element, point=_PLANE, *, distance=distance, policy=""):
         self.handler = handler
         self.element = element
         self.point = point
-        self.check = check
         self.distance = distance
         self.policy = policy
 
@@ -455,21 +459,18 @@ _HOPF = "Hopf identification z ~ lam z, 0 < |lam| < 1"
 SPECS = {
     "A1": FamilySpec(
         _a1,
-        Schema({"matrix": MATRIX3}, make=_itself),
+        Schema({"matrix": MATRIX3}, make=check_invertible),
         Schema({"coords": COMPLEXES}, make=lazy("projective", "Proj2Point"), parts=lambda x: (x.coords,)),
-        check=_check_invertible,
         distance=_proj_distance,
     ),
     "A2": FamilySpec(
         lambda: _matrix_affine("A2", False),
-        _AFFINE_MAP,
-        check=lambda g: _check_invertible(g[0]),
+        Schema({"matrix": MATRIX2, "translation": PAIR}, make=lambda m, t: (check_invertible(m), t)),
         distance=_affine_distance,
     ),
     "A3": FamilySpec(
         lambda: _matrix_affine("A3", True),
-        _AFFINE_MAP,
-        check=lambda g: _check_det_one(g[0]),
+        Schema({"matrix": MATRIX2, "translation": PAIR}, make=lambda m, t: (_det_one(m), t)),
         distance=_affine_distance,
     ),
     "Bβ1": FamilySpec(
@@ -511,56 +512,49 @@ SPECS = {
     "Bγ4": FamilySpec(lambda n=2: _bgamma("Bγ4", n), _ON),
     "Bδ1": FamilySpec(
         lambda: _bdelta_linear("Bδ1", True),
-        _MATRIX,
+        Schema({"matrix": MATRIX2}, make=_det_one),
         _PUNCTURED,
-        check=_check_det_one,
         distance=_matrix_distance,
         policy=_HOPF,
     ),
     "Bδ2": FamilySpec(
         lambda: _bdelta_linear("Bδ2", False),
-        _MATRIX,
+        _GL2,
         _PUNCTURED,
-        check=_check_invertible,
         distance=_matrix_distance,
         policy=_HOPF,
     ),
     "Bδ3": FamilySpec(
         lambda n=2: _bdelta_bundle("Bδ3", True, n),
-        _ON,
+        Schema({"n": DEGREE, "matrix": MATRIX2, "poly": COMPLEXES}, make=_bdelta3_element),
         _BUNDLE,
-        # the matrix is stored modulo n-th roots of unity, which multiply det by their squares
-        check=lambda g: _check_det_one(g.matrix, g.n // math.gcd(g.n, 2)),
     ),
     "Bδ4": FamilySpec(lambda n=2: _bdelta_bundle("Bδ4", False, n), _ON, _BUNDLE),
     "C2": FamilySpec(
         lambda: _aff_subgroup("C2"),
-        Schema({"t": COMPLEX, "affine": _AFFINE}, make=lambda t, affine: ((1.0 + 0j, t), affine)),
-        check=lambda g: _check_nonzero("alpha", g[1][0]),
+        Schema({"t": COMPLEX, "affine": _AFFINE}, make=lambda t, affine: ((1.0 + 0j, t), _invertible_affine(affine))),
         policy="discrete subgroup Delta of C acting on the first factor",
     ),
     "C3": FamilySpec(
         lambda: _product("C3", _AFF_C, _AFF_C),
-        Schema({"first": _AFFINE, "second": _AFFINE}),
-        check=lambda g: _check_nonzero("alpha", g[0][0], g[1][0]),
+        Schema({"first": _AFFINE, "second": _AFFINE}, make=lambda a, b: (_invertible_affine(a), _invertible_affine(b))),
     ),
     "C5": FamilySpec(
         lambda: _product("C5", _psl2(), _TRANS_C),
-        Schema({"matrix": MATRIX2, "t": COMPLEX}),
+        Schema({"matrix": MATRIX2, "t": COMPLEX}, make=lambda m, t: (check_invertible(m), t)),
         _PROJ_TIMES_LINE,
         distance=_psl_first_distance,
         policy="discrete subgroup Delta of C acting on the second factor",
     ),
     "C6": FamilySpec(
         lambda: _product("C6", _psl2(), _AFF_C),
-        Schema({"matrix": MATRIX2, "affine": _AFFINE}),
+        Schema({"matrix": MATRIX2, "affine": _AFFINE}, make=lambda m, a: (check_invertible(m), _invertible_affine(a))),
         _PROJ_TIMES_LINE,
-        check=lambda g: _check_nonzero("alpha", g[1][0]),
         distance=_psl_first_distance,
     ),
     "C7": FamilySpec(
         lambda: _product("C7", _psl2(), _psl2()),
-        Schema({"first": MATRIX2, "second": MATRIX2}),
+        Schema({"first": MATRIX2, "second": MATRIX2}, make=lambda a, b: (check_invertible(a), check_invertible(b))),
         Schema(
             {"first": PAIR, "second": PAIR},
             make=lambda a, b: (_proj(*a), _proj(*b)),
@@ -571,7 +565,7 @@ SPECS = {
     "C8": FamilySpec(lambda: _aff_subgroup("C8"), Schema({"t": COMPLEX, "v": PAIR, "alpha": COMPLEX}, make=_c8_element)),
     "C9": FamilySpec(
         _c9,
-        _MATRIX,
+        _GL2,
         Schema(
             {"alpha": PAIR, "beta": PAIR},
             make=lambda a, b: _quadric(_proj(*a), _proj(*b)),
@@ -590,7 +584,6 @@ SPECS = {
     "D3": FamilySpec(
         lambda: _aff_subgroup("D3"),
         Schema({"m": COMPLEX, "v": PAIR}, make=_d3_element),
-        check=lambda g: _check_nonzero("m", g[0][0]),
     ),
 }
 

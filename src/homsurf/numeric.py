@@ -226,6 +226,17 @@ def determinant(m):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def check_invertible(m, top=None):
+    """m, a 2x2 or 3x3 matrix given as rows, once it is invertible: the determinant of its entries divided by
+    the largest modulus `top` (at least 1; from m when None) exceeds EPS.  Dividing first, no product leaves
+    the float range.  ValueError("matrix must be invertible") otherwise."""
+    s = max(1.0, *(abs(x) for row in m for x in row)) if top is None else max(1.0, top)
+    det = determinant([[x / s for x in row] for row in m])
+    if not abs(det) > EPS:
+        raise ValueError("matrix must be invertible")
+    return m
+
+
 # ---------------------------------------------------------------------------
 # distance: one per value type, behind one structural dispatch
 
@@ -351,7 +362,8 @@ def decode(schema, data, path):
 
     A missing or unknown key, a value of the wrong type or shape and a non-finite number raise
     ValueError naming their path: `element: unknown key 'lambda'`, `element.translation: expected
-    2 entries, got 3`, `element.v[0]: missing key 're'`; so does a ValueError of a schema's `make`.
+    2 entries, got 3`, `element.v[0]: missing key 're'`; so do a ValueError and an OverflowError of a
+    schema's `make`, which checks the invariants of the value it builds.
     """
     if type(schema) is Schema:
         if type(data) is not dict:
@@ -376,6 +388,8 @@ def decode(schema, data, path):
             return schema.make(*args, **kwargs)
         except ValueError as e:  # the constructor's own check: its type kept, a NonDiscreteError stays one
             raise type(e)(f"{path}: {e}") from None
+        except OverflowError as e:
+            raise ValueError(f"{path}: overflows the float range ({e})") from None
     if type(schema) is list:
         return [decode(schema[0], x, f"{path}[{i}]") for i, x in enumerate(_json_list(data, path))]
     if schema == COMPLEX:

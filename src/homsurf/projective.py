@@ -21,13 +21,8 @@ import functools
 import math
 import operator
 
-from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, binomials, distance, flat_distance
-from .numeric import inverse2, product2, setfield
-
-
-def _invertible(a, b, c, d):
-    """Whether |ad - bc| clears EPS times the squared largest entry (at least 1)."""
-    return abs(a * d - b * c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+from .numeric import CANONICAL_REF_TOL, EPS, LEADING_ZERO_TOL, ORIGIN_TOL, Record, binomials, check_invertible
+from .numeric import distance, flat_distance, inverse2, product2, setfield
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +92,7 @@ def proj2_act(g3, p):
 
 def mobius_act(g, p):
     """Moebius action of an invertible 2x2 matrix on the projective line."""
-    (a, b), (c, d) = g
-    if not _invertible(a, b, c, d):
-        raise ValueError("singular matrix")
+    (a, b), (c, d) = check_invertible(g)
     z1, z2 = p.coords
     return ProjPoint(a * z1 + b * z2, c * z1 + d * z2)
 
@@ -327,12 +320,12 @@ class OnGroupElement(Record):
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
         ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
-        if not abs(a * d - b * c) > EPS * max(1.0, ma, mb, mc, md) ** 2:  # _invertible, each modulus taken once
-            raise ValueError("matrix must be invertible")
+        top = max(ma, mb, mc, md)
+        check_invertible(((a, b), (c, d)), top)  # each modulus taken once
         p = tuple(map(complex, poly))
         if len(p) != n + 1:
             raise ValueError("polynomial must have degree n")
-        least = CANONICAL_REF_TOL * max(ma, mb, mc, md)  # invertible: some entry exceeds it
+        least = CANONICAL_REF_TOL * top  # invertible: some entry exceeds it
         ref = d if md > least else a if ma > least else b if mb > least else c
         k = int(cmath.phase(ref) % (2 * math.pi) // (2 * math.pi / n))
         if k:
@@ -383,9 +376,10 @@ def on_inverse(e):
 
 
 def on_act(e, x):
-    """Action on O(n); chart switching handled through the homogeneous carrier."""
+    """Action on O(n); chart switching handled through the homogeneous carrier.  A point of another
+    bundle degree than the element's is a ValueError that names the point, as `act` prints it."""
     if e.n != x.n:
-        raise ValueError("element and point live on different bundles")
+        raise ValueError(f"point: bundle degree n = {x.n} is not the element's n = {e.n}")
     (v1, v2), val = x.carrier()
     (a, b), (c, d) = e.matrix
     u1, u2 = a * v1 + b * v2, c * v1 + d * v2

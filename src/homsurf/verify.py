@@ -256,7 +256,7 @@ def random_d2_generators(rng, name):
 D2_NAMES = tuple(f"D2_{i}" for i in range(1, 15))
 
 
-def _shuffle_generators(gens, rng, mult, inv, ident):
+def _shuffle_generators(gens, rng, mult, inv):
     gens = list(gens)
     for _ in range(6):
         op = int(rng.integers(3))
@@ -279,7 +279,7 @@ def _uaff_classify_stability(rng, trials, rec):
             complex(rng.standard_normal(), rng.standard_normal()), cmath.exp(complex(rng.standard_normal(), rng.standard_normal()) * 0.5)
         )
         gens = [uaff.aut_apply(phi, g) for g in gens]
-        gens = _shuffle_generators(gens, rng, uaff.uaff_multiply, uaff.uaff_inverse, uaff.IDENTITY)
+        gens = _shuffle_generators(gens, rng, uaff.uaff_multiply, uaff.uaff_inverse)
         try:
             got, _ = uaff.classify_subgroup(gens)
             rec.boolean(
@@ -486,9 +486,7 @@ def _classify_pi_stability(rng, trials, rec):
             t=complex(rng.standard_normal(), rng.standard_normal()),
         )
         gens = [conj(g) for g in gens]
-        gens = _shuffle_generators(
-            gens, rng, bbeta.cent_multiply, bbeta.cent_inverse, bbeta.cent_identity(D)
-        )
+        gens = _shuffle_generators(gens, rng, bbeta.cent_multiply, bbeta.cent_inverse)
         try:
             got = bbeta.classify_pi(gens, D)
             rec.boolean("classify-pi-stability", got.label.name == label.name, f"{label.name} -> {got.label.name}")

@@ -242,9 +242,7 @@ def test_criterion_09_classification_roundtrips():
             complex(rng.normal(), rng.normal()), cmath.exp(complex(rng.normal(), rng.normal()) * 0.6)
         )
         gens = [uaff.aut_apply(phi, g) for g in gens]
-        gens = verify._shuffle_generators(
-            gens, rng, uaff.uaff_multiply, uaff.uaff_inverse, uaff.IDENTITY
-        )
+        gens = verify._shuffle_generators(gens, rng, uaff.uaff_multiply, uaff.uaff_inverse)
         got, _ = uaff.classify_subgroup(gens)
         if got.name != uaff.CANONICAL_ROW[name]:
             bad.append(("D2", name, got.name))
@@ -258,9 +256,7 @@ def test_criterion_09_classification_roundtrips():
                 t=complex(rng.normal(), rng.normal()),
             )
             gens = [conj(g) for g in cov.pi_generators()]
-            gens = verify._shuffle_generators(
-                gens, rng, bbeta.cent_multiply, bbeta.cent_inverse, bbeta.cent_identity(label.divisor)
-            )
+            gens = verify._shuffle_generators(gens, rng, bbeta.cent_multiply, bbeta.cent_inverse)
             got = bbeta.classify_pi(gens, label.divisor)
             if got.label.name != label.name:
                 bad.append(("Bβ1", label.name, got.label.name))

@@ -60,13 +60,13 @@ def _move_d1(rng, gens):
 def _move_d2(rng, gens):
     phi = uaff.UAffAutomorphism(_cnum(rng), cmath.exp(_cnum(rng, 0.5)))
     gens = [uaff.aut_apply(phi, g) for g in gens]
-    return verify._shuffle_generators(gens, rng, uaff.uaff_multiply, uaff.uaff_inverse, uaff.IDENTITY)
+    return verify._shuffle_generators(gens, rng, uaff.uaff_multiply, uaff.uaff_inverse)
 
 
 def _move_bb1(rng, gens, D):
     conj = bbeta.table_automorphism(D, nu=cmath.exp(_cnum(rng, 0.5)), t=_cnum(rng))
     gens = [conj(g) for g in gens]
-    return verify._shuffle_generators(gens, rng, bbeta.cent_multiply, bbeta.cent_inverse, bbeta.cent_identity(D))
+    return verify._shuffle_generators(gens, rng, bbeta.cent_multiply, bbeta.cent_inverse)
 
 
 def seeded_cases(seed):

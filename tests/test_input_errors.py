@@ -140,7 +140,7 @@ def test_cli_act_a3_needs_det_one(tmp_path):
     assert _act(tmp_path, "A3", {"matrix": m, "translation": [_cj(0j), _cj(0j)]}, POINT) == 2
 
 
-# a constructor's or an invariant check's error names the payload it refuses, as a schema error does
+# a constructor's error, an invariant's included, names the payload it refuses, as a schema error does
 CONSTRUCTOR_ERRORS = {
     "bd4-poly-too-short": (
         "Bδ4",
@@ -196,6 +196,113 @@ def test_decode_prefixes_the_path_to_a_constructor_error_keeping_its_type():
 def test_cli_act_a2_needs_an_invertible_matrix(tmp_path):
     m = [[_cj(1 + 0j), _cj(2 + 0j)], [_cj(2 + 0j), _cj(4 + 0j)]]
     assert _act(tmp_path, "A2", {"matrix": m, "translation": [_cj(0j), _cj(0j)]}, POINT) == 2
+
+
+# one invertibility test, in the element schema, for every element that holds a matrix: family ->
+# (a singular element, one whose determinant vanishes at the scale of its largest entry, a point).  Each
+# matrix family takes [[1, 2], [2, 4]] and [[1e200, 0], [0, 1e-200]]; A1 the 3x3 analogues, and Bγ1-Bγ3
+# the exponents whose matrices underflow to a zero entry or span 200 orders of magnitude
+_E200 = math.log(1e200)
+_ON2 = {"n": 2, "poly": [0, 0, 0]}
+_PROJ_LINE_POINT = {"zproj": [1, 0.5], "w": 1}
+_O2_POINT = {"n": 2, "chart": 0, "z": 0.5, "w": 1}
+_MATRIX_ELEMENTS = {
+    "A2": (lambda m: {"matrix": m, "translation": [0, 0]}, POINT),
+    "Bγ4": (lambda m: dict(_ON2, matrix=m), POINT),
+    "Bδ2": (lambda m: {"matrix": m}, {"x": [1, 2]}),
+    "Bδ3": (lambda m: dict(_ON2, matrix=m), _O2_POINT),
+    "Bδ4": (lambda m: dict(_ON2, matrix=m), _O2_POINT),
+    "C5": (lambda m: {"matrix": m, "t": 0}, _PROJ_LINE_POINT),
+    "C6": (lambda m: {"matrix": m, "affine": {"alpha": 1, "beta": 0}}, _PROJ_LINE_POINT),
+    "C7": (lambda m: {"first": [[1, 0], [0, 1]], "second": m}, {"first": [1, 0.5], "second": [0.5, 1]}),
+    "C9": (lambda m: {"matrix": m}, {"alpha": [1, 0.5], "beta": [0.5, 1]}),
+}
+NOT_INVERTIBLE = {
+    family: (element([[1, 2], [2, 4]]), element([[1e200, 0], [0, 1e-200]]), point)
+    for family, (element, point) in _MATRIX_ELEMENTS.items()
+}
+NOT_INVERTIBLE.update(
+    {
+        "A1": (
+            {"matrix": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]},
+            {"matrix": [[1e110, 0, 0], [0, 1, 0], [0, 0, 1e-110]]},
+            {"coords": [1, 0.5, 0.25]},
+        ),
+        # at n = 2 the matrix of Bγ1 is diag(e^{lam (1 - c/2)}, e^{-lam c/2}), of Bγ2 diag(e^lam, 1) and
+        # of Bγ3 diag(1, e^-lam)
+        "Bγ1": (dict(_ON2, c=2, lam=800, b=0), dict(_ON2, c=1, lam=2 * _E200, b=0), POINT),
+        "Bγ2": (dict(_ON2, lam=-800, b=0), dict(_ON2, lam=_E200, b=0), POINT),
+        "Bγ3": ({"n": 2, "lam": 800, "b": 0, "r": [0, 0]}, {"n": 2, "lam": -_E200, "b": 0, "r": [0, 0]}, POINT),
+    }
+)
+
+
+@pytest.mark.parametrize("family", sorted(NOT_INVERTIBLE))
+def test_cli_act_refuses_a_matrix_not_invertible_at_its_scale(tmp_path, capsys, family):
+    singular, ill_scaled, point = NOT_INVERTIBLE[family]
+    for element in (singular, ill_scaled):
+        assert _act(tmp_path, family, element, point) == 2
+        assert capsys.readouterr().err == "error: element: matrix must be invertible\n"
+
+
+# scalar matrices, the identity modulo scalars, whose entries leave the float range once squared or cubed
+@pytest.mark.parametrize(
+    "family, element, point",
+    [
+        ("A1", {"matrix": [[1e110, 0, 0], [0, 1e110, 0], [0, 0, 1e110]]}, {"coords": [1, 0.5, 0.25]}),
+        ("C9", {"matrix": [[1e200, 0], [0, 1e200]]}, {"alpha": [1, 0.5], "beta": [0.5, 1]}),
+    ],
+)
+def test_cli_act_a_large_scalar_matrix_fixes_the_point(tmp_path, capsys, family, element, point):
+    assert _act(tmp_path, family, element, point) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {key: [_cj(complex(x)) for x in value] for key, value in point.items()}
+
+
+# a value beyond the float range names where it arose: in the element's constructor, or while acting
+_OVERFLOWS = "overflows the float range"
+_LINE01 = {"points": [{"re": 0, "im": 0, "mult": 1}, {"re": 1, "im": 0, "mult": 1}]}
+OVERFLOWS = {
+    "c8-t-1000": ("C8", {"t": 1000, "v": [0, 0], "alpha": 2}, POINT, f"element: {_OVERFLOWS} (math range error)"),
+    "d2-a-1000": ("D2", {"a": 1000, "b": 0}, {"a": 0, "b": 1}, f"the result {_OVERFLOWS} (math range error)"),
+    "bb1-t-1000": (
+        "Bβ1",
+        {"divisor": _LINE01, "t": 1000, "f": {"terms": [{"lambda": 1, "coeffs": [1]}]}},
+        POINT,
+        f"the result {_OVERFLOWS} (math range error)",
+    ),
+    "bg4-form-at-1e300": (
+        "Bγ4",
+        dict(_ON2, matrix=[[1, 0], [0, 1]], poly=[1e300, 0, 0]),
+        {"z": 1e300, "w": 0},
+        f"the result {_OVERFLOWS} (complex exponentiation)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_cli_act_overflow_names_what_overflowed(tmp_path, capsys, case):
+    family, element, point, error = OVERFLOWS[case]
+    assert _act(tmp_path, family, element, point) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_cli_act_overflow_keeps_its_cause(tmp_path):
+    family, element, point, _ = OVERFLOWS["d2-a-1000"]
+    e, p = tmp_path / "e.json", tmp_path / "p.json"
+    e.write_text(json.dumps(element))
+    p.write_text(json.dumps(point))
+    _, args = cli.parse(["act", "--family", family, "--element", str(e), "--point", str(p)])
+    with pytest.raises(OverflowError) as info:
+        cli.cmd_act(args)
+    assert str(info.value.__cause__) == "math range error"
+
+
+@pytest.mark.parametrize("family", ["Bδ3", "Bδ4"])
+def test_cli_act_bundle_point_of_another_degree_names_the_point(tmp_path, capsys, family):
+    element = dict(_ON2, matrix=[[1, 0], [0, 1]])
+    assert _act(tmp_path, family, element, dict(_O2_POINT, n=3)) == 2
+    assert capsys.readouterr().err == "error: point: bundle degree n = 3 is not the element's n = 2\n"
 
 
 @pytest.mark.parametrize("m", [0j, complex(NAN, 0.0), complex(INF, 1.0)])

@@ -53,13 +53,14 @@ from homsurf.numeric import (
     RECON_TOL,
     SPAN_TOL,
     NonDiscreteError,
+    check_invertible,
     distance,
     distance_for,
     flat_distance,
 )
 from homsurf.lattice import c2r, lattice_contains
 from homsurf.numeric import binomials as _binomials
-from homsurf.projective import SUBSTITUTE_CAP, _invertible, OnGroupElement, binary_form_substitute
+from homsurf.projective import SUBSTITUTE_CAP, OnGroupElement, binary_form_substitute
 
 
 def same(a, b):
@@ -180,7 +181,7 @@ def old_binary_form_substitute(coeffs, m):
 def old_on_group_fields(n, matrix, poly):
     n = int(n)
     a, b, c, d = (complex(x) for x in entries2(matrix))
-    assert _invertible(a, b, c, d)
+    check_invertible(((a, b), (c, d)))
     p = tuple(complex(x) for x in poly)
     scale = max(abs(a), abs(b), abs(c), abs(d))
     ref = next(x for x in (d, a, b, c) if abs(x) > 1e-12 * scale)
