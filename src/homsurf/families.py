@@ -25,9 +25,9 @@ import math
 import operator
 from itertools import chain
 
-from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, MATRIX2, MATRIX3, PAIR, SL_DET_TOL
+from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, INVERTIBLE2, MATRIX2, MATRIX3, PAIR
 from .numeric import Record, Schema, _itself, _values, check_invertible, close, determinant, distance, flat_distance
-from .numeric import ORIGIN_TOL, inverse2, inverse3, lazy, product2, product3, setfield
+from .numeric import ORIGIN_TOL, SL_DET_TOL, inverse2, inverse3, lazy, product2, product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -377,6 +377,7 @@ def _off_the_origin(x):
 _AFFINE = Schema({"alpha": COMPLEX, "beta": COMPLEX})
 _GL2 = Schema({"matrix": MATRIX2}, make=check_invertible)
 _ON = Schema({"n": DEGREE, "matrix": MATRIX2, "poly": COMPLEXES}, make=_on)
+_BGAMMA4 = Schema(_ON.fields, make=lambda n, m, poly: _on(n, m, poly).fixing_infinity())  # bgamma_chart_act's test
 _UAFF = Schema({"a": COMPLEX, "b": COMPLEX}, make=lazy("uaffgroup", "UAffElement"), parts=lambda g: (g.a, g.b))
 # the parameters of `act --cover`, each read only by the examples that take it (bbeta.quotient_cover)
 _COVER = Schema(
@@ -509,7 +510,7 @@ SPECS = {
         lambda n=2: _bgamma("Bγ3", n),
         Schema({"n": DEGREE, "lam": COMPLEX, "b": COMPLEX, "r": COMPLEXES}, make=lazy("projective", "bgamma3_element")),
     ),
-    "Bγ4": FamilySpec(lambda n=2: _bgamma("Bγ4", n), _ON),
+    "Bγ4": FamilySpec(lambda n=2: _bgamma("Bγ4", n), _BGAMMA4),
     "Bδ1": FamilySpec(
         lambda: _bdelta_linear("Bδ1", True),
         Schema({"matrix": MATRIX2}, make=_det_one),
@@ -554,7 +555,7 @@ SPECS = {
     ),
     "C7": FamilySpec(
         lambda: _product("C7", _psl2(), _psl2()),
-        Schema({"first": MATRIX2, "second": MATRIX2}, make=lambda a, b: (check_invertible(a), check_invertible(b))),
+        Schema({"first": INVERTIBLE2, "second": INVERTIBLE2}),
         Schema(
             {"first": PAIR, "second": PAIR},
             make=lambda a, b: (_proj(*a), _proj(*b)),

@@ -303,12 +303,12 @@ def distance_for(a):
 # ---------------------------------------------------------------------------
 # JSON payloads: every payload is read by `decode`, through its schema
 
-# the kinds of a value: a finite number (REAL), a complex number (COMPLEX: a finite number or
-# {"re": x, "im": y}), a list of complex numbers (COMPLEXES, PAIR of exactly two), an n x n matrix
-# ("matrix", n), an integer of at least 1 (DEGREE), a chart 0 or 1 (CHART), a string (TEXT), a
-# Schema (an object), or a list of one kind (a JSON list of values of that kind)
+# the kinds of a value: a finite number (REAL), a complex number (COMPLEX: a finite number or {"re": x, "im": y}),
+# a list of complex numbers (COMPLEXES, PAIR of exactly two), an n x n matrix (("matrix", n), or ("matrix", n, check)
+# when check(rows) refuses the matrices that break an invariant), an integer of at least 1 (DEGREE), a chart 0 or 1
+# (CHART), a string (TEXT), a Schema (an object), or a list of one kind (a JSON list of values of that kind)
 REAL, COMPLEX, COMPLEXES, PAIR, DEGREE, CHART, TEXT = "real", "complex", "complexes", "pair", "degree", "chart", "text"
-MATRIX2, MATRIX3 = ("matrix", 2), ("matrix", 3)
+MATRIX2, MATRIX3, INVERTIBLE2 = ("matrix", 2), ("matrix", 3), ("matrix", 2, check_invertible)
 
 
 def _values(*values):
@@ -357,6 +357,16 @@ _RE_IM = Schema({"re": REAL, "im": REAL}, make=complex)
 _FLOAT_MAX = 1.7976931348623157e308
 
 
+def _made(path, make, *args, **kwargs):
+    """make(*args, **kwargs), the constructor of the value at `path`, whose ValueError or OverflowError names it."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:  # the constructor's own check: its type kept, a NonDiscreteError stays one
+        raise type(e)(f"{path}: {e}") from None
+    except OverflowError as e:
+        raise ValueError(f"{path}: overflows the float range ({e})") from None
+
+
 def decode(schema, data, path):
     """The value that `data`, as `json.load` returns it, encodes under `schema` (a kind).
 
@@ -384,12 +394,7 @@ def decode(schema, data, path):
                 kwargs[key] = value
             else:
                 args.append(value)
-        try:
-            return schema.make(*args, **kwargs)
-        except ValueError as e:  # the constructor's own check: its type kept, a NonDiscreteError stays one
-            raise type(e)(f"{path}: {e}") from None
-        except OverflowError as e:
-            raise ValueError(f"{path}: overflows the float range ({e})") from None
+        return _made(path, schema.make, *args, **kwargs)
     if type(schema) is list:
         return [decode(schema[0], x, f"{path}[{i}]") for i, x in enumerate(_json_list(data, path))]
     if schema == COMPLEX:
@@ -417,7 +422,7 @@ def decode(schema, data, path):
     rows = [list(decode(COMPLEXES, row, f"{path}[{i}]")) for i, row in enumerate(_json_list(data, path))]
     if [len(row) for row in rows] != [n] * n:
         raise ValueError(f"{path}: matrix must be {n}x{n}, got rows of lengths {[len(row) for row in rows]}")
-    return rows
+    return _made(path, schema[2], rows) if len(schema) > 2 else rows
 
 
 # the divisor and exponential-polynomial payloads of docs/families.md, which the Bβ elements and the qd

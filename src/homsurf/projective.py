@@ -345,6 +345,13 @@ class OnGroupElement(Record):
             best = min(best, max(abs(a - zeta * x), abs(b - zeta * y), abs(c - zeta * z), abs(d - zeta * w)) / scale)
         return max(best, flat_distance(self.poly, other.poly))
 
+    def fixing_infinity(self):
+        """self, once its matrix fixes infinity as the Bgamma elements do: lower-left entry 0 to EPS at its scale."""
+        (a, b), (c, d) = self.matrix
+        if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
+            raise ValueError("matrix must fix infinity (be upper triangular)")
+        return self
+
 
 @functools.lru_cache(maxsize=64)
 def _roots_of_unity(n):
@@ -419,9 +426,7 @@ def bgamma3_element(n, lam, b, r):
 def bgamma_chart_act(e, zw):
     """Action of an element of O(n) fixing infinity, one of Bgamma1 to Bgamma4, on the affine chart C^2:
     z' = (a z + b) / d, w' = w / d^n + p(z', 1)."""
-    (a, b), (c, d) = e.matrix
-    if abs(c) > EPS * max(1.0, abs(a), abs(b), abs(c), abs(d)):
-        raise ValueError("Bgamma elements must fix infinity")
+    (a, b), (_, d) = e.fixing_infinity().matrix
     z, w = zw
     z1 = (a * z + b) / d
     return (z1, _over_power(w, d, e.n) + binary_form_eval(e.poly, z1, 1.0))

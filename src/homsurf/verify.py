@@ -5,7 +5,9 @@ sampled elements, a faithfulness probe, and whatever family-specific checks
 apply (matrix oracle and subgroup classification for the affine group,
 annihilator exactness and covering equivariance for the divisor families,
 quadric geometry for the point-pair surface, chart consistency for the line
-bundles, and so on).  Suites are deterministic given (seed, family).
+bundles, and so on).  Suites are deterministic given (seed, family).  Each
+suite, and each helper that draws a family's values, imports the family's
+modules when it runs, so loading this module loads only `numeric` and `families`.
 """
 
 from __future__ import annotations
@@ -16,10 +18,7 @@ import zlib
 
 import numpy as np
 
-from . import bbeta, bundles, families, projective, uaff
-from .d1 import classify_D1_subgroup
-from .divisor import Divisor, equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
-from .exppoly import ExpPoly, apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
+from . import families
 from .numeric import TWO_PI_I, Record, close, distance, distance_for, product3, setfield
 
 
@@ -77,20 +76,19 @@ def rng_for(seed, family):
 
 def random_line_divisor(rng, lam=None, max_k=4):
     """Divisor [lam] + sum [lam + 2 pi i k_j] with coprime positive k_j."""
+    from .divisor import Divisor
     if lam is None:
         lam = complex(rng.standard_normal(), rng.standard_normal()) * 0.5
     count = int(rng.integers(1, 3))
     while True:
         ks = sorted(set(int(k) for k in rng.integers(1, max_k + 1, size=count)))
-        g = 0
-        for k in ks:
-            g = math.gcd(g, k)
-        if g == 1:
+        if math.gcd(*ks) == 1:
             break
     return Divisor([(lam, 1)] + [(lam + TWO_PI_I * k, 1) for k in ks]), lam, ks
 
 
 def random_divisor(rng, max_deg=6):
+    from .divisor import Divisor
     deg = int(rng.integers(2, max_deg + 1))
     pts = []
     total = 0
@@ -152,6 +150,7 @@ def axioms_suite(label, handler, rng, samples, rec):
 
 
 def suite_exppoly(rng, samples, rec):
+    from .exppoly import apply_operator, basis_of, evaluate, monic_polynomial, random_member, translate
     for _ in range(max(5, samples // 10)):
         D = random_divisor(rng)
         op = monic_polynomial(D)
@@ -176,6 +175,7 @@ def suite_exppoly(rng, samples, rec):
 
 
 def suite_divisor(rng, samples, rec):
+    from .divisor import equivalent_mod_affine, equivalent_mod_rescaling, quasiperiod_group, weight
     for _ in range(max(5, samples // 10)):
         D, lam, ks = random_line_divisor(rng)
         qg = quasiperiod_group(D)
@@ -214,6 +214,7 @@ def suite_divisor(rng, samples, rec):
 
 
 def suite_uaff_extra(rng, samples, rec):
+    from . import uaff
     for _ in range(samples):
         g = uaff.UAffElement(complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal()))
         h = uaff.UAffElement(complex(rng.standard_normal(), rng.standard_normal()), complex(rng.standard_normal(), rng.standard_normal()))
@@ -235,6 +236,7 @@ def suite_uaff_extra(rng, samples, rec):
 
 
 def random_d2_generators(rng, name):
+    from . import uaff
     k = int(rng.integers(1, 4))
     tau = random_tau(rng)
     b = complex(rng.standard_normal(), rng.standard_normal())
@@ -272,6 +274,7 @@ def _shuffle_generators(gens, rng, mult, inv):
 
 
 def _uaff_classify_stability(rng, trials, rec):
+    from . import uaff
     for _ in range(trials):
         name = D2_NAMES[int(rng.integers(len(D2_NAMES)))]
         gens, _ = random_d2_generators(rng, name)
@@ -298,6 +301,7 @@ def _uaff_classify_stability(rng, trials, rec):
 
 
 def _uaff_product_covers(rng, trials, rec):
+    from . import uaff
     for _ in range(trials):
         name = ("D2_1", "D2_2", "D2_3", "D2_4", "D2_5", "D2_6", "D2_14")[int(rng.integers(7))]
         gens, label = random_d2_generators(rng, name)
@@ -309,6 +313,7 @@ def _uaff_product_covers(rng, trials, rec):
 
 
 def suite_d1_extra(rng, samples, rec):
+    from .d1 import classify_D1_subgroup
     labels = ("D1", "D1_1", "D1_2", "D1_3", "D1_4", "D1_5", "D1_6")
     for _ in range(max(3, samples // 10)):
         name = labels[int(rng.integers(len(labels)))]
@@ -361,14 +366,13 @@ def suite_bbeta1_extra(rng, samples, rec):
 
 
 def _gd_structure(rng, samples, rec):
-    from .exppoly import contains
-
+    from . import bbeta, exppoly
     D, _, _ = random_line_divisor(rng, max_k=2)
     E = random_divisor(rng, max_deg=4)
     for _ in range(samples):
         g = bbeta.random_gd(E, rng, scale=0.5)
         h = bbeta.random_gd(E, rng, scale=0.5)
-        rec.boolean("vd-closure-exact", contains(E, bbeta.rgd_multiply(g, h).f))
+        rec.boolean("vd-closure-exact", exppoly.contains(E, bbeta.rgd_multiply(g, h).f))
         gg = bbeta.random_gd(D, rng, scale=0.4)
         k = int(rng.integers(-2, 3))
         c = bbeta.CentralizerElement(D, k, complex(rng.standard_normal(), rng.standard_normal()))
@@ -379,6 +383,8 @@ def _gd_structure(rng, samples, rec):
 
 
 def _quasiperiod_oracle(rng, trials, rec):
+    from .divisor import quasiperiod_group
+    from .exppoly import ExpPoly, evaluate
     for _ in range(trials):
         D, lam, ks = random_line_divisor(rng)
         qg = quasiperiod_group(D)
@@ -403,21 +409,23 @@ def _quasiperiod_oracle(rng, trials, rec):
 
 
 def _weight_consistency(rng, trials, rec):
+    from . import divisor, exppoly
     for _ in range(trials):
         D, lam, ks = random_line_divisor(rng)
         w = float(rng.integers(1, 4))
-        gw = weight(D, w)
+        gw = divisor.weight(D, w)
         for _ in range(5):
-            f = random_member(D, rng)
-            f0 = evaluate(f, 0.0)
+            f = exppoly.random_member(D, rng)
+            f0 = exppoly.evaluate(f, 0.0)
             if abs(f0) < 1e-3:
                 continue
-            rec.value("weight-vs-ratio", distance(evaluate(f, w) / f0, gw), 1e-9)
-        rec.value("weight-multiplicative", distance(weight(D, w + 1), gw * weight(D, 1.0)), 1e-9)
+            rec.value("weight-vs-ratio", distance(exppoly.evaluate(f, w) / f0, gw), 1e-9)
+        rec.value("weight-multiplicative", distance(divisor.weight(D, w + 1), gw * divisor.weight(D, 1.0)), 1e-9)
 
 
 def sample_cover_labels(rng):
     """One label instance per quotient example B..I, with admissible parameters."""
+    from . import bbeta
     out = []
     n = int(rng.integers(1, 4))
     tau = random_tau(rng)
@@ -442,6 +450,7 @@ def sample_cover_labels(rng):
 
 def _cover_sample(rng, D):
     """A bounded sample (g, (z, w)) keeping the exponential covers in range."""
+    from . import bbeta
     for _ in range(64):
         z = complex(-0.5 + (0.5 - -0.5) * rng.random(), -0.25 + (0.25 - -0.25) * rng.random())
         w = complex(rng.standard_normal(), rng.standard_normal()) * 0.5
@@ -453,6 +462,7 @@ def _cover_sample(rng, D):
 
 
 def _covers_suite(rng, samples, rec):
+    from . import bbeta
     for label in sample_cover_labels(rng):
         cov = bbeta.quotient_cover(label)
         D = label.divisor
@@ -474,6 +484,7 @@ def _covers_suite(rng, samples, rec):
 
 
 def _classify_pi_stability(rng, trials, rec):
+    from . import bbeta
     for _ in range(trials):
         labels = sample_cover_labels(rng)
         label = labels[int(rng.integers(len(labels)))]
@@ -495,6 +506,7 @@ def _classify_pi_stability(rng, trials, rec):
 
 
 def suite_bbeta2_extra(rng, samples, rec):
+    from . import bbeta
     D0, _, _ = random_line_divisor(rng, lam=0.0, max_k=3)
     n = int(rng.integers(1, 4))
     cov = bbeta.quotient_cover(bbeta.BBeta1Label("Bb2", D0, n=n))
@@ -513,6 +525,7 @@ def suite_bbeta2_extra(rng, samples, rec):
 
 
 def _morphism_suite(rng, samples, rec):
+    from . import bbeta, exppoly
     D = random_divisor(rng, max_deg=4)
     for group in ("gd", "rgd"):
         rand = bbeta.random_gd if group == "gd" else bbeta.random_rgd
@@ -526,7 +539,7 @@ def _morphism_suite(rng, samples, rec):
             ),
         ]
         if group == "gd":
-            morphs.append(bbeta.shear_morphism(D, random_member(D.plus_point(0j), rng, scale=0.5)))
+            morphs.append(bbeta.shear_morphism(D, exppoly.random_member(D.plus_point(0j), rng, scale=0.5)))
         else:
             morphs.append(bbeta.translation_morphism(D, complex(rng.standard_normal(), rng.standard_normal()) * 0.4))
         for kind, mor in enumerate(morphs, start=1):
@@ -539,6 +552,7 @@ def _morphism_suite(rng, samples, rec):
 
 
 def suite_c9_extra(rng, samples, rec):
+    from . import projective
     handler = families.build_family("C9")
     for _ in range(samples):
         x = handler.random_point(rng)
@@ -557,6 +571,7 @@ def suite_c9_extra(rng, samples, rec):
 
 
 def suite_bundle_charts(rng, samples, rec, n):
+    from . import projective
     handler = families.build_family("Bδ4", n=n)
     for _ in range(samples):
         e = handler.random_element(rng)
@@ -572,6 +587,7 @@ def suite_bundle_charts(rng, samples, rec, n):
 
 
 def suite_sc(rng, samples, rec):
+    from . import bundles
     lam1, lam2 = 1.0 + 0j, 1j
     for c in (1.0 + 0j, -1.0 + 0j, 1j):
         data = bundles.SCData(lam1, lam2, c)
@@ -596,6 +612,7 @@ def suite_sc(rng, samples, rec):
 
 
 def random_sc_biholo(rng, data):
+    from . import bundles
     case = data.case
     units = [1, -1, 1j, -1j] if abs(data.w2 - 1j) < 1e-9 and abs(data.w1 - 1) < 1e-9 else [1, -1]
     b = units[int(rng.integers(len(units)))]
@@ -608,6 +625,7 @@ def random_sc_biholo(rng, data):
 
 
 def corrupt_sc_map(rng, data):
+    from . import bundles
     kind = int(rng.integers(3))
     phi = random_sc_biholo(rng, data)
     if kind == 0:
@@ -667,6 +685,7 @@ def corrupt_sc_map(rng, data):
 
 
 def suite_bgamma2_center(rng, samples, rec):
+    from . import projective
     handler = families.build_family("Bγ2")
     n = handler.n
     for _ in range(max(3, samples // 10)):

@@ -132,6 +132,43 @@ def test_import_homsurf_loads_no_submodule():
     assert not names & NOT_LOADED
 
 
+# `verify` imports only `numeric` and `families`; each suite imports the modules it runs when it runs.  verify
+# loads numpy, for its generator, which brings `inspect`; the SC suite reaches `rational_reconstruct`, which
+# imports `fractions`.  No homsurf module loads `dataclasses` or `argparse` (nor its `gettext` and `locale`).
+VERIFY = ACT | {"homsurf.verify"}
+VERIFY_NOT_LOADED = {"dataclasses", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("code", ["import homsurf.verify", "from homsurf import verify; verify.suite_names()"])
+def test_import_verify_loads_no_family_module(code):
+    status, _, ours, names = _run("-c", code)
+    assert status == 0
+    assert ours == VERIFY
+    assert "numpy" in names
+    assert not names & VERIFY_NOT_LOADED
+
+
+# suite -> the homsurf modules `homsurf verify <suite> --samples 1` loads, besides those of VERIFY and `cli`
+VERIFY_CALLS = {
+    "A2": set(),
+    "D1": {"homsurf.d1", "homsurf.lattice"},
+    "SC": {"homsurf.bundles", "homsurf.lattice"},
+    "exppoly": {"homsurf.exppoly", "homsurf.divisor", "homsurf.lattice"},
+    # an alias: `family_label` reads it through `catalogue`
+    "Bb1": {"homsurf.catalogue", "homsurf.bbeta", "homsurf.qd", "homsurf.exppoly", "homsurf.divisor", "homsurf.lattice"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_CALLS))
+def test_verify_call_loads_only_what_its_suite_runs(suite):
+    code, out, ours, names = _run("-m", "homsurf.cli", "verify", suite, "--samples", "1")
+    assert code == 0
+    assert " pass " in out
+    assert ours == VERIFY | VERIFY_CALLS[suite]
+    assert "numpy" in names
+    assert not names & VERIFY_NOT_LOADED
+
+
 def _imported_names(tree):
     """The modules that a module's import statements name, relative imports left out."""
     for node in ast.walk(tree):
@@ -148,6 +185,24 @@ def test_only_verify_imports_numpy():
         if any(name.split(".")[0] == "numpy" for name in _imported_names(ast.parse(path.read_text(encoding="utf-8")))):
             importers.add(path.name)
     assert importers == {"verify.py"}
+
+
+def _module_level(tree):
+    """The nodes a module runs when it is loaded: every node outside a function body."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            yield from _module_level(node)
+
+
+def test_verify_imports_only_numeric_and_families_at_module_level():
+    # each suite imports its family's modules when it runs, so no new suite can load them with `verify`
+    tree = ast.parse((pathlib.Path(homsurf.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+    relative = set()
+    for node in _module_level(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert relative == {"numeric", "families"}
 
 
 def test_public_names_are_their_home_objects():

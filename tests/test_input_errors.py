@@ -214,7 +214,6 @@ _MATRIX_ELEMENTS = {
     "Bδ4": (lambda m: dict(_ON2, matrix=m), _O2_POINT),
     "C5": (lambda m: {"matrix": m, "t": 0}, _PROJ_LINE_POINT),
     "C6": (lambda m: {"matrix": m, "affine": {"alpha": 1, "beta": 0}}, _PROJ_LINE_POINT),
-    "C7": (lambda m: {"first": [[1, 0], [0, 1]], "second": m}, {"first": [1, 0.5], "second": [0.5, 1]}),
     "C9": (lambda m: {"matrix": m}, {"alpha": [1, 0.5], "beta": [0.5, 1]}),
 }
 NOT_INVERTIBLE = {
@@ -233,6 +232,12 @@ NOT_INVERTIBLE.update(
         "Bγ1": (dict(_ON2, c=2, lam=800, b=0), dict(_ON2, c=1, lam=2 * _E200, b=0), POINT),
         "Bγ2": (dict(_ON2, lam=-800, b=0), dict(_ON2, lam=_E200, b=0), POINT),
         "Bγ3": ({"n": 2, "lam": 800, "b": 0, "r": [0, 0]}, {"n": 2, "lam": -_E200, "b": 0, "r": [0, 0]}, POINT),
+        # C7 holds two matrices: the singular one is `first` here, the ill-scaled one `second`
+        "C7": (
+            {"first": [[1, 2], [2, 4]], "second": [[1, 0], [0, 1]]},
+            {"first": [[1, 0], [0, 1]], "second": [[1e200, 0], [0, 1e-200]]},
+            {"first": [1, 0.5], "second": [0.5, 1]},
+        ),
     }
 )
 
@@ -240,9 +245,29 @@ NOT_INVERTIBLE.update(
 @pytest.mark.parametrize("family", sorted(NOT_INVERTIBLE))
 def test_cli_act_refuses_a_matrix_not_invertible_at_its_scale(tmp_path, capsys, family):
     singular, ill_scaled, point = NOT_INVERTIBLE[family]
-    for element in (singular, ill_scaled):
+    # C7's error names which of its two matrices it refuses
+    paths = ("element.first", "element.second") if family == "C7" else ("element", "element")
+    for element, path in zip((singular, ill_scaled), paths):
         assert _act(tmp_path, family, element, point) == 2
-        assert capsys.readouterr().err == "error: element: matrix must be invertible\n"
+        assert capsys.readouterr().err == f"error: {path}: matrix must be invertible\n"
+
+
+# Bγ4's element schema applies the test of `projective.bgamma_chart_act`: the matrix fixes infinity, its
+# lower-left entry 0 to EPS at the scale of its entries
+@pytest.mark.parametrize("matrix", [[[1, 0], [1, 1]], [[1e200, 0], [1e195, 1e200]]])
+def test_cli_act_bgamma4_matrix_must_fix_infinity(tmp_path, capsys, matrix):
+    assert _act(tmp_path, "Bγ4", dict(_ON2, matrix=matrix), POINT) == 2
+    assert capsys.readouterr().err == "error: element: matrix must fix infinity (be upper triangular)\n"
+
+
+def test_fixing_infinity_is_the_test_of_bgamma_chart_act():
+    # 1e-12 at the scale 1e4 of the matrix is 0 to EPS
+    e = projective.OnGroupElement(2, ((1e4, 0), (1e-12, 1)), (0, 0, 0))
+    assert e.fixing_infinity() is e
+    moving = projective.OnGroupElement(2, ((1, 0), (1, 1)), (0, 0, 0))
+    for check in (moving.fixing_infinity, lambda: projective.bgamma_chart_act(moving, (1.0, 2.0))):
+        with pytest.raises(ValueError, match=r"^matrix must fix infinity \(be upper triangular\)$"):
+            check()
 
 
 # scalar matrices, the identity modulo scalars, whose entries leave the float range once squared or cubed
