@@ -27,7 +27,8 @@ from itertools import chain
 
 from .numeric import CHART, COMPLEX, COMPLEXES, DEGREE, DIVISOR, EPS, EXPPOLY, INVERTIBLE2, MATRIX2, MATRIX3, PAIR
 from .numeric import Record, Schema, _itself, _values, check_invertible, close, determinant, distance, flat_distance
-from .numeric import ORIGIN_TOL, SL_DET_TOL, inverse2, inverse3, lazy, product2, product3, setfield
+from .numeric import ORIGIN_TOL, SL_DET_TOL, _pair_distance, _scalar_distance, inverse2, inverse3, lazy, product2
+from .numeric import product3, setfield
 
 
 def _cnum(rng, scale=0.7):
@@ -46,7 +47,7 @@ def _matrix(rng, n=2, special=False, min_det=0.25, scale=0.7):
     a square root of the determinant when special, so that det = 1."""
     while True:
         cs = _cnums(rng, n * n, scale)
-        m = tuple(tuple(cs[i : i + n]) for i in range(0, n * n, n))
+        m = ((cs[0], cs[1]), (cs[2], cs[3])) if n == 2 else tuple(tuple(cs[i : i + n]) for i in range(0, n * n, n))
         det = determinant(m)
         if abs(det) > min_det:
             break
@@ -401,22 +402,23 @@ _BUNDLE = Schema(
 
 
 def _proj_distance(g, h):
-    """Distance between matrices modulo a scalar."""
+    """Distance between matrices modulo a scalar: `flat_distance` of g and s h, s the ratio of their entries at
+    the first entry of g of largest modulus (the one max() picks), each maximum taken once."""
     xs = list(map(complex, chain.from_iterable(g)))
     ys = list(map(complex, chain.from_iterable(h)))
-    i, top = 0, abs(xs[0])
-    for k in range(1, len(xs)):  # the first entry of largest modulus, the one max() picks
-        if abs(xs[k]) > top:
-            i, top = k, abs(xs[k])
+    moduli = list(map(abs, xs))
+    top = max(moduli)
+    i = moduli.index(top)
     if abs(ys[i]) == 0:
         return 1.0
     s = xs[i] / ys[i]
-    return flat_distance(xs, [s * y for y in ys])
+    zs = [s * y for y in ys]
+    return max(map(abs, map(operator.sub, xs, zs))) / max(1.0, top, max(map(abs, zs)))
 
 
 def _matrix_distance(g, h):
     """`flat_distance` over the entries of two matrices given as rows."""
-    return flat_distance([x for row in g for x in row], [y for row in h for y in row])
+    return flat_distance(list(chain.from_iterable(g)), list(chain.from_iterable(h)))
 
 
 def _affine_distance(g, h):
@@ -424,8 +426,9 @@ def _affine_distance(g, h):
     return max(_matrix_distance(g[0], h[0]), flat_distance(g[1], h[1]))
 
 
-def _psl_first_distance(g, h):
-    return max(_proj_distance(g[0], h[0]), distance(g[1], h[1]))
+def _psl_first_distance(second):
+    """The distance of PSL(2) x (a factor whose elements `second` compares): the larger of the two."""
+    return lambda g, h: max(_proj_distance(g[0], h[0]), second(g[1], h[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +547,14 @@ SPECS = {
         lambda: _product("C5", _psl2(), _TRANS_C),
         Schema({"matrix": MATRIX2, "t": COMPLEX}, make=lambda m, t: (check_invertible(m), t)),
         _PROJ_TIMES_LINE,
-        distance=_psl_first_distance,
+        distance=_psl_first_distance(_scalar_distance),
         policy="discrete subgroup Delta of C acting on the second factor",
     ),
     "C6": FamilySpec(
         lambda: _product("C6", _psl2(), _AFF_C),
         Schema({"matrix": MATRIX2, "affine": _AFFINE}, make=lambda m, a: (check_invertible(m), _invertible_affine(a))),
         _PROJ_TIMES_LINE,
-        distance=_psl_first_distance,
+        distance=_psl_first_distance(_pair_distance),
     ),
     "C7": FamilySpec(
         lambda: _product("C7", _psl2(), _psl2()),

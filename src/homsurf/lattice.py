@@ -281,6 +281,17 @@ def zmodule_basis(vectors, *, max_denominator=None):
     live = [i for i in range(n) if norms[i] > chop]
     if not live:
         return [], [], _unit_rows(n, range(n))
+    if len(live) == 1:
+        # one live generator v, the general path's bits: its rank is 1 unless |v| is at most RANK_TOL,
+        # its one coordinate d / d = 1.0, its HNF [[1]] and its basis [0 + 1 * x for x in v] (sum starts
+        # from the int 0), of norm |v|; its span and fit checks cannot fail (README, "Numerical conventions")
+        i = live[0]
+        if not norms[i] > RANK_TOL * max(1.0, scale):
+            raise NonDiscreteError("generators lie between the zero chop and the rank threshold")
+        _denominator_bound(max_denominator)
+        if norms[i] < _NOISE_BAND * max(1.0, scale):
+            raise NonDiscreteError("reduced basis vector collapsed into noise")
+        return [[0 + x for x in vecs[i]]], _unit_rows(n, live), _unit_rows(n, [k for k in range(n) if k != i])
     A = [vecs[i] for i in live]
     r = real_rank(A)
     if r == 0:
@@ -363,6 +374,8 @@ def zmodule_fit(basis):
     cols = [list(map(float, b)) for b in basis]
     qr = _qr(cols)
     dims = {len(c) for c in cols}
+    if len(cols) == 1:
+        (b,), ((q,), ((r,),)) = cols, qr  # q is None and r 0.0 for a zero vector
 
     def fit(v, scale=0.0):
         v = list(map(float, v))
@@ -371,7 +384,19 @@ def zmodule_fit(basis):
             return [] if size <= EMPTY_BASIS_TOL * max(1.0, scale) else None
         if dims != {len(v)}:
             raise ValueError("basis vectors and v differ in dimension")
-        return _integer_fit(v, cols, qr, COMBO_TOL, max(1.0, scale, size))
+        if len(cols) > 1:
+            return _integer_fit(v, cols, qr, COMBO_TOL, max(1.0, scale, size))
+        # rank one: _qr_solve, _back_substitute and _integer_fit on the one coordinate, in their order
+        y = sum(map(mul, v, q)) / r if r else 0.0
+        if not math.isfinite(y):
+            return None
+        k = round(y)
+        if abs(y - k) > COMBO_TOL:
+            return None
+        w = [x - k * c for x, c in zip(v, b)] if k else v
+        if math.sqrt(sum(map(mul, w, w))) > COMBO_TOL * max(1.0, scale, size):
+            return None
+        return [k]
 
     return fit
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import sub
 
 EPS = 1e-9
 COEFF_CHOP = 1e-12
@@ -246,7 +247,7 @@ _SCALAR_TYPES = frozenset((complex, float, int))
 def flat_distance(xs, ys):
     """Largest entrywise difference over the largest entry (at least 1)."""
     s = max(1.0, max(map(abs, xs)), max(map(abs, ys)))
-    return max(abs(x - y) for x, y in zip(xs, ys)) / s
+    return max(map(abs, map(sub, xs, ys))) / s
 
 
 def _scalar_distance(a, b):

@@ -319,12 +319,25 @@ class OnGroupElement(Record):
             a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         except (TypeError, ValueError):
             raise ValueError("matrix must be 2x2") from None
+        self._settle(n, a, b, c, d, poly, check=True)
+
+    @classmethod
+    def _of(cls, n, matrix, poly):
+        """The element of a product or an inverse, whose complex entries and form of degree n another
+        element's passed the checks: canonicalized as by the constructor, not checked again."""
+        out = object.__new__(cls)
+        (a, b), (c, d) = matrix
+        out._settle(n, a, b, c, d, poly, check=False)
+        return out
+
+    def _settle(self, n, a, b, c, d, poly, check):
         ma, mb, mc, md = abs(a), abs(b), abs(c), abs(d)
         top = max(ma, mb, mc, md)
-        check_invertible(((a, b), (c, d)), top)  # each modulus taken once
-        p = tuple(map(complex, poly))
-        if len(p) != n + 1:
-            raise ValueError("polynomial must have degree n")
+        if check:
+            check_invertible(((a, b), (c, d)), top)  # each modulus taken once
+            poly = tuple(map(complex, poly))
+            if len(poly) != n + 1:
+                raise ValueError("polynomial must have degree n")
         least = CANONICAL_REF_TOL * top  # invertible: some entry exceeds it
         ref = d if md > least else a if ma > least else b if mb > least else c
         k = int(cmath.phase(ref) % (2 * math.pi) // (2 * math.pi / n))
@@ -333,7 +346,7 @@ class OnGroupElement(Record):
             a, b, c, d = a * zeta, b * zeta, c * zeta, d * zeta
         setfield(self, "n", n)
         setfield(self, "matrix", ((a, b), (c, d)))
-        setfield(self, "poly", p)
+        setfield(self, "poly", poly)
 
     def distance(self, other):
         """The matrix parts compared modulo scalar n-th roots of unity, and the forms entrywise."""
@@ -374,12 +387,12 @@ def on_multiply(e0, e1):
     if e0.n != e1.n:
         raise ValueError("mixed bundle degrees")
     comp = binary_form_substitute(e1.poly, inverse2(e0.matrix))
-    return OnGroupElement(e0.n, product2(e0.matrix, e1.matrix), tuple(map(operator.add, e0.poly, comp)))
+    return OnGroupElement._of(e0.n, product2(e0.matrix, e1.matrix), tuple(map(operator.add, e0.poly, comp)))
 
 
 def on_inverse(e):
     p = tuple(map(operator.neg, binary_form_substitute(e.poly, e.matrix)))
-    return OnGroupElement(e.n, inverse2(e.matrix), p)
+    return OnGroupElement._of(e.n, inverse2(e.matrix), p)
 
 
 def on_act(e, x):

@@ -110,6 +110,8 @@ def random_tau(rng):
 
 # the largest distance the group laws and the action law may leave at a sample
 AXIOMS_TOL = 1e-9
+# faithfulness: an element farther than this from the identity must move a probe point farther than this
+FAITHFUL_TOL = 1e-6
 
 
 def axioms_suite(label, handler, rng, samples, rec):
@@ -136,10 +138,10 @@ def axioms_suite(label, handler, rng, samples, rec):
         rec.value("action", point_distance(handler.act(gh, x), handler.act(g, handler.act(h, x))), AXIOMS_TOL)
     for _ in range(max(1, samples // 50)):
         g = handler.random_element(rng)
-        if element_distance(g, ident) < 1e-6:
+        if element_distance(g, ident) < FAITHFUL_TOL:
             continue
         moved = any(
-            point_distance(handler.act(g, p), p) > 1e-6
+            point_distance(handler.act(g, p), p) > FAITHFUL_TOL
             for p in (handler.random_point(rng) for _ in range(20))
         )
         rec.boolean("faithfulness", moved, "non-identity element fixed all probes")

@@ -354,3 +354,80 @@ def test_lattice_reduce_tau_glues_the_edge_re_tau_minus_one_half():
     # Re tau = -1/2 and Re tau = 1/2 bound the fundamental domain; the reduced tau takes the second
     _, _, tau, U = lattice.lattice_reduce_tau(1.0, -0.5 + 1.2j)
     assert abs(tau - (0.5 + 1.2j)) <= 1e-12 and U == [[1, 0], [1, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the rank-one shortcuts of zmodule_basis and zmodule_fit against the general path
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_zmodule_basis_of_one_vector_is_the_general_paths(rng, dim):
+    """One live generator returns the basis that the general path gives for two copies of it."""
+    for _ in range(500):
+        v = rng.normal(size=dim) * 10.0 ** rng.uniform(-5, 100)
+        v *= max(1.0, 1e-6 / np.linalg.norm(v))
+        v = v.tolist()
+        if rng.random() < 0.3:
+            v[int(rng.integers(dim))] = -0.0
+        assert repr(zmodule_basis([v])[0]) == repr(zmodule_basis([v, v])[0])
+    assert repr(zmodule_basis([[-0.0, 1.0]])[0]) == "[[0.0, 1.0]]"  # as sum gives: 0 + (-0.0)
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except (NonDiscreteError, ValueError) as e:
+        return (type(e).__name__, str(e))
+
+
+@pytest.mark.parametrize(
+    "norm, want",
+    [
+        (1e-13, ([], [], [[1]])),
+        (5e-9, ("NonDiscreteError", "generators lie between the zero chop and the rank threshold")),
+        (5e-8, ("NonDiscreteError", "reduced basis vector collapsed into noise")),
+        (2e-7, ([[0.6 * 2e-7, 0.8 * 2e-7]], [[1]], [])),
+        (1e3, ([[0.6 * 1e3, 0.8 * 1e3]], [[1]], [])),
+    ],
+)
+def test_zmodule_basis_of_one_vector_pins_its_outcomes(norm, want):
+    v = [0.6 * norm, 0.8 * norm]
+    assert repr(outcome(zmodule_basis, [v])) == repr(want)
+    assert repr(outcome(zmodule_basis, [v])[0]) == repr(outcome(zmodule_basis, [v, v])[0])  # the basis or the error
+
+
+def test_zmodule_basis_of_one_vector_and_a_zero_generator():
+    """A zero generator before or after the live one is a relation, as in the general path."""
+    zero, v = [-0.0, 0.0], [600.0, 800.0]
+    assert zmodule_basis([zero, v]) == ([v], [[0, 1]], [[1, 0]])
+    assert zmodule_basis([v, zero]) == ([v], [[1, 0]], [[0, 1]])
+    assert zmodule_basis([zero, [6e-14, 8e-14]]) == ([], [], [[1, 0], [0, 1]])
+
+
+def test_zmodule_basis_of_one_vector_keeps_the_bound_error():
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="denominator bound must be at least 1"):
+            zmodule_basis([[0.6, 0.8]], max_denominator=bound)
+        with pytest.raises(ValueError, match="denominator bound must be at least 1"):
+            zmodule_basis([[0.6, 0.8], [1.2, 1.6]], max_denominator=bound)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_zmodule_fit_of_one_vector_is_the_integer_fit(rng, dim):
+    """A rank-one fit gives `_integer_fit`'s answer over the QR of its one column, to the bit."""
+    for _ in range(300):
+        b = (rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        if rng.random() < 0.05:
+            b = [0.0] * dim
+        cols = [b]
+        fit = zmodule_fit(cols)
+        k = int(rng.integers(-50, 51))
+        for off in (0.0, 1e-9, 1e-6, 2e-6, 0.5):
+            v = [k * x + off * y for x, y in zip(b, rng.normal(size=dim).tolist())]
+            for bad in (None, math.nan, math.inf):
+                if bad is not None:
+                    v[int(rng.integers(dim))] = bad
+                for scale in (0.0, 10.0 ** rng.uniform(-3, 3)):
+                    size = math.sqrt(sum(x * x for x in v))
+                    want = lattice._integer_fit(v, cols, lattice._qr(cols), lattice.COMBO_TOL, max(1.0, scale, size))
+                    assert repr(fit(v, scale=scale)) == repr(want)

@@ -1,10 +1,11 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
 
-from homsurf.numeric import EPS, close, distance
+from homsurf.numeric import EPS, close, distance, inverse2, product2
 from homsurf.projective import (
     BundlePoint,
     OnGroupElement,
@@ -152,6 +153,22 @@ def test_on_group_axioms_across_charts(rng):
         rhs = on_act(e0, on_act(e1, x))
         assert distance(lhs, rhs) <= 1e-8
         assert distance(on_multiply(e0, on_inverse(e0)), on_identity(n)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_on_products_and_inverses_are_the_validating_constructors(rng, n):
+    """`OnGroupElement._of`, which on_multiply and on_inverse build with, gives the constructor's element to the bit."""
+    for _ in range(200):
+        e0, e1 = (
+            OnGroupElement(n, rand_matrix(rng), tuple(complex(rng.normal(), rng.normal()) for _ in range(n + 1)))
+            for _ in range(2)
+        )
+        m = product2(e0.matrix, e1.matrix)
+        p = tuple(map(operator.add, e0.poly, binary_form_substitute(e1.poly, inverse2(e0.matrix))))
+        assert repr(on_multiply(e0, e1)) == repr(OnGroupElement._of(n, m, p)) == repr(OnGroupElement(n, m, p))
+        p = tuple(-c for c in binary_form_substitute(e0.poly, e0.matrix))
+        want = OnGroupElement(n, inverse2(e0.matrix), p)
+        assert repr(on_inverse(e0)) == repr(OnGroupElement._of(n, inverse2(e0.matrix), p)) == repr(want)
 
 
 def test_on_zn_quotient_identification():
